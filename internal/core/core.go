@@ -29,7 +29,9 @@ import (
 	"cudaadvisor/internal/rt"
 )
 
-// DefaultDeviceMem is the simulated global-memory size used by New.
+// DefaultDeviceMem is the simulated global-memory capacity of every
+// device this package and the experiment layer create. It is a limit:
+// the device backs only what a run allocates or stores to.
 const DefaultDeviceMem = 512 << 20
 
 // Advisor is one profiling session: an architecture, an instrumentation

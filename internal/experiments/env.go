@@ -105,14 +105,11 @@ func (e Env) profileCellWith(ctx context.Context, cell string, app *apps.App, cf
 	}
 	p := profiler.New()
 	p.TraceCap = inj.TraceCap(e.TraceCap)
-	c := rt.NewContext(gpu.NewDevice(cfg, DeviceMemBytes), inj.Listener(p))
-	c.Options.Ctx = ctx
-	c.Options.RecordSchedule = recordSchedule
 	// Hand the cell the run's pool too: launches split their SM shards
 	// across whatever workers the experiment fan-out leaves idle (the
 	// shard fan-out is non-blocking, so cell- and launch-level
 	// parallelism share one -j bound without deadlock).
-	c.Options.Pool = e.Pool
+	c := newContext(cfg, inj.Listener(p), rt.LaunchOptions{Ctx: ctx, RecordSchedule: recordSchedule, Pool: e.Pool})
 	if err := app.Run(c, prog, e.Scale); err != nil {
 		return nil, fmt.Errorf("%s: run: %w", app.Name, err)
 	}

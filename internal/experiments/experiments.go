@@ -22,10 +22,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"runtime"
 
 	"cudaadvisor/internal/analysis"
 	"cudaadvisor/internal/apps"
 	"cudaadvisor/internal/bypass"
+	"cudaadvisor/internal/core"
 	"cudaadvisor/internal/gpu"
 	"cudaadvisor/internal/instrument"
 	"cudaadvisor/internal/profcache"
@@ -35,8 +38,14 @@ import (
 	"cudaadvisor/internal/runner"
 )
 
-// DeviceMemBytes sizes the simulated global memory for every run.
-const DeviceMemBytes = 512 << 20
+// newContext is the one place a cell gets its simulated machine: a fresh
+// device of the standard capacity under a host context with the cell's
+// listener (nil runs natively) and launch policies.
+func newContext(cfg gpu.ArchConfig, l rt.Listener, opts rt.LaunchOptions) *rt.Context {
+	c := rt.NewContext(gpu.NewDevice(cfg, core.DefaultDeviceMem), l)
+	c.Options = opts
+	return c
+}
 
 // Profile runs one application instrumented under a fresh profiler on the
 // given architecture and returns the profiler. Every call builds its own
@@ -47,8 +56,7 @@ func Profile(app *apps.App, cfg gpu.ArchConfig, opts instrument.Options, scale i
 		return nil, fmt.Errorf("%s: instrument: %w", app.Name, err)
 	}
 	p := profiler.New()
-	ctx := rt.NewContext(gpu.NewDevice(cfg, DeviceMemBytes), p)
-	if err := app.Run(ctx, prog, scale); err != nil {
+	if err := app.Run(newContext(cfg, p, rt.LaunchOptions{}), prog, scale); err != nil {
 		return nil, fmt.Errorf("%s: run: %w", app.Name, err)
 	}
 	return p, nil
@@ -279,10 +287,7 @@ func measureNative(ctx context.Context, pool *runner.Pool, app *apps.App, cfg gp
 		return profcache.CycleStats{}, err
 	}
 	counter := rt.NewCycleCounter()
-	c := rt.NewContext(gpu.NewDevice(cfg, DeviceMemBytes), counter)
-	c.Options.L1Warps = l1Warps
-	c.Options.Ctx = ctx
-	c.Options.Pool = pool
+	c := newContext(cfg, counter, rt.LaunchOptions{L1Warps: l1Warps, Ctx: ctx, Pool: pool})
 	if err := app.Run(c, prog, scale); err != nil {
 		return profcache.CycleStats{}, err
 	}
@@ -504,7 +509,8 @@ func WriteFigure7Env(w io.Writer, env Env) error {
 //
 // Program construction parallelizes freely, but the timed native and
 // instrumented runs of each app execute inside runner.Exclusive so that
-// concurrent siblings cannot inflate either side of the ratio.
+// concurrent siblings cannot inflate either side of the ratio. Each side
+// is the fastest of three or more alternating runs.
 func Overhead(pool *runner.Pool, cfg gpu.ArchConfig, scale int) ([]report.OverheadRow, error) {
 	rows, _, err := OverheadEnv(DefaultEnv(pool, scale), cfg)
 	return rows, err
@@ -515,7 +521,11 @@ func Overhead(pool *runner.Pool, cfg gpu.ArchConfig, scale int) ([]report.Overhe
 // panics injected there surface as that cell's error. Note the measured
 // times are wall clock, so this figure is not run-to-run deterministic.
 func OverheadEnv(env Env, cfg gpu.ArchConfig) ([]report.OverheadRow, []error, error) {
-	const reps = 3 // repetitions to amortize wall-clock jitter on small kernels
+	const (
+		reps     = 3    // timed runs per side, at least; the fastest one is reported
+		maxReps  = 12   // at most, for kernels too short to time in three
+		minTimed = 0.02 // seconds of native kernel time that ends the extra runs
+	)
 	order := apps.InTableOrder()
 	names := make([]string, len(order))
 	for i, a := range order {
@@ -534,30 +544,40 @@ func OverheadEnv(env Env, cfg gpu.ArchConfig) ([]report.OverheadRow, []error, er
 		if err != nil {
 			return report.OverheadRow{}, err
 		}
+		// timed returns the kernel wall time of one run, which starts from
+		// a collected heap so that sweeping the garbage of the run before
+		// it is not on its clock.
+		timed := func(prog *instrument.Program, l rt.Listener) (float64, error) {
+			runtime.GC()
+			c := newContext(cfg, l, rt.LaunchOptions{Ctx: ctx})
+			err := a.Run(c, prog, env.Scale)
+			return c.KernelTime.Seconds(), err
+		}
 		return runner.Exclusive(env.Pool, func() (report.OverheadRow, error) {
-			nativeSec := 0.0
-			for r := 0; r < reps; r++ {
-				c := rt.NewContext(gpu.NewDevice(cfg, DeviceMemBytes), nil)
-				c.Options.Ctx = ctx
-				if err := a.Run(c, native, env.Scale); err != nil {
+			// Each side reports its fastest run: wall-clock noise only
+			// ever adds, and on runs this short a descheduled thread costs
+			// as much as the kernel. Native and profiled runs alternate so
+			// that a slow stretch of the machine falls on both sides.
+			// A millisecond kernel gets more pairs (the minimum needs
+			// samples, and these cost nothing): up to maxReps, until
+			// minTimed seconds of native kernel time have been seen.
+			row := report.OverheadRow{App: a.Name, Arch: cfg.Name, Native: math.Inf(1), Profiled: math.Inf(1)}
+			seen := 0.0
+			for r := 0; r < reps || (r < maxReps && seen < minTimed); r++ {
+				sec, err := timed(native, nil)
+				if err != nil {
 					return report.OverheadRow{}, err
 				}
-				nativeSec += c.KernelTime.Seconds()
-			}
-			profiledSec := 0.0
-			for r := 0; r < reps; r++ {
+				seen += sec
+				row.Native = min(row.Native, sec)
 				p := profiler.New()
 				p.TraceCap = inj.TraceCap(env.TraceCap)
-				c := rt.NewContext(gpu.NewDevice(cfg, DeviceMemBytes), inj.Listener(p))
-				c.Options.Ctx = ctx
-				if err := a.Run(c, prog, env.Scale); err != nil {
+				if sec, err = timed(prog, inj.Listener(p)); err != nil {
 					return report.OverheadRow{}, err
 				}
-				profiledSec += c.KernelTime.Seconds()
+				row.Profiled = min(row.Profiled, sec)
 			}
-			return report.OverheadRow{
-				App: a.Name, Arch: cfg.Name, Native: nativeSec, Profiled: profiledSec,
-			}, nil
+			return row, nil
 		})
 	})
 	if err != nil && !env.KeepGoing {

@@ -1,6 +1,9 @@
 package gpu
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func testCfg() ArchConfig {
 	cfg := KeplerK40c()
@@ -177,4 +180,61 @@ func TestDeviceMemoryBounds(t *testing.T) {
 	if err := d.WriteBytes(4095, []byte{1, 2}); err == nil {
 		t.Error("out-of-range write succeeded")
 	}
+}
+
+// naiveCoalesce is the reference coalescer: for every active lane in lane
+// order, the line of the access's first byte and — when the access
+// straddles — of its last, each kept at its first appearance.
+func naiveCoalesce(mask uint32, addrs *[WarpSize]uint64, size, lineSize int) []uint64 {
+	var out []uint64
+	add := func(line uint64) {
+		for _, l := range out {
+			if l == line {
+				return
+			}
+		}
+		out = append(out, line)
+	}
+	ls := uint64(lineSize)
+	for lane := 0; lane < WarpSize; lane++ {
+		if mask&(1<<uint(lane)) == 0 {
+			continue
+		}
+		a := addrs[lane]
+		add(a / ls * ls)
+		add((a + uint64(size) - 1) / ls * ls)
+	}
+	return out
+}
+
+// FuzzCoalesceLines holds coalesceLines to the naive first-touch
+// reference: the same lines in the same order, for any mask, access
+// width and power-of-two line size. Addresses are drawn as a base plus
+// small per-lane offsets so lanes share, revisit and straddle lines.
+func FuzzCoalesceLines(f *testing.F) {
+	f.Add(uint32(0xFFFFFFFF), uint64(0x1000), int64(4), uint8(4), uint8(7), []byte{})
+	f.Add(uint32(0xFFFFFFFF), uint64(126), int64(-8), uint8(8), uint8(7), []byte{3, 0, 3, 9})
+	f.Add(uint32(0x0000FFFF), uint64(1<<40), int64(4096), uint8(1), uint8(5), []byte{1, 2, 3})
+	f.Add(uint32(0xAAAAAAAA), uint64(31), int64(1), uint8(8), uint8(5), []byte{0xff, 0, 0xff})
+	f.Fuzz(func(t *testing.T, mask uint32, base uint64, stride int64, size, lineShift uint8, jitter []byte) {
+		size = size%8 + 1
+		lineSize := 1 << (lineShift % 13)
+		var addrs [WarpSize]uint64
+		for lane := range addrs {
+			addrs[lane] = base + uint64(int64(lane)*stride)
+			if len(jitter) > 0 {
+				// Signed byte offsets in units of the access width: lanes
+				// collide, reorder and cross line boundaries.
+				addrs[lane] += uint64(int64(int8(jitter[lane%len(jitter)])) * int64(size))
+			}
+		}
+		got := coalesceLines(nil, mask, &addrs, int(size), lineSize)
+		want := naiveCoalesce(mask, &addrs, int(size), lineSize)
+		if !reflect.DeepEqual(got, want) && (len(got) != 0 || len(want) != 0) {
+			t.Fatalf("mask %#x size %d line %d addrs %#x:\ngot  %#x\nwant %#x", mask, size, lineSize, addrs, got, want)
+		}
+		if n := UniqueLines(mask, &addrs, int(size), lineSize); n != len(want) {
+			t.Fatalf("UniqueLines = %d, want %d", n, len(want))
+		}
+	})
 }

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -37,7 +38,9 @@ type WarpView struct {
 // global order (SM-major: every event of SM 0, then SM 1, …), regardless
 // of how many workers execute the launch: a parallel launch buffers each
 // SM's events and replays them in SM order after the SMs join. Hook
-// implementations therefore need no locking.
+// implementations therefore need no locking. Like w, args is lent for the
+// duration of the call — the executor reuses the buffer for the next hook
+// — so an implementation that keeps argument values copies them.
 type Hooks interface {
 	OnHook(w *WarpView, call *ir.Instr, args []LaneValues) error
 }
@@ -146,6 +149,12 @@ type LaunchResult struct {
 type Device struct {
 	Cfg ArchConfig
 	Mem *DeviceMemory
+
+	// modules caches the decoded form of every module launched from, so a
+	// module is decoded once per device rather than once per launch.
+	modules map[*ir.Module]*dmodule
+	// frames[sm] recycles warp activations on that SM across launches.
+	frames []*framePool
 }
 
 // NewDevice creates a device with the given global-memory capacity.
@@ -170,39 +179,41 @@ func (f *Fault) Error() string {
 }
 
 const (
-	reconvNever = -100 // reconvergence PC that never matches a block
-	deadBlock   = -1   // placeholder PC for entries waiting to drain
+	reconvNever = -100 // reconvergence PC that never matches an instruction
+	deadPC      = -1   // placeholder PC for entries waiting to drain
 )
 
+// simtEntry is one entry of a frame's reconvergence stack. PCs index the
+// function's decoded code; reconv is always the first instruction of a
+// block, so only a control transfer can make pc equal it.
 type simtEntry struct {
-	block  int // current block index, or deadBlock
-	idx    int // next instruction index within block
-	reconv int // reconvergence block index, or reconvNever
+	pc     int32
+	reconv int32 // or reconvNever
 	mask   uint32
 }
 
 type frame struct {
-	fn       *ir.Function
+	df       *dfunc
 	regs     []uint64 // flat [reg*WarpSize + lane]
 	stack    []simtEntry
-	retDst   int // caller destination register (-1 none)
+	retDst   int32 // caller destination row (-1 none)
 	retVals  LaneValues
 	callMask uint32
 }
 
-func (fr *frame) reg(r, lane int) uint64       { return fr.regs[r*WarpSize+lane] }
-func (fr *frame) setReg(r, lane int, v uint64) { fr.regs[r*WarpSize+lane] = v }
-
-func (fr *frame) operand(a *ir.Operand, lane int) uint64 {
-	if a.Kind == ir.KReg {
-		return fr.regs[a.Reg*WarpSize+lane]
+// row resolves a decoded operand to the 32-lane row it names: a register
+// of this frame, or a broadcast constant of the function.
+func (fr *frame) row(ref int32) *row {
+	if ref >= 0 {
+		return (*row)(fr.regs[ref:])
 	}
-	return ir.ConstBits(*a)
+	return (*row)(fr.df.consts[^ref:])
 }
 
 type warpState struct {
 	view      WarpView
 	cta       *ctaState
+	slot      int // index in the shard's scheduler arrays while resident
 	frames    []*frame
 	readyAt   int64
 	atBarrier bool
@@ -233,15 +244,14 @@ type ctaState struct {
 }
 
 // launchState carries the launch-wide machinery shared by every SM
-// shard: the immutable inputs (device, config, kernel, params, ipdom
-// tables) and the merged result. Per-SM execution state lives on
-// smShard; during a parallel launch this struct is read-only.
+// shard: the immutable inputs (device, config, decoded kernel, params)
+// and the merged result. Per-SM execution state lives on smShard; during
+// a parallel launch this struct is read-only.
 type launchState struct {
 	dev    *Device
 	cfg    ArchConfig
-	kernel *ir.Function
+	kernel *dfunc
 	p      LaunchParams
-	ipdoms map[*ir.Function][]int
 	guard  int64 // per-SM warp-instruction budget
 
 	// buffer, when true, makes shards record hook events for ordered
@@ -253,11 +263,14 @@ type launchState struct {
 }
 
 // Launch executes the kernel on the device. The kernel's module must be
-// finalized and verified. Execution is deterministic: warps are scheduled
-// minimum-ready-time first with stable tie-breaking, and SM shards —
-// whether simulated serially or fanned out across a worker pool — merge
-// in SM order, so every observable output (results, stats, hook order,
-// fault identity) is byte-identical at every worker count.
+// finalized and verified; it is decoded on its first launch from this
+// device, and a module transformed afterwards must be finalized again
+// before the next launch sees the change. Execution is deterministic:
+// warps are scheduled greedy-then-oldest with stable tie-breaking, and SM
+// shards — whether simulated serially or fanned out across a worker pool
+// — merge in SM order, so every observable output (results, stats, hook
+// order, fault identity) is byte-identical at every worker count. The
+// returned result shares nothing with the device or the launch.
 func (d *Device) Launch(kernel *ir.Function, p LaunchParams) (*LaunchResult, error) {
 	if kernel == nil || !kernel.IsKernel {
 		return nil, fmt.Errorf("gpu: Launch requires a kernel")
@@ -291,19 +304,19 @@ func (d *Device) Launch(kernel *ir.Function, p LaunchParams) (*LaunchResult, err
 		}
 	}
 
+	dm := d.decoded(kernel.Module())
 	ls := &launchState{
 		dev:    d,
 		cfg:    d.Cfg,
-		kernel: kernel,
+		kernel: dm.funcs[kernel],
 		p:      p,
-		ipdoms: map[*ir.Function][]int{},
 		guard:  p.MaxWarpInstrs,
+	}
+	if ls.kernel == nil {
+		return nil, fmt.Errorf("gpu: kernel %s is not in module %s", kernel.Name, kernel.Module().Name)
 	}
 	if ls.guard <= 0 {
 		ls.guard = 1 << 31
-	}
-	for _, f := range kernel.Module().Funcs {
-		ls.ipdoms[f] = ir.PostDominators(f)
 	}
 
 	nCTAs := p.Grid[0] * p.Grid[1] * p.Grid[2]
@@ -326,10 +339,13 @@ func (d *Device) Launch(kernel *ir.Function, p LaunchParams) (*LaunchResult, err
 		if len(ctaIDs) == 0 {
 			continue
 		}
-		shards = append(shards, &smShard{ls: ls, sm: sm, ctaIDs: ctaIDs})
+		for len(d.frames) <= sm {
+			d.frames = append(d.frames, &framePool{})
+		}
+		shards = append(shards, &smShard{ls: ls, sm: sm, ctaIDs: ctaIDs, frames: d.frames[sm]})
 	}
 
-	if p.Pool.Workers() > 1 && len(shards) > 1 && !hasGlobalAtomics(kernel.Module()) {
+	if p.Pool.Workers() > 1 && len(shards) > 1 && !dm.atomics {
 		if err := ls.runParallel(shards, threadsPerCTA, warpsPerCTA); err != nil {
 			return nil, err
 		}
@@ -351,7 +367,11 @@ func (d *Device) Launch(kernel *ir.Function, p LaunchParams) (*LaunchResult, err
 		}
 		return a.Col < b.Col
 	})
-	return &ls.res, nil
+	// A copy: a pointer into ls would keep the launch state, and through
+	// it the device and its memory, alive for as long as a profile
+	// retains the result.
+	res := ls.res
+	return &res, nil
 }
 
 // runSerial simulates the SM shards one after another in SM order: the
@@ -401,7 +421,7 @@ func (ls *launchState) merge(s *smShard, cycles int64) {
 // fault builds the Fault for one warp at one location.
 func (s *smShard) fault(w *warpState, loc ir.Loc, format string, args ...any) error {
 	return &Fault{
-		Kernel: s.ls.kernel.Name,
+		Kernel: s.ls.kernel.fn.Name,
 		Loc:    loc,
 		CTA:    w.cta.id,
 		Warp:   w.view.WarpInCTA,
@@ -424,163 +444,63 @@ func (s *smShard) step(w *warpState, now int64) error {
 	if ls.p.Ctx != nil && s.instrs&(ctxCheckInterval-1) == 0 {
 		if err := ls.p.Ctx.Err(); err != nil {
 			return fmt.Errorf("gpu: kernel %s cancelled after %d warp instructions: %w",
-				ls.kernel.Name, s.instrs, err)
+				ls.kernel.fn.Name, s.instrs, err)
 		}
 	}
 	fr := w.frames[len(w.frames)-1]
 	e := &fr.stack[len(fr.stack)-1]
-	in := fr.fn.Blocks[e.block].Instrs[e.idx]
-	cost := int64(ls.cfg.IssueCost)
+	in := &fr.df.code[e.pc]
+	cost := int64(ls.cfg.IssueCost) + in.cost
 	mask := e.mask
 
-	switch {
-	case in.Op.IsIntBinary():
-		for lane := 0; lane < WarpSize; lane++ {
-			if mask&(1<<uint(lane)) == 0 {
-				continue
+	// Straight-line instructions advance the PC inside a block: the top
+	// entry can neither drain nor reach its reconvergence point, so only
+	// the control transfers below need settle.
+	if in.kind < aluEnd {
+		lane := alu(in.kind, fr.row(in.dst), fr.row(in.a), fr.row(in.b), fr.row(in.c), mask, in.imm, &s.tmp)
+		if lane >= 0 {
+			msg := "division by zero"
+			if in.kind == kSRem32 || in.kind == kSRem64 {
+				msg = "remainder by zero"
 			}
-			v, err := ir.EvalIntBin(in.Op, in.Type, fr.operand(&in.Args[0], lane), fr.operand(&in.Args[1], lane))
-			if err != nil {
-				return s.fault(w, in.Loc, "%v (lane %d)", err, lane)
-			}
-			fr.setReg(in.DstReg, lane, v)
+			return s.fault(w, in.in.Loc, "%s (lane %d)", msg, lane)
 		}
-		e.idx++
-	case in.Op.IsFloatBinary():
-		for lane := 0; lane < WarpSize; lane++ {
-			if mask&(1<<uint(lane)) == 0 {
-				continue
-			}
-			v, err := ir.EvalFloatBin(in.Op, fr.operand(&in.Args[0], lane), fr.operand(&in.Args[1], lane))
-			if err != nil {
-				return s.fault(w, in.Loc, "%v (lane %d)", err, lane)
-			}
-			fr.setReg(in.DstReg, lane, v)
-		}
-		e.idx++
-	case in.Op.IsFloatUnary():
-		cost += 2 // SFU ops are slower
-		for lane := 0; lane < WarpSize; lane++ {
-			if mask&(1<<uint(lane)) == 0 {
-				continue
-			}
-			v, err := ir.EvalFloatUn(in.Op, fr.operand(&in.Args[0], lane))
-			if err != nil {
-				return s.fault(w, in.Loc, "%v (lane %d)", err, lane)
-			}
-			fr.setReg(in.DstReg, lane, v)
-		}
-		e.idx++
-	case in.Op == ir.OpICmp:
-		for lane := 0; lane < WarpSize; lane++ {
-			if mask&(1<<uint(lane)) == 0 {
-				continue
-			}
-			v, err := ir.EvalICmp(in.Pred, in.Type, fr.operand(&in.Args[0], lane), fr.operand(&in.Args[1], lane))
-			if err != nil {
-				return s.fault(w, in.Loc, "%v", err)
-			}
-			fr.setReg(in.DstReg, lane, v)
-		}
-		e.idx++
-	case in.Op == ir.OpFCmp:
-		for lane := 0; lane < WarpSize; lane++ {
-			if mask&(1<<uint(lane)) == 0 {
-				continue
-			}
-			v, err := ir.EvalFCmp(in.Pred, fr.operand(&in.Args[0], lane), fr.operand(&in.Args[1], lane))
-			if err != nil {
-				return s.fault(w, in.Loc, "%v", err)
-			}
-			fr.setReg(in.DstReg, lane, v)
-		}
-		e.idx++
-	case in.Op == ir.OpSelect:
-		for lane := 0; lane < WarpSize; lane++ {
-			if mask&(1<<uint(lane)) == 0 {
-				continue
-			}
-			if fr.operand(&in.Args[0], lane)&1 == 1 {
-				fr.setReg(in.DstReg, lane, fr.operand(&in.Args[1], lane))
-			} else {
-				fr.setReg(in.DstReg, lane, fr.operand(&in.Args[2], lane))
-			}
-		}
-		e.idx++
-	case in.Op == ir.OpMov:
-		for lane := 0; lane < WarpSize; lane++ {
-			if mask&(1<<uint(lane)) != 0 {
-				fr.setReg(in.DstReg, lane, fr.operand(&in.Args[0], lane))
-			}
-		}
-		e.idx++
-	case in.Op == ir.OpSitofp || in.Op == ir.OpFptosi || in.Op == ir.OpSext ||
-		in.Op == ir.OpTrunc || in.Op == ir.OpZext:
-		for lane := 0; lane < WarpSize; lane++ {
-			if mask&(1<<uint(lane)) == 0 {
-				continue
-			}
-			v, err := ir.EvalCvt(in.Op, fr.operand(&in.Args[0], lane))
-			if err != nil {
-				return s.fault(w, in.Loc, "%v", err)
-			}
-			fr.setReg(in.DstReg, lane, v)
-		}
-		e.idx++
-	case in.Op == ir.OpGEP:
-		for lane := 0; lane < WarpSize; lane++ {
-			if mask&(1<<uint(lane)) == 0 {
-				continue
-			}
-			base := fr.operand(&in.Args[0], lane)
-			idxBits := fr.operand(&in.Args[1], lane)
-			var idx int64
-			if in.Args[1].Type == ir.I32 {
-				idx = int64(int32(uint32(idxBits)))
-			} else {
-				idx = int64(idxBits)
-			}
-			fr.setReg(in.DstReg, lane, uint64(int64(base)+idx*in.Scale))
-		}
-		e.idx++
-	case in.Op == ir.OpSReg:
-		s.evalSReg(w, fr, in, mask)
-		e.idx++
-	case in.Op == ir.OpShPtr:
-		sd := fr.fn.SharedArray(in.Callee)
-		for lane := 0; lane < WarpSize; lane++ {
-			if mask&(1<<uint(lane)) != 0 {
-				fr.setReg(in.DstReg, lane, uint64(sd.Offset))
-			}
-		}
-		e.idx++
-	case in.Op == ir.OpLd:
+		e.pc++
+		w.readyAt = now + cost
+		return nil
+	}
+
+	switch in.kind {
+	case kSReg:
+		s.evalSReg(w, fr.row(in.dst), in.sreg, mask)
+		e.pc++
+	case kLd:
 		c, err := s.execLoad(w, fr, in, mask, now)
 		if err != nil {
 			return err
 		}
 		cost += c
-		e.idx++
-	case in.Op == ir.OpSt:
-		c, err := s.execStore(w, fr, in, mask, now)
+		e.pc++
+	case kSt:
+		c, err := s.execStore(w, fr, in, mask)
 		if err != nil {
 			return err
 		}
 		cost += c
-		e.idx++
-	case in.Op == ir.OpAtom:
+		e.pc++
+	case kAtom:
 		c, err := s.execAtomic(w, fr, in, mask)
 		if err != nil {
 			return err
 		}
 		cost += c
-		e.idx++
-	case in.Op == ir.OpBar:
+		e.pc++
+	case kBar:
 		live := w.liveMask()
 		if mask != live {
-			return s.fault(w, in.Loc, "divergent barrier: active %#x of live %#x", mask, live)
+			return s.fault(w, in.in.Loc, "divergent barrier: active %#x of live %#x", mask, live)
 		}
-		e.idx++
+		e.pc++
 		w.atBarrier = true
 		cta := w.cta
 		cta.arrived++
@@ -588,136 +508,131 @@ func (s *smShard) step(w *warpState, now int64) error {
 			cta.barrierAt = now
 		}
 		s.releaseBarrierIfReady(cta)
-		w.readyAt = now + cost
-		return nil
-	case in.Op == ir.OpCall:
-		if in.IsHookCall() {
-			s.hookCalls++
-			if ls.p.Hooks != nil {
-				args := make([]LaneValues, len(in.Args))
-				for ai := range in.Args {
-					for lane := 0; lane < WarpSize; lane++ {
-						if mask&(1<<uint(lane)) != 0 {
-							args[ai][lane] = fr.operand(&in.Args[ai], lane)
-						}
-					}
-				}
-				if ls.buffer {
-					// Parallel shard: record for ordered replay after
-					// the SM barrier instead of dispatching inline.
-					s.events = append(s.events, hookEvent{
-						w: w, in: in, args: args, mask: mask, cycle: now,
-					})
-				} else {
-					w.view.ActiveMask = mask
-					w.view.Cycle = now
-					if err := ls.p.Hooks.OnHook(&w.view, in, args); err != nil {
-						return s.fault(w, in.Loc, "hook: %v", err)
-					}
-				}
-				cost += int64(ls.cfg.HookCost)
+	case kHook:
+		s.hookCalls++
+		if ls.p.Hooks != nil {
+			// Inline dispatch lends the hook one per-shard buffer; a
+			// buffered event keeps its own until the ordered replay.
+			args := s.hookArgs[:0]
+			if ls.buffer {
+				args = make([]LaneValues, 0, len(in.args))
 			}
-			e.idx++
-		} else {
-			callee := in.CalleeFn
-			nf := s.newFrame(callee, mask, in.DstReg, now)
-			for pi := range callee.Params {
-				for lane := 0; lane < WarpSize; lane++ {
-					if mask&(1<<uint(lane)) != 0 {
-						nf.setReg(pi, lane, fr.operand(&in.Args[pi], lane))
-					}
-				}
+			for _, ref := range in.args {
+				args = append(args, LaneValues{}) // lanes outside the mask stay zero
+				copyLanes((*row)(&args[len(args)-1]), fr.row(ref), mask)
 			}
-			// Leave e.idx at the call; it advances when the frame returns.
-			w.frames = append(w.frames, nf)
-			cost += 4 // call overhead
-		}
-	case in.Op == ir.OpBr:
-		s.transfer(w, fr, e, in.ThenIdx, mask)
-	case in.Op == ir.OpCBr:
-		var maskT, maskF uint32
-		for lane := 0; lane < WarpSize; lane++ {
-			bit := uint32(1) << uint(lane)
-			if mask&bit == 0 {
-				continue
-			}
-			if fr.operand(&in.Args[0], lane)&1 == 1 {
-				maskT |= bit
+			if ls.buffer {
+				// Parallel shard: record for ordered replay after
+				// the SM barrier instead of dispatching inline.
+				s.events = append(s.events, hookEvent{
+					w: w, in: in.in, args: args, mask: mask, cycle: now,
+				})
 			} else {
-				maskF |= bit
+				s.hookArgs = args
+				w.view.ActiveMask = mask
+				w.view.Cycle = now
+				if err := ls.p.Hooks.OnHook(&w.view, in.in, args); err != nil {
+					return s.fault(w, in.in.Loc, "hook: %v", err)
+				}
 			}
+			cost += int64(ls.cfg.HookCost)
 		}
+		e.pc++
+	case kCall:
+		nf := s.frames.newFrame(in.callee, mask, in.dst)
+		for pi, ref := range in.args {
+			copyLanes(nf.row(int32(pi*WarpSize)), fr.row(ref), mask)
+		}
+		// Leave e.pc at the call; it advances when the frame returns.
+		w.frames = append(w.frames, nf)
+	case kBr:
+		transfer(e, in.then)
+		s.settle(w)
+	case kCBr:
+		cond := fr.row(in.a)
+		var taken uint32
+		for l := range cond {
+			taken |= uint32(cond[l]&1) << uint(l)
+		}
+		maskT, maskF := mask&taken, mask&^taken
 		switch {
 		case maskF == 0:
-			s.transfer(w, fr, e, in.ThenIdx, mask)
+			transfer(e, in.then)
 		case maskT == 0:
-			s.transfer(w, fr, e, in.ElseIdx, mask)
+			transfer(e, in.els)
 		default:
 			// Diverge: current entry becomes the reconvergence
 			// continuation; push else then taken.
-			rpc := ls.ipdoms[fr.fn][e.block]
-			cont := rpc
-			if cont < 0 { // VirtualExit or unreachable: entry drains via rets
-				cont = deadBlock
-			}
-			reconv := rpc
-			if reconv < 0 {
-				reconv = reconvNever
-			}
-			e.block, e.idx = cont, 0
+			e.pc = in.cont
 			fr.stack = append(fr.stack,
-				simtEntry{block: in.ElseIdx, idx: 0, reconv: reconv, mask: maskF},
-				simtEntry{block: in.ThenIdx, idx: 0, reconv: reconv, mask: maskT},
+				simtEntry{pc: in.els, reconv: in.reconv, mask: maskF},
+				simtEntry{pc: in.then, reconv: in.reconv, mask: maskT},
 			)
 		}
-	case in.Op == ir.OpRet:
-		if err := s.execRet(w, fr, in, mask); err != nil {
-			return err
+		s.settle(w)
+	case kRet:
+		// Retire the active lanes from the current frame.
+		if len(in.in.Args) > 0 {
+			copyLanes((*row)(&fr.retVals), fr.row(in.a), mask)
 		}
-	default:
-		return s.fault(w, in.Loc, "unimplemented opcode %s", in.Op)
+		for i := range fr.stack {
+			fr.stack[i].mask &^= mask
+		}
+		s.settle(w)
+	default: // kFault
+		return s.fault(w, in.in.Loc, "%s", in.msg)
 	}
-
-	s.settle(w)
 	w.readyAt = now + cost
 	return nil
 }
 
-func (s *smShard) evalSReg(w *warpState, fr *frame, in *ir.Instr, mask uint32) {
+// evalSReg writes a special register into the active lanes of dst. Only
+// the thread-id registers vary by lane.
+func (s *smShard) evalSReg(w *warpState, dst *row, sreg ir.SRegKind, mask uint32) {
 	b := s.ls.p.Block
+	var v int
+	switch sreg {
+	case ir.SRegTidX, ir.SRegTidY, ir.SRegTidZ:
+		for lane := 0; lane < WarpSize; lane++ {
+			if mask&(1<<uint(lane)) == 0 {
+				continue
+			}
+			tid := w.view.WarpInCTA*WarpSize + lane
+			switch sreg {
+			case ir.SRegTidX:
+				v = tid % b[0]
+			case ir.SRegTidY:
+				v = (tid / b[0]) % b[1]
+			default:
+				v = tid / (b[0] * b[1])
+			}
+			dst[lane] = ir.I32Bits(int32(v))
+		}
+		return
+	case ir.SRegCtaidX:
+		v = w.view.CTACoord[0]
+	case ir.SRegCtaidY:
+		v = w.view.CTACoord[1]
+	case ir.SRegCtaidZ:
+		v = w.view.CTACoord[2]
+	case ir.SRegNtidX:
+		v = b[0]
+	case ir.SRegNtidY:
+		v = b[1]
+	case ir.SRegNtidZ:
+		v = b[2]
+	case ir.SRegNctaidX:
+		v = s.ls.p.Grid[0]
+	case ir.SRegNctaidY:
+		v = s.ls.p.Grid[1]
+	case ir.SRegNctaidZ:
+		v = s.ls.p.Grid[2]
+	}
+	bits := ir.I32Bits(int32(v))
 	for lane := 0; lane < WarpSize; lane++ {
-		if mask&(1<<uint(lane)) == 0 {
-			continue
+		if mask&(1<<uint(lane)) != 0 {
+			dst[lane] = bits
 		}
-		tid := w.view.WarpInCTA*WarpSize + lane
-		var v int32
-		switch in.SReg {
-		case ir.SRegTidX:
-			v = int32(tid % b[0])
-		case ir.SRegTidY:
-			v = int32((tid / b[0]) % b[1])
-		case ir.SRegTidZ:
-			v = int32(tid / (b[0] * b[1]))
-		case ir.SRegCtaidX:
-			v = int32(w.view.CTACoord[0])
-		case ir.SRegCtaidY:
-			v = int32(w.view.CTACoord[1])
-		case ir.SRegCtaidZ:
-			v = int32(w.view.CTACoord[2])
-		case ir.SRegNtidX:
-			v = int32(b[0])
-		case ir.SRegNtidY:
-			v = int32(b[1])
-		case ir.SRegNtidZ:
-			v = int32(b[2])
-		case ir.SRegNctaidX:
-			v = int32(s.ls.p.Grid[0])
-		case ir.SRegNctaidY:
-			v = int32(s.ls.p.Grid[1])
-		case ir.SRegNctaidZ:
-			v = int32(s.ls.p.Grid[2])
-		}
-		fr.setReg(in.DstReg, lane, ir.I32Bits(v))
 	}
 }
 
@@ -728,41 +643,122 @@ func (s *smShard) usesL1(w *warpState) bool {
 	return k < 0 || w.view.WarpInCTA < k
 }
 
-func (s *smShard) execLoad(w *warpState, fr *frame, in *ir.Instr, mask uint32, now int64) (int64, error) {
-	var addrs [WarpSize]uint64
+// span returns the lowest and highest address among the active lanes.
+func span(addrs *row, mask uint32) (lo, hi uint64) {
+	lo = ^uint64(0)
 	for lane := 0; lane < WarpSize; lane++ {
 		if mask&(1<<uint(lane)) != 0 {
-			addrs[lane] = fr.operand(&in.Args[0], lane)
+			lo, hi = min(lo, addrs[lane]), max(hi, addrs[lane])
 		}
 	}
-	// Functional load.
-	for lane := 0; lane < WarpSize; lane++ {
-		if mask&(1<<uint(lane)) == 0 {
-			continue
+	return lo, hi
+}
+
+// gather loads one element per active lane from buf, whose byte 0 is
+// address origin; the caller has bounds-checked the whole warp.
+func gather(dst *row, buf []byte, origin uint64, mt ir.MemType, addrs *row, mask uint32) {
+	switch mt {
+	case ir.MemI8:
+		for lane := 0; lane < WarpSize; lane++ {
+			if mask&(1<<uint(lane)) != 0 {
+				dst[lane] = uint64(buf[addrs[lane]-origin]) // zero-extends
+			}
 		}
-		var v uint64
-		var err error
-		if in.Space == ir.Shared {
-			v, err = w.cta.shared.load(in.Mem, addrs[lane])
+	case ir.MemI32, ir.MemF32:
+		for lane := 0; lane < WarpSize; lane++ {
+			if mask&(1<<uint(lane)) != 0 {
+				dst[lane] = uint64(binary.LittleEndian.Uint32(buf[addrs[lane]-origin:]))
+			}
+		}
+	case ir.MemI64:
+		for lane := 0; lane < WarpSize; lane++ {
+			if mask&(1<<uint(lane)) != 0 {
+				dst[lane] = binary.LittleEndian.Uint64(buf[addrs[lane]-origin:])
+			}
+		}
+	}
+}
+
+// scatter is gather's store twin.
+func scatter(buf []byte, origin uint64, mt ir.MemType, addrs, vals *row, mask uint32) {
+	switch mt {
+	case ir.MemI8:
+		for lane := 0; lane < WarpSize; lane++ {
+			if mask&(1<<uint(lane)) != 0 {
+				buf[addrs[lane]-origin] = byte(vals[lane])
+			}
+		}
+	case ir.MemI32, ir.MemF32:
+		for lane := 0; lane < WarpSize; lane++ {
+			if mask&(1<<uint(lane)) != 0 {
+				binary.LittleEndian.PutUint32(buf[addrs[lane]-origin:], uint32(vals[lane]))
+			}
+		}
+	case ir.MemI64:
+		for lane := 0; lane < WarpSize; lane++ {
+			if mask&(1<<uint(lane)) != 0 {
+				binary.LittleEndian.PutUint64(buf[addrs[lane]-origin:], vals[lane])
+			}
+		}
+	}
+}
+
+// execLoad performs one warp load and returns its model cost. The warp
+// is bounds-checked once, over the span of its active addresses; only a
+// warp that fails (or reads past what is backed) takes the lane-by-lane
+// path, which is what names the faulting lane.
+func (s *smShard) execLoad(w *warpState, fr *frame, in *dinstr, mask uint32, now int64) (int64, error) {
+	addrs, dst := fr.row(in.a), fr.row(in.dst)
+	size := uint64(in.mem.Size())
+	lo, hi := span(addrs, mask)
+	end := hi + size // wraps only for a wild pointer, caught below
+	if in.shared {
+		sh := w.cta.shared
+		if end >= hi && end <= uint64(len(sh.buf)) {
+			gather(dst, sh.buf, 0, in.mem, addrs, mask)
 		} else {
-			v, err = s.loadGlobal(in.Mem, addrs[lane])
+			for lane := 0; lane < WarpSize; lane++ {
+				if mask&(1<<uint(lane)) == 0 {
+					continue
+				}
+				v, err := sh.load(in.mem, addrs[lane])
+				if err != nil {
+					return 0, s.fault(w, in.in.Loc, "load lane %d: %v", lane, err)
+				}
+				dst[lane] = v
+			}
 		}
-		if err != nil {
-			return 0, s.fault(w, in.Loc, "load lane %d: %v", lane, err)
-		}
-		fr.setReg(in.DstReg, lane, v)
-	}
-	// Timing.
-	if in.Space == ir.Shared {
 		if s.ls.p.WatchShared {
-			s.watchSharedLoad(w, in, mask, &addrs)
+			s.watchSharedLoad(w, in.in, mask, addrs)
 		}
 		return int64(s.ls.cfg.SharedLat), nil
 	}
+
+	var buf []byte
+	var origin uint64
+	if lo >= 256 && end >= hi {
+		buf, origin = s.readable(lo, end)
+	}
+	if buf != nil {
+		gather(dst, buf, origin, in.mem, addrs, mask)
+	} else {
+		for lane := 0; lane < WarpSize; lane++ {
+			if mask&(1<<uint(lane)) == 0 {
+				continue
+			}
+			v, err := s.loadGlobal(in.mem, addrs[lane])
+			if err != nil {
+				return 0, s.fault(w, in.in.Loc, "load lane %d: %v", lane, err)
+			}
+			dst[lane] = v
+		}
+	}
+
+	// Timing.
 	s.memInstrs++
 	cfg := &s.ls.cfg
-	s.lineBuf = coalesceLines(s.lineBuf, mask, &addrs, in.Mem.Size(), cfg.L1LineSize)
-	useL1 := s.usesL1(w) && !in.NonCached
+	s.lineBuf = coalesceLines(s.lineBuf, mask, addrs, int(size), cfg.L1LineSize)
+	useL1 := s.usesL1(w) && !in.nonCached
 	maxDone := now
 	for i, line := range s.lineBuf {
 		issue := now + int64(i) // LSU serializes transactions
@@ -790,37 +786,46 @@ func (s *smShard) execLoad(w *warpState, fr *frame, in *ir.Instr, mask uint32, n
 	return maxDone - now, nil
 }
 
-func (s *smShard) execStore(w *warpState, fr *frame, in *ir.Instr, mask uint32, now int64) (int64, error) {
-	var addrs [WarpSize]uint64
-	for lane := 0; lane < WarpSize; lane++ {
-		if mask&(1<<uint(lane)) != 0 {
-			addrs[lane] = fr.operand(&in.Args[0], lane)
-		}
-	}
-	for lane := 0; lane < WarpSize; lane++ {
-		if mask&(1<<uint(lane)) == 0 {
-			continue
-		}
-		v := fr.operand(&in.Args[1], lane)
-		var err error
-		if in.Space == ir.Shared {
-			err = w.cta.shared.store(in.Mem, addrs[lane], v)
+// execStore performs one warp store and returns its model cost, with the
+// same one-check-per-warp fast path as execLoad.
+func (s *smShard) execStore(w *warpState, fr *frame, in *dinstr, mask uint32) (int64, error) {
+	addrs, vals := fr.row(in.a), fr.row(in.b)
+	size := uint64(in.mem.Size())
+	lo, hi := span(addrs, mask)
+	end := hi + size
+	if in.shared {
+		sh := w.cta.shared
+		if end >= hi && end <= uint64(len(sh.buf)) {
+			scatter(sh.buf, 0, in.mem, addrs, vals, mask)
 		} else {
-			err = s.storeGlobal(in.Mem, addrs[lane], v)
+			for lane := 0; lane < WarpSize; lane++ {
+				if mask&(1<<uint(lane)) == 0 {
+					continue
+				}
+				if err := sh.store(in.mem, addrs[lane], vals[lane]); err != nil {
+					return 0, s.fault(w, in.in.Loc, "store lane %d: %v", lane, err)
+				}
+			}
 		}
-		if err != nil {
-			return 0, s.fault(w, in.Loc, "store lane %d: %v", lane, err)
-		}
-	}
-	if in.Space == ir.Shared {
 		if s.ls.p.WatchShared {
-			s.watchSharedStore(w, in, mask, &addrs)
+			s.watchSharedStore(w, in.in, mask, addrs)
 		}
 		return int64(s.ls.cfg.SharedLat) / 2, nil
 	}
+
+	if lo < 256 || end < hi || !s.scatterGlobal(in.mem, addrs, vals, mask, lo, end) {
+		for lane := 0; lane < WarpSize; lane++ {
+			if mask&(1<<uint(lane)) == 0 {
+				continue
+			}
+			if err := s.storeGlobal(in.mem, addrs[lane], vals[lane]); err != nil {
+				return 0, s.fault(w, in.in.Loc, "store lane %d: %v", lane, err)
+			}
+		}
+	}
 	s.memInstrs++
 	// Write-through, write-evict; stores do not stall the warp.
-	s.lineBuf = coalesceLines(s.lineBuf, mask, &addrs, in.Mem.Size(), s.ls.cfg.L1LineSize)
+	s.lineBuf = coalesceLines(s.lineBuf, mask, addrs, int(size), s.ls.cfg.L1LineSize)
 	for _, line := range s.lineBuf {
 		s.l1.write(line)
 	}
@@ -893,33 +898,34 @@ func (s *smShard) watchSharedStore(w *warpState, in *ir.Instr, mask uint32, addr
 	}
 }
 
-func (s *smShard) execAtomic(w *warpState, fr *frame, in *ir.Instr, mask uint32) (int64, error) {
+func (s *smShard) execAtomic(w *warpState, fr *frame, in *dinstr, mask uint32) (int64, error) {
 	// Atomics always run on the serial path (Launch forces it for
-	// modules containing OpAtom), so direct device-memory access here is
+	// modules containing one), so direct device-memory access here is
 	// single-threaded by construction.
+	addrs, vals := fr.row(in.a), fr.row(in.b)
+	mem := s.ls.dev.Mem
 	n := 0
 	for lane := 0; lane < WarpSize; lane++ {
 		if mask&(1<<uint(lane)) == 0 {
 			continue
 		}
 		n++
-		addr := fr.operand(&in.Args[0], lane)
-		val := fr.operand(&in.Args[1], lane)
-		old, err := s.ls.dev.Mem.load(in.Mem, addr)
+		addr := addrs[lane]
+		old, err := mem.load(in.mem, addr)
 		if err != nil {
-			return 0, s.fault(w, in.Loc, "atomic lane %d: %v", lane, err)
+			return 0, s.fault(w, in.in.Loc, "atomic lane %d: %v", lane, err)
 		}
 		var sum uint64
-		if in.Mem == ir.MemF32 {
-			sum = ir.F32Bits(ir.F32FromBits(old) + ir.F32FromBits(val))
+		if in.mem == ir.MemF32 {
+			sum = ir.F32Bits(ir.F32FromBits(old) + ir.F32FromBits(vals[lane]))
 		} else {
-			sum = ir.I32Bits(ir.I32FromBits(old) + ir.I32FromBits(val))
+			sum = ir.I32Bits(ir.I32FromBits(old) + ir.I32FromBits(vals[lane]))
 		}
-		if err := s.ls.dev.Mem.store(in.Mem, addr, sum); err != nil {
-			return 0, s.fault(w, in.Loc, "atomic lane %d: %v", lane, err)
+		if err := mem.store(in.mem, addr, sum); err != nil {
+			return 0, s.fault(w, in.in.Loc, "atomic lane %d: %v", lane, err)
 		}
-		if in.DstReg >= 0 {
-			fr.setReg(in.DstReg, lane, old)
+		if in.dst >= 0 {
+			fr.row(in.dst)[lane] = old
 		}
 		s.l1.write(s.l1.lineOf(addr) << s.l1.lineShift)
 	}
@@ -928,27 +934,12 @@ func (s *smShard) execAtomic(w *warpState, fr *frame, in *ir.Instr, mask uint32)
 }
 
 // transfer handles a uniform control transfer of the top entry to target.
-func (s *smShard) transfer(_ *warpState, _ *frame, e *simtEntry, target int, _ uint32) {
+func transfer(e *simtEntry, target int32) {
 	if target == e.reconv {
 		e.mask = 0 // drained; settle() pops it
 		return
 	}
-	e.block, e.idx = target, 0
-}
-
-// execRet retires the active lanes from the current frame.
-func (s *smShard) execRet(w *warpState, fr *frame, in *ir.Instr, mask uint32) error {
-	if len(in.Args) > 0 {
-		for lane := 0; lane < WarpSize; lane++ {
-			if mask&(1<<uint(lane)) != 0 {
-				fr.retVals[lane] = fr.operand(&in.Args[0], lane)
-			}
-		}
-	}
-	for i := range fr.stack {
-		fr.stack[i].mask &^= mask
-	}
-	return nil
+	e.pc = target
 }
 
 // settle pops drained and reconverged SIMT entries, completes returned
@@ -958,7 +949,7 @@ func (s *smShard) settle(w *warpState) {
 		fr := w.frames[len(w.frames)-1]
 		for len(fr.stack) > 0 {
 			e := &fr.stack[len(fr.stack)-1]
-			if e.mask == 0 || (e.idx == 0 && e.block == e.reconv) {
+			if e.mask == 0 || e.pc == e.reconv {
 				fr.stack = fr.stack[:len(fr.stack)-1]
 				continue
 			}
@@ -970,6 +961,7 @@ func (s *smShard) settle(w *warpState) {
 		// Frame complete.
 		if len(w.frames) == 1 {
 			// Kernel frame: warp retires.
+			s.frames.release(fr)
 			w.frames = w.frames[:0]
 			w.done = true
 			cta := w.cta
@@ -979,16 +971,12 @@ func (s *smShard) settle(w *warpState) {
 		}
 		caller := w.frames[len(w.frames)-2]
 		if fr.retDst >= 0 {
-			for lane := 0; lane < WarpSize; lane++ {
-				if fr.callMask&(1<<uint(lane)) != 0 {
-					caller.setReg(fr.retDst, lane, fr.retVals[lane])
-				}
-			}
+			copyLanes(caller.row(fr.retDst), (*row)(&fr.retVals), fr.callMask)
 		}
+		s.frames.release(fr)
 		w.frames = w.frames[:len(w.frames)-1]
 		// Advance past the call instruction in the caller.
-		ce := &caller.stack[len(caller.stack)-1]
-		ce.idx++
+		caller.stack[len(caller.stack)-1].pc++
 	}
 }
 
@@ -1016,6 +1004,7 @@ func (s *smShard) releaseBarrierIfReady(cta *ctaState) {
 			if cta.barrierAt > w.readyAt {
 				w.readyAt = cta.barrierAt
 			}
+			s.post(w)
 		}
 	}
 	cta.arrived = 0

@@ -530,7 +530,7 @@ type hookCall struct {
 
 func (h *hookRecorder) OnHook(w *WarpView, call *ir.Instr, args []LaneValues) error {
 	h.calls = append(h.calls, hookCall{
-		callee: call.Callee, mask: w.ActiveMask, args: args,
+		callee: call.Callee, mask: w.ActiveMask, args: append([]LaneValues(nil), args...),
 		cta: w.CTALinear, warp: w.WarpInCTA,
 	})
 	return nil

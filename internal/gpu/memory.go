@@ -11,18 +11,43 @@ import (
 // DeviceMemory is the simulated GPU global memory: a flat byte array with
 // a bump allocator, the target of cudaMalloc in the host runtime.
 // Address 0 is reserved so that null pointers fault.
+//
+// The capacity is a limit, not a footprint: buf backs only [0, len(buf)),
+// the high-water mark of everything allocated, copied in, or stored to.
+// In-capacity bytes above the mark have never been written and read as
+// zero, exactly what an eagerly zeroed array would hold. The hot path
+// stays one bounds test on one flat slice.
 type DeviceMemory struct {
-	buf  []byte
-	next uint64
+	buf   []byte
+	limit uint64
+	next  uint64
 }
 
 // NewDeviceMemory returns a device memory of the given capacity in bytes.
 func NewDeviceMemory(capacity int64) *DeviceMemory {
-	return &DeviceMemory{buf: make([]byte, capacity), next: 256}
+	if capacity < 0 {
+		capacity = 0
+	}
+	return &DeviceMemory{limit: uint64(capacity), next: 256}
 }
 
 // Size returns the capacity in bytes.
-func (d *DeviceMemory) Size() int64 { return int64(len(d.buf)) }
+func (d *DeviceMemory) Size() int64 { return int64(d.limit) }
+
+// back extends the backed prefix to cover [0, end); end must be within
+// the capacity. Bytes between len and cap are always zero (only back and
+// Reset move len, and Reset clears before truncating), so growing inside
+// the existing array is a reslice.
+func (d *DeviceMemory) back(end uint64) {
+	switch {
+	case end <= uint64(len(d.buf)):
+	case end <= uint64(cap(d.buf)):
+		d.buf = d.buf[:end]
+	default:
+		full := d.buf[:cap(d.buf)]
+		d.buf = append(full, make([]byte, end-uint64(len(full)))...)
+	}
+}
 
 // Alloc reserves n bytes of global memory, 256-byte aligned (matching
 // cudaMalloc's alignment guarantee), and returns the device address.
@@ -35,14 +60,15 @@ func (d *DeviceMemory) Alloc(n int64) (uint64, error) {
 	// end < addr catches addr+n wrapping uint64 for huge n; the free
 	// count saturates at 0 so an over-capacity aligned cursor reports
 	// "0 free" instead of an underflowed garbage number.
-	if end < addr || end > uint64(len(d.buf)) {
+	if end < addr || end > d.limit {
 		free := uint64(0)
-		if capacity := uint64(len(d.buf)); addr < capacity {
-			free = capacity - addr
+		if addr < d.limit {
+			free = d.limit - addr
 		}
 		return 0, fmt.Errorf("gpu: out of device memory (%d requested, %d free)", n, free)
 	}
 	d.next = end
+	d.back(end)
 	return addr, nil
 }
 
@@ -50,6 +76,7 @@ func (d *DeviceMemory) Alloc(n int64) (uint64, error) {
 func (d *DeviceMemory) Reset() {
 	d.next = 256
 	clear(d.buf)
+	d.buf = d.buf[:0]
 }
 
 func (d *DeviceMemory) check(addr uint64, n int) error {
@@ -57,7 +84,7 @@ func (d *DeviceMemory) check(addr uint64, n int) error {
 	// 2^64): without the guard the wrapped end passes the upper-bound
 	// test and the access panics on the slice instead of faulting.
 	end := addr + uint64(n)
-	if addr < 256 || end < addr || end > uint64(len(d.buf)) {
+	if addr < 256 || end < addr || end > d.limit {
 		return fmt.Errorf("gpu: global memory access [%#x, %#x) out of range", addr, end)
 	}
 	return nil
@@ -68,6 +95,7 @@ func (d *DeviceMemory) WriteBytes(addr uint64, p []byte) error {
 	if err := d.check(addr, len(p)); err != nil {
 		return err
 	}
+	d.back(addr + uint64(len(p)))
 	copy(d.buf[addr:], p)
 	return nil
 }
@@ -77,7 +105,11 @@ func (d *DeviceMemory) ReadBytes(addr uint64, p []byte) error {
 	if err := d.check(addr, len(p)); err != nil {
 		return err
 	}
-	copy(p, d.buf[addr:int(addr)+len(p)])
+	n := 0
+	if addr < uint64(len(d.buf)) {
+		n = copy(p, d.buf[addr:])
+	}
+	clear(p[n:]) // never-written bytes above the high-water mark
 	return nil
 }
 
@@ -86,7 +118,7 @@ func (d *DeviceMemory) load(mt ir.MemType, addr uint64) (uint64, error) {
 	if err := d.check(addr, mt.Size()); err != nil {
 		return 0, err
 	}
-	return loadFrom(d.buf, mt, addr), nil
+	return loadZeroExt(d.buf, mt, addr), nil
 }
 
 // store writes a register value at the given element width.
@@ -94,8 +126,23 @@ func (d *DeviceMemory) store(mt ir.MemType, addr uint64, bits uint64) error {
 	if err := d.check(addr, mt.Size()); err != nil {
 		return err
 	}
+	d.back(addr + uint64(mt.Size()))
 	storeTo(d.buf, mt, addr, bits)
 	return nil
+}
+
+// loadZeroExt is loadFrom on a slice that may end before the access
+// does: the missing bytes read as zero.
+func loadZeroExt(buf []byte, mt ir.MemType, addr uint64) uint64 {
+	n := uint64(mt.Size())
+	if addr+n <= uint64(len(buf)) {
+		return loadFrom(buf, mt, addr)
+	}
+	var tmp [8]byte
+	if addr < uint64(len(buf)) {
+		copy(tmp[:n], buf[addr:])
+	}
+	return loadFrom(tmp[:], mt, 0)
 }
 
 func loadFrom(buf []byte, mt ir.MemType, addr uint64) uint64 {
@@ -121,27 +168,38 @@ func storeTo(buf []byte, mt ir.MemType, addr uint64, bits uint64) {
 	}
 }
 
+// readWords returns the n 4-byte words starting at addr as raw bytes.
+func (d *DeviceMemory) readWords(addr uint64, n int) ([]byte, error) {
+	if err := d.check(addr, 4*n); err != nil {
+		return nil, err
+	}
+	raw := make([]byte, 4*n)
+	return raw, d.ReadBytes(addr, raw)
+}
+
 // Float32Slice reads n float32 values starting at addr (host-side helper
 // for drivers and tests).
 func (d *DeviceMemory) Float32Slice(addr uint64, n int) ([]float32, error) {
-	if err := d.check(addr, 4*n); err != nil {
+	raw, err := d.readWords(addr, n)
+	if err != nil {
 		return nil, err
 	}
 	out := make([]float32, n)
 	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(d.buf[addr+uint64(4*i):]))
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 	}
 	return out, nil
 }
 
 // Int32Slice reads n int32 values starting at addr.
 func (d *DeviceMemory) Int32Slice(addr uint64, n int) ([]int32, error) {
-	if err := d.check(addr, 4*n); err != nil {
+	raw, err := d.readWords(addr, n)
+	if err != nil {
 		return nil, err
 	}
 	out := make([]int32, n)
 	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(d.buf[addr+uint64(4*i):]))
+		out[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
 	}
 	return out, nil
 }

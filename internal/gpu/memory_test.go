@@ -1,10 +1,14 @@
 package gpu
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"cudaadvisor/internal/ir"
 )
@@ -120,5 +124,156 @@ func TestAllocOverflowGuard(t *testing.T) {
 	}
 	if _, err := d.Alloc(1 << 30); err == nil {
 		t.Error("allocation beyond capacity accepted")
+	}
+}
+
+// aboveMarkSrc reads and writes global memory no allocation or copy ever
+// touched: thread i loads p[i] (never written: must read 0), stores
+// p[i]+i+1 to q[i], and reports what it loaded in out[i].
+const aboveMarkSrc = `
+module abovemark
+kernel @touch(%p: ptr, %q: ptr, %out: ptr) {
+entry:
+  %tx   = sreg tid.x
+  %bx   = sreg ctaid.x
+  %bd   = sreg ntid.x
+  %base = mul i32 %bx, %bd
+  %i    = add i32 %base, %tx
+  %pa   = gep %p, %i, 4
+  %v    = ld i32 global [%pa]
+  %i1   = add i32 %i, 1
+  %w    = add i32 %v, %i1
+  %qa   = gep %q, %i, 4
+  st i32 global [%qa], %w
+  %oa   = gep %out, %i, 4
+  st i32 global [%oa], %v
+  ret
+}
+`
+
+// TestDeviceMemoryBackedOnDemand: capacity is a limit, not a footprint.
+// Memory above the high-water mark but inside capacity reads as zero and
+// accepts stores — from the host API, from the serial executor and
+// through the parallel path's copy-on-write view — and only what was
+// touched ends up backed.
+func TestDeviceMemoryBackedOnDemand(t *testing.T) {
+	const capacity = 64 << 20
+	const p, q = 8 << 20, 16 << 20
+	const n = 8 * 64
+
+	d := NewDeviceMemory(capacity)
+	if d.Size() != capacity {
+		t.Errorf("Size = %d, want the capacity %d", d.Size(), capacity)
+	}
+	if v, err := d.load(ir.MemI64, p); err != nil || v != 0 {
+		t.Errorf("load above the mark = %d, %v; want 0", v, err)
+	}
+	got := []byte{1, 2, 3, 4}
+	if err := d.ReadBytes(capacity-4, got); err != nil || got[0]|got[1]|got[2]|got[3] != 0 {
+		t.Errorf("ReadBytes at the end of capacity = %v, %v; want zeros", got, err)
+	}
+	if len(d.buf) != 0 {
+		t.Errorf("reads backed %d bytes", len(d.buf))
+	}
+	if err := d.store(ir.MemI32, p, 0xCAFE); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ReadBytes(p-2, got); err != nil || got[2] != 0xFE || got[3] != 0xCA || got[0]|got[1] != 0 {
+		t.Errorf("ReadBytes across the store = %v, %v", got, err)
+	}
+	if vals, err := d.Int32Slice(p, 2); err != nil || vals[0] != 0xCAFE || vals[1] != 0 {
+		t.Errorf("Int32Slice straddling the mark = %v, %v", vals, err)
+	}
+	if err := d.store(ir.MemI8, capacity, 1); err == nil {
+		t.Error("store at capacity accepted")
+	}
+	_, err := d.Alloc(capacity)
+	if want := "gpu: out of device memory (67108864 requested, 67108608 free)"; err == nil || err.Error() != want {
+		t.Errorf("Alloc error = %v, want %q", err, want)
+	}
+	d.Reset()
+	if v, _ := d.load(ir.MemI32, p); v != 0 || len(d.buf) != 0 {
+		t.Errorf("after Reset: load = %#x with %d bytes backed", v, len(d.buf))
+	}
+
+	for _, sms := range []int{1, 2, 15} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("SMs=%d/workers=%d", sms, workers), func(t *testing.T) {
+				cfg := KeplerK40c()
+				cfg.SMs = sms
+				dev := NewDevice(cfg, capacity)
+				out, _ := dev.Mem.Alloc(4 * n)
+				if mark := len(dev.Mem.buf); mark > 1<<20 {
+					t.Fatalf("%d bytes backed after a %d-byte allocation", mark, 4*n)
+				}
+				lp := LaunchParams{
+					Grid: [3]int{8, 1, 1}, Block: [3]int{64, 1, 1},
+					Args: []uint64{p, q, out}, L1WarpsPerCTA: -1,
+				}
+				if workers > 1 {
+					lp.Pool = testPool(t, workers)
+				}
+				if _, err := dev.Launch(parseKernel(t, aboveMarkSrc).Func("touch"), lp); err != nil {
+					t.Fatal(err)
+				}
+				loaded, err := dev.Mem.Int32Slice(out, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw := make([]byte, 4*n)
+				if err := dev.Mem.ReadBytes(q, raw); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < n; i++ {
+					if loaded[i] != 0 {
+						t.Fatalf("thread %d loaded %d from never-written memory", i, loaded[i])
+					}
+					if v := int(binary.LittleEndian.Uint32(raw[4*i:])); v != i+1 {
+						t.Fatalf("q[%d] = %d, want %d", i, v, i+1)
+					}
+				}
+				if mark := len(dev.Mem.buf); mark < q+4*n || mark > q+4*n+shardPageSize {
+					t.Errorf("%d bytes backed, want just past the highest store at %d", mark, q+4*n)
+				}
+			})
+		}
+	}
+}
+
+// TestLaunchResultDoesNotPinDevice: a profile keeps LaunchResults for as
+// long as it lives; that must not keep the device — and its global
+// memory — reachable.
+func TestLaunchResultDoesNotPinDevice(t *testing.T) {
+	freed := make(chan struct{})
+	launch := func() *LaunchResult {
+		d := newTestDevice()
+		runtime.SetFinalizer(d, func(*Device) { close(freed) })
+		m := parseKernel(t, scaleSrc)
+		in, _ := d.Mem.Alloc(4 * 64)
+		out, _ := d.Mem.Alloc(4 * 64)
+		res, err := d.Launch(m.Func("scale"), LaunchParams{
+			Grid: [3]int{2, 1, 1}, Block: [3]int{32, 1, 1},
+			Args:          []uint64{in, out, ir.I32Bits(64), ir.F32Bits(2)},
+			L1WarpsPerCTA: -1, RecordSchedule: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	res := launch()
+	deadline := time.After(10 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-freed:
+			if res.WarpInstrs == 0 || len(res.Schedule) == 0 {
+				t.Errorf("retained result lost its contents: %+v", res)
+			}
+			return
+		case <-deadline:
+			t.Fatal("device still reachable while only its LaunchResult is retained")
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 }

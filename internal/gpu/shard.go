@@ -1,6 +1,8 @@
 package gpu
 
 import (
+	"math"
+
 	"cudaadvisor/internal/ir"
 	"cudaadvisor/internal/runner"
 )
@@ -20,6 +22,16 @@ type smShard struct {
 	memQ     *mshr
 	portFree int64 // next cycle the L1 port is available
 	lineBuf  []uint64
+	tmp      row // alu's scratch row for partially masked instructions
+	frames   *framePool
+	hookArgs []LaneValues // argument buffer lent to inline hook calls
+
+	// The scheduler's view of the resident warps, in admission order:
+	// wake[i] is when warps[i] can next issue, or parked while it is done
+	// or waiting at a barrier. The per-slot scan reads this one flat
+	// array instead of chasing every warp state.
+	warps []*warpState
+	wake  []int64
 
 	instrs    int64 // per-SM dynamic warp instructions (also the guard counter)
 	memInstrs int64
@@ -70,7 +82,7 @@ func (s *smShard) run(threadsPerCTA, warpsPerCTA int) (int64, error) {
 	// Shared memory bounds residency too: an SM can host only as many
 	// CTAs as its shared-memory capacity divides into the kernel's
 	// per-CTA allocation (the third term of the hardware occupancy min).
-	if smem := ls.kernel.SharedBytes; smem > 0 && ls.cfg.SharedMemPerSM > 0 {
+	if smem := ls.kernel.fn.SharedBytes; smem > 0 && ls.cfg.SharedMemPerSM > 0 {
 		if bySmem := int(ls.cfg.SharedMemPerSM / smem); bySmem < occupancy {
 			occupancy = bySmem
 		}
@@ -91,6 +103,15 @@ func (s *smShard) run(threadsPerCTA, warpsPerCTA int) (int64, error) {
 			resident = append(resident, cta)
 			next++
 		}
+		s.warps, s.wake = s.warps[:0], s.wake[:0]
+		for _, cta := range resident {
+			for _, w := range cta.warps {
+				w.slot = len(s.warps)
+				s.warps = append(s.warps, w)
+				s.wake = append(s.wake, 0)
+				s.post(w)
+			}
+		}
 	}
 	admit(0)
 
@@ -101,49 +122,39 @@ func (s *smShard) run(threadsPerCTA, warpsPerCTA int) (int64, error) {
 		// port idles until the earliest wakeup. GTO lets warps drift
 		// apart as on hardware, which is what exposes inter-warp reuse
 		// to capacity pressure.
-		var w *warpState
-		if lastRun != nil && !lastRun.done && !lastRun.atBarrier && lastRun.readyAt <= issueAt {
-			w = lastRun
-		} else {
-			minReady := int64(-1)
-			for _, cta := range resident {
-				for _, cand := range cta.warps {
-					if cand.done || cand.atBarrier {
-						continue
-					}
-					if minReady < 0 || cand.readyAt < minReady {
-						minReady = cand.readyAt
-					}
-					if w == nil && cand.readyAt <= issueAt {
-						w = cand
-					}
-				}
-			}
-			if w == nil {
-				if minReady < 0 {
+		w := lastRun
+		if w == nil || s.wake[w.slot] > issueAt {
+			slot, wake := s.oldestReady(issueAt)
+			if slot < 0 {
+				if wake == parked {
 					// Everything is blocked on barriers: a lost-warp deadlock.
-					return 0, &Fault{Kernel: ls.kernel.Name, CTA: deadlockCTA(resident),
+					return 0, &Fault{Kernel: ls.kernel.fn.Name, CTA: deadlockCTA(resident),
 						Msg: "barrier deadlock: all warps waiting"}
 				}
-				issueAt = minReady
+				issueAt = wake
 				continue
 			}
+			w = s.warps[slot]
 		}
 		if err := s.step(w, issueAt); err != nil {
 			return 0, err
 		}
+		s.post(w)
 		lastRun = w
 		issueAt++
 		if w.readyAt > finish {
 			finish = w.readyAt
 		}
 
-		// Retire finished CTAs, admit pending ones.
+		// A CTA can only finish on a step of one of its own warps, so the
+		// retire-and-admit sweep runs only then.
+		if !w.done || w.cta.liveWarps != 0 {
+			continue
+		}
+		lastRun = nil // its slot is about to be reassigned
 		liveResident := resident[:0]
-		retired := false
 		for _, cta := range resident {
 			if cta.liveWarps == 0 {
-				retired = true
 				if ls.p.RecordSchedule {
 					end := cta.admitAt
 					for _, cw := range cta.warps {
@@ -158,11 +169,40 @@ func (s *smShard) run(threadsPerCTA, warpsPerCTA int) (int64, error) {
 			liveResident = append(liveResident, cta)
 		}
 		resident = liveResident
-		if retired {
-			admit(issueAt)
-		}
+		admit(issueAt)
 	}
 	return finish, nil
+}
+
+// parked is the wake time of a warp that cannot issue until something
+// else happens: it finished, or it waits at a barrier.
+const parked = math.MaxInt64
+
+// post publishes w's state to the scheduler's wake array. It must follow
+// every change to a resident warp's readyAt, atBarrier or done: the end
+// of its own step, and its release from a barrier by another warp's.
+func (s *smShard) post(w *warpState) {
+	if w.done || w.atBarrier {
+		s.wake[w.slot] = parked
+	} else {
+		s.wake[w.slot] = w.readyAt
+	}
+}
+
+// oldestReady returns the first slot, in admission order, whose warp can
+// issue at time now. When there is none it returns -1 and the earliest
+// wake-up among the waiting warps (parked if every one is parked).
+func (s *smShard) oldestReady(now int64) (slot int, wake int64) {
+	wake = parked
+	for i, t := range s.wake {
+		if t <= now {
+			return i, t
+		}
+		if t < wake {
+			wake = t
+		}
+	}
+	return -1, wake
 }
 
 // deadlockCTA picks the CTA to blame for a barrier deadlock: the
@@ -198,21 +238,20 @@ func (s *smShard) newCTA(id, threadsPerCTA, warpsPerCTA int, at int64) *ctaState
 	cta := &ctaState{
 		id:      id,
 		coord:   coord,
-		shared:  newSharedMem(ls.kernel.SharedBytes, ls.p.WatchShared),
+		shared:  newSharedMem(ls.kernel.fn.SharedBytes, ls.p.WatchShared),
 		admitAt: at,
 	}
 	for wi := 0; wi < warpsPerCTA; wi++ {
-		mask := uint32(0)
-		for lane := 0; lane < WarpSize; lane++ {
-			if wi*WarpSize+lane < threadsPerCTA {
-				mask |= 1 << uint(lane)
-			}
+		mask := FullMask
+		if rest := threadsPerCTA - wi*WarpSize; rest < WarpSize {
+			mask = 1<<uint(rest) - 1
 		}
-		fr := s.newFrame(ls.kernel, mask, -1, 0)
+		fr := s.frames.newFrame(ls.kernel, mask, -1)
 		// Bind parameters (uniform across lanes).
-		for pi := range ls.kernel.Params {
-			for lane := 0; lane < WarpSize; lane++ {
-				fr.setReg(pi, lane, ls.p.Args[pi])
+		for pi, arg := range ls.p.Args {
+			r := fr.row(int32(pi * WarpSize))
+			for lane := range r {
+				r[lane] = arg
 			}
 		}
 		w := &warpState{
@@ -234,19 +273,45 @@ func (s *smShard) newCTA(id, threadsPerCTA, warpsPerCTA int, at int64) *ctaState
 	return cta
 }
 
-func (s *smShard) newFrame(fn *ir.Function, mask uint32, retDst int, _ int64) *frame {
-	return &frame{
-		fn:       fn,
-		regs:     make([]uint64, fn.NumRegs*WarpSize),
-		stack:    []simtEntry{{block: 0, idx: 0, reconv: reconvNever, mask: mask}},
-		retDst:   retDst,
-		callMask: mask,
-	}
+// framePool holds the activations that ended on one SM, by function, for
+// the next warp or call to reuse: warps come and go by the thousand, and
+// their register files are recycled rather than reallocated. The device
+// keeps one pool per SM across launches; shards of one launch simulate
+// different SMs, so no pool is ever shared between goroutines.
+type framePool struct {
+	idle map[*dfunc][]*frame
 }
 
-// loadGlobal reads global memory through the shard's write view when one
-// is active (parallel path), falling back to device memory directly on
-// the serial path.
+// newFrame returns an activation of df for the lanes of mask, with every
+// register zero; retDst is the caller's destination row (-1 for none, and
+// for the kernel frame).
+func (p *framePool) newFrame(df *dfunc, mask uint32, retDst int32) *frame {
+	var fr *frame
+	if l := p.idle[df]; len(l) > 0 {
+		fr, p.idle[df] = l[len(l)-1], l[:len(l)-1]
+		clear(fr.regs)
+		fr.retVals = LaneValues{}
+	} else {
+		fr = &frame{df: df, regs: make([]uint64, df.fn.NumRegs*WarpSize)}
+	}
+	fr.stack = append(fr.stack[:0], simtEntry{pc: 0, reconv: reconvNever, mask: mask})
+	fr.retDst, fr.callMask = retDst, mask
+	return fr
+}
+
+// release returns a finished activation to the pool.
+func (p *framePool) release(fr *frame) {
+	if p.idle == nil {
+		p.idle = map[*dfunc][]*frame{}
+	}
+	p.idle[fr.df] = append(p.idle[fr.df], fr)
+}
+
+// loadGlobal reads one lane's value from global memory: through the
+// shard's write view when one is active (parallel path), from device
+// memory directly on the serial path. It is the slow path of execLoad,
+// taken when the warp as a whole failed the bounds check or reads above
+// the backed prefix, and the source of lane-attributed fault text.
 func (s *smShard) loadGlobal(mt ir.MemType, addr uint64) (uint64, error) {
 	if s.wmem == nil {
 		return s.ls.dev.Mem.load(mt, addr)
@@ -257,8 +322,8 @@ func (s *smShard) loadGlobal(mt ir.MemType, addr uint64) (uint64, error) {
 	return s.wmem.load(mt, addr), nil
 }
 
-// storeGlobal writes global memory, buffering into the shard's write view
-// on the parallel path.
+// storeGlobal writes one lane's value to global memory, buffering into
+// the shard's write view on the parallel path; execStore's slow path.
 func (s *smShard) storeGlobal(mt ir.MemType, addr uint64, bits uint64) error {
 	if s.wmem == nil {
 		return s.ls.dev.Mem.store(mt, addr, bits)
@@ -268,6 +333,60 @@ func (s *smShard) storeGlobal(mt ir.MemType, addr uint64, bits uint64) error {
 	}
 	s.wmem.store(mt, addr, bits)
 	return nil
+}
+
+// readable returns a flat slice (and the address of its byte 0) through
+// which every byte of the in-range span [lo, end) can be read as this
+// shard currently sees it, or nil when there is no single such slice: the
+// span reaches above the backed prefix or the capacity, or — on the
+// parallel path — mixes pages this shard has written with ones it has not.
+func (s *smShard) readable(lo, end uint64) (buf []byte, origin uint64) {
+	mem := s.ls.dev.Mem
+	ws := s.wmem
+	if ws == nil || len(ws.pages) == 0 {
+		if end <= uint64(len(mem.buf)) {
+			return mem.buf, 0
+		}
+		return nil, 0
+	}
+	if idx := lo >> shardPageBits; idx == (end-1)>>shardPageBits && end <= mem.limit {
+		if p := ws.page(idx); p != nil {
+			return p.data, idx << shardPageBits
+		}
+		if end <= uint64(len(mem.buf)) {
+			return mem.buf, 0
+		}
+	}
+	return nil, 0
+}
+
+// scatterGlobal stores one element per active lane when the in-range
+// span [lo, end) can be written in one piece — anywhere within capacity
+// on the serial path, within one copy-on-write page on the parallel one —
+// and reports whether it did.
+func (s *smShard) scatterGlobal(mt ir.MemType, addrs, vals *row, mask uint32, lo, end uint64) bool {
+	mem := s.ls.dev.Mem
+	if end > mem.limit {
+		return false
+	}
+	if s.wmem == nil {
+		mem.back(end)
+		scatter(mem.buf, 0, mt, addrs, vals, mask)
+		return true
+	}
+	idx := lo >> shardPageBits
+	if idx != (end-1)>>shardPageBits {
+		return false
+	}
+	p := s.wmem.dirty(idx)
+	scatter(p.data, idx<<shardPageBits, mt, addrs, vals, mask)
+	n := uint64(mt.Size())
+	for lane := 0; lane < WarpSize; lane++ {
+		if mask&(1<<uint(lane)) != 0 {
+			p.mark(addrs[lane]&shardPageMask, n)
+		}
+	}
+	return true
 }
 
 // runParallel fans the SM shards out across idle pool workers and merges
@@ -307,8 +426,14 @@ func (ls *launchState) runParallel(shards []*smShard, threadsPerCTA, warpsPerCTA
 			return s.err
 		}
 	}
+	// Only now, with every shard joined, may device memory grow to hold
+	// stores that landed above its high-water mark.
+	mem := ls.dev.Mem
 	for _, s := range shards {
-		s.wmem.applyTo(ls.dev.Mem.buf)
+		mem.back(min(s.wmem.extent(), mem.limit))
+	}
+	for _, s := range shards {
+		s.wmem.applyTo(mem.buf)
 	}
 	for _, s := range shards {
 		ls.merge(s, s.cycles)
@@ -330,23 +455,6 @@ func (s *smShard) replayHooks() error {
 		}
 	}
 	return nil
-}
-
-// hasGlobalAtomics reports whether any function of the module contains an
-// atomic instruction. Atomics are read-modify-write communication between
-// SMs: their results depend on cross-SM interleaving, so such kernels
-// keep the serial SM order (Launch checks this before going parallel).
-func hasGlobalAtomics(m *ir.Module) bool {
-	for _, f := range m.Funcs {
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if in.Op == ir.OpAtom {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }
 
 const (
@@ -404,21 +512,20 @@ func (ws *shardWrites) page(idx uint64) *shardPage {
 }
 
 // dirty returns the dirty page covering idx, copying it from base first
-// if this is the shard's first write to it.
+// if this is the shard's first write to it. base may end inside or before
+// the page (device memory backs only its high-water prefix): the rest of
+// the page is memory never written, which reads as zero.
 func (ws *shardWrites) dirty(idx uint64) *shardPage {
 	if p := ws.page(idx); p != nil {
 		return p
 	}
-	start := idx << shardPageBits
-	end := start + shardPageSize
-	if end > uint64(len(ws.base)) {
-		end = uint64(len(ws.base))
-	}
 	p := &shardPage{
-		data:    make([]byte, end-start),
-		written: make([]uint64, (end-start+63)/64),
+		data:    make([]byte, shardPageSize),
+		written: make([]uint64, shardPageSize/64),
 	}
-	copy(p.data, ws.base[start:end])
+	if start := idx << shardPageBits; start < uint64(len(ws.base)) {
+		copy(p.data, ws.base[start:])
+	}
 	ws.pages[idx] = p
 	ws.lastIdx, ws.lastPage = idx, p
 	return p
@@ -433,7 +540,7 @@ func (ws *shardWrites) load(mt ir.MemType, addr uint64) uint64 {
 		if p := ws.page(idx); p != nil {
 			return loadFrom(p.data, mt, addr&shardPageMask)
 		}
-		return loadFrom(ws.base, mt, addr)
+		return loadZeroExt(ws.base, mt, addr)
 	}
 	// Access spans a page boundary: assemble bytes from both sides.
 	var tmp [8]byte
@@ -441,7 +548,7 @@ func (ws *shardWrites) load(mt ir.MemType, addr uint64) uint64 {
 		a := addr + i
 		if p := ws.page(a >> shardPageBits); p != nil {
 			tmp[i] = p.data[a&shardPageMask]
-		} else {
+		} else if a < uint64(len(ws.base)) {
 			tmp[i] = ws.base[a]
 		}
 	}
@@ -468,6 +575,16 @@ func (ws *shardWrites) store(mt ir.MemType, addr uint64, bits uint64) {
 		p.data[off] = tmp[i]
 		p.mark(off, 1)
 	}
+}
+
+// extent returns the end address of the highest page this shard dirtied
+// (0 for none): what dst must cover before applyTo.
+func (ws *shardWrites) extent() uint64 {
+	end := uint64(0)
+	for idx := range ws.pages {
+		end = max(end, (idx+1)<<shardPageBits)
+	}
+	return end
 }
 
 // applyTo copies every written byte into dst. Shards apply in SM order,

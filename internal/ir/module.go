@@ -95,6 +95,8 @@ type Module struct {
 	Funcs []*Function
 
 	byName map[string]*Function
+
+	generation uint64
 }
 
 // NewModule returns an empty module.
@@ -142,6 +144,7 @@ func (m *Module) Kernels() []*Function {
 // It must be called after construction and after any transformation pass
 // that adds instructions or blocks. Finalize is idempotent.
 func (m *Module) Finalize() error {
+	m.generation++
 	if m.byName == nil {
 		m.byName = make(map[string]*Function)
 		for _, f := range m.Funcs {
@@ -155,6 +158,12 @@ func (m *Module) Finalize() error {
 	}
 	return nil
 }
+
+// Generation counts the module's Finalize calls. A consumer that caches
+// something derived from the module (the simulator's decoded form) keys
+// it on the generation, so a transformation followed by the Finalize it
+// requires invalidates the cache.
+func (m *Module) Generation() uint64 { return m.generation }
 
 // Block returns the named block, or nil.
 func (f *Function) Block(name string) *Block {

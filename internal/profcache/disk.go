@@ -262,14 +262,16 @@ func (c *Cache) loadCycles(key Key) (CycleStats, bool) {
 }
 
 // loadBytes reads and verifies the disk entry for a bytes-kind key
-// (advise reports, rendered views).
+// (advise reports, rendered views). An empty payload is a valid entry:
+// some views render to nothing (a folded export whose weight is zero
+// everywhere), and the checksum and key already vouch for the file.
 func (c *Cache) loadBytes(key Key) ([]byte, bool) {
 	raw, ok := c.loadPayload(key)
 	if !ok {
 		return nil, false
 	}
 	var p bytesPayload
-	if err := json.Unmarshal(raw, &p); err != nil || p.Key != key.Canonical() || len(p.Data) == 0 {
+	if err := json.Unmarshal(raw, &p); err != nil || p.Key != key.Canonical() {
 		c.badEntry(key)
 		return nil, false
 	}

@@ -339,6 +339,36 @@ func TestAdviseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEmptyViewIsADiskHit: a view that renders to zero bytes (the folded
+// reuse export of an app with no reuse) is a real result. Reopening the
+// directory must serve it from disk — not reject it as a bad entry and
+// simulate the cell again on every warm run.
+func TestEmptyViewIsADiskHit(t *testing.T) {
+	dir := t.TempDir()
+	key := profcache.ViewKey(apps.ByName("nn"), gpu.KeplerK40c(), bothOpts, 1, 0, "export/folded/reuse")
+	for _, empty := range [][]byte{nil, {}} {
+		cold := profcache.New(dir)
+		got, err := cold.Bytes(context.Background(), key, func(context.Context) ([]byte, error) { return empty, nil })
+		if err != nil || len(got) != 0 {
+			t.Fatalf("cold fill = %q, %v", got, err)
+		}
+		warm := profcache.New(dir)
+		got, err = warm.Bytes(context.Background(), key, func(context.Context) ([]byte, error) {
+			t.Error("an empty view was filled again after reopening the cache")
+			return nil, nil
+		})
+		if err != nil || len(got) != 0 {
+			t.Fatalf("warm load = %q, %v; want the empty view", got, err)
+		}
+		if s := warm.Stats(); s.DiskHits != 1 || s.Misses != 0 || s.BadEntries != 0 || s.Heals != 0 {
+			t.Errorf("warm stats = %+v, want 1 disk hit and no miss, bad entry or heal", s)
+		}
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestCorruptEntriesAreMisses: every way an on-disk entry can be damaged
 // — truncation, garbage, a version bump, a checksum mismatch, emptiness,
 // or an entry filed under the wrong key — degrades to a counted miss:
