@@ -34,7 +34,7 @@ import (
 // of Figure 4 (seven applications, element-based model, per CTA).
 func BenchmarkFigure4ReuseDistance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure4(nil, 1)
+		res, _, err := experiments.Figure4(experiments.Env{Scale: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func BenchmarkFigure5MemoryDivergencePascal(b *testing.B) {
 func benchFigure5(b *testing.B, cfg gpu.ArchConfig) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure5(nil, cfg, 1)
+		res, _, err := experiments.Figure5(experiments.Env{Scale: 1}, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func benchFigure5(b *testing.B, cfg gpu.ArchConfig) {
 // ten apps) on the serial reference path.
 func BenchmarkWriteFigure5Serial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := experiments.WriteFigure5(io.Discard, nil, 1); err != nil {
+		if err := experiments.WriteFigure5(io.Discard, experiments.Env{Scale: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -88,7 +88,7 @@ func BenchmarkWriteFigure5Parallel(b *testing.B) {
 	pool := runner.New(speedupWorkers())
 	b.ReportMetric(float64(pool.Workers()), "workers")
 	for i := 0; i < b.N; i++ {
-		if err := experiments.WriteFigure5(io.Discard, pool, 1); err != nil {
+		if err := experiments.WriteFigure5(io.Discard, experiments.Env{Pool: pool, Scale: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -103,12 +103,12 @@ func BenchmarkRunnerSpeedupFigure5(b *testing.B) {
 	pool := runner.New(speedupWorkers())
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		if err := experiments.WriteFigure5(io.Discard, nil, 1); err != nil {
+		if err := experiments.WriteFigure5(io.Discard, experiments.Env{Scale: 1}); err != nil {
 			b.Fatal(err)
 		}
 		serial := time.Since(t0)
 		t1 := time.Now()
-		if err := experiments.WriteFigure5(io.Discard, pool, 1); err != nil {
+		if err := experiments.WriteFigure5(io.Discard, experiments.Env{Pool: pool, Scale: 1}); err != nil {
 			b.Fatal(err)
 		}
 		parallel := time.Since(t1)
@@ -141,10 +141,10 @@ func speedupWorkers() int {
 func BenchmarkAllWarmCache(b *testing.B) {
 	dir := b.TempDir()
 	runAll := func() time.Duration {
-		env := experiments.DefaultEnv(nil, 1)
+		env := experiments.Env{Scale: 1}
 		env.Cache = profcache.New(dir)
 		t0 := time.Now()
-		if err := experiments.WriteAllEnv(io.Discard, env); err != nil {
+		if err := experiments.WriteAll(io.Discard, env); err != nil {
 			b.Fatal(err)
 		}
 		return time.Since(t0)
@@ -165,7 +165,7 @@ func BenchmarkAllWarmCache(b *testing.B) {
 // BenchmarkTable3BranchDivergence regenerates the branch-divergence table.
 func BenchmarkTable3BranchDivergence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table3(nil, 1)
+		rows, _, err := experiments.Table3(experiments.Env{Scale: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -199,7 +199,7 @@ func BenchmarkFigure7BypassPascal(b *testing.B) {
 func benchBypass(b *testing.B, cfg gpu.ArchConfig) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.BypassStudy(nil, cfg, 1)
+		rows, _, err := experiments.BypassStudy(experiments.Env{Scale: 1}, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -230,7 +230,7 @@ func BenchmarkFigure10OverheadPascal(b *testing.B) {
 func benchOverhead(b *testing.B, cfg gpu.ArchConfig) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Overhead(nil, cfg, 1)
+		rows, _, err := experiments.Overhead(experiments.Env{Scale: 1}, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -248,7 +248,7 @@ func benchOverhead(b *testing.B, cfg gpu.ArchConfig) {
 // debugging views on bfs.
 func BenchmarkFigures8and9DebugViews(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := experiments.WriteCodeDataCentric(io.Discard, nil, 1); err != nil {
+		if err := experiments.WriteCodeDataCentric(io.Discard, experiments.Env{Scale: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -264,7 +264,7 @@ func BenchmarkAnalyzerReuseDistance(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		experiments.MergedReuse(p, analysis.DefaultElementReuse())
+		profcache.MergedReuse(p, analysis.DefaultElementReuse())
 	}
 }
 

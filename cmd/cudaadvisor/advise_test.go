@@ -215,13 +215,15 @@ func TestAdviseErrors(t *testing.T) {
 		{[]string{"advise", "-arch=vega", "bfs"}, `unknown architecture "vega"`},
 		{[]string{"advise", "-format=xml", "testdata/fixture.mir"}, `unknown advise format "xml"`},
 		{[]string{"lint", "-format=xml", "bfs"}, `unknown lint format "xml"`},
+		{[]string{"advise", "-scale", "0", "nn"}, `scale="0": want an integer ≥ 1`},
+		{[]string{"advise", "-scale=-2", "nn"}, `scale="-2": want an integer ≥ 1`},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != 1 {
 			t.Errorf("run(%v) = %d, want 1", tc.args, code)
 		}
-		if !strings.Contains(stderr.String(), tc.want) {
-			t.Errorf("run(%v) stderr = %q, want it to contain %q", tc.args, stderr.String(), tc.want)
+		if !strings.Contains(stderr.String(), tc.want) || strings.Contains(stderr.String(), "panicked") {
+			t.Errorf("run(%v) stderr = %q, want it to contain %q and no panic", tc.args, stderr.String(), tc.want)
 		}
 	}
 }

@@ -151,20 +151,22 @@ func TestExportErrors(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"export"}, "export wants exactly one application name"},
-		{[]string{"export", "bfs", "nn"}, "export wants exactly one application name"},
+		{[]string{"export"}, "export wants one application name"},
+		{[]string{"export", "bfs", "nn"}, "export wants one application name"},
 		{[]string{"export", "nosuchapp"}, `unknown application "nosuchapp"`},
 		{[]string{"export", "testdata/fixture.mir"}, "no runnable host driver"},
 		{[]string{"export", "-format=svg", "bfs"}, `unknown export format "svg"`},
 		{[]string{"export", "-weight=bytes", "bfs"}, `unknown export weight "bytes"`},
 		{[]string{"export", "-arch=volta", "bfs"}, `unknown architecture "volta"`},
+		{[]string{"export", "-scale", "0", "nn"}, `scale="0": want an integer ≥ 1`},
+		{[]string{"export", "-format", "chrome", "-scale=-1", "nn"}, `scale="-1": want an integer ≥ 1`},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != 1 {
 			t.Errorf("run(%v) = %d, want 1", tc.args, code)
 		}
-		if !strings.Contains(stderr.String(), tc.want) {
-			t.Errorf("run(%v) stderr = %q, want it to contain %q", tc.args, stderr.String(), tc.want)
+		if !strings.Contains(stderr.String(), tc.want) || strings.Contains(stderr.String(), "panicked") {
+			t.Errorf("run(%v) stderr = %q, want it to contain %q and no panic", tc.args, stderr.String(), tc.want)
 		}
 	}
 }

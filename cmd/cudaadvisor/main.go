@@ -7,9 +7,10 @@
 //	cudaadvisor [-j N] <command> [args]
 //
 //	cudaadvisor apps                      list the benchmark applications
-//	cudaadvisor profile <app> [flags]     run one app under the profiler
-//	cudaadvisor export <app> [flags]      emit flamegraph / timeline data
-//	cudaadvisor lint <app|file.mir>       static divergence analysis
+//	cudaadvisor profile [flags] <app>     run one app under the profiler
+//	cudaadvisor export [flags] <app>      emit flamegraph / timeline data
+//	cudaadvisor lint [flags] <app|file.mir>    static divergence analysis
+//	cudaadvisor advise [flags] <app|file.mir>  ranked static+dynamic report
 //	cudaadvisor figure4|figure5|table3    regenerate an experiment
 //	cudaadvisor figure6|figure7|figure10
 //	cudaadvisor debugviews                Figures 8/9 (code/data-centric)
@@ -43,11 +44,16 @@
 //	-memo-budget N     cap the in-process memoizer at N entries
 //	-cache-stats       print a hit/miss summary line to stderr
 //
+// profile, lint, advise and export are one request type in
+// internal/experiments (DESIGN.md §11): their flags come from its
+// parameter table, go before the target, and are validated there — the
+// serve daemon's query parameters are the same table.
+//
 // Flags for profile:
 //
 //	-arch kepler|pascal    architecture (default kepler)
 //	-scale N               input scale factor (default 1)
-//	-mode rd|md|bd         analysis to print (default all three)
+//	-mode rd|md|bd|all     analysis to print (default all)
 //	-smem                  trace shared-memory accesses, watch for bank
 //	                       conflicts and same-interval races, and print
 //	                       the shared-memory section
@@ -61,11 +67,12 @@
 // structurally validates exported files.
 //
 // serve runs the pipeline as a hardened HTTP daemon (DESIGN.md §11):
-// /v1/profile, /v1/lint and /v1/advise answer from the shared cache
-// with CLI-byte-identical bodies; -width/-depth bound admission
-// (overflow is shed with 429 + Retry-After), -cell-timeout becomes the
-// per-request deadline, -keep-going yields partial 200 responses, and
-// SIGTERM drains gracefully within -drain.
+// /v1/profile, /v1/lint, /v1/advise and /v1/export are the commands of
+// the same names, answered from the shared cache with the CLI's bytes;
+// -width/-depth bound admission (overflow is shed with 429 +
+// Retry-After), -cell-timeout becomes the per-request deadline,
+// -keep-going yields partial 200 responses, and SIGTERM drains
+// gracefully within -drain.
 //
 // lint runs the static advisor (no simulation): the uniformity analysis
 // predicts divergent branches, classifies global-memory accesses,
@@ -92,12 +99,10 @@ import (
 	"cudaadvisor/internal/experiments"
 	"cudaadvisor/internal/faultinject"
 	"cudaadvisor/internal/findings"
-	"cudaadvisor/internal/gpu"
 	"cudaadvisor/internal/profcache"
 	"cudaadvisor/internal/report"
 	"cudaadvisor/internal/runner"
 	"cudaadvisor/internal/serve"
-	"cudaadvisor/internal/staticadvisor"
 )
 
 func main() {
@@ -125,10 +130,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		usage(stderr)
 		return 2
 	}
-	env := experiments.DefaultEnv(runner.New(*jFlag), 1)
-	env.TraceCap = *traceCap
-	env.CellTimeout = *cellTimeout
-	env.KeepGoing = *keepGoing
+	env := experiments.Env{
+		Pool: runner.New(*jFlag), Scale: 1,
+		TraceCap: *traceCap, CellTimeout: *cellTimeout, KeepGoing: *keepGoing,
+	}
 	if *cacheOn || *cacheDir != "" {
 		env.Cache = profcache.New(*cacheDir)
 		if *cacheBudget > 0 {
@@ -153,36 +158,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, a := range apps.InTableOrder() {
 			fmt.Fprintf(stdout, "%-10s %-9s warps/CTA=%-3d %s\n", a.Name, a.Suite, a.WarpsPerCTA, a.Description)
 		}
-	case "profile":
-		err = profileCmd(rest, env, stdout, stderr)
+	case "profile", "lint", "advise", "export":
+		err = requestCmd(cmd, rest, env, stdout, stderr)
 	case "serve":
 		err = serveCmd(rest, env, stdout, stderr)
-	case "lint":
-		err = lintCmd(rest, stdout, stderr)
-	case "advise":
-		err = adviseCmd(rest, env, stdout, stderr)
 	case "checkreport":
 		err = checkReportCmd(rest, stdout)
-	case "export":
-		err = exportCmd(rest, env, stdout, stderr)
 	case "checkexport":
 		err = checkExportCmd(rest, stdout)
 	case "figure4":
-		err = experiments.WriteFigure4Env(stdout, env)
+		err = experiments.WriteFigure4(stdout, env)
 	case "figure5":
-		err = experiments.WriteFigure5Env(stdout, env)
+		err = experiments.WriteFigure5(stdout, env)
 	case "table3":
-		err = experiments.WriteTable3Env(stdout, env)
+		err = experiments.WriteTable3(stdout, env)
 	case "figure6":
-		err = experiments.WriteFigure6Env(stdout, env)
+		err = experiments.WriteFigure6(stdout, env)
 	case "figure7":
-		err = experiments.WriteFigure7Env(stdout, env)
+		err = experiments.WriteFigure7(stdout, env)
 	case "figure10":
-		err = experiments.WriteFigure10Env(stdout, env)
+		err = experiments.WriteFigure10(stdout, env)
 	case "debugviews":
-		err = experiments.WriteCodeDataCentricEnv(stdout, env)
+		err = experiments.WriteCodeDataCentric(stdout, env)
 	case "all":
-		err = experiments.WriteAllEnv(stdout, env)
+		err = experiments.WriteAll(stdout, env)
 	default:
 		usage(stderr)
 		return 2
@@ -224,7 +223,7 @@ global flags:
 
 commands:
   apps         list the benchmark applications (Table 2)
-  profile      profile one application: cudaadvisor profile <app> [-arch kepler|pascal] [-scale N] [-mode rd|md|bd] [-smem]
+  profile      profile one application: cudaadvisor profile [-arch kepler|pascal] [-scale N] [-mode rd|md|bd|all] [-smem] <app>
   lint         static divergence analysis (no simulation): cudaadvisor lint [-format text|json] [-arch kepler|pascal] <app|file.mir>
   advise       ranked static+dynamic optimization report: cudaadvisor advise [-arch kepler|pascal] [-format text|json] [-scale N] <app|file.mir>
                (a .mir file gets a static-only report; apps are profiled and joined)
@@ -242,7 +241,7 @@ commands:
   figure10     instrumentation overhead
   debugviews   code-/data-centric debugging views (Figures 8/9)
   all          everything above (figures run concurrently; figure10 last, alone)
-  serve        HTTP daemon answering profile/lint/advise requests from the
+  serve        HTTP daemon answering profile/lint/advise/export requests from the
                shared cache: cudaadvisor serve [-addr host:port] [-width N]
                [-depth N] [-drain D] [-allow-inject]; endpoints /healthz,
                /statsz, /v1/profile, /v1/lint, /v1/advise, /v1/export`)
@@ -318,91 +317,55 @@ func serveCmd(args []string, env experiments.Env, stdout, stderr io.Writer) erro
 	}
 }
 
-// archConfig resolves the -arch flag value.
-func archConfig(name string) (gpu.ArchConfig, error) {
-	switch name {
-	case "kepler":
-		return gpu.KeplerK40c(), nil
-	case "pascal":
-		return gpu.PascalP100(), nil
-	}
-	return gpu.ArchConfig{}, fmt.Errorf("unknown architecture %q", name)
+// paramFlag is a flag.Value that keeps a request parameter as typed:
+// experiments.NewRequest does all the validation, so the CLI and the
+// daemon refuse the same values with the same words.
+type paramFlag struct {
+	text string
+	bare bool // boolean syntax: a bare -flag means "true"
 }
 
-// analyzeTarget runs the static advisor over a benchmark application's
-// device code (under its launch-layout hint) or a textual IR file (no
-// hint: conservative tid.y/tid.z treatment).
-func analyzeTarget(target string) (*staticadvisor.ModuleResult, error) {
-	if app := apps.ByName(target); app != nil {
-		return experiments.AnalyzeAppStatic(app)
+func (f *paramFlag) String() string     { return f.text }
+func (f *paramFlag) Set(s string) error { f.text = s; return nil }
+func (f *paramFlag) IsBoolFlag() bool   { return f.bare }
+
+// requestCmd runs `profile`, `lint`, `advise` or `export`: the flags
+// come from the command's parameter table, the one positional argument
+// names the target — a benchmark application, or a .mir file whose text
+// is read here — and the shared command layer decodes, validates and
+// renders the request.
+func requestCmd(cmd string, args []string, env experiments.Env, stdout, stderr io.Writer) error {
+	fl := flag.NewFlagSet(cmd, flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	for _, p := range experiments.Params(cmd) {
+		fl.Var(&paramFlag{text: p.Default, bare: p.Bool}, p.Name, p.Usage)
 	}
-	if strings.HasSuffix(target, ".mir") {
-		src, err := os.ReadFile(target)
-		if err != nil {
-			return nil, err
+	if err := fl.Parse(args); err != nil {
+		return err
+	}
+	target := map[string]string{}
+	var ir []byte
+	if fl.NArg() == 1 {
+		if t := fl.Arg(0); strings.HasSuffix(t, ".mir") {
+			src, err := os.ReadFile(t)
+			if err != nil {
+				return err
+			}
+			target["name"], ir = t, src
+		} else {
+			target["app"] = t
 		}
-		return experiments.AnalyzeIRSource(target, string(src))
 	}
-	return nil, fmt.Errorf("unknown application %q (see 'cudaadvisor apps', or pass a .mir file)", target)
-}
-
-// lintCmd runs the static advisor over a benchmark application's device
-// code or a textual IR file. -format json emits the findings in the
-// versioned advisor-report schema (static evidence only).
-func lintCmd(args []string, stdout, stderr io.Writer) error {
-	fl := flag.NewFlagSet("lint", flag.ContinueOnError)
-	fl.SetOutput(stderr)
-	format := fl.String("format", "text", "output format: text or json")
-	arch := fl.String("arch", "kepler", "architecture whose line size json predicted-lines use")
-	if err := fl.Parse(args); err != nil {
-		return err
-	}
-	if fl.NArg() != 1 {
-		return fmt.Errorf("lint wants one application name or .mir file (see 'cudaadvisor apps')")
-	}
-	cfg, err := archConfig(*arch)
+	req, err := experiments.NewRequest(cmd, func(name string) string {
+		if f := fl.Lookup(name); f != nil {
+			return f.Value.String()
+		}
+		return target[name]
+	}, ir)
 	if err != nil {
 		return err
 	}
-	res, err := analyzeTarget(fl.Arg(0))
-	if err != nil {
-		return err
-	}
-	return experiments.WriteStaticLint(stdout, res, cfg, *format)
-}
-
-// adviseCmd renders the ranked optimization report: for a benchmark
-// application, a profiled run joined with the static analysis; for a
-// .mir file, the static findings alone in the same schema.
-func adviseCmd(args []string, env experiments.Env, stdout, stderr io.Writer) error {
-	fl := flag.NewFlagSet("advise", flag.ContinueOnError)
-	fl.SetOutput(stderr)
-	arch := fl.String("arch", "kepler", "architecture: kepler or pascal")
-	format := fl.String("format", "text", "output format: text or json")
-	scale := fl.Int("scale", 1, "input scale factor")
-	if err := fl.Parse(args); err != nil {
-		return err
-	}
-	if fl.NArg() != 1 {
-		return fmt.Errorf("advise wants one application name or .mir file (see 'cudaadvisor apps')")
-	}
-	cfg, err := archConfig(*arch)
-	if err != nil {
-		return err
-	}
-	target := fl.Arg(0)
-	if app := apps.ByName(target); app != nil {
-		env.Scale = *scale
-		return experiments.WriteAdviseEnv(stdout, env, app, cfg, *format)
-	}
-	if !strings.HasSuffix(target, ".mir") {
-		return fmt.Errorf("unknown application %q (see 'cudaadvisor apps', or pass a .mir file)", target)
-	}
-	res, err := analyzeTarget(target)
-	if err != nil {
-		return err
-	}
-	return experiments.WriteStaticAdvise(stdout, res, cfg, *format)
+	return req.Write(stdout, env)
 }
 
 // checkReportCmd validates advisor-report JSON files: each must decode
@@ -427,41 +390,6 @@ func checkReportCmd(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// exportCmd serializes one application's profile for standard
-// visualization tooling: folded flamegraph stacks (flamegraph.pl,
-// speedscope) under a selectable weight, or a Chrome-trace JSON timeline
-// (chrome://tracing, Perfetto) of the launch's warp/CTA scheduling.
-func exportCmd(args []string, env experiments.Env, stdout, stderr io.Writer) error {
-	fl := flag.NewFlagSet("export", flag.ContinueOnError)
-	fl.SetOutput(stderr)
-	arch := fl.String("arch", "kepler", "architecture: kepler or pascal")
-	scale := fl.Int("scale", 1, "input scale factor")
-	format := fl.String("format", "folded", "output format: folded or chrome")
-	weight := fl.String("weight", "cycles", "folded stack weight: cycles, lines, divergence, or reuse")
-	if err := fl.Parse(args); err != nil {
-		return err
-	}
-	if fl.NArg() != 1 {
-		return fmt.Errorf("export wants exactly one application name (see 'cudaadvisor apps')")
-	}
-	target := fl.Arg(0)
-	app := apps.ByName(target)
-	if app == nil {
-		if strings.HasSuffix(target, ".mir") {
-			return fmt.Errorf("export needs a dynamic profile; a .mir file has no runnable host driver (pass an application name, see 'cudaadvisor apps')")
-		}
-		return fmt.Errorf("unknown application %q (see 'cudaadvisor apps')", target)
-	}
-	cfg, err := archConfig(*arch)
-	if err != nil {
-		return err
-	}
-	env.Scale = *scale
-	return experiments.WriteExportEnv(stdout, env, experiments.ExportRequest{
-		App: app, Arch: cfg, Format: *format, Weight: *weight,
-	})
-}
-
 // checkExportCmd structurally validates exported documents: Chrome
 // traces must pass the strict schema/nesting/monotonicity validator,
 // folded documents must parse line by line (the CI export sweep pipes
@@ -480,31 +408,4 @@ func checkExportCmd(args []string, stdout io.Writer) error {
 		}
 	}
 	return nil
-}
-
-func profileCmd(args []string, env experiments.Env, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("profile", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	arch := fs.String("arch", "kepler", "architecture: kepler or pascal")
-	scale := fs.Int("scale", 1, "input scale factor")
-	mode := fs.String("mode", "all", "analysis: rd, md, bd, or all")
-	smem := fs.Bool("smem", false, "trace shared-memory accesses and enable the bank-conflict/race watch")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("profile wants exactly one application name (see 'cudaadvisor apps')")
-	}
-	app := apps.ByName(fs.Arg(0))
-	if app == nil {
-		return fmt.Errorf("unknown application %q", fs.Arg(0))
-	}
-	cfg, err := archConfig(*arch)
-	if err != nil {
-		return err
-	}
-	env.Scale = *scale
-	return experiments.WriteProfileEnv(stdout, env, experiments.ProfileRequest{
-		App: app, Arch: cfg, Mode: *mode, Smem: *smem,
-	})
 }

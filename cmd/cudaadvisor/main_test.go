@@ -72,6 +72,9 @@ func TestLintApp(t *testing.T) {
 	}
 }
 
+// TestLintErrors: argument mistakes to lint — and to profile, whose
+// rows live here too — exit 1 with a useful message, before any work is
+// scheduled.
 func TestLintErrors(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -79,13 +82,16 @@ func TestLintErrors(t *testing.T) {
 	}{
 		{[]string{"lint"}, "lint wants one application name"},
 		{[]string{"lint", "nosuchapp"}, `unknown application "nosuchapp"`},
+		{[]string{"profile", "-scale", "0", "nn"}, `scale="0": want an integer ≥ 1`},
+		{[]string{"profile", "-scale=-4", "nn"}, `scale="-4": want an integer ≥ 1`},
+		{[]string{"profile", "-smem=yes", "nn"}, `smem="yes": want a boolean`},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != 1 {
 			t.Errorf("run(%v) = %d, want 1", tc.args, code)
 		}
-		if !strings.Contains(stderr.String(), tc.want) {
-			t.Errorf("run(%v) stderr = %q, want it to contain %q", tc.args, stderr.String(), tc.want)
+		if !strings.Contains(stderr.String(), tc.want) || strings.Contains(stderr.String(), "panicked") {
+			t.Errorf("run(%v) stderr = %q, want it to contain %q and no panic", tc.args, stderr.String(), tc.want)
 		}
 	}
 }

@@ -7,14 +7,15 @@ import (
 	"testing"
 )
 
-// runInjected runs one subcommand with keep-going injection at the given
-// worker count and returns (stdout, exit code).
+// runInjected runs one subcommand (and its arguments, space-separated)
+// with keep-going injection at the given worker count and returns
+// (stdout, exit code).
 func runInjected(t *testing.T, cmd, spec string, j int) (string, int) {
 	t.Helper()
 	var stdout, stderr bytes.Buffer
-	code := run([]string{
-		"-j", fmt.Sprint(j), "-keep-going", "-inject", spec, cmd,
-	}, &stdout, &stderr)
+	code := run(append([]string{
+		"-j", fmt.Sprint(j), "-keep-going", "-inject", spec,
+	}, strings.Fields(cmd)...), &stdout, &stderr)
 	if stderr.Len() == 0 && code != 0 {
 		t.Fatalf("%s -j %d: exit %d with empty stderr", cmd, j, code)
 	}
@@ -57,6 +58,13 @@ func TestKeepGoingInjectionDeterministic(t *testing.T) {
 			annotated:  []string{"debugviews/bfs [cell failed:", "injected allocator failure"},
 			mustRender: []string{"=== Figures 8/9"},
 		},
+		{
+			// A worker panic in the single advise cell: the annotation is
+			// the whole output, labelled like every other view command's.
+			cmd:       "advise nn",
+			spec:      "seed=7,panic=advise",
+			annotated: []string{"advise/kepler-k40c/nn [cell failed: job 0 panicked", "injected panic"},
+		},
 	} {
 		t.Run(tc.cmd, func(t *testing.T) {
 			serial, code := runInjected(t, tc.cmd, tc.spec, 1)
@@ -66,6 +74,13 @@ func TestKeepGoingInjectionDeterministic(t *testing.T) {
 			for _, want := range append(tc.annotated, tc.mustRender...) {
 				if !strings.Contains(serial, want) {
 					t.Errorf("output missing %q:\n%s", want, serial)
+				}
+			}
+			// An annotation names its cell once, as the label — never
+			// again as a prefix of the cause.
+			for _, line := range strings.Split(serial, "\n") {
+				if cell, cause, ok := strings.Cut(line, " [cell failed: "); ok && strings.HasPrefix(cause, cell+": ") {
+					t.Errorf("annotation names its cell twice: %s", line)
 				}
 			}
 			parallel, code := runInjected(t, tc.cmd, tc.spec, 8)

@@ -15,7 +15,7 @@ import (
 )
 
 func main() {
-	if err := experiments.WriteCodeDataCentric(os.Stdout, nil, 1); err != nil {
+	if err := experiments.WriteCodeDataCentric(os.Stdout, experiments.Env{Scale: 1}); err != nil {
 		log.Fatal(err)
 	}
 }

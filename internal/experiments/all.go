@@ -7,12 +7,7 @@ import (
 	"cudaadvisor/internal/runner"
 )
 
-// WriteAll regenerates every table and figure in paper order.
-func WriteAll(w io.Writer, pool *runner.Pool, scale int) error {
-	return WriteAllEnv(w, DefaultEnv(pool, scale))
-}
-
-// WriteAllEnv regenerates every table and figure under an Env. The
+// WriteAll regenerates every table and figure in paper order. The
 // analysis experiments run concurrently (each figure is a coordinator
 // whose simulator runs are gated on the shared pool) and stream to w in
 // paper order through a runner.Ordered writer: figure i is emitted as
@@ -26,20 +21,15 @@ func WriteAll(w io.Writer, pool *runner.Pool, scale int) error {
 // aggregated error produces exit status 1. Without it, the run aborts on
 // the first figure error once the in-flight figures join; figures that
 // completed before the failure may already have streamed.
-func WriteAllEnv(w io.Writer, env Env) error {
-	figures := []func(w io.Writer) error{
-		func(w io.Writer) error { return WriteFigure4Env(w, env) },
-		func(w io.Writer) error { return WriteFigure5Env(w, env) },
-		func(w io.Writer) error { return WriteTable3Env(w, env) },
-		func(w io.Writer) error { return WriteFigure6Env(w, env) },
-		func(w io.Writer) error { return WriteFigure7Env(w, env) },
-		func(w io.Writer) error { return WriteCodeDataCentricEnv(w, env) },
+func WriteAll(w io.Writer, env Env) error {
+	figures := []func(io.Writer, Env) error{
+		WriteFigure4, WriteFigure5, WriteTable3, WriteFigure6, WriteFigure7, WriteCodeDataCentric,
 	}
 	ord := runner.NewOrdered(w, len(figures))
 	figErrs := make([]error, len(figures))
 	err := runner.Concurrent(env.Pool, len(figures), func(i int) error {
 		defer ord.Finish(i)
-		err := figures[i](ord.Slot(i))
+		err := figures[i](ord.Slot(i), env)
 		if err != nil && env.KeepGoing {
 			figErrs[i] = err
 			return nil
@@ -52,7 +42,7 @@ func WriteAllEnv(w io.Writer, env Env) error {
 	if err := ord.Err(); err != nil {
 		return err
 	}
-	err = WriteFigure10Env(w, env)
+	err = WriteFigure10(w, env)
 	if err != nil && !env.KeepGoing {
 		return err
 	}

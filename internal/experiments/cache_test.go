@@ -15,7 +15,7 @@ import (
 func renderFigure4(t *testing.T, env Env) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteFigure4Env(&buf, env); err != nil {
+	if err := WriteFigure4(&buf, env); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
@@ -37,7 +37,7 @@ func cellFiles(t *testing.T, dir string) []string {
 // cache counters land exactly where single-flight determinism says they
 // must at every worker count.
 func TestFigure4CacheMatrixByteIdentity(t *testing.T) {
-	want := renderFigure4(t, DefaultEnv(nil, 1))
+	want := renderFigure4(t, Env{Scale: 1})
 	if want == "" {
 		t.Fatal("reference render is empty")
 	}
@@ -56,18 +56,18 @@ func TestFigure4CacheMatrixByteIdentity(t *testing.T) {
 		}
 	}
 
-	uncachedJ8 := DefaultEnv(runner.New(8), 1)
+	uncachedJ8 := Env{Pool: runner.New(8), Scale: 1}
 	check("uncached -j 8", uncachedJ8, nil)
 
 	for _, pool := range []*runner.Pool{nil, runner.New(8)} {
-		memo := DefaultEnv(pool, 1)
+		memo := Env{Pool: pool, Scale: 1}
 		memo.Cache = profcache.New("")
 		check("memoizer", memo, func(s profcache.Snapshot) bool {
 			return s.Misses == int64(nApps) && s.DiskHits == 0 && s.Stores == 0
 		})
 	}
 
-	cold := DefaultEnv(runner.New(8), 1)
+	cold := Env{Pool: runner.New(8), Scale: 1}
 	cold.Cache = profcache.New(dir)
 	check("cold disk -j 8", cold, func(s profcache.Snapshot) bool {
 		return s.Misses == int64(nApps) && s.Stores == int64(nApps) && s.DiskHits == 0
@@ -78,7 +78,7 @@ func TestFigure4CacheMatrixByteIdentity(t *testing.T) {
 
 	var warmStats [2]profcache.Snapshot
 	for i, pool := range []*runner.Pool{nil, runner.New(8)} {
-		warm := DefaultEnv(pool, 1)
+		warm := Env{Pool: pool, Scale: 1}
 		warm.Cache = profcache.New(dir)
 		check("warm disk", warm, func(s profcache.Snapshot) bool {
 			return s.Misses == 0 && s.BadEntries == 0 && s.DiskHits == int64(nApps)
@@ -96,19 +96,19 @@ func TestFigure4CacheMatrixByteIdentity(t *testing.T) {
 // shared Env cache the second figure serves them from the memoizer —
 // with output identical to profiling them again.
 func TestCacheSharesCellsAcrossFigures(t *testing.T) {
-	wantF4 := renderFigure4(t, DefaultEnv(nil, 1))
+	wantF4 := renderFigure4(t, Env{Scale: 1})
 	var wantF5 bytes.Buffer
-	if err := WriteFigure5Env(&wantF5, DefaultEnv(nil, 1)); err != nil {
+	if err := WriteFigure5(&wantF5, Env{Scale: 1}); err != nil {
 		t.Fatal(err)
 	}
 
-	env := DefaultEnv(nil, 1)
+	env := Env{Scale: 1}
 	env.Cache = profcache.New("")
 	if got := renderFigure4(t, env); got != wantF4 {
 		t.Errorf("cached Figure 4 differs from uncached")
 	}
 	var gotF5 bytes.Buffer
-	if err := WriteFigure5Env(&gotF5, env); err != nil {
+	if err := WriteFigure5(&gotF5, env); err != nil {
 		t.Fatal(err)
 	}
 	if gotF5.String() != wantF5.String() {
@@ -132,15 +132,15 @@ func TestCacheSharesCellsAcrossFigures(t *testing.T) {
 // this was the last profiled cell a warm `all` still had to re-run.
 func TestDebugViewsCached(t *testing.T) {
 	var want bytes.Buffer
-	if err := WriteCodeDataCentricEnv(&want, DefaultEnv(nil, 1)); err != nil {
+	if err := WriteCodeDataCentric(&want, Env{Scale: 1}); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
 
-	cold := DefaultEnv(nil, 1)
+	cold := Env{Scale: 1}
 	cold.Cache = profcache.New(dir)
 	var coldOut bytes.Buffer
-	if err := WriteCodeDataCentricEnv(&coldOut, cold); err != nil {
+	if err := WriteCodeDataCentric(&coldOut, cold); err != nil {
 		t.Fatal(err)
 	}
 	if coldOut.String() != want.String() {
@@ -153,10 +153,10 @@ func TestDebugViewsCached(t *testing.T) {
 		t.Fatalf("cold run left %d entries, want 1", len(files))
 	}
 
-	warm := DefaultEnv(nil, 1)
+	warm := Env{Scale: 1}
 	warm.Cache = profcache.New(dir)
 	var warmOut bytes.Buffer
-	if err := WriteCodeDataCentricEnv(&warmOut, warm); err != nil {
+	if err := WriteCodeDataCentric(&warmOut, warm); err != nil {
 		t.Fatal(err)
 	}
 	if warmOut.String() != want.String() {
@@ -175,12 +175,12 @@ func TestInjectionBypassesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := DefaultEnv(nil, 1)
+	env := Env{Scale: 1}
 	env.Cache = profcache.New(dir)
 	env.Inject = inj
 	env.KeepGoing = true
 	var buf bytes.Buffer
-	if err := WriteFigure4Env(&buf, env); err == nil {
+	if err := WriteFigure4(&buf, env); err == nil {
 		t.Fatal("injected run reported no error")
 	}
 	if s := env.Cache.Stats(); s.Requests() != 0 || s.Stores != 0 {
@@ -195,7 +195,7 @@ func TestInjectionBypassesCache(t *testing.T) {
 // timing-dependent, so such runs bypass the cache both ways.
 func TestTimeoutBypassesCache(t *testing.T) {
 	dir := t.TempDir()
-	env := DefaultEnv(nil, 1)
+	env := Env{Scale: 1}
 	env.Cache = profcache.New(dir)
 	env.CellTimeout = time.Hour // generous: the cells succeed, only the policy is under test
 	if got := renderFigure4(t, env); got == "" {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"cudaadvisor/internal/apps"
@@ -16,7 +17,7 @@ import (
 // serial reference path at every worker count.
 func TestWriteFigure5ParallelDeterminism(t *testing.T) {
 	var serial bytes.Buffer
-	if err := WriteFigure5(&serial, nil, 1); err != nil {
+	if err := WriteFigure5(&serial, Env{Scale: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if serial.Len() == 0 {
@@ -24,7 +25,7 @@ func TestWriteFigure5ParallelDeterminism(t *testing.T) {
 	}
 	for _, j := range []int{1, 2, 8} {
 		var par bytes.Buffer
-		if err := WriteFigure5(&par, runner.New(j), 1); err != nil {
+		if err := WriteFigure5(&par, Env{Pool: runner.New(j), Scale: 1}); err != nil {
 			t.Fatalf("-j %d: %v", j, err)
 		}
 		if !bytes.Equal(serial.Bytes(), par.Bytes()) {
@@ -44,7 +45,7 @@ func TestBypassStudyParallelDeterminism(t *testing.T) {
 	}
 	cfg := gpu.KeplerK40c().WithL1(16 * 1024)
 	render := func(pool *runner.Pool) ([]byte, error) {
-		rows, err := BypassStudy(pool, cfg, 1)
+		rows, _, err := BypassStudy(Env{Pool: pool, Scale: 1}, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -80,10 +81,13 @@ func TestBFSBypassCTAInput(t *testing.T) {
 	a := apps.ByName("bfs")
 	cfg := gpu.KeplerK40c()
 
-	measured, err := timingCTAs(nil, a, cfg, BypassRunScale)
+	// The measurement bypassStudy makes: the no-bypass native run at the
+	// timing scale.
+	st, err := measureNative(context.Background(), nil, a, cfg, 0, BypassRunScale)
 	if err != nil {
 		t.Fatal(err)
 	}
+	measured := st.MaxCTAs
 
 	// Ground truth via an independent path: the profiler's per-kernel
 	// launch results at the same timing scale.
@@ -98,7 +102,7 @@ func TestBFSBypassCTAInput(t *testing.T) {
 		}
 	}
 	if measured != real {
-		t.Errorf("timingCTAs = %d, want the timing-run CTA count %d", measured, real)
+		t.Errorf("measured grid = %d CTAs, want the timing-run CTA count %d", measured, real)
 	}
 
 	// The old quadratic extrapolation from the base-scale grid must NOT

@@ -11,9 +11,11 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"cudaadvisor/internal/apps"
@@ -63,9 +65,6 @@ type Env struct {
 	Cache *profcache.Cache
 }
 
-// DefaultEnv is the environment the plain pool+scale entry points use.
-func DefaultEnv(pool *runner.Pool, scale int) Env { return Env{Pool: pool, Scale: scale} }
-
 // base returns the run-wide context.
 func (e Env) base() context.Context {
 	if e.Ctx != nil {
@@ -88,15 +87,10 @@ func (e Env) cellCtx(parent context.Context) (context.Context, context.CancelFun
 // profileCell runs one application under the profiler with every Env
 // policy applied: the cell's injector (panic, trace cap, listener
 // wrapping) and the cell context plumbed down to the GPU executor.
-func (e Env) profileCell(ctx context.Context, cell string, app *apps.App, cfg gpu.ArchConfig, opts instrument.Options) (*profiler.Profiler, error) {
-	return e.profileCellWith(ctx, cell, app, cfg, opts, false)
-}
-
-// profileCellWith is profileCell with the scheduling recorder switch
-// exposed: the timeline export needs per-SM schedules, every other cell
-// leaves recording off (it is observational, but the off default keeps
-// profile memory flat and existing cache entries equivalent).
-func (e Env) profileCellWith(ctx context.Context, cell string, app *apps.App, cfg gpu.ArchConfig, opts instrument.Options, recordSchedule bool) (*profiler.Profiler, error) {
+// recordSchedule turns the per-SM scheduling recorder on: the timeline
+// export needs it, every other cell leaves it off (it is observational,
+// but off keeps profile memory flat).
+func (e Env) profileCell(ctx context.Context, cell string, app *apps.App, cfg gpu.ArchConfig, opts instrument.Options, recordSchedule bool) (*profiler.Profiler, error) {
 	inj := e.Inject.Cell(cell)
 	inj.MaybePanic()
 	prog, err := app.Instrumented(opts)
@@ -135,7 +129,7 @@ func (e Env) cacheActive() bool {
 // the caller reads.
 func (e Env) resultsCell(ctx context.Context, cell string, app *apps.App, cfg gpu.ArchConfig, opts instrument.Options) (*profcache.Results, error) {
 	if !e.cacheActive() {
-		p, err := e.profileCell(ctx, cell, app, cfg, opts)
+		p, err := e.profileCell(ctx, cell, app, cfg, opts, false)
 		if err != nil {
 			return nil, err
 		}
@@ -143,7 +137,7 @@ func (e Env) resultsCell(ctx context.Context, cell string, app *apps.App, cfg gp
 	}
 	key := profcache.ProfileKey(app, cfg, opts, e.Scale, e.TraceCap)
 	return e.Cache.Profile(ctx, key, cfg.L1LineSize, func(ctx context.Context) (*profiler.Profiler, error) {
-		return e.profileCell(ctx, cell, app, cfg, opts)
+		return e.profileCell(ctx, cell, app, cfg, opts, false)
 	})
 }
 
@@ -162,11 +156,84 @@ func (e Env) nativeStats(ctx context.Context, app *apps.App, cfg gpu.ArchConfig,
 	})
 }
 
+// viewCell is the one rendered-view cell behind `profile`, `export`,
+// `advise` and `debugviews`: profile app on cfg under the cell's name
+// and policies, render the profile to bytes, and write them to w. The
+// views need the raw trace, which the cache's analysis bundle does not
+// carry, so what is cached is the rendered bytes themselves, as a "view"
+// entry keyed on the profiling inputs plus the view name — everything
+// render-only (mode, format, weight, schema) must be part of that name.
+// A warm request touches no simulator. With KeepGoing a failure is
+// written as the cell's annotation line, and still returned.
+func (e Env) viewCell(w io.Writer, cell string, app *apps.App, cfg gpu.ArchConfig, opts instrument.Options,
+	recordSchedule bool, view string, render func(io.Writer, *profiler.Profiler) error) error {
+	fill := func(ctx context.Context) ([]byte, error) {
+		p, err := runner.DoCtx(ctx, e.Pool, func(ctx context.Context) (*profiler.Profiler, error) {
+			return e.profileCell(ctx, cell, app, cfg, opts, recordSchedule)
+		})
+		if err != nil {
+			return nil, err
+		}
+		var b bytes.Buffer
+		if err := render(&b, p); err != nil {
+			return nil, err
+		}
+		return b.Bytes(), nil
+	}
+	ctx, cancel := e.cellCtx(nil)
+	defer cancel()
+	var out []byte
+	var err error
+	if e.cacheActive() {
+		out, err = e.Cache.Bytes(ctx, profcache.ViewKey(app, cfg, opts, e.Scale, e.TraceCap, view), fill)
+	} else {
+		out, err = fill(ctx)
+	}
+	if err != nil {
+		if e.KeepGoing {
+			fmt.Fprint(w, failedCell(&cellError{cell, err}))
+		}
+		return err
+	}
+	_, err = w.Write(out)
+	return err
+}
+
+// cellError is one cell's failure under its cell name. Every per-cell
+// error a KeepGoing run hands back is one, so an annotation needs only
+// the error, and the aggregate lists the failures by cell.
+type cellError struct {
+	cell string
+	err  error
+}
+
+func (e *cellError) Error() string { return e.cell + ": " + e.err.Error() }
+func (e *cellError) Unwrap() error { return e.err }
+
+// nameCellErrors wraps each failure in errs under its cell name, in
+// place, and returns the aggregate in cell order (deterministic at every
+// worker count); nil if none failed.
+func nameCellErrors(cells []string, errs []error) error {
+	for i, err := range errs {
+		if err != nil {
+			errs[i] = &cellError{cells[i], err}
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// failedCell renders the keep-going annotation line for one per-cell
+// error.
+func failedCell(err error) string {
+	ce := err.(*cellError)
+	return fmt.Sprintf("%s [cell failed: %v]\n", ce.cell, ce.err)
+}
+
 // runCells runs one gated pool job per named cell. Each job receives a
 // context bounded by CellTimeout. Without KeepGoing the semantics are
 // exactly runner.MapCtx (first failure wins, no per-cell errors); with
 // KeepGoing every cell runs, the per-cell errors come back aligned with
-// cells, and the returned error aggregates them under their cell names.
+// cells, and the returned error aggregates them.
 func runCells[T any](env Env, cells []string, fn func(ctx context.Context, i int) (T, error)) ([]T, []error, error) {
 	job := func(ctx context.Context, i int) (T, error) {
 		cctx, cancel := env.cellCtx(ctx)
@@ -175,25 +242,16 @@ func runCells[T any](env Env, cells []string, fn func(ctx context.Context, i int
 	}
 	if !env.KeepGoing {
 		out, err := runner.MapCtx(env.base(), env.Pool, len(cells), job)
-		return out, nil, err
+		if err != nil {
+			return nil, nil, err
+		}
+		return out, nil, nil
 	}
 	out, errs := runner.MapAllCtx(env.base(), env.Pool, len(cells), job)
-	return out, errs, joinCellErrors(cells, errs)
+	return out, errs, nameCellErrors(cells, errs)
 }
 
-// joinCellErrors aggregates per-cell failures under their cell names, in
-// cell order (deterministic at every worker count). nil if none failed.
-func joinCellErrors(cells []string, errs []error) error {
-	var agg []error
-	for i, err := range errs {
-		if err != nil {
-			agg = append(agg, fmt.Errorf("%s: %w", cells[i], err))
-		}
-	}
-	return errors.Join(agg...)
-}
-
-// cellNames builds "prefix/name" cell names.
+// cellNames builds the "prefix/<app>" cell names of a figure's apps.
 func cellNames(prefix string, names []string) []string {
 	out := make([]string, len(names))
 	for i, n := range names {
@@ -202,7 +260,44 @@ func cellNames(prefix string, names []string) []string {
 	return out
 }
 
-// failedCell renders the keep-going annotation line for one cell.
-func failedCell(cell string, err error) string {
-	return fmt.Sprintf("%s [cell failed: %v]\n", cell, err)
+// writeRows renders a table under keep-going: the healthy rows through
+// table, then one annotation line per failed cell, in cell order.
+func writeRows[T any](w io.Writer, rows []T, errs []error, table func(io.Writer, []T)) {
+	var healthy []T
+	for i, row := range rows {
+		if errs == nil || errs[i] == nil {
+			healthy = append(healthy, row)
+		}
+	}
+	table(w, healthy)
+	for _, err := range errs {
+		if err != nil {
+			fmt.Fprint(w, failedCell(err))
+		}
+	}
+}
+
+// writePanels renders n panels concurrently (each fanning its cells out
+// on the pool) into per-panel buffers and emits them in order. With
+// KeepGoing a failing panel still renders and its error joins the
+// result; without it the first failure aborts with nothing written.
+func writePanels(w io.Writer, env Env, n int, panel func(w io.Writer, i int) error) error {
+	bufs := make([]bytes.Buffer, n)
+	errs := make([]error, n)
+	err := runner.Concurrent(env.Pool, n, func(i int) error {
+		err := panel(&bufs[i], i)
+		if env.KeepGoing {
+			errs[i], err = err, nil
+		}
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	for i := range bufs {
+		if _, err := w.Write(bufs[i].Bytes()); err != nil {
+			return err
+		}
+	}
+	return errors.Join(errs...)
 }

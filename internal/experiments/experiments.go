@@ -48,35 +48,37 @@ func newContext(cfg gpu.ArchConfig, l rt.Listener, opts rt.LaunchOptions) *rt.Co
 }
 
 // Profile runs one application instrumented under a fresh profiler on the
-// given architecture and returns the profiler. Every call builds its own
-// module, device and profiler, so concurrent calls share nothing.
+// given architecture and returns the profiler: one cell with no policy
+// applied. Every call builds its own module, device and profiler, so
+// concurrent calls share nothing.
 func Profile(app *apps.App, cfg gpu.ArchConfig, opts instrument.Options, scale int) (*profiler.Profiler, error) {
-	prog, err := app.Instrumented(opts)
-	if err != nil {
-		return nil, fmt.Errorf("%s: instrument: %w", app.Name, err)
+	return Env{Scale: scale}.profileCell(context.Background(), "", app, cfg, opts, false)
+}
+
+// profiledCells runs one profiling cell per named application (cells
+// "prefix/<app>", one pool job each) and returns what pick reads off
+// each analysis bundle. With KeepGoing the per-cell errors come back
+// aligned with names and the error aggregates them.
+func profiledCells[T any](env Env, prefix string, names []string, cfg gpu.ArchConfig, opts instrument.Options,
+	pick func(name string, r *profcache.Results) T) ([]T, []error, error) {
+	cells := cellNames(prefix, names)
+	return runCells(env, cells, func(ctx context.Context, i int) (T, error) {
+		r, err := env.resultsCell(ctx, cells[i], apps.ByName(names[i]), cfg, opts)
+		if err != nil {
+			var zero T
+			return zero, err
+		}
+		return pick(names[i], r), nil
+	})
+}
+
+// byName keys per-cell values by their application names.
+func byName[T any](names []string, vals []T) map[string]T {
+	out := make(map[string]T, len(vals))
+	for i, v := range vals {
+		out[names[i]] = v
 	}
-	p := profiler.New()
-	if err := app.Run(newContext(cfg, p, rt.LaunchOptions{}), prog, scale); err != nil {
-		return nil, fmt.Errorf("%s: run: %w", app.Name, err)
-	}
-	return p, nil
-}
-
-// MergedReuse aggregates the reuse profile over every kernel instance.
-// The cache (internal/profcache) derives its entries through the same
-// function, which is what makes cached and uncached output identical.
-func MergedReuse(p *profiler.Profiler, opt analysis.ReuseOptions) *analysis.ReuseResult {
-	return profcache.MergedReuse(p, opt)
-}
-
-// MergedMemDiv aggregates memory divergence over every kernel instance.
-func MergedMemDiv(p *profiler.Profiler, lineSize int) *analysis.MemDivResult {
-	return profcache.MergedMemDiv(p, lineSize)
-}
-
-// MergedBranchDiv aggregates branch divergence over every kernel instance.
-func MergedBranchDiv(p *profiler.Profiler) *analysis.BranchDivResult {
-	return profcache.MergedBranchDiv(p)
+	return out
 }
 
 // Figure4Apps are the seven applications shown in Figure 4 (bfs and nn
@@ -85,49 +87,24 @@ var Figure4Apps = []string{"backprop", "hotspot", "lavaMD", "nw", "srad_v2", "bi
 
 // Figure4 computes the reuse-distance profiles (element-based model,
 // Kepler only — reuse distance is machine-independent, Section 4.2-A),
-// one pool job per application.
-func Figure4(pool *runner.Pool, scale int) (map[string]*analysis.ReuseResult, error) {
-	res, _, err := Figure4Env(DefaultEnv(pool, scale))
-	return res, err
+// one pool job per application. Per-cell errors align with Figure4Apps.
+func Figure4(env Env) (map[string]*analysis.ReuseResult, []error, error) {
+	res, errs, err := profiledCells(env, "figure4", Figure4Apps, gpu.KeplerK40c(), instrument.Options{Memory: true},
+		func(_ string, r *profcache.Results) *analysis.ReuseResult { return r.ReuseElem() })
+	return byName(Figure4Apps, res), errs, err
 }
 
-// Figure4Env is Figure4 under an Env: with KeepGoing the per-cell errors
-// come back aligned with Figure4Apps and the error aggregates them.
-func Figure4Env(env Env) (map[string]*analysis.ReuseResult, []error, error) {
-	cells := cellNames("figure4", Figure4Apps)
-	res, errs, err := runCells(env, cells, func(ctx context.Context, i int) (*analysis.ReuseResult, error) {
-		r, err := env.resultsCell(ctx, cells[i], apps.ByName(Figure4Apps[i]), gpu.KeplerK40c(), instrument.Options{Memory: true})
-		if err != nil {
-			return nil, err
-		}
-		return r.ReuseElem(), nil
-	})
-	if err != nil && !env.KeepGoing {
-		return nil, nil, err
-	}
-	out := make(map[string]*analysis.ReuseResult, len(Figure4Apps))
-	for i, name := range Figure4Apps {
-		out[name] = res[i]
-	}
-	return out, errs, err
-}
-
-// WriteFigure4 renders Figure 4.
-func WriteFigure4(w io.Writer, pool *runner.Pool, scale int) error {
-	return WriteFigure4Env(w, DefaultEnv(pool, scale))
-}
-
-// WriteFigure4Env renders Figure 4 under an Env, annotating failed cells
-// when KeepGoing is set.
-func WriteFigure4Env(w io.Writer, env Env) error {
-	res, errs, err := Figure4Env(env)
+// WriteFigure4 renders Figure 4, annotating failed cells when KeepGoing
+// is set.
+func WriteFigure4(w io.Writer, env Env) error {
+	res, errs, err := Figure4(env)
 	if err != nil && !env.KeepGoing {
 		return err
 	}
 	fmt.Fprintln(w, "=== Figure 4: reuse distance analysis (element-based, per CTA) ===")
 	for i, name := range Figure4Apps {
 		if errs != nil && errs[i] != nil {
-			fmt.Fprint(w, failedCell("figure4/"+name, errs[i]))
+			fmt.Fprint(w, failedCell(errs[i]))
 			continue
 		}
 		report.ReuseHistogram(w, name, res[name])
@@ -137,139 +114,56 @@ func WriteFigure4Env(w io.Writer, env Env) error {
 
 // Figure5 computes the memory-divergence distributions for one
 // architecture (Kepler: 128 B lines; Pascal: 32 B lines), all ten apps,
-// one pool job per application.
-func Figure5(pool *runner.Pool, cfg gpu.ArchConfig, scale int) (map[string]*analysis.MemDivResult, error) {
-	res, _, err := figure5Env(DefaultEnv(pool, scale), cfg)
-	return res, err
+// one pool job per application. Per-cell errors align with
+// apps.TableOrder.
+func Figure5(env Env, cfg gpu.ArchConfig) (map[string]*analysis.MemDivResult, []error, error) {
+	res, errs, err := profiledCells(env, "figure5/"+cfg.Name, apps.TableOrder, cfg, instrument.Options{Memory: true},
+		func(_ string, r *profcache.Results) *analysis.MemDivResult { return r.MemDiv() })
+	return byName(apps.TableOrder, res), errs, err
 }
 
-// figure5Env is one Figure 5 panel under an Env; per-cell errors align
-// with apps.InTableOrder().
-func figure5Env(env Env, cfg gpu.ArchConfig) (map[string]*analysis.MemDivResult, []error, error) {
-	order := apps.InTableOrder()
-	names := make([]string, len(order))
-	for i, a := range order {
-		names[i] = a.Name
-	}
-	cells := cellNames("figure5/"+cfg.Name, names)
-	res, errs, err := runCells(env, cells, func(ctx context.Context, i int) (*analysis.MemDivResult, error) {
-		r, err := env.resultsCell(ctx, cells[i], order[i], cfg, instrument.Options{Memory: true})
-		if err != nil {
-			return nil, err
-		}
-		return r.MemDiv(), nil
-	})
-	if err != nil && !env.KeepGoing {
-		return nil, nil, err
-	}
-	out := make(map[string]*analysis.MemDivResult, len(order))
-	for i, a := range order {
-		out[a.Name] = res[i]
-	}
-	return out, errs, err
-}
-
-// WriteFigure5 renders both panels of Figure 5. The two architecture
-// panels run concurrently (each fanning its apps out on the pool) into
-// per-panel buffers that are emitted in paper order.
-func WriteFigure5(w io.Writer, pool *runner.Pool, scale int) error {
-	return WriteFigure5Env(w, DefaultEnv(pool, scale))
-}
-
-// WriteFigure5Env renders Figure 5 under an Env, annotating failed cells
-// when KeepGoing is set.
-func WriteFigure5Env(w io.Writer, env Env) error {
+// WriteFigure5 renders both panels of Figure 5, annotating failed cells
+// when KeepGoing is set. The two architecture panels run concurrently.
+func WriteFigure5(w io.Writer, env Env) error {
 	cfgs := []gpu.ArchConfig{gpu.KeplerK40c(), gpu.PascalP100()}
-	bufs := make([]bytes.Buffer, len(cfgs))
-	panelErrs := make([]error, len(cfgs))
-	err := runner.Concurrent(env.Pool, len(cfgs), func(i int) error {
+	return writePanels(w, env, len(cfgs), func(w io.Writer, i int) error {
 		cfg := cfgs[i]
-		res, errs, err := figure5Env(env, cfg)
-		if err != nil {
-			if !env.KeepGoing {
-				return err
-			}
-			panelErrs[i] = err
-		}
-		fmt.Fprintf(&bufs[i], "=== Figure 5: memory divergence on %s (%d B cache lines) ===\n",
-			cfg.Name, cfg.L1LineSize)
-		for j, a := range apps.InTableOrder() {
-			if errs != nil && errs[j] != nil {
-				fmt.Fprint(&bufs[i], failedCell("figure5/"+cfg.Name+"/"+a.Name, errs[j]))
-				continue
-			}
-			report.MemDivDistribution(&bufs[i], a.Name, res[a.Name])
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for i := range bufs {
-		if _, err := w.Write(bufs[i].Bytes()); err != nil {
+		res, errs, err := Figure5(env, cfg)
+		if err != nil && !env.KeepGoing {
 			return err
 		}
-	}
-	return errors.Join(panelErrs...)
+		fmt.Fprintf(w, "=== Figure 5: memory divergence on %s (%d B cache lines) ===\n",
+			cfg.Name, cfg.L1LineSize)
+		for j, name := range apps.TableOrder {
+			if errs != nil && errs[j] != nil {
+				fmt.Fprint(w, failedCell(errs[j]))
+				continue
+			}
+			report.MemDivDistribution(w, name, res[name])
+		}
+		return err
+	})
 }
 
 // Table3 computes the branch-divergence table (architecture-independent;
 // run on the Pascal configuration as in the paper), one pool job per
-// application.
-func Table3(pool *runner.Pool, scale int) ([]report.BranchRow, error) {
-	rows, _, err := Table3Env(DefaultEnv(pool, scale))
-	return rows, err
+// application. Per-cell errors align with the rows.
+func Table3(env Env) ([]report.BranchRow, []error, error) {
+	return profiledCells(env, "table3", apps.TableOrder, gpu.PascalP100(), instrument.Options{Blocks: true},
+		func(name string, r *profcache.Results) report.BranchRow {
+			return report.BranchRow{App: name, Result: r.BranchDiv()}
+		})
 }
 
-// Table3Env is Table3 under an Env; per-cell errors align with the rows.
-func Table3Env(env Env) ([]report.BranchRow, []error, error) {
-	order := apps.InTableOrder()
-	names := make([]string, len(order))
-	for i, a := range order {
-		names[i] = a.Name
-	}
-	cells := cellNames("table3", names)
-	rows, errs, err := runCells(env, cells, func(ctx context.Context, i int) (report.BranchRow, error) {
-		r, err := env.resultsCell(ctx, cells[i], order[i], gpu.PascalP100(), instrument.Options{Blocks: true})
-		if err != nil {
-			return report.BranchRow{}, err
-		}
-		return report.BranchRow{App: order[i].Name, Result: r.BranchDiv()}, nil
-	})
-	if err != nil && !env.KeepGoing {
-		return nil, nil, err
-	}
-	return rows, errs, err
-}
-
-// WriteTable3 renders Table 3.
-func WriteTable3(w io.Writer, pool *runner.Pool, scale int) error {
-	return WriteTable3Env(w, DefaultEnv(pool, scale))
-}
-
-// WriteTable3Env renders Table 3 under an Env, annotating failed cells
-// when KeepGoing is set.
-func WriteTable3Env(w io.Writer, env Env) error {
-	rows, errs, err := Table3Env(env)
+// WriteTable3 renders Table 3, annotating failed cells when KeepGoing is
+// set.
+func WriteTable3(w io.Writer, env Env) error {
+	rows, errs, err := Table3(env)
 	if err != nil && !env.KeepGoing {
 		return err
 	}
 	fmt.Fprintln(w, "=== Table 3: branch divergence ===")
-	var healthy []report.BranchRow
-	for i, row := range rows {
-		if errs != nil && errs[i] != nil {
-			continue
-		}
-		healthy = append(healthy, row)
-	}
-	report.BranchDivTable(w, healthy)
-	if errs != nil {
-		for i, e := range errs {
-			if e != nil {
-				fmt.Fprint(w, failedCell("table3/"+apps.InTableOrder()[i].Name, e))
-			}
-		}
-	}
+	writeRows(w, rows, errs, report.BranchDivTable)
 	return err
 }
 
@@ -300,57 +194,42 @@ func measureNative(ctx context.Context, pool *runner.Pool, app *apps.App, cfg gp
 // the per-CTA reuse and divergence profiles are scale-invariant.
 const BypassRunScale = 2
 
-// timingCTAs runs the app natively at the given scale with no bypassing
-// and returns the largest launched grid in CTAs: the measured #CTAs input
-// of the Eq. (1) capacity model. Measuring the actual timing-run launch
-// replaces the old nCTAs*BypassRunScale² extrapolation, which assumed
-// every grid scales quadratically with the input scale and so fed the
-// model a 2× inflated CTA count for 1D-grid applications (bfs).
-func timingCTAs(ctx context.Context, app *apps.App, cfg gpu.ArchConfig, scale int) (int, error) {
-	st, err := measureNative(ctx, nil, app, cfg, 0, scale)
-	return st.MaxCTAs, err
-}
-
 // BypassStudy runs the Figures 6/7 comparison for one architecture
 // configuration over the bypass-favorable applications: baseline (no
 // bypassing), exhaustive oracle, and the Eq. (1) prediction driven by the
 // tool's own reuse-distance and memory-divergence outputs. Each
 // application is a coordinator task; its profiling run, CTA measurement
 // and sweep points are gated pool jobs, and the rows are assembled in
-// table order.
-func BypassStudy(pool *runner.Pool, cfg gpu.ArchConfig, scale int) ([]bypass.Comparison, error) {
-	rows, _, err := bypassStudyEnv(DefaultEnv(pool, scale), "bypass/"+cfg.Name, cfg)
-	return rows, err
+// table order. Per-cell errors align with the rows.
+func BypassStudy(env Env, cfg gpu.ArchConfig) ([]bypass.Comparison, []error, error) {
+	return bypassStudy(env, "bypass/"+cfg.Name, cfg)
 }
 
-// bypassFavorable returns the bypass-favorable applications in table order.
-func bypassFavorable() []*apps.App {
-	var favs []*apps.App
+// bypassFavorable returns the names of the bypass-favorable applications
+// in table order.
+func bypassFavorable() []string {
+	var favs []string
 	for _, a := range apps.InTableOrder() {
 		if a.BypassFavorable {
-			favs = append(favs, a)
+			favs = append(favs, a.Name)
 		}
 	}
 	return favs
 }
 
-// bypassStudyEnv is BypassStudy under an Env. prefix names the figure
-// panel ("figure6/kepler-k40c-16KB", "figure7/pascal-p100"); per-cell
-// errors align with bypassFavorable(). Fault injection applies to the
-// profiling run of each cell (the timing runs are native code with no
-// hooks and share nothing injectable deterministically); the cell
-// context and timeout bound every run of the cell, including the sweep.
-func bypassStudyEnv(env Env, prefix string, cfg gpu.ArchConfig) ([]bypass.Comparison, []error, error) {
+// bypassStudy is BypassStudy under a figure panel's cell prefix
+// ("figure6/kepler-k40c-16KB", "figure7/pascal-p100"). Fault injection
+// applies to the profiling run of each cell (the timing runs are native
+// code with no hooks and share nothing injectable deterministically);
+// the cell context and timeout bound every run of the cell, including
+// the sweep.
+func bypassStudy(env Env, prefix string, cfg gpu.ArchConfig) ([]bypass.Comparison, []error, error) {
 	favs := bypassFavorable()
-	names := make([]string, len(favs))
-	for i, a := range favs {
-		names[i] = a.Name
-	}
-	cells := cellNames(prefix, names)
+	cells := cellNames(prefix, favs)
 	out := make([]bypass.Comparison, len(favs))
 	errs := make([]error, len(favs))
 	err := runner.Concurrent(env.Pool, len(favs), func(i int) error {
-		a := favs[i]
+		a := apps.ByName(favs[i])
 		cctx, cancel := env.cellCtx(nil)
 		defer cancel()
 		cellErr := func() error {
@@ -368,10 +247,11 @@ func bypassStudyEnv(env Env, prefix string, cfg gpu.ArchConfig) ([]bypass.Compar
 			rdElem := r.ReuseElem()
 			md := r.MemDiv()
 
-			// Step 2: measure the timing-run grid and form the prediction.
-			// The measurement run is the baseline sweep point (no
-			// bypassing, timing scale), so with a cache the two share one
-			// native run.
+			// Step 2: measure the timing-run grid — the largest launched
+			// grid in CTAs, the measured #CTAs input of the Eq. (1)
+			// capacity model — and form the prediction. The measurement
+			// run is the baseline sweep point (no bypassing, timing
+			// scale), so with a cache the two share one native run.
 			nCTAs, err := runner.DoCtx(cctx, env.Pool, func(ctx context.Context) (int, error) {
 				st, err := env.nativeStats(ctx, a, cfg, 0, env.Scale*BypassRunScale)
 				return st.MaxCTAs, err
@@ -399,18 +279,18 @@ func bypassStudyEnv(env Env, prefix string, cfg gpu.ArchConfig) ([]bypass.Compar
 			out[i] = cmp
 			return nil
 		}()
-		if cellErr != nil {
-			if !env.KeepGoing {
-				return cellErr
-			}
-			errs[i] = cellErr
+		if env.KeepGoing {
+			errs[i], cellErr = cellErr, nil
 		}
-		return nil
+		return cellErr
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return out, errs, joinCellErrors(cells, errs)
+	if !env.KeepGoing {
+		return out, nil, nil
+	}
+	return out, errs, nameCellErrors(cells, errs)
 }
 
 // Figure6Configs are the Kepler L1 splits of Figure 6.
@@ -421,84 +301,39 @@ func Figure6Configs() []gpu.ArchConfig {
 	}
 }
 
-// bypassPanel renders one bypass-comparison panel: healthy rows through
-// the report, then the keep-going annotations for failed cells in order.
-func bypassPanel(w io.Writer, prefix string, rows []bypass.Comparison, errs []error) {
-	favs := bypassFavorable()
-	var healthy []bypass.Comparison
-	for i, r := range rows {
-		if errs != nil && errs[i] != nil {
-			continue
-		}
-		healthy = append(healthy, r)
-	}
-	report.BypassComparison(w, healthy)
-	if errs != nil {
-		for i, e := range errs {
-			if e != nil {
-				fmt.Fprint(w, failedCell(prefix+"/"+favs[i].Name, e))
-			}
-		}
-	}
-}
-
-// WriteFigure6 renders Figure 6 (Kepler, 16 KB and 48 KB L1); the two L1
-// splits run concurrently into ordered buffers.
-func WriteFigure6(w io.Writer, pool *runner.Pool, scale int) error {
-	return WriteFigure6Env(w, DefaultEnv(pool, scale))
-}
-
-// WriteFigure6Env renders Figure 6 under an Env, annotating failed cells
-// when KeepGoing is set. The two L1-split cells of one app are named
-// "figure6/kepler-k40c-16KB/<app>" and "figure6/kepler-k40c-48KB/<app>".
-func WriteFigure6Env(w io.Writer, env Env) error {
-	cfgs := Figure6Configs()
-	bufs := make([]bytes.Buffer, len(cfgs))
-	panelErrs := make([]error, len(cfgs))
-	err := runner.Concurrent(env.Pool, len(cfgs), func(i int) error {
-		cfg := cfgs[i]
-		prefix := fmt.Sprintf("figure6/%s-%dKB", cfg.Name, cfg.L1Bytes/1024)
-		rows, errs, err := bypassStudyEnv(env, prefix, cfg)
-		if err != nil {
-			if !env.KeepGoing {
-				return err
-			}
-			panelErrs[i] = err
-		}
-		fmt.Fprintf(&bufs[i], "=== Figure 6: horizontal cache bypassing on %s, %d KB L1 (normalized time) ===\n",
-			cfg.Name, cfg.L1Bytes/1024)
-		bypassPanel(&bufs[i], prefix, rows, errs)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for i := range bufs {
-		if _, err := w.Write(bufs[i].Bytes()); err != nil {
-			return err
-		}
-	}
-	return errors.Join(panelErrs...)
-}
-
-// WriteFigure7 renders Figure 7 (Pascal, 24 KB unified cache).
-func WriteFigure7(w io.Writer, pool *runner.Pool, scale int) error {
-	return WriteFigure7Env(w, DefaultEnv(pool, scale))
-}
-
-// WriteFigure7Env renders Figure 7 under an Env, annotating failed cells
-// when KeepGoing is set.
-func WriteFigure7Env(w io.Writer, env Env) error {
-	cfg := gpu.PascalP100()
-	prefix := "figure7/" + cfg.Name
-	rows, errs, err := bypassStudyEnv(env, prefix, cfg)
+// writeBypassPanel runs and renders one bypass-comparison panel under
+// its heading.
+func writeBypassPanel(w io.Writer, env Env, prefix, heading string, cfg gpu.ArchConfig) error {
+	rows, errs, err := bypassStudy(env, prefix, cfg)
 	if err != nil && !env.KeepGoing {
 		return err
 	}
-	fmt.Fprintf(w, "=== Figure 7: horizontal cache bypassing on %s, %d KB unified cache (normalized time) ===\n",
-		cfg.Name, cfg.L1Bytes/1024)
-	bypassPanel(w, prefix, rows, errs)
+	fmt.Fprintln(w, heading)
+	writeRows(w, rows, errs, report.BypassComparison)
 	return err
+}
+
+// WriteFigure6 renders Figure 6 (Kepler, 16 KB and 48 KB L1), annotating
+// failed cells when KeepGoing is set. The two L1 splits run concurrently;
+// the two cells of one app are named "figure6/kepler-k40c-16KB/<app>"
+// and "figure6/kepler-k40c-48KB/<app>".
+func WriteFigure6(w io.Writer, env Env) error {
+	cfgs := Figure6Configs()
+	return writePanels(w, env, len(cfgs), func(w io.Writer, i int) error {
+		cfg := cfgs[i]
+		return writeBypassPanel(w, env, fmt.Sprintf("figure6/%s-%dKB", cfg.Name, cfg.L1Bytes/1024),
+			fmt.Sprintf("=== Figure 6: horizontal cache bypassing on %s, %d KB L1 (normalized time) ===",
+				cfg.Name, cfg.L1Bytes/1024), cfg)
+	})
+}
+
+// WriteFigure7 renders Figure 7 (Pascal, 24 KB unified cache),
+// annotating failed cells when KeepGoing is set.
+func WriteFigure7(w io.Writer, env Env) error {
+	cfg := gpu.PascalP100()
+	return writeBypassPanel(w, env, "figure7/"+cfg.Name,
+		fmt.Sprintf("=== Figure 7: horizontal cache bypassing on %s, %d KB unified cache (normalized time) ===",
+			cfg.Name, cfg.L1Bytes/1024), cfg)
 }
 
 // Overhead measures the wall-clock slowdown of memory+control-flow
@@ -511,29 +346,20 @@ func WriteFigure7Env(w io.Writer, env Env) error {
 // instrumented runs of each app execute inside runner.Exclusive so that
 // concurrent siblings cannot inflate either side of the ratio. Each side
 // is the fastest of three or more alternating runs.
-func Overhead(pool *runner.Pool, cfg gpu.ArchConfig, scale int) ([]report.OverheadRow, error) {
-	rows, _, err := OverheadEnv(DefaultEnv(pool, scale), cfg)
-	return rows, err
-}
-
-// OverheadEnv is Overhead under an Env; per-cell errors align with
-// apps.InTableOrder(). Cells are named "figure10/<arch>/<app>"; worker
-// panics injected there surface as that cell's error. Note the measured
-// times are wall clock, so this figure is not run-to-run deterministic.
-func OverheadEnv(env Env, cfg gpu.ArchConfig) ([]report.OverheadRow, []error, error) {
+//
+// Per-cell errors align with apps.TableOrder. Cells are named
+// "figure10/<arch>/<app>"; worker panics injected there surface as that
+// cell's error. Note the measured times are wall clock, so this figure
+// is not run-to-run deterministic.
+func Overhead(env Env, cfg gpu.ArchConfig) ([]report.OverheadRow, []error, error) {
 	const (
 		reps     = 3    // timed runs per side, at least; the fastest one is reported
 		maxReps  = 12   // at most, for kernels too short to time in three
 		minTimed = 0.02 // seconds of native kernel time that ends the extra runs
 	)
-	order := apps.InTableOrder()
-	names := make([]string, len(order))
-	for i, a := range order {
-		names[i] = a.Name
-	}
-	cells := cellNames("figure10/"+cfg.Name, names)
-	rows, errs, err := runCells(env, cells, func(ctx context.Context, i int) (report.OverheadRow, error) {
-		a := order[i]
+	cells := cellNames("figure10/"+cfg.Name, apps.TableOrder)
+	return runCells(env, cells, func(ctx context.Context, i int) (report.OverheadRow, error) {
+		a := apps.ByName(apps.TableOrder[i])
 		inj := env.Inject.Cell(cells[i])
 		inj.MaybePanic()
 		native, err := a.Native()
@@ -580,98 +406,43 @@ func OverheadEnv(env Env, cfg gpu.ArchConfig) ([]report.OverheadRow, []error, er
 			return row, nil
 		})
 	})
-	if err != nil && !env.KeepGoing {
-		return nil, nil, err
-	}
-	return rows, errs, err
 }
 
-// WriteFigure10 renders Figure 10 for both architectures.
-func WriteFigure10(w io.Writer, pool *runner.Pool, scale int) error {
-	return WriteFigure10Env(w, DefaultEnv(pool, scale))
-}
-
-// WriteFigure10Env renders Figure 10 under an Env, annotating failed
-// cells when KeepGoing is set.
-func WriteFigure10Env(w io.Writer, env Env) error {
+// WriteFigure10 renders Figure 10 for both architectures, annotating
+// failed cells when KeepGoing is set.
+func WriteFigure10(w io.Writer, env Env) error {
 	fmt.Fprintln(w, "=== Figure 10: overhead of memory and control-flow instrumentation ===")
 	var archErrs []error
 	for _, cfg := range []gpu.ArchConfig{gpu.KeplerK40c(), gpu.PascalP100()} {
-		rows, errs, err := OverheadEnv(env, cfg)
-		if err != nil {
-			if !env.KeepGoing {
-				return err
-			}
-			archErrs = append(archErrs, err)
+		rows, errs, err := Overhead(env, cfg)
+		if err != nil && !env.KeepGoing {
+			return err
 		}
-		var healthy []report.OverheadRow
-		for i, row := range rows {
-			if errs != nil && errs[i] != nil {
-				continue
-			}
-			healthy = append(healthy, row)
-		}
-		report.OverheadTable(w, healthy)
-		if errs != nil {
-			for i, e := range errs {
-				if e != nil {
-					fmt.Fprint(w, failedCell("figure10/"+cfg.Name+"/"+apps.InTableOrder()[i].Name, e))
-				}
-			}
-		}
+		archErrs = append(archErrs, err)
+		writeRows(w, rows, errs, report.OverheadTable)
 	}
 	return errors.Join(archErrs...)
 }
 
 // WriteCodeDataCentric renders the Figures 8/9 debugging views for bfs:
 // the most divergent source sites with full host-to-device call paths,
-// and the data-flow provenance of the object behind the worst site.
-func WriteCodeDataCentric(w io.Writer, pool *runner.Pool, scale int) error {
-	return WriteCodeDataCentricEnv(w, DefaultEnv(pool, scale))
-}
-
-// WriteCodeDataCentricEnv renders Figures 8/9 under an Env. The single
-// evaluation cell is named "debugviews/bfs"; with KeepGoing a failure
-// becomes the annotation line in place of both views.
-//
-// The views need the raw trace, which the cache's analysis bundle does
-// not carry — so what is cached is the rendered text itself, as a
-// "view" entry keyed on exactly the inputs the rendering depends on.
-// A warm run serves the bytes without profiling the cell at all.
-func WriteCodeDataCentricEnv(w io.Writer, env Env) error {
-	const cell = "debugviews/bfs"
-	a := apps.ByName("bfs")
+// and the data-flow provenance of the object behind the worst site. The
+// single evaluation cell is named "debugviews/bfs"; with KeepGoing a
+// failure becomes the annotation line in place of both views.
+func WriteCodeDataCentric(w io.Writer, env Env) error {
 	cfg := gpu.KeplerK40c()
-	opts := instrument.Options{Memory: true}
-	render := func(ctx context.Context) ([]byte, error) {
-		p, err := runner.DoCtx(ctx, env.Pool, func(ctx context.Context) (*profiler.Profiler, error) {
-			return env.profileCell(ctx, cell, a, cfg, opts)
+	var out bytes.Buffer
+	err := env.viewCell(&out, "debugviews/bfs", apps.ByName("bfs"), cfg, instrument.Options{Memory: true}, false, "debugviews",
+		func(w io.Writer, p *profiler.Profiler) error {
+			renderDebugViews(w, p, cfg.L1LineSize)
+			return nil
 		})
-		if err != nil {
-			return nil, err
-		}
-		var b bytes.Buffer
-		renderDebugViews(&b, p, cfg.L1LineSize)
-		return b.Bytes(), nil
+	if err != nil && env.KeepGoing {
+		fmt.Fprintln(w, "=== Figures 8/9: code- and data-centric views ===")
 	}
-	cctx, cancel := env.cellCtx(nil)
-	defer cancel()
-	var out []byte
-	var err error
-	if env.cacheActive() {
-		key := profcache.ViewKey(a, cfg, opts, env.Scale, env.TraceCap, "debugviews")
-		out, err = env.Cache.Bytes(cctx, key, render)
-	} else {
-		out, err = render(cctx)
+	if _, werr := w.Write(out.Bytes()); err == nil {
+		err = werr
 	}
-	if err != nil {
-		if env.KeepGoing {
-			fmt.Fprintln(w, "=== Figures 8/9: code- and data-centric views ===")
-			fmt.Fprint(w, failedCell(cell, err))
-		}
-		return err
-	}
-	_, err = w.Write(out)
 	return err
 }
 
@@ -679,7 +450,7 @@ func WriteCodeDataCentricEnv(w io.Writer, env Env) error {
 // profile. It writes exactly the bytes the caller publishes (and
 // caches), so everything presentation-level lives here.
 func renderDebugViews(w io.Writer, p *profiler.Profiler, lineSize int) {
-	md := MergedMemDiv(p, lineSize)
+	md := profcache.MergedMemDiv(p, lineSize)
 	fmt.Fprintln(w, "=== Figure 8: code-centric view (most memory-divergent sites) ===")
 	report.CodeCentric(w, p, md, 3)
 

@@ -12,7 +12,7 @@ import (
 // qualitative structure: nw on top, the dense-linear-algebra kernels at
 // zero, and the ranking bands in between (Table 3).
 func TestTable3Shape(t *testing.T) {
-	rows, err := Table3(nil, 1)
+	rows, _, err := Table3(Env{Scale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestTable3Shape(t *testing.T) {
 // reports in Section 4.2-B), the well-coalesced stencils, and the general
 // Kepler-vs-Pascal widening.
 func TestFigure5Shape(t *testing.T) {
-	kepler, err := Figure5(nil, gpu.KeplerK40c(), 1)
+	kepler, _, err := Figure5(Env{Scale: 1}, gpu.KeplerK40c())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestFigure5Shape(t *testing.T) {
 		}
 	}
 
-	pascal, err := Figure5(nil, gpu.PascalP100(), 1)
+	pascal, _, err := Figure5(Env{Scale: 1}, gpu.PascalP100())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestFigure5Shape(t *testing.T) {
 // spike and low no-reuse, hotspot's extreme no-reuse, and the general
 // high-no-reuse picture (Figure 4 and its discussion).
 func TestFigure4Shape(t *testing.T) {
-	res, err := Figure4(nil, 1)
+	res, _, err := Figure4(Env{Scale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestBypassShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bypassing sweep is expensive; skipped in -short")
 	}
-	rows, err := BypassStudy(nil, gpu.KeplerK40c().WithL1(16*1024), 1)
+	rows, _, err := BypassStudy(Env{Scale: 1}, gpu.KeplerK40c().WithL1(16*1024))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestOverheadShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overhead measurement is wall-clock based; skipped in -short")
 	}
-	rows, err := Overhead(nil, gpu.KeplerK40c(), 1)
+	rows, _, err := Overhead(Env{Scale: 1}, gpu.KeplerK40c())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestOverheadShape(t *testing.T) {
 // TestWritersProduceOutput smoke-tests every Write* entry point.
 func TestWritersProduceOutput(t *testing.T) {
 	var sb strings.Builder
-	if err := WriteTable3(&sb, nil, 1); err != nil {
+	if err := WriteTable3(&sb, Env{Scale: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"Table 3", "nw", "% divergence"} {
@@ -208,13 +208,13 @@ func TestWritersProduceOutput(t *testing.T) {
 		}
 	}
 	sb.Reset()
-	if err := WriteFigure4(&sb, nil, 1); err != nil {
+	if err := WriteFigure4(&sb, Env{Scale: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "reuse distance: syrk") {
 		t.Error("Figure 4 output missing syrk panel")
 	}
-	if err := WriteCodeDataCentric(io.Discard, nil, 1); err != nil {
+	if err := WriteCodeDataCentric(io.Discard, Env{Scale: 1}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -15,18 +15,21 @@ import (
 	"cudaadvisor/internal/profiler"
 )
 
+// exportRequest decodes one `export` request the way a transport does.
+func exportRequest(app, format, weight string) (*Request, error) {
+	params := map[string]string{"app": app, "format": format, "weight": weight}
+	return NewRequest("export", func(name string) string { return params[name] }, nil)
+}
+
 // renderExport renders one export request under env, failing on error.
 func renderExport(t *testing.T, env Env, app, format, weight string) []byte {
 	t.Helper()
-	a := apps.ByName(app)
-	if a == nil {
-		t.Fatalf("unknown app %q", app)
+	req, err := exportRequest(app, format, weight)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	err := WriteExportEnv(&buf, env, ExportRequest{
-		App: a, Arch: gpu.KeplerK40c(), Format: format, Weight: weight,
-	})
-	if err != nil {
+	if err := req.Write(&buf, env); err != nil {
 		t.Fatalf("export %s %s/%s: %v", app, format, weight, err)
 	}
 	return buf.Bytes()
@@ -37,7 +40,7 @@ func renderExport(t *testing.T, env Env, app, format, weight string) []byte {
 func profileApp(t *testing.T, env Env, app string) *profiler.Profiler {
 	t.Helper()
 	p, err := env.profileCell(context.Background(), "test/"+app,
-		apps.ByName(app), gpu.KeplerK40c(), instrument.MemoryAndBlocks())
+		apps.ByName(app), gpu.KeplerK40c(), instrument.MemoryAndBlocks(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +52,7 @@ func profileApp(t *testing.T, env Env, app string) *profiler.Profiler {
 // reproduce the independently computed profile aggregate exactly — the
 // same numbers the figures and the advisor report are built from.
 func TestFoldedTotalsReconcile(t *testing.T) {
-	env := DefaultEnv(nil, 1)
+	env := Env{Scale: 1}
 	lineSize := gpu.KeplerK40c().L1LineSize
 	nonzero := map[string]bool{}
 	for _, app := range []string{"backprop", "bfs", "nn", "nw"} {
@@ -61,8 +64,8 @@ func TestFoldedTotalsReconcile(t *testing.T) {
 				wantCycles += kp.Result.Cycles
 			}
 		}
-		wantLines := MergedMemDiv(p, lineSize).WeightedSum
-		wantDiv := MergedBranchDiv(p).Divergent
+		wantLines := profcache.MergedMemDiv(p, lineSize).WeightedSum
+		wantDiv := profcache.MergedBranchDiv(p).Divergent
 		var wantReuse int64
 		for _, kp := range p.Kernels {
 			for _, s := range analysis.ReuseBySite(kp.Trace, analysis.DefaultElementReuse()) {
@@ -79,7 +82,7 @@ func TestFoldedTotalsReconcile(t *testing.T) {
 			{export.WeightDivergence, wantDiv},
 			{export.WeightReuse, wantReuse},
 		} {
-			doc := renderExport(t, env, app, ExportFolded, tc.weight)
+			doc := renderExport(t, env, app, "folded", tc.weight)
 			got, err := export.SumFolded(doc)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", app, tc.weight, err)
@@ -106,9 +109,9 @@ func TestFoldedTotalsReconcile(t *testing.T) {
 // the Chrome-trace export of every registered application: decodable
 // with no unknown fields, B/E balanced per track, timestamps monotone.
 func TestChromeTraceValidAllApps(t *testing.T) {
-	env := DefaultEnv(nil, 1)
+	env := Env{Scale: 1}
 	for _, app := range apps.TableOrder {
-		doc := renderExport(t, env, app, ExportChrome, "")
+		doc := renderExport(t, env, app, "chrome", "")
 		if err := export.ValidateChrome(doc); err != nil {
 			t.Errorf("%s: %v", app, err)
 		}
@@ -120,9 +123,9 @@ func TestChromeTraceValidAllApps(t *testing.T) {
 // — reconciling with the analyses over the same capped trace, never
 // rescaled toward the full run.
 func TestExportSampledTraceCap(t *testing.T) {
-	env := DefaultEnv(nil, 1)
+	env := Env{Scale: 1}
 	env.TraceCap = 100
-	doc := renderExport(t, env, "bfs", ExportFolded, export.WeightLines)
+	doc := renderExport(t, env, "bfs", "folded", export.WeightLines)
 	if !bytes.HasPrefix(doc, []byte("# [sampled]")) {
 		t.Fatalf("capped export lacks the [sampled] header:\n%.200s", doc)
 	}
@@ -135,13 +138,13 @@ func TestExportSampledTraceCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := profileApp(t, env, "bfs")
-	want := MergedMemDiv(p, gpu.KeplerK40c().L1LineSize).WeightedSum
+	want := profcache.MergedMemDiv(p, gpu.KeplerK40c().L1LineSize).WeightedSum
 	if got != want {
 		t.Errorf("sampled folded total %d != capped-profile aggregate %d (weights must not be rescaled)", got, want)
 	}
 
-	full := DefaultEnv(nil, 1)
-	fullTotal, err := export.SumFolded(renderExport(t, full, "bfs", ExportFolded, export.WeightLines))
+	full := Env{Scale: 1}
+	fullTotal, err := export.SumFolded(renderExport(t, full, "bfs", "folded", export.WeightLines))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +153,7 @@ func TestExportSampledTraceCap(t *testing.T) {
 	}
 
 	// The Chrome export marks sampled kernels too.
-	chrome := renderExport(t, env, "bfs", ExportChrome, "")
+	chrome := renderExport(t, env, "bfs", "chrome", "")
 	if !strings.Contains(string(chrome), `"sampled":"true"`) {
 		t.Errorf("capped Chrome trace lacks the sampled kernel annotation")
 	}
@@ -161,16 +164,16 @@ func TestExportSampledTraceCap(t *testing.T) {
 // (0 misses), byte-identical to the cold render and to the uncached one.
 func TestExportCacheViewZeroMisses(t *testing.T) {
 	uncached := map[string][]byte{}
-	reqs := [][2]string{{ExportChrome, ""}}
+	reqs := [][2]string{{"chrome", ""}}
 	for _, w := range export.Weights {
-		reqs = append(reqs, [2]string{ExportFolded, w})
+		reqs = append(reqs, [2]string{"folded", w})
 	}
 	for _, r := range reqs {
-		uncached[r[0]+"/"+r[1]] = renderExport(t, DefaultEnv(nil, 1), "bfs", r[0], r[1])
+		uncached[r[0]+"/"+r[1]] = renderExport(t, Env{Scale: 1}, "bfs", r[0], r[1])
 	}
 
 	dir := t.TempDir()
-	cold := DefaultEnv(nil, 1)
+	cold := Env{Scale: 1}
 	cold.Cache = profcache.New(dir)
 	for _, r := range reqs {
 		if got := renderExport(t, cold, "bfs", r[0], r[1]); !bytes.Equal(got, uncached[r[0]+"/"+r[1]]) {
@@ -181,7 +184,7 @@ func TestExportCacheViewZeroMisses(t *testing.T) {
 		t.Errorf("cold stats %+v: every view entry must miss then store", s)
 	}
 
-	warm := DefaultEnv(nil, 1)
+	warm := Env{Scale: 1}
 	warm.Cache = profcache.New(dir)
 	for _, r := range reqs {
 		if got := renderExport(t, warm, "bfs", r[0], r[1]); !bytes.Equal(got, uncached[r[0]+"/"+r[1]]) {
@@ -193,21 +196,17 @@ func TestExportCacheViewZeroMisses(t *testing.T) {
 	}
 }
 
-// TestExportRequestValidation: malformed requests fail before any
-// simulator work, with messages naming the valid sets.
+// TestExportRequestValidation: malformed requests fail at decoding,
+// before any simulator work, with messages naming the valid sets.
 func TestExportRequestValidation(t *testing.T) {
-	env := DefaultEnv(nil, 1)
-	app := apps.ByName("bfs")
-	var buf bytes.Buffer
-	err := WriteExportEnv(&buf, env, ExportRequest{App: app, Arch: gpu.KeplerK40c(), Format: "svg"})
-	if err == nil || !strings.Contains(err.Error(), `unknown export format "svg"`) {
+	if _, err := exportRequest("bfs", "svg", ""); err == nil || !strings.Contains(err.Error(), `unknown export format "svg"`) {
 		t.Errorf("bad format err = %v", err)
 	}
-	err = WriteExportEnv(&buf, env, ExportRequest{App: app, Arch: gpu.KeplerK40c(), Format: ExportFolded, Weight: "bytes"})
-	if err == nil || !strings.Contains(err.Error(), `unknown export weight "bytes"`) {
+	if _, err := exportRequest("bfs", "folded", "bytes"); err == nil || !strings.Contains(err.Error(), `unknown export weight "bytes"`) {
 		t.Errorf("bad weight err = %v", err)
 	}
-	if buf.Len() != 0 {
-		t.Errorf("failed validation wrote %d bytes", buf.Len())
+	// The weight is a folded-only parameter.
+	if _, err := exportRequest("bfs", "chrome", "bytes"); err != nil {
+		t.Errorf("chrome request with an unused weight: %v", err)
 	}
 }

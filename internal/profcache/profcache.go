@@ -56,14 +56,14 @@ import (
 )
 
 // Key identifies one cacheable cell. The zero value is not valid; build
-// keys with ProfileKey, CyclesKey, AdviseKey or ViewKey so every
-// determining input is captured. Keys are content-addressed: App
+// keys with ProfileKey, CyclesKey or ViewKey so every determining input
+// is captured. Keys are content-addressed: App
 // carries the application name, IR the digest of its device code,
 // Arch/Opts canonical renderings of the full configuration structs, and
 // Build the binary's build version — so changing any field of any
 // input, or rebuilding the binary, changes the key.
 type Key struct {
-	Kind     string // "profile", "cycles", "advise" or "view"
+	Kind     string // "profile", "cycles" or "view"
 	Build    string // build-derived cache version (BuildVersion())
 	App      string
 	IR       string // hex digest of the application's device IR text
@@ -71,8 +71,7 @@ type Key struct {
 	Opts     string // canonical rendering of the instrument.Options ("" for cycles)
 	L1Warps  int    // cycles only: the rt bypassing setting (0 = none)
 	Scale    int
-	TraceCap int    // profile only: trace-buffer bound (0 = unbounded)
-	Schema   string // advise only: the report schema version the entry holds
+	TraceCap int    // profile and view only: trace-buffer bound (0 = unbounded)
 	View     string // view only: which rendered view the entry holds
 }
 
@@ -107,24 +106,15 @@ func CyclesKey(app *apps.App, cfg gpu.ArchConfig, l1Warps, scale int) Key {
 	}
 }
 
-// AdviseKey is the key of one advisor report: the joined
-// static/dynamic findings of an instrumented profiling run, encoded in
-// the versioned report schema. The schema version is part of the key,
-// so a schema bump orphans old entries instead of serving stale shapes.
-func AdviseKey(app *apps.App, cfg gpu.ArchConfig, opts instrument.Options, scale, traceCap int, schema string) Key {
-	k := ProfileKey(app, cfg, opts, scale, traceCap)
-	k.Kind = "advise"
-	k.Schema = schema
-	return k
-}
-
 // ViewKey is the key of one rendered view (the code-/data-centric CCT
-// and per-object access-map dumps, and the export serializations —
-// "export:folded:<weight>" / "export:chrome"): the exact bytes the view
-// printer emits for a profiling run, named by view. Views are cached as
-// rendered text because their inputs — the calling-context tree, the
-// raw object access log, the per-SM schedules — are exactly what the
-// analysis bundle drops to stay small.
+// and per-object access-map dumps, the export serializations —
+// "export:folded:<weight>" / "export:chrome" — and the encoded advisor
+// report, whose view name carries its schema version so a schema bump
+// orphans old entries): the exact bytes the view printer emits for a
+// profiling run, named by view. Views are cached as rendered text
+// because their inputs — the calling-context tree, the raw object
+// access log, the per-SM schedules — are exactly what the analysis
+// bundle drops to stay small.
 func ViewKey(app *apps.App, cfg gpu.ArchConfig, opts instrument.Options, scale, traceCap int, view string) Key {
 	k := ProfileKey(app, cfg, opts, scale, traceCap)
 	k.Kind = "view"
@@ -145,8 +135,8 @@ func irFingerprint(app *apps.App) string {
 
 // Canonical renders the key as an unambiguous string: the preimage of ID.
 func (k Key) Canonical() string {
-	return fmt.Sprintf("kind=%s|build=%s|app=%q|ir=%s|arch=%q|opts=%q|l1warps=%d|scale=%d|tracecap=%d|schema=%q|view=%q",
-		k.Kind, k.Build, k.App, k.IR, k.Arch, k.Opts, k.L1Warps, k.Scale, k.TraceCap, k.Schema, k.View)
+	return fmt.Sprintf("kind=%s|build=%s|app=%q|ir=%s|arch=%q|opts=%q|l1warps=%d|scale=%d|tracecap=%d|view=%q",
+		k.Kind, k.Build, k.App, k.IR, k.Arch, k.Opts, k.L1Warps, k.Scale, k.TraceCap, k.View)
 }
 
 // ID is the content address: the hex SHA-256 of the canonical key.
@@ -445,14 +435,6 @@ func (c *Cache) Bytes(ctx context.Context, key Key, fill func(context.Context) (
 		return nil, err
 	}
 	return v.([]byte), nil
-}
-
-// Advise is Bytes under its historical name: fill produces the
-// canonical report bytes (which embed their own schema version, also
-// part of the key), and warm runs serve the bytes without re-profiling
-// or re-joining.
-func (c *Cache) Advise(ctx context.Context, key Key, fill func(context.Context) ([]byte, error)) ([]byte, error) {
-	return c.Bytes(ctx, key, fill)
 }
 
 // Results is the analysis bundle of one profiled cell: every merged

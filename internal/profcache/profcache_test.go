@@ -90,6 +90,8 @@ func TestKeySensitivity(t *testing.T) {
 		{"cycles scale", profcache.CyclesKey(app, cfg, 0, 2)},
 		{"view kind", profcache.ViewKey(app, cfg, opts, 1, 0, "debugviews")},
 		{"view name", profcache.ViewKey(app, cfg, opts, 1, 0, "cct")},
+		{"advise view", profcache.ViewKey(app, cfg, opts, 1, 0, "advise:advisor-report/v1")},
+		{"advise view, other schema", profcache.ViewKey(app, cfg, opts, 1, 0, "advise:advisor-report/v3")},
 	}
 	seen := make(map[string]string)
 	for _, k := range keys {
@@ -273,18 +275,19 @@ func TestCyclesDiskRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAdviseRoundTrip: advise entries cache opaque report bytes — a warm
-// load returns them byte-identical without invoking the fill, a damaged
-// entry degrades to a counted miss, and the schema version is part of
-// the key so a bump orphans old entries instead of serving them.
+// TestAdviseRoundTrip: advise reports cache as views of opaque bytes — a
+// warm load returns them byte-identical without invoking the fill, a
+// damaged entry degrades to a counted miss, and the schema version is
+// part of the view name so a bump orphans old entries instead of serving
+// them.
 func TestAdviseRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	app := apps.ByName("bfs")
-	key := profcache.AdviseKey(app, gpu.KeplerK40c(), bothOpts, 1, 0, "advisor-report/v1")
+	key := profcache.ViewKey(app, gpu.KeplerK40c(), bothOpts, 1, 0, "advise:advisor-report/v1")
 	want := []byte("{\n  \"schema\": \"advisor-report/v1\"\n}\n")
 
 	cold := profcache.New(dir)
-	got, err := cold.Advise(context.Background(), key, func(context.Context) ([]byte, error) {
+	got, err := cold.Bytes(context.Background(), key, func(context.Context) ([]byte, error) {
 		return want, nil
 	})
 	if err != nil || !bytes.Equal(got, want) {
@@ -295,7 +298,7 @@ func TestAdviseRoundTrip(t *testing.T) {
 	}
 
 	warm := profcache.New(dir)
-	got, err = warm.Advise(context.Background(), key, func(context.Context) ([]byte, error) {
+	got, err = warm.Bytes(context.Background(), key, func(context.Context) ([]byte, error) {
 		t.Error("warm load must not re-run the join")
 		return nil, fmt.Errorf("unexpected fill")
 	})
@@ -307,12 +310,12 @@ func TestAdviseRoundTrip(t *testing.T) {
 	}
 
 	// A schema bump is a different key: the old entry is not served.
-	bumped := profcache.AdviseKey(app, gpu.KeplerK40c(), bothOpts, 1, 0, "advisor-report/v3")
+	bumped := profcache.ViewKey(app, gpu.KeplerK40c(), bothOpts, 1, 0, "advise:advisor-report/v3")
 	if bumped.ID() == key.ID() {
-		t.Fatalf("schema version is not part of the advise key: %s", key.Canonical())
+		t.Fatalf("schema version is not part of the advise view key: %s", key.Canonical())
 	}
 	filled := false
-	if _, err := warm.Advise(context.Background(), bumped, func(context.Context) ([]byte, error) {
+	if _, err := warm.Bytes(context.Background(), bumped, func(context.Context) ([]byte, error) {
 		filled = true
 		return []byte("v2\n"), nil
 	}); err != nil || !filled {
@@ -328,7 +331,7 @@ func TestAdviseRoundTrip(t *testing.T) {
 		}
 	}
 	damaged := profcache.New(dir)
-	got, err = damaged.Advise(context.Background(), key, func(context.Context) ([]byte, error) {
+	got, err = damaged.Bytes(context.Background(), key, func(context.Context) ([]byte, error) {
 		return want, nil
 	})
 	if err != nil || !bytes.Equal(got, want) {

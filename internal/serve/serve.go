@@ -8,8 +8,9 @@
 // first request for a key fills it (single-flight, in-process and
 // across processes via the cache's claim files), every later request is
 // a hit. Responses are byte-identical to the CLI invocation for the
-// same request because both call the same experiments renderers — the
-// daemon adds transport, not rendering.
+// same request because both decode into and render from the one
+// experiments.Request — the daemon adds transport and the policy below,
+// not decoding or rendering.
 //
 // Hardening model:
 //
@@ -42,17 +43,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
-	"cudaadvisor/internal/apps"
 	"cudaadvisor/internal/experiments"
-	"cudaadvisor/internal/export"
 	"cudaadvisor/internal/faultinject"
-	"cudaadvisor/internal/gpu"
 	"cudaadvisor/internal/profcache"
 	"cudaadvisor/internal/runner"
-	"cudaadvisor/internal/staticadvisor"
 )
 
 // maxUploadBytes bounds a .mir upload body.
@@ -60,6 +56,7 @@ const maxUploadBytes = 4 << 20
 
 // maxScale bounds the per-request input scale: scale multiplies
 // simulation cost, so an unbounded value is a denial-of-service knob.
+// It is an admission bound, not a validity rule — the CLI has none.
 const maxScale = 64
 
 // Config assembles a Server. Pool, Cache and Gate are shared across all
@@ -102,10 +99,9 @@ func New(cfg Config) *Server {
 	s := &Server{cfg: cfg, mux: http.NewServeMux()}
 	s.mux.HandleFunc("/healthz", s.healthz)
 	s.mux.HandleFunc("/statsz", s.statsz)
-	s.mux.HandleFunc("/v1/profile", s.gated(s.profile))
-	s.mux.HandleFunc("/v1/lint", s.gated(s.lint))
-	s.mux.HandleFunc("/v1/advise", s.gated(s.advise))
-	s.mux.HandleFunc("/v1/export", s.gated(s.export))
+	for _, cmd := range []string{"profile", "lint", "advise", "export"} {
+		s.mux.HandleFunc("/v1/"+cmd, s.gated(cmd))
+	}
 	return s
 }
 
@@ -184,9 +180,9 @@ func badf(format string, args ...any) error {
 	return badRequest{fmt.Errorf(format, args...)}
 }
 
-// gated wraps a render handler with the full request discipline:
-// admission, deadline, buffered rendering, and status mapping.
-func (s *Server) gated(render func(*http.Request, experiments.Env, *bytes.Buffer) error) http.HandlerFunc {
+// gated serves one command with the full request discipline: admission,
+// deadline, buffered rendering, and status mapping.
+func (s *Server) gated(cmd string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.cfg.Gate != nil {
 			release, err := s.cfg.Gate.Enter(r.Context())
@@ -209,32 +205,14 @@ func (s *Server) gated(render func(*http.Request, experiments.Env, *bytes.Buffer
 			defer cancel()
 		}
 
-		env := experiments.Env{
+		var buf bytes.Buffer
+		err := s.render(&buf, cmd, r, experiments.Env{
 			Pool:      s.cfg.Pool,
-			Scale:     1,
 			Ctx:       ctx,
 			TraceCap:  s.cfg.TraceCap,
 			KeepGoing: s.cfg.KeepGoing,
 			Cache:     s.cfg.Cache,
-		}
-		var buf bytes.Buffer
-		err := func() error {
-			if spec := r.URL.Query().Get("inject"); spec != "" {
-				inj, err := s.injectConfig(spec)
-				if err != nil {
-					return err
-				}
-				env.Inject = inj
-			}
-			if scale := r.URL.Query().Get("scale"); scale != "" {
-				n, err := strconv.Atoi(scale)
-				if err != nil || n < 1 || n > maxScale {
-					return badf("scale=%q: want an integer in [1, %d]", scale, maxScale)
-				}
-				env.Scale = n
-			}
-			return render(r, env, &buf)
-		}()
+		})
 
 		status, partial := http.StatusOK, false
 		var br badRequest
@@ -267,6 +245,41 @@ func (s *Server) gated(render func(*http.Request, experiments.Env, *bytes.Buffer
 	}
 }
 
+// render answers /v1/<cmd>?app=A&arch=…: the query is the parameter
+// lookup of experiments.NewRequest, a POSTed body the .mir module to
+// analyze when no ?app= names a built-in (labelled ?name=, default
+// upload.mir). Every decoding error is the client's (400); what is
+// checked here is only what the CLI does not restrict.
+func (s *Server) render(buf *bytes.Buffer, cmd string, r *http.Request, env experiments.Env) error {
+	q := r.URL.Query()
+	if spec := q.Get("inject"); spec != "" {
+		inj, err := s.injectConfig(spec)
+		if err != nil {
+			return err
+		}
+		env.Inject = inj
+	}
+	var ir []byte
+	if q.Get("app") == "" && r.Body != nil {
+		src, err := io.ReadAll(io.LimitReader(r.Body, maxUploadBytes+1))
+		if err != nil {
+			return badRequest{err}
+		}
+		if len(src) > maxUploadBytes {
+			return badf("upload exceeds %d bytes", maxUploadBytes)
+		}
+		ir = src
+	}
+	req, err := experiments.NewRequest(cmd, q.Get, ir)
+	if err != nil {
+		return badRequest{err}
+	}
+	if req.Scale > maxScale {
+		return badf("scale=%d: this server admits at most %d", req.Scale, maxScale)
+	}
+	return req.Write(buf, env)
+}
+
 // injectConfig validates a per-request chaos spec: injection must be
 // enabled server-side, and kill= is never honored — a request must not
 // be able to take the daemon down.
@@ -282,203 +295,4 @@ func (s *Server) injectConfig(spec string) (*faultinject.Config, error) {
 		return nil, badf("inject: kill= is not allowed over serve")
 	}
 	return cfg, nil
-}
-
-// archParam resolves the ?arch= parameter (default kepler).
-func archParam(r *http.Request) (gpu.ArchConfig, error) {
-	switch name := r.URL.Query().Get("arch"); name {
-	case "", "kepler":
-		return gpu.KeplerK40c(), nil
-	case "pascal":
-		return gpu.PascalP100(), nil
-	default:
-		return gpu.ArchConfig{}, badf("unknown architecture %q (want kepler or pascal)", name)
-	}
-}
-
-// appParam resolves the ?app= parameter, when present.
-func appParam(r *http.Request) (*apps.App, error) {
-	name := r.URL.Query().Get("app")
-	if name == "" {
-		return nil, nil
-	}
-	app := apps.ByName(name)
-	if app == nil {
-		return nil, badf("unknown application %q", name)
-	}
-	return app, nil
-}
-
-// formatParam resolves the ?format= parameter (default text). It
-// validates eagerly — the dynamic advise path would otherwise profile
-// an app before discovering the rendering is unserviceable.
-func formatParam(r *http.Request) (string, error) {
-	switch f := r.URL.Query().Get("format"); f {
-	case "":
-		return "text", nil
-	case "text", "json":
-		return f, nil
-	default:
-		return "", badf("unknown format %q (want text or json)", f)
-	}
-}
-
-// boolParam reads a flag-style parameter ("1"/"true" = on).
-func boolParam(r *http.Request, name string) bool {
-	v := r.URL.Query().Get(name)
-	return v == "1" || v == "true"
-}
-
-// uploadIR reads a POSTed .mir module and runs the static advisor over
-// it. The body is size-bounded; an empty body means "no upload".
-func uploadIR(r *http.Request) ([]byte, error) {
-	if r.Body == nil {
-		return nil, nil
-	}
-	src, err := io.ReadAll(io.LimitReader(r.Body, maxUploadBytes+1))
-	if err != nil {
-		return nil, badRequest{err}
-	}
-	if len(src) > maxUploadBytes {
-		return nil, badf("upload exceeds %d bytes", maxUploadBytes)
-	}
-	return src, nil
-}
-
-// uploadName labels parse errors for an uploaded module.
-func uploadName(r *http.Request) string {
-	if n := r.URL.Query().Get("name"); n != "" {
-		return n
-	}
-	return "upload.mir"
-}
-
-// profile renders GET /v1/profile?app=A&arch=kepler&mode=all&smem=1.
-func (s *Server) profile(r *http.Request, env experiments.Env, buf *bytes.Buffer) error {
-	app, err := appParam(r)
-	if err != nil {
-		return err
-	}
-	if app == nil {
-		return badf("profile wants an ?app= parameter (one of the built-in applications)")
-	}
-	cfg, err := archParam(r)
-	if err != nil {
-		return err
-	}
-	mode := r.URL.Query().Get("mode")
-	if mode == "" {
-		mode = "all"
-	}
-	switch mode {
-	case "rd", "md", "bd", "all":
-	default:
-		return badf("unknown profile mode %q (want rd, md, bd, or all)", mode)
-	}
-	req := experiments.ProfileRequest{App: app, Arch: cfg, Mode: mode, Smem: boolParam(r, "smem")}
-	return experiments.WriteProfileEnv(buf, env, req)
-}
-
-// lint renders /v1/lint?app=A or a POSTed .mir body. Lint is static
-// only, so the env (deadline aside) does not apply.
-func (s *Server) lint(r *http.Request, _ experiments.Env, buf *bytes.Buffer) error {
-	cfg, err := archParam(r)
-	if err != nil {
-		return err
-	}
-	format, err := formatParam(r)
-	if err != nil {
-		return err
-	}
-	res, err := s.analyzeRequest(r)
-	if err != nil {
-		return err
-	}
-	return experiments.WriteStaticLint(buf, res, cfg, format)
-}
-
-// advise renders /v1/advise?app=A (profiled and joined, through the
-// cache) or a POSTed .mir body (static-only report, same schema).
-func (s *Server) advise(r *http.Request, env experiments.Env, buf *bytes.Buffer) error {
-	cfg, err := archParam(r)
-	if err != nil {
-		return err
-	}
-	format, err := formatParam(r)
-	if err != nil {
-		return err
-	}
-	app, err := appParam(r)
-	if err != nil {
-		return err
-	}
-	if app != nil {
-		return experiments.WriteAdviseEnv(buf, env, app, cfg, format)
-	}
-	res, err := s.analyzeRequest(r)
-	if err != nil {
-		return err
-	}
-	return experiments.WriteStaticAdvise(buf, res, cfg, format)
-}
-
-// export renders GET /v1/export?app=A&arch=kepler&format=folded&weight=cycles
-// — the flamegraph/timeline serializations of DESIGN.md §12, cached as
-// view entries and byte-identical to `cudaadvisor export` by
-// construction (same WriteExportEnv renderer). Format and weight
-// validate eagerly so a bad request is a 400 before any simulation.
-func (s *Server) export(r *http.Request, env experiments.Env, buf *bytes.Buffer) error {
-	app, err := appParam(r)
-	if err != nil {
-		return err
-	}
-	if app == nil {
-		return badf("export wants an ?app= parameter (one of the built-in applications)")
-	}
-	cfg, err := archParam(r)
-	if err != nil {
-		return err
-	}
-	format := r.URL.Query().Get("format")
-	if format == "" {
-		format = experiments.ExportFolded
-	}
-	switch format {
-	case experiments.ExportFolded, experiments.ExportChrome:
-	default:
-		return badf("unknown export format %q (want folded or chrome)", format)
-	}
-	weight := r.URL.Query().Get("weight")
-	if weight == "" {
-		weight = export.WeightCycles
-	}
-	if format == experiments.ExportFolded && !export.ValidWeight(weight) {
-		return badf("unknown export weight %q (want cycles, lines, divergence, or reuse)", weight)
-	}
-	req := experiments.ExportRequest{App: app, Arch: cfg, Format: format, Weight: weight}
-	return experiments.WriteExportEnv(buf, env, req)
-}
-
-// analyzeRequest resolves the static-analysis target: a built-in app by
-// name, or an uploaded textual IR module.
-func (s *Server) analyzeRequest(r *http.Request) (*staticadvisor.ModuleResult, error) {
-	app, err := appParam(r)
-	if err != nil {
-		return nil, err
-	}
-	if app != nil {
-		return experiments.AnalyzeAppStatic(app)
-	}
-	src, err := uploadIR(r)
-	if err != nil {
-		return nil, err
-	}
-	if len(src) == 0 {
-		return nil, badf("want an ?app= parameter or a POSTed .mir module body")
-	}
-	res, err := experiments.AnalyzeIRSource(uploadName(r), string(src))
-	if err != nil {
-		return nil, badRequest{err}
-	}
-	return res, nil
 }

@@ -21,7 +21,6 @@ import (
 
 	"cudaadvisor/internal/apps"
 	"cudaadvisor/internal/experiments"
-	"cudaadvisor/internal/gpu"
 	"cudaadvisor/internal/profcache"
 	"cudaadvisor/internal/runner"
 	"cudaadvisor/internal/serve"
@@ -81,18 +80,26 @@ func getStats(t *testing.T, ts *httptest.Server) statsz {
 	return s
 }
 
-// refProfile renders the uncached serial CLI reference for one profile
-// request — the bytes every serve response must match.
-func refProfile(t *testing.T, mode string, smem bool) string {
+// ref renders the uncached serial reference for one request through the
+// command layer the CLI uses — the bytes every serve response must
+// match.
+func ref(t *testing.T, cmd string, params map[string]string, ir string) string {
 	t.Helper()
-	var b bytes.Buffer
-	err := experiments.WriteProfileEnv(&b, experiments.DefaultEnv(nil, 1), experiments.ProfileRequest{
-		App: apps.ByName("bfs"), Arch: gpu.KeplerK40c(), Mode: mode, Smem: smem,
-	})
+	req, err := experiments.NewRequest(cmd, func(name string) string { return params[name] }, []byte(ir))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var b bytes.Buffer
+	if err := req.Write(&b, experiments.Env{}); err != nil {
+		t.Fatal(err)
+	}
 	return b.String()
+}
+
+// refProfile is ref for a bfs profile in one mode.
+func refProfile(t *testing.T, mode string) string {
+	t.Helper()
+	return ref(t, "profile", map[string]string{"app": "bfs", "mode": mode}, "")
 }
 
 // TestHealthz: the probe endpoint answers without touching the pipeline.
@@ -108,7 +115,7 @@ func TestHealthz(t *testing.T) {
 // renderer's output byte for byte — cold cache, warm cache (same
 // process and a fresh process on the same dir), serial and -j 8.
 func TestProfileByteIdentityColdWarm(t *testing.T) {
-	want := refProfile(t, "all", false)
+	want := refProfile(t, "all")
 	dir := t.TempDir()
 
 	j8 := newServer(t, serve.Config{Pool: runner.New(8), Cache: profcache.New(dir)})
@@ -141,21 +148,13 @@ func TestProfileByteIdentityColdWarm(t *testing.T) {
 }
 
 // TestStaticParity: lint and advise answers — app targets and .mir
-// uploads — equal the shared static renderers byte for byte.
+// uploads — equal the command layer's rendering byte for byte.
 func TestStaticParity(t *testing.T) {
 	ts := newServer(t, serve.Config{Cache: profcache.New("")})
-	cfg := gpu.KeplerK40c()
 
-	res, err := experiments.AnalyzeAppStatic(apps.ByName("bfs"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wantLint bytes.Buffer
-	if err := experiments.WriteStaticLint(&wantLint, res, cfg, "text"); err != nil {
-		t.Fatal(err)
-	}
-	if status, _, body := get(t, ts, "/v1/lint?app=bfs"); status != http.StatusOK || body != wantLint.String() {
-		t.Errorf("/v1/lint?app=bfs = %d, body parity %v", status, body == wantLint.String())
+	wantLint := ref(t, "lint", map[string]string{"app": "bfs"}, "")
+	if status, _, body := get(t, ts, "/v1/lint?app=bfs"); status != http.StatusOK || body != wantLint {
+		t.Errorf("/v1/lint?app=bfs = %d, body parity %v", status, body == wantLint)
 	}
 
 	// Upload: lint the module source the app itself carries.
@@ -166,26 +165,15 @@ func TestStaticParity(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	upRes, err := experiments.AnalyzeIRSource("bfs.mir", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wantUp bytes.Buffer
-	if err := experiments.WriteStaticLint(&wantUp, upRes, cfg, "json"); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || string(body) != wantUp.String() {
-		t.Errorf("uploaded lint = %d, body parity %v", resp.StatusCode, string(body) == wantUp.String())
+	wantUp := ref(t, "lint", map[string]string{"name": "bfs.mir", "format": "json"}, src)
+	if resp.StatusCode != http.StatusOK || string(body) != wantUp {
+		t.Errorf("uploaded lint = %d, body parity %v", resp.StatusCode, string(body) == wantUp)
 	}
 
 	// Advise over an app goes through the dynamic path and the cache.
-	var wantAdvise bytes.Buffer
-	env := experiments.DefaultEnv(nil, 1)
-	if err := experiments.WriteAdviseEnv(&wantAdvise, env, apps.ByName("bfs"), cfg, "json"); err != nil {
-		t.Fatal(err)
-	}
-	if status, _, body := get(t, ts, "/v1/advise?app=bfs&format=json"); status != http.StatusOK || body != wantAdvise.String() {
-		t.Errorf("/v1/advise?app=bfs = %d, body parity %v", status, body == wantAdvise.String())
+	wantAdvise := ref(t, "advise", map[string]string{"app": "bfs", "format": "json"}, "")
+	if status, _, body := get(t, ts, "/v1/advise?app=bfs&format=json"); status != http.StatusOK || body != wantAdvise {
+		t.Errorf("/v1/advise?app=bfs = %d, body parity %v", status, body == wantAdvise)
 	}
 }
 
@@ -198,7 +186,7 @@ func TestSingleFlightCollapse(t *testing.T) {
 		Cache: profcache.New(""),
 		Gate:  runner.NewGate(16, 16),
 	})
-	want := refProfile(t, "rd", false)
+	want := refProfile(t, "rd")
 
 	const dup = 8
 	bodies := make([]string, dup)
@@ -327,65 +315,49 @@ func TestRequestDeadline(t *testing.T) {
 	}
 }
 
-// TestBadRequests: malformed parameters answer 400 with a usable
-// message, never 500 and never a half-rendered body.
+// TestBadRequests: what the daemon refuses beyond the command layer's
+// own validation (that, and its wording, is pinned against the CLI by
+// cmd/cudaadvisor's parity table) answers 400, never 500: the scale
+// admission bound and the upload size bound.
 func TestBadRequests(t *testing.T) {
 	ts := newServer(t, serve.Config{Cache: profcache.New("")})
 	for _, path := range []string{
-		"/v1/profile",                       // missing app
-		"/v1/profile?app=nosuch",            // unknown app
-		"/v1/profile?app=bfs&arch=volta",    // unknown arch
-		"/v1/profile?app=bfs&mode=xyzzy",    // unknown mode
-		"/v1/profile?app=bfs&scale=0",       // out-of-range scale
-		"/v1/profile?app=bfs&scale=1000000", // out-of-range scale
-		"/v1/lint",                          // no app, no upload
-		"/v1/advise?app=bfs&format=yaml",    // unknown format
-		"/v1/export",                        // missing app
-		"/v1/export?app=bfs&format=svg",     // unknown export format
-		"/v1/export?app=bfs&weight=bytes",   // unknown folded weight
+		"/v1/profile?app=bfs&scale=65",
+		"/v1/advise?app=bfs&scale=1000000",
+		"/v1/export?app=bfs&scale=1000000",
 	} {
-		if status, _, body := get(t, ts, path); status != http.StatusBadRequest {
-			t.Errorf("%s = %d %q, want 400", path, status, body)
+		if status, _, body := get(t, ts, path); status != http.StatusBadRequest || !strings.Contains(body, "at most 64") {
+			t.Errorf("%s = %d %q, want 400 naming the bound", path, status, body)
 		}
 	}
-	resp, err := http.Post(ts.URL+"/v1/lint", "text/plain", strings.NewReader("this is not ir"))
+	resp, err := http.Post(ts.URL+"/v1/lint", "text/plain", strings.NewReader(strings.Repeat(";", 4<<20+1)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("garbage upload = %d, want 400", resp.StatusCode)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "upload exceeds") {
+		t.Errorf("oversized upload = %d %q, want 400", resp.StatusCode, body)
 	}
 }
 
-// refExport renders the uncached serial CLI reference for one export
-// request — the bytes every /v1/export response must match.
-func refExport(t *testing.T, format, weight string) string {
-	t.Helper()
-	var b bytes.Buffer
-	err := experiments.WriteExportEnv(&b, experiments.DefaultEnv(nil, 1), experiments.ExportRequest{
-		App: apps.ByName("bfs"), Arch: gpu.KeplerK40c(), Format: format, Weight: weight,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b.String()
-}
-
-// TestExportParity: /v1/export responses equal the shared export
-// renderer byte for byte in both formats, and a warm rerun of each is a
+// TestExportParity: /v1/export responses equal the command layer's
+// rendering byte for byte in both formats, and a warm rerun of each is a
 // pure cache read.
 func TestExportParity(t *testing.T) {
 	ts := newServer(t, serve.Config{Cache: profcache.New(t.TempDir())})
+	refExport := func(format, weight string) string {
+		return ref(t, "export", map[string]string{"app": "bfs", "format": format, "weight": weight}, "")
+	}
 	reqs := []struct {
 		path, format, weight string
 	}{
-		{"/v1/export?app=bfs", experiments.ExportFolded, "cycles"}, // folded/cycles defaults
-		{"/v1/export?app=bfs&weight=divergence", experiments.ExportFolded, "divergence"},
-		{"/v1/export?app=bfs&format=chrome", experiments.ExportChrome, ""},
+		{"/v1/export?app=bfs", "folded", "cycles"}, // folded/cycles defaults
+		{"/v1/export?app=bfs&weight=divergence", "folded", "divergence"},
+		{"/v1/export?app=bfs&format=chrome", "chrome", ""},
 	}
 	for _, r := range reqs {
-		want := refExport(t, r.format, r.weight)
+		want := refExport(r.format, r.weight)
 		status, _, body := get(t, ts, r.path)
 		if status != http.StatusOK {
 			t.Fatalf("%s = %d: %.200s", r.path, status, body)
@@ -396,7 +368,7 @@ func TestExportParity(t *testing.T) {
 	}
 	before := getStats(t, ts)
 	for _, r := range reqs {
-		if _, _, body := get(t, ts, r.path); body != refExport(t, r.format, r.weight) {
+		if _, _, body := get(t, ts, r.path); body != refExport(r.format, r.weight) {
 			t.Errorf("warm %s differs", r.path)
 		}
 	}
