@@ -26,6 +26,7 @@ import (
 	"cudaadvisor/internal/ir"
 	"cudaadvisor/internal/irtext"
 	"cudaadvisor/internal/profcache"
+	"cudaadvisor/internal/profiler"
 	"cudaadvisor/internal/rt"
 	"cudaadvisor/internal/runner"
 )
@@ -264,7 +265,7 @@ func BenchmarkAnalyzerReuseDistance(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		profcache.MergedReuse(p, analysis.DefaultElementReuse())
+		profiler.NewAnalyses(p, 0).ReuseElem()
 	}
 }
 

@@ -83,6 +83,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -186,6 +187,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		usage(stderr)
 		return 2
 	}
+	if errors.Is(err, flag.ErrHelp) {
+		err = nil // -h: the sub-command's flag set has printed its usage
+	}
 	if *cacheStats {
 		// The summary goes to stderr so stdout stays byte-identical to an
 		// uncached run — the property the cache is tested against.
@@ -214,8 +218,9 @@ global flags:
   -cache             share repeated profiling/timing cells in-process; output
                      stays byte-identical to an uncached run
   -cache-dir DIR     persist the cache in DIR across runs (implies -cache);
-                     versioned, corruption-tolerant (bad entries = misses),
-                     safe to share between concurrent processes
+                     keyed on the binary's build, corruption-tolerant (bad
+                     entries = misses), safe to share between concurrent
+                     processes
   -cache-budget N    bound the on-disk cache to N bytes; least-recently-used
                      entries are evicted (counted separately from misses)
   -memo-budget N     bound the in-process memoizer to N resolved entries

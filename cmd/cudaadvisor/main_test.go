@@ -74,24 +74,32 @@ func TestLintApp(t *testing.T) {
 
 // TestLintErrors: argument mistakes to lint — and to profile, whose
 // rows live here too — exit 1 with a useful message, before any work is
-// scheduled.
+// scheduled; asking a sub-command for its help is no mistake: the flag
+// usage on stderr, no error line, exit 0.
 func TestLintErrors(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
+		exit int
 		want string
 	}{
-		{[]string{"lint"}, "lint wants one application name"},
-		{[]string{"lint", "nosuchapp"}, `unknown application "nosuchapp"`},
-		{[]string{"profile", "-scale", "0", "nn"}, `scale="0": want an integer ≥ 1`},
-		{[]string{"profile", "-scale=-4", "nn"}, `scale="-4": want an integer ≥ 1`},
-		{[]string{"profile", "-smem=yes", "nn"}, `smem="yes": want a boolean`},
+		{[]string{"lint"}, 1, "lint wants one application name"},
+		{[]string{"lint", "nosuchapp"}, 1, `unknown application "nosuchapp"`},
+		{[]string{"profile", "-scale", "0", "nn"}, 1, `scale="0": want an integer ≥ 1`},
+		{[]string{"profile", "-scale=-4", "nn"}, 1, `scale="-4": want an integer ≥ 1`},
+		{[]string{"profile", "-smem=yes", "nn"}, 1, `smem="yes": want a boolean`},
+		{[]string{"profile", "-h"}, 0, "Usage of profile:"},
+		{[]string{"lint", "-h"}, 0, "Usage of lint:"},
+		{[]string{"advise", "-h"}, 0, "Usage of advise:"},
+		{[]string{"export", "-h"}, 0, "Usage of export:"},
+		{[]string{"serve", "-h"}, 0, "Usage of serve:"},
 	} {
 		var stdout, stderr bytes.Buffer
-		if code := run(tc.args, &stdout, &stderr); code != 1 {
-			t.Errorf("run(%v) = %d, want 1", tc.args, code)
+		if code := run(tc.args, &stdout, &stderr); code != tc.exit {
+			t.Errorf("run(%v) = %d, want %d", tc.args, code, tc.exit)
 		}
-		if !strings.Contains(stderr.String(), tc.want) || strings.Contains(stderr.String(), "panicked") {
-			t.Errorf("run(%v) stderr = %q, want it to contain %q and no panic", tc.args, stderr.String(), tc.want)
+		got := stderr.String()
+		if !strings.Contains(got, tc.want) || strings.Contains(got, "panicked") || strings.Contains(got, "help requested") {
+			t.Errorf("run(%v) stderr = %q, want it to contain %q, no panic and no \"help requested\"", tc.args, got, tc.want)
 		}
 	}
 }

@@ -50,15 +50,6 @@ type BlockDivergence struct {
 	Loc       ir.Loc
 }
 
-// DivergenceRate returns the fraction of this block's executions that
-// were divergent.
-func (b *BlockDivergence) DivergenceRate() float64 {
-	if b.Execs == 0 {
-		return 0
-	}
-	return float64(b.Divergent) / float64(b.Execs)
-}
-
 // Percent returns the application-level divergence percentage of Table 3.
 func (r *BranchDivResult) Percent() float64 {
 	if r.Total == 0 {
@@ -80,23 +71,6 @@ func (r *BranchDivResult) Blocks() []*BlockDivergence {
 		return out[i].ID < out[j].ID
 	})
 	return out
-}
-
-// AddBlock inserts (or accumulates into) the per-block aggregate for
-// b.ID. It exists so external serializers (internal/profcache) can
-// rebuild a result's block table, which is otherwise unexported; the
-// merge rule matches Merge's.
-func (r *BranchDivResult) AddBlock(b BlockDivergence) {
-	if r.blocks == nil {
-		r.blocks = make(map[int32]*BlockDivergence)
-	}
-	if cur, ok := r.blocks[b.ID]; ok {
-		cur.Execs += b.Execs
-		cur.Divergent += b.Divergent
-		cur.Threads += b.Threads
-		return
-	}
-	r.blocks[b.ID] = &b
 }
 
 // Merge accumulates other into r.

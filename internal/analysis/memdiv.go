@@ -102,27 +102,6 @@ func (r *MemDivResult) Sites() []*SiteDivergence {
 	return out
 }
 
-// AddSite inserts (or accumulates into) the per-site aggregate for
-// s.Loc. It exists so external serializers (internal/profcache) can
-// rebuild a result's site table, which is otherwise unexported; the
-// merge rule matches Merge's.
-func (r *MemDivResult) AddSite(s SiteDivergence) {
-	if r.sites == nil {
-		r.sites = make(map[siteKey]*SiteDivergence)
-	}
-	k := siteKey{loc: s.Loc}
-	if cur, ok := r.sites[k]; ok {
-		cur.Count += s.Count
-		cur.WeightedSum += s.WeightedSum
-		cur.Diverged += s.Diverged
-		if s.MaxLines > cur.MaxLines {
-			cur.MaxLines = s.MaxLines
-		}
-		return
-	}
-	r.sites[k] = &s
-}
-
 // Merge accumulates other into r.
 func (r *MemDivResult) Merge(other *MemDivResult) {
 	for i := range r.Dist {

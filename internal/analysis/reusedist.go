@@ -7,7 +7,6 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
 
 	"cudaadvisor/internal/trace"
 )
@@ -405,19 +404,4 @@ func naiveCTAReuse(seq []ctaAccess, res *ReuseResult) {
 		}
 	}
 	return
-}
-
-// SortedCTAs returns the CTA ids present in a trace, ascending (helper
-// for deterministic per-CTA reporting).
-func SortedCTAs(tr *trace.KernelTrace) []int32 {
-	seen := map[int32]bool{}
-	var ids []int32
-	for i := range tr.Mem {
-		if !seen[tr.Mem[i].CTA] {
-			seen[tr.Mem[i].CTA] = true
-			ids = append(ids, tr.Mem[i].CTA)
-		}
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	return ids
 }

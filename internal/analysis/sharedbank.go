@@ -82,25 +82,6 @@ func (r *SharedBankResult) Sites() []*SiteBankConflict {
 	return out
 }
 
-// AddSite inserts (or accumulates into) the per-site aggregate for
-// s.Loc; the merge rule matches Merge's.
-func (r *SharedBankResult) AddSite(s SiteBankConflict) {
-	if r.sites == nil {
-		r.sites = make(map[siteKey]*SiteBankConflict)
-	}
-	k := siteKey{loc: s.Loc}
-	if cur, ok := r.sites[k]; ok {
-		cur.Count += s.Count
-		cur.ReplaySum += s.ReplaySum
-		cur.Conflicted += s.Conflicted
-		if s.MaxDegree > cur.MaxDegree {
-			cur.MaxDegree = s.MaxDegree
-		}
-		return
-	}
-	r.sites[k] = &s
-}
-
 // Merge accumulates other into r.
 func (r *SharedBankResult) Merge(other *SharedBankResult) {
 	for i := range r.Dist {
@@ -110,8 +91,21 @@ func (r *SharedBankResult) Merge(other *SharedBankResult) {
 	r.Replays += other.Replays
 	r.EventsRecorded += other.EventsRecorded
 	r.EventsSeen += other.EventsSeen
-	for _, s := range other.sites {
-		r.AddSite(*s)
+	if r.sites == nil {
+		r.sites = make(map[siteKey]*SiteBankConflict)
+	}
+	for k, s := range other.sites {
+		if cur, ok := r.sites[k]; ok {
+			cur.Count += s.Count
+			cur.ReplaySum += s.ReplaySum
+			cur.Conflicted += s.Conflicted
+			if s.MaxDegree > cur.MaxDegree {
+				cur.MaxDegree = s.MaxDegree
+			}
+		} else {
+			cp := *s
+			r.sites[k] = &cp
+		}
 	}
 }
 

@@ -52,15 +52,6 @@ func putBools(h *rt.HostBuf, off int, vals []bool) {
 	}
 }
 
-// getBools decodes bytes as bools.
-func getBools(h *rt.HostBuf, off, n int) []bool {
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = h.Data[off+i] != 0
-	}
-	return out
-}
-
 // uploadF32s allocates device memory for vals and copies them up through
 // a tracked host staging buffer.
 func uploadF32s(ctx *rt.Context, label string, vals []float32) (rt.DevPtr, *rt.HostBuf, error) {

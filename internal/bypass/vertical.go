@@ -40,15 +40,7 @@ func VerticalPlan(sites map[ir.Loc]*analysis.SiteReuse, opt VerticalOptions) []i
 			out = append(out, loc)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		if out[i].Line != out[j].Line {
-			return out[i].Line < out[j].Line
-		}
-		return out[i].Col < out[j].Col
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
 }
 

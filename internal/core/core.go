@@ -43,6 +43,11 @@ type Advisor struct {
 	Profiler *profiler.Profiler
 
 	ctx *rt.Context
+
+	// derived is the analysis bundle of the first derivedAt kernel
+	// instances; see analyses.
+	derived   *profiler.Analyses
+	derivedAt int
 }
 
 // New creates an advisor session on the given architecture with the given
@@ -81,35 +86,30 @@ func (a *Advisor) Compile(m *ir.Module) (*instrument.Program, error) {
 // Kernels returns the profiled kernel instances.
 func (a *Advisor) Kernels() []*profiler.KernelProfile { return a.Profiler.Kernels }
 
+// analyses returns the analysis bundle of the session's profile, which
+// every analyzer and report method below reads, so each aggregate is
+// derived once however many reports print it. A launch since the last
+// call starts a fresh bundle.
+func (a *Advisor) analyses() *profiler.Analyses {
+	if n := len(a.Profiler.Kernels); a.derived == nil || a.derivedAt != n {
+		a.derived, a.derivedAt = profiler.NewAnalyses(a.Profiler, a.Arch.L1LineSize), n
+	}
+	return a.derived
+}
+
 // ReuseDistance aggregates the reuse-distance profile over all kernel
 // instances under the given model.
 func (a *Advisor) ReuseDistance(opt analysis.ReuseOptions) *analysis.ReuseResult {
-	var total analysis.ReuseResult
-	for _, kp := range a.Profiler.Kernels {
-		total.Merge(analysis.ReuseDistance(kp.Trace, opt))
-	}
-	return &total
+	return a.analyses().Reuse(opt)
 }
 
 // MemDivergence aggregates the memory-divergence profile over all kernel
 // instances at this architecture's cache-line size.
-func (a *Advisor) MemDivergence() *analysis.MemDivResult {
-	total := &analysis.MemDivResult{LineSize: a.Arch.L1LineSize}
-	for _, kp := range a.Profiler.Kernels {
-		total.Merge(analysis.MemDivergence(kp.Trace, a.Arch.L1LineSize))
-	}
-	return total
-}
+func (a *Advisor) MemDivergence() *analysis.MemDivResult { return a.analyses().MemDiv() }
 
 // BranchDivergence aggregates the branch-divergence profile over all
 // kernel instances.
-func (a *Advisor) BranchDivergence() *analysis.BranchDivResult {
-	total := &analysis.BranchDivResult{}
-	for _, kp := range a.Profiler.Kernels {
-		total.Merge(analysis.BranchDivergence(kp.Trace, kp.Tables))
-	}
-	return total
-}
+func (a *Advisor) BranchDivergence() *analysis.BranchDivResult { return a.analyses().BranchDiv() }
 
 // WriteFolded emits the session's profile as folded flamegraph stacks
 // under the given weight (see internal/export), using this
@@ -129,40 +129,19 @@ func (a *Advisor) WriteChromeTrace(w io.Writer) error {
 // over all kernel instances. It is empty unless the session's options
 // enable the shared-memory instrumentation category.
 func (a *Advisor) SharedBankConflicts() *analysis.SharedBankResult {
-	total := &analysis.SharedBankResult{}
-	for _, kp := range a.Profiler.Kernels {
-		total.Merge(analysis.SharedBankConflicts(kp.Trace))
-	}
-	return total
+	return a.analyses().SharedBank()
 }
 
 // SharedRaces aggregates the simulator's same-interval last-writer
 // observations over all kernel instances, summed per read site in
 // deterministic site order. Empty unless the shared-memory watch ran.
 func (a *Advisor) SharedRaces() []gpu.SharedRaceSite {
-	byLoc := make(map[ir.Loc]int64)
-	for _, kp := range a.Profiler.Kernels {
-		if kp.Result == nil {
-			continue
-		}
-		for _, rs := range kp.Result.SharedRaces {
-			byLoc[rs.Loc] += rs.Count
-		}
-	}
+	byLoc := a.analyses().SharedRaces()
 	out := make([]gpu.SharedRaceSite, 0, len(byLoc))
 	for loc, n := range byLoc {
 		out = append(out, gpu.SharedRaceSite{Loc: loc, Count: n})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Loc, out[j].Loc
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Col < b.Col
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Loc.Less(out[j].Loc) })
 	return out
 }
 
@@ -198,9 +177,7 @@ func (a *Advisor) WriteSharedMemReport(w io.Writer) {
 // PredictBypassWarps evaluates the Eq. (1) model on this session's
 // profiles: the recommended number of warps per CTA to keep on L1.
 func (a *Advisor) PredictBypassWarps(warpsPerCTA int) int {
-	rdLine := a.ReuseDistance(analysis.LineReuse(a.Arch.L1LineSize))
-	rdElem := a.ReuseDistance(analysis.DefaultElementReuse())
-	md := a.MemDivergence()
+	an := a.analyses()
 	nCTAs := 0
 	for _, kp := range a.Profiler.Kernels {
 		if kp.Result != nil && kp.Result.CTAs > nCTAs {
@@ -208,7 +185,7 @@ func (a *Advisor) PredictBypassWarps(warpsPerCTA int) int {
 		}
 	}
 	ctas := bypass.ResidentCTAs(a.Arch, warpsPerCTA, nCTAs)
-	return bypass.PredictFromProfiles(a.Arch, rdLine, rdElem, md, warpsPerCTA, ctas)
+	return bypass.PredictFromProfiles(a.Arch, an.ReuseLine(), an.ReuseElem(), an.MemDiv(), warpsPerCTA, ctas)
 }
 
 // WriteReuseReport renders the Figure 4 style histogram for this session.

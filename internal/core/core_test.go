@@ -37,6 +37,14 @@ exit:
 // runSession drives one full advisor session with two kernel launches.
 func runSession(t *testing.T, opts instrument.Options) *Advisor {
 	t.Helper()
+	adv, _ := openSession(t, opts)
+	return adv
+}
+
+// openSession is runSession that also hands back the launch, for a test
+// that goes on launching after it has read an analysis.
+func openSession(t *testing.T, opts instrument.Options) (*Advisor, func()) {
+	t.Helper()
 	adv := New(gpu.KeplerK40c(), opts)
 	m, err := irtext.Parse("session.mir", sessionSrc)
 	if err != nil {
@@ -54,13 +62,16 @@ func runSession(t *testing.T, opts instrument.Options) *Advisor {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
+	launch := func() {
+		t.Helper()
 		if _, err := ctx.Launch(prog, "touch", rt.Dim(2), rt.Dim(256),
 			rt.Ptr(d), rt.I32(n)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return adv
+	launch()
+	launch()
+	return adv, launch
 }
 
 func TestAdvisorWorkflow(t *testing.T) {
@@ -85,6 +96,27 @@ func TestAdvisorWorkflow(t *testing.T) {
 	}
 	if bd.Divergent != 0 {
 		t.Errorf("divergent = %d, want 0 (uniform guard)", bd.Divergent)
+	}
+}
+
+// TestAdvisorDerivesOnce: the analyzer and report methods share one
+// analysis bundle, so an aggregate is derived once however many of them
+// read it — and a launch after that is not lost: the next read sees it.
+func TestAdvisorDerivesOnce(t *testing.T) {
+	adv, launch := openSession(t, instrument.MemoryAndBlocks())
+	md := adv.MemDivergence()
+	adv.WriteCodeCentric(&strings.Builder{}, 2)
+	adv.PredictBypassWarps(8)
+	if adv.MemDivergence() != md {
+		t.Error("memory divergence was derived again within one session state")
+	}
+	if adv.ReuseDistance(analysis.DefaultElementReuse()) != adv.ReuseDistance(analysis.DefaultElementReuse()) {
+		t.Error("reuse distance was derived again within one session state")
+	}
+	launch()
+	if got := adv.MemDivergence(); got == md || got.Total != md.Total/2*3 {
+		t.Errorf("after a third launch: total %d (same result: %v), want %d from a fresh derivation",
+			got.Total, got == md, md.Total/2*3)
 	}
 }
 

@@ -127,13 +127,13 @@ func (e Env) cacheActive() bool {
 // Cached bundles are shared across cells and must be treated as
 // immutable; uncached ones derive lazily, paying only for the analyses
 // the caller reads.
-func (e Env) resultsCell(ctx context.Context, cell string, app *apps.App, cfg gpu.ArchConfig, opts instrument.Options) (*profcache.Results, error) {
+func (e Env) resultsCell(ctx context.Context, cell string, app *apps.App, cfg gpu.ArchConfig, opts instrument.Options) (*profiler.Analyses, error) {
 	if !e.cacheActive() {
 		p, err := e.profileCell(ctx, cell, app, cfg, opts, false)
 		if err != nil {
 			return nil, err
 		}
-		return profcache.NewResults(p, cfg.L1LineSize), nil
+		return profiler.NewAnalyses(p, cfg.L1LineSize), nil
 	}
 	key := profcache.ProfileKey(app, cfg, opts, e.Scale, e.TraceCap)
 	return e.Cache.Profile(ctx, key, cfg.L1LineSize, func(ctx context.Context) (*profiler.Profiler, error) {

@@ -60,7 +60,7 @@ func Profile(app *apps.App, cfg gpu.ArchConfig, opts instrument.Options, scale i
 // each analysis bundle. With KeepGoing the per-cell errors come back
 // aligned with names and the error aggregates them.
 func profiledCells[T any](env Env, prefix string, names []string, cfg gpu.ArchConfig, opts instrument.Options,
-	pick func(name string, r *profcache.Results) T) ([]T, []error, error) {
+	pick func(name string, r *profiler.Analyses) T) ([]T, []error, error) {
 	cells := cellNames(prefix, names)
 	return runCells(env, cells, func(ctx context.Context, i int) (T, error) {
 		r, err := env.resultsCell(ctx, cells[i], apps.ByName(names[i]), cfg, opts)
@@ -90,7 +90,7 @@ var Figure4Apps = []string{"backprop", "hotspot", "lavaMD", "nw", "srad_v2", "bi
 // one pool job per application. Per-cell errors align with Figure4Apps.
 func Figure4(env Env) (map[string]*analysis.ReuseResult, []error, error) {
 	res, errs, err := profiledCells(env, "figure4", Figure4Apps, gpu.KeplerK40c(), instrument.Options{Memory: true},
-		func(_ string, r *profcache.Results) *analysis.ReuseResult { return r.ReuseElem() })
+		func(_ string, r *profiler.Analyses) *analysis.ReuseResult { return r.ReuseElem() })
 	return byName(Figure4Apps, res), errs, err
 }
 
@@ -118,7 +118,7 @@ func WriteFigure4(w io.Writer, env Env) error {
 // apps.TableOrder.
 func Figure5(env Env, cfg gpu.ArchConfig) (map[string]*analysis.MemDivResult, []error, error) {
 	res, errs, err := profiledCells(env, "figure5/"+cfg.Name, apps.TableOrder, cfg, instrument.Options{Memory: true},
-		func(_ string, r *profcache.Results) *analysis.MemDivResult { return r.MemDiv() })
+		func(_ string, r *profiler.Analyses) *analysis.MemDivResult { return r.MemDiv() })
 	return byName(apps.TableOrder, res), errs, err
 }
 
@@ -150,7 +150,7 @@ func WriteFigure5(w io.Writer, env Env) error {
 // application. Per-cell errors align with the rows.
 func Table3(env Env) ([]report.BranchRow, []error, error) {
 	return profiledCells(env, "table3", apps.TableOrder, gpu.PascalP100(), instrument.Options{Blocks: true},
-		func(name string, r *profcache.Results) report.BranchRow {
+		func(name string, r *profiler.Analyses) report.BranchRow {
 			return report.BranchRow{App: name, Result: r.BranchDiv()}
 		})
 }
@@ -237,7 +237,7 @@ func bypassStudy(env Env, prefix string, cfg gpu.ArchConfig) ([]bypass.Compariso
 			// uses the memory tracing of case studies A and B). With a
 			// cache this is the same cell Figure 5 profiles, served from
 			// one shared fill.
-			r, err := runner.DoCtx(cctx, env.Pool, func(ctx context.Context) (*profcache.Results, error) {
+			r, err := runner.DoCtx(cctx, env.Pool, func(ctx context.Context) (*profiler.Analyses, error) {
 				return env.resultsCell(ctx, cells[i], a, cfg, instrument.Options{Memory: true})
 			})
 			if err != nil {
@@ -450,7 +450,7 @@ func WriteCodeDataCentric(w io.Writer, env Env) error {
 // profile. It writes exactly the bytes the caller publishes (and
 // caches), so everything presentation-level lives here.
 func renderDebugViews(w io.Writer, p *profiler.Profiler, lineSize int) {
-	md := profcache.MergedMemDiv(p, lineSize)
+	md := profiler.NewAnalyses(p, lineSize).MemDiv()
 	fmt.Fprintln(w, "=== Figure 8: code-centric view (most memory-divergent sites) ===")
 	report.CodeCentric(w, p, md, 3)
 

@@ -64,8 +64,9 @@ func TestFoldedTotalsReconcile(t *testing.T) {
 				wantCycles += kp.Result.Cycles
 			}
 		}
-		wantLines := profcache.MergedMemDiv(p, lineSize).WeightedSum
-		wantDiv := profcache.MergedBranchDiv(p).Divergent
+		an := profiler.NewAnalyses(p, lineSize)
+		wantLines := an.MemDiv().WeightedSum
+		wantDiv := an.BranchDiv().Divergent
 		var wantReuse int64
 		for _, kp := range p.Kernels {
 			for _, s := range analysis.ReuseBySite(kp.Trace, analysis.DefaultElementReuse()) {
@@ -138,7 +139,7 @@ func TestExportSampledTraceCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := profileApp(t, env, "bfs")
-	want := profcache.MergedMemDiv(p, gpu.KeplerK40c().L1LineSize).WeightedSum
+	want := profiler.NewAnalyses(p, gpu.KeplerK40c().L1LineSize).MemDiv().WeightedSum
 	if got != want {
 		t.Errorf("sampled folded total %d != capped-profile aggregate %d (weights must not be rescaled)", got, want)
 	}

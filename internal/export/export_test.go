@@ -102,8 +102,10 @@ func TestParseFoldedSkipsCommentsAndSums(t *testing.T) {
 func corruptProfile(t *testing.T) *profiler.Profiler {
 	t.Helper()
 	p := profiler.New()
-	p.HostEnter("main", ir.Loc{File: "host.c", Line: 10, Col: 1})
-	base := p.CCT.Child(p.HostContext(), trace.Frame{Func: "kern", Loc: ir.Loc{File: "k.mir", Line: 1, Col: 1}})
+	hostMain := trace.Frame{Func: "main", Loc: ir.Loc{File: "host.c", Line: 10, Col: 1}}
+	p.HostEnter(hostMain.Func, hostMain.Loc)
+	host := p.CCT.Child(trace.Root, hostMain) // the node HostEnter pushed
+	base := p.CCT.Child(host, trace.Frame{Func: "kern", Loc: ir.Loc{File: "k.mir", Line: 1, Col: 1}})
 	tr := trace.NewKernelTrace("kern", 0, [3]int{1, 1, 1}, [3]int{32, 1, 1})
 	goodLoc := tr.Locs.Intern(ir.Loc{File: "k.mir", Line: 5, Col: 3})
 

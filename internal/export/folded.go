@@ -279,7 +279,7 @@ func WriteFolded(w io.Writer, p *profiler.Profiler, weight string, lineSize int)
 			for loc := range sites {
 				locs = append(locs, loc)
 			}
-			sortLocs(locs)
+			sort.Slice(locs, func(i, j int) bool { return locs[i].Less(locs[j]) })
 			for _, loc := range locs {
 				s := sites[loc]
 				if s.Reused == 0 {
@@ -328,17 +328,4 @@ func reuseCtx(kp *profiler.KernelProfile, loc ir.Loc) int32 {
 		}
 	}
 	return kp.BaseCtx
-}
-
-func sortLocs(locs []ir.Loc) {
-	sort.Slice(locs, func(i, j int) bool {
-		a, b := locs[i], locs[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Col < b.Col
-	})
 }

@@ -162,50 +162,38 @@ type Profile struct {
 }
 
 // CollectProfile extracts the per-site dynamic evidence from a profiler
-// run at the given cache-line size. The profiler must have run an
-// instrumented program with at least the memory and block categories
-// enabled; kernels traced without block tables contribute no block
-// evidence.
+// run at the given cache-line size, by way of the run's analysis bundle.
+// The profiler must have run an instrumented program with at least the
+// memory and block categories enabled; kernels traced without block
+// tables contribute no block evidence.
 func CollectProfile(p *profiler.Profiler, lineSize int) *Profile {
+	an := profiler.NewAnalyses(p, lineSize)
 	prof := &Profile{
 		Mem:         make(map[ir.Loc]*analysis.SiteDivergence),
 		Blocks:      make(map[BlockKey]*analysis.BlockDivergence),
-		Reuse:       make(map[ir.Loc]*analysis.SiteReuse),
+		Reuse:       an.SiteReuse(),
 		SharedMem:   make(map[ir.Loc]*analysis.SiteBankConflict),
-		SharedRaces: make(map[ir.Loc]int64),
-		MemDiv:      &analysis.MemDivResult{LineSize: lineSize},
-		BranchDiv:   &analysis.BranchDivResult{},
-		SharedBank:  &analysis.SharedBankResult{},
-	}
-	for _, kp := range p.Kernels {
-		md := analysis.MemDivergence(kp.Trace, lineSize)
-		prof.MemDiv.Merge(md)
-		prof.SharedBank.Merge(analysis.SharedBankConflicts(kp.Trace))
-		if kp.Result != nil {
-			for _, rs := range kp.Result.SharedRaces {
-				prof.SharedRaces[rs.Loc] += rs.Count
-			}
-		}
-		bd := analysis.BranchDivergence(kp.Trace, kp.Tables)
-		prof.BranchDiv.Merge(bd)
-		for _, b := range bd.Blocks() {
-			if b.Block.Func == "" {
-				continue // no tables: block ids cannot be resolved
-			}
-			k := BlockKey{Func: b.Block.Func, Block: b.Block.Block}
-			if cur, ok := prof.Blocks[k]; ok {
-				cur.Execs += b.Execs
-				cur.Divergent += b.Divergent
-				cur.Threads += b.Threads
-			} else {
-				cp := *b
-				prof.Blocks[k] = &cp
-			}
-		}
-		analysis.MergeSiteReuse(prof.Reuse, analysis.ReuseBySite(kp.Trace, analysis.DefaultElementReuse()))
+		SharedRaces: an.SharedRaces(),
+		MemDiv:      an.MemDiv(),
+		BranchDiv:   an.BranchDiv(),
+		SharedBank:  an.SharedBank(),
 	}
 	for _, s := range prof.MemDiv.Sites() {
 		prof.Mem[s.Loc] = s
+	}
+	for _, b := range prof.BranchDiv.Blocks() {
+		if b.Block.Func == "" {
+			continue // no tables: block ids cannot be resolved
+		}
+		k := BlockKey{Func: b.Block.Func, Block: b.Block.Block}
+		if cur, ok := prof.Blocks[k]; ok {
+			cur.Execs += b.Execs
+			cur.Divergent += b.Divergent
+			cur.Threads += b.Threads
+		} else {
+			cp := *b
+			prof.Blocks[k] = &cp
+		}
 	}
 	for _, s := range prof.SharedBank.Sites() {
 		prof.SharedMem[s.Loc] = s
@@ -496,14 +484,8 @@ func Rank(fs []Finding) {
 		}
 		if a.Site != b.Site {
 			sa, sb := a.Site, b.Site
-			if sa.File != sb.File {
-				return sa.File < sb.File
-			}
-			if sa.Line != sb.Line {
-				return sa.Line < sb.Line
-			}
-			if sa.Col != sb.Col {
-				return sa.Col < sb.Col
+			if sa.Loc() != sb.Loc() {
+				return sa.Loc().Less(sb.Loc())
 			}
 			if sa.Func != sb.Func {
 				return sa.Func < sb.Func

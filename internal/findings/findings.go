@@ -25,10 +25,7 @@ import (
 
 // SchemaVersion identifies the report schema. Any change to the JSON
 // shape of Report or its fields must bump the version; Decode rejects
-// every other version. v2 added the shared-memory kinds (bank-conflict,
-// shared-race) and their static/dynamic evidence fields; v3 added
-// export_frame, the finding's leaf frame in `cudaadvisor export`
-// flamegraph output.
+// every other version.
 const SchemaVersion = "advisor-report/v3"
 
 // Kind classifies a finding.
@@ -40,10 +37,10 @@ const (
 	KindAccess  Kind = "memory-access"
 	KindBarrier Kind = "divergent-barrier"
 	// KindBankConflict: a shared-memory access whose lane address pattern
-	// hits one bank with multiple distinct words (schema v2).
+	// hits one bank with multiple distinct words.
 	KindBankConflict Kind = "bank-conflict"
 	// KindSharedRace: a shared-memory read that can observe another
-	// thread's write from the same barrier interval (schema v2).
+	// thread's write from the same barrier interval.
 	KindSharedRace Kind = "shared-race"
 )
 
@@ -106,7 +103,7 @@ type StaticEvidence struct {
 	StrideBytes    int64  `json:"stride_bytes,omitempty"`
 	PredictedLines int    `json:"predicted_lines,omitempty"`
 
-	// Shared-memory findings (schema v2): the SharedDecl the address
+	// Shared-memory findings: the SharedDecl the address
 	// resolves to ("" when unknown), the predicted conflict degree, and
 	// whether the access is a warp broadcast.
 	Decl      string `json:"decl,omitempty"`
@@ -141,13 +138,13 @@ type DynamicEvidence struct {
 	ReuseSamples int64 `json:"reuse_samples,omitempty"`
 	ReuseReused  int64 `json:"reuse_reused,omitempty"`
 
-	// Bank-conflict findings (schema v2): measured average and maximum
+	// Bank-conflict findings: measured average and maximum
 	// conflict degree and the summed extra bank passes at this site.
 	MeasuredDegree float64 `json:"measured_degree,omitempty"`
 	MaxDegree      int     `json:"max_degree,omitempty"`
 	BankReplays    int64   `json:"bank_replays,omitempty"`
 
-	// Shared-race findings (schema v2): lane reads that hit a word
+	// Shared-race findings: lane reads that hit a word
 	// another thread wrote in the same barrier interval.
 	RaceReads int64 `json:"race_reads,omitempty"`
 }
@@ -167,8 +164,8 @@ type Finding struct {
 	Advice string `json:"advice"`
 
 	// ExportFrame is the finding's leaf frame in `cudaadvisor export`
-	// folded flamegraph output (schema v3): grep the folded document for
-	// this escaped frame name to see the finding's stacks and weights.
+	// folded flamegraph output: grep the folded document for this escaped
+	// frame name to see the finding's stacks and weights.
 	ExportFrame string `json:"export_frame,omitempty"`
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"cudaadvisor/internal/ir"
@@ -358,14 +357,7 @@ func (d *Device) Launch(kernel *ir.Function, p LaunchParams) (*LaunchResult, err
 		ls.res.SharedRaces = append(ls.res.SharedRaces, SharedRaceSite{Loc: loc, Count: n})
 	}
 	sort.Slice(ls.res.SharedRaces, func(i, j int) bool {
-		a, b := ls.res.SharedRaces[i].Loc, ls.res.SharedRaces[j].Loc
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Col < b.Col
+		return ls.res.SharedRaces[i].Loc.Less(ls.res.SharedRaces[j].Loc)
 	})
 	// A copy: a pointer into ls would keep the launch state, and through
 	// it the device and its memory, alive for as long as a profile
@@ -1013,6 +1005,3 @@ func (s *smShard) releaseBarrierIfReady(cta *ctaState) {
 	// shared-memory race check (a no-op when the launch is not watching).
 	cta.shared.newInterval()
 }
-
-// PopCount returns the number of set bits in a mask (helper for analyses).
-func PopCount(mask uint32) int { return bits.OnesCount32(mask) }

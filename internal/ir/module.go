@@ -3,7 +3,6 @@ package ir
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Param is a function or kernel parameter.
@@ -493,15 +492,4 @@ func (f *Function) InstrCount() int {
 		n += len(b.Instrs)
 	}
 	return n
-}
-
-// SortedFuncNames returns all function names in sorted order (for
-// deterministic iteration in reports and tests).
-func (m *Module) SortedFuncNames() []string {
-	names := make([]string, 0, len(m.Funcs))
-	for _, f := range m.Funcs {
-		names = append(names, f.Name)
-	}
-	sort.Strings(names)
-	return names
 }

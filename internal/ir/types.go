@@ -150,6 +150,18 @@ type Loc struct {
 // IsZero reports whether the location is unset.
 func (l Loc) IsZero() bool { return l.File == "" && l.Line == 0 && l.Col == 0 }
 
+// Less orders locations by file, then line, then column: the total order
+// every per-site listing that must not depend on map order falls back on.
+func (l Loc) Less(o Loc) bool {
+	if l.File != o.File {
+		return l.File < o.File
+	}
+	if l.Line != o.Line {
+		return l.Line < o.Line
+	}
+	return l.Col < o.Col
+}
+
 func (l Loc) String() string {
 	if l.IsZero() {
 		return "<unknown>"

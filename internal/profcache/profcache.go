@@ -43,12 +43,14 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"cudaadvisor/internal/analysis"
 	"cudaadvisor/internal/apps"
 	"cudaadvisor/internal/gpu"
 	"cudaadvisor/internal/instrument"
@@ -194,7 +196,7 @@ type Cache struct {
 }
 
 // entry is one single-flight slot: ready closes when val/err are set.
-// val holds the kind-specific result (*Results, CycleStats, []byte).
+// val holds the result in the type of the key's kind (lookup's T).
 type entry struct {
 	ready chan struct{}
 	val   any
@@ -206,9 +208,6 @@ type entry struct {
 func New(dir string) *Cache {
 	return &Cache{dir: dir, entries: make(map[string]*entry)}
 }
-
-// Dir returns the on-disk store directory ("" when memory-only).
-func (c *Cache) Dir() string { return c.dir }
 
 // SetMemoBudget caps the in-process memoizer at n resolved entries
 // (0 = unlimited, the CLI default — a run's working set is the run).
@@ -290,74 +289,82 @@ func wait(ctx context.Context, e *entry) error {
 	}
 }
 
-// get is the shared two-layer lookup: single-flight through the
-// memoizer, then disk load / cross-process claim / fill / publish.
-// A waiter whose owner failed retries from the top as long as its own
-// context is alive — an owner's failure (most often the owner's client
-// disconnecting mid-fill in the serve daemon) must not poison requests
-// that are still live.
-func (c *Cache) get(ctx context.Context, key Key,
-	load func(Key) (any, bool),
-	store func(Key, any),
-	fill func(context.Context) (any, error),
-) (any, error) {
+// codec is one entry kind's payload encoding: how a result becomes the
+// bytes an entry file carries, and back. decode must refuse anything
+// encode could not have written; a refusal makes the entry a bad one.
+type codec[T any] struct {
+	encode func(T) ([]byte, error)
+	decode func([]byte) (T, error)
+}
+
+// lookup is the one two-layer lookup behind every entry kind:
+// single-flight through the memoizer, then disk load / cross-process
+// claim / fill / publish. A waiter gets what its owner got, the error
+// of a failed fill included; only requests that arrive after the failure
+// run the fill again.
+func lookup[T any](ctx context.Context, c *Cache, key Key, kind codec[T], fill func(context.Context) (T, error)) (T, error) {
+	var zero T
 	id := key.ID()
-	for {
-		e, owner := c.claim(id)
-		if !owner {
-			if err := wait(ctx, e); err != nil {
-				return nil, err
-			}
-			if e.err != nil {
-				if ctx.Err() != nil {
-					return nil, e.err
-				}
-				continue // owner failed but we are live: retry the claim
-			}
-			c.memoHits.Add(1)
-			return e.val, nil
+	e, owner := c.claim(id)
+	if !owner {
+		if err := wait(ctx, e); err != nil {
+			return zero, err
 		}
-		val, err := c.fillEntry(ctx, key, id, load, store, fill)
-		if err != nil {
-			e.err = err
-			c.abandon(id)
-			close(e.ready)
-			return nil, err
-		}
-		e.val = val
-		close(e.ready)
-		c.trimMemo()
-		return val, nil
+		c.memoHits.Add(1)
+		return e.val.(T), nil
 	}
+	val, err := fillEntry(ctx, c, key, kind, fill)
+	if err != nil {
+		e.err = err
+		c.abandon(id)
+		close(e.ready)
+		return zero, err
+	}
+	e.val = val
+	close(e.ready)
+	c.trimMemo()
+	return val, nil
 }
 
 // fillEntry resolves one memoizer-owned fill against the disk layer:
 // serve from disk if published, otherwise win the cross-process claim
 // (or wait out whichever process holds it, re-checking the store
 // between backoffs) and run the fill exactly once fleet-wide.
-func (c *Cache) fillEntry(ctx context.Context, key Key, id string,
-	load func(Key) (any, bool),
-	store func(Key, any),
-	fill func(context.Context) (any, error),
-) (any, error) {
+func fillEntry[T any](ctx context.Context, c *Cache, key Key, kind codec[T], fill func(context.Context) (T, error)) (T, error) {
+	var zero T
 	if c.dir == "" {
 		val, err := fill(ctx)
 		if err != nil {
-			return nil, err
+			return zero, err
 		}
 		c.misses.Add(1)
 		return val, nil
 	}
-	var backoff time.Duration
-	for {
-		if val, ok := load(key); ok {
+	// A missing entry file is a silent miss; one that fails verification
+	// or decoding is a counted bad entry (and still a miss).
+	load := func() (val T, ok bool) {
+		raw, err := c.readEntry(key)
+		if err == nil {
+			val, err = kind.decode(raw)
+		}
+		switch {
+		case err == nil:
 			c.diskHits.Add(1)
 			c.touchEntry(key)
+			return val, true
+		case !errors.Is(err, fs.ErrNotExist):
+			c.badEntry(key)
+		}
+		return zero, false
+	}
+	var backoff time.Duration
+	for {
+		if val, ok := load(); ok {
 			return val, nil
 		}
-		release, owned, err := c.acquireFill(ctx, id, &backoff)
+		release, owned, err := c.acquireFill(ctx, key.ID(), &backoff)
 		if err != nil {
-			return nil, err
+			return zero, err
 		}
 		if !owned {
 			continue // backed off; re-check whether the holder published
@@ -365,19 +372,27 @@ func (c *Cache) fillEntry(ctx context.Context, key Key, id string,
 		// Claim held. A fill may have been published between our load
 		// and the claim (the previous holder releasing) — re-check
 		// before paying for the run.
-		if val, ok := load(key); ok {
+		if val, ok := load(); ok {
 			release()
-			c.diskHits.Add(1)
-			c.touchEntry(key)
 			return val, nil
 		}
 		val, err := fill(ctx)
 		if err != nil {
 			release()
-			return nil, err
+			return zero, err
 		}
 		c.misses.Add(1)
-		store(key, val) // atomic publish happens before the claim drops
+		// A store failure is counted, never surfaced: the run already has
+		// its result. The atomic publish happens before the claim drops.
+		raw, err := kind.encode(val)
+		if err == nil {
+			err = c.publishEntry(key, raw)
+		}
+		if err != nil {
+			c.storeErrors.Add(1)
+		} else {
+			c.stores.Add(1)
+		}
 		release()
 		c.maybeEvict()
 		return val, nil
@@ -388,166 +403,48 @@ func (c *Cache) fillEntry(ctx context.Context, key Key, id string,
 // or the disk store when possible and otherwise running fill exactly
 // once per key (single-flight, in-process and across processes):
 // concurrent requests for the same key share the one fill. fill errors
-// are returned, never cached. The returned Results is shared between
-// requesters and must be treated as immutable.
-func (c *Cache) Profile(ctx context.Context, key Key, lineSize int, fill func(context.Context) (*profiler.Profiler, error)) (*Results, error) {
-	v, err := c.get(ctx, key,
-		func(k Key) (any, bool) { r, ok := c.loadProfile(k); return r, ok },
-		func(k Key, v any) { c.storeProfile(k, v.(*Results)) },
-		func(ctx context.Context) (any, error) {
-			p, err := fill(ctx)
-			if err != nil {
-				return nil, err
-			}
-			res := NewResults(p, lineSize)
-			res.ResolveAll() // derive everything, then drop the profiler: entries stay small
-			return res, nil
-		})
-	if err != nil {
-		return nil, err
+// are returned, never cached. The bundle is detached from the run before
+// it is kept, so entries stay small; it is shared between requesters and
+// must be treated as immutable.
+func (c *Cache) Profile(ctx context.Context, key Key, lineSize int, fill func(context.Context) (*profiler.Profiler, error)) (*profiler.Analyses, error) {
+	kind := codec[*profiler.Analyses]{
+		encode: (*profiler.Analyses).MarshalJSON,
+		decode: func(raw []byte) (*profiler.Analyses, error) {
+			a := new(profiler.Analyses)
+			return a, a.UnmarshalJSON(raw)
+		},
 	}
-	return v.(*Results), nil
+	return lookup(ctx, c, key, kind, func(ctx context.Context) (*profiler.Analyses, error) {
+		p, err := fill(ctx)
+		if err != nil {
+			return nil, err
+		}
+		a := profiler.NewAnalyses(p, lineSize)
+		a.Detach()
+		return a, nil
+	})
 }
 
 // Cycles is Profile for native cycle-model runs.
 func (c *Cache) Cycles(ctx context.Context, key Key, fill func(context.Context) (CycleStats, error)) (CycleStats, error) {
-	v, err := c.get(ctx, key,
-		func(k Key) (any, bool) { cyc, ok := c.loadCycles(k); return cyc, ok },
-		func(k Key, v any) { c.storeCycles(k, v.(CycleStats)) },
-		func(ctx context.Context) (any, error) { return fill(ctx) })
-	if err != nil {
-		return CycleStats{}, err
+	asJSON := codec[CycleStats]{
+		encode: func(v CycleStats) ([]byte, error) { return json.Marshal(v) },
+		decode: func(raw []byte) (v CycleStats, err error) { err = json.Unmarshal(raw, &v); return },
 	}
-	return v.(CycleStats), nil
+	return lookup(ctx, c, key, asJSON, fill)
 }
 
 // Bytes is Profile for opaque rendered entries: fill produces the final
 // bytes (an encoded advisor report, a rendered debug view — anything
 // whose key captures every determining input), and warm runs serve them
-// without recomputing. The returned slice is shared between requesters
-// and must be treated as immutable.
+// without recomputing: the bytes are the payload. An empty result is a
+// valid entry: some views render to nothing (a folded export whose
+// weight is zero everywhere). The returned slice is shared between
+// requesters and must be treated as immutable.
 func (c *Cache) Bytes(ctx context.Context, key Key, fill func(context.Context) ([]byte, error)) ([]byte, error) {
-	v, err := c.get(ctx, key,
-		func(k Key) (any, bool) { b, ok := c.loadBytes(k); return b, ok },
-		func(k Key, v any) { c.storeBytes(k, v.([]byte)) },
-		func(ctx context.Context) (any, error) { return fill(ctx) })
-	if err != nil {
-		return nil, err
+	verbatim := codec[[]byte]{
+		encode: func(b []byte) ([]byte, error) { return b, nil },
+		decode: func(raw []byte) ([]byte, error) { return raw, nil },
 	}
-	return v.([]byte), nil
-}
-
-// Results is the analysis bundle of one profiled cell: every merged
-// analysis a figure may ask of the run. Freshly profiled bundles hold
-// the profiler and derive each analysis on first use (so an uncached
-// Figure 4 pays only for reuse distance, as before the cache existed);
-// ResolveAll forces everything and releases the profiler, which is the
-// form cache entries and disk serialization use. Results served from the
-// cache are shared between cells: treat every returned analysis as
-// immutable.
-type Results struct {
-	mu       sync.Mutex
-	p        *profiler.Profiler
-	lineSize int
-
-	reuseElem *analysis.ReuseResult
-	reuseLine *analysis.ReuseResult
-	memDiv    *analysis.MemDivResult
-	branchDiv *analysis.BranchDivResult
-}
-
-// NewResults wraps a profiling run for lazy analysis derivation at the
-// given cache-line size (the architecture's L1LineSize).
-func NewResults(p *profiler.Profiler, lineSize int) *Results {
-	return &Results{p: p, lineSize: lineSize}
-}
-
-// ReuseElem is the element-based reuse-distance profile (Figure 4).
-func (r *Results) ReuseElem() *analysis.ReuseResult {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.reuseElem == nil {
-		r.reuseElem = MergedReuse(r.p, analysis.DefaultElementReuse())
-	}
-	return r.reuseElem
-}
-
-// ReuseLine is the line-based reuse-distance profile at the cell's cache
-// line size (the R.D. input of the Eq. (1) bypass model).
-func (r *Results) ReuseLine() *analysis.ReuseResult {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.reuseLine == nil {
-		r.reuseLine = MergedReuse(r.p, analysis.LineReuse(r.lineSize))
-	}
-	return r.reuseLine
-}
-
-// MemDiv is the memory-divergence profile at the cell's line size
-// (Figure 5, and the M.D. input of the bypass model).
-func (r *Results) MemDiv() *analysis.MemDivResult {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.memDiv == nil {
-		r.memDiv = MergedMemDiv(r.p, r.lineSize)
-	}
-	return r.memDiv
-}
-
-// BranchDiv is the branch-divergence profile (Table 3); empty unless the
-// run instrumented basic blocks.
-func (r *Results) BranchDiv() *analysis.BranchDivResult {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.branchDiv == nil {
-		r.branchDiv = MergedBranchDiv(r.p)
-	}
-	return r.branchDiv
-}
-
-// ResolveAll derives every analysis and drops the profiler reference, so
-// the bundle no longer pins the raw traces. Cache entries are always
-// resolved before they are published or serialized.
-func (r *Results) ResolveAll() {
-	r.ReuseElem()
-	r.ReuseLine()
-	r.MemDiv()
-	r.BranchDiv()
-	r.mu.Lock()
-	r.p = nil
-	r.mu.Unlock()
-}
-
-// MergedReuse aggregates the reuse profile over every kernel instance of
-// the run (nil-safe: a nil profiler yields an empty profile).
-func MergedReuse(p *profiler.Profiler, opt analysis.ReuseOptions) *analysis.ReuseResult {
-	var total analysis.ReuseResult
-	if p != nil {
-		for _, kp := range p.Kernels {
-			total.Merge(analysis.ReuseDistance(kp.Trace, opt))
-		}
-	}
-	return &total
-}
-
-// MergedMemDiv aggregates memory divergence over every kernel instance.
-func MergedMemDiv(p *profiler.Profiler, lineSize int) *analysis.MemDivResult {
-	total := &analysis.MemDivResult{LineSize: lineSize}
-	if p != nil {
-		for _, kp := range p.Kernels {
-			total.Merge(analysis.MemDivergence(kp.Trace, lineSize))
-		}
-	}
-	return total
-}
-
-// MergedBranchDiv aggregates branch divergence over every kernel instance.
-func MergedBranchDiv(p *profiler.Profiler) *analysis.BranchDivResult {
-	total := &analysis.BranchDivResult{}
-	if p != nil {
-		for _, kp := range p.Kernels {
-			total.Merge(analysis.BranchDivergence(kp.Trace, kp.Tables))
-		}
-	}
-	return total
+	return lookup(ctx, c, key, verbatim, fill)
 }

@@ -36,7 +36,7 @@ func profileBFS(t *testing.T) *profiler.Profiler {
 // render exercises every analysis of a bundle the way the figures do,
 // plus full dumps of the per-site and per-block tables, so byte equality
 // here means the serialized form loses nothing any consumer reads.
-func render(res *profcache.Results) string {
+func render(res *profiler.Analyses) string {
 	var b bytes.Buffer
 	report.ReuseHistogram(&b, "bfs", res.ReuseElem())
 	report.ReuseHistogram(&b, "bfs-line", res.ReuseLine())
@@ -127,10 +127,10 @@ func TestSingleFlight(t *testing.T) {
 	c := profcache.New("")
 	app := apps.ByName("bfs")
 	var fills [keys]atomic.Int64
-	results := make([][]*profcache.Results, keys)
+	results := make([][]*profiler.Analyses, keys)
 	var wg sync.WaitGroup
 	for k := 0; k < keys; k++ {
-		results[k] = make([]*profcache.Results, waiters)
+		results[k] = make([]*profiler.Analyses, waiters)
 		key := profcache.ProfileKey(app, gpu.KeplerK40c(), instrument.Options{Memory: true}, k+1, 0)
 		for w := 0; w < waiters; w++ {
 			wg.Add(1)
@@ -155,7 +155,7 @@ func TestSingleFlight(t *testing.T) {
 		}
 		for w := 1; w < waiters; w++ {
 			if results[k][w] != results[k][0] {
-				t.Errorf("key %d waiter %d got a different Results object", k, w)
+				t.Errorf("key %d waiter %d got a different bundle", k, w)
 			}
 		}
 	}
@@ -418,7 +418,8 @@ func TestCorruptEntriesAreMisses(t *testing.T) {
 		{"header json mismatch", func(b []byte) []byte {
 			// Valid header and checksum over a payload for a different key:
 			// the embedded canonical key must reject it.
-			other := profcache.New(t.TempDir())
+			otherDir := t.TempDir()
+			other := profcache.New(otherDir)
 			if _, err := other.Cycles(context.Background(),
 				profcache.CyclesKey(apps.ByName("bfs"), gpu.KeplerK40c(), 0, 1),
 				func(context.Context) (profcache.CycleStats, error) {
@@ -426,7 +427,7 @@ func TestCorruptEntriesAreMisses(t *testing.T) {
 				}); err != nil {
 				t.Fatal(err)
 			}
-			alien, _ := filepath.Glob(filepath.Join(other.Dir(), "*.cell"))
+			alien, _ := filepath.Glob(filepath.Join(otherDir, "*.cell"))
 			raw, err := os.ReadFile(alien[0])
 			if err != nil {
 				t.Fatal(err)

@@ -1,0 +1,163 @@
+package profiler_test
+
+import (
+	"encoding/json"
+	"reflect"
+	"sync"
+	"testing"
+
+	"cudaadvisor/internal/analysis"
+	"cudaadvisor/internal/apps"
+	"cudaadvisor/internal/experiments"
+	"cudaadvisor/internal/gpu"
+	"cudaadvisor/internal/instrument"
+	"cudaadvisor/internal/ir"
+	"cudaadvisor/internal/profiler"
+)
+
+// explicit is the reference the bundle is checked against: every
+// aggregate as a plain loop over the kernel instances, in launch order.
+type explicit struct {
+	reuseElem, reuseLine analysis.ReuseResult
+	memDiv               analysis.MemDivResult
+	branchDiv            analysis.BranchDivResult
+	sharedBank           analysis.SharedBankResult
+	siteReuse            map[ir.Loc]*analysis.SiteReuse
+	sharedRaces          map[ir.Loc]int64
+}
+
+func mergeExplicitly(p *profiler.Profiler, lineSize int) *explicit {
+	e := &explicit{
+		memDiv:      analysis.MemDivResult{LineSize: lineSize},
+		siteReuse:   map[ir.Loc]*analysis.SiteReuse{},
+		sharedRaces: map[ir.Loc]int64{},
+	}
+	for _, kp := range p.Kernels {
+		e.reuseElem.Merge(analysis.ReuseDistance(kp.Trace, analysis.DefaultElementReuse()))
+		e.reuseLine.Merge(analysis.ReuseDistance(kp.Trace, analysis.LineReuse(lineSize)))
+		e.memDiv.Merge(analysis.MemDivergence(kp.Trace, lineSize))
+		e.branchDiv.Merge(analysis.BranchDivergence(kp.Trace, kp.Tables))
+		e.sharedBank.Merge(analysis.SharedBankConflicts(kp.Trace))
+		analysis.MergeSiteReuse(e.siteReuse, analysis.ReuseBySite(kp.Trace, analysis.DefaultElementReuse()))
+		for _, rs := range kp.Result.SharedRaces {
+			e.sharedRaces[rs.Loc] += rs.Count
+		}
+	}
+	return e
+}
+
+// check compares everything a bundle derives with the reference.
+func (e *explicit) check(t *testing.T, a *profiler.Analyses) {
+	t.Helper()
+	for _, c := range []struct {
+		name      string
+		got, want any
+	}{
+		{"ReuseElem", a.ReuseElem(), &e.reuseElem},
+		{"ReuseLine", a.ReuseLine(), &e.reuseLine},
+		{"MemDiv", a.MemDiv(), &e.memDiv},
+		{"BranchDiv", a.BranchDiv(), &e.branchDiv},
+		{"SharedBank", a.SharedBank(), &e.sharedBank},
+		{"SiteReuse", a.SiteReuse(), e.siteReuse},
+		{"SharedRaces", a.SharedRaces(), e.sharedRaces},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Errorf("%s: the bundle differs from the explicit per-kernel merge\n got %+v\nwant %+v", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestAnalysesEqualExplicitMerge: on bfs (a launch per frontier level,
+// so many kernel instances) and on backprop (shared memory, so the
+// bank-conflict profile is not empty) every aggregate of the bundle
+// equals the per-kernel Merge written out by hand; reading an aggregate
+// twice returns the kept result; and what a cache entry keeps of the
+// bundle survives its JSON form.
+func TestAnalysesEqualExplicitMerge(t *testing.T) {
+	cfg := gpu.KeplerK40c()
+	for _, name := range []string{"bfs", "backprop"} {
+		p, err := experiments.Profile(apps.ByName(name), cfg, instrument.MemorySharedAndBlocks(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := mergeExplicitly(p, cfg.L1LineSize)
+		if name == "bfs" && len(p.Kernels) < 8 {
+			t.Fatalf("bfs launched %d kernels; the test wants many instances", len(p.Kernels))
+		}
+		if name == "backprop" && want.sharedBank.Total == 0 {
+			t.Fatal("backprop recorded no shared-memory access")
+		}
+		a := profiler.NewAnalyses(p, cfg.L1LineSize)
+		want.check(t, a)
+		if a.MemDiv() != a.MemDiv() || a.ReuseLine() != a.Reuse(analysis.LineReuse(cfg.L1LineSize)) {
+			t.Errorf("%s: an aggregate was derived twice", name)
+		}
+
+		raw, err := json.Marshal(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Detach()
+		want.check(t, a) // everything was derived before the run was released
+		decoded := new(profiler.Analyses)
+		if err := json.Unmarshal(raw, decoded); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct{ got, want any }{
+			{decoded.ReuseElem(), &want.reuseElem}, {decoded.ReuseLine(), &want.reuseLine},
+			{decoded.MemDiv(), &want.memDiv}, {decoded.BranchDiv(), &want.branchDiv},
+		} {
+			if !reflect.DeepEqual(c.got, c.want) {
+				t.Errorf("%s: decoded bundle differs\n got %+v\nwant %+v", name, c.got, c.want)
+			}
+		}
+		if err := json.Unmarshal([]byte(`{"LineSize":128}`), new(profiler.Analyses)); err == nil {
+			t.Error("a serialized bundle without its aggregates decoded without error")
+		}
+	}
+}
+
+// TestAnalysesConcurrentFirstUse: sixteen goroutines racing to be the
+// first reader of every aggregate all get the one kept result (run under
+// -race, this is the bundle's synchronization test).
+func TestAnalysesConcurrentFirstUse(t *testing.T) {
+	cfg := gpu.KeplerK40c()
+	p, err := experiments.Profile(apps.ByName("bfs"), cfg, instrument.MemorySharedAndBlocks(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mergeExplicitly(p, cfg.L1LineSize)
+	a := profiler.NewAnalyses(p, cfg.L1LineSize)
+	const readers = 16
+	var got [readers][4]any
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// Start each reader on a different aggregate.
+			for i := 0; i < 4; i++ {
+				switch k := (g + i) % 4; k {
+				case 0:
+					got[g][k] = a.ReuseElem()
+				case 1:
+					got[g][k] = a.MemDiv()
+				case 2:
+					got[g][k] = a.BranchDiv()
+				case 3:
+					got[g][k] = a.SharedBank()
+				}
+			}
+			a.ReuseLine()
+			a.SiteReuse()
+			a.SharedRaces()
+		}(g)
+	}
+	wg.Wait()
+	for g := 1; g < readers; g++ {
+		if got[g] != got[0] {
+			t.Errorf("reader %d got its own copy of an aggregate", g)
+		}
+	}
+	want.check(t, a)
+}

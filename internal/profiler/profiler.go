@@ -107,9 +107,6 @@ func (p *Profiler) HostLeave() {
 	}
 }
 
-// HostContext returns the current CPU shadow-stack context.
-func (p *Profiler) HostContext() int32 { return p.hostCtx }
-
 // HostAlloc implements rt.Listener (malloc-family interposition).
 func (p *Profiler) HostAlloc(buf *rt.HostBuf, loc ir.Loc) {
 	p.HostAllocs = append(p.HostAllocs, &AllocRec{

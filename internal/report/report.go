@@ -8,7 +8,6 @@ package report
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"cudaadvisor/internal/analysis"
@@ -162,14 +161,4 @@ func indent(s string) string {
 func InstanceSummary(w io.Writer, kernel string, metric string, s analysis.Summary) {
 	fmt.Fprintf(w, "%-24s %-22s n=%-4d mean=%-12.2f min=%-12.2f max=%-12.2f stddev=%.2f\n",
 		kernel, metric, s.N, s.Mean, s.Min, s.Max, s.StdDev)
-}
-
-// SortedKeys returns sorted map keys (helper for deterministic output).
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -113,14 +113,6 @@ func TestInstanceSummary(t *testing.T) {
 	}
 }
 
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	got := SortedKeys(m)
-	if len(got) != 3 || got[0] != "a" || got[2] != "c" {
-		t.Errorf("SortedKeys = %v", got)
-	}
-}
-
 func TestFormatPathIndent(t *testing.T) {
 	s := indent(trace.FormatPath([]trace.Frame{{Func: "main"}}))
 	if !strings.HasPrefix(s, "    CPU 0") {

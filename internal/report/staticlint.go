@@ -112,51 +112,3 @@ func hasKind(fs []findings.Finding, k findings.Kind) bool {
 	}
 	return false
 }
-
-// AgreementRow is one application's static-vs-dynamic branch-divergence
-// cross-validation summary: of the static blocks that executed, how
-// many the analyzer flagged, how many the profiler saw diverge, and how
-// the two sets overlap.
-type AgreementRow struct {
-	App           string
-	Blocks        int // executed static blocks
-	StaticFlagged int // flagged divergent by the static analyzer
-	DynDivergent  int // observed divergent by the profiler
-	Both          int // flagged and observed
-	StaticOnly    int // flagged, never observed divergent (false positives)
-	DynOnly       int // observed, not flagged (false negatives: must be 0)
-}
-
-// RowFromAgreement adapts the unified model's cross-validation counts
-// (findings.BlockAgreement) into a table row.
-func RowFromAgreement(app string, a findings.Agreement) AgreementRow {
-	return AgreementRow{
-		App:           app,
-		Blocks:        a.Blocks,
-		StaticFlagged: a.StaticFlagged,
-		DynDivergent:  a.DynDivergent,
-		Both:          a.Both,
-		StaticOnly:    a.StaticOnly,
-		DynOnly:       a.DynOnly,
-	}
-}
-
-// Agreement returns the fraction of executed blocks where the static
-// prediction matched the dynamic observation.
-func (r AgreementRow) Agreement() float64 {
-	if r.Blocks == 0 {
-		return 1
-	}
-	return float64(r.Blocks-r.StaticOnly-r.DynOnly) / float64(r.Blocks)
-}
-
-// AgreementTable renders the cross-validation table.
-func AgreementTable(w io.Writer, rows []AgreementRow) {
-	fmt.Fprintf(w, "%-10s %7s %7s %7s %6s %11s %9s %10s\n",
-		"App", "blocks", "static", "dynamic", "both", "static-only", "dyn-only", "agreement")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s %7d %7d %7d %6d %11d %9d %9.1f%%\n",
-			r.App, r.Blocks, r.StaticFlagged, r.DynDivergent, r.Both,
-			r.StaticOnly, r.DynOnly, 100*r.Agreement())
-	}
-}

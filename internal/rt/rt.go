@@ -160,16 +160,6 @@ func (c *Context) Enter(fn string) func() {
 	return func() { c.listener.HostLeave() }
 }
 
-// EnterAt is Enter with an explicit location (for drivers that model a
-// specific source layout, e.g. the paper's bfs.cu line numbers).
-func (c *Context) EnterAt(fn string, loc ir.Loc) func() {
-	if c.listener == nil {
-		return func() {}
-	}
-	c.listener.HostEnter(fn, loc)
-	return func() { c.listener.HostLeave() }
-}
-
 // Malloc allocates a tracked host buffer (the malloc-family hook).
 func (c *Context) Malloc(n int64, label string) *HostBuf {
 	addr := c.nextHost

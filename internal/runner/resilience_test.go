@@ -57,8 +57,8 @@ func TestConcurrentAndDoRecoverPanics(t *testing.T) {
 		if !errors.As(err, &pe) || pe.Job != 1 {
 			t.Errorf("workers=%d: Concurrent err = %v, want PanicError job 1", p.Workers(), err)
 		}
-		if _, err := Do(p, func() (int, error) { panic("leaf") }); !errors.As(err, &pe) {
-			t.Errorf("workers=%d: Do err = %v, want PanicError", p.Workers(), err)
+		if _, err := DoCtx(context.Background(), p, func(context.Context) (int, error) { panic("leaf") }); !errors.As(err, &pe) {
+			t.Errorf("workers=%d: DoCtx err = %v, want PanicError", p.Workers(), err)
 		}
 	}
 }
@@ -67,7 +67,7 @@ func TestConcurrentAndDoRecoverPanics(t *testing.T) {
 // index order regardless of worker count.
 func TestMapAllKeepsGoing(t *testing.T) {
 	for _, p := range []*Pool{nil, New(3)} {
-		out, errs := MapAll(p, 8, func(i int) (int, error) {
+		out, errs := MapAllCtx(context.Background(), p, 8, func(_ context.Context, i int) (int, error) {
 			switch i {
 			case 2:
 				return 0, fmt.Errorf("cell %d failed", i)
@@ -104,7 +104,7 @@ func TestMapAllKeepsGoing(t *testing.T) {
 // keep-going annotation in `cudaadvisor all` depends on.
 func TestMapAllDeterministicErrorText(t *testing.T) {
 	render := func(p *Pool) string {
-		_, errs := MapAll(p, 12, func(i int) (int, error) {
+		_, errs := MapAllCtx(context.Background(), p, 12, func(_ context.Context, i int) (int, error) {
 			if i%3 == 0 {
 				panic(fmt.Sprintf("boom %d", i))
 			}

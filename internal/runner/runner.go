@@ -25,14 +25,14 @@
 //
 // Two layers of fan-out compose without deadlock:
 //
-//   - Map and Do gate leaf work (whole simulator runs) on the pool's
+//   - Map and DoCtx gate leaf work (whole simulator runs) on the pool's
 //     semaphore, bounding CPU-heavy concurrency to the worker count;
 //   - Concurrent fans out coordinator tasks (a figure, an app's
 //     three-way bypass comparison) on plain goroutines that hold no
 //     worker slot while they wait, so coordinators may freely submit
 //     leaf work to the same pool.
 //
-// Leaf functions must not call Map or Do themselves: a leaf holds a
+// Leaf functions must not call Map or DoCtx themselves: a leaf holds a
 // worker slot for its whole duration, and nesting gated work inside
 // gated work can exhaust the pool and deadlock at small -j. Route nested
 // fan-out through Concurrent instead — or, for divisible work inside a
@@ -223,18 +223,11 @@ func MapCtx[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.Cont
 	return out, nil
 }
 
-// MapAll is the keep-going Map: every job runs regardless of other jobs'
-// failures — serially for a nil pool, gated on the pool otherwise — and
-// the per-job results and errors come back side by side for graceful
-// degradation (annotate the injured cells, keep the healthy ones).
-func MapAll[T any](p *Pool, n int, fn func(i int) (T, error)) ([]T, []error) {
-	return MapAllCtx(context.Background(), p, n, func(_ context.Context, i int) (T, error) {
-		return fn(i)
-	})
-}
-
-// MapAllCtx is MapAll with cancellation; jobs not started when ctx ends
-// fail with ctx.Err().
+// MapAllCtx is the keep-going MapCtx: every job runs regardless of other
+// jobs' failures — serially for a nil pool, gated on the pool otherwise —
+// and the per-job results and errors come back side by side for graceful
+// degradation (annotate the injured cells, keep the healthy ones). Jobs
+// not started when ctx ends fail with ctx.Err().
 func MapAllCtx[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, []error) {
 	if p == nil {
 		out := make([]T, n)
@@ -272,14 +265,9 @@ func mapAllPooled[T any](ctx context.Context, p *Pool, n int, fn func(ctx contex
 	return out, errs
 }
 
-// Do runs one gated leaf job on the pool (inline for a nil pool). Use it
-// from Concurrent coordinators for leaf work that is not a natural Map.
-func Do[T any](p *Pool, fn func() (T, error)) (T, error) {
-	return DoCtx(context.Background(), p, func(context.Context) (T, error) { return fn() })
-}
-
-// DoCtx is Do with cancellation: the slot wait aborts when ctx ends, and
-// fn receives ctx.
+// DoCtx runs one gated leaf job on the pool (inline for a nil pool). Use
+// it from Concurrent coordinators for leaf work that is not a natural
+// Map. The slot wait aborts when ctx ends, and fn receives ctx.
 func DoCtx[T any](ctx context.Context, p *Pool, fn func(ctx context.Context) (T, error)) (T, error) {
 	if p == nil {
 		if err := ctx.Err(); err != nil {
@@ -297,7 +285,7 @@ func DoCtx[T any](ctx context.Context, p *Pool, fn func(ctx context.Context) (T,
 }
 
 // Concurrent runs fn(0) … fn(n-1) as coordinator tasks: plain goroutines
-// that hold no worker slot, so each may submit gated leaf work (Map, Do)
+// that hold no worker slot, so each may submit gated leaf work (Map, DoCtx)
 // to the same pool without risking slot-exhaustion deadlock. Results must
 // be written by index into storage owned by the caller; Concurrent joins
 // the tasks and reduces their errors like Map (lowest-index primary,

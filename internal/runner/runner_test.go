@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"sync"
@@ -169,12 +170,12 @@ func TestConcurrentCoordinatorsShareSmallPool(t *testing.T) {
 
 func TestDoGatesWork(t *testing.T) {
 	p := New(2)
-	v, err := Do(p, func() (string, error) { return "ok", nil })
+	v, err := DoCtx(context.Background(), p, func(context.Context) (string, error) { return "ok", nil })
 	if err != nil || v != "ok" {
-		t.Fatalf("Do = %q, %v", v, err)
+		t.Fatalf("DoCtx = %q, %v", v, err)
 	}
-	if _, err := Do[int](nil, func() (int, error) { return 0, errors.New("boom") }); err == nil {
-		t.Fatal("Do(nil) swallowed the error")
+	if _, err := DoCtx(context.Background(), nil, func(context.Context) (int, error) { return 0, errors.New("boom") }); err == nil {
+		t.Fatal("DoCtx(nil) swallowed the error")
 	}
 }
 
@@ -242,7 +243,7 @@ func TestPoolRaceStress(t *testing.T) {
 		for _, v := range out {
 			sum.Add(int64(v))
 		}
-		if _, err := Do(p, func() (int, error) { sum.Add(1); return 0, nil }); err != nil {
+		if _, err := DoCtx(context.Background(), p, func(context.Context) (int, error) { sum.Add(1); return 0, nil }); err != nil {
 			return err
 		}
 		_, err = Exclusive(p, func() (int, error) {

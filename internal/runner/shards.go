@@ -22,7 +22,7 @@ func (p *Pool) tryAcquire() bool {
 // a slot with a non-blocking acquire and exits when the shard queue
 // drains. The caller always participates, so Shards makes progress even
 // when the pool is fully busy — it degrades to inline serial execution —
-// and therefore, unlike Map and Do, it MAY be called from inside a gated
+// and therefore, unlike Map and DoCtx, it MAY be called from inside a gated
 // leaf job: it can only add concurrency the pool has to spare, never
 // block waiting for it.
 //

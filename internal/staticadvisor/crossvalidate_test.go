@@ -1,6 +1,7 @@
 package staticadvisor_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,7 +13,6 @@ import (
 	"cudaadvisor/internal/ir"
 	"cudaadvisor/internal/irtext"
 	"cudaadvisor/internal/profiler"
-	"cudaadvisor/internal/report"
 	"cudaadvisor/internal/rt"
 	"cudaadvisor/internal/staticadvisor"
 )
@@ -44,7 +44,11 @@ func TestCrossValidateBranchDivergence(t *testing.T) {
 		t.Skip("runs all benchmark applications")
 	}
 	cfg := gpu.KeplerK40c()
-	var rows []report.AgreementRow
+	type row struct {
+		app string
+		findings.Agreement
+	}
+	var rows []row
 	for _, app := range apps.InTableOrder() {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
@@ -75,7 +79,7 @@ func TestCrossValidateBranchDivergence(t *testing.T) {
 				t.Errorf("false negative: @%s block %s diverged in %d of %d executions but is not statically flagged (at %s)",
 					fn.Func, fn.Block, fn.Divergent, fn.Execs, fn.Loc)
 			}
-			rows = append(rows, report.RowFromAgreement(app.Name, ag))
+			rows = append(rows, row{app.Name, ag})
 
 			// The joined view: every finding must carry corroborating
 			// observations from the same run.
@@ -91,11 +95,20 @@ func TestCrossValidateBranchDivergence(t *testing.T) {
 	}
 
 	var tbl strings.Builder
-	report.AgreementTable(&tbl, rows)
+	fmt.Fprintf(&tbl, "%-10s %7s %7s %7s %6s %11s %9s %10s\n",
+		"App", "blocks", "static", "dynamic", "both", "static-only", "dyn-only", "agreement")
+	for _, r := range rows {
+		agree := 1.0
+		if r.Blocks > 0 {
+			agree = float64(r.Blocks-r.StaticOnly-r.DynOnly) / float64(r.Blocks)
+		}
+		fmt.Fprintf(&tbl, "%-10s %7d %7d %7d %6d %11d %9d %9.1f%%\n",
+			r.app, r.Blocks, r.StaticFlagged, r.DynDivergent, r.Both, r.StaticOnly, r.DynOnly, 100*agree)
+	}
 	t.Logf("static/dynamic branch-divergence agreement:\n%s", tbl.String())
 	for _, r := range rows {
 		if r.DynOnly != 0 {
-			t.Errorf("%s: %d dynamically divergent blocks missed by the static analyzer", r.App, r.DynOnly)
+			t.Errorf("%s: %d dynamically divergent blocks missed by the static analyzer", r.app, r.DynOnly)
 		}
 	}
 }
