@@ -26,10 +26,17 @@ func mkTrace(accesses []struct {
 		rec.Mask = 1
 		rec.Kind = kind
 		rec.Bits = 32
-		rec.Addrs[0] = a.elem * 4
-		tr.Mem = append(tr.Mem, rec)
+		addRec(tr, rec, [trace.WarpSize]uint64{a.elem * 4})
 	}
 	return tr
+}
+
+// addRec records rec with the given lane addresses. The traces built
+// here are unbounded, so AddMem has no error to return.
+func addRec(tr *trace.KernelTrace, rec trace.MemAccess, addrs [trace.WarpSize]uint64) {
+	if err := tr.AddMem(rec, &addrs); err != nil {
+		panic(err)
+	}
 }
 
 func acc(elems ...uint64) []struct {
@@ -109,8 +116,7 @@ func TestReuseDistanceAtomicActsAsReadAndWrite(t *testing.T) {
 		rec.Mask = 1
 		rec.Kind = kind
 		rec.Bits = 32
-		rec.Addrs[0] = elem * 4
-		tr.Mem = append(tr.Mem, rec)
+		addRec(tr, rec, [trace.WarpSize]uint64{elem * 4})
 	}
 	add(trace.Load, 3)   // inf (first)
 	add(trace.Atomic, 3) // reads: distance 0; then dirties
@@ -133,8 +139,7 @@ func TestReuseDistancePerCTA(t *testing.T) {
 		rec.Mask = 1
 		rec.Kind = trace.Load
 		rec.Bits = 32
-		rec.Addrs[0] = 400
-		tr.Mem = append(tr.Mem, rec)
+		addRec(tr, rec, [trace.WarpSize]uint64{400})
 	}
 	res := ReuseDistance(tr, DefaultElementReuse())
 	if res.Infinite != 2 {
@@ -184,12 +189,13 @@ func randomTrace(seed int64, n int) *trace.KernelTrace {
 		rec.Kind = trace.AccessKind(rng.Intn(3))
 		rec.Bits = 32
 		nLanes := 1 + rng.Intn(4)
+		var addrs [trace.WarpSize]uint64
 		for l := 0; l < nLanes; l++ {
 			lane := rng.Intn(trace.WarpSize)
 			rec.Mask |= 1 << uint(lane)
-			rec.Addrs[lane] = uint64(rng.Intn(24)) * 4
+			addrs[lane] = uint64(rng.Intn(24)) * 4
 		}
-		tr.Mem = append(tr.Mem, rec)
+		addRec(tr, rec, addrs)
 	}
 	return tr
 }
@@ -246,8 +252,9 @@ func TestMemDivergenceDistribution(t *testing.T) {
 	rec1.Mask = 0xFFFFFFFF
 	rec1.Kind = trace.Load
 	rec1.Bits = 32
+	var addrs1, addrs2 [trace.WarpSize]uint64
 	for l := 0; l < 32; l++ {
-		rec1.Addrs[l] = 0x1000 + uint64(4*l)
+		addrs1[l] = 0x1000 + uint64(4*l)
 	}
 	// Record 2: fully diverged.
 	var rec2 trace.MemAccess
@@ -255,11 +262,12 @@ func TestMemDivergenceDistribution(t *testing.T) {
 	rec2.Kind = trace.Load
 	rec2.Bits = 32
 	for l := 0; l < 32; l++ {
-		rec2.Addrs[l] = uint64(l) * 4096
+		addrs2[l] = uint64(l) * 4096
 	}
 	rec1.Loc = tr.Locs.Intern(loc("k.cu", 10))
 	rec2.Loc = tr.Locs.Intern(loc("k.cu", 20))
-	tr.Mem = append(tr.Mem, rec1, rec2)
+	addRec(tr, rec1, addrs1)
+	addRec(tr, rec2, addrs2)
 
 	res := MemDivergence(tr, 128)
 	if res.Total != 2 {
@@ -286,10 +294,11 @@ func TestMemDivergenceLineSizeMatters(t *testing.T) {
 	rec.Mask = 0xFFFFFFFF
 	rec.Kind = trace.Load
 	rec.Bits = 32
+	var addrs [trace.WarpSize]uint64
 	for l := 0; l < 32; l++ {
-		rec.Addrs[l] = uint64(4 * l) // 128 contiguous bytes
+		addrs[l] = uint64(4 * l) // 128 contiguous bytes
 	}
-	tr.Mem = append(tr.Mem, rec)
+	addRec(tr, rec, addrs)
 	if got := MemDivergence(tr, 128).Degree(); got != 1 {
 		t.Errorf("kepler degree = %g, want 1", got)
 	}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"math/bits"
 	"sort"
 
 	"cudaadvisor/internal/instrument"
@@ -115,7 +116,7 @@ func BranchDivergence(tr *trace.KernelTrace, tables *instrument.Tables) *BranchD
 			res.blocks[be.Block] = b
 		}
 		b.Execs++
-		b.Threads += int64(popcount(be.Mask))
+		b.Threads += int64(bits.OnesCount32(be.Mask))
 		if div {
 			b.Divergent++
 		}

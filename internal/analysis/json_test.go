@@ -20,10 +20,11 @@ func jsonKernel(k int) *trace.KernelTrace {
 	for s, at := range []ir.Loc{{File: "k.mir", Line: 7, Col: 3}, {File: "k.mir", Line: 7, Col: 9}, {File: "j.mir", Line: 2, Col: 1}} {
 		rec := trace.MemAccess{Mask: 0xFFFFFFFF, Kind: trace.Load, Space: ir.Global, Bits: 32,
 			Loc: tr.Locs.Intern(at), Ctx: int32(10*k + s)}
-		for l := range rec.Addrs {
-			rec.Addrs[l] = uint64(l * 4 * (1 + k*(s+1)))
+		var addrs [trace.WarpSize]uint64
+		for l := range addrs {
+			addrs[l] = uint64(l * 4 * (1 + k*(s+1)))
 		}
-		tr.Mem = append(tr.Mem, rec)
+		addRec(tr, rec, addrs)
 	}
 	for b := int32(0); b < 3; b++ {
 		be := trace.BlockExec{Block: b, Mask: 0xFFFFFFFF, InitMask: 0xFFFFFFFF,

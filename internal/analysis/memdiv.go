@@ -134,12 +134,14 @@ func (r *MemDivResult) Merge(other *MemDivResult) {
 func MemDivergence(tr *trace.KernelTrace, lineSize int) *MemDivResult {
 	res := &MemDivResult{LineSize: lineSize, sites: make(map[siteKey]*SiteDivergence)}
 	res.EventsRecorded, res.EventsSeen = tr.MemCoverage()
+	var addrs [trace.WarpSize]uint64
 	for i := range tr.Mem {
 		m := &tr.Mem[i]
 		if m.Space != ir.Global {
 			continue
 		}
-		n := gpu.UniqueLines(m.Mask, &m.Addrs, int(m.Bits)/8, lineSize)
+		tr.LaneAddrs(m, &addrs)
+		n := gpu.UniqueLines(m.Mask, &addrs, int(m.Bits)/8, lineSize)
 		if n == 0 {
 			continue
 		}

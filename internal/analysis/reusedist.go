@@ -7,7 +7,9 @@ package analysis
 
 import (
 	"fmt"
+	"math/bits"
 
+	"cudaadvisor/internal/ir"
 	"cudaadvisor/internal/trace"
 )
 
@@ -167,241 +169,307 @@ func (r *ReuseResult) Merge(other *ReuseResult) {
 func ReuseDistance(tr *trace.KernelTrace, opt ReuseOptions) *ReuseResult {
 	res := &ReuseResult{}
 	res.EventsRecorded, res.EventsSeen = tr.MemCoverage()
-	for _, cta := range groupByCTA(tr, opt.GlobalOnly) {
-		analyzeCTAReuse(cta, opt.Granularity, res)
-	}
+	walkReuse(tr, opt, res, nil)
 	return res
 }
 
 // elemKey maps an access to its element identity: the aligned address at
 // the fixed granularity, or at the access's own width in element mode.
-func elemKey(addr uint64, bits uint8, gran int) uint64 {
+func elemKey(addr uint64, width uint8, gran int) uint64 {
 	if gran > 0 {
 		return addr / uint64(gran)
 	}
-	size := uint64(bits) / 8
+	size := uint64(width) / 8
 	if size == 0 {
 		size = 1
 	}
 	return addr &^ (size - 1)
 }
 
-// ctaAccess is one per-thread access in CTA program order.
-type ctaAccess struct {
-	elem  uint64
-	write bool
-}
-
-// groupByCTA regroups the warp-level trace into per-CTA, per-thread
-// access sequences, preserving execution order within each CTA.
-func groupByCTA(tr *trace.KernelTrace, globalOnly bool) map[int32][]trace.MemAccess {
-	out := make(map[int32][]trace.MemAccess)
+// groupByCTA regroups the warp-level trace by CTA with one counting
+// sort: per CTA id (they are dense), the indices into tr.Mem of that
+// CTA's records in execution order.
+func groupByCTA(tr *trace.KernelTrace, globalOnly bool) [][]int32 {
+	var counts []int32
+	keep := func(m *trace.MemAccess) bool { return !globalOnly || m.Space == 0 } // ir.Global == 0
+	total := 0
 	for i := range tr.Mem {
-		m := &tr.Mem[i]
-		if globalOnly && m.Space != 0 { // ir.Global == 0
-			continue
+		if m := &tr.Mem[i]; keep(m) {
+			for int(m.CTA) >= len(counts) {
+				counts = append(counts, 0)
+			}
+			counts[m.CTA]++
+			total++
 		}
-		out[m.CTA] = append(out[m.CTA], *m)
+	}
+	order := make([]int32, total)
+	out := make([][]int32, len(counts))
+	for cta, n := 0, 0; cta < len(counts); cta++ {
+		out[cta] = order[n : n : n+int(counts[cta])]
+		n += int(counts[cta])
+	}
+	for i := range tr.Mem {
+		if m := &tr.Mem[i]; keep(m) {
+			out[m.CTA] = append(out[m.CTA], int32(i))
+		}
 	}
 	return out
 }
 
+// elemState is what the walk knows about one element of the current
+// CTA, stored inline in the walker's table.
 type elemState struct {
-	lastTime int64 // BIT position of the last read, -1 if none
-	dirty    bool  // written since the last read
-	reads    int64 // reads in the current CTA
+	elem     uint64
+	cta      uint32 // walker.cta when the slot was claimed; any other value means free
+	lastTime int32  // timestamp of the last read, 0 if none
+	lastSite int32  // siteIndex of the last read
+	dirty    bool   // written since the last read
+	reread   bool   // read more than once (maintained for the histogram only)
 }
 
-func analyzeCTAReuse(records []trace.MemAccess, gran int, res *ReuseResult) {
-	// Count reads to size the Fenwick tree.
-	nReads := int64(0)
-	for i := range records {
-		if records[i].Kind != trace.Store {
-			nReads += int64(popcount(records[i].Mask))
+// reuseWalker holds what one derivation reuses across its CTAs: the
+// timestamp tree and an open-addressed, linearly probed table of element
+// state (slots of earlier CTAs are free by their stamp, never cleared).
+type reuseWalker struct {
+	slots []elemState // power-of-two length, at most half full
+	live  int         // slots claimed by the current CTA
+	cta   uint32      // stamp of the current CTA, from 1
+	tree  fenwick
+}
+
+// state returns the slot of elem in the current CTA, claiming one (zero
+// state) at its first access.
+func (w *reuseWalker) state(elem uint64) *elemState {
+	if 2*w.live >= len(w.slots) {
+		old := w.slots
+		w.slots = make([]elemState, max(1024, 2*len(old)))
+		w.live = 0
+		for i := range old {
+			if old[i].cta == w.cta {
+				*w.state(old[i].elem) = old[i]
+			}
 		}
 	}
-	bit := newFenwick(nReads + 1)
-	state := make(map[uint64]*elemState)
-	t := int64(0)
+	mask := len(w.slots) - 1 // the hash's top log2(len) bits pick the first slot
+	for i := int(elem * 0x9E3779B97F4A7C15 >> bits.LeadingZeros64(uint64(mask))); ; i = (i + 1) & mask {
+		s := &w.slots[i]
+		if s.cta != w.cta {
+			*s = elemState{elem: elem, cta: w.cta}
+			w.live++
+			return s
+		}
+		if s.elem == elem {
+			return s
+		}
+	}
+}
 
-	singleUse := make(map[uint64]bool) // element -> read exactly once
-
-	for i := range records {
-		m := &records[i]
-		isWrite := m.Kind == trace.Store
-		isAtomic := m.Kind == trace.Atomic
-		for lane := 0; lane < trace.WarpSize; lane++ {
-			if m.Mask&(1<<uint(lane)) == 0 {
-				continue
-			}
-			elem := elemKey(m.Addrs[lane], m.Bits, gran)
-			st := state[elem]
-			if st == nil {
-				st = &elemState{lastTime: -1}
-				state[elem] = st
-			}
-			if !isWrite { // loads and atomics read
-				t++
-				res.Samples++
-				if st.lastTime >= 0 {
-					bit.add(st.lastTime, -1)
-					if !st.dirty {
-						d := bit.rangeSum(st.lastTime+1, t-1)
-						res.Buckets[reuseBucket(d)]++
-						res.FiniteSum += d
-						res.FiniteN++
-						if d <= ReuseBucketBounds[len(ReuseBucketBounds)-1] {
-							res.TrimSum += d
-							res.TrimN++
-						}
-						if d > res.FiniteMax {
-							res.FiniteMax = d
-						}
-					} else {
-						res.Buckets[NumReuseBuckets-1]++
-						res.Infinite++
-					}
-				} else {
-					res.Buckets[NumReuseBuckets-1]++
-					res.Infinite++
+// walkReuse is the one traversal behind ReuseDistance and ReuseBySite:
+// every CTA's lane accesses in execution order under the per-CTA,
+// write-restart model. With res set it accumulates the distance
+// histogram (the timestamp tree is only maintained then); with sites set
+// (a newSiteTable), per-site forward reuse: when an element is re-read
+// with no intervening write, the site of the PREVIOUS read gets the
+// credit — its load brought in data worth caching.
+func walkReuse(tr *trace.KernelTrace, opt ReuseOptions, res *ReuseResult, sites []SiteReuse) {
+	var w reuseWalker
+	var addrs [trace.WarpSize]uint64
+	for _, records := range groupByCTA(tr, opt.GlobalOnly) {
+		w.cta++
+		w.live = 0
+		if res != nil {
+			w.tree.reset(trace.WarpSize * len(records)) // a timestamp per read, at most
+		}
+		// t is the timestamp of the newest read, marks the number of
+		// elements read so far: each has one mark in the tree.
+		t, marks := int32(0), int32(0)
+		for _, i := range records {
+			m := &tr.Mem[i]
+			tr.LaneAddrs(m, &addrs)
+			site := siteIndex(tr, m.Loc)
+			var st *elemState
+			for rest := m.Mask; rest != 0; rest &= rest - 1 {
+				// Neighbouring lanes often share an element (a broadcast,
+				// a line): look it up once.
+				if elem := elemKey(addrs[bits.TrailingZeros32(rest)], m.Bits, opt.Granularity); st == nil || st.elem != elem {
+					st = w.state(elem)
 				}
-				bit.add(t, 1)
-				st.lastTime = t
-				st.dirty = false
-				st.reads++
-				singleUse[elem] = st.reads == 1
+				if m.Kind != trace.Store { // loads and atomics read
+					reused := st.lastTime > 0 && !st.dirty
+					// Re-reading the element read last moves nothing: its
+					// mark is already the newest, at distance 0.
+					newest := st.lastTime == t && t > 0
+					if res != nil {
+						res.Samples++
+						switch {
+						case st.lastTime == 0:
+							res.Streaming++ // read exactly once so far
+							marks++
+						case !st.reread:
+							res.Streaming--
+							st.reread = true
+						}
+						switch {
+						case !reused:
+							res.Buckets[NumReuseBuckets-1]++
+							res.Infinite++
+						case newest:
+							res.addFinite(0)
+						default: // the marks after this element's own
+							res.addFinite(int64(marks - w.tree.prefix(int(st.lastTime))))
+						}
+						if !newest {
+							if st.lastTime > 0 {
+								w.tree.add(int(st.lastTime), -1)
+							}
+							w.tree.add(int(t+1), 1)
+						}
+					}
+					if sites != nil {
+						sites[site].Samples++
+						if reused {
+							sites[st.lastSite].Reused++
+						}
+					}
+					if !newest {
+						t++
+					}
+					st.lastTime, st.lastSite, st.dirty = t, site, false
+				}
+				if m.Kind != trace.Load { // stores and atomics write
+					st.dirty = true
+				}
 			}
-			if isWrite || isAtomic {
-				st.dirty = true
-			}
-		}
-	}
-	for _, once := range singleUse {
-		if once {
-			res.Streaming++
 		}
 	}
 }
 
-func popcount(m uint32) int {
-	n := 0
-	for ; m != 0; m &= m - 1 {
-		n++
+// addFinite accounts one read at finite reuse distance d.
+func (r *ReuseResult) addFinite(d int64) {
+	r.Buckets[reuseBucket(d)]++
+	r.FiniteSum += d
+	r.FiniteN++
+	if d <= ReuseBucketBounds[len(ReuseBucketBounds)-1] {
+		r.TrimSum += d
+		r.TrimN++
 	}
-	return n
+	if d > r.FiniteMax {
+		r.FiniteMax = d
+	}
 }
 
 // fenwick is a Fenwick tree (binary indexed tree) over access timestamps:
 // a 1 at position t marks "some element's most recent read was at t", so
-// a range sum counts distinct elements read in a window — the O(log n)
-// engine behind the reuse-distance analysis.
-type fenwick struct {
-	tree []int64
+// the marks after a position count the distinct elements read since —
+// the O(log n) engine behind the reuse-distance analysis.
+type fenwick []int32
+
+// reset empties the tree and sizes it for timestamps 1..n.
+func (f *fenwick) reset(n int) {
+	if cap(*f) <= n {
+		*f = make(fenwick, n+1)
+		return
+	}
+	*f = (*f)[:n+1]
+	clear(*f)
 }
 
-func newFenwick(n int64) *fenwick { return &fenwick{tree: make([]int64, n+1)} }
-
-func (f *fenwick) add(pos int64, delta int64) {
-	for i := pos + 1; i < int64(len(f.tree)); i += i & (-i) {
-		f.tree[i] += delta
+// add moves the count at timestamp t by delta.
+func (f fenwick) add(t int, delta int32) {
+	for ; t < len(f); t += t & (-t) {
+		f[t] += delta
 	}
 }
 
-func (f *fenwick) prefix(pos int64) int64 {
-	s := int64(0)
-	if pos >= int64(len(f.tree))-1 {
-		pos = int64(len(f.tree)) - 2
-	}
-	for i := pos + 1; i > 0; i -= i & (-i) {
-		s += f.tree[i]
+// prefix counts the marks at timestamps 1..t.
+func (f fenwick) prefix(t int) int32 {
+	s := int32(0)
+	for ; t > 0; t -= t & (-t) {
+		s += f[t]
 	}
 	return s
 }
 
-func (f *fenwick) rangeSum(lo, hi int64) int64 {
-	if hi < lo {
-		return 0
-	}
-	return f.prefix(hi) - f.prefix(lo-1)
+// ctaAccess is one per-thread access in CTA program order.
+type ctaAccess struct {
+	elem  uint64
+	site  int32 // siteIndex
+	write bool
 }
 
-// NaiveReuseDistance is an O(N^2) reference implementation used by the
-// property tests to validate the Fenwick-tree engine.
-func NaiveReuseDistance(tr *trace.KernelTrace, opt ReuseOptions) *ReuseResult {
+// naiveReuse is the O(N^2) reference the property tests validate the
+// walker against: it spells out each CTA's per-thread access sequence
+// (an atomic is a read, then a write) and scans backwards from every
+// read for the read it reuses.
+func naiveReuse(tr *trace.KernelTrace, opt ReuseOptions) (*ReuseResult, map[ir.Loc]*SiteReuse) {
 	res := &ReuseResult{}
 	res.EventsRecorded, res.EventsSeen = tr.MemCoverage()
+	sites := newSiteTable(tr)
+	var addrs [trace.WarpSize]uint64
 	for _, records := range groupByCTA(tr, opt.GlobalOnly) {
 		var seq []ctaAccess
-		for i := range records {
-			m := &records[i]
+		for _, i := range records {
+			m := &tr.Mem[i]
+			tr.LaneAddrs(m, &addrs)
 			for lane := 0; lane < trace.WarpSize; lane++ {
 				if m.Mask&(1<<uint(lane)) == 0 {
 					continue
 				}
-				elem := elemKey(m.Addrs[lane], m.Bits, opt.Granularity)
+				a := ctaAccess{elem: elemKey(addrs[lane], m.Bits, opt.Granularity), site: siteIndex(tr, m.Loc)}
 				if m.Kind != trace.Store {
-					seq = append(seq, ctaAccess{elem: elem})
+					seq = append(seq, a)
 				}
 				if m.Kind != trace.Load {
-					seq = append(seq, ctaAccess{elem: elem, write: true})
+					a.write = true
+					seq = append(seq, a)
 				}
 			}
 		}
-		naiveCTAReuse(seq, res)
+		reads := make(map[uint64]int64)
+		for i, a := range seq {
+			if a.write {
+				continue
+			}
+			reads[a.elem]++
+			res.Samples++
+			sites[a.site].Samples++
+			// The previous access to the element is the read this one
+			// reuses, unless it is a write: then the distance is infinite.
+			prev := i - 1
+			for prev >= 0 && seq[prev].elem != a.elem {
+				prev--
+			}
+			if prev < 0 || seq[prev].write {
+				res.Buckets[NumReuseBuckets-1]++
+				res.Infinite++
+				continue
+			}
+			sites[seq[prev].site].Reused++
+			distinct := map[uint64]bool{}
+			for j := prev + 1; j < i; j++ {
+				if !seq[j].write {
+					distinct[seq[j].elem] = true
+				}
+			}
+			res.addFinite(int64(len(distinct)))
+		}
+		for _, n := range reads {
+			if n == 1 {
+				res.Streaming++
+			}
+		}
 	}
+	return res, sitesByLoc(tr, sites)
+}
+
+// NaiveReuseDistance is the O(N^2) reference for ReuseDistance.
+func NaiveReuseDistance(tr *trace.KernelTrace, opt ReuseOptions) *ReuseResult {
+	res, _ := naiveReuse(tr, opt)
 	return res
 }
 
-func naiveCTAReuse(seq []ctaAccess, res *ReuseResult) {
-	reads := make(map[uint64]int64)
-	for i, a := range seq {
-		if a.write {
-			continue
-		}
-		reads[a.elem]++
-		res.Samples++
-		// Scan backwards for the previous read; a write to the same
-		// element in between makes the distance infinite.
-		prev := -1
-		dirty := false
-		for j := i - 1; j >= 0; j-- {
-			if seq[j].elem != a.elem {
-				continue
-			}
-			if seq[j].write {
-				dirty = true
-				break
-			}
-			prev = j
-			break
-		}
-		if prev < 0 || dirty {
-			res.Buckets[NumReuseBuckets-1]++
-			res.Infinite++
-			continue
-		}
-		distinct := map[uint64]bool{}
-		for j := prev + 1; j < i; j++ {
-			if !seq[j].write && seq[j].elem != a.elem {
-				distinct[seq[j].elem] = true
-			}
-		}
-		d := int64(len(distinct))
-		res.Buckets[reuseBucket(d)]++
-		res.FiniteSum += d
-		res.FiniteN++
-		if d <= ReuseBucketBounds[len(ReuseBucketBounds)-1] {
-			res.TrimSum += d
-			res.TrimN++
-		}
-		if d > res.FiniteMax {
-			res.FiniteMax = d
-		}
-	}
-	for _, n := range reads {
-		if n == 1 {
-			res.Streaming++
-		}
-	}
-	return
+// NaiveReuseBySite is the O(N^2) reference for ReuseBySite.
+func NaiveReuseBySite(tr *trace.KernelTrace, opt ReuseOptions) map[ir.Loc]*SiteReuse {
+	_, sites := naiveReuse(tr, opt)
+	return sites
 }

@@ -117,12 +117,14 @@ func (r *SharedBankResult) Merge(other *SharedBankResult) {
 func SharedBankConflicts(tr *trace.KernelTrace) *SharedBankResult {
 	res := &SharedBankResult{sites: make(map[siteKey]*SiteBankConflict)}
 	res.EventsRecorded, res.EventsSeen = tr.MemCoverage()
+	var addrs [trace.WarpSize]uint64
 	for i := range tr.Mem {
 		m := &tr.Mem[i]
 		if m.Space != ir.Shared {
 			continue
 		}
-		n := gpu.BankConflictDegree(m.Mask, &m.Addrs, int(m.Bits)/8)
+		tr.LaneAddrs(m, &addrs)
+		n := gpu.BankConflictDegree(m.Mask, &addrs, int(m.Bits)/8)
 		res.Dist[n]++
 		res.Total++
 		res.Replays += int64(n - 1)

@@ -30,19 +30,30 @@ func (s *SiteReuse) StreamFraction() float64 {
 // the same per-CTA, write-restart model as ReuseDistance. Each read
 // access is attributed to the source location of its load.
 func ReuseBySite(tr *trace.KernelTrace, opt ReuseOptions) map[ir.Loc]*SiteReuse {
-	byID := make(map[int32]*SiteReuse)
-	for _, records := range groupByCTA(tr, opt.GlobalOnly) {
-		analyzeCTASiteReuse(records, opt.Granularity, byID)
-	}
-	out := make(map[ir.Loc]*SiteReuse, len(byID))
-	for id, s := range byID {
-		loc := tr.Locs.Loc(id)
-		if cur, ok := out[loc]; ok {
-			cur.Samples += s.Samples
-			cur.Reused += s.Reused
-		} else {
-			s.Loc = loc
-			out[loc] = s
+	sites := newSiteTable(tr)
+	walkReuse(tr, opt, nil, sites)
+	return sitesByLoc(tr, sites)
+}
+
+// newSiteTable returns one counter per interned location of tr, indexed
+// by Loc id, and a last one that siteIndex gives every other id (they
+// all resolve to trace.UnknownLoc, which no table interns).
+func newSiteTable(tr *trace.KernelTrace) []SiteReuse {
+	return make([]SiteReuse, tr.Locs.Len()+1)
+}
+
+func siteIndex(tr *trace.KernelTrace, id int32) int32 {
+	return int32(min(uint32(id), uint32(tr.Locs.Len()))) // a negative id is a large one
+}
+
+// sitesByLoc keys the counters of the sites that issued reads by their
+// location in tr.
+func sitesByLoc(tr *trace.KernelTrace, sites []SiteReuse) map[ir.Loc]*SiteReuse {
+	out := make(map[ir.Loc]*SiteReuse)
+	for id := range sites {
+		if s := &sites[id]; s.Samples > 0 {
+			s.Loc = tr.Locs.Loc(int32(id))
+			out[s.Loc] = s
 		}
 	}
 	return out
@@ -57,54 +68,6 @@ func MergeSiteReuse(dst, src map[ir.Loc]*SiteReuse) {
 		} else {
 			cp := *s
 			dst[loc] = &cp
-		}
-	}
-}
-
-// analyzeCTASiteReuse attributes forward reuse: when an element is
-// re-read (with no intervening write), the site of the PREVIOUS read gets
-// the credit — its load brought in data that was worth caching.
-func analyzeCTASiteReuse(records []trace.MemAccess, gran int, sites map[int32]*SiteReuse) {
-	type st struct {
-		lastSite int32
-		seen     bool
-		dirty    bool
-	}
-	state := make(map[uint64]*st)
-	site := func(id int32) *SiteReuse {
-		s := sites[id]
-		if s == nil {
-			s = &SiteReuse{}
-			sites[id] = s
-		}
-		return s
-	}
-	for i := range records {
-		m := &records[i]
-		isWrite := m.Kind == trace.Store
-		isAtomic := m.Kind == trace.Atomic
-		for lane := 0; lane < trace.WarpSize; lane++ {
-			if m.Mask&(1<<uint(lane)) == 0 {
-				continue
-			}
-			elem := elemKey(m.Addrs[lane], m.Bits, gran)
-			es := state[elem]
-			if es == nil {
-				es = &st{}
-				state[elem] = es
-			}
-			if !isWrite {
-				site(m.Loc).Samples++
-				if es.seen && !es.dirty {
-					site(es.lastSite).Reused++
-				}
-				es.seen = true
-				es.dirty = false
-				es.lastSite = m.Loc
-			}
-			if isWrite || isAtomic {
-				es.dirty = true
-			}
 		}
 	}
 }

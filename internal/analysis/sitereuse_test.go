@@ -24,9 +24,8 @@ func mkSiteTrace(accesses []struct {
 		rec.Mask = 1
 		rec.Kind = kind
 		rec.Bits = 32
-		rec.Addrs[0] = a.elem * 4
 		rec.Loc = tr.Locs.Intern(ir.Loc{File: "k.mir", Line: a.line})
-		tr.Mem = append(tr.Mem, rec)
+		addRec(tr, rec, [trace.WarpSize]uint64{a.elem * 4})
 	}
 	return tr
 }
@@ -130,9 +129,8 @@ func TestReuseBySitePerCTA(t *testing.T) {
 		rec.Mask = 1
 		rec.Kind = trace.Load
 		rec.Bits = 32
-		rec.Addrs[0] = 400
 		rec.Loc = loc
-		tr.Mem = append(tr.Mem, rec)
+		addRec(tr, rec, [trace.WarpSize]uint64{400})
 	}
 	sites := ReuseBySite(tr, DefaultElementReuse())
 	s := sites[ir.Loc{File: "k.mir", Line: 10}]

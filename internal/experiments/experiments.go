@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"runtime"
 
 	"cudaadvisor/internal/analysis"
@@ -36,6 +37,7 @@ import (
 	"cudaadvisor/internal/report"
 	"cudaadvisor/internal/rt"
 	"cudaadvisor/internal/runner"
+	"cudaadvisor/internal/trace"
 )
 
 // newContext is the one place a cell gets its simulated machine: a fresh
@@ -470,12 +472,10 @@ func renderDebugViews(w io.Writer, p *profiler.Profiler, lineSize int) {
 			if kp.Trace.Locs.Loc(m.Loc) != worst.Loc || m.Mask == 0 {
 				continue
 			}
-			for l := 0; l < 32; l++ {
-				if m.Mask&(1<<uint(l)) != 0 {
-					report.DataCentric(w, p, m.Addrs[l])
-					return
-				}
-			}
+			var addrs [trace.WarpSize]uint64
+			kp.Trace.LaneAddrs(m, &addrs)
+			report.DataCentric(w, p, addrs[bits.TrailingZeros32(m.Mask)])
+			return
 		}
 	}
 	fmt.Fprintf(w, "(no trace record with active lanes matches the worst site %s)\n", worst.Loc)

@@ -111,11 +111,12 @@ func corruptProfile(t *testing.T) *profiler.Profiler {
 
 	good := trace.MemAccess{Mask: 0xF, Space: ir.Global, Bits: 32, Loc: goodLoc, Ctx: base}
 	bad := trace.MemAccess{Mask: 0xF, Space: ir.Global, Bits: 32, Loc: 999, Ctx: 9999}
-	for i := 0; i < 4; i++ {
-		good.Addrs[i] = uint64(i) * 4
-		bad.Addrs[i] = uint64(i) * 4
+	addrs := [trace.WarpSize]uint64{0, 4, 8, 12}
+	for _, rec := range []trace.MemAccess{good, bad} {
+		if err := tr.AddMem(rec, &addrs); err != nil {
+			t.Fatal(err)
+		}
 	}
-	tr.Mem = append(tr.Mem, good, bad)
 	tr.Blocks = append(tr.Blocks,
 		trace.BlockExec{Mask: 1, InitMask: 3, Loc: -5, Ctx: -2})
 	p.Kernels = append(p.Kernels, &profiler.KernelProfile{Trace: tr, BaseCtx: base})

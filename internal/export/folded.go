@@ -234,6 +234,15 @@ func Partial(p *profiler.Profiler) bool {
 // analyses over the same recorded events.
 func WriteFolded(w io.Writer, p *profiler.Profiler, weight string, lineSize int) error {
 	agg := map[string]int64{}
+	// site is a leaf in ids (context, location of one kernel's trace):
+	// per-record weights sum under it and each renders once, in addSites.
+	type site struct{ ctx, loc int32 }
+	addSites := func(kp *profiler.KernelProfile, sums map[site]int64) {
+		for k, n := range sums {
+			stack := append(stackOf(p.CCT, k.ctx, kp.BaseCtx), SiteFrame(kp.Trace.Locs.Loc(k.loc)))
+			agg[strings.Join(stack, ";")] += n
+		}
+	}
 	switch weight {
 	case WeightCycles:
 		for _, kp := range p.Kernels {
@@ -244,48 +253,44 @@ func WriteFolded(w io.Writer, p *profiler.Profiler, weight string, lineSize int)
 			agg[strings.Join(stack, ";")] += kp.Result.Cycles
 		}
 	case WeightLines:
+		var addrs [trace.WarpSize]uint64
 		for _, kp := range p.Kernels {
+			sums := map[site]int64{}
 			for i := range kp.Trace.Mem {
 				m := &kp.Trace.Mem[i]
 				if m.Space != ir.Global {
 					continue
 				}
-				n := gpu.UniqueLines(m.Mask, &m.Addrs, int(m.Bits)/8, lineSize)
+				kp.Trace.LaneAddrs(m, &addrs)
+				n := gpu.UniqueLines(m.Mask, &addrs, int(m.Bits)/8, lineSize)
 				if n == 0 {
 					continue
 				}
 				if n > gpu.WarpSize {
 					n = gpu.WarpSize
 				}
-				stack := append(stackOf(p.CCT, m.Ctx, kp.BaseCtx), SiteFrame(kp.Trace.Locs.Loc(m.Loc)))
-				agg[strings.Join(stack, ";")] += int64(n)
+				sums[site{m.Ctx, m.Loc}] += int64(n)
 			}
+			addSites(kp, sums)
 		}
 	case WeightDivergence:
 		for _, kp := range p.Kernels {
+			sums := map[site]int64{}
 			for i := range kp.Trace.Blocks {
-				be := &kp.Trace.Blocks[i]
-				if !be.Divergent() {
-					continue
+				if be := &kp.Trace.Blocks[i]; be.Divergent() {
+					sums[site{be.Ctx, be.Loc}]++
 				}
-				stack := append(stackOf(p.CCT, be.Ctx, kp.BaseCtx), SiteFrame(kp.Trace.Locs.Loc(be.Loc)))
-				agg[strings.Join(stack, ";")]++
 			}
+			addSites(kp, sums)
 		}
 	case WeightReuse:
 		for _, kp := range p.Kernels {
-			sites := analysis.ReuseBySite(kp.Trace, analysis.DefaultElementReuse())
-			locs := make([]ir.Loc, 0, len(sites))
-			for loc := range sites {
-				locs = append(locs, loc)
-			}
-			sort.Slice(locs, func(i, j int) bool { return locs[i].Less(locs[j]) })
-			for _, loc := range locs {
-				s := sites[loc]
+			ctxOf := firstCtxByLoc(kp.Trace)
+			for loc, s := range analysis.ReuseBySite(kp.Trace, analysis.DefaultElementReuse()) {
 				if s.Reused == 0 {
 					continue
 				}
-				stack := append(stackOf(p.CCT, reuseCtx(kp, loc), kp.BaseCtx), SiteFrame(loc))
+				stack := append(stackOf(p.CCT, ctxOf[loc], kp.BaseCtx), SiteFrame(loc))
 				agg[strings.Join(stack, ";")] += s.Reused
 			}
 		}
@@ -318,14 +323,22 @@ func WriteFolded(w io.Writer, p *profiler.Profiler, weight string, lineSize int)
 	return nil
 }
 
-// reuseCtx picks the representative calling context for a reuse site: the
-// first recorded memory access at that location (trace order, so the
-// choice is deterministic and independent of map iteration).
-func reuseCtx(kp *profiler.KernelProfile, loc ir.Loc) int32 {
-	for i := range kp.Trace.Mem {
-		if kp.Trace.Locs.Loc(kp.Trace.Mem[i].Loc) == loc {
-			return kp.Trace.Mem[i].Ctx
+// firstCtxByLoc maps each source location of a trace to the context of
+// the first memory record there (trace order, so deterministic): the
+// representative context of a reuse site.
+func firstCtxByLoc(tr *trace.KernelTrace) map[ir.Loc]int32 {
+	first := map[ir.Loc]int32{}
+	seen := map[int32]bool{}
+	for i := range tr.Mem {
+		m := &tr.Mem[i]
+		if seen[m.Loc] {
+			continue
+		}
+		seen[m.Loc] = true
+		loc := tr.Locs.Loc(m.Loc)
+		if _, ok := first[loc]; !ok {
+			first[loc] = m.Ctx
 		}
 	}
-	return kp.BaseCtx
+	return first
 }

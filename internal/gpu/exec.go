@@ -504,10 +504,15 @@ func (s *smShard) step(w *warpState, now int64) error {
 		s.hookCalls++
 		if ls.p.Hooks != nil {
 			// Inline dispatch lends the hook one per-shard buffer; a
-			// buffered event keeps its own until the ordered replay.
+			// buffered event keeps its own rows of the shard's slab
+			// until the ordered replay.
 			args := s.hookArgs[:0]
 			if ls.buffer {
-				args = make([]LaneValues, 0, len(in.args))
+				n := len(in.args)
+				if len(s.argSlab) < n {
+					s.argSlab = make([]LaneValues, max(n, hookSlabRows))
+				}
+				args, s.argSlab = s.argSlab[:0:n], s.argSlab[n:]
 			}
 			for _, ref := range in.args {
 				args = append(args, LaneValues{}) // lanes outside the mask stay zero

@@ -48,11 +48,17 @@ type smShard struct {
 	// Parallel-path state: buffered hook events (replayed in SM order
 	// after the shards join), the shard's private write view of global
 	// memory, and the run outcome captured for the ordered merge.
-	events []hookEvent
-	wmem   *shardWrites
-	cycles int64
-	err    error
+	events  []hookEvent
+	argSlab []LaneValues // rows of the current chunk not yet given to an event
+	wmem    *shardWrites
+	cycles  int64
+	err     error
 }
+
+// hookSlabRows is the chunk size of argSlab: buffered events keep their
+// argument rows until the replay, so rows come from 64 KB chunks (dropped
+// with the shard), not one allocation per event.
+const hookSlabRows = 256
 
 // hookEvent is one deferred Hooks.OnHook call. The warp pointer (not a
 // copy of its view) is retained so replay mutates the same per-warp

@@ -197,10 +197,13 @@ type Cache struct {
 
 // entry is one single-flight slot: ready closes when val/err are set.
 // val holds the result in the type of the key's kind (lookup's T).
+// ownerGone marks an err that is no result at all: the owner's context
+// ended before its fill did.
 type entry struct {
-	ready chan struct{}
-	val   any
-	err   error
+	ready     chan struct{}
+	val       any
+	err       error
+	ownerGone bool
 }
 
 // New returns a cache. A non-empty dir enables the on-disk store rooted
@@ -248,7 +251,8 @@ func (c *Cache) claim(id string) (*entry, bool) {
 
 // abandon removes a failed fill so later requests retry instead of
 // replaying the error — the same semantics as not caching at all.
-// Requests already waiting on the entry still observe its error.
+// Requests already waiting on the entry still observe its error, unless
+// it is only the owner's cancellation (see lookup).
 func (c *Cache) abandon(id string) {
 	c.mu.Lock()
 	delete(c.entries, id)
@@ -279,16 +283,6 @@ func (c *Cache) trimMemo() {
 	}
 }
 
-// wait blocks until the entry is filled or ctx ends.
-func wait(ctx context.Context, e *entry) error {
-	select {
-	case <-e.ready:
-		return e.err
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // codec is one entry kind's payload encoding: how a result becomes the
 // bytes an entry file carries, and back. decode must refuse anything
 // encode could not have written; a refusal makes the entry a bad one.
@@ -301,29 +295,42 @@ type codec[T any] struct {
 // single-flight through the memoizer, then disk load / cross-process
 // claim / fill / publish. A waiter gets what its owner got, the error
 // of a failed fill included; only requests that arrive after the failure
-// run the fill again.
+// run the fill again. The exception is an owner whose own context ended
+// mid-fill (a client that disconnected): that says nothing about the
+// key, so its waiters claim again and one of them becomes the owner.
 func lookup[T any](ctx context.Context, c *Cache, key Key, kind codec[T], fill func(context.Context) (T, error)) (T, error) {
 	var zero T
 	id := key.ID()
-	e, owner := c.claim(id)
-	if !owner {
-		if err := wait(ctx, e); err != nil {
-			return zero, err
+	for {
+		e, owner := c.claim(id)
+		if owner {
+			val, err := fillEntry(ctx, c, key, kind, fill)
+			if err != nil {
+				e.err, e.ownerGone = err, ctx.Err() != nil
+				c.abandon(id)
+				close(e.ready)
+				return zero, err
+			}
+			e.val = val
+			close(e.ready)
+			c.trimMemo()
+			return val, nil
 		}
-		c.memoHits.Add(1)
-		return e.val.(T), nil
+		select {
+		case <-e.ready:
+		case <-ctx.Done():
+			return zero, ctx.Err()
+		}
+		switch {
+		case e.err == nil:
+			c.memoHits.Add(1)
+			return e.val.(T), nil
+		case !e.ownerGone:
+			return zero, e.err
+		case ctx.Err() != nil:
+			return zero, ctx.Err()
+		}
 	}
-	val, err := fillEntry(ctx, c, key, kind, fill)
-	if err != nil {
-		e.err = err
-		c.abandon(id)
-		close(e.ready)
-		return zero, err
-	}
-	e.val = val
-	close(e.ready)
-	c.trimMemo()
-	return val, nil
 }
 
 // fillEntry resolves one memoizer-owned fill against the disk layer:

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"cudaadvisor/internal/apps"
 	"cudaadvisor/internal/experiments"
@@ -216,6 +217,89 @@ func TestWaiterCancellation(t *testing.T) {
 	close(block)
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOwnerCancellationHandsOver: when the owner of a fill gives up (its
+// own context ends mid-fill — a client that disconnected), the requests
+// waiting on that key do not inherit the cancellation: one of them takes
+// the fill over and the rest share its result.
+func TestOwnerCancellationHandsOver(t *testing.T) {
+	c := profcache.New("")
+	key := profcache.CyclesKey(apps.ByName("bfs"), gpu.KeplerK40c(), 0, 1)
+	started := make(chan struct{})
+	var fills atomic.Int32
+	fill := func(ctx context.Context) (profcache.CycleStats, error) {
+		if fills.Add(1) == 1 { // the owner: runs until its client goes away
+			close(started)
+			<-ctx.Done()
+			return profcache.CycleStats{}, ctx.Err()
+		}
+		return profcache.CycleStats{Cycles: 42}, nil
+	}
+	ownerCtx, disconnect := context.WithCancel(context.Background())
+	ownerErr := make(chan error, 1)
+	go func() {
+		_, err := c.Cycles(ownerCtx, key, fill)
+		ownerErr <- err
+	}()
+	<-started
+
+	const waiters = 3
+	var wg sync.WaitGroup
+	for i := 0; i < waiters; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got, err := c.Cycles(context.Background(), key, fill)
+			if err != nil || got.Cycles != 42 {
+				t.Errorf("waiter %d = %+v, %v; want the takeover fill's result", i, got, err)
+			}
+		}(i)
+	}
+	// Nothing observable says "all three are parked on the entry". The
+	// pause only makes the test bite: a waiter that arrives after the
+	// owner gave up simply becomes the new owner, and every assertion
+	// below holds just the same.
+	time.Sleep(50 * time.Millisecond)
+	disconnect()
+	if err := <-ownerErr; err != context.Canceled {
+		t.Errorf("owner err = %v, want its own context.Canceled", err)
+	}
+	wg.Wait()
+	if n := fills.Load(); n != 2 {
+		t.Errorf("%d fills, want 2: the abandoned one and exactly one takeover", n)
+	}
+	if s := c.Stats(); s.Misses != 1 || s.MemoHits != waiters-1 {
+		t.Errorf("stats = %+v, want 1 miss and %d memo hits", s, waiters-1)
+	}
+}
+
+// TestSharedFillErrorStaysShared: a fill that fails while its owner is
+// still there is a result; every waiter gets it and nobody runs it again.
+func TestSharedFillErrorStaysShared(t *testing.T) {
+	c := profcache.New("")
+	key := profcache.CyclesKey(apps.ByName("bfs"), gpu.KeplerK40c(), 0, 1)
+	boom := fmt.Errorf("injected fill failure")
+	started, release := make(chan struct{}), make(chan struct{})
+	var fills atomic.Int32
+	fill := func(context.Context) (profcache.CycleStats, error) {
+		if fills.Add(1) == 1 {
+			close(started)
+		}
+		<-release
+		return profcache.CycleStats{}, boom
+	}
+	errs := make(chan error, 2)
+	go func() { _, err := c.Cycles(context.Background(), key, fill); errs <- err }()
+	<-started
+	go func() { _, err := c.Cycles(context.Background(), key, fill); errs <- err }()
+	time.Sleep(50 * time.Millisecond) // as above: lets the waiter park
+	close(release)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != boom {
+			t.Errorf("request %d err = %v, want the shared fill error", i, err)
+		}
 	}
 }
 

@@ -188,7 +188,7 @@ func (s *hookSink) OnHook(w *gpu.WarpView, call *ir.Instr, args []gpu.LaneValues
 		if len(args) != 4 {
 			return fmt.Errorf("record_mem wants 4 args, got %d", len(args))
 		}
-		rec := trace.MemAccess{
+		if err := s.kp.Trace.AddMem(trace.MemAccess{
 			CTA:   int32(w.CTALinear),
 			Warp:  int32(w.WarpInCTA),
 			Mask:  w.ActiveMask,
@@ -197,9 +197,7 @@ func (s *hookSink) OnHook(w *gpu.WarpView, call *ir.Instr, args []gpu.LaneValues
 			Bits:  uint8(args[1][lane]),
 			Loc:   s.kp.Trace.Locs.Intern(call.Loc),
 			Ctx:   w.HookCtx,
-			Addrs: [trace.WarpSize]uint64(args[0]),
-		}
-		if err := s.kp.Trace.AddMem(rec); err != nil {
+		}, (*[trace.WarpSize]uint64)(&args[0])); err != nil {
 			return err
 		}
 	case instrument.HookBB:

@@ -100,8 +100,10 @@ func TestProfilerCollectsMemTrace(t *testing.T) {
 		}
 		lane0 := firstLane(m.Mask)
 		want := uint64(d) + uint64(m.Warp)*gpu.WarpSize*4 + uint64(lane0)*4
-		if m.Addrs[lane0] != want {
-			t.Errorf("warp %d first-lane addr = %#x, want %#x", m.Warp, m.Addrs[lane0], want)
+		var addrs [trace.WarpSize]uint64
+		kp.Trace.LaneAddrs(&m, &addrs)
+		if addrs[lane0] != want {
+			t.Errorf("warp %d first-lane addr = %#x, want %#x", m.Warp, addrs[lane0], want)
 		}
 	}
 	if loads != 2 || stores != 2 {

@@ -228,6 +228,63 @@ func TestSingleFlightCollapse(t *testing.T) {
 	}
 }
 
+// TestOwnerDisconnectHandsOver: four identical requests, and the client
+// of the first — the one running the fill — disconnects. The other three
+// must not inherit its cancellation: one takes the fill over and all
+// three answer 200 with the CLI's bytes.
+func TestOwnerDisconnectHandsOver(t *testing.T) {
+	gate := runner.NewGate(16, 16)
+	ts := newServer(t, serve.Config{Pool: runner.New(2), Cache: profcache.New(""), Gate: gate})
+	const path = "/v1/profile?app=syr2k&mode=rd" // a fill long enough to interrupt
+	want := ref(t, "profile", map[string]string{"app": "syr2k", "mode": "rd"}, "")
+	admitted := func(n int64) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); gate.Admitted() < n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("only %d of %d requests admitted", gate.Admitted(), n)
+			}
+		}
+	}
+
+	ownerCtx, disconnect := context.WithCancel(context.Background())
+	ownerDone := make(chan error, 1)
+	go func() {
+		req, _ := http.NewRequestWithContext(ownerCtx, http.MethodGet, ts.URL+path, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		ownerDone <- err
+	}()
+	admitted(1)
+
+	const waiters = 3
+	var wg sync.WaitGroup
+	for i := 0; i < waiters; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if status, _, body := get(t, ts, path); status != http.StatusOK || body != want {
+				t.Errorf("waiter %d = %d, body matches the reference: %v", i, status, body == want)
+			}
+		}(i)
+	}
+	admitted(1 + waiters)
+	// Admission is the last thing the daemon shows of a request before
+	// it parks on the owner's cache entry. The pause only makes the test
+	// bite: a waiter that gets there after the owner gave up becomes the
+	// new owner itself, and every assertion holds just the same.
+	time.Sleep(100 * time.Millisecond)
+	disconnect()
+	if err := <-ownerDone; err == nil {
+		t.Skip("the owner's fill finished before its client could disconnect; nothing was interrupted")
+	}
+	wg.Wait()
+	if s := getStats(t, ts); s.Cache.Misses != 1 || s.Cache.MemoHits != waiters-1 {
+		t.Errorf("cache stats %+v, want 1 miss (the takeover) and %d memo hits", s.Cache, waiters-1)
+	}
+}
+
 // TestOverloadSheds: with the admitted set and queue full, a request is
 // refused immediately with 429 + Retry-After — it never queues. The
 // gate is held externally so the test is deterministic.

@@ -113,6 +113,91 @@ func TestCrossValidateBranchDivergence(t *testing.T) {
 	}
 }
 
+// TestCrossValidateAffineEncoding checks the trace encoder against the
+// access classification. A global access the analyzer classes uniform,
+// coalesced or strided has, by that verdict, a constant address step from
+// one lane to the next, so every record the profiler keeps at such a
+// site must be stored in the affine form (trace.MemAccess.Affine), never
+// with its addresses spelled out — under every block shape, since the
+// form counts lanes within the block's rows (and for 16-wide blocks the
+// same is asked of every address affine in tid.x and tid.y, which the
+// analyzer has to call divergent). The table printed at the end gives,
+// per app, how many sites the assertion covered (hotspot and srad_v2
+// have none: their global addresses go through loaded or clamped
+// indices) and the explicit-fallback share over all its global records:
+// what the indirect and otherwise divergent sites cost.
+func TestCrossValidateAffineEncoding(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs all benchmark applications")
+	}
+	cfg := gpu.KeplerK40c()
+	var tbl strings.Builder
+	fmt.Fprintf(&tbl, "%-10s %8s %13s %9s %9s %9s\n", "App", "block.x", "regular-sites", "records", "explicit", "fallback")
+	for _, app := range apps.InTableOrder() {
+		app := app
+		t.Run(app.Name, func(t *testing.T) {
+			adv := core.New(cfg, instrument.Options{Memory: true})
+			prog, err := app.Instrumented(adv.Opts)
+			if err != nil {
+				t.Fatalf("instrument: %v", err)
+			}
+			if err := app.Run(adv.Context(), prog, 1); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			m, err := app.Module()
+			if err != nil {
+				t.Fatalf("module: %v", err)
+			}
+			res, err := staticadvisor.AnalyzeLayout(m, staticadvisor.Layout{Block: app.BlockDims})
+			if err != nil {
+				t.Fatalf("analyze: %v", err)
+			}
+			// Blocks narrower than a warp put several rows in one: there
+			// the analyzer calls an address divergent as soon as it
+			// depends on tid.y, yet it still knows the exact strides, and
+			// the encoder's row form must follow those too.
+			bx, by := app.BlockDims[0], app.BlockDims[1]
+			rows := bx < 32 && 32%bx == 0 && (bx*by)%32 == 0
+			regular := make(map[ir.Loc]fmt.Stringer)
+			for _, fr := range res.Funcs {
+				for _, a := range fr.Accesses {
+					switch {
+					case a.Class != staticadvisor.ClassDivergent:
+						regular[a.Loc] = a.Class
+					case rows && a.Addr.Shape == staticadvisor.Affine && a.Addr.StrideZ == 0:
+						regular[a.Loc] = a.Addr
+					}
+				}
+			}
+
+			records, explicit := 0, 0
+			misfiled := make(map[ir.Loc]int)
+			for _, kp := range adv.Profiler.Kernels {
+				for i := range kp.Trace.Mem {
+					rec := &kp.Trace.Mem[i]
+					if rec.Space != ir.Global {
+						continue
+					}
+					records++
+					if rec.Affine() {
+						continue
+					}
+					explicit++
+					if loc := kp.Trace.Locs.Loc(rec.Loc); regular[loc] != nil {
+						misfiled[loc]++
+					}
+				}
+			}
+			for loc, n := range misfiled {
+				t.Errorf("%s: %d records at a statically %s access fell back to explicit addresses", loc, n, regular[loc])
+			}
+			fmt.Fprintf(&tbl, "%-10s %8d %13d %9d %9d %8.1f%%\n",
+				app.Name, bx, len(regular), records, explicit, 100*float64(explicit)/float64(max(records, 1)))
+		})
+	}
+	t.Logf("explicit-address fallback of the trace encoder:\n%s", tbl.String())
+}
+
 // TestCrossValidateSharedMemory checks the shared-memory analyzers
 // against the simulator's watch over every benchmark application. The
 // static side is one-sided, so the zero-false-negative direction is the

@@ -6,12 +6,17 @@ import (
 	"testing"
 )
 
-// mem fabricates a memory record for warp (cta, warp) with a payload
-// address identifying its per-warp sequence number.
-func mem(cta, warp int32, seq uint64) MemAccess {
-	m := MemAccess{CTA: cta, Warp: warp, Mask: 1}
-	m.Addrs[0] = seq
-	return m
+// addMem offers tr a one-lane memory record for warp (cta, warp) whose
+// lane-0 address is the record's per-warp sequence number.
+func addMem(tr *KernelTrace, cta, warp int32, seq uint64) error {
+	return tr.AddMem(MemAccess{CTA: cta, Warp: warp, Mask: 1}, &[WarpSize]uint64{seq})
+}
+
+// lane0 decodes the payload addMem stored.
+func lane0(tr *KernelTrace, m *MemAccess) uint64 {
+	var addrs [WarpSize]uint64
+	tr.LaneAddrs(m, &addrs)
+	return addrs[0]
 }
 
 func blk(cta, warp, block int32) BlockExec {
@@ -21,7 +26,7 @@ func blk(cta, warp, block int32) BlockExec {
 func TestUnboundedTraceAppends(t *testing.T) {
 	tr := NewKernelTrace("k", 0, [3]int{1, 1, 1}, [3]int{32, 1, 1})
 	for i := 0; i < 100; i++ {
-		if err := tr.AddMem(mem(0, 0, uint64(i))); err != nil {
+		if err := addMem(tr, 0, 0, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -34,18 +39,22 @@ func TestUnboundedTraceAppends(t *testing.T) {
 	}
 }
 
-// collectSink gathers flushed records and can be told to fail.
+// collectSink gathers flushed records — for memory records the lane-0
+// payload, decoded during the flush as the FlushSink contract asks — and
+// can be told to fail.
 type collectSink struct {
-	mem    []MemAccess
+	mem    []uint64
 	blocks []BlockExec
 	fail   error
 }
 
-func (s *collectSink) FlushMem(_ *KernelTrace, recs []MemAccess) error {
+func (s *collectSink) FlushMem(tr *KernelTrace, recs []MemAccess) error {
 	if s.fail != nil {
 		return s.fail
 	}
-	s.mem = append(s.mem, recs...)
+	for i := range recs {
+		s.mem = append(s.mem, lane0(tr, &recs[i]))
+	}
 	return nil
 }
 
@@ -63,7 +72,7 @@ func TestSinkReceivesEveryRecordExactlyOnce(t *testing.T) {
 	tr.SetBounds(8, 4, sink)
 	const n = 100
 	for i := 0; i < n; i++ {
-		if err := tr.AddMem(mem(0, 0, uint64(i))); err != nil {
+		if err := addMem(tr, 0, 0, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 		if err := tr.AddBlock(blk(0, 0, int32(i))); err != nil {
@@ -79,9 +88,9 @@ func TestSinkReceivesEveryRecordExactlyOnce(t *testing.T) {
 	if len(sink.mem) != n || len(sink.blocks) != n {
 		t.Fatalf("sink got %d mem, %d blocks, want %d each", len(sink.mem), len(sink.blocks), n)
 	}
-	for i, m := range sink.mem {
-		if m.Addrs[0] != uint64(i) {
-			t.Fatalf("sink mem[%d] has seq %d: records reordered or duplicated", i, m.Addrs[0])
+	for i, seq := range sink.mem {
+		if seq != uint64(i) {
+			t.Fatalf("sink mem[%d] has seq %d: records reordered or duplicated", i, seq)
 		}
 	}
 	if tr.MemFlushed != n || tr.BlocksFlushed != n {
@@ -95,7 +104,7 @@ func TestSinkErrorPropagates(t *testing.T) {
 	tr.SetBounds(2, 0, &collectSink{fail: boom})
 	var err error
 	for i := 0; i < 10 && err == nil; i++ {
-		err = tr.AddMem(mem(0, 0, uint64(i)))
+		err = addMem(tr, 0, 0, uint64(i))
 	}
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped %v", err, boom)
@@ -110,7 +119,7 @@ func TestSamplingKeepsEveryNthPerWarp(t *testing.T) {
 	tr.SetBounds(16, 0, nil)
 	const n = 1000
 	for i := 0; i < n; i++ {
-		if err := tr.AddMem(mem(0, 0, uint64(i))); err != nil {
+		if err := addMem(tr, 0, 0, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -121,16 +130,16 @@ func TestSamplingKeepsEveryNthPerWarp(t *testing.T) {
 	if N < 2 {
 		t.Fatalf("sampling period %d did not grow past the cap", N)
 	}
-	for i, m := range tr.Mem {
-		if m.Addrs[0]%N != 0 {
-			t.Fatalf("kept record %d has seq %d, not divisible by period %d", i, m.Addrs[0], N)
+	for i := range tr.Mem {
+		if seq := lane0(tr, &tr.Mem[i]); seq%N != 0 {
+			t.Fatalf("kept record %d has seq %d, not divisible by period %d", i, seq, N)
 		}
 	}
 	// And every divisible seq below the highest kept one is present.
 	want := uint64(0)
-	for _, m := range tr.Mem {
-		if m.Addrs[0] != want {
-			t.Fatalf("kept seqs skip from %d to %d (period %d)", want-N, m.Addrs[0], N)
+	for i := range tr.Mem {
+		if seq := lane0(tr, &tr.Mem[i]); seq != want {
+			t.Fatalf("kept seqs skip from %d to %d (period %d)", want-N, seq, N)
 		}
 		want += N
 	}
@@ -150,13 +159,13 @@ func TestSamplingIsPerWarp(t *testing.T) {
 		interleave(func(w int32, _ uint64) {
 			s := seqs[w]
 			seqs[w] = s + 1
-			if err := tr.AddMem(mem(0, w, s)); err != nil {
+			if err := addMem(tr, 0, w, s); err != nil {
 				panic(err)
 			}
 		})
 		out := map[int32][]uint64{}
-		for _, m := range tr.Mem {
-			out[m.Warp] = append(out[m.Warp], m.Addrs[0])
+		for i := range tr.Mem {
+			out[tr.Mem[i].Warp] = append(out[tr.Mem[i].Warp], lane0(tr, &tr.Mem[i]))
 		}
 		return out
 	}
@@ -188,7 +197,7 @@ func TestSamplingDeterministicAcrossRuns(t *testing.T) {
 		tr.SetBounds(32, 0, nil)
 		for i := 0; i < 500; i++ {
 			w := int32(i % 4)
-			if err := tr.AddMem(mem(0, w, uint64(i/4))); err != nil {
+			if err := addMem(tr, 0, w, uint64(i/4)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -217,7 +226,7 @@ func TestBlockSamplingBounded(t *testing.T) {
 	}
 	// Mem side is unbounded here.
 	for i := 0; i < 50; i++ {
-		if err := tr.AddMem(mem(0, 0, uint64(i))); err != nil {
+		if err := addMem(tr, 0, 0, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

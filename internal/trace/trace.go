@@ -4,10 +4,19 @@
 // location, CTA and thread identity), basic-block execution entries (the
 // passBasicBlock() payload), and the interned calling-context tree that
 // code-centric profiling concatenates across host and device.
+//
+// A memory record is a fixed 48-byte value that does not carry its 32
+// lane addresses. KernelTrace.AddMem encodes them: as (base, lane
+// stride, row stride) when the active lanes are affine in their
+// position within the thread block's rows, and otherwise as an offset
+// into the trace's arena of explicit addresses. KernelTrace.LaneAddrs
+// is the one decoder, so a record is meaningful only together with the
+// trace that encoded it.
 package trace
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"cudaadvisor/internal/ir"
@@ -39,8 +48,9 @@ func (k AccessKind) String() string {
 }
 
 // MemAccess is one warp-level memory event: the per-thread Record()
-// entries of one executed memory instruction, grouped by warp (every
-// active lane contributes its effective address in Addrs).
+// entries of one executed memory instruction, grouped by warp. The
+// effective addresses of the active lanes are encoded by
+// KernelTrace.AddMem and read back with KernelTrace.LaneAddrs.
 type MemAccess struct {
 	CTA   int32
 	Warp  int32 // warp id within the CTA
@@ -48,10 +58,20 @@ type MemAccess struct {
 	Kind  AccessKind
 	Space ir.Space
 	Bits  uint8 // access width in bits
-	Loc   int32 // LocTable id of the source location
-	Ctx   int32 // ContextTree id of the calling context
-	Addrs [WarpSize]uint64
+	// Affine form: lane l holds base + stride*(l mod W) + rowStride*(l
+	// div W), W being the trace's row width. Explicit form: base is the
+	// arena offset of the first active lane's address.
+	explicit  bool
+	Loc       int32 // LocTable id of the source location
+	Ctx       int32 // ContextTree id of the calling context
+	base      uint64
+	stride    int64
+	rowStride int64
 }
+
+// Affine reports whether the record's addresses are stored as base and
+// strides rather than spelled out in the trace's arena.
+func (m *MemAccess) Affine() bool { return !m.explicit }
 
 // BlockExec is one warp-level basic-block entry event (passBasicBlock()).
 type BlockExec struct {
@@ -74,6 +94,10 @@ func (b BlockExec) Divergent() bool { return b.Mask != b.InitMask }
 // once: batches at each overflow, plus the final partial batch when
 // FlushAll runs at kernel exit. Sink errors abort the kernel (they
 // surface as hook errors, which the executor turns into gpu faults).
+//
+// The records handed to FlushMem and the arena behind them are reused as
+// soon as the call returns: a sink decodes what it needs with
+// t.LaneAddrs during the call and keeps the results, not the records.
 type FlushSink interface {
 	FlushMem(t *KernelTrace, recs []MemAccess) error
 	FlushBlocks(t *KernelTrace, recs []BlockExec) error
@@ -104,6 +128,12 @@ type KernelTrace struct {
 	Mem    []MemAccess
 	Blocks []BlockExec
 
+	// arena holds the active-lane addresses of Mem's explicit records,
+	// in record order; rowShift is log2 of the affine form's row width
+	// (Block[0] when rows of the thread block share a warp, else 32).
+	arena    []uint64
+	rowShift uint8
+
 	Locs *LocTable
 
 	// MemCap/BlocksCap bound the buffers (0 = unbounded). Set them via
@@ -132,9 +162,14 @@ type warpID struct{ cta, warp int32 }
 
 // NewKernelTrace returns an empty trace with a fresh location table.
 func NewKernelTrace(kernel string, instance int, grid, block [3]int) *KernelTrace {
+	w := WarpSize
+	if block[0] > 0 && WarpSize%block[0] == 0 {
+		w = block[0]
+	}
 	return &KernelTrace{
 		Kernel: kernel, Instance: instance, Grid: grid, Block: block,
-		Locs: NewLocTable(),
+		rowShift: uint8(bits.TrailingZeros(uint(w))),
+		Locs:     NewLocTable(),
 	}
 }
 
@@ -150,49 +185,136 @@ func (t *KernelTrace) SetBounds(memCap, blocksCap int, sink FlushSink) {
 	}
 }
 
-// AddMem records one warp-level memory event under the buffer policy.
-func (t *KernelTrace) AddMem(rec MemAccess) error {
+// AddMem records one warp-level memory event under the buffer policy:
+// rec carries the header, addrs the effective address of every lane in
+// rec.Mask (other lanes are ignored).
+func (t *KernelTrace) AddMem(rec MemAccess, addrs *[WarpSize]uint64) error {
 	t.MemSeen++
-	if t.MemCap <= 0 {
-		t.Mem = append(t.Mem, rec)
-		return nil
-	}
-	if t.Sink != nil {
-		if len(t.Mem) >= t.MemCap {
-			if err := t.Sink.FlushMem(t, t.Mem); err != nil {
-				return fmt.Errorf("trace: mem buffer flush: %w", err)
-			}
-			t.MemFlushed += int64(len(t.Mem))
-			t.Mem = t.Mem[:0]
+	if t.MemCap > 0 {
+		if keep, err := t.admit("mem", len(t.Mem), t.MemCap, &t.MemSampleN, &t.memWarpSeen,
+			warpID{rec.CTA, rec.Warp}, t.flushMem, t.compactMem); !keep {
+			return err
 		}
-		t.Mem = append(t.Mem, rec)
-		return nil
 	}
-	// Sampling fallback: keep per-warp event seq % MemSampleN == 0.
-	if t.MemSampleN <= 0 { // cap set without SetBounds
-		t.MemSampleN = 1
+	t.appendMem(rec, addrs)
+	return nil
+}
+
+// admit applies the policy of the bounded buffer named what, holding n
+// of at most limit records, to one offered event of warp id: it makes
+// room when the buffer is full and reports whether the event is to be
+// appended (never after a failed flush).
+func (t *KernelTrace) admit(what string, n, limit int, period *int64, seen *map[warpID]int64, id warpID,
+	flush func() error, compact func()) (bool, error) {
+	if t.Sink != nil {
+		if n >= limit {
+			if err := flush(); err != nil {
+				return false, fmt.Errorf("trace: %s buffer flush: %w", what, err)
+			}
+		}
+		return true, nil
 	}
-	if t.memWarpSeen == nil {
-		t.memWarpSeen = make(map[warpID]int64)
+	// Sampling fallback: keep per-warp event seq % period == 0.
+	if *period <= 0 { // cap set without SetBounds
+		*period = 1
 	}
-	id := warpID{rec.CTA, rec.Warp}
-	seq := t.memWarpSeen[id]
-	t.memWarpSeen[id] = seq + 1
-	if seq%t.MemSampleN != 0 {
-		return nil
+	if *seen == nil {
+		*seen = make(map[warpID]int64)
 	}
-	if len(t.Mem) >= t.MemCap {
+	seq := (*seen)[id]
+	(*seen)[id] = seq + 1
+	if n >= limit && seq%*period == 0 {
 		// Double the period and compact: keeping every other record per
 		// warp turns the kept set from seq%N==0 into seq%2N==0 exactly.
-		t.MemSampleN *= 2
-		t.Mem = compactEveryOther(t.Mem, func(m *MemAccess) warpID {
-			return warpID{m.CTA, m.Warp}
-		})
-		if seq%t.MemSampleN != 0 {
-			return nil
+		*period *= 2
+		compact()
+	}
+	return seq%*period == 0, nil
+}
+
+// appendMem is the one encoder. It proposes strides — the lane stride
+// from the first two active lanes that share a row, the row stride from
+// the first active lanes of two rows — and keeps the affine form only if
+// it reproduces every active lane exactly (all arithmetic is modulo
+// 2^64); otherwise the active lanes' addresses go to the arena.
+func (t *KernelTrace) appendMem(rec MemAccess, addrs *[WarpSize]uint64) {
+	rec.explicit, rec.base, rec.stride, rec.rowStride = false, 0, 0, 0
+	if rec.Mask != 0 {
+		sh, xMask := t.rowShift, 1<<t.rowShift-1
+		first := bits.TrailingZeros32(rec.Mask)
+		for prev, rest := first, rec.Mask&(rec.Mask-1); rest != 0; rest &= rest - 1 {
+			l := bits.TrailingZeros32(rest)
+			if l>>sh == prev>>sh {
+				rec.stride = int64(addrs[l]-addrs[prev]) / int64(l-prev)
+				break
+			}
+			prev = l
+		}
+		origin := addrs[first] - uint64(rec.stride)*uint64(first&xMask)
+		if later := rec.Mask &^ (uint32(1)<<((first>>sh+1)<<sh) - 1); later != 0 {
+			l := bits.TrailingZeros32(later)
+			d := addrs[l] - uint64(rec.stride)*uint64(l&xMask) - origin
+			rec.rowStride = int64(d) / int64(l>>sh-first>>sh)
+		}
+		rec.base = origin - uint64(rec.rowStride)*uint64(first>>sh)
+		for rest := rec.Mask; rest != 0 && !rec.explicit; rest &= rest - 1 {
+			l := bits.TrailingZeros32(rest)
+			rec.explicit = addrs[l] != rec.laneAddr(l, sh)
+		}
+		if rec.explicit {
+			rec.base = uint64(len(t.arena))
+			for rest := rec.Mask; rest != 0; rest &= rest - 1 {
+				t.arena = append(t.arena, addrs[bits.TrailingZeros32(rest)])
+			}
 		}
 	}
 	t.Mem = append(t.Mem, rec)
+}
+
+// laneAddr evaluates the affine form at lane l.
+func (m *MemAccess) laneAddr(l int, rowShift uint8) uint64 {
+	return m.base + uint64(m.stride)*uint64(l&(1<<rowShift-1)) + uint64(m.rowStride)*uint64(l>>rowShift)
+}
+
+// LaneAddrs expands m, a record of t.Mem (or of the batch a FlushSink
+// was just handed), into the effective address of every lane in m.Mask.
+// Lanes outside the mask are left unspecified.
+func (t *KernelTrace) LaneAddrs(m *MemAccess, out *[WarpSize]uint64) {
+	if m.explicit {
+		src := t.arena[m.base:]
+		for i, rest := 0, m.Mask; rest != 0; i, rest = i+1, rest&(rest-1) {
+			out[bits.TrailingZeros32(rest)] = src[i]
+		}
+		return
+	}
+	for l := range out {
+		out[l] = m.laneAddr(l, t.rowShift)
+	}
+}
+
+// compactMem drops every other record per warp and packs the addresses
+// of the explicit records that remain at the front of the arena.
+func (t *KernelTrace) compactMem() {
+	t.Mem = compactEveryOther(t.Mem, func(m *MemAccess) warpID { return warpID{m.CTA, m.Warp} })
+	n := 0
+	for i := range t.Mem {
+		if m := &t.Mem[i]; m.explicit {
+			k := bits.OnesCount32(m.Mask)
+			copy(t.arena[n:n+k], t.arena[m.base:])
+			m.base, n = uint64(n), n+k
+		}
+	}
+	t.arena = t.arena[:n]
+}
+
+// flushMem hands the buffered memory records to the Sink and resets the
+// buffer and its arena.
+func (t *KernelTrace) flushMem() error {
+	if err := t.Sink.FlushMem(t, t.Mem); err != nil {
+		return err
+	}
+	t.MemFlushed += int64(len(t.Mem))
+	t.Mem, t.arena = t.Mem[:0], t.arena[:0]
 	return nil
 }
 
@@ -200,43 +322,27 @@ func (t *KernelTrace) AddMem(rec MemAccess) error {
 // policy (same semantics as AddMem).
 func (t *KernelTrace) AddBlock(rec BlockExec) error {
 	t.BlocksSeen++
-	if t.BlocksCap <= 0 {
-		t.Blocks = append(t.Blocks, rec)
-		return nil
-	}
-	if t.Sink != nil {
-		if len(t.Blocks) >= t.BlocksCap {
-			if err := t.Sink.FlushBlocks(t, t.Blocks); err != nil {
-				return fmt.Errorf("trace: block buffer flush: %w", err)
-			}
-			t.BlocksFlushed += int64(len(t.Blocks))
-			t.Blocks = t.Blocks[:0]
-		}
-		t.Blocks = append(t.Blocks, rec)
-		return nil
-	}
-	if t.BlockSampleN <= 0 { // cap set without SetBounds
-		t.BlockSampleN = 1
-	}
-	if t.blockWarpSeen == nil {
-		t.blockWarpSeen = make(map[warpID]int64)
-	}
-	id := warpID{rec.CTA, rec.Warp}
-	seq := t.blockWarpSeen[id]
-	t.blockWarpSeen[id] = seq + 1
-	if seq%t.BlockSampleN != 0 {
-		return nil
-	}
-	if len(t.Blocks) >= t.BlocksCap {
-		t.BlockSampleN *= 2
-		t.Blocks = compactEveryOther(t.Blocks, func(b *BlockExec) warpID {
-			return warpID{b.CTA, b.Warp}
-		})
-		if seq%t.BlockSampleN != 0 {
-			return nil
+	if t.BlocksCap > 0 {
+		if keep, err := t.admit("block", len(t.Blocks), t.BlocksCap, &t.BlockSampleN, &t.blockWarpSeen,
+			warpID{rec.CTA, rec.Warp}, t.flushBlocks, t.compactBlocks); !keep {
+			return err
 		}
 	}
 	t.Blocks = append(t.Blocks, rec)
+	return nil
+}
+
+func (t *KernelTrace) compactBlocks() {
+	t.Blocks = compactEveryOther(t.Blocks, func(b *BlockExec) warpID { return warpID{b.CTA, b.Warp} })
+}
+
+// flushBlocks is flushMem for the basic-block buffer.
+func (t *KernelTrace) flushBlocks() error {
+	if err := t.Sink.FlushBlocks(t, t.Blocks); err != nil {
+		return err
+	}
+	t.BlocksFlushed += int64(len(t.Blocks))
+	t.Blocks = t.Blocks[:0]
 	return nil
 }
 
@@ -264,18 +370,14 @@ func (t *KernelTrace) FlushAll() error {
 		return nil
 	}
 	if len(t.Mem) > 0 {
-		if err := t.Sink.FlushMem(t, t.Mem); err != nil {
+		if err := t.flushMem(); err != nil {
 			return fmt.Errorf("trace: final mem flush: %w", err)
 		}
-		t.MemFlushed += int64(len(t.Mem))
-		t.Mem = t.Mem[:0]
 	}
 	if len(t.Blocks) > 0 {
-		if err := t.Sink.FlushBlocks(t, t.Blocks); err != nil {
+		if err := t.flushBlocks(); err != nil {
 			return fmt.Errorf("trace: final block flush: %w", err)
 		}
-		t.BlocksFlushed += int64(len(t.Blocks))
-		t.Blocks = t.Blocks[:0]
 	}
 	return nil
 }
