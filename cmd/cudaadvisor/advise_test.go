@@ -53,12 +53,19 @@ func TestAdviseJSONRoundTrip(t *testing.T) {
 
 // TestAdviseDeterminism: the JSON report is byte-identical across worker
 // counts and across cache temperatures, and a warm advise rerun is one
-// disk hit with zero misses — the whole join is skipped.
+// disk hit with zero misses — the whole join is skipped. A capped trace,
+// which flushes fragments in the middle of a launch, is as independent of
+// the worker count as a whole one.
 func TestAdviseDeterminism(t *testing.T) {
 	j1, _ := runOK(t, "-j", "1", "advise", "-format=json", "bfs")
 	j8, _ := runOK(t, "-j", "8", "advise", "-format=json", "bfs")
 	if j1 != j8 {
 		t.Errorf("advise JSON differs between -j 1 and -j 8")
+	}
+	cap1, _ := runOK(t, "-j", "1", "-trace-cap", "2000", "profile", "bfs")
+	cap8, _ := runOK(t, "-j", "8", "-trace-cap", "2000", "profile", "bfs")
+	if cap1 != cap8 {
+		t.Errorf("capped profile differs between -j 1 and -j 8")
 	}
 
 	dir := t.TempDir()

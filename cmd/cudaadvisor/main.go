@@ -21,9 +21,9 @@
 //
 //	-j N    parallel simulator runs (default 0 = GOMAXPROCS). Every
 //	        experiment fans its independent runs out on a bounded worker
-//	        pool, and each kernel launch additionally splits its SM
-//	        shards across idle workers; output is byte-identical for
-//	        every N.
+//	        pool, and each uninstrumented kernel launch additionally
+//	        splits its SM shards across idle workers; output is
+//	        byte-identical for every N.
 //	-trace-cap N       bound each kernel trace's buffers to N records;
 //	                   overflowing traces fall back to deterministic
 //	                   sampling and analyses annotate their coverage
@@ -207,8 +207,9 @@ func usage(w io.Writer) {
 
 global flags:
   -j N         parallel simulator runs (default 0 = GOMAXPROCS); experiments
-               fan out on a worker pool and each launch splits its SM shards
-               across idle workers, with byte-identical output for every N
+               fan out on a worker pool and each uninstrumented launch splits
+               its SM shards across idle workers, with byte-identical output
+               for every N
   -trace-cap N       bound kernel trace buffers to N records; overflow falls
                      back to deterministic sampling, annotated in the output
   -cell-timeout D    per-cell deadline (e.g. 30s)

@@ -99,9 +99,9 @@ func (e Env) profileCell(ctx context.Context, cell string, app *apps.App, cfg gp
 	}
 	p := profiler.New()
 	p.TraceCap = inj.TraceCap(e.TraceCap)
-	// Hand the cell the run's pool too: launches split their SM shards
-	// across whatever workers the experiment fan-out leaves idle (the
-	// shard fan-out is non-blocking, so cell- and launch-level
+	// Hand the cell the run's pool too: a launch that calls no hook splits
+	// its SM shards across whatever workers the experiment fan-out leaves
+	// idle (the shard fan-out is non-blocking, so cell- and launch-level
 	// parallelism share one -j bound without deadlock).
 	c := newContext(cfg, inj.Listener(p), rt.LaunchOptions{Ctx: ctx, RecordSchedule: recordSchedule, Pool: e.Pool})
 	if err := app.Run(c, prog, e.Scale); err != nil {

@@ -150,6 +150,10 @@ type dmodule struct {
 	// read-modify-write communication between SMs whose results depend on
 	// cross-SM interleaving, so such kernels keep the serial SM order.
 	atomics bool
+	// hooks reports a hook call anywhere in the module. A launch that can
+	// deliver one (LaunchParams.Hooks set) keeps the serial SM order too,
+	// so every OnHook happens inline, in order, on the launching goroutine.
+	hooks bool
 }
 
 // decoded returns the module's decoded form, decoding it on the first
@@ -176,16 +180,14 @@ func decodeModule(m *ir.Module) *dmodule {
 		dm.funcs[f] = &dfunc{fn: f}
 	}
 	for _, f := range m.Funcs {
-		if dm.funcs[f].decode(dm) {
-			dm.atomics = true
-		}
+		dm.funcs[f].decode(dm)
 	}
 	return dm
 }
 
-// decode fills in df.code and df.consts and reports whether the function
-// contains an atomic.
-func (df *dfunc) decode(dm *dmodule) (atomics bool) {
+// decode fills in df.code and df.consts, and notes on dm an atomic or a
+// hook call in the function.
+func (df *dfunc) decode(dm *dmodule) {
 	f := df.fn
 	start := make([]int32, len(f.Blocks))
 	n := 0
@@ -259,7 +261,7 @@ func (df *dfunc) decode(dm *dmodule) (atomics bool) {
 			case op == ir.OpSt:
 				di.kind, di.shared = kSt, in.Space == ir.Shared
 			case op == ir.OpAtom:
-				di.kind, atomics = kAtom, true
+				di.kind, dm.atomics = kAtom, true
 			case op == ir.OpBar:
 				di.kind = kBar
 			case op == ir.OpCall:
@@ -268,7 +270,7 @@ func (df *dfunc) decode(dm *dmodule) (atomics bool) {
 				}
 				switch {
 				case in.IsHookCall():
-					di.kind = kHook
+					di.kind, dm.hooks = kHook, true
 				case dm.funcs[in.CalleeFn] == nil:
 					di.kind, di.msg = kFault, fmt.Sprintf("call to undefined function @%s", in.Callee)
 				default:
@@ -291,7 +293,6 @@ func (df *dfunc) decode(dm *dmodule) (atomics bool) {
 			df.code = append(df.code, di)
 		}
 	}
-	return atomics
 }
 
 // decodeCompare picks the compare kind for an icmp/fcmp: the predicate

@@ -33,13 +33,12 @@ type WarpView struct {
 // call per executed hook instruction (call to an ir.HookPrefix function),
 // with per-lane argument values. Implemented by the profiler.
 //
-// OnHook is always invoked from a single goroutine in a deterministic
-// global order (SM-major: every event of SM 0, then SM 1, …), regardless
-// of how many workers execute the launch: a parallel launch buffers each
-// SM's events and replays them in SM order after the SMs join. Hook
-// implementations therefore need no locking. Like w, args is lent for the
-// duration of the call — the executor reuses the buffer for the next hook
-// — so an implementation that keeps argument values copies them.
+// OnHook is always invoked on the launching goroutine, at the hook's call
+// site, in a deterministic global order (SM-major: every event of SM 0,
+// then SM 1, …): a launch whose hooks can fire simulates its SMs one after
+// another. Hook implementations therefore need no locking. Like w, args is
+// lent for the duration of the call — the executor reuses it for the next
+// hook — so an implementation that keeps argument values copies them.
 type Hooks interface {
 	OnHook(w *WarpView, call *ir.Instr, args []LaneValues) error
 }
@@ -58,12 +57,14 @@ type LaunchParams struct {
 
 	// Pool, when non-nil with more than one worker, fans the launch's
 	// independent SM shards out across idle pool workers (see
-	// runner.Shards). The result — cycles, stats, traces, hook order,
-	// fault identity — is byte-identical to the serial path at every
-	// worker count; a nil Pool (or one worker) runs the SMs serially in
-	// SM order, the reference path. Kernels containing global atomics
-	// fall back to the serial path: atomics are real cross-SM
-	// communication and their interleaving must stay the serial one.
+	// runner.Shards). The result — cycles, stats, memory image, fault
+	// identity — is byte-identical to the serial path at every worker
+	// count; a nil Pool (or one worker) runs the SMs serially in SM order,
+	// the reference path. Two kinds of launch keep the serial path whatever
+	// the pool: one that can call a hook (Hooks set and a hook call in the
+	// module), so that every OnHook happens in SM order at its call site,
+	// and one whose module contains global atomics, which are real cross-SM
+	// communication whose interleaving must stay the serial one.
 	Pool *runner.Pool
 
 	// Ctx, when non-nil, lets the host cancel a running kernel: the
@@ -245,17 +246,13 @@ type ctaState struct {
 // launchState carries the launch-wide machinery shared by every SM
 // shard: the immutable inputs (device, config, decoded kernel, params)
 // and the merged result. Per-SM execution state lives on smShard; during
-// a parallel launch this struct is read-only.
+// a parallel launch this struct is read-only until the shards join.
 type launchState struct {
 	dev    *Device
 	cfg    ArchConfig
 	kernel *dfunc
 	p      LaunchParams
 	guard  int64 // per-SM warp-instruction budget
-
-	// buffer, when true, makes shards record hook events for ordered
-	// replay instead of dispatching them inline (the parallel path).
-	buffer bool
 
 	res   LaunchResult
 	races map[ir.Loc]int64 // merged per-site race counts (WatchShared)
@@ -344,7 +341,7 @@ func (d *Device) Launch(kernel *ir.Function, p LaunchParams) (*LaunchResult, err
 		shards = append(shards, &smShard{ls: ls, sm: sm, ctaIDs: ctaIDs, frames: d.frames[sm]})
 	}
 
-	if p.Pool.Workers() > 1 && len(shards) > 1 && !dm.atomics {
+	if p.Pool.Workers() > 1 && len(shards) > 1 && !dm.atomics && !(p.Hooks != nil && dm.hooks) {
 		if err := ls.runParallel(shards, threadsPerCTA, warpsPerCTA); err != nil {
 			return nil, err
 		}
@@ -367,8 +364,8 @@ func (d *Device) Launch(kernel *ir.Function, p LaunchParams) (*LaunchResult, err
 }
 
 // runSerial simulates the SM shards one after another in SM order: the
-// reference path the parallel fan-out is byte-identical to. Hooks
-// dispatch inline and global memory is written directly.
+// only path on which hooks fire, and the reference the parallel fan-out is
+// byte-identical to. Global memory is written directly.
 func (ls *launchState) runSerial(shards []*smShard, threadsPerCTA, warpsPerCTA int) error {
 	for _, s := range shards {
 		cycles, err := s.run(threadsPerCTA, warpsPerCTA)
@@ -503,34 +500,16 @@ func (s *smShard) step(w *warpState, now int64) error {
 	case kHook:
 		s.hookCalls++
 		if ls.p.Hooks != nil {
-			// Inline dispatch lends the hook one per-shard buffer; a
-			// buffered event keeps its own rows of the shard's slab
-			// until the ordered replay.
-			args := s.hookArgs[:0]
-			if ls.buffer {
-				n := len(in.args)
-				if len(s.argSlab) < n {
-					s.argSlab = make([]LaneValues, max(n, hookSlabRows))
-				}
-				args, s.argSlab = s.argSlab[:0:n], s.argSlab[n:]
-			}
+			args := s.hookArgs[:0] // one per-shard buffer, lent to the hook
 			for _, ref := range in.args {
 				args = append(args, LaneValues{}) // lanes outside the mask stay zero
 				copyLanes((*row)(&args[len(args)-1]), fr.row(ref), mask)
 			}
-			if ls.buffer {
-				// Parallel shard: record for ordered replay after
-				// the SM barrier instead of dispatching inline.
-				s.events = append(s.events, hookEvent{
-					w: w, in: in.in, args: args, mask: mask, cycle: now,
-				})
-			} else {
-				s.hookArgs = args
-				w.view.ActiveMask = mask
-				w.view.Cycle = now
-				if err := ls.p.Hooks.OnHook(&w.view, in.in, args); err != nil {
-					return s.fault(w, in.in.Loc, "hook: %v", err)
-				}
+			s.hookArgs = args
+			w.view.ActiveMask = mask
+			w.view.Cycle = now
+			if err := ls.p.Hooks.OnHook(&w.view, in.in, args); err != nil {
+				return s.fault(w, in.in.Loc, "hook: %v", err)
 			}
 			cost += int64(ls.cfg.HookCost)
 		}

@@ -3,6 +3,7 @@ package gpu
 import (
 	"fmt"
 	"reflect"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -30,7 +31,7 @@ func testPool(t *testing.T, workers int) *runner.Pool {
 
 // pcall is one recorded hook event with every field the profiler can
 // observe, including the per-warp HookCtx scratch the recorder mutates to
-// verify replay preserves per-warp continuity.
+// verify per-warp continuity from one event of a warp to the next.
 type pcall struct {
 	callee  string
 	cta     int
@@ -56,7 +57,7 @@ func (r *ctxRecorder) OnHook(w *WarpView, call *ir.Instr, args []LaneValues) err
 		callee: call.Callee, cta: w.CTALinear, warp: w.WarpInCTA, sm: w.SM,
 		mask: w.ActiveMask, cycle: w.Cycle, hookCtx: w.HookCtx, arg0: args[0][0],
 	})
-	w.HookCtx++ // per-warp continuity: replay must see the incremented value next time
+	w.HookCtx++ // per-warp continuity: the warp's next event must see the incremented value
 	if r.failAt > 0 && len(r.calls) == r.failAt {
 		return fmt.Errorf("injected hook error (call %d)", r.failAt)
 	}
@@ -64,8 +65,8 @@ func (r *ctxRecorder) OnHook(w *WarpView, call *ir.Instr, args []LaneValues) err
 }
 
 // parallelScaleSrc touches global memory per thread with a hook per
-// visit, looping so each warp raises several events (exercising HookCtx
-// continuity across buffered events of one warp).
+// visit, so each warp raises several events (exercising HookCtx
+// continuity across the events of one warp).
 const parallelScaleSrc = `
 module par
 kernel @work(%in: ptr, %out: ptr, %n: i32) {
@@ -91,6 +92,11 @@ exit:
 }
 `
 
+// nativeScaleSrc is parallelScaleSrc as the uninstrumented program: no
+// hook call anywhere in the module, so a pooled launch of it shards.
+var nativeScaleSrc = regexp.MustCompile(`(?m)^.*call @`+ir.HookPrefix+`.*\n`).
+	ReplaceAllString(parallelScaleSrc, "")
+
 type parRun struct {
 	res   LaunchResult
 	mem   []byte
@@ -102,10 +108,20 @@ type parRun struct {
 // SM count and pool, returning everything observable.
 func runParKernel(t *testing.T, sms int, pool *runner.Pool, failAt int) parRun {
 	t.Helper()
+	rec := &ctxRecorder{failAt: failAt}
+	r := launchScale(t, parallelScaleSrc, rec, sms, pool)
+	r.calls = rec.calls
+	return r
+}
+
+// launchScale runs the @work kernel of src (parallelScaleSrc or its native
+// twin) over 4096 elements on a fresh device.
+func launchScale(t *testing.T, src string, hooks Hooks, sms int, pool *runner.Pool) parRun {
+	t.Helper()
 	cfg := KeplerK40c()
 	cfg.SMs = sms
 	d := NewDevice(cfg, 16<<20)
-	m := parseKernel(t, parallelScaleSrc)
+	m := parseKernel(t, src)
 	const n = 4096
 	in, _ := d.Mem.Alloc(4 * n)
 	out, _ := d.Mem.Alloc(4 * n)
@@ -115,13 +131,12 @@ func runParKernel(t *testing.T, sms int, pool *runner.Pool, failAt int) parRun {
 	}
 	writeF32s(t, d, in, vals)
 
-	rec := &ctxRecorder{failAt: failAt}
 	res, err := d.Launch(m.Func("work"), LaunchParams{
 		Grid: [3]int{32, 1, 1}, Block: [3]int{128, 1, 1},
 		Args:  []uint64{in, out, ir.I32Bits(n)},
-		Hooks: rec, Pool: pool, L1WarpsPerCTA: -1,
+		Hooks: hooks, Pool: pool, L1WarpsPerCTA: -1,
 	})
-	r := parRun{calls: rec.calls, err: err}
+	r := parRun{err: err}
 	if err == nil {
 		r.res = *res
 		r.mem = make([]byte, 4*n)
@@ -135,8 +150,10 @@ func runParKernel(t *testing.T, sms int, pool *runner.Pool, failAt int) parRun {
 // TestParallelLaunchByteIdentical is the tentpole guarantee: at every SM
 // count, a pooled launch must be byte-identical to the serial one —
 // LaunchResult, final memory, and the complete hook event stream
-// including per-warp HookCtx continuity. Run under -race this also
-// proves the shard fan-out is race-free.
+// including per-warp HookCtx continuity. The hooked kernel keeps the SM
+// order at every worker count, so its arm holds by construction; the
+// native arm is the one that fans out, and run under -race it proves the
+// shard fan-out is race-free.
 func TestParallelLaunchByteIdentical(t *testing.T) {
 	pool := testPool(t, 8)
 	for _, sms := range []int{1, 2, 15} {
@@ -164,6 +181,18 @@ func TestParallelLaunchByteIdentical(t *testing.T) {
 						i, serial.calls[i], par.calls[i])
 				}
 			}
+
+			nserial := launchScale(t, nativeScaleSrc, nil, sms, nil)
+			npar := launchScale(t, nativeScaleSrc, nil, sms, pool)
+			if nserial.err != nil || npar.err != nil || nserial.res.HookCalls != 0 {
+				t.Fatalf("native launch: serial=%v pooled=%v, %d hook calls", nserial.err, npar.err, nserial.res.HookCalls)
+			}
+			if !reflect.DeepEqual(nserial.res, npar.res) {
+				t.Errorf("native LaunchResult differs:\nserial: %+v\npooled: %+v", nserial.res, npar.res)
+			}
+			if string(nserial.mem) != string(npar.mem) || string(nserial.mem) != string(serial.mem) {
+				t.Error("native final memory image differs between serial, pooled and hooked launch")
+			}
 		})
 	}
 }
@@ -190,6 +219,141 @@ func TestParallelLaunchFaultIdentity(t *testing.T) {
 			t.Errorf("failAt=%d: %d events before fault serially, %d pooled",
 				failAt, len(serial.calls), len(par.calls))
 		}
+	}
+}
+
+// oobSrc stores each thread's global id + 1 to out and to q, except that
+// CTAs from %k up store through %bad instead.
+const oobSrc = `
+module oob
+kernel @k(%out: ptr, %q: ptr, %bad: ptr, %k: i32) {
+entry:
+  %tx   = sreg tid.x
+  %bx   = sreg ctaid.x
+  %bd   = sreg ntid.x
+  %base = mul i32 %bx, %bd
+  %i    = add i32 %base, %tx
+  %v    = add i32 %i, 1
+  %c    = icmp lt i32 %bx, %k
+  cbr %c, good, wild
+good:
+  %oa = gep %out, %i, 4
+  st i32 global [%oa], %v
+  %qa = gep %q, %i, 4
+  st i32 global [%qa], %v
+  br exit
+wild:
+  %ba = gep %bad, %i, 4
+  st i32 global [%ba], %v
+  br exit
+exit:
+  ret
+}
+`
+
+// A native kernel that faults on several SMs at once reports the fault the
+// serial SM order reaches first, and the sharded launch — whose writes
+// stay in the shards until every one has succeeded — leaves device memory
+// neither written nor grown.
+func TestParallelLaunchExecFaultIdentity(t *testing.T) {
+	const capacity = 16 << 20
+	const q = 8 << 20 // never allocated: above the backed prefix
+	const n = 15 * 64
+	run := func(pool *runner.Pool) (*Device, uint64, int, error) {
+		cfg := KeplerK40c()
+		cfg.SMs = 15
+		d := NewDevice(cfg, capacity)
+		out, _ := d.Mem.Alloc(4 * n)
+		mark := len(d.Mem.buf)
+		// One CTA per SM; CTAs 3…14 (SMs 3…14) store past the capacity.
+		_, err := d.Launch(parseKernel(t, oobSrc).Func("k"), LaunchParams{
+			Grid: [3]int{15, 1, 1}, Block: [3]int{64, 1, 1},
+			Args: []uint64{out, q, capacity, ir.I32Bits(3)},
+			Pool: pool, L1WarpsPerCTA: -1,
+		})
+		return d, out, mark, err
+	}
+	_, _, _, serial := run(nil)
+	d, out, mark, par := run(testPool(t, 8))
+	if serial == nil || par == nil {
+		t.Fatalf("expected faults, got serial=%v pooled=%v", serial, par)
+	}
+	if !strings.Contains(serial.Error(), "(cta 3, warp 0)") || !strings.Contains(serial.Error(), "out of range") {
+		t.Errorf("serial fault = %v, want the out-of-range store of CTA 3", serial)
+	}
+	if par.Error() != serial.Error() {
+		t.Errorf("fault text differs:\nserial: %v\npooled: %v", serial, par)
+	}
+	if len(d.Mem.buf) != mark {
+		t.Errorf("failed sharded launch grew device memory from %d to %d bytes", mark, len(d.Mem.buf))
+	}
+	got, err := d.Mem.Int32Slice(out, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got {
+		if v != 0 {
+			t.Fatalf("failed sharded launch wrote out[%d] = %d", i, v)
+		}
+	}
+}
+
+// hookLoopSrc raises %n hook calls per warp and touches no memory.
+const hookLoopSrc = `
+module hookloop
+kernel @spin(%p: ptr, %n: i32) {
+entry:
+  %k = mov i32 0
+  br loop
+loop:
+  %c = icmp lt i32 %k, %n
+  cbr %c, body, exit
+body:
+  call @__advisor_record_mem(%p, 32, 1)
+  %k = add i32 %k, 1
+  br loop
+exit:
+  ret
+}
+`
+
+type countingHooks struct{ calls int }
+
+func (h *countingHooks) OnHook(*WarpView, *ir.Instr, []LaneValues) error {
+	h.calls++
+	return nil
+}
+
+// A hooked launch allocates what its sink keeps, not a record per hook
+// call: the pool must add nothing that grows with the number of events.
+func TestHookedLaunchAllocIndependentOfPool(t *testing.T) {
+	m := parseKernel(t, hookLoopSrc)
+	run := func(pool *runner.Pool) uint64 {
+		cfg := KeplerK40c()
+		cfg.SMs = 15
+		d := NewDevice(cfg, 1<<20)
+		p, _ := d.Mem.Alloc(256)
+		hooks := &countingHooks{}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := d.Launch(m.Func("spin"), LaunchParams{
+			Grid: [3]int{30, 1, 1}, Block: [3]int{128, 1, 1},
+			Args:  []uint64{p, ir.I32Bits(1000)},
+			Hooks: hooks, Pool: pool, L1WarpsPerCTA: -1,
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hooks.calls != 30*4*1000 {
+			t.Fatalf("%d hook calls, want %d", hooks.calls, 30*4*1000)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	pool := testPool(t, 8)
+	serial, pooled := run(nil), run(pool)
+	if float64(pooled) > 1.1*float64(serial) {
+		t.Errorf("pooled hooked launch allocated %d bytes, serial %d: want at most 1.1x", pooled, serial)
 	}
 }
 

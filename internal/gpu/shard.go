@@ -9,9 +9,10 @@ import (
 
 // smShard is the execution state of one streaming multiprocessor within a
 // launch: its CTA queue, cache/MSHR/port models, instruction counters,
-// and — on the parallel path — its buffered hook events and private
-// global-memory write view. Shards touch no mutable launch-wide state, so
-// they may run concurrently; everything observable merges in SM order.
+// and — on the parallel path — its private global-memory write view.
+// Shards touch no mutable launch-wide state, so those of a launch that
+// cannot call a hook may run concurrently; everything observable merges in
+// SM order.
 type smShard struct {
 	ls     *launchState
 	sm     int
@@ -24,7 +25,7 @@ type smShard struct {
 	lineBuf  []uint64
 	tmp      row // alu's scratch row for partially masked instructions
 	frames   *framePool
-	hookArgs []LaneValues // argument buffer lent to inline hook calls
+	hookArgs []LaneValues // argument buffer lent to hook calls
 
 	// The scheduler's view of the resident warps, in admission order:
 	// wake[i] is when warps[i] can next issue, or parked while it is done
@@ -45,32 +46,11 @@ type smShard struct {
 	// CTA residency spans in retirement order (LaunchParams.RecordSchedule).
 	spans []CTASpan
 
-	// Parallel-path state: buffered hook events (replayed in SM order
-	// after the shards join), the shard's private write view of global
-	// memory, and the run outcome captured for the ordered merge.
-	events  []hookEvent
-	argSlab []LaneValues // rows of the current chunk not yet given to an event
-	wmem    *shardWrites
-	cycles  int64
-	err     error
-}
-
-// hookSlabRows is the chunk size of argSlab: buffered events keep their
-// argument rows until the replay, so rows come from 64 KB chunks (dropped
-// with the shard), not one allocation per event.
-const hookSlabRows = 256
-
-// hookEvent is one deferred Hooks.OnHook call. The warp pointer (not a
-// copy of its view) is retained so replay mutates the same per-warp
-// WarpView the serial path would: HookCtx is the profiler's persistent
-// per-warp scratch (its calling-context cursor) and must carry over from
-// one event of a warp to the next.
-type hookEvent struct {
-	w     *warpState
-	in    *ir.Instr
-	args  []LaneValues
-	mask  uint32
-	cycle int64
+	// Parallel-path state: the shard's private write view of global memory
+	// and the run outcome captured for the ordered merge.
+	wmem   *shardWrites
+	cycles int64
+	err    error
 }
 
 // run simulates this SM over its CTA queue and returns its busy cycles.
@@ -397,18 +377,8 @@ func (s *smShard) scatterGlobal(mt ir.MemType, addrs, vals *row, mask uint32, lo
 
 // runParallel fans the SM shards out across idle pool workers and merges
 // them in SM order. Every shard runs to its own completion or fault; the
-// ordered merge then replays hook events and resolves errors exactly as
-// the serial path would have:
-//
-//   - shard k's buffered hooks replay (on this goroutine) before shard
-//     k+1's, reproducing the serial SM-major OnHook order byte for byte —
-//     including the per-cell call ordinals fault injection keys on;
-//   - the first error in that order wins: shard k's first failing hook
-//     (serial execution would have faulted there) preempts shard k's own
-//     execution fault, which preempts everything of shard k+1;
-//   - after an error, later shards are neither replayed nor merged and
-//     buffered writes are discarded, matching the serial path's property
-//     that a failed launch leaves no defined memory image.
+// first fault in SM order — the one the serial path would have raised —
+// wins, and a failed launch applies none of its writes.
 //
 // Global-memory writes buffer in per-shard copy-on-write pages during the
 // parallel phase (device memory is read-only until the shards join) and
@@ -417,7 +387,6 @@ func (s *smShard) scatterGlobal(mt ir.MemType, addrs, vals *row, mask uint32, lo
 // disjoint — and stays deterministic (last SM in order wins) even when
 // they are not.
 func (ls *launchState) runParallel(shards []*smShard, threadsPerCTA, warpsPerCTA int) error {
-	ls.buffer = true
 	for _, s := range shards {
 		s.wmem = newShardWrites(ls.dev.Mem.buf)
 	}
@@ -425,9 +394,6 @@ func (ls *launchState) runParallel(shards []*smShard, threadsPerCTA, warpsPerCTA
 		shards[i].cycles, shards[i].err = shards[i].run(threadsPerCTA, warpsPerCTA)
 	})
 	for _, s := range shards {
-		if err := s.replayHooks(); err != nil {
-			return err
-		}
 		if s.err != nil {
 			return s.err
 		}
@@ -443,22 +409,6 @@ func (ls *launchState) runParallel(shards []*smShard, threadsPerCTA, warpsPerCTA
 	}
 	for _, s := range shards {
 		ls.merge(s, s.cycles)
-	}
-	return nil
-}
-
-// replayHooks dispatches this shard's buffered hook events in recorded
-// order, stopping at the first hook error and converting it into the
-// same Fault the serial path raises at the hook's call site.
-func (s *smShard) replayHooks() error {
-	hooks := s.ls.p.Hooks
-	for i := range s.events {
-		ev := &s.events[i]
-		ev.w.view.ActiveMask = ev.mask
-		ev.w.view.Cycle = ev.cycle
-		if err := hooks.OnHook(&ev.w.view, ev.in, ev.args); err != nil {
-			return s.fault(ev.w, ev.in.Loc, "hook: %v", err)
-		}
 	}
 	return nil
 }

@@ -114,9 +114,10 @@ type LaunchOptions struct {
 	// MaxWarpInstrs overrides the runaway-kernel guard (0 = default).
 	MaxWarpInstrs int64
 	// Pool, when non-nil with more than one worker, lets the executor fan
-	// one launch's SM shards out across idle pool workers. Results are
-	// byte-identical to the serial path at every worker count (see
-	// gpu.LaunchParams.Pool); a nil pool keeps launches serial.
+	// the SM shards of a launch that calls no hook out across idle pool
+	// workers. Results are byte-identical to the serial path at every
+	// worker count (see gpu.LaunchParams.Pool); a nil pool keeps launches
+	// serial.
 	Pool *runner.Pool
 	// Ctx, when non-nil, bounds every subsequent Launch: the executor
 	// polls it at the warp-step guard and aborts the kernel when the

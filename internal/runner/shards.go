@@ -27,9 +27,9 @@ func (p *Pool) tryAcquire() bool {
 // block waiting for it.
 //
 // This is the intra-launch fan-out primitive: the GPU executor uses it to
-// run independent SM shards of one kernel launch in parallel while the
-// experiment layer's leaf jobs (whole simulator runs) hold the pool's
-// slots. At -j 1, or when every slot is busy simulating other cells, the
+// run the independent SM shards of a hook-free kernel launch in parallel
+// while the experiment layer's leaf jobs (whole simulator runs) hold the
+// pool's slots. At -j 1, or when every slot is busy with other cells, the
 // shards run inline on the caller; when slots are free (a single launch
 // on an idle pool) they spread across up to Workers() goroutines.
 //
