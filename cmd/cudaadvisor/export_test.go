@@ -22,17 +22,25 @@ func exportGoldenName(app, kind string) string {
 }
 
 // TestExportFoldedGoldens pins the folded flamegraph output for each
-// golden app under two weights, and re-aggregates every document.
+// golden app under every weight, and re-aggregates every document (bicg
+// has no divergent block and nn no reused load: those two are empty).
 func TestExportFoldedGoldens(t *testing.T) {
 	for _, app := range exportGoldenApps {
-		for _, weight := range []string{"cycles", "lines"} {
+		for _, weight := range export.Weights {
 			stdout, _ := runOK(t, "export", "-weight="+weight, app)
 			checkGolden(t, exportGoldenName(app, weight), []byte(stdout))
-			if total, err := export.SumFolded([]byte(stdout)); err != nil || total <= 0 {
-				t.Errorf("%s/%s: folded total = %d, %v; want positive", app, weight, total, err)
+			if total, err := export.SumFolded([]byte(stdout)); err != nil || (total > 0) != (stdout != "") {
+				t.Errorf("%s/%s: folded total = %d, %v; want positive for a non-empty document", app, weight, total, err)
 			}
 		}
 	}
+}
+
+// TestProfileSmemAllGolden pins every section `profile` prints at once,
+// shared-memory view included.
+func TestProfileSmemAllGolden(t *testing.T) {
+	stdout, _ := runOK(t, "profile", "-smem", "-mode", "all", "backprop")
+	checkGolden(t, "profile_backprop_smem_all.golden", []byte(stdout))
 }
 
 // TestExportChromeGoldens pins the Chrome-trace timeline for each golden
