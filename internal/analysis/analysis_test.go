@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -330,5 +331,92 @@ func TestInstanceMetrics(t *testing.T) {
 	s := InstanceMetrics([]inst{{1}, {2}, {3}}, func(i inst) float64 { return i.v })
 	if s.Mean != 2 || s.Min != 1 || s.Max != 3 {
 		t.Errorf("summary = %+v", s)
+	}
+}
+
+// TestSitesBreakTiesOnColumn: two sites a builder-made kernel puts on
+// one line, with equal degree, list in column order every time — the
+// order used to be the map's (the code-centric view prints the top
+// three sites).
+func TestSitesBreakTiesOnColumn(t *testing.T) {
+	tr := trace.NewKernelTrace("tie", 0, [3]int{1, 1, 1}, [3]int{32, 1, 1})
+	for _, space := range []ir.Space{ir.Global, ir.Shared} {
+		for _, col := range []int{9, 3} {
+			rec := trace.MemAccess{Mask: 0xF, Kind: trace.Load, Space: space, Bits: 32,
+				Loc: tr.Locs.Intern(ir.Loc{File: "tie.cu", Line: 7, Col: col})}
+			addRec(tr, rec, [trace.WarpSize]uint64{0, 4, 8, 12})
+		}
+	}
+	for i := 0; i < 50; i++ {
+		md, sb := MemDivergence(tr, 128).Sites(), SharedBankConflicts(tr).Sites()
+		if len(md) != 2 || md[0].Loc.Col != 3 || md[1].Loc.Col != 9 {
+			t.Fatalf("listing %d: memory-divergence sites at columns %d, %d; want 3, 9", i, md[0].Loc.Col, md[1].Loc.Col)
+		}
+		if len(sb) != 2 || sb[0].Loc.Col != 3 || sb[1].Loc.Col != 9 {
+			t.Fatalf("listing %d: bank-conflict sites at columns %d, %d; want 3, 9", i, sb[0].Loc.Col, sb[1].Loc.Col)
+		}
+	}
+}
+
+// TestPerContextViews: besides their aggregates the passes keep what the
+// views render. Two kernels reach one device-function location through
+// different contexts: the per-context sums keep the two apart across
+// Merge and add up to the aggregate, ids no table holds stay visible,
+// and a site's context and sample address are its first execution's.
+func TestPerContextViews(t *testing.T) {
+	shared := ir.Loc{File: "dev.cu", Line: 3, Col: 1}
+	kernel := func(name string, ctx int32, base uint64) *trace.KernelTrace {
+		tr := trace.NewKernelTrace(name, 0, [3]int{2, 1, 1}, [3]int{32, 1, 1})
+		at := tr.Locs.Intern(shared)
+		// CTA 1 runs first, under a deeper context: trace order, not CTA
+		// order, picks the representative.
+		for i, cta := range []int32{1, 0, 0} {
+			rec := trace.MemAccess{CTA: cta, Mask: 0xF0, Kind: trace.Load, Space: ir.Global, Bits: 32, Loc: at, Ctx: ctx + int32(i)}
+			var addrs [trace.WarpSize]uint64
+			for l := 4; l < 8; l++ {
+				addrs[l] = base + uint64(l)*256 // four lines, and CTA 0 re-reads its elements
+			}
+			addRec(tr, rec, addrs)
+		}
+		addRec(tr, trace.MemAccess{Mask: 1, Kind: trace.Load, Space: ir.Global, Bits: 32, Loc: 99, Ctx: -7}, [trace.WarpSize]uint64{base})
+		tr.Blocks = append(tr.Blocks,
+			trace.BlockExec{Mask: 1, InitMask: 3, Loc: at, Ctx: ctx},
+			trace.BlockExec{Mask: 1, InitMask: 3, Loc: at, Ctx: ctx},
+			trace.BlockExec{Mask: 3, InitMask: 3, Loc: at, Ctx: ctx + 1})
+		return tr
+	}
+	a, b := kernel("a", 10, 0x1000), kernel("b", 20, 0x9000)
+
+	var md MemDivResult
+	var bd BranchDivResult
+	for _, tr := range []*trace.KernelTrace{a, b} {
+		md.Merge(MemDivergence(tr, 128))
+		bd.Merge(BranchDivergence(tr, nil))
+	}
+	wantLines := map[ContextSite]int64{
+		{10, shared}: 4, {11, shared}: 4, {12, shared}: 4, {20, shared}: 4, {21, shared}: 4, {22, shared}: 4,
+		{-7, trace.UnknownLoc}: 2,
+	}
+	if got := md.LinesByContext(); !reflect.DeepEqual(got, wantLines) || md.WeightedSum != 26 {
+		t.Errorf("lines by context = %v (total %d), want %v (26)", got, md.WeightedSum, wantLines)
+	}
+	wantDiv := map[ContextSite]int64{{10, shared}: 2, {20, shared}: 2}
+	if got := bd.DivergentByContext(); !reflect.DeepEqual(got, wantDiv) || bd.Divergent != 4 {
+		t.Errorf("divergent by context = %v (total %d), want %v (4)", got, bd.Divergent, wantDiv)
+	}
+	if s := md.Sites()[0]; s.Loc != shared || s.Ctx != 10 || s.SampleAddr() != 0x1000+4*256 {
+		t.Errorf("worst site %+v: want kernel a's first execution (context 10, lane 4's address)", *s)
+	}
+	for _, naive := range []bool{false, true} {
+		sites := ReuseBySite(b, DefaultElementReuse())
+		if naive {
+			sites = NaiveReuseBySite(b, DefaultElementReuse())
+		}
+		if s := sites[shared]; s == nil || s.Ctx != 20 || s.Reused != 4 {
+			t.Errorf("naive=%v: reuse site %+v, want context 20 (the first access in the trace) and 4 reused loads", naive, s)
+		}
+		if s := sites[trace.UnknownLoc]; s == nil || s.Ctx != -7 {
+			t.Errorf("naive=%v: un-interned site %+v, want it kept under context -7", naive, s)
+		}
 	}
 }

@@ -17,24 +17,16 @@ type BranchDivResult struct {
 	Divergent int64
 	Total     int64
 
-	// EventsRecorded/EventsSeen carry the trace's block-event coverage
-	// (see ReuseResult): Recorded < Seen means a sampled, partial profile.
-	EventsRecorded int64
-	EventsSeen     int64
+	Events // the trace's block-event coverage
 
-	blocks map[int32]*BlockDivergence
+	blocks    map[int32]*BlockDivergence
+	divergent map[ContextSite]int64
 }
 
-// Partial reports whether the underlying trace dropped events.
-func (r *BranchDivResult) Partial() bool { return r.EventsSeen > r.EventsRecorded }
-
-// Coverage returns the recorded share of seen events (1 when complete).
-func (r *BranchDivResult) Coverage() float64 {
-	if !r.Partial() {
-		return 1
-	}
-	return float64(r.EventsRecorded) / float64(r.EventsSeen)
-}
+// DivergentByContext is Divergent spread over the leaves of the
+// calling-context tree: divergent executions per (context, location).
+// It comes from a trace only; the JSON form does not carry it.
+func (r *BranchDivResult) DivergentByContext() map[ContextSite]int64 { return r.divergent }
 
 // BlockDivergence aggregates per static basic block: how many times the
 // block executed, how often it diverged, and how many threads executed it
@@ -78,34 +70,27 @@ func (r *BranchDivResult) Blocks() []*BlockDivergence {
 func (r *BranchDivResult) Merge(other *BranchDivResult) {
 	r.Divergent += other.Divergent
 	r.Total += other.Total
-	r.EventsRecorded += other.EventsRecorded
-	r.EventsSeen += other.EventsSeen
-	if r.blocks == nil {
-		r.blocks = make(map[int32]*BlockDivergence)
-	}
-	for id, b := range other.blocks {
-		if cur, ok := r.blocks[id]; ok {
-			cur.Execs += b.Execs
-			cur.Divergent += b.Divergent
-			cur.Threads += b.Threads
-		} else {
-			cp := *b
-			r.blocks[id] = &cp
-		}
-	}
+	r.Add(other.EventsRecorded, other.EventsSeen)
+	r.divergent = mergeSums(r.divergent, other.divergent)
+	mergeTable(&r.blocks, other.blocks, func(cur, b *BlockDivergence) {
+		cur.Execs += b.Execs
+		cur.Divergent += b.Divergent
+		cur.Threads += b.Threads
+	})
 }
 
 // BranchDivergence computes the block-divergence profile of a kernel
 // trace. tables resolves block ids to names; it may be nil.
 func BranchDivergence(tr *trace.KernelTrace, tables *instrument.Tables) *BranchDivResult {
-	res := &BranchDivResult{blocks: make(map[int32]*BlockDivergence)}
-	res.EventsRecorded, res.EventsSeen = tr.BlocksCoverage()
+	res := &BranchDivResult{blocks: make(map[int32]*BlockDivergence), divergent: make(map[ContextSite]int64)}
+	res.Add(tr.BlocksCoverage())
 	for i := range tr.Blocks {
 		be := &tr.Blocks[i]
 		res.Total++
 		div := be.Divergent()
 		if div {
 			res.Divergent++
+			res.divergent[ContextSite{be.Ctx, tr.Locs.Loc(be.Loc)}]++
 		}
 		b := res.blocks[be.Block]
 		if b == nil {

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+
+	"cudaadvisor/internal/ir"
 )
 
 // The canonical JSON form of the two results that keep a per-site table
@@ -43,9 +45,9 @@ func (r *MemDivResult) UnmarshalJSON(b []byte) error {
 		return fmt.Errorf("memdiv distribution has %d bins, want %d", len(p.Dist), len(f.Dist))
 	}
 	copy(f.Dist[:], p.Dist)
-	f.sites = make(map[siteKey]*SiteDivergence, len(p.Sites))
+	f.sites = make(map[ir.Loc]*SiteDivergence, len(p.Sites))
 	for i := range p.Sites {
-		f.sites[siteKey{p.Sites[i].Loc}] = &p.Sites[i]
+		f.sites[p.Sites[i].Loc] = &p.Sites[i]
 	}
 	*r = MemDivResult(f)
 	return nil

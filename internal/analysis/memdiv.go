@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"math/bits"
 	"sort"
 
 	"cudaadvisor/internal/gpu"
@@ -23,28 +24,16 @@ type MemDivResult struct {
 	// degree metric.
 	WeightedSum int64
 
-	// EventsRecorded/EventsSeen carry the trace's memory-event coverage
-	// (see ReuseResult): Recorded < Seen means a sampled, partial profile.
-	EventsRecorded int64
-	EventsSeen     int64
+	Events // the trace's memory-event coverage
 
-	sites map[siteKey]*SiteDivergence
+	sites map[ir.Loc]*SiteDivergence
+	lines map[ContextSite]int64
 }
 
-// Partial reports whether the underlying trace dropped events.
-func (r *MemDivResult) Partial() bool { return r.EventsSeen > r.EventsRecorded }
-
-// Coverage returns the recorded share of seen events (1 when complete).
-func (r *MemDivResult) Coverage() float64 {
-	if !r.Partial() {
-		return 1
-	}
-	return float64(r.EventsRecorded) / float64(r.EventsSeen)
-}
-
-type siteKey struct {
-	loc ir.Loc
-}
+// LinesByContext is WeightedSum spread over the leaves of the
+// calling-context tree: the unique lines summed per (context, location).
+// It comes from a trace only; the JSON form does not carry it.
+func (r *MemDivResult) LinesByContext() map[ContextSite]int64 { return r.lines }
 
 // SiteDivergence aggregates divergence per source location, the
 // code-centric view behind Figure 8 ("Line 33 of Kernel.cu has
@@ -56,7 +45,14 @@ type SiteDivergence struct {
 	WeightedSum int64 // sum of unique-line counts
 	MaxLines    int
 	Diverged    int64 // executions touching >1 line
+
+	addr uint64
 }
+
+// SampleAddr is an address the site touched (the first active lane's,
+// at the execution Ctx is taken from) for the data-centric view to
+// chase. Like LinesByContext it is not part of the JSON form.
+func (s *SiteDivergence) SampleAddr() uint64 { return s.addr }
 
 // Degree returns the site's average unique lines per instruction.
 func (s *SiteDivergence) Degree() float64 {
@@ -91,15 +87,21 @@ func (r *MemDivResult) Sites() []*SiteDivergence {
 		out = append(out, s)
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].Degree() != out[j].Degree() {
-			return out[i].Degree() > out[j].Degree()
-		}
-		if out[i].Loc.Line != out[j].Loc.Line {
-			return out[i].Loc.Line < out[j].Loc.Line
-		}
-		return out[i].Loc.File < out[j].Loc.File
+		return worseSite(out[i].Degree(), out[j].Degree(), out[i].Loc, out[j].Loc)
 	})
 	return out
+}
+
+// worseSite orders the per-site listings: higher degree first, ties by
+// line and then by ir.Loc.Less, so no order is left to the map.
+func worseSite(di, dj float64, li, lj ir.Loc) bool {
+	if di != dj {
+		return di > dj
+	}
+	if li.Line != lj.Line {
+		return li.Line < lj.Line
+	}
+	return li.Less(lj)
 }
 
 // Merge accumulates other into r.
@@ -109,31 +111,22 @@ func (r *MemDivResult) Merge(other *MemDivResult) {
 	}
 	r.Total += other.Total
 	r.WeightedSum += other.WeightedSum
-	r.EventsRecorded += other.EventsRecorded
-	r.EventsSeen += other.EventsSeen
-	if r.sites == nil {
-		r.sites = make(map[siteKey]*SiteDivergence)
-	}
-	for k, s := range other.sites {
-		if cur, ok := r.sites[k]; ok {
-			cur.Count += s.Count
-			cur.WeightedSum += s.WeightedSum
-			cur.Diverged += s.Diverged
-			if s.MaxLines > cur.MaxLines {
-				cur.MaxLines = s.MaxLines
-			}
-		} else {
-			cp := *s
-			r.sites[k] = &cp
-		}
-	}
+	r.Add(other.EventsRecorded, other.EventsSeen)
+	r.lines = mergeSums(r.lines, other.lines)
+	mergeTable(&r.sites, other.sites, func(cur, s *SiteDivergence) {
+		cur.Count += s.Count
+		cur.WeightedSum += s.WeightedSum
+		cur.Diverged += s.Diverged
+		cur.MaxLines = max(cur.MaxLines, s.MaxLines)
+	})
 }
 
 // MemDivergence computes the memory-divergence distribution of a kernel
 // trace for the given cache-line size (128 B on Kepler, 32 B on Pascal).
 func MemDivergence(tr *trace.KernelTrace, lineSize int) *MemDivResult {
-	res := &MemDivResult{LineSize: lineSize, sites: make(map[siteKey]*SiteDivergence)}
-	res.EventsRecorded, res.EventsSeen = tr.MemCoverage()
+	res := &MemDivResult{LineSize: lineSize, sites: make(map[ir.Loc]*SiteDivergence), lines: make(map[ContextSite]int64)}
+	res.Add(tr.MemCoverage())
+	byID := make(map[[2]int32]int64) // lines per (context, location id): an 8-byte key per record, resolved once
 	var addrs [trace.WarpSize]uint64
 	for i := range tr.Mem {
 		m := &tr.Mem[i]
@@ -151,13 +144,13 @@ func MemDivergence(tr *trace.KernelTrace, lineSize int) *MemDivResult {
 		res.Dist[n]++
 		res.Total++
 		res.WeightedSum += int64(n)
+		byID[[2]int32{m.Ctx, m.Loc}] += int64(n)
 
 		loc := tr.Locs.Loc(m.Loc)
-		k := siteKey{loc: loc}
-		s := res.sites[k]
+		s := res.sites[loc]
 		if s == nil {
-			s = &SiteDivergence{Loc: loc, Ctx: m.Ctx}
-			res.sites[k] = s
+			s = &SiteDivergence{Loc: loc, Ctx: m.Ctx, addr: addrs[bits.TrailingZeros32(m.Mask)]}
+			res.sites[loc] = s
 		}
 		s.Count++
 		s.WeightedSum += int64(n)
@@ -167,6 +160,9 @@ func MemDivergence(tr *trace.KernelTrace, lineSize int) *MemDivResult {
 		if n > 1 {
 			s.Diverged++
 		}
+	}
+	for k, n := range byID {
+		res.lines[ContextSite{k[0], tr.Locs.Loc(k[1])}] += n
 	}
 	return res
 }

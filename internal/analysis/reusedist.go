@@ -88,23 +88,33 @@ type ReuseResult struct {
 	// CTA (never reused at all).
 	Streaming int64
 
-	// EventsRecorded/EventsSeen carry the trace's memory-event coverage
-	// (trace.KernelTrace.MemCoverage): when a bounded buffer fell back to
-	// sampling, Recorded < Seen and the profile is a deterministic subset.
+	Events // the trace's memory-event coverage
+}
+
+// Events is the coverage every result carries of the trace buffer it was
+// derived from (trace.KernelTrace.MemCoverage, BlocksCoverage): when a
+// bounded buffer fell back to sampling or flushed, Recorded < Seen and
+// the profile is a deterministic subset of the run.
+type Events struct {
 	EventsRecorded int64
 	EventsSeen     int64
 }
 
-// Partial reports whether the underlying trace dropped events (sampling
-// under a bounded buffer), i.e. this profile covers a subset of the run.
-func (r *ReuseResult) Partial() bool { return r.EventsSeen > r.EventsRecorded }
+// Add accumulates the coverage of one more trace, or of a merged result.
+func (e *Events) Add(recorded, seen int64) {
+	e.EventsRecorded += recorded
+	e.EventsSeen += seen
+}
+
+// Partial reports whether the underlying trace dropped events.
+func (e Events) Partial() bool { return e.EventsSeen > e.EventsRecorded }
 
 // Coverage returns the recorded share of seen events (1 when complete).
-func (r *ReuseResult) Coverage() float64 {
-	if !r.Partial() {
+func (e Events) Coverage() float64 {
+	if !e.Partial() {
 		return 1
 	}
-	return float64(r.EventsRecorded) / float64(r.EventsSeen)
+	return float64(e.EventsRecorded) / float64(e.EventsSeen)
 }
 
 // Fraction returns bucket i's share of all samples.
@@ -157,8 +167,7 @@ func (r *ReuseResult) Merge(other *ReuseResult) {
 		r.FiniteMax = other.FiniteMax
 	}
 	r.Streaming += other.Streaming
-	r.EventsRecorded += other.EventsRecorded
-	r.EventsSeen += other.EventsSeen
+	r.Add(other.EventsRecorded, other.EventsSeen)
 }
 
 // ReuseDistance computes the reuse-distance profile of a kernel trace.
@@ -168,7 +177,7 @@ func (r *ReuseResult) Merge(other *ReuseResult) {
 // write-no-allocate/write-evict); analysis is per CTA.
 func ReuseDistance(tr *trace.KernelTrace, opt ReuseOptions) *ReuseResult {
 	res := &ReuseResult{}
-	res.EventsRecorded, res.EventsSeen = tr.MemCoverage()
+	res.Add(tr.MemCoverage())
 	walkReuse(tr, opt, res, nil)
 	return res
 }
@@ -403,7 +412,7 @@ type ctaAccess struct {
 // read for the read it reuses.
 func naiveReuse(tr *trace.KernelTrace, opt ReuseOptions) (*ReuseResult, map[ir.Loc]*SiteReuse) {
 	res := &ReuseResult{}
-	res.EventsRecorded, res.EventsSeen = tr.MemCoverage()
+	res.Add(tr.MemCoverage())
 	sites := newSiteTable(tr)
 	var addrs [trace.WarpSize]uint64
 	for _, records := range groupByCTA(tr, opt.GlobalOnly) {

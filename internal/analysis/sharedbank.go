@@ -24,16 +24,10 @@ type SharedBankResult struct {
 	// passes the hardware serializes the access into.
 	Replays int64
 
-	// EventsRecorded/EventsSeen carry the trace's memory-event coverage
-	// (shared events ride the same buffer as global ones).
-	EventsRecorded int64
-	EventsSeen     int64
+	Events // the trace's memory-event coverage (shared events ride the same buffer as global ones)
 
-	sites map[siteKey]*SiteBankConflict
+	sites map[ir.Loc]*SiteBankConflict
 }
-
-// Partial reports whether the underlying trace dropped events.
-func (r *SharedBankResult) Partial() bool { return r.EventsSeen > r.EventsRecorded }
 
 // SiteBankConflict aggregates bank conflicts per source location, the
 // code-centric view the advisor joins against the static prediction.
@@ -71,13 +65,7 @@ func (r *SharedBankResult) Sites() []*SiteBankConflict {
 		out = append(out, s)
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].Degree() != out[j].Degree() {
-			return out[i].Degree() > out[j].Degree()
-		}
-		if out[i].Loc.Line != out[j].Loc.Line {
-			return out[i].Loc.Line < out[j].Loc.Line
-		}
-		return out[i].Loc.File < out[j].Loc.File
+		return worseSite(out[i].Degree(), out[j].Degree(), out[i].Loc, out[j].Loc)
 	})
 	return out
 }
@@ -89,24 +77,13 @@ func (r *SharedBankResult) Merge(other *SharedBankResult) {
 	}
 	r.Total += other.Total
 	r.Replays += other.Replays
-	r.EventsRecorded += other.EventsRecorded
-	r.EventsSeen += other.EventsSeen
-	if r.sites == nil {
-		r.sites = make(map[siteKey]*SiteBankConflict)
-	}
-	for k, s := range other.sites {
-		if cur, ok := r.sites[k]; ok {
-			cur.Count += s.Count
-			cur.ReplaySum += s.ReplaySum
-			cur.Conflicted += s.Conflicted
-			if s.MaxDegree > cur.MaxDegree {
-				cur.MaxDegree = s.MaxDegree
-			}
-		} else {
-			cp := *s
-			r.sites[k] = &cp
-		}
-	}
+	r.Add(other.EventsRecorded, other.EventsSeen)
+	mergeTable(&r.sites, other.sites, func(cur, s *SiteBankConflict) {
+		cur.Count += s.Count
+		cur.ReplaySum += s.ReplaySum
+		cur.Conflicted += s.Conflicted
+		cur.MaxDegree = max(cur.MaxDegree, s.MaxDegree)
+	})
 }
 
 // SharedBankConflicts computes the bank-conflict distribution of a
@@ -115,8 +92,8 @@ func (r *SharedBankResult) Merge(other *SharedBankResult) {
 // (gpu.BankConflictDegree), so trace-derived per-site sums reconcile
 // with the launch-level replay totals.
 func SharedBankConflicts(tr *trace.KernelTrace) *SharedBankResult {
-	res := &SharedBankResult{sites: make(map[siteKey]*SiteBankConflict)}
-	res.EventsRecorded, res.EventsSeen = tr.MemCoverage()
+	res := &SharedBankResult{sites: make(map[ir.Loc]*SiteBankConflict)}
+	res.Add(tr.MemCoverage())
 	var addrs [trace.WarpSize]uint64
 	for i := range tr.Mem {
 		m := &tr.Mem[i]
@@ -130,11 +107,10 @@ func SharedBankConflicts(tr *trace.KernelTrace) *SharedBankResult {
 		res.Replays += int64(n - 1)
 
 		loc := tr.Locs.Loc(m.Loc)
-		k := siteKey{loc: loc}
-		s := res.sites[k]
+		s := res.sites[loc]
 		if s == nil {
 			s = &SiteBankConflict{Loc: loc, Ctx: m.Ctx}
-			res.sites[k] = s
+			res.sites[loc] = s
 		}
 		s.Count++
 		s.ReplaySum += int64(n - 1)

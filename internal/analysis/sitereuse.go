@@ -13,6 +13,7 @@ import (
 // around the L1.
 type SiteReuse struct {
 	Loc     ir.Loc
+	Ctx     int32 // a representative calling context: the site's first access in the trace
 	Samples int64 // read accesses issued by this site
 	Reused  int64 // of those, how many were re-read later (before a write)
 }
@@ -47,8 +48,11 @@ func siteIndex(tr *trace.KernelTrace, id int32) int32 {
 }
 
 // sitesByLoc keys the counters of the sites that issued reads by their
-// location in tr.
+// location in tr, each under the context of its first access in tr.
 func sitesByLoc(tr *trace.KernelTrace, sites []SiteReuse) map[ir.Loc]*SiteReuse {
+	for i := len(tr.Mem) - 1; i >= 0; i-- { // backwards: the first access is assigned last
+		sites[siteIndex(tr, tr.Mem[i].Loc)].Ctx = tr.Mem[i].Ctx
+	}
 	out := make(map[ir.Loc]*SiteReuse)
 	for id := range sites {
 		if s := &sites[id]; s.Samples > 0 {
@@ -59,15 +63,11 @@ func sitesByLoc(tr *trace.KernelTrace, sites []SiteReuse) map[ir.Loc]*SiteReuse 
 	return out
 }
 
-// MergeSiteReuse accumulates per-site maps across kernel instances.
+// MergeSiteReuse accumulates per-site maps across kernel instances into
+// dst, which the caller has made.
 func MergeSiteReuse(dst, src map[ir.Loc]*SiteReuse) {
-	for loc, s := range src {
-		if cur, ok := dst[loc]; ok {
-			cur.Samples += s.Samples
-			cur.Reused += s.Reused
-		} else {
-			cp := *s
-			dst[loc] = &cp
-		}
-	}
+	mergeTable(&dst, src, func(cur, s *SiteReuse) {
+		cur.Samples += s.Samples
+		cur.Reused += s.Reused
+	})
 }

@@ -188,14 +188,17 @@ func (a *Advisor) PredictBypassWarps(warpsPerCTA int) int {
 	return bypass.PredictFromProfiles(a.Arch, an.ReuseLine(), an.ReuseElem(), an.MemDiv(), warpsPerCTA, ctas)
 }
 
-// WriteReuseReport renders the Figure 4 style histogram for this session.
+// WriteReuseReport renders the Figure 4 style histogram of every kernel
+// of this session, by name.
 func (a *Advisor) WriteReuseReport(w io.Writer) {
-	for _, name := range a.Profiler.KernelNames() {
-		var total analysis.ReuseResult
-		for _, kp := range a.Profiler.KernelsByName(name) {
-			total.Merge(analysis.ReuseDistance(kp.Trace, analysis.DefaultElementReuse()))
-		}
-		report.ReuseHistogram(w, name, &total)
+	byKernel := a.analyses().ReuseElemByKernel()
+	names := make([]string, 0, len(byKernel))
+	for name := range byKernel {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		report.ReuseHistogram(w, name, byKernel[name])
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -110,8 +111,16 @@ func TestAdvisorDerivesOnce(t *testing.T) {
 	if adv.MemDivergence() != md {
 		t.Error("memory divergence was derived again within one session state")
 	}
-	if adv.ReuseDistance(analysis.DefaultElementReuse()) != adv.ReuseDistance(analysis.DefaultElementReuse()) {
+	rd, perKernel := adv.ReuseDistance(analysis.DefaultElementReuse()), adv.analyses().ReuseElemByKernel()["touch"]
+	var report strings.Builder
+	adv.WriteReuseReport(&report)
+	if adv.ReuseDistance(analysis.DefaultElementReuse()) != rd || adv.analyses().ReuseElemByKernel()["touch"] != perKernel {
 		t.Error("reuse distance was derived again within one session state")
+	}
+	// One kernel name: the per-kernel histogram the report prints is the
+	// whole run's, from the same walk.
+	if *perKernel != *rd || !strings.Contains(report.String(), fmt.Sprintf("touch (%d accesses", rd.Samples)) {
+		t.Errorf("reuse report does not print the bundle's profile %+v:\n%s", *rd, report.String())
 	}
 	launch()
 	if got := adv.MemDivergence(); got == md || got.Total != md.Total/2*3 {

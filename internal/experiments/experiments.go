@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 	"runtime"
 
 	"cudaadvisor/internal/analysis"
@@ -37,7 +36,6 @@ import (
 	"cudaadvisor/internal/report"
 	"cudaadvisor/internal/rt"
 	"cudaadvisor/internal/runner"
-	"cudaadvisor/internal/trace"
 )
 
 // newContext is the one place a cell gets its simulated machine: a fresh
@@ -462,21 +460,5 @@ func renderDebugViews(w io.Writer, p *profiler.Profiler, lineSize int) {
 		fmt.Fprintln(w, "(no memory-divergent sites recorded)")
 		return
 	}
-	// Find a memory record at the worst site and chase its address.
-	// Records whose active mask is empty carry no lane addresses and are
-	// skipped rather than misattributed to lane 0.
-	worst := sites[0]
-	for _, kp := range p.Kernels {
-		for i := range kp.Trace.Mem {
-			m := &kp.Trace.Mem[i]
-			if kp.Trace.Locs.Loc(m.Loc) != worst.Loc || m.Mask == 0 {
-				continue
-			}
-			var addrs [trace.WarpSize]uint64
-			kp.Trace.LaneAddrs(m, &addrs)
-			report.DataCentric(w, p, addrs[bits.TrailingZeros32(m.Mask)])
-			return
-		}
-	}
-	fmt.Fprintf(w, "(no trace record with active lanes matches the worst site %s)\n", worst.Loc)
+	report.DataCentric(w, p, sites[0].SampleAddr())
 }

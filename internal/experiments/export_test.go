@@ -11,8 +11,10 @@ import (
 	"cudaadvisor/internal/export"
 	"cudaadvisor/internal/gpu"
 	"cudaadvisor/internal/instrument"
+	"cudaadvisor/internal/ir"
 	"cudaadvisor/internal/profcache"
 	"cudaadvisor/internal/profiler"
+	"cudaadvisor/internal/trace"
 )
 
 // exportRequest decodes one `export` request the way a transport does.
@@ -49,51 +51,65 @@ func profileApp(t *testing.T, env Env, app string) *profiler.Profiler {
 
 // TestFoldedTotalsReconcile is the differential harness for the folded
 // weights: for each weight, re-aggregating the folded document must
-// reproduce the independently computed profile aggregate exactly — the
-// same numbers the figures and the advisor report are built from.
+// reproduce the profile aggregate exactly. The exporter reads the lines
+// and divergence weights out of the analysis bundle, so comparing with
+// the bundle would compare a table with itself: the wanted totals are
+// recounted here record by record (the loop the exporter used to carry),
+// once on complete traces and once on a -trace-cap sample, where the
+// weights must be the raw recorded counts.
 func TestFoldedTotalsReconcile(t *testing.T) {
-	env := Env{Scale: 1}
 	lineSize := gpu.KeplerK40c().L1LineSize
 	nonzero := map[string]bool{}
-	for _, app := range []string{"backprop", "bfs", "nn", "nw"} {
-		p := profileApp(t, env, app)
+	for _, tc := range []struct {
+		traceCap int
+		apps     []string
+	}{{0, []string{"backprop", "bfs", "nn", "nw"}}, {100, []string{"bfs"}}} {
+		env := Env{Scale: 1, TraceCap: tc.traceCap}
+		for _, app := range tc.apps {
+			p := profileApp(t, env, app)
+			want := map[string]int64{}
+			var addrs [trace.WarpSize]uint64
+			for _, kp := range p.Kernels {
+				if kp.Result != nil {
+					want[export.WeightCycles] += kp.Result.Cycles
+				}
+				for i := range kp.Trace.Mem {
+					if m := &kp.Trace.Mem[i]; m.Space == ir.Global {
+						kp.Trace.LaneAddrs(m, &addrs)
+						want[export.WeightLines] += int64(min(gpu.UniqueLines(m.Mask, &addrs, int(m.Bits)/8, lineSize), gpu.WarpSize))
+					}
+				}
+				for _, be := range kp.Trace.Blocks {
+					if be.Divergent() {
+						want[export.WeightDivergence]++
+					}
+				}
+				for _, s := range analysis.NaiveReuseBySite(kp.Trace, analysis.DefaultElementReuse()) {
+					want[export.WeightReuse] += s.Reused
+				}
+			}
+			an := profiler.NewAnalyses(p, lineSize)
+			if md, bd := an.MemDiv().WeightedSum, an.BranchDiv().Divergent; md != want[export.WeightLines] || bd != want[export.WeightDivergence] {
+				t.Errorf("%s cap %d: analyses total %d lines, %d divergent; recounted %d, %d", app, tc.traceCap,
+					md, bd, want[export.WeightLines], want[export.WeightDivergence])
+			}
 
-		var wantCycles int64
-		for _, kp := range p.Kernels {
-			if kp.Result != nil {
-				wantCycles += kp.Result.Cycles
-			}
-		}
-		an := profiler.NewAnalyses(p, lineSize)
-		wantLines := an.MemDiv().WeightedSum
-		wantDiv := an.BranchDiv().Divergent
-		var wantReuse int64
-		for _, kp := range p.Kernels {
-			for _, s := range analysis.ReuseBySite(kp.Trace, analysis.DefaultElementReuse()) {
-				wantReuse += s.Reused
-			}
-		}
-
-		for _, tc := range []struct {
-			weight string
-			want   int64
-		}{
-			{export.WeightCycles, wantCycles},
-			{export.WeightLines, wantLines},
-			{export.WeightDivergence, wantDiv},
-			{export.WeightReuse, wantReuse},
-		} {
-			doc := renderExport(t, env, app, "folded", tc.weight)
-			got, err := export.SumFolded(doc)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", app, tc.weight, err)
-			}
-			if got != tc.want {
-				t.Errorf("%s/%s: folded total %d, profile aggregate %d (must reconcile exactly)",
-					app, tc.weight, got, tc.want)
-			}
-			if tc.want != 0 {
-				nonzero[tc.weight] = true
+			for _, weight := range export.Weights {
+				doc := renderExport(t, env, app, "folded", weight)
+				if sampled := bytes.HasPrefix(doc, []byte("# [sampled]")); sampled != (tc.traceCap > 0) {
+					t.Errorf("%s/%s cap %d: [sampled] header present = %v", app, weight, tc.traceCap, sampled)
+				}
+				got, err := export.SumFolded(doc)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", app, weight, err)
+				}
+				if got != want[weight] {
+					t.Errorf("%s/%s cap %d: folded total %d, recounted aggregate %d (must reconcile exactly)",
+						app, weight, tc.traceCap, got, want[weight])
+				}
+				if want[weight] != 0 {
+					nonzero[weight] = true
+				}
 			}
 		}
 	}

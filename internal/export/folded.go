@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"cudaadvisor/internal/analysis"
-	"cudaadvisor/internal/gpu"
 	"cudaadvisor/internal/ir"
 	"cudaadvisor/internal/profiler"
 	"cudaadvisor/internal/trace"
@@ -163,16 +162,16 @@ func SumFolded(data []byte) (int64, error) {
 	return total, nil
 }
 
-// stackOf renders the calling context ctx of kernel profile kp as escaped
-// folded frames, root first. It walks parent links explicitly — not via
-// ContextTree.Path, which silently stops at out-of-range ids — so a
-// corrupt or foreign id surfaces as the tree's UnknownFrame sentinel
-// ("??") instead of vanishing. The node whose id equals kp.BaseCtx is the
-// kernel frame: it and everything below it are device-side (the profiler
-// does not Device-mark the kernel frame itself, only the HookPush frames
+// stackOf renders the calling context ctx as escaped folded frames, root
+// first. It walks parent links explicitly — not via ContextTree.Path,
+// which silently stops at out-of-range ids — so a corrupt or foreign id
+// surfaces as the tree's UnknownFrame sentinel ("??") instead of
+// vanishing. A node in kernelFrames (a launch's BaseCtx) is a kernel
+// frame: it and everything below it are device-side (the profiler does
+// not Device-mark the kernel frame itself, only the HookPush frames
 // under it), so the boundary marker inserts just before it and the
 // GPUPrefix starts there.
-func stackOf(cct *trace.ContextTree, ctx, baseCtx int32) []string {
+func stackOf(cct *trace.ContextTree, ctx int32, kernelFrames map[int32]bool) []string {
 	var ids []int32
 	if ctx < 0 || int(ctx) >= cct.Len() {
 		ids = append(ids, ctx) // sentinel node: render "??", then stop
@@ -189,11 +188,10 @@ func stackOf(cct *trace.ContextTree, ctx, baseCtx int32) []string {
 		if name == "" {
 			name = f.Loc.String()
 		}
-		device := f.Device || ids[i] == baseCtx
-		if ids[i] == baseCtx {
+		if kernelFrames[ids[i]] {
 			out = append(out, BoundaryFrame)
 		}
-		if device {
+		if f.Device || kernelFrames[ids[i]] {
 			name = GPUPrefix + name
 		}
 		out = append(out, EscapeFrame(name))
@@ -207,106 +205,48 @@ func SiteFrame(loc ir.Loc) string {
 	return EscapeFrame(GPUPrefix + loc.String())
 }
 
-// Partial reports whether any kernel trace of the profile dropped events
-// (flushed to a sink or degraded to sampling): the condition under which
-// folded output carries the [sampled] header.
-func Partial(p *profiler.Profiler) bool {
-	for _, kp := range p.Kernels {
-		if rec, seen := kp.Trace.MemCoverage(); seen > rec {
-			return true
-		}
-		if rec, seen := kp.Trace.BlocksCoverage(); seen > rec {
-			return true
-		}
-	}
-	return false
-}
-
 // WriteFolded emits the profile as folded flamegraph stacks under the
 // given weight, one "frame;frame;... weight" line per distinct stack,
-// sorted lexicographically. lineSize is the architecture's L1 line size
-// (the lines weight replicates the memory-divergence analysis exactly,
-// so the document total reconciles with MemDivResult.WeightedSum).
+// sorted lexicographically. Every weight but cycles is a table of the
+// run's analysis bundle at lineSize, the architecture's L1 line size,
+// so a document's total is the total of the analysis the figures print.
 //
 // A sampled profile (bounded trace buffers dropped events) is annotated
 // with a "# [sampled]" header and its weights stay the raw recorded
 // sample — never rescaled — so totals still reconcile exactly with the
 // analyses over the same recorded events.
 func WriteFolded(w io.Writer, p *profiler.Profiler, weight string, lineSize int) error {
-	agg := map[string]int64{}
-	// site is a leaf in ids (context, location of one kernel's trace):
-	// per-record weights sum under it and each renders once, in addSites.
-	type site struct{ ctx, loc int32 }
-	addSites := func(kp *profiler.KernelProfile, sums map[site]int64) {
-		for k, n := range sums {
-			stack := append(stackOf(p.CCT, k.ctx, kp.BaseCtx), SiteFrame(kp.Trace.Locs.Loc(k.loc)))
-			agg[strings.Join(stack, ";")] += n
-		}
+	an := profiler.NewAnalyses(p, lineSize)
+	kernelFrames := make(map[int32]bool, len(p.Kernels))
+	for _, kp := range p.Kernels {
+		kernelFrames[kp.BaseCtx] = true
 	}
+	agg := map[string]int64{}
+	var sites map[analysis.ContextSite]int64
 	switch weight {
 	case WeightCycles:
 		for _, kp := range p.Kernels {
-			if kp.Result == nil {
-				continue
+			if kp.Result != nil {
+				agg[strings.Join(stackOf(p.CCT, kp.BaseCtx, kernelFrames), ";")] += kp.Result.Cycles
 			}
-			stack := stackOf(p.CCT, kp.BaseCtx, kp.BaseCtx)
-			agg[strings.Join(stack, ";")] += kp.Result.Cycles
 		}
 	case WeightLines:
-		var addrs [trace.WarpSize]uint64
-		for _, kp := range p.Kernels {
-			sums := map[site]int64{}
-			for i := range kp.Trace.Mem {
-				m := &kp.Trace.Mem[i]
-				if m.Space != ir.Global {
-					continue
-				}
-				kp.Trace.LaneAddrs(m, &addrs)
-				n := gpu.UniqueLines(m.Mask, &addrs, int(m.Bits)/8, lineSize)
-				if n == 0 {
-					continue
-				}
-				if n > gpu.WarpSize {
-					n = gpu.WarpSize
-				}
-				sums[site{m.Ctx, m.Loc}] += int64(n)
-			}
-			addSites(kp, sums)
-		}
+		sites = an.MemDiv().LinesByContext()
 	case WeightDivergence:
-		for _, kp := range p.Kernels {
-			sums := map[site]int64{}
-			for i := range kp.Trace.Blocks {
-				if be := &kp.Trace.Blocks[i]; be.Divergent() {
-					sums[site{be.Ctx, be.Loc}]++
-				}
-			}
-			addSites(kp, sums)
-		}
+		sites = an.BranchDiv().DivergentByContext()
 	case WeightReuse:
-		for _, kp := range p.Kernels {
-			ctxOf := firstCtxByLoc(kp.Trace)
-			for loc, s := range analysis.ReuseBySite(kp.Trace, analysis.DefaultElementReuse()) {
-				if s.Reused == 0 {
-					continue
-				}
-				stack := append(stackOf(p.CCT, ctxOf[loc], kp.BaseCtx), SiteFrame(loc))
-				agg[strings.Join(stack, ";")] += s.Reused
-			}
-		}
+		sites = an.ReusedByContext()
 	default:
 		return fmt.Errorf("export: unknown weight %q (want one of %s)", weight, strings.Join(Weights, ", "))
 	}
+	for site, n := range sites {
+		stack := append(stackOf(p.CCT, site.Ctx, kernelFrames), SiteFrame(site.Loc))
+		agg[strings.Join(stack, ";")] += n
+	}
 
-	if Partial(p) {
-		var mem, memSeen, blk, blkSeen int64
-		for _, kp := range p.Kernels {
-			r, s := kp.Trace.MemCoverage()
-			mem, memSeen = mem+r, memSeen+s
-			r, s = kp.Trace.BlocksCoverage()
-			blk, blkSeen = blk+r, blkSeen+s
-		}
-		fmt.Fprintf(w, "# [sampled] trace buffers dropped events (mem %d/%d, blocks %d/%d recorded/seen);\n", mem, memSeen, blk, blkSeen)
+	if mem, blk := an.Coverage(); mem.Partial() || blk.Partial() {
+		fmt.Fprintf(w, "# [sampled] trace buffers dropped events (mem %d/%d, blocks %d/%d recorded/seen);\n",
+			mem.EventsRecorded, mem.EventsSeen, blk.EventsRecorded, blk.EventsSeen)
 		fmt.Fprintf(w, "# weights are the raw deterministic sample, not rescaled to the full run.\n")
 	}
 
@@ -321,24 +261,4 @@ func WriteFolded(w io.Writer, p *profiler.Profiler, weight string, lineSize int)
 		}
 	}
 	return nil
-}
-
-// firstCtxByLoc maps each source location of a trace to the context of
-// the first memory record there (trace order, so deterministic): the
-// representative context of a reuse site.
-func firstCtxByLoc(tr *trace.KernelTrace) map[ir.Loc]int32 {
-	first := map[ir.Loc]int32{}
-	seen := map[int32]bool{}
-	for i := range tr.Mem {
-		m := &tr.Mem[i]
-		if seen[m.Loc] {
-			continue
-		}
-		seen[m.Loc] = true
-		loc := tr.Locs.Loc(m.Loc)
-		if _, ok := first[loc]; !ok {
-			first[loc] = m.Ctx
-		}
-	}
-	return first
 }

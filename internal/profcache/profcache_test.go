@@ -3,6 +3,7 @@ package profcache_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -44,7 +45,8 @@ func render(res *profiler.Analyses) string {
 	report.MemDivDistribution(&b, "bfs", res.MemDiv())
 	report.BranchDivTable(&b, []report.BranchRow{{App: "bfs", Result: res.BranchDiv()}})
 	for _, s := range res.MemDiv().Sites() {
-		fmt.Fprintf(&b, "site %+v\n", *s)
+		site, _ := json.Marshal(s) // its exported fields: what an entry keeps
+		fmt.Fprintf(&b, "site %s\n", site)
 	}
 	for _, bl := range res.BranchDiv().Blocks() {
 		fmt.Fprintf(&b, "block %+v\n", *bl)

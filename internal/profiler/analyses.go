@@ -13,10 +13,11 @@ import (
 // the analyzer derives from the run's kernel instances (Section 3.3
 // merges instances offline), each computed per instance, merged in
 // launch order on first use, and kept. It is the one place that walks a
-// run's kernels calling the per-instance analyses, so a figure, a
-// report and the advisor's join that read the same bundle derive each
-// analysis once between them — and an uncached Figure 4 pays for reuse
-// distance only.
+// run's kernels calling the per-instance analyses (the root package's
+// TestTraceHasOneReader holds that), so a figure, a report, an export
+// and the advisor's join that read the same bundle derive each analysis
+// once between them — and an uncached Figure 4 pays for reuse distance
+// only.
 //
 // A bundle is safe for concurrent use; what it returns is shared and
 // must be treated as immutable. Build it when the run is complete:
@@ -26,12 +27,9 @@ type Analyses struct {
 	kernels  []*KernelProfile // nil once detached or decoded
 	lineSize int
 
-	reuse       map[analysis.ReuseOptions]*analysis.ReuseResult
-	memDiv      *analysis.MemDivResult
-	branchDiv   *analysis.BranchDivResult
-	sharedBank  *analysis.SharedBankResult
-	siteReuse   map[ir.Loc]*analysis.SiteReuse
-	sharedRaces map[ir.Loc]int64
+	// derived keeps every aggregate asked for so far under its getter's
+	// name, a reuse profile under its analysis.ReuseOptions.
+	derived map[any]any
 }
 
 // NewAnalyses wraps a completed run for derivation at the given
@@ -40,27 +38,68 @@ func NewAnalyses(p *Profiler, lineSize int) *Analyses {
 	return &Analyses{kernels: p.Kernels, lineSize: lineSize}
 }
 
-// Reuse is the reuse-distance profile under the given model.
-func (a *Analyses) Reuse(opt analysis.ReuseOptions) *analysis.ReuseResult {
+// derive returns the aggregate kept under key. On first use that is
+// acc, a reference to an empty aggregate, after fold has merged every
+// kernel instance into it in launch order.
+func derive[T any](a *Analyses, key any, acc T, fold func(T, *KernelProfile)) T {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	r := a.reuse[opt]
-	if r == nil {
-		r = &analysis.ReuseResult{}
-		for _, kp := range a.kernels {
-			r.Merge(analysis.ReuseDistance(kp.Trace, opt))
-		}
-		if a.reuse == nil {
-			a.reuse = make(map[analysis.ReuseOptions]*analysis.ReuseResult)
-		}
-		a.reuse[opt] = r
+	if kept, ok := a.derived[key]; ok {
+		return kept.(T)
 	}
-	return r
+	for _, kp := range a.kernels {
+		fold(acc, kp)
+	}
+	if a.derived == nil {
+		a.derived = make(map[any]any)
+	}
+	a.derived[key] = acc
+	return acc
 }
+
+// Coverage is how much of what the run's kernel instances offered their
+// memory and basic-block trace buffers is still held, summed over the
+// instances; either is Partial once a trace flushed or sampled.
+func (a *Analyses) Coverage() (mem, blocks analysis.Events) {
+	c := derive(a, "Coverage", new([2]analysis.Events), func(c *[2]analysis.Events, kp *KernelProfile) {
+		c[0].Add(kp.Trace.MemCoverage())
+		c[1].Add(kp.Trace.BlocksCoverage())
+	})
+	return c[0], c[1]
+}
+
+// reuseProfile is the reuse distance of a run under one model: over all
+// kernel instances, and over the instances of each kernel name.
+type reuseProfile struct {
+	total    analysis.ReuseResult
+	byKernel map[string]*analysis.ReuseResult
+}
+
+func (a *Analyses) reuse(opt analysis.ReuseOptions) *reuseProfile {
+	return derive(a, opt, &reuseProfile{byKernel: make(map[string]*analysis.ReuseResult)},
+		func(r *reuseProfile, kp *KernelProfile) {
+			rd := analysis.ReuseDistance(kp.Trace, opt)
+			r.total.Merge(rd)
+			if cur := r.byKernel[kp.Trace.Kernel]; cur != nil {
+				cur.Merge(rd)
+			} else {
+				r.byKernel[kp.Trace.Kernel] = rd
+			}
+		})
+}
+
+// Reuse is the reuse-distance profile under the given model.
+func (a *Analyses) Reuse(opt analysis.ReuseOptions) *analysis.ReuseResult { return &a.reuse(opt).total }
 
 // ReuseElem is the element-based reuse-distance profile (Figure 4).
 func (a *Analyses) ReuseElem() *analysis.ReuseResult {
 	return a.Reuse(analysis.DefaultElementReuse())
+}
+
+// ReuseElemByKernel is ReuseElem per kernel name: the instances of one
+// kernel merged (Section 3.3's offline grouping).
+func (a *Analyses) ReuseElemByKernel() map[string]*analysis.ReuseResult {
+	return a.reuse(analysis.DefaultElementReuse()).byKernel
 }
 
 // ReuseLine is the line-based reuse-distance profile at the run's cache
@@ -72,77 +111,71 @@ func (a *Analyses) ReuseLine() *analysis.ReuseResult {
 // MemDiv is the memory-divergence profile at the run's line size
 // (Figure 5, and the M.D. input of the bypass model).
 func (a *Analyses) MemDiv() *analysis.MemDivResult {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.memDiv == nil {
-		a.memDiv = &analysis.MemDivResult{LineSize: a.lineSize}
-		for _, kp := range a.kernels {
-			a.memDiv.Merge(analysis.MemDivergence(kp.Trace, a.lineSize))
-		}
-	}
-	return a.memDiv
+	return derive(a, "MemDiv", &analysis.MemDivResult{LineSize: a.lineSize},
+		func(r *analysis.MemDivResult, kp *KernelProfile) {
+			r.Merge(analysis.MemDivergence(kp.Trace, a.lineSize))
+		})
 }
 
 // BranchDiv is the branch-divergence profile (Table 3); empty unless the
 // run instrumented basic blocks.
 func (a *Analyses) BranchDiv() *analysis.BranchDivResult {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.branchDiv == nil {
-		a.branchDiv = &analysis.BranchDivResult{}
-		for _, kp := range a.kernels {
-			a.branchDiv.Merge(analysis.BranchDivergence(kp.Trace, kp.Tables))
-		}
-	}
-	return a.branchDiv
+	return derive(a, "BranchDiv", &analysis.BranchDivResult{},
+		func(r *analysis.BranchDivResult, kp *KernelProfile) {
+			r.Merge(analysis.BranchDivergence(kp.Trace, kp.Tables))
+		})
 }
 
 // SharedBank is the shared-memory bank-conflict profile; empty unless
 // the run instrumented the shared-memory category.
 func (a *Analyses) SharedBank() *analysis.SharedBankResult {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.sharedBank == nil {
-		a.sharedBank = &analysis.SharedBankResult{}
-		for _, kp := range a.kernels {
-			a.sharedBank.Merge(analysis.SharedBankConflicts(kp.Trace))
-		}
-	}
-	return a.sharedBank
+	return derive(a, "SharedBank", &analysis.SharedBankResult{},
+		func(r *analysis.SharedBankResult, kp *KernelProfile) {
+			r.Merge(analysis.SharedBankConflicts(kp.Trace))
+		})
+}
+
+// siteReuseProfile is the per-site forward reuse of a run, by location
+// and by calling context.
+type siteReuseProfile struct {
+	byLoc  map[ir.Loc]*analysis.SiteReuse
+	reused map[analysis.ContextSite]int64
+}
+
+func (a *Analyses) siteReuse() *siteReuseProfile {
+	return derive(a, "SiteReuse", &siteReuseProfile{make(map[ir.Loc]*analysis.SiteReuse), make(map[analysis.ContextSite]int64)},
+		func(r *siteReuseProfile, kp *KernelProfile) {
+			sites := analysis.ReuseBySite(kp.Trace, analysis.DefaultElementReuse())
+			for loc, s := range sites {
+				if s.Reused > 0 {
+					r.reused[analysis.ContextSite{Ctx: s.Ctx, Loc: loc}] += s.Reused
+				}
+			}
+			analysis.MergeSiteReuse(r.byLoc, sites)
+		})
 }
 
 // SiteReuse is the forward reuse of every load site under the
 // element-based model (the vertical-bypass criterion).
-func (a *Analyses) SiteReuse() map[ir.Loc]*analysis.SiteReuse {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.siteReuse == nil {
-		a.siteReuse = make(map[ir.Loc]*analysis.SiteReuse)
-		for _, kp := range a.kernels {
-			analysis.MergeSiteReuse(a.siteReuse, analysis.ReuseBySite(kp.Trace, analysis.DefaultElementReuse()))
-		}
-	}
-	return a.siteReuse
-}
+func (a *Analyses) SiteReuse() map[ir.Loc]*analysis.SiteReuse { return a.siteReuse().byLoc }
+
+// ReusedByContext sums the reused loads of SiteReuse under each site's
+// representative context in the kernel instance that issued them, for
+// the sites that have any.
+func (a *Analyses) ReusedByContext() map[analysis.ContextSite]int64 { return a.siteReuse().reused }
 
 // SharedRaces sums, per load site, the lane reads the simulator's
 // same-interval last-writer check flagged; empty unless the
 // shared-memory watch ran.
 func (a *Analyses) SharedRaces() map[ir.Loc]int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.sharedRaces == nil {
-		a.sharedRaces = make(map[ir.Loc]int64)
-		for _, kp := range a.kernels {
-			if kp.Result == nil {
-				continue
-			}
-			for _, rs := range kp.Result.SharedRaces {
-				a.sharedRaces[rs.Loc] += rs.Count
-			}
+	return derive(a, "SharedRaces", make(map[ir.Loc]int64), func(races map[ir.Loc]int64, kp *KernelProfile) {
+		if kp.Result == nil {
+			return
 		}
-	}
-	return a.sharedRaces
+		for _, rs := range kp.Result.SharedRaces {
+			races[rs.Loc] += rs.Count
+		}
+	})
 }
 
 // analysesJSON is the bundle's serialized form: the four aggregates the
@@ -188,10 +221,11 @@ func (a *Analyses) UnmarshalJSON(b []byte) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.kernels, a.lineSize = nil, p.LineSize
-	a.reuse = map[analysis.ReuseOptions]*analysis.ReuseResult{
-		analysis.DefaultElementReuse(): p.ReuseElem,
-		analysis.LineReuse(p.LineSize): p.ReuseLine,
+	a.derived = map[any]any{
+		analysis.DefaultElementReuse(): &reuseProfile{total: *p.ReuseElem},
+		analysis.LineReuse(p.LineSize): &reuseProfile{total: *p.ReuseLine},
+		"MemDiv":                       p.MemDiv,
+		"BranchDiv":                    p.BranchDiv,
 	}
-	a.memDiv, a.branchDiv = p.MemDiv, p.BranchDiv
 	return nil
 }

@@ -24,6 +24,9 @@ type explicit struct {
 	sharedBank           analysis.SharedBankResult
 	siteReuse            map[ir.Loc]*analysis.SiteReuse
 	sharedRaces          map[ir.Loc]int64
+	reuseByKernel        map[string]*analysis.ReuseResult
+	reusedByContext      map[analysis.ContextSite]int64
+	coverage             [2]analysis.Events
 }
 
 func mergeExplicitly(p *profiler.Profiler, lineSize int) *explicit {
@@ -31,8 +34,22 @@ func mergeExplicitly(p *profiler.Profiler, lineSize int) *explicit {
 		memDiv:      analysis.MemDivResult{LineSize: lineSize},
 		siteReuse:   map[ir.Loc]*analysis.SiteReuse{},
 		sharedRaces: map[ir.Loc]int64{},
+
+		reuseByKernel:   map[string]*analysis.ReuseResult{},
+		reusedByContext: map[analysis.ContextSite]int64{},
 	}
 	for _, kp := range p.Kernels {
+		if e.reuseByKernel[kp.Info.Kernel] == nil {
+			e.reuseByKernel[kp.Info.Kernel] = &analysis.ReuseResult{}
+		}
+		e.reuseByKernel[kp.Info.Kernel].Merge(analysis.ReuseDistance(kp.Trace, analysis.DefaultElementReuse()))
+		for loc, s := range analysis.ReuseBySite(kp.Trace, analysis.DefaultElementReuse()) {
+			if s.Reused > 0 {
+				e.reusedByContext[analysis.ContextSite{Ctx: s.Ctx, Loc: loc}] += s.Reused
+			}
+		}
+		e.coverage[0].Add(int64(len(kp.Trace.Mem)), kp.Trace.MemSeen)
+		e.coverage[1].Add(int64(len(kp.Trace.Blocks)), kp.Trace.BlocksSeen)
 		e.reuseElem.Merge(analysis.ReuseDistance(kp.Trace, analysis.DefaultElementReuse()))
 		e.reuseLine.Merge(analysis.ReuseDistance(kp.Trace, analysis.LineReuse(lineSize)))
 		e.memDiv.Merge(analysis.MemDivergence(kp.Trace, lineSize))
@@ -49,6 +66,7 @@ func mergeExplicitly(p *profiler.Profiler, lineSize int) *explicit {
 // check compares everything a bundle derives with the reference.
 func (e *explicit) check(t *testing.T, a *profiler.Analyses) {
 	t.Helper()
+	mem, blocks := a.Coverage()
 	for _, c := range []struct {
 		name      string
 		got, want any
@@ -60,6 +78,9 @@ func (e *explicit) check(t *testing.T, a *profiler.Analyses) {
 		{"SharedBank", a.SharedBank(), &e.sharedBank},
 		{"SiteReuse", a.SiteReuse(), e.siteReuse},
 		{"SharedRaces", a.SharedRaces(), e.sharedRaces},
+		{"ReuseElemByKernel", a.ReuseElemByKernel(), e.reuseByKernel},
+		{"ReusedByContext", a.ReusedByContext(), e.reusedByContext},
+		{"Coverage", [2]analysis.Events{mem, blocks}, e.coverage},
 	} {
 		if !reflect.DeepEqual(c.got, c.want) {
 			t.Errorf("%s: the bundle differs from the explicit per-kernel merge\n got %+v\nwant %+v", c.name, c.got, c.want)
@@ -103,18 +124,35 @@ func TestAnalysesEqualExplicitMerge(t *testing.T) {
 		if err := json.Unmarshal(raw, decoded); err != nil {
 			t.Fatal(err)
 		}
+		// The two divergence results come back as their JSON form (pinned
+		// field by field in internal/analysis): without the per-context
+		// tables and sample addresses, which only a live trace gives.
 		for _, c := range []struct{ got, want any }{
 			{decoded.ReuseElem(), &want.reuseElem}, {decoded.ReuseLine(), &want.reuseLine},
-			{decoded.MemDiv(), &want.memDiv}, {decoded.BranchDiv(), &want.branchDiv},
+			{asJSON(t, decoded.MemDiv()), asJSON(t, &want.memDiv)},
+			{asJSON(t, decoded.BranchDiv()), asJSON(t, &want.branchDiv)},
 		} {
 			if !reflect.DeepEqual(c.got, c.want) {
 				t.Errorf("%s: decoded bundle differs\n got %+v\nwant %+v", name, c.got, c.want)
 			}
 		}
+		if decoded.MemDiv().LinesByContext() != nil || len(want.memDiv.LinesByContext()) == 0 {
+			t.Errorf("%s: per-context lines: decoded %v, live %v; want them on the live result only",
+				name, decoded.MemDiv().LinesByContext(), want.memDiv.LinesByContext())
+		}
 		if err := json.Unmarshal([]byte(`{"LineSize":128}`), new(profiler.Analyses)); err == nil {
 			t.Error("a serialized bundle without its aggregates decoded without error")
 		}
 	}
+}
+
+func asJSON(t *testing.T, v any) string {
+	t.Helper()
+	raw, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
 }
 
 // TestAnalysesConcurrentFirstUse: sixteen goroutines racing to be the

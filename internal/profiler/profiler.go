@@ -9,7 +9,6 @@ package profiler
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"cudaadvisor/internal/gpu"
 	"cudaadvisor/internal/instrument"
@@ -314,18 +313,4 @@ func (p *Profiler) KernelsByName(name string) []*KernelProfile {
 		}
 	}
 	return out
-}
-
-// KernelNames returns the distinct kernel names profiled, sorted.
-func (p *Profiler) KernelNames() []string {
-	seen := map[string]bool{}
-	var names []string
-	for _, kp := range p.Kernels {
-		if !seen[kp.Info.Kernel] {
-			seen[kp.Info.Kernel] = true
-			names = append(names, kp.Info.Kernel)
-		}
-	}
-	sort.Strings(names)
-	return names
 }

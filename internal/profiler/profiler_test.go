@@ -394,7 +394,4 @@ func TestProfilerOnKernelEndCallback(t *testing.T) {
 	if got := len(p.KernelsByName("work")); got != 3 {
 		t.Errorf("instances = %d, want 3", got)
 	}
-	if names := p.KernelNames(); len(names) != 1 || names[0] != "work" {
-		t.Errorf("names = %v", names)
-	}
 }
