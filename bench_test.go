@@ -26,7 +26,6 @@ import (
 	"cudaadvisor/internal/ir"
 	"cudaadvisor/internal/irtext"
 	"cudaadvisor/internal/profcache"
-	"cudaadvisor/internal/profiler"
 	"cudaadvisor/internal/rt"
 	"cudaadvisor/internal/runner"
 )
@@ -265,7 +264,9 @@ func BenchmarkAnalyzerReuseDistance(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		profiler.NewAnalyses(p, 0).ReuseElem()
+		for _, kp := range p.Kernels {
+			analysis.ReuseDistance(kp.Trace, analysis.DefaultElementReuse())
+		}
 	}
 }
 

@@ -17,46 +17,13 @@
 //	cudaadvisor all                       every table and figure
 //	cudaadvisor serve [flags]             profiling-as-a-service HTTP daemon
 //
-// Global flags (before the command):
-//
-//	-j N    parallel simulator runs (default 0 = GOMAXPROCS). Every
-//	        experiment fans its independent runs out on a bounded worker
-//	        pool, and each uninstrumented kernel launch additionally
-//	        splits its SM shards across idle workers; output is
-//	        byte-identical for every N.
-//	-trace-cap N       bound each kernel trace's buffers to N records;
-//	                   overflowing traces fall back to deterministic
-//	                   sampling and analyses annotate their coverage
-//	-cell-timeout D    per-cell deadline (e.g. 30s); a runaway cell
-//	                   aborts without taking the run with it
-//	-keep-going        degrade gracefully: a failing cell becomes an
-//	                   annotated "[cell failed: ...]" line, every other
-//	                   cell still renders, and the exit status is 1
-//	-inject SPEC       deterministic fault injection for resilience
-//	                   testing (see internal/faultinject)
-//	-cache             content-addressed result cache: repeated profiling
-//	                   and timing cells within one invocation are served
-//	                   from one shared run (byte-identical output)
-//	-cache-dir DIR     persist the cache in DIR so later runs start warm
-//	                   (implies -cache); corrupt entries are just misses;
-//	                   safe to share between concurrent processes
-//	-cache-budget N    cap the disk store at N bytes (LRU eviction)
-//	-memo-budget N     cap the in-process memoizer at N entries
-//	-cache-stats       print a hit/miss summary line to stderr
+// The global flags go before the command; `cudaadvisor` without one
+// prints them, and every command's own flags, once (usage below).
 //
 // profile, lint, advise and export are one request type in
 // internal/experiments (DESIGN.md §11): their flags come from its
 // parameter table, go before the target, and are validated there — the
 // serve daemon's query parameters are the same table.
-//
-// Flags for profile:
-//
-//	-arch kepler|pascal    architecture (default kepler)
-//	-scale N               input scale factor (default 1)
-//	-mode rd|md|bd|all     analysis to print (default all)
-//	-smem                  trace shared-memory accesses, watch for bank
-//	                       conflicts and same-interval races, and print
-//	                       the shared-memory section
 //
 // export serializes a profile for standard visualization tooling
 // (DESIGN.md §12): -format folded emits flamegraph folded stacks over
@@ -225,6 +192,7 @@ global flags:
   -cache-budget N    bound the on-disk cache to N bytes; least-recently-used
                      entries are evicted (counted separately from misses)
   -memo-budget N     bound the in-process memoizer to N resolved entries
+                     (results and the runs they are derived from)
   -cache-stats       print "cache: ..." hit/miss summary to stderr at the end
 
 commands:

@@ -182,6 +182,15 @@ func ReuseDistance(tr *trace.KernelTrace, opt ReuseOptions) *ReuseResult {
 	return res
 }
 
+// Reuse is ReuseDistance and ReuseBySite from one traversal of tr.
+func Reuse(tr *trace.KernelTrace, opt ReuseOptions) (*ReuseResult, map[ir.Loc]*SiteReuse) {
+	res := &ReuseResult{}
+	res.Add(tr.MemCoverage())
+	sites := newSiteTable(tr)
+	walkReuse(tr, opt, res, sites)
+	return res, sitesByLoc(tr, sites)
+}
+
 // elemKey maps an access to its element identity: the aligned address at
 // the fixed granularity, or at the access's own width in element mode.
 func elemKey(addr uint64, width uint8, gran int) uint64 {
@@ -273,14 +282,20 @@ func (w *reuseWalker) state(elem uint64) *elemState {
 	}
 }
 
-// walkReuse is the one traversal behind ReuseDistance and ReuseBySite:
-// every CTA's lane accesses in execution order under the per-CTA,
-// write-restart model. With res set it accumulates the distance
+// onWalk, set by a test only, is told of every traversal walkReuse starts.
+var onWalk func(ReuseOptions)
+
+// walkReuse is the one traversal behind Reuse, ReuseDistance and
+// ReuseBySite: every CTA's lane accesses in execution order under the
+// per-CTA, write-restart model. With res set it accumulates the distance
 // histogram (the timestamp tree is only maintained then); with sites set
 // (a newSiteTable), per-site forward reuse: when an element is re-read
 // with no intervening write, the site of the PREVIOUS read gets the
 // credit — its load brought in data worth caching.
 func walkReuse(tr *trace.KernelTrace, opt ReuseOptions, res *ReuseResult, sites []SiteReuse) {
+	if onWalk != nil {
+		onWalk(opt)
+	}
 	var w reuseWalker
 	var addrs [trace.WarpSize]uint64
 	for _, records := range groupByCTA(tr, opt.GlobalOnly) {

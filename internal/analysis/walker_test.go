@@ -60,7 +60,8 @@ func mixedTrace(seed int64, n int) *trace.KernelTrace {
 
 // TestReuseWalkerMatchesNaive checks the shared walker against both
 // O(N^2) references — the distance histogram and the per-site forward
-// reuse — in element and line mode.
+// reuse, each alone and the two from one traversal — in element and
+// line mode.
 func TestReuseWalkerMatchesNaive(t *testing.T) {
 	affine, explicit := 0, 0
 	for seed := int64(1); seed <= 40; seed++ {
@@ -78,6 +79,10 @@ func TestReuseWalkerMatchesNaive(t *testing.T) {
 			}
 			if fast, slow := ReuseBySite(tr, opt), NaiveReuseBySite(tr, opt); !reflect.DeepEqual(fast, slow) {
 				t.Errorf("seed %d, %+v: walker sites %v, naive %v", seed, opt, siteList(fast), siteList(slow))
+			}
+			// Both from one traversal.
+			if hist, sites := Reuse(tr, opt); *hist != *NaiveReuseDistance(tr, opt) || !reflect.DeepEqual(sites, NaiveReuseBySite(tr, opt)) {
+				t.Errorf("seed %d, %+v: the fused walk gives\n %+v\n %v", seed, opt, *hist, siteList(sites))
 			}
 		}
 	}

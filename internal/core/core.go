@@ -20,7 +20,6 @@ import (
 
 	"cudaadvisor/internal/analysis"
 	"cudaadvisor/internal/bypass"
-	"cudaadvisor/internal/export"
 	"cudaadvisor/internal/gpu"
 	"cudaadvisor/internal/instrument"
 	"cudaadvisor/internal/ir"
@@ -43,11 +42,6 @@ type Advisor struct {
 	Profiler *profiler.Profiler
 
 	ctx *rt.Context
-
-	// derived is the analysis bundle of the first derivedAt kernel
-	// instances; see analyses.
-	derived   *profiler.Analyses
-	derivedAt int
 }
 
 // New creates an advisor session on the given architecture with the given
@@ -86,16 +80,8 @@ func (a *Advisor) Compile(m *ir.Module) (*instrument.Program, error) {
 // Kernels returns the profiled kernel instances.
 func (a *Advisor) Kernels() []*profiler.KernelProfile { return a.Profiler.Kernels }
 
-// analyses returns the analysis bundle of the session's profile, which
-// every analyzer and report method below reads, so each aggregate is
-// derived once however many reports print it. A launch since the last
-// call starts a fresh bundle.
-func (a *Advisor) analyses() *profiler.Analyses {
-	if n := len(a.Profiler.Kernels); a.derived == nil || a.derivedAt != n {
-		a.derived, a.derivedAt = profiler.NewAnalyses(a.Profiler, a.Arch.L1LineSize), n
-	}
-	return a.derived
-}
+// analyses is the profile's analysis bundle at this architecture's line size.
+func (a *Advisor) analyses() *profiler.Analyses { return a.Profiler.Analyses(a.Arch.L1LineSize) }
 
 // ReuseDistance aggregates the reuse-distance profile over all kernel
 // instances under the given model.
@@ -110,20 +96,6 @@ func (a *Advisor) MemDivergence() *analysis.MemDivResult { return a.analyses().M
 // BranchDivergence aggregates the branch-divergence profile over all
 // kernel instances.
 func (a *Advisor) BranchDivergence() *analysis.BranchDivResult { return a.analyses().BranchDiv() }
-
-// WriteFolded emits the session's profile as folded flamegraph stacks
-// under the given weight (see internal/export), using this
-// architecture's L1 line size for the lines weight.
-func (a *Advisor) WriteFolded(w io.Writer, weight string) error {
-	return export.WriteFolded(w, a.Profiler, weight, a.Arch.L1LineSize)
-}
-
-// WriteChromeTrace emits the session's warp/CTA scheduling timeline as
-// Chrome-trace JSON. The profile must have been collected with
-// rt.LaunchOptions.RecordSchedule on.
-func (a *Advisor) WriteChromeTrace(w io.Writer) error {
-	return export.WriteChromeTrace(w, a.Profiler)
-}
 
 // SharedBankConflicts aggregates the shared-memory bank-conflict profile
 // over all kernel instances. It is empty unless the session's options

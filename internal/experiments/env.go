@@ -58,7 +58,8 @@ type Env struct {
 	// Cache, when non-nil, serves repeated profiling and cycle-model cells
 	// from a content-addressed cache (see internal/profcache) instead of
 	// re-running them; rendered-text cells (the debug views, advise
-	// reports) cache their output bytes as "view" entries. It is consulted
+	// reports) cache their output bytes as "view" entries, and all cells
+	// of one run share its one simulation (runCell). It is consulted
 	// only when the run is unperturbed: fault injection and per-cell
 	// timeouts bypass it entirely (see cacheActive), as do cells that need
 	// wall-clock time (Figure 10).
@@ -86,11 +87,10 @@ func (e Env) cellCtx(parent context.Context) (context.Context, context.CancelFun
 
 // profileCell runs one application under the profiler with every Env
 // policy applied: the cell's injector (panic, trace cap, listener
-// wrapping) and the cell context plumbed down to the GPU executor.
-// recordSchedule turns the per-SM scheduling recorder on: the timeline
-// export needs it, every other cell leaves it off (it is observational,
-// but off keeps profile memory flat).
-func (e Env) profileCell(ctx context.Context, cell string, app *apps.App, cfg gpu.ArchConfig, opts instrument.Options, recordSchedule bool) (*profiler.Profiler, error) {
+// wrapping) and the cell context plumbed down to the GPU executor. The
+// per-SM schedule is always recorded: it is observational and O(CTAs),
+// and the timeline export of the same run reads it.
+func (e Env) profileCell(ctx context.Context, cell string, app *apps.App, cfg gpu.ArchConfig, opts instrument.Options) (*profiler.Profiler, error) {
 	inj := e.Inject.Cell(cell)
 	inj.MaybePanic()
 	prog, err := app.Instrumented(opts)
@@ -103,7 +103,7 @@ func (e Env) profileCell(ctx context.Context, cell string, app *apps.App, cfg gp
 	// its SM shards across whatever workers the experiment fan-out leaves
 	// idle (the shard fan-out is non-blocking, so cell- and launch-level
 	// parallelism share one -j bound without deadlock).
-	c := newContext(cfg, inj.Listener(p), rt.LaunchOptions{Ctx: ctx, RecordSchedule: recordSchedule, Pool: e.Pool})
+	c := newContext(cfg, inj.Listener(p), rt.LaunchOptions{Ctx: ctx, RecordSchedule: true, Pool: e.Pool})
 	if err := app.Run(c, prog, e.Scale); err != nil {
 		return nil, fmt.Errorf("%s: run: %w", app.Name, err)
 	}
@@ -121,24 +121,39 @@ func (e Env) cacheActive() bool {
 	return e.Cache != nil && e.Inject == nil && e.CellTimeout == 0
 }
 
-// resultsCell returns the analysis bundle of one profiling cell, through
-// the cache when active (single-flight per key: concurrent duplicate
-// cells share one fill) and by running profileCell directly otherwise.
-// Cached bundles are shared across cells and must be treated as
-// immutable; uncached ones derive lazily, paying only for the analyses
-// the caller reads.
-func (e Env) resultsCell(ctx context.Context, cell string, app *apps.App, cfg gpu.ArchConfig, opts instrument.Options) (*profiler.Analyses, error) {
+// runCell returns the completed run of one profiling cell. Without an
+// active cache that is profileCell: a live run whose bundle derives
+// lazily, so a one-shot cell pays only for what it reads. With one it is
+// the cache's run for the cell's inputs, shared by every figure cell and
+// view of those inputs and immutable: simulated once (single-flight),
+// fully derived, and detached, so keeping it holds no trace record.
+func (e Env) runCell(ctx context.Context, cell string, app *apps.App, cfg gpu.ArchConfig, opts instrument.Options) (*profiler.Profiler, error) {
 	if !e.cacheActive() {
-		p, err := e.profileCell(ctx, cell, app, cfg, opts, false)
-		if err != nil {
-			return nil, err
-		}
-		return profiler.NewAnalyses(p, cfg.L1LineSize), nil
+		return e.profileCell(ctx, cell, app, cfg, opts)
 	}
 	key := profcache.ProfileKey(app, cfg, opts, e.Scale, e.TraceCap)
-	return e.Cache.Profile(ctx, key, cfg.L1LineSize, func(ctx context.Context) (*profiler.Profiler, error) {
-		return e.profileCell(ctx, cell, app, cfg, opts, false)
+	return e.Cache.Run(ctx, key, func(ctx context.Context) (*profiler.Profiler, error) {
+		p, err := e.profileCell(ctx, cell, app, cfg, opts)
+		if err == nil {
+			p.Analyses(cfg.L1LineSize).Detach()
+		}
+		return p, err
 	})
+}
+
+// resultsCell returns the analysis bundle of one profiling cell: its
+// run's own, or with an active cache the "profile" entry of its inputs,
+// filled from that run. Bundles are shared and must not be modified.
+func (e Env) resultsCell(ctx context.Context, cell string, app *apps.App, cfg gpu.ArchConfig, opts instrument.Options) (*profiler.Analyses, error) {
+	run := func(ctx context.Context) (*profiler.Profiler, error) { return e.runCell(ctx, cell, app, cfg, opts) }
+	if e.cacheActive() {
+		return e.Cache.Profile(ctx, profcache.ProfileKey(app, cfg, opts, e.Scale, e.TraceCap), cfg.L1LineSize, run)
+	}
+	p, err := run(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return p.Analyses(cfg.L1LineSize), nil
 }
 
 // nativeStats runs one native cycle-model measurement through the cache
@@ -157,19 +172,18 @@ func (e Env) nativeStats(ctx context.Context, app *apps.App, cfg gpu.ArchConfig,
 }
 
 // viewCell is the one rendered-view cell behind `profile`, `export`,
-// `advise` and `debugviews`: profile app on cfg under the cell's name
-// and policies, render the profile to bytes, and write them to w. The
-// views need the raw trace, which the cache's analysis bundle does not
-// carry, so what is cached is the rendered bytes themselves, as a "view"
-// entry keyed on the profiling inputs plus the view name — everything
-// render-only (mode, format, weight, schema) must be part of that name.
-// A warm request touches no simulator. With KeepGoing a failure is
-// written as the cell's annotation line, and still returned.
-func (e Env) viewCell(w io.Writer, cell string, app *apps.App, cfg gpu.ArchConfig, opts instrument.Options,
-	recordSchedule bool, view string, render func(io.Writer, *profiler.Profiler) error) error {
+// `advise` and `debugviews`: take the run of app on cfg under the cell's
+// name and policies (runCell) and render it to bytes. With an active
+// cache those are a "view" entry keyed on the profiling inputs plus the
+// view name — everything render-only (mode, format, weight, schema) must
+// be part of that name — so a warm request touches no simulator, and the
+// cold views of one run share its one simulation. With KeepGoing a
+// failure comes back as the cell's annotation line beside the error.
+func (e Env) viewCell(cell string, app *apps.App, cfg gpu.ArchConfig, opts instrument.Options,
+	view string, render func(io.Writer, *profiler.Profiler) error) ([]byte, error) {
 	fill := func(ctx context.Context) ([]byte, error) {
 		p, err := runner.DoCtx(ctx, e.Pool, func(ctx context.Context) (*profiler.Profiler, error) {
-			return e.profileCell(ctx, cell, app, cfg, opts, recordSchedule)
+			return e.runCell(ctx, cell, app, cfg, opts)
 		})
 		if err != nil {
 			return nil, err
@@ -189,14 +203,10 @@ func (e Env) viewCell(w io.Writer, cell string, app *apps.App, cfg gpu.ArchConfi
 	} else {
 		out, err = fill(ctx)
 	}
-	if err != nil {
-		if e.KeepGoing {
-			fmt.Fprint(w, failedCell(&cellError{cell, err}))
-		}
-		return err
+	if err != nil && e.KeepGoing {
+		out = []byte(failedCell(&cellError{cell, err}))
 	}
-	_, err = w.Write(out)
-	return err
+	return out, err
 }
 
 // cellError is one cell's failure under its cell name. Every per-cell

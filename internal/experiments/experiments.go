@@ -17,7 +17,6 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -52,7 +51,7 @@ func newContext(cfg gpu.ArchConfig, l rt.Listener, opts rt.LaunchOptions) *rt.Co
 // applied. Every call builds its own module, device and profiler, so
 // concurrent calls share nothing.
 func Profile(app *apps.App, cfg gpu.ArchConfig, opts instrument.Options, scale int) (*profiler.Profiler, error) {
-	return Env{Scale: scale}.profileCell(context.Background(), "", app, cfg, opts, false)
+	return Env{Scale: scale}.profileCell(context.Background(), "", app, cfg, opts)
 }
 
 // profiledCells runs one profiling cell per named application (cells
@@ -431,8 +430,7 @@ func WriteFigure10(w io.Writer, env Env) error {
 // failure becomes the annotation line in place of both views.
 func WriteCodeDataCentric(w io.Writer, env Env) error {
 	cfg := gpu.KeplerK40c()
-	var out bytes.Buffer
-	err := env.viewCell(&out, "debugviews/bfs", apps.ByName("bfs"), cfg, instrument.Options{Memory: true}, false, "debugviews",
+	out, err := env.viewCell("debugviews/bfs", apps.ByName("bfs"), cfg, instrument.Options{Memory: true}, "debugviews",
 		func(w io.Writer, p *profiler.Profiler) error {
 			renderDebugViews(w, p, cfg.L1LineSize)
 			return nil
@@ -440,7 +438,7 @@ func WriteCodeDataCentric(w io.Writer, env Env) error {
 	if err != nil && env.KeepGoing {
 		fmt.Fprintln(w, "=== Figures 8/9: code- and data-centric views ===")
 	}
-	if _, werr := w.Write(out.Bytes()); err == nil {
+	if _, werr := w.Write(out); err == nil {
 		err = werr
 	}
 	return err
@@ -450,7 +448,7 @@ func WriteCodeDataCentric(w io.Writer, env Env) error {
 // profile. It writes exactly the bytes the caller publishes (and
 // caches), so everything presentation-level lives here.
 func renderDebugViews(w io.Writer, p *profiler.Profiler, lineSize int) {
-	md := profiler.NewAnalyses(p, lineSize).MemDiv()
+	md := p.Analyses(lineSize).MemDiv()
 	fmt.Fprintln(w, "=== Figure 8: code-centric view (most memory-divergent sites) ===")
 	report.CodeCentric(w, p, md, 3)
 

@@ -42,7 +42,7 @@ func renderExport(t *testing.T, env Env, app, format, weight string) []byte {
 func profileApp(t *testing.T, env Env, app string) *profiler.Profiler {
 	t.Helper()
 	p, err := env.profileCell(context.Background(), "test/"+app,
-		apps.ByName(app), gpu.KeplerK40c(), instrument.MemoryAndBlocks(), false)
+		apps.ByName(app), gpu.KeplerK40c(), instrument.MemoryAndBlocks())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestFoldedTotalsReconcile(t *testing.T) {
 					want[export.WeightReuse] += s.Reused
 				}
 			}
-			an := profiler.NewAnalyses(p, lineSize)
+			an := p.Analyses(lineSize)
 			if md, bd := an.MemDiv().WeightedSum, an.BranchDiv().Divergent; md != want[export.WeightLines] || bd != want[export.WeightDivergence] {
 				t.Errorf("%s cap %d: analyses total %d lines, %d divergent; recounted %d, %d", app, tc.traceCap,
 					md, bd, want[export.WeightLines], want[export.WeightDivergence])
@@ -155,7 +155,7 @@ func TestExportSampledTraceCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := profileApp(t, env, "bfs")
-	want := profiler.NewAnalyses(p, gpu.KeplerK40c().L1LineSize).MemDiv().WeightedSum
+	want := p.Analyses(gpu.KeplerK40c().L1LineSize).MemDiv().WeightedSum
 	if got != want {
 		t.Errorf("sampled folded total %d != capped-profile aggregate %d (weights must not be rescaled)", got, want)
 	}

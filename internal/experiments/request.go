@@ -10,7 +10,6 @@ package experiments
 // means, what it prints, or how it is refused.
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -198,57 +197,58 @@ func (r *Request) Write(w io.Writer, env Env) error {
 	if r.Command == "lint" || r.App == nil {
 		return r.writeStatic(w)
 	}
-	cell := r.Command + "/" + r.Arch.Name + "/" + r.App.Name
+	opts, view, render := r.view()
+	raw, err := env.viewCell(r.Command+"/"+r.Arch.Name+"/"+r.App.Name, r.App, r.Arch, opts, view, render)
+	if err != nil || r.Command != "advise" || r.Format == "json" {
+		if _, werr := w.Write(raw); err == nil { // the view, or the keep-going annotation
+			err = werr
+		}
+		return err
+	}
+	// advise's view is the encoded report; text is a rendering of those
+	// bytes, so one entry serves both formats.
+	rep, err := findings.Decode(raw)
+	if err != nil {
+		return err
+	}
+	return writeReport(w, rep, "text")
+}
+
+// view is what a dynamic request renders of a run: the instrumentation
+// the run needs (part of the run's key), the name the rendered bytes are
+// cached under, which must carry everything render-only (mode, weight,
+// the report's schema version), and the renderer.
+func (r *Request) view() (instrument.Options, string, func(io.Writer, *profiler.Profiler) error) {
 	opts := instrument.MemoryAndBlocks()
-	switch r.Command {
-	case "profile":
-		// Smem changes the profile (and so the key, through opts); Mode
-		// is render-only — same profile, different sections — so it is
-		// part of the view name.
+	switch {
+	case r.Command == "profile":
 		view := "profile:" + r.Mode
 		if r.Smem {
 			opts = instrument.MemorySharedAndBlocks()
 			view += "+smem"
 		}
-		return env.viewCell(w, cell, r.App, r.Arch, opts, false, view, func(w io.Writer, p *profiler.Profiler) error {
+		return opts, view, func(w io.Writer, p *profiler.Profiler) error {
 			r.renderProfile(w, core.FromProfile(r.Arch, opts, p))
 			return nil
-		})
-	case "export":
-		// The timeline is the one view that needs the per-SM schedules
-		// recorded.
-		if r.Format == "chrome" {
-			return env.viewCell(w, cell, r.App, r.Arch, opts, true, "export:chrome", func(w io.Writer, p *profiler.Profiler) error {
-				return core.FromProfile(r.Arch, opts, p).WriteChromeTrace(w)
-			})
 		}
-		return env.viewCell(w, cell, r.App, r.Arch, opts, false, "export:folded:"+r.Weight, func(w io.Writer, p *profiler.Profiler) error {
-			return core.FromProfile(r.Arch, opts, p).WriteFolded(w, r.Weight)
-		})
+	case r.Command == "export" && r.Format == "chrome":
+		return opts, "export:chrome", func(w io.Writer, p *profiler.Profiler) error {
+			return export.WriteChromeTrace(w, p)
+		}
+	case r.Command == "export":
+		return opts, "export:folded:" + r.Weight, func(w io.Writer, p *profiler.Profiler) error {
+			return export.WriteFolded(w, p, r.Weight, r.Arch.L1LineSize)
+		}
 	}
-	// advise: the cached view is the encoded report, under a name that
-	// carries the schema version; text is a rendering of those bytes, so
-	// one entry serves both formats.
-	var raw bytes.Buffer
-	err := env.viewCell(&raw, cell, r.App, r.Arch, instrument.MemorySharedAndBlocks(), false, "advise:"+findings.SchemaVersion,
-		func(w io.Writer, p *profiler.Profiler) error {
-			res, err := r.analyze()
-			if err != nil {
-				return err
-			}
-			fs := findings.FromStatic(res, r.Arch.L1LineSize)
-			findings.Join(fs, findings.CollectProfile(p, r.Arch.L1LineSize), r.Arch)
-			return writeReport(w, findings.NewReport(r.App.Name, r.Arch.Name, r.Arch.L1LineSize, r.Scale, fs), "json")
-		})
-	if err != nil || r.Format == "json" {
-		w.Write(raw.Bytes()) // the report, or the keep-going annotation
-		return err
+	return instrument.MemorySharedAndBlocks(), "advise:" + findings.SchemaVersion, func(w io.Writer, p *profiler.Profiler) error {
+		res, err := r.analyze()
+		if err != nil {
+			return err
+		}
+		fs := findings.FromStatic(res, r.Arch.L1LineSize)
+		findings.Join(fs, findings.CollectProfile(p, r.Arch.L1LineSize), r.Arch)
+		return writeReport(w, findings.NewReport(r.App.Name, r.Arch.Name, r.Arch.L1LineSize, r.Scale, fs), "json")
 	}
-	rep, err := findings.Decode(raw.Bytes())
-	if err != nil {
-		return err
-	}
-	return writeReport(w, rep, "text")
 }
 
 // analyze runs the static advisor over the target: the uploaded module,

@@ -216,7 +216,7 @@ func SiteFrame(loc ir.Loc) string {
 // sample — never rescaled — so totals still reconcile exactly with the
 // analyses over the same recorded events.
 func WriteFolded(w io.Writer, p *profiler.Profiler, weight string, lineSize int) error {
-	an := profiler.NewAnalyses(p, lineSize)
+	an := p.Analyses(lineSize)
 	kernelFrames := make(map[int32]bool, len(p.Kernels))
 	for _, kp := range p.Kernels {
 		kernelFrames[kp.BaseCtx] = true

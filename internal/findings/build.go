@@ -167,7 +167,7 @@ type Profile struct {
 // memory and block categories enabled; kernels traced without block
 // tables contribute no block evidence.
 func CollectProfile(p *profiler.Profiler, lineSize int) *Profile {
-	an := profiler.NewAnalyses(p, lineSize)
+	an := p.Analyses(lineSize)
 	prof := &Profile{
 		Mem:         make(map[ir.Loc]*analysis.SiteDivergence),
 		Blocks:      make(map[BlockKey]*analysis.BlockDivergence),

@@ -190,17 +190,6 @@ func (f *Function) RegIndex(name string) int {
 	return -1
 }
 
-// RegName returns the name of register index i ("" if unknown). Intended
-// for diagnostics; O(NumRegs).
-func (f *Function) RegName(i int) string {
-	for n, idx := range f.regIndex {
-		if idx == i {
-			return n
-		}
-	}
-	return ""
-}
-
 // SharedArray returns the named shared declaration, or nil.
 func (f *Function) SharedArray(name string) *SharedDecl {
 	for i := range f.Shared {

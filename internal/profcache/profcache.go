@@ -3,40 +3,37 @@
 // Every profiling run in this repository is a pure function of its
 // inputs: the application's device IR and host driver, the architecture
 // configuration, the instrumentation options, the input scale, and the
-// trace-buffer bounds (DESIGN.md "Scheduling determinism"). The same is
-// true of the native cycle-model runs behind the bypassing studies. The
-// cache exploits that purity: a canonical hash of those inputs fully
-// determines the result, so repeated cells — Figure 4's applications
-// reappearing in Figure 5, Figure 7's profiling runs reappearing from
-// Figure 5's Pascal panel, the bypass timing-CTA measurement coinciding
-// with the sweep's baseline point, and whole CI reruns — can be served
-// from a cache with provably identical output.
+// trace-buffer bounds (DESIGN.md "Scheduling determinism"); so is every
+// native cycle-model run behind the bypassing studies. A canonical hash
+// of those inputs therefore determines the result, and repeated cells —
+// Figure 4's applications reappearing in Figure 5, Figure 7's profiling
+// runs reappearing from Figure 5's Pascal panel, the fourteen views a
+// daemon serves of one run, whole CI reruns — are served with provably
+// identical output.
 //
 // Two layers compose:
 //
 //   - an in-process memoizer with single-flight semantics: concurrent
-//     requests for the same key (the -j 8 case) block on one fill
-//     instead of profiling the same cell twice, and every requester gets
-//     the same result object;
+//     requests for the same key (the -j 8 case) block on one fill and
+//     get the same result object. Besides the entries it holds each
+//     completed run itself (Run), detached, so that everything derived
+//     from one run costs one simulation per process;
 //   - an optional on-disk store (New with a non-empty dir): entries are
-//     a stable, checksummed encoding of the per-cell analysis results,
-//     written atomically (temp file + rename) and published under a
-//     cross-process claim protocol (lock.go) so a fleet of processes —
-//     CLI runs and serve daemons alike — sharing one directory fills
-//     each key exactly once. Corrupt or truncated entries are treated
-//     as misses, never as errors, and are healed (removed) on sight so
-//     the refill repairs the store in place. The store self-invalidates
-//     across rebuilds: every key folds in the binary's build version
+//     a stable, checksummed encoding, written atomically (temp file +
+//     rename) and published under a cross-process claim protocol
+//     (lock.go) so a fleet of processes sharing one directory fills each
+//     key exactly once. Corrupt or truncated entries are misses, never
+//     errors, and are removed on sight so the refill repairs the store
+//     in place. Every key folds in the binary's build version
 //     (buildid.go), and a size budget with LRU eviction (evict.go) ages
-//     the orphaned generations out.
+//     orphaned generations out.
 //
-// What is cached is the analysis bundle (reuse distance under both
-// models, memory divergence at the architecture's line size, branch
-// divergence), the cycle-model measurements, and rendered byte entries
-// (encoded advisor reports, debug views) — not the raw traces.
-// Anything non-deterministic (the wall-clock overhead study) or
-// perturbed (fault injection, per-cell timeouts) must bypass the cache;
-// see experiments.Env for the bypass policy.
+// An entry is an analysis bundle's four figure aggregates ("profile"),
+// a cycle-model measurement ("cycles"), or rendered bytes ("view": an
+// encoded advisor report, a profile listing, an export). Anything
+// non-deterministic (the wall-clock overhead study) or perturbed (fault
+// injection, per-cell timeouts) must bypass the cache; see
+// experiments.Env for the policy.
 package profcache
 
 import (
@@ -113,10 +110,8 @@ func CyclesKey(app *apps.App, cfg gpu.ArchConfig, l1Warps, scale int) Key {
 // "export:folded:<weight>" / "export:chrome" — and the encoded advisor
 // report, whose view name carries its schema version so a schema bump
 // orphans old entries): the exact bytes the view printer emits for a
-// profiling run, named by view. Views are cached as rendered text
-// because their inputs — the calling-context tree, the raw object
-// access log, the per-SM schedules — are exactly what the analysis
-// bundle drops to stay small.
+// profiling run, named by view. The run they are rendered from is the
+// one Run keeps under the ProfileKey of the same inputs.
 func ViewKey(app *apps.App, cfg gpu.ArchConfig, opts instrument.Options, scale, traceCap int, view string) Key {
 	k := ProfileKey(app, cfg, opts, scale, traceCap)
 	k.Kind = "view"
@@ -164,15 +159,17 @@ type CycleStats struct {
 // feed back into hit/miss accounting, so the warm-run "0 misses"
 // invariant stays meaningful under a size budget.
 type Snapshot struct {
-	MemoHits    int64 // served from the in-process memoizer (incl. single-flight joins)
-	DiskHits    int64 // deserialized from the on-disk store
-	Misses      int64 // filled by running the cell
-	BadEntries  int64 // on-disk entries rejected (corrupt/truncated/mismatched), counted as misses
-	Stores      int64 // entries written to the on-disk store
-	StoreErrors int64 // failed store attempts (logged in stats only, never fatal)
-	Evictions   int64 // entries removed to satisfy the size budget
-	Heals       int64 // bad entries removed on detection so the refill repairs in place
-	Takeovers   int64 // stale cross-process claims reclaimed from dead writers
+	MemoHits    int64 `json:"memo_hits"`    // served from the in-process memoizer (incl. single-flight joins)
+	DiskHits    int64 `json:"disk_hits"`    // deserialized from the on-disk store
+	Misses      int64 `json:"misses"`       // filled by running the cell
+	BadEntries  int64 `json:"bad_entries"`  // on-disk entries rejected (corrupt/truncated/mismatched), counted as misses
+	Stores      int64 `json:"stores"`       // entries written to the on-disk store
+	StoreErrors int64 `json:"store_errors"` // failed store attempts (logged in stats only, never fatal)
+	Evictions   int64 `json:"evictions"`    // entries removed to satisfy the size budget
+	Heals       int64 `json:"heals"`        // bad entries removed on detection so the refill repairs in place
+	Takeovers   int64 `json:"takeovers"`    // stale cross-process claims reclaimed from dead writers
+	Runs        int64 `json:"runs"`         // simulations performed through Run
+	RunShares   int64 `json:"run_shares"`   // Run lookups served by another request's simulation
 }
 
 // Requests is the total number of cache lookups.
@@ -193,6 +190,7 @@ type Cache struct {
 	memoHits, diskHits, misses      atomic.Int64
 	badEntries, stores, storeErrors atomic.Int64
 	evictions, heals, takeovers     atomic.Int64
+	runs, runShares                 atomic.Int64
 }
 
 // entry is one single-flight slot: ready closes when val/err are set.
@@ -212,11 +210,11 @@ func New(dir string) *Cache {
 	return &Cache{dir: dir, entries: make(map[string]*entry)}
 }
 
-// SetMemoBudget caps the in-process memoizer at n resolved entries
-// (0 = unlimited, the CLI default — a run's working set is the run).
-// Long-running daemons set a budget so the memoizer cannot grow without
-// bound; evicted results remain one disk hit away, so the cap trades a
-// deserialization for boundedness, never a re-run.
+// SetMemoBudget caps the in-process memoizer at n resolved slots, results
+// and runs alike (0 = unlimited, the CLI default — a run's working set is
+// the run). Long-running daemons set a budget so the memoizer cannot grow
+// without bound: a trimmed result is one disk read away, a trimmed run
+// one simulation, paid only by a view of it not yet on disk.
 func (c *Cache) SetMemoBudget(n int) { c.memoBudget = n }
 
 // Stats snapshots the cache counters.
@@ -231,6 +229,8 @@ func (c *Cache) Stats() Snapshot {
 		Evictions:   c.evictions.Load(),
 		Heals:       c.heals.Load(),
 		Takeovers:   c.takeovers.Load(),
+		Runs:        c.runs.Load(),
+		RunShares:   c.runShares.Load(),
 	}
 }
 
@@ -262,7 +262,7 @@ func (c *Cache) abandon(id string) {
 // trimMemo enforces the memoizer budget after a publish. Only resolved
 // entries are dropped — an in-flight entry is load-bearing for its
 // waiters — and which resolved entries go is arbitrary (map order):
-// with the disk store behind the memoizer, replacement policy is worth
+// with the disk store behind the results, replacement policy is worth
 // no bookkeeping. Waiters holding an evicted *entry are unaffected;
 // they own the pointer, not the map slot.
 func (c *Cache) trimMemo() {
@@ -291,20 +291,19 @@ type codec[T any] struct {
 	decode func([]byte) (T, error)
 }
 
-// lookup is the one two-layer lookup behind every entry kind:
-// single-flight through the memoizer, then disk load / cross-process
-// claim / fill / publish. A waiter gets what its owner got, the error
-// of a failed fill included; only requests that arrive after the failure
-// run the fill again. The exception is an owner whose own context ended
-// mid-fill (a client that disconnected): that says nothing about the
-// key, so its waiters claim again and one of them becomes the owner.
-func lookup[T any](ctx context.Context, c *Cache, key Key, kind codec[T], fill func(context.Context) (T, error)) (T, error) {
+// lookup is the single-flight behind every memoizer slot: the first
+// request for id runs resolve, the others wait and count themselves in
+// joins. A waiter gets what its owner got, the error of a failed resolve
+// included; only requests that arrive after the failure resolve again.
+// The exception is an owner whose own context ended mid-resolve (a
+// client that disconnected): that says nothing about the key, so its
+// waiters claim again and one of them becomes the owner.
+func lookup[T any](ctx context.Context, c *Cache, id string, joins *atomic.Int64, resolve func(context.Context) (T, error)) (T, error) {
 	var zero T
-	id := key.ID()
 	for {
 		e, owner := c.claim(id)
 		if owner {
-			val, err := fillEntry(ctx, c, key, kind, fill)
+			val, err := resolve(ctx)
 			if err != nil {
 				e.err, e.ownerGone = err, ctx.Err() != nil
 				c.abandon(id)
@@ -323,7 +322,7 @@ func lookup[T any](ctx context.Context, c *Cache, key Key, kind codec[T], fill f
 		}
 		switch {
 		case e.err == nil:
-			c.memoHits.Add(1)
+			joins.Add(1)
 			return e.val.(T), nil
 		case !e.ownerGone:
 			return zero, e.err
@@ -331,6 +330,31 @@ func lookup[T any](ctx context.Context, c *Cache, key Key, kind codec[T], fill f
 			return zero, ctx.Err()
 		}
 	}
+}
+
+// lookupEntry is the two-layer lookup behind every entry kind.
+func lookupEntry[T any](ctx context.Context, c *Cache, key Key, kind codec[T], fill func(context.Context) (T, error)) (T, error) {
+	return lookup(ctx, c, key.ID(), &c.memoHits, func(ctx context.Context) (T, error) {
+		return fillEntry(ctx, c, key, kind, fill)
+	})
+}
+
+// Run returns the completed run for key, a ProfileKey: what the
+// "profile" entry and every "view" entry of the same inputs are derived
+// from, so that all of them cost one simulation per process. It is a
+// memoizer slot beside the entry of the same key — single-flight, under
+// the memoizer budget, counted by Runs and RunShares only — with no disk
+// form: what reaches the disk is rendered or encoded from the run. fill
+// simulates and hands back a detached run (profiler.Analyses.Detach),
+// which makes it cheap to keep; it is shared and must not be modified.
+func (c *Cache) Run(ctx context.Context, key Key, fill func(context.Context) (*profiler.Profiler, error)) (*profiler.Profiler, error) {
+	return lookup(ctx, c, "run:"+key.ID(), &c.runShares, func(ctx context.Context) (*profiler.Profiler, error) {
+		p, err := fill(ctx)
+		if err == nil {
+			c.runs.Add(1)
+		}
+		return p, err
+	})
 }
 
 // fillEntry resolves one memoizer-owned fill against the disk layer:
@@ -410,9 +434,9 @@ func fillEntry[T any](ctx context.Context, c *Cache, key Key, kind codec[T], fil
 // or the disk store when possible and otherwise running fill exactly
 // once per key (single-flight, in-process and across processes):
 // concurrent requests for the same key share the one fill. fill errors
-// are returned, never cached. The bundle is detached from the run before
-// it is kept, so entries stay small; it is shared between requesters and
-// must be treated as immutable.
+// are returned, never cached. The bundle is detached before it is kept
+// (which releases the records of the run fill returned); it is shared
+// between requesters and must be treated as immutable.
 func (c *Cache) Profile(ctx context.Context, key Key, lineSize int, fill func(context.Context) (*profiler.Profiler, error)) (*profiler.Analyses, error) {
 	kind := codec[*profiler.Analyses]{
 		encode: (*profiler.Analyses).MarshalJSON,
@@ -421,12 +445,12 @@ func (c *Cache) Profile(ctx context.Context, key Key, lineSize int, fill func(co
 			return a, a.UnmarshalJSON(raw)
 		},
 	}
-	return lookup(ctx, c, key, kind, func(ctx context.Context) (*profiler.Analyses, error) {
+	return lookupEntry(ctx, c, key, kind, func(ctx context.Context) (*profiler.Analyses, error) {
 		p, err := fill(ctx)
 		if err != nil {
 			return nil, err
 		}
-		a := profiler.NewAnalyses(p, lineSize)
+		a := p.Analyses(lineSize)
 		a.Detach()
 		return a, nil
 	})
@@ -438,7 +462,7 @@ func (c *Cache) Cycles(ctx context.Context, key Key, fill func(context.Context) 
 		encode: func(v CycleStats) ([]byte, error) { return json.Marshal(v) },
 		decode: func(raw []byte) (v CycleStats, err error) { err = json.Unmarshal(raw, &v); return },
 	}
-	return lookup(ctx, c, key, asJSON, fill)
+	return lookupEntry(ctx, c, key, asJSON, fill)
 }
 
 // Bytes is Profile for opaque rendered entries: fill produces the final
@@ -453,5 +477,5 @@ func (c *Cache) Bytes(ctx context.Context, key Key, fill func(context.Context) (
 		encode: func(b []byte) ([]byte, error) { return b, nil },
 		decode: func(raw []byte) ([]byte, error) { return raw, nil },
 	}
-	return lookup(ctx, c, key, verbatim, fill)
+	return lookupEntry(ctx, c, key, verbatim, fill)
 }

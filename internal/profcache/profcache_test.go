@@ -277,6 +277,76 @@ func TestOwnerCancellationHandsOver(t *testing.T) {
 	}
 }
 
+// TestRunOwnerCancellationHandsOver: the first requester of a run — the
+// owner of its view's fill and, inside it, of the simulation — goes away
+// mid-simulation. Of the requests parked behind it (two for the same
+// view, one for another view of the same run) one takes the simulation
+// over: the run is simulated once to completion, each view is rendered
+// once, and the run never reaches the disk.
+func TestRunOwnerCancellationHandsOver(t *testing.T) {
+	dir := t.TempDir()
+	c := profcache.New(dir)
+	app, cfg := apps.ByName("bfs"), gpu.KeplerK40c()
+	runKey := profcache.ProfileKey(app, cfg, bothOpts, 1, 0)
+	started := make(chan struct{})
+	var sims atomic.Int32
+	simulate := func(ctx context.Context) (*profiler.Profiler, error) {
+		if sims.Add(1) == 1 { // the owner: simulates until its client goes away
+			close(started)
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return profiler.New(), nil
+	}
+	var renders atomic.Int32
+	view := func(ctx context.Context, name string) ([]byte, error) {
+		return c.Bytes(ctx, profcache.ViewKey(app, cfg, bothOpts, 1, 0, name), func(ctx context.Context) ([]byte, error) {
+			p, err := c.Run(ctx, runKey, simulate)
+			if err != nil {
+				return nil, err
+			}
+			renders.Add(1)
+			return []byte(fmt.Sprintf("%s of %d kernels", name, len(p.Kernels))), nil
+		})
+	}
+	ownerCtx, disconnect := context.WithCancel(context.Background())
+	ownerErr := make(chan error, 1)
+	go func() {
+		_, err := view(ownerCtx, "a")
+		ownerErr <- err
+	}()
+	<-started
+
+	var wg sync.WaitGroup
+	for i, name := range []string{"a", "a", "b"} {
+		wg.Add(1)
+		go func(i int, name string) {
+			defer wg.Done()
+			if got, err := view(context.Background(), name); err != nil || string(got) != name+" of 0 kernels" {
+				t.Errorf("waiter %d = %q, %v; want view %s of the takeover's run", i, got, err, name)
+			}
+		}(i, name)
+	}
+	time.Sleep(50 * time.Millisecond) // lets the waiters park; see TestOwnerCancellationHandsOver
+	disconnect()
+	if err := <-ownerErr; err != context.Canceled {
+		t.Errorf("owner err = %v, want its own context.Canceled", err)
+	}
+	wg.Wait()
+	if n := sims.Load(); n != 2 {
+		t.Errorf("%d simulations started, want 2: the abandoned one and exactly one takeover", n)
+	}
+	if n := renders.Load(); n != 2 {
+		t.Errorf("%d renders, want one per view", n)
+	}
+	if s := c.Stats(); s.Runs != 1 || s.RunShares != 1 || s.Misses != 2 || s.MemoHits != 1 || s.Stores != 2 {
+		t.Errorf("stats = %+v, want 1 run shared once, and 2 view misses, 1 memo hit, 2 stores", s)
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "*")); len(files) != 2 {
+		t.Errorf("the directory holds %d files, want the two view entries only: %v", len(files), files)
+	}
+}
+
 // TestSharedFillErrorStaysShared: a fill that fails while its owner is
 // still there is a result; every waiter gets it and nobody runs it again.
 func TestSharedFillErrorStaysShared(t *testing.T) {

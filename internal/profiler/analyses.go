@@ -14,17 +14,21 @@ import (
 // merges instances offline), each computed per instance, merged in
 // launch order on first use, and kept. It is the one place that walks a
 // run's kernels calling the per-instance analyses (the root package's
-// TestTraceHasOneReader holds that), so a figure, a report, an export
-// and the advisor's join that read the same bundle derive each analysis
-// once between them — and an uncached Figure 4 pays for reuse distance
-// only.
+// TestTraceHasOneReader holds that), and a run has one
+// (Profiler.Analyses), so a figure, a report, an export and the
+// advisor's join derive each analysis once between them — and an
+// uncached Figure 4 pays for one reuse walk only.
 //
 // A bundle is safe for concurrent use; what it returns is shared and
-// must be treated as immutable. Build it when the run is complete:
-// instances launched later are not seen.
+// must be treated as immutable. Detached in process (Detach) it answers
+// every getter as before. Decoded (UnmarshalJSON: a "profile" cache
+// entry) it carries ReuseElem, ReuseLine, MemDiv and BranchDiv only, the
+// two divergence results without per-context tables and sample
+// addresses, and every other getter reads as empty; nothing in the tree
+// asks: the figures, its only readers, read exactly those four.
 type Analyses struct {
 	mu       sync.Mutex
-	kernels  []*KernelProfile // nil once detached or decoded
+	kernels  []*KernelProfile // the instances launched before it was built; none when decoded
 	lineSize int
 
 	// derived keeps every aggregate asked for so far under its getter's
@@ -32,10 +36,17 @@ type Analyses struct {
 	derived map[any]any
 }
 
-// NewAnalyses wraps a completed run for derivation at the given
-// cache-line size (the architecture's L1LineSize).
-func NewAnalyses(p *Profiler, lineSize int) *Analyses {
-	return &Analyses{kernels: p.Kernels, lineSize: lineSize}
+// Analyses returns the run's bundle at the given cache-line size (the
+// architecture's L1LineSize): the same one on every call, until a later
+// launch has grown Kernels or another line size is asked for. A detached
+// run answers at the line size it was detached at only.
+func (p *Profiler) Analyses(lineSize int) *Analyses {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if a := p.analyses; a == nil || len(a.kernels) != len(p.Kernels) || a.lineSize != lineSize {
+		p.analyses = &Analyses{kernels: p.Kernels, lineSize: lineSize, derived: make(map[any]any)}
+	}
+	return p.analyses
 }
 
 // derive returns the aggregate kept under key. On first use that is
@@ -49,9 +60,6 @@ func derive[T any](a *Analyses, key any, acc T, fold func(T, *KernelProfile)) T 
 	}
 	for _, kp := range a.kernels {
 		fold(acc, kp)
-	}
-	if a.derived == nil {
-		a.derived = make(map[any]any)
 	}
 	a.derived[key] = acc
 	return acc
@@ -68,28 +76,62 @@ func (a *Analyses) Coverage() (mem, blocks analysis.Events) {
 	return c[0], c[1]
 }
 
-// reuseProfile is the reuse distance of a run under one model: over all
-// kernel instances, and over the instances of each kernel name.
+// reuseProfile is the reuse of a run under one model: the distance
+// histogram over all instances and per kernel name, and the per-site
+// forward reuse by location and by calling context.
 type reuseProfile struct {
 	total    analysis.ReuseResult
 	byKernel map[string]*analysis.ReuseResult
+	sites    map[ir.Loc]*analysis.SiteReuse
+	reused   map[analysis.ContextSite]int64
 }
 
-func (a *Analyses) reuse(opt analysis.ReuseOptions) *reuseProfile {
-	return derive(a, opt, &reuseProfile{byKernel: make(map[string]*analysis.ReuseResult)},
-		func(r *reuseProfile, kp *KernelProfile) {
-			rd := analysis.ReuseDistance(kp.Trace, opt)
-			r.total.Merge(rd)
-			if cur := r.byKernel[kp.Trace.Kernel]; cur != nil {
-				cur.Merge(rd)
-			} else {
-				r.byKernel[kp.Trace.Kernel] = rd
+// reuse derives the profile under opt from one walk per kernel instance.
+// A caller that reads only the per-site half passes hist false: unless
+// the whole profile is already kept (a detached bundle's always is) it
+// gets one from walks that skip the histogram and its timestamp tree,
+// which are a third of an uncached `advise` of syr2k.
+func (a *Analyses) reuse(opt analysis.ReuseOptions, hist bool) *reuseProfile {
+	key := any(opt)
+	if !hist {
+		a.mu.Lock()
+		whole, ok := a.derived[key].(*reuseProfile)
+		a.mu.Unlock()
+		if ok {
+			return whole
+		}
+		key = "SiteReuse"
+	}
+	return derive(a, key, &reuseProfile{
+		byKernel: make(map[string]*analysis.ReuseResult),
+		sites:    make(map[ir.Loc]*analysis.SiteReuse),
+		reused:   make(map[analysis.ContextSite]int64),
+	}, func(r *reuseProfile, kp *KernelProfile) {
+		rd, sites := new(analysis.ReuseResult), map[ir.Loc]*analysis.SiteReuse(nil)
+		if hist {
+			rd, sites = analysis.Reuse(kp.Trace, opt)
+		} else {
+			sites = analysis.ReuseBySite(kp.Trace, opt)
+		}
+		r.total.Merge(rd)
+		if cur := r.byKernel[kp.Trace.Kernel]; cur != nil {
+			cur.Merge(rd)
+		} else {
+			r.byKernel[kp.Trace.Kernel] = rd
+		}
+		for loc, s := range sites {
+			if s.Reused > 0 {
+				r.reused[analysis.ContextSite{Ctx: s.Ctx, Loc: loc}] += s.Reused
 			}
-		})
+		}
+		analysis.MergeSiteReuse(r.sites, sites)
+	})
 }
 
 // Reuse is the reuse-distance profile under the given model.
-func (a *Analyses) Reuse(opt analysis.ReuseOptions) *analysis.ReuseResult { return &a.reuse(opt).total }
+func (a *Analyses) Reuse(opt analysis.ReuseOptions) *analysis.ReuseResult {
+	return &a.reuse(opt, true).total
+}
 
 // ReuseElem is the element-based reuse-distance profile (Figure 4).
 func (a *Analyses) ReuseElem() *analysis.ReuseResult {
@@ -99,7 +141,7 @@ func (a *Analyses) ReuseElem() *analysis.ReuseResult {
 // ReuseElemByKernel is ReuseElem per kernel name: the instances of one
 // kernel merged (Section 3.3's offline grouping).
 func (a *Analyses) ReuseElemByKernel() map[string]*analysis.ReuseResult {
-	return a.reuse(analysis.DefaultElementReuse()).byKernel
+	return a.reuse(analysis.DefaultElementReuse(), true).byKernel
 }
 
 // ReuseLine is the line-based reuse-distance profile at the run's cache
@@ -135,34 +177,18 @@ func (a *Analyses) SharedBank() *analysis.SharedBankResult {
 		})
 }
 
-// siteReuseProfile is the per-site forward reuse of a run, by location
-// and by calling context.
-type siteReuseProfile struct {
-	byLoc  map[ir.Loc]*analysis.SiteReuse
-	reused map[analysis.ContextSite]int64
-}
-
-func (a *Analyses) siteReuse() *siteReuseProfile {
-	return derive(a, "SiteReuse", &siteReuseProfile{make(map[ir.Loc]*analysis.SiteReuse), make(map[analysis.ContextSite]int64)},
-		func(r *siteReuseProfile, kp *KernelProfile) {
-			sites := analysis.ReuseBySite(kp.Trace, analysis.DefaultElementReuse())
-			for loc, s := range sites {
-				if s.Reused > 0 {
-					r.reused[analysis.ContextSite{Ctx: s.Ctx, Loc: loc}] += s.Reused
-				}
-			}
-			analysis.MergeSiteReuse(r.byLoc, sites)
-		})
-}
-
 // SiteReuse is the forward reuse of every load site under the
 // element-based model (the vertical-bypass criterion).
-func (a *Analyses) SiteReuse() map[ir.Loc]*analysis.SiteReuse { return a.siteReuse().byLoc }
+func (a *Analyses) SiteReuse() map[ir.Loc]*analysis.SiteReuse {
+	return a.reuse(analysis.DefaultElementReuse(), false).sites
+}
 
 // ReusedByContext sums the reused loads of SiteReuse under each site's
 // representative context in the kernel instance that issued them, for
 // the sites that have any.
-func (a *Analyses) ReusedByContext() map[analysis.ContextSite]int64 { return a.siteReuse().reused }
+func (a *Analyses) ReusedByContext() map[analysis.ContextSite]int64 {
+	return a.reuse(analysis.DefaultElementReuse(), false).reused
+}
 
 // SharedRaces sums, per load site, the lane reads the simulator's
 // same-interval last-writer check flagged; empty unless the
@@ -179,9 +205,8 @@ func (a *Analyses) SharedRaces() map[ir.Loc]int64 {
 }
 
 // analysesJSON is the bundle's serialized form: the four aggregates the
-// figures read, which is what a cache entry keeps of a run. The raw
-// traces stay behind, and with them everything only a view renders
-// (shared-memory and per-site evidence).
+// figures read, which is what a cache entry keeps of a run. Everything
+// only a view renders (shared-memory and per-site evidence) stays behind.
 type analysesJSON struct {
 	LineSize  int
 	ReuseElem *analysis.ReuseResult
@@ -195,14 +220,21 @@ func (a *Analyses) serialized() analysesJSON {
 	return analysesJSON{a.lineSize, a.ReuseElem(), a.ReuseLine(), a.MemDiv(), a.BranchDiv()}
 }
 
-// Detach derives the serialized aggregates and releases the run, so the
-// bundle no longer pins the raw traces. Anything else not yet derived
-// reads as empty afterwards.
+// Detach derives everything a getter of the bundle answers — the two
+// reuse walks, memory and branch divergence, shared-bank conflicts,
+// shared races, coverage — then releases the records of the run's
+// traces: what is left of the run is O(sites + contexts + CTAs), and
+// every reader of its Profiler renders from it as before.
 func (a *Analyses) Detach() {
 	a.serialized()
+	a.SharedBank()
+	a.SharedRaces()
+	a.Coverage()
 	a.mu.Lock()
-	a.kernels = nil
-	a.mu.Unlock()
+	defer a.mu.Unlock()
+	for _, kp := range a.kernels {
+		kp.Trace.Release()
+	}
 }
 
 // MarshalJSON implements json.Marshaler.

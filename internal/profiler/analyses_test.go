@@ -108,7 +108,7 @@ func TestAnalysesEqualExplicitMerge(t *testing.T) {
 		if name == "backprop" && want.sharedBank.Total == 0 {
 			t.Fatal("backprop recorded no shared-memory access")
 		}
-		a := profiler.NewAnalyses(p, cfg.L1LineSize)
+		a := p.Analyses(cfg.L1LineSize)
 		want.check(t, a)
 		if a.MemDiv() != a.MemDiv() || a.ReuseLine() != a.Reuse(analysis.LineReuse(cfg.L1LineSize)) {
 			t.Errorf("%s: an aggregate was derived twice", name)
@@ -165,7 +165,7 @@ func TestAnalysesConcurrentFirstUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := mergeExplicitly(p, cfg.L1LineSize)
-	a := profiler.NewAnalyses(p, cfg.L1LineSize)
+	a := p.Analyses(cfg.L1LineSize)
 	const readers = 16
 	var got [readers][4]any
 	var wg sync.WaitGroup
@@ -198,4 +198,71 @@ func TestAnalysesConcurrentFirstUse(t *testing.T) {
 		}
 	}
 	want.check(t, a)
+}
+
+// getters reads every exported getter of a bundle, by name.
+func getters(a *profiler.Analyses, lineSize int) map[string]any {
+	mem, blocks := a.Coverage()
+	return map[string]any{
+		"Coverage": [2]analysis.Events{mem, blocks}, "Reuse(line)": a.Reuse(analysis.LineReuse(lineSize)),
+		"ReuseElem": a.ReuseElem(), "ReuseElemByKernel": a.ReuseElemByKernel(), "ReuseLine": a.ReuseLine(),
+		"MemDiv": a.MemDiv(), "BranchDiv": a.BranchDiv(), "SharedBank": a.SharedBank(),
+		"SiteReuse": a.SiteReuse(), "ReusedByContext": a.ReusedByContext(), "SharedRaces": a.SharedRaces(),
+	}
+}
+
+// TestDetachKeepsEveryGetter: on all ten apps, a bundle detached before
+// anything was read off it answers every exported getter as a live,
+// lazily derived bundle of the same run does — per-context tables and
+// sample addresses included (DeepEqual sees the unexported fields) —
+// and its traces hold no record afterwards.
+func TestDetachKeepsEveryGetter(t *testing.T) {
+	cfg := gpu.PascalP100()
+	for _, name := range apps.TableOrder {
+		var runs [2]*profiler.Profiler
+		for i := range runs {
+			var err error
+			if runs[i], err = experiments.Profile(apps.ByName(name), cfg, instrument.MemorySharedAndBlocks(), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		live, detached := runs[0].Analyses(cfg.L1LineSize), runs[1].Analyses(cfg.L1LineSize)
+		detached.Detach()
+		for _, kp := range runs[1].Kernels {
+			if cap(kp.Trace.Mem) != 0 || cap(kp.Trace.Blocks) != 0 {
+				t.Errorf("%s: instance %d of the detached run still holds records", name, kp.Trace.Instance)
+			}
+		}
+		if runs[1].Analyses(cfg.L1LineSize) != detached {
+			t.Errorf("%s: the detached run handed out a second bundle", name)
+		}
+		want := getters(live, cfg.L1LineSize)
+		for getter, got := range getters(detached, cfg.L1LineSize) {
+			if !reflect.DeepEqual(got, want[getter]) {
+				t.Errorf("%s: %s of the detached bundle differs from the live one\n got %+v\nwant %+v", name, getter, got, want[getter])
+			}
+		}
+	}
+}
+
+// TestProfilerOwnsOneBundle: a run hands out the same bundle on every
+// call, whoever asks, until a launch has added an instance.
+func TestProfilerOwnsOneBundle(t *testing.T) {
+	cfg := gpu.KeplerK40c()
+	p, err := experiments.Profile(apps.ByName("nn"), cfg, instrument.MemoryAndBlocks(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := p.Analyses(cfg.L1LineSize)
+	if p.Analyses(cfg.L1LineSize) != a {
+		t.Error("two calls, two bundles")
+	}
+	if other := p.Analyses(32); other == a || other.MemDiv().LineSize != 32 {
+		t.Error("another line size was answered from the first one's bundle")
+	}
+	a = p.Analyses(cfg.L1LineSize)
+	p.Kernels = append(p.Kernels, p.Kernels[0]) // what a later launch does
+	if grown := p.Analyses(cfg.L1LineSize); grown == a || grown.MemDiv().Total != 2*a.MemDiv().Total {
+		t.Error("a bundle built before the last launch was handed out after it")
+	}
 }

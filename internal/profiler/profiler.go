@@ -9,6 +9,7 @@ package profiler
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"cudaadvisor/internal/gpu"
 	"cudaadvisor/internal/instrument"
@@ -85,6 +86,9 @@ type Profiler struct {
 	// analyses report the coverage fraction.
 	TraceCap  int
 	TraceSink trace.FlushSink
+
+	mu       sync.Mutex
+	analyses *Analyses // the run's bundle; see Analyses
 }
 
 // New returns an empty profiler.

@@ -58,6 +58,8 @@ type statsz struct {
 		BadEntries int64 `json:"bad_entries"`
 		Evictions  int64 `json:"evictions"`
 		Heals      int64 `json:"heals"`
+		Runs       int64 `json:"runs"`
+		RunShares  int64 `json:"run_shares"`
 	} `json:"cache"`
 	Gate struct {
 		InFlight int   `json:"in_flight"`
@@ -220,8 +222,9 @@ func TestSingleFlightCollapse(t *testing.T) {
 	if status, _, _ := get(t, ts, "/v1/profile?app=bfs&mode=bd"); status != http.StatusOK {
 		t.Fatalf("distinct request = %d", status)
 	}
-	if s := getStats(t, ts); s.Cache.Misses != 2 {
-		t.Errorf("distinct request did not fill its own key: misses = %d", s.Cache.Misses)
+	// Its key is its own; its run is the one the first fill simulated.
+	if s := getStats(t, ts); s.Cache.Misses != 2 || s.Cache.Runs != 1 || s.Cache.RunShares != 1 {
+		t.Errorf("distinct request: %+v, want its own fill (2 misses) from the shared run (1 run, 1 share)", s.Cache)
 	}
 	if s := getStats(t, ts); s.Gate.Admitted != int64(dup+1) || s.Gate.Shed != 0 {
 		t.Errorf("gate counters: %+v", s.Gate)

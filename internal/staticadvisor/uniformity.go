@@ -60,17 +60,6 @@ func (v Value) String() string {
 	return v.Shape.String()
 }
 
-// IsVarying reports whether the value may differ between lanes of a
-// warp under an UNKNOWN launch layout — the conservative reading where
-// any thread-index dependence is potentially intra-warp. Layout-aware
-// callers use Layout.Varying instead.
-func (v Value) IsVarying() bool {
-	if v.Shape == Affine {
-		return v.Stride != 0 || v.StrideY != 0 || v.StrideZ != 0
-	}
-	return v.Shape == Varying
-}
-
 func uniform() Value       { return Value{Shape: Uniform} }
 func affine(s int64) Value { return Value{Shape: Affine, Stride: s} }
 func varying() Value       { return Value{Shape: Varying} }

@@ -222,3 +222,43 @@ func TestSinkFlushResetsArena(t *testing.T) {
 		}
 	}
 }
+
+// TestReleaseKeepsHeaderAndCoverage: a released trace holds no record
+// and no arena, and still reports the coverage of the run it recorded,
+// sampled or complete.
+func TestReleaseKeepsHeaderAndCoverage(t *testing.T) {
+	for _, limit := range []int{0, 16} {
+		tr := NewKernelTrace("k", 3, [3]int{1, 1, 1}, [3]int{128, 1, 1})
+		if limit > 0 {
+			tr.SetBounds(limit, limit, nil)
+		}
+		for i := 0; i < 100; i++ {
+			if err := tr.AddMem(scattered(int32(i%4), uint64(i/4))); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.AddBlock(BlockExec{Warp: int32(i % 4), Mask: 1, InitMask: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		memRec, memSeen := tr.MemCoverage()
+		blkRec, blkSeen := tr.BlocksCoverage()
+		if memSeen != 100 || blkSeen != 100 || (limit > 0) != (memRec < memSeen) || (limit > 0) != (blkRec < blkSeen) {
+			t.Fatalf("cap %d: coverage mem %d/%d, blocks %d/%d before the release", limit, memRec, memSeen, blkRec, blkSeen)
+		}
+		locs := tr.Locs
+		tr.Release()
+		tr.Release() // releasing twice changes nothing
+		if cap(tr.Mem) != 0 || cap(tr.Blocks) != 0 || cap(tr.arena) != 0 || tr.memWarpSeen != nil || tr.blockWarpSeen != nil {
+			t.Errorf("cap %d: a released trace still holds %d/%d/%d record/block/arena capacity", limit, cap(tr.Mem), cap(tr.Blocks), cap(tr.arena))
+		}
+		if r, s := tr.MemCoverage(); r != memRec || s != memSeen {
+			t.Errorf("cap %d: mem coverage %d/%d after the release, %d/%d before", limit, r, s, memRec, memSeen)
+		}
+		if r, s := tr.BlocksCoverage(); r != blkRec || s != blkSeen {
+			t.Errorf("cap %d: block coverage %d/%d after the release, %d/%d before", limit, r, s, blkRec, blkSeen)
+		}
+		if tr.Kernel != "k" || tr.Instance != 3 || tr.Locs != locs {
+			t.Errorf("cap %d: the release touched the header: %q #%d", limit, tr.Kernel, tr.Instance)
+		}
+	}
+}

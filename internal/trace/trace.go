@@ -156,6 +156,8 @@ type KernelTrace struct {
 
 	memWarpSeen   map[warpID]int64
 	blockWarpSeen map[warpID]int64
+
+	memReleased, blocksReleased int64 // records Release let go of
 }
 
 type warpID struct{ cta, warp int32 }
@@ -382,16 +384,26 @@ func (t *KernelTrace) FlushAll() error {
 	return nil
 }
 
-// MemCoverage returns how many memory events the buffer currently holds
-// versus how many were offered: the sampling coverage an analysis over
-// t.Mem should report. seen is 0 when nothing was recorded at all.
+// Release lets go of the record buffers, the arena and the sampling
+// state, once everything that reads records has been derived. The
+// header, Locs and the coverage counts stay as they were.
+func (t *KernelTrace) Release() {
+	t.memReleased += int64(len(t.Mem))
+	t.blocksReleased += int64(len(t.Blocks))
+	t.Mem, t.Blocks, t.arena = nil, nil, nil
+	t.memWarpSeen, t.blockWarpSeen = nil, nil
+}
+
+// MemCoverage returns how many memory events the buffer holds (held,
+// once released) versus how many were offered: the sampling coverage an
+// analysis over t.Mem should report. seen is 0 when nothing was recorded.
 func (t *KernelTrace) MemCoverage() (recorded, seen int64) {
-	return int64(len(t.Mem)), t.MemSeen
+	return int64(len(t.Mem)) + t.memReleased, t.MemSeen
 }
 
 // BlocksCoverage is MemCoverage for the basic-block buffer.
 func (t *KernelTrace) BlocksCoverage() (recorded, seen int64) {
-	return int64(len(t.Blocks)), t.BlocksSeen
+	return int64(len(t.Blocks)) + t.blocksReleased, t.BlocksSeen
 }
 
 // LocTable interns source locations.

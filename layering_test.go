@@ -13,7 +13,7 @@ import (
 // derivations are the per-kernel-instance analyses profiler.Analyses
 // merges; nothing else outside a test calls them.
 var derivations = map[string]bool{
-	"ReuseDistance": true, "ReuseBySite": true, "MemDivergence": true,
+	"Reuse": true, "ReuseDistance": true, "ReuseBySite": true, "MemDivergence": true,
 	"BranchDivergence": true, "SharedBankConflicts": true,
 }
 
