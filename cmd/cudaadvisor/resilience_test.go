@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
@@ -119,6 +122,28 @@ func TestInjectSpecRejected(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "unknown key") {
 		t.Errorf("stderr = %q, want the unknown-key parse error", stderr.String())
+	}
+}
+
+// TestInjectKillExits: -inject kill= hard-exits the process at the start
+// of the named cell with exit code 3 and one stderr line, as a kill -9
+// in the middle of a run would. The test re-executes its own binary to
+// be that process.
+func TestInjectKillExits(t *testing.T) {
+	if args := os.Getenv("CUDAADVISOR_TEST_RUN"); args != "" {
+		os.Exit(run(strings.Fields(args), os.Stdout, os.Stderr))
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestInjectKillExits$")
+	cmd.Env = append(os.Environ(), "CUDAADVISOR_TEST_RUN=-inject kill=table3/bfs table3")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 3 {
+		t.Fatalf("exit = %v, want status 3; stderr:\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "faultinject: injected kill in cell table3/bfs\n") {
+		t.Errorf("stderr lacks the injected-kill line:\n%s", stderr.String())
 	}
 }
 

@@ -134,16 +134,6 @@ func (r *ReuseResult) MeanFinite() float64 {
 	return float64(r.FiniteSum) / float64(r.FiniteN)
 }
 
-// TrimmedMean is the average finite reuse distance with extreme data
-// points (distances beyond the last histogram bound) eliminated — the
-// estimator variant Section 4.2-D mentions.
-func (r *ReuseResult) TrimmedMean() float64 {
-	if r.TrimN == 0 {
-		return 0
-	}
-	return float64(r.TrimSum) / float64(r.TrimN)
-}
-
 // InfiniteFraction is the no-reuse share of all samples.
 func (r *ReuseResult) InfiniteFraction() float64 {
 	if r.Samples == 0 {

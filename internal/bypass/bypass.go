@@ -85,8 +85,9 @@ func PredictFromProfiles(cfg gpu.ArchConfig, rdLine, rdElem *analysis.ReuseResul
 		L1Bytes:  cfg.L1Bytes,
 		LineSize: cfg.L1LineSize,
 		// The plain average, outliers included — the paper's own
-		// "rather conservative" estimator choice. (TrimmedMean is the
-		// alternative the paper mentions; on small-line architectures it
+		// "rather conservative" estimator choice. (The mean over distances
+		// up to the last histogram bound, TrimSum/TrimN, is the alternative
+		// the paper mentions; on small-line architectures it
 		// under-estimates R.D. by discarding the long tail.)
 		ReuseDistance: rdLine.MeanFinite(),
 		MemDivergence: md.Degree(),

@@ -93,6 +93,7 @@ func (e Env) cellCtx(parent context.Context) (context.Context, context.CancelFun
 func (e Env) profileCell(ctx context.Context, cell string, app *apps.App, cfg gpu.ArchConfig, opts instrument.Options) (*profiler.Profiler, error) {
 	inj := e.Inject.Cell(cell)
 	inj.MaybePanic()
+	inj.MaybeKill()
 	prog, err := app.Instrumented(opts)
 	if err != nil {
 		return nil, fmt.Errorf("%s: instrument: %w", app.Name, err)

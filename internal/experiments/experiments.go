@@ -361,6 +361,7 @@ func Overhead(env Env, cfg gpu.ArchConfig) ([]report.OverheadRow, []error, error
 		a := apps.ByName(apps.TableOrder[i])
 		inj := env.Inject.Cell(cells[i])
 		inj.MaybePanic()
+		inj.MaybeKill()
 		native, err := a.Native()
 		if err != nil {
 			return report.OverheadRow{}, err

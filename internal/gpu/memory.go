@@ -3,7 +3,6 @@ package gpu
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"cudaadvisor/internal/ir"
 )
@@ -166,42 +165,6 @@ func storeTo(buf []byte, mt ir.MemType, addr uint64, bits uint64) {
 	case ir.MemI64:
 		binary.LittleEndian.PutUint64(buf[addr:], bits)
 	}
-}
-
-// readWords returns the n 4-byte words starting at addr as raw bytes.
-func (d *DeviceMemory) readWords(addr uint64, n int) ([]byte, error) {
-	if err := d.check(addr, 4*n); err != nil {
-		return nil, err
-	}
-	raw := make([]byte, 4*n)
-	return raw, d.ReadBytes(addr, raw)
-}
-
-// Float32Slice reads n float32 values starting at addr (host-side helper
-// for drivers and tests).
-func (d *DeviceMemory) Float32Slice(addr uint64, n int) ([]float32, error) {
-	raw, err := d.readWords(addr, n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
-	}
-	return out, nil
-}
-
-// Int32Slice reads n int32 values starting at addr.
-func (d *DeviceMemory) Int32Slice(addr uint64, n int) ([]int32, error) {
-	raw, err := d.readWords(addr, n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
-	}
-	return out, nil
 }
 
 // sharedMem is one CTA's scratchpad. Under LaunchParams.WatchShared it

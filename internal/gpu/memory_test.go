@@ -13,6 +13,41 @@ import (
 	"cudaadvisor/internal/ir"
 )
 
+// readWords returns the n 4-byte words starting at addr as raw bytes.
+func (d *DeviceMemory) readWords(addr uint64, n int) ([]byte, error) {
+	if err := d.check(addr, 4*n); err != nil {
+		return nil, err
+	}
+	raw := make([]byte, 4*n)
+	return raw, d.ReadBytes(addr, raw)
+}
+
+// Float32Slice reads n float32 values starting at addr.
+func (d *DeviceMemory) Float32Slice(addr uint64, n int) ([]float32, error) {
+	raw, err := d.readWords(addr, n)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float32, n)
+	for i := range out {
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+	}
+	return out, nil
+}
+
+// Int32Slice reads n int32 values starting at addr.
+func (d *DeviceMemory) Int32Slice(addr uint64, n int) ([]int32, error) {
+	raw, err := d.readWords(addr, n)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
+	}
+	return out, nil
+}
+
 // A wild pointer within a few bytes of 2^64 makes addr+size wrap around
 // uint64: without the overflow guard the wrapped end passes the
 // upper-bound test and the access panics on the backing slice instead of
