@@ -174,9 +174,9 @@ func usage(w io.Writer) {
 
 global flags:
   -j N         parallel simulator runs (default 0 = GOMAXPROCS); experiments
-               fan out on a worker pool and each uninstrumented launch splits
-               its SM shards across idle workers, with byte-identical output
-               for every N
+               fan out on a worker pool and each launch splits its SM
+               shards across idle workers, with byte-identical output for
+               every N
   -trace-cap N       bound kernel trace buffers to N records; overflow falls
                      back to deterministic sampling, annotated in the output
   -cell-timeout D    per-cell deadline (e.g. 30s)

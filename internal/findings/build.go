@@ -523,68 +523,3 @@ func verdictRank(v Verdict) int {
 		return 3
 	}
 }
-
-// BlockObservation is one dynamically executed block with its static
-// flag — the unit of the cross-validation agreement count.
-type BlockObservation struct {
-	Func, Block string
-	Loc         ir.Loc
-	Execs       int64
-	Divergent   int64
-	Flagged     bool
-}
-
-// Agreement is the static-vs-dynamic branch-divergence cross-validation
-// summary over one application's executed blocks.
-type Agreement struct {
-	Blocks        int // executed static blocks
-	StaticFlagged int // flagged divergent by the static analyzer
-	DynDivergent  int // observed divergent by the profiler
-	Both          int // flagged and observed
-	StaticOnly    int // flagged, never observed divergent (false positives)
-	DynOnly       int // observed, not flagged (false negatives: must be 0)
-
-	// FalseNegatives lists the DynOnly blocks — dynamically divergent
-	// but not statically flagged, a violation of one-sided soundness.
-	FalseNegatives []BlockObservation
-}
-
-// BlockAgreement tallies, for every block the profiler saw execute, how
-// the static divergence flag compares to the dynamic observation. It
-// errors if the dynamic profile references a function or block the
-// static result does not know (a module mismatch).
-func BlockAgreement(res *staticadvisor.ModuleResult, dyn *analysis.BranchDivResult) (Agreement, error) {
-	var ag Agreement
-	for _, b := range dyn.Blocks() {
-		fr := res.Func(b.Block.Func)
-		if fr == nil {
-			return ag, fmt.Errorf("dynamic block in unknown function @%s", b.Block.Func)
-		}
-		blk := fr.Fn.Block(b.Block.Block)
-		if blk == nil {
-			return ag, fmt.Errorf("dynamic block @%s/%s not in static module", b.Block.Func, b.Block.Block)
-		}
-		flagged := fr.Divergent[blk.Index]
-		diverged := b.Divergent > 0
-		ag.Blocks++
-		if flagged {
-			ag.StaticFlagged++
-		}
-		if diverged {
-			ag.DynDivergent++
-		}
-		switch {
-		case flagged && diverged:
-			ag.Both++
-		case flagged:
-			ag.StaticOnly++
-		case diverged:
-			ag.DynOnly++
-			ag.FalseNegatives = append(ag.FalseNegatives, BlockObservation{
-				Func: b.Block.Func, Block: b.Block.Block, Loc: b.Loc,
-				Execs: b.Execs, Divergent: b.Divergent, Flagged: flagged,
-			})
-		}
-	}
-	return ag, nil
-}

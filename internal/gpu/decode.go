@@ -151,8 +151,9 @@ type dmodule struct {
 	// cross-SM interleaving, so such kernels keep the serial SM order.
 	atomics bool
 	// hooks reports a hook call anywhere in the module. A launch that can
-	// deliver one (LaunchParams.Hooks set) keeps the serial SM order too,
-	// so every OnHook happens inline, in order, on the launching goroutine.
+	// deliver one keeps the serial SM order too unless its Hooks records
+	// per SM (SMHooks), so a plain sink sees every OnHook inline, in
+	// order, on the launching goroutine.
 	hooks bool
 }
 

@@ -33,14 +33,39 @@ type WarpView struct {
 // call per executed hook instruction (call to an ir.HookPrefix function),
 // with per-lane argument values. Implemented by the profiler.
 //
-// OnHook is always invoked on the launching goroutine, at the hook's call
-// site, in a deterministic global order (SM-major: every event of SM 0,
-// then SM 1, …): a launch whose hooks can fire simulates its SMs one after
-// another. Hook implementations therefore need no locking. Like w, args is
-// lent for the duration of the call — the executor reuses it for the next
-// hook — so an implementation that keeps argument values copies them.
+// A plain Hooks is handed to every SM of a launch as the same sink, and
+// such a launch simulates its SMs one after another on the launching
+// goroutine: OnHook is invoked at the hook's call site in a deterministic
+// global order (SM-major: every event of SM 0, then SM 1, …), so the
+// implementation needs no locking. A Hooks that also implements SMHooks
+// may instead take each SM's events on a sink of its own, with the SMs
+// simulated concurrently. Like w, args is lent for the duration of the
+// call — the executor reuses it for the next hook — so an implementation
+// that keeps argument values copies them.
 type Hooks interface {
 	OnHook(w *WarpView, call *ir.Instr, args []LaneValues) error
+}
+
+// SMHooks is a Hooks that can record each SM's events apart, which lets a
+// pooled launch of a module without atomics fan its SMs out across
+// workers. ForSM is called on the launching goroutine, in SM order, once
+// per SM that has CTAs and before any SM runs; the sink it returns sees
+// that SM's events in the order a serial run would deliver them, on one
+// goroutine at a time, concurrently with the other SMs' sinks. After the
+// SM's last event the executor calls the sink's SMDone with the SM's
+// error (nil when it ran to completion); every SMDone has returned by the
+// time Launch does. A launch that keeps the serial order (no pool, one
+// worker or none idle, one SM, or atomics in the module) calls OnHook on
+// the SMHooks itself and never calls ForSM.
+type SMHooks interface {
+	Hooks
+	ForSM(sm int) SMSink
+}
+
+// SMSink receives the hook events of one SM of a fanned-out launch.
+type SMSink interface {
+	Hooks
+	SMDone(err error)
 }
 
 // LaunchParams configures one kernel launch.
@@ -55,16 +80,18 @@ type LaunchParams struct {
 	// code (hook calls, if present, are skipped at zero model cost).
 	Hooks Hooks
 
-	// Pool, when non-nil with more than one worker, fans the launch's
-	// independent SM shards out across idle pool workers (see
-	// runner.Shards). The result — cycles, stats, memory image, fault
-	// identity — is byte-identical to the serial path at every worker
-	// count; a nil Pool (or one worker) runs the SMs serially in SM order,
-	// the reference path. Two kinds of launch keep the serial path whatever
-	// the pool: one that can call a hook (Hooks set and a hook call in the
-	// module), so that every OnHook happens in SM order at its call site,
-	// and one whose module contains global atomics, which are real cross-SM
-	// communication whose interleaving must stay the serial one.
+	// Pool, when non-nil with more than one worker and one of them idle
+	// at launch, fans the launch's independent SM shards out across idle
+	// pool workers (see runner.Shards). The result — cycles, stats, memory
+	// image, fault identity — is byte-identical to the serial path at
+	// every worker count; a nil Pool (or one worker, or none idle) runs
+	// the SMs serially in SM order, the reference path. Two kinds of
+	// launch keep the serial path whatever the pool: one whose hooks can
+	// fire (Hooks set and a hook call in the module) on a sink without
+	// per-SM recording (see SMHooks), so that every OnHook happens in SM
+	// order at its call site, and one whose module contains global
+	// atomics, which are real cross-SM communication whose interleaving
+	// must stay the serial one.
 	Pool *runner.Pool
 
 	// Ctx, when non-nil, lets the host cancel a running kernel: the
@@ -264,9 +291,10 @@ type launchState struct {
 // before the next launch sees the change. Execution is deterministic:
 // warps are scheduled greedy-then-oldest with stable tie-breaking, and SM
 // shards — whether simulated serially or fanned out across a worker pool
-// — merge in SM order, so every observable output (results, stats, hook
-// order, fault identity) is byte-identical at every worker count. The
-// returned result shares nothing with the device or the launch.
+// — merge in SM order, so every observable output (results, stats, the
+// hook order each sink sees, fault identity) is byte-identical at every
+// worker count. The returned result shares nothing with the device or the
+// launch.
 func (d *Device) Launch(kernel *ir.Function, p LaunchParams) (*LaunchResult, error) {
 	if kernel == nil || !kernel.IsKernel {
 		return nil, fmt.Errorf("gpu: Launch requires a kernel")
@@ -338,10 +366,18 @@ func (d *Device) Launch(kernel *ir.Function, p LaunchParams) (*LaunchResult, err
 		for len(d.frames) <= sm {
 			d.frames = append(d.frames, &framePool{})
 		}
-		shards = append(shards, &smShard{ls: ls, sm: sm, ctaIDs: ctaIDs, frames: d.frames[sm]})
+		shards = append(shards, &smShard{ls: ls, sm: sm, ctaIDs: ctaIDs, frames: d.frames[sm], hooks: p.Hooks})
 	}
 
-	if p.Pool.Workers() > 1 && len(shards) > 1 && !dm.atomics && !(p.Hooks != nil && dm.hooks) {
+	hooked := p.Hooks != nil && dm.hooks
+	smHooks, perSM := p.Hooks.(SMHooks)
+	if p.Pool.Workers() > 1 && p.Pool.Idle() && len(shards) > 1 && !dm.atomics && (!hooked || perSM) {
+		if hooked {
+			for _, s := range shards {
+				s.sink = smHooks.ForSM(s.sm)
+				s.hooks = s.sink
+			}
+		}
 		if err := ls.runParallel(shards, threadsPerCTA, warpsPerCTA); err != nil {
 			return nil, err
 		}
@@ -364,8 +400,8 @@ func (d *Device) Launch(kernel *ir.Function, p LaunchParams) (*LaunchResult, err
 }
 
 // runSerial simulates the SM shards one after another in SM order: the
-// only path on which hooks fire, and the reference the parallel fan-out is
-// byte-identical to. Global memory is written directly.
+// only path on which a plain Hooks sees events, and the reference the
+// parallel fan-out is byte-identical to. Global memory is written directly.
 func (ls *launchState) runSerial(shards []*smShard, threadsPerCTA, warpsPerCTA int) error {
 	for _, s := range shards {
 		cycles, err := s.run(threadsPerCTA, warpsPerCTA)
@@ -499,7 +535,7 @@ func (s *smShard) step(w *warpState, now int64) error {
 		s.releaseBarrierIfReady(cta)
 	case kHook:
 		s.hookCalls++
-		if ls.p.Hooks != nil {
+		if s.hooks != nil {
 			args := s.hookArgs[:0] // one per-shard buffer, lent to the hook
 			for _, ref := range in.args {
 				args = append(args, LaneValues{}) // lanes outside the mask stay zero
@@ -508,7 +544,7 @@ func (s *smShard) step(w *warpState, now int64) error {
 			s.hookArgs = args
 			w.view.ActiveMask = mask
 			w.view.Cycle = now
-			if err := ls.p.Hooks.OnHook(&w.view, in.in, args); err != nil {
+			if err := s.hooks.OnHook(&w.view, in.in, args); err != nil {
 				return s.fault(w, in.in.Loc, "hook: %v", err)
 			}
 			cost += int64(ls.cfg.HookCost)

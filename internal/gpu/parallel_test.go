@@ -509,3 +509,228 @@ func TestShardWrites(t *testing.T) {
 		t.Error("applyTo touched unwritten bytes")
 	}
 }
+
+// smRecorder is a per-SM sink (SMHooks): each SM's events go to a
+// ctxRecorder of its own, and failSM's recorder errs at its failAt-th
+// call. Run in SM order, it records into its own embedded ctxRecorder.
+type smRecorder struct {
+	ctxRecorder
+	sms            []*smRecording
+	failSM, failAt int
+}
+
+type smRecording struct {
+	ctxRecorder
+	sm    int
+	dones int
+	err   error
+}
+
+func (r *smRecorder) ForSM(sm int) SMSink {
+	s := &smRecording{sm: sm}
+	if sm == r.failSM {
+		s.failAt = r.failAt
+	}
+	r.sms = append(r.sms, s)
+	return s
+}
+
+func (s *smRecording) SMDone(err error) { s.dones, s.err = s.dones+1, err }
+
+// A pooled launch whose sink records per SM fans out: each SM's events
+// reach its own sink, in the order the serial run delivers them, and the
+// sinks joined in SM order replay the serial stream exactly — with the
+// same result and memory, and the SM's error handed to its sink.
+func TestParallelLaunchPerSMSinks(t *testing.T) {
+	pool := testPool(t, 8)
+	for _, sms := range []int{2, 15} {
+		serial := runParKernel(t, sms, nil, 0)
+		rec := &smRecorder{failSM: -1}
+		par := launchScale(t, parallelScaleSrc, rec, sms, pool)
+		if serial.err != nil || par.err != nil {
+			t.Fatalf("SMs=%d: serial=%v pooled=%v", sms, serial.err, par.err)
+		}
+		if len(rec.calls) != 0 || len(rec.sms) != sms {
+			t.Fatalf("SMs=%d: %d ordered events and %d per-SM sinks, want 0 and %d", sms, len(rec.calls), len(rec.sms), sms)
+		}
+		var joined []pcall
+		for i, s := range rec.sms {
+			if s.sm != i || s.dones != 1 || s.err != nil {
+				t.Fatalf("SMs=%d: sink %d is for SM %d, done %d times with %v", sms, i, s.sm, s.dones, s.err)
+			}
+			for _, c := range s.calls {
+				if c.sm != i {
+					t.Fatalf("SMs=%d: SM %d's sink saw an event of SM %d", sms, i, c.sm)
+				}
+			}
+			joined = append(joined, s.calls...)
+		}
+		if !reflect.DeepEqual(joined, serial.calls) {
+			t.Errorf("SMs=%d: per-SM streams joined in SM order differ from the serial stream", sms)
+		}
+		if !reflect.DeepEqual(serial.res, par.res) || string(serial.mem) != string(par.mem) {
+			t.Errorf("SMs=%d: per-SM launch result or memory differs from the serial one", sms)
+		}
+	}
+
+	rec := &smRecorder{failSM: 3, failAt: 5}
+	par := launchScale(t, parallelScaleSrc, rec, 15, pool)
+	if par.err == nil || !strings.Contains(par.err.Error(), "injected hook error (call 5)") {
+		t.Fatalf("fault = %v, want SM 3's injected hook error", par.err)
+	}
+	for _, s := range rec.sms {
+		if s.dones != 1 || (s.err != nil) != (s.sm == 3) {
+			t.Errorf("SM %d: done %d times with %v", s.sm, s.dones, s.err)
+		}
+	}
+	if err := rec.sms[3].err; err == nil || err.Error() != par.err.Error() {
+		t.Errorf("SM 3's sink got %v, launch failed with %v", err, par.err)
+	}
+}
+
+// A span of a warp's load reads one flat slice when it can: the device
+// image on the serial path; on the parallel path a clean span of any
+// number of pages reads the launch-entry image, a span within one dirtied
+// page reads that page, and a span that crosses pages into the range this
+// shard has dirtied — or reaches above the backed prefix — has no single
+// slice and falls back lane by lane.
+func TestShardReadable(t *testing.T) {
+	d := NewDevice(KeplerK40c(), 1<<20)
+	if _, err := d.Mem.Alloc(8 * shardPageSize); err != nil {
+		t.Fatal(err)
+	}
+	for i := range d.Mem.buf {
+		d.Mem.buf[i] = byte(i * 7)
+	}
+	backed := uint64(len(d.Mem.buf))
+	page := func(i uint64) uint64 { return i << shardPageBits }
+	s := &smShard{ls: &launchState{dev: d}}
+	isImage := func(buf []byte, origin uint64) bool { return len(buf) > 0 && &buf[0] == &d.Mem.buf[0] && origin == 0 }
+
+	if buf, origin := s.readable(page(1)+8, page(5)); !isImage(buf, origin) {
+		t.Error("serial path: a span across pages does not read the device image")
+	}
+	s.wmem = newShardWrites(d.Mem.buf)
+	if buf, origin := s.readable(page(1)+8, page(6)-4); !isImage(buf, origin) {
+		t.Error("clean shard: a span across five pages does not read the launch-entry image")
+	}
+	s.wmem.store(ir.MemI32, page(4)+16, 0xDEADBEEF)
+	s.wmem.store(ir.MemI32, page(6)+16, 0xFEEDFACE)
+	if buf, origin := s.readable(page(1)+8, page(3)+100); !isImage(buf, origin) {
+		t.Error("a span across clean pages below every dirtied one does not read the launch-entry image")
+	}
+	if buf, origin := s.readable(page(7), page(8)+4); !isImage(buf, origin) {
+		t.Error("a span across clean pages above every dirtied one does not read the launch-entry image")
+	}
+	buf, origin := s.readable(page(4), page(4)+64)
+	if origin != page(4) || loadFrom(buf, ir.MemI32, page(4)+16-origin) != 0xDEADBEEF {
+		t.Error("a span within a dirtied page does not see the shard's own store")
+	}
+	for _, span := range [][2]uint64{{page(3), page(4) + 32}, {page(5), page(5) + 8}, {page(4) + 8, page(6)}} {
+		buf, _ := s.readable(span[0], span[1])
+		if buf != nil && span[0]>>shardPageBits != (span[1]-1)>>shardPageBits {
+			t.Errorf("span %#x–%#x crosses pages among dirtied ones but reads one slice", span[0], span[1])
+		}
+		if buf == nil && span[0]>>shardPageBits == (span[1]-1)>>shardPageBits {
+			t.Errorf("span %#x–%#x within one clean page reads no slice", span[0], span[1])
+		}
+	}
+	if buf, _ := s.readable(backed-8, backed+8); buf != nil {
+		t.Error("a span above the backed prefix reads a slice")
+	}
+	if v, err := s.loadGlobal(ir.MemI32, backed+4); err != nil || v != 0 {
+		t.Errorf("lane load above the backed prefix = %d, %v; want 0", v, err)
+	}
+	if v, _ := s.loadGlobal(ir.MemI32, page(6)+16); v != 0xFEEDFACE {
+		t.Errorf("lane load of a dirtied page = %#x, want the shard's store", v)
+	}
+}
+
+// colSrc has every thread walk its own 4 KB row, so each warp load reads
+// a column whose span crosses 32 pages. The first pass reads clean pages;
+// then each thread stores into its row, and the second pass reads pages
+// the shard has dirtied, its own stores included.
+const colSrc = `
+module cols
+kernel @cols(%in: ptr, %out: ptr, %n: i32) {
+entry:
+  %tx   = sreg tid.x
+  %bx   = sreg ctaid.x
+  %bd   = sreg ntid.x
+  %base = mul i32 %bx, %bd
+  %i    = add i32 %base, %tx
+  %row  = mul i32 %i, 1024
+  %acc  = mov f32 0.0
+  %j    = mov i32 0
+  br loop
+loop:
+  %c = icmp lt i32 %j, %n
+  cbr %c, body, mid
+body:
+  %k   = add i32 %row, %j
+  %a   = gep %in, %k, 4
+  %v   = ld f32 global [%a]
+  %acc = fadd f32 %acc, %v
+  %j   = add i32 %j, 1
+  br loop
+mid:
+  %r = gep %in, %row, 4
+  st f32 global [%r], %acc
+  %j = mov i32 0
+  br loop2
+loop2:
+  %c2 = icmp lt i32 %j, %n
+  cbr %c2, body2, done
+body2:
+  %k2  = add i32 %row, %j
+  %a2  = gep %in, %k2, 4
+  %v2  = ld f32 global [%a2]
+  %acc = fadd f32 %acc, %v2
+  %j   = add i32 %j, 1
+  br loop2
+done:
+  %o = gep %out, %i, 4
+  st f32 global [%o], %acc
+  ret
+}
+`
+
+// TestParallelLaunchStridedColumnRead: a column-reading kernel, whose
+// loads cross pages both clean and dirtied, gives the same result and
+// memory pooled as serially.
+func TestParallelLaunchStridedColumnRead(t *testing.T) {
+	m := parseKernel(t, colSrc)
+	const threads = 30 * 64
+	run := func(pool *runner.Pool) (*LaunchResult, []byte) {
+		cfg := KeplerK40c()
+		cfg.SMs = 15
+		d := NewDevice(cfg, 16<<20)
+		in, _ := d.Mem.Alloc(threads * 4096)
+		out, _ := d.Mem.Alloc(4 * threads)
+		vals := make([]float32, threads*1024)
+		for i := range vals {
+			vals[i] = float32(i%89) + 0.5
+		}
+		writeF32s(t, d, in, vals)
+		res, err := d.Launch(m.Func("cols"), LaunchParams{
+			Grid: [3]int{30, 1, 1}, Block: [3]int{64, 1, 1},
+			Args: []uint64{in, out, ir.I32Bits(8)}, Pool: pool, L1WarpsPerCTA: -1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := make([]byte, out+4*threads-in)
+		if err := d.Mem.ReadBytes(in, img); err != nil {
+			t.Fatal(err)
+		}
+		return res, img
+	}
+	sres, smem := run(nil)
+	pres, pmem := run(testPool(t, 8))
+	if !reflect.DeepEqual(sres, pres) {
+		t.Errorf("result differs:\nserial: %+v\npooled: %+v", sres, pres)
+	}
+	if string(smem) != string(pmem) {
+		t.Error("final memory image differs between serial and pooled launch")
+	}
+}

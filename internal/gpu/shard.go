@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"math"
+	"math/bits"
 
 	"cudaadvisor/internal/ir"
 	"cudaadvisor/internal/runner"
@@ -10,9 +11,9 @@ import (
 // smShard is the execution state of one streaming multiprocessor within a
 // launch: its CTA queue, cache/MSHR/port models, instruction counters,
 // and — on the parallel path — its private global-memory write view.
-// Shards touch no mutable launch-wide state, so those of a launch that
-// cannot call a hook may run concurrently; everything observable merges in
-// SM order.
+// Shards touch no mutable launch-wide state, so those of a launch whose
+// hooks cannot fire or are recorded per SM may run concurrently;
+// everything observable merges in SM order.
 type smShard struct {
 	ls     *launchState
 	sm     int
@@ -26,6 +27,8 @@ type smShard struct {
 	tmp      row // alu's scratch row for partially masked instructions
 	frames   *framePool
 	hookArgs []LaneValues // argument buffer lent to hook calls
+	hooks    Hooks        // this SM's hook sink: the launch's, or sink
+	sink     SMSink       // this SM's own sink on a fanned-out launch
 
 	// The scheduler's view of the resident warps, in admission order:
 	// wake[i] is when warps[i] can next issue, or parked while it is done
@@ -325,23 +328,24 @@ func (s *smShard) storeGlobal(mt ir.MemType, addr uint64, bits uint64) error {
 // which every byte of the in-range span [lo, end) can be read as this
 // shard currently sees it, or nil when there is no single such slice: the
 // span reaches above the backed prefix or the capacity, or — on the
-// parallel path — mixes pages this shard has written with ones it has not.
+// parallel path — crosses pages and reaches into the range of pages this
+// shard has written. A span clear of that range reads the launch-entry
+// image, however many pages it crosses.
 func (s *smShard) readable(lo, end uint64) (buf []byte, origin uint64) {
 	mem := s.ls.dev.Mem
-	ws := s.wmem
-	if ws == nil || len(ws.pages) == 0 {
-		if end <= uint64(len(mem.buf)) {
-			return mem.buf, 0
+	if ws := s.wmem; ws != nil {
+		first, last := lo>>shardPageBits, (end-1)>>shardPageBits
+		if last >= ws.lo && first <= ws.hi {
+			if first != last || end > mem.limit {
+				return nil, 0
+			}
+			if p := ws.page(first); p != nil {
+				return p.data, first << shardPageBits
+			}
 		}
-		return nil, 0
 	}
-	if idx := lo >> shardPageBits; idx == (end-1)>>shardPageBits && end <= mem.limit {
-		if p := ws.page(idx); p != nil {
-			return p.data, idx << shardPageBits
-		}
-		if end <= uint64(len(mem.buf)) {
-			return mem.buf, 0
-		}
+	if end <= uint64(len(mem.buf)) {
+		return mem.buf, 0
 	}
 	return nil, 0
 }
@@ -376,9 +380,10 @@ func (s *smShard) scatterGlobal(mt ir.MemType, addrs, vals *row, mask uint32, lo
 }
 
 // runParallel fans the SM shards out across idle pool workers and merges
-// them in SM order. Every shard runs to its own completion or fault; the
-// first fault in SM order — the one the serial path would have raised —
-// wins, and a failed launch applies none of its writes.
+// them in SM order. Every shard runs to its own completion or fault, which
+// a shard with a sink of its own reports to it at once; the first fault in
+// SM order — the one the serial path would have raised — wins, and a
+// failed launch applies none of its writes.
 //
 // Global-memory writes buffer in per-shard copy-on-write pages during the
 // parallel phase (device memory is read-only until the shards join) and
@@ -391,7 +396,11 @@ func (ls *launchState) runParallel(shards []*smShard, threadsPerCTA, warpsPerCTA
 		s.wmem = newShardWrites(ls.dev.Mem.buf)
 	}
 	runner.Shards(ls.p.Pool, len(shards), func(i int) {
-		shards[i].cycles, shards[i].err = shards[i].run(threadsPerCTA, warpsPerCTA)
+		s := shards[i]
+		s.cycles, s.err = s.run(threadsPerCTA, warpsPerCTA)
+		if s.sink != nil {
+			s.sink.SMDone(s.err)
+		}
 	})
 	for _, s := range shards {
 		if s.err != nil {
@@ -429,7 +438,12 @@ type shardPage struct {
 	written []uint64 // 1 bit per byte of data
 }
 
+// mark records bytes [off, off+n) of the page as written; n is at most 8.
 func (p *shardPage) mark(off, n uint64) {
+	if sh := off & 63; sh+n <= 64 {
+		p.written[off>>6] |= (1<<n - 1) << sh
+		return
+	}
 	for i := off; i < off+n; i++ {
 		p.written[i>>6] |= 1 << (i & 63)
 	}
@@ -443,6 +457,9 @@ func (p *shardPage) mark(off, n uint64) {
 type shardWrites struct {
 	base  []byte
 	pages map[uint64]*shardPage
+	// lo and hi bound the indices of the dirtied pages (lo > hi while
+	// there are none): a span outside them reads base alone.
+	lo, hi uint64
 
 	// One-entry page cache: warps touch the same page in long runs
 	// (coalesced accesses), so most lookups skip the map.
@@ -451,7 +468,7 @@ type shardWrites struct {
 }
 
 func newShardWrites(base []byte) *shardWrites {
-	return &shardWrites{base: base, pages: map[uint64]*shardPage{}, lastIdx: ^uint64(0)}
+	return &shardWrites{base: base, pages: map[uint64]*shardPage{}, lo: ^uint64(0), lastIdx: ^uint64(0)}
 }
 
 // page returns the dirty page covering idx, or nil if this shard has not
@@ -483,6 +500,7 @@ func (ws *shardWrites) dirty(idx uint64) *shardPage {
 		copy(p.data, ws.base[start:])
 	}
 	ws.pages[idx] = p
+	ws.lo, ws.hi = min(ws.lo, idx), max(ws.hi, idx)
 	ws.lastIdx, ws.lastPage = idx, p
 	return p
 }
@@ -536,11 +554,10 @@ func (ws *shardWrites) store(mt ir.MemType, addr uint64, bits uint64) {
 // extent returns the end address of the highest page this shard dirtied
 // (0 for none): what dst must cover before applyTo.
 func (ws *shardWrites) extent() uint64 {
-	end := uint64(0)
-	for idx := range ws.pages {
-		end = max(end, (idx+1)<<shardPageBits)
+	if len(ws.pages) == 0 {
+		return 0
 	}
-	return end
+	return (ws.hi + 1) << shardPageBits
 }
 
 // applyTo copies every written byte into dst. Shards apply in SM order,
@@ -550,14 +567,14 @@ func (ws *shardWrites) applyTo(dst []byte) {
 	for idx, p := range ws.pages {
 		out := dst[idx<<shardPageBits:]
 		for wi, word := range p.written {
-			if word == 0 {
+			base := wi << 6
+			if word == ^uint64(0) {
+				copy(out[base:base+64], p.data[base:])
 				continue
 			}
-			base := wi << 6
-			for b := 0; b < 64; b++ {
-				if word&(1<<uint(b)) != 0 {
-					out[base+b] = p.data[base+b]
-				}
+			for ; word != 0; word &= word - 1 {
+				b := base + bits.TrailingZeros64(word)
+				out[b] = p.data[b]
 			}
 		}
 	}

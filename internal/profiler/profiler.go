@@ -148,7 +148,13 @@ func (p *Profiler) KernelLaunch(info *rt.LaunchInfo) (gpu.Hooks, error) {
 	if info.Tables == nil {
 		return nil, nil // native program: no hooks to serve
 	}
-	return &hookSink{p: p, kp: kp}, nil
+	sink := &hookSink{kp: kp, ctx: p.CCT}
+	if p.TraceCap > 0 {
+		// A capped trace samples or flushes by the global event order,
+		// which only the ordered sink sees.
+		return sink, nil
+	}
+	return &smSinks{hookSink: sink}, nil
 }
 
 // KernelEnd implements rt.Listener: data marshaling is complete; invoke
@@ -167,10 +173,12 @@ func (p *Profiler) KernelEnd(info *rt.LaunchInfo, res *gpu.LaunchResult) {
 	}
 }
 
-// hookSink adapts one kernel launch's hook stream into trace records.
+// hookSink adapts one kernel launch's hook stream into trace records:
+// the records, locations and arithmetic counts go to kp, and the warps'
+// shadow call stacks move through ctx.
 type hookSink struct {
-	p  *Profiler
-	kp *KernelProfile
+	kp  *KernelProfile
+	ctx *trace.ContextTree
 }
 
 func firstLane(mask uint32) int {
@@ -226,11 +234,11 @@ func (s *hookSink) OnHook(w *gpu.WarpView, call *ir.Instr, args []gpu.LaneValues
 		if s.kp.Tables != nil {
 			name = s.kp.Tables.FuncName(int32(args[0][lane]))
 		}
-		w.HookCtx = s.p.CCT.Child(w.HookCtx, trace.Frame{Func: name, Loc: call.Loc, Device: true})
+		w.HookCtx = s.ctx.Child(w.HookCtx, trace.Frame{Func: name, Loc: call.Loc, Device: true})
 	case instrument.HookPop:
 		// Never pop past the kernel frame (unbalanced pops are ignored).
 		if w.HookCtx != s.kp.BaseCtx {
-			if parent := s.p.CCT.Parent(w.HookCtx); parent >= 0 {
+			if parent := s.ctx.Parent(w.HookCtx); parent >= 0 {
 				w.HookCtx = parent
 			}
 		}
@@ -243,6 +251,83 @@ func (s *hookSink) OnHook(w *gpu.WarpView, call *ir.Instr, args []gpu.LaneValues
 		return fmt.Errorf("unknown hook %q", call.Callee)
 	}
 	return nil
+}
+
+// smSinks is the sink of an uncapped launch (gpu.SMHooks). Run in SM
+// order it is the ordered hookSink; fanned out, each SM records into a
+// fragment of its own — a trace with its own location table and arena,
+// arithmetic counts, and a context tree whose root stands for the
+// kernel's base context, so the SM never touches p.CCT while it runs. A
+// fragment joins the kernel's profile as soon as every lower SM's has,
+// which reproduces every id the ordered sink would have assigned.
+// Fragments after the first faulting SM are dropped, as the ordered run
+// never reaches their events.
+type smSinks struct {
+	*hookSink
+
+	mu     sync.Mutex
+	frags  []*smSink // in SM order; nil once joined or dropped
+	joined int       // frags[:joined] are settled
+	failed bool      // a settled SM faulted
+}
+
+// smSink records one SM's events into its fragment.
+type smSink struct {
+	hookSink
+	sinks *smSinks
+	done  bool
+	err   error
+}
+
+// ForSM implements gpu.SMHooks.
+func (f *smSinks) ForSM(int) gpu.SMSink {
+	t := f.kp.Trace
+	s := &smSink{sinks: f, hookSink: hookSink{
+		kp: &KernelProfile{
+			Tables:  f.kp.Tables,
+			Trace:   trace.NewKernelTrace(t.Kernel, t.Instance, t.Grid, t.Block),
+			BaseCtx: trace.Root,
+		},
+		ctx: trace.NewContextTree(),
+	}}
+	f.frags = append(f.frags, s)
+	return s
+}
+
+// SMDone implements gpu.SMSink: settle every fragment whose lower SMs
+// have all finished, in SM order.
+func (s *smSink) SMDone(err error) {
+	f := s.sinks
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	s.done, s.err = true, err
+	for ; f.joined < len(f.frags) && f.frags[f.joined].done; f.joined++ {
+		g := f.frags[f.joined]
+		f.frags[f.joined] = nil
+		if !f.failed {
+			f.join(g)
+			f.failed = g.err != nil
+		}
+		g.kp, g.ctx = nil, nil // the shard keeps its sink until the launch ends
+	}
+}
+
+// join moves one SM's fragment into the kernel's profile: its context
+// nodes into the shared tree, its records onto the trace, its arithmetic
+// counts into the kernel's.
+func (f *smSinks) join(g *smSink) {
+	ids := make([]int32, g.ctx.Len())
+	ids[trace.Root] = f.kp.BaseCtx
+	for id := int32(1); id < int32(len(ids)); id++ {
+		ids[id] = f.ctx.Child(ids[g.ctx.Parent(id)], g.ctx.Frame(id))
+	}
+	f.kp.Trace.Append(g.kp.Trace, ids)
+	for op, n := range g.kp.ArithCounts {
+		if f.kp.ArithCounts == nil {
+			f.kp.ArithCounts = make(map[ir.Op]int64)
+		}
+		f.kp.ArithCounts[op] += n
+	}
 }
 
 // DataObject is the data-centric view of one device allocation: where it

@@ -83,6 +83,11 @@ func (p *Pool) Workers() int {
 	return cap(p.sem)
 }
 
+// Idle reports whether a worker slot is free right now, so that a fan-out
+// through Shards could add concurrency. It is a hint: the slot may be
+// taken by the time Shards asks for it, and Shards then runs inline.
+func (p *Pool) Idle() bool { return p != nil && len(p.sem) < cap(p.sem) }
+
 // acquire takes a worker slot, abandoning the wait if ctx ends first.
 // When both are ready the cancellation wins, so a cancelled context
 // deterministically fails every not-yet-started job.

@@ -19,17 +19,18 @@ func (p *Pool) tryAcquire() bool {
 
 // Shards runs fn(0) … fn(n-1) on the calling goroutine plus any idle
 // workers it can recruit from the pool without waiting: each helper takes
-// a slot with a non-blocking acquire and exits when the shard queue
-// drains. The caller always participates, so Shards makes progress even
-// when the pool is fully busy — it degrades to inline serial execution —
-// and therefore, unlike Map and DoCtx, it MAY be called from inside a gated
-// leaf job: it can only add concurrency the pool has to spare, never
-// block waiting for it.
+// a slot with a non-blocking acquire, hands it back after every shard —
+// so a job waiting for a worker waits one shard at most — and exits when
+// the shard queue drains or the slot has been taken. The caller always
+// participates, so Shards makes progress even when the pool is fully busy
+// — it degrades to inline serial execution — and therefore, unlike Map
+// and DoCtx, it MAY be called from inside a gated leaf job: it can only
+// add concurrency the pool has to spare, never block waiting for it.
 //
 // This is the intra-launch fan-out primitive: the GPU executor uses it to
-// run the independent SM shards of a hook-free kernel launch in parallel
-// while the experiment layer's leaf jobs (whole simulator runs) hold the
-// pool's slots. At -j 1, or when every slot is busy with other cells, the
+// run the independent SM shards of a kernel launch in parallel while the
+// experiment layer's leaf jobs (whole simulator runs) hold the pool's
+// slots. At -j 1, or when every slot is busy with other cells, the
 // shards run inline on the caller; when slots are free (a single launch
 // on an idle pool) they spread across up to Workers() goroutines.
 //
@@ -50,25 +51,23 @@ func Shards(p *Pool, n int, fn func(i int)) {
 	var next atomic.Int64
 	var mu sync.Mutex
 	panicIdx, panicVal := -1, any(nil)
-	run := func() {
-		for {
-			i := int(next.Add(1) - 1)
-			if i >= n {
-				return
-			}
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						mu.Lock()
-						if panicIdx < 0 || i < panicIdx {
-							panicIdx, panicVal = i, r
-						}
-						mu.Unlock()
-					}
-				}()
-				fn(i)
-			}()
+	// runOne runs the next shard and reports whether there was one.
+	runOne := func() bool {
+		i := int(next.Add(1) - 1)
+		if i >= n {
+			return false
 		}
+		defer func() {
+			if r := recover(); r != nil {
+				mu.Lock()
+				if panicIdx < 0 || i < panicIdx {
+					panicIdx, panicVal = i, r
+				}
+				mu.Unlock()
+			}
+		}()
+		fn(i)
+		return true
 	}
 	var wg sync.WaitGroup
 	if p != nil {
@@ -80,12 +79,18 @@ func Shards(p *Pool, n int, fn func(i int)) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				defer p.release()
-				run()
+				for {
+					more := runOne()
+					p.release()
+					if !more || !p.tryAcquire() {
+						return
+					}
+				}
 			}()
 		}
 	}
-	run()
+	for runOne() {
+	}
 	wg.Wait()
 	if panicIdx >= 0 {
 		panic(panicVal)

@@ -1,9 +1,11 @@
 package runner
 
 import (
+	"context"
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // withProcs lifts GOMAXPROCS so New(workers) is not clamped below the
@@ -93,4 +95,61 @@ func TestShardsPanicLowestIndexWins(t *testing.T) {
 		ran.Add(1)
 	})
 	t.Error("Shards did not re-panic")
+}
+
+// Idle says whether a slot is free now: false for the nil pool and for a
+// pool whose every slot is taken, true again once one is released.
+func TestShardsIdleHint(t *testing.T) {
+	withProcs(t, 2)
+	var nilPool *Pool
+	if nilPool.Idle() {
+		t.Error("the nil pool reports an idle worker")
+	}
+	p := New(2)
+	if !p.Idle() {
+		t.Error("a fresh pool reports no idle worker")
+	}
+	p.tryAcquire()
+	p.tryAcquire()
+	if p.Idle() {
+		t.Error("a pool with both slots taken reports an idle worker")
+	}
+	p.release()
+	if !p.Idle() {
+		t.Error("a pool with a released slot reports no idle worker")
+	}
+}
+
+// A helper hands its slot back between shards: a job that starts waiting
+// for a worker while a fan-out holds every slot runs long before the
+// fan-out's queue drains.
+func TestShardsYieldSlotToWaitingJob(t *testing.T) {
+	withProcs(t, 2)
+	p := New(2)
+	const n = 200
+	var done atomic.Int64
+	var doneWhenJobRan int64
+	_, err := Map(p, 1, func(int) (int, error) {
+		waiter := make(chan error)
+		Shards(p, n, func(i int) {
+			if i == 0 {
+				go func() {
+					_, err := DoCtx(context.Background(), p, func(context.Context) (int, error) {
+						doneWhenJobRan = done.Load()
+						return 0, nil
+					})
+					waiter <- err
+				}()
+			}
+			time.Sleep(time.Millisecond)
+			done.Add(1)
+		})
+		return 0, <-waiter
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doneWhenJobRan > n/2 {
+		t.Errorf("the waiting job ran after %d of %d shards, want well before the queue drained", doneWhenJobRan, n)
+	}
 }

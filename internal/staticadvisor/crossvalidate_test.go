@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"cudaadvisor/internal/analysis"
 	"cudaadvisor/internal/apps"
 	"cudaadvisor/internal/core"
 	"cudaadvisor/internal/findings"
@@ -46,7 +47,7 @@ func TestCrossValidateBranchDivergence(t *testing.T) {
 	cfg := gpu.KeplerK40c()
 	type row struct {
 		app string
-		findings.Agreement
+		agreement
 	}
 	var rows []row
 	for _, app := range apps.InTableOrder() {
@@ -71,7 +72,7 @@ func TestCrossValidateBranchDivergence(t *testing.T) {
 				t.Fatalf("analyze: %v", err)
 			}
 
-			ag, err := findings.BlockAgreement(res, dyn)
+			ag, err := blockAgreement(res, dyn)
 			if err != nil {
 				t.Fatalf("agreement: %v", err)
 			}
@@ -376,4 +377,69 @@ func TestCrossValidateDivergentBarrier(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "divergent barrier") {
 		t.Fatalf("launch err = %v, want divergent barrier fault", err)
 	}
+}
+
+// blockObservation is one dynamically executed block with its static
+// flag — the unit of the cross-validation agreement count.
+type blockObservation struct {
+	Func, Block string
+	Loc         ir.Loc
+	Execs       int64
+	Divergent   int64
+	Flagged     bool
+}
+
+// agreement is the static-vs-dynamic branch-divergence cross-validation
+// summary over one application's executed blocks.
+type agreement struct {
+	Blocks        int // executed static blocks
+	StaticFlagged int // flagged divergent by the static analyzer
+	DynDivergent  int // observed divergent by the profiler
+	Both          int // flagged and observed
+	StaticOnly    int // flagged, never observed divergent (false positives)
+	DynOnly       int // observed, not flagged (false negatives: must be 0)
+
+	// FalseNegatives lists the DynOnly blocks — dynamically divergent
+	// but not statically flagged, a violation of one-sided soundness.
+	FalseNegatives []blockObservation
+}
+
+// blockAgreement tallies, for every block the profiler saw execute, how
+// the static divergence flag compares to the dynamic observation. It
+// errors if the dynamic profile references a function or block the
+// static result does not know (a module mismatch).
+func blockAgreement(res *staticadvisor.ModuleResult, dyn *analysis.BranchDivResult) (agreement, error) {
+	var ag agreement
+	for _, b := range dyn.Blocks() {
+		fr := res.Func(b.Block.Func)
+		if fr == nil {
+			return ag, fmt.Errorf("dynamic block in unknown function @%s", b.Block.Func)
+		}
+		blk := fr.Fn.Block(b.Block.Block)
+		if blk == nil {
+			return ag, fmt.Errorf("dynamic block @%s/%s not in static module", b.Block.Func, b.Block.Block)
+		}
+		flagged := fr.Divergent[blk.Index]
+		diverged := b.Divergent > 0
+		ag.Blocks++
+		if flagged {
+			ag.StaticFlagged++
+		}
+		if diverged {
+			ag.DynDivergent++
+		}
+		switch {
+		case flagged && diverged:
+			ag.Both++
+		case flagged:
+			ag.StaticOnly++
+		case diverged:
+			ag.DynOnly++
+			ag.FalseNegatives = append(ag.FalseNegatives, blockObservation{
+				Func: b.Block.Func, Block: b.Block.Block, Loc: b.Loc,
+				Execs: b.Execs, Divergent: b.Divergent, Flagged: flagged,
+			})
+		}
+	}
+	return ag, nil
 }

@@ -3,8 +3,11 @@ package trace
 import (
 	"encoding/binary"
 	"math/bits"
+	"reflect"
 	"testing"
 	"unsafe"
+
+	"cudaadvisor/internal/ir"
 )
 
 func TestMemAccessIsCompact(t *testing.T) {
@@ -261,4 +264,63 @@ func TestReleaseKeepsHeaderAndCoverage(t *testing.T) {
 			t.Errorf("cap %d: the release touched the header: %q #%d", limit, tr.Kernel, tr.Instance)
 		}
 	}
+}
+
+// Append leaves the trace that adding every record directly would have
+// left: the fragment's explicit records rebased onto the arena, its
+// locations interned in first-use order, its contexts mapped, its counts
+// added.
+func TestAppendEqualsDirectAdds(t *testing.T) {
+	locs := []ir.Loc{{File: "a.mir", Line: 1}, {File: "a.mir", Line: 2}, {File: "a.mir", Line: 3}}
+	type ev struct {
+		loc, ctx int
+		affine   bool
+	}
+	parts := [][]ev{{{0, 5, false}, {1, 5, true}}, {{2, 7, true}, {0, 9, false}, {2, 7, false}}}
+	add := func(tr *KernelTrace, i int, e ev, ctx int32) {
+		rec, addrs := scattered(int32(i), uint64(i))
+		if e.affine {
+			a := affineLanes(WarpSize, uint64(4096*i), 4, 0)
+			addrs = &a
+		}
+		rec.Loc, rec.Ctx = tr.Locs.Intern(locs[e.loc]), ctx
+		if err := tr.AddMem(rec, addrs); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.AddBlock(BlockExec{Warp: int32(i), Loc: rec.Loc, Ctx: ctx}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	block := [3]int{128, 1, 1}
+	want := NewKernelTrace("k", 0, [3]int{1, 1, 1}, block)
+	got := NewKernelTrace("k", 0, [3]int{1, 1, 1}, block)
+	i := 0
+	for _, part := range parts {
+		// The fragment numbers its contexts 0, 1, … in first-use order;
+		// ctx maps them back.
+		frag := NewKernelTrace("k", 0, [3]int{1, 1, 1}, block)
+		var ctx []int32
+		local := map[int]int32{}
+		for _, e := range part {
+			add(want, i, e, int32(e.ctx))
+			if _, ok := local[e.ctx]; !ok {
+				local[e.ctx] = int32(len(ctx))
+				ctx = append(ctx, int32(e.ctx))
+			}
+			add(frag, i, e, local[e.ctx])
+			i++
+		}
+		got.Append(frag, ctx)
+		if len(frag.Mem) != 0 || len(frag.Blocks) != 0 || len(frag.arena) != 0 {
+			t.Fatal("Append left records in the fragment")
+		}
+	}
+	if !reflect.DeepEqual(want.Mem, got.Mem) || !reflect.DeepEqual(want.Blocks, got.Blocks) ||
+		!reflect.DeepEqual(want.arena, got.arena) || !reflect.DeepEqual(want.Locs, got.Locs) {
+		t.Errorf("appended trace differs from the direct one:\nwant %+v\ngot  %+v", want.Mem, got.Mem)
+	}
+	if want.MemSeen != got.MemSeen || want.BlocksSeen != got.BlocksSeen {
+		t.Errorf("seen %d/%d, want %d/%d", got.MemSeen, got.BlocksSeen, want.MemSeen, want.BlocksSeen)
+	}
+	checkArena(t, got)
 }

@@ -384,6 +384,39 @@ func (t *KernelTrace) FlushAll() error {
 	return nil
 }
 
+// Append moves the records of frag, an uncapped trace of the same
+// thread-block shape, onto the end of t, as if each had been added to t
+// directly: frag's locations are interned into t.Locs in frag's id order,
+// every record's Ctx becomes ctx[Ctx], explicit records are rebased onto
+// t's arena, and frag's event counts add to t's. frag is left without
+// records.
+func (t *KernelTrace) Append(frag *KernelTrace, ctx []int32) {
+	locs := make([]int32, len(frag.Locs.locs))
+	for i, loc := range frag.Locs.locs {
+		locs[i] = t.Locs.Intern(loc)
+	}
+	base := uint64(len(t.arena))
+	t.arena = append(t.arena, frag.arena...)
+	n := len(t.Mem)
+	t.Mem = append(t.Mem, frag.Mem...)
+	for i := range t.Mem[n:] {
+		m := &t.Mem[n+i]
+		m.Loc, m.Ctx = locs[m.Loc], ctx[m.Ctx]
+		if m.explicit {
+			m.base += base
+		}
+	}
+	n = len(t.Blocks)
+	t.Blocks = append(t.Blocks, frag.Blocks...)
+	for i := range t.Blocks[n:] {
+		b := &t.Blocks[n+i]
+		b.Loc, b.Ctx = locs[b.Loc], ctx[b.Ctx]
+	}
+	t.MemSeen += frag.MemSeen
+	t.BlocksSeen += frag.BlocksSeen
+	frag.Mem, frag.Blocks, frag.arena = nil, nil, nil
+}
+
 // Release lets go of the record buffers, the arena and the sampling
 // state, once everything that reads records has been derived. The
 // header, Locs and the coverage counts stay as they were.
