@@ -4,9 +4,10 @@
 // profile → analyze, or the native bypassing sweeps) and reports the
 // headline quantity the paper reports, so
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench=. -benchmem . ./internal/experiments
 //
-// reproduces the whole evaluation section. Shapes, not absolute numbers,
+// reproduces the whole evaluation section (the Figure 6/7 bypass
+// benchmarks live in internal/experiments, beside the study they run). Shapes, not absolute numbers,
 // are the reproduction target; see EXPERIMENTS.md for the side-by-side.
 package cudaadvisor_test
 
@@ -179,43 +180,6 @@ func BenchmarkTable3BranchDivergence(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure6BypassKepler16KB regenerates the 16 KB L1 half of
-// Figure 6: baseline / oracle / Eq.(1)-prediction normalized times.
-func BenchmarkFigure6BypassKepler16KB(b *testing.B) {
-	benchBypass(b, gpu.KeplerK40c().WithL1(16*1024))
-}
-
-// BenchmarkFigure6BypassKepler48KB regenerates the 48 KB L1 half of
-// Figure 6.
-func BenchmarkFigure6BypassKepler48KB(b *testing.B) {
-	benchBypass(b, gpu.KeplerK40c().WithL1(48*1024))
-}
-
-// BenchmarkFigure7BypassPascal regenerates Figure 7 (24 KB unified cache).
-func BenchmarkFigure7BypassPascal(b *testing.B) {
-	benchBypass(b, gpu.PascalP100())
-}
-
-func benchBypass(b *testing.B, cfg gpu.ArchConfig) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		rows, _, err := experiments.BypassStudy(experiments.Env{Scale: 1}, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			oracleSum, predSum := 0.0, 0.0
-			for _, c := range rows {
-				oracleSum += c.OracleNorm()
-				predSum += c.PredictNorm()
-			}
-			n := float64(len(rows))
-			b.ReportMetric(oracleSum/n, "mean-oracle-norm")
-			b.ReportMetric(predSum/n, "mean-predict-norm")
-		}
-	}
-}
-
 // BenchmarkFigure10OverheadKepler measures the tool's wall-clock
 // instrumentation overhead on the Kepler configuration (Figure 10).
 func BenchmarkFigure10OverheadKepler(b *testing.B) {
@@ -296,7 +260,7 @@ func BenchmarkAblationVerticalVsHorizontalBicg(b *testing.B) {
 		}
 		sites := map[ir.Loc]*analysis.SiteReuse{}
 		for _, kp := range p.Kernels {
-			analysis.MergeSiteReuse(sites, analysis.ReuseBySite(kp.Trace, analysis.DefaultElementReuse()))
+			analysis.MergeSiteReuse(sites, analysis.ReuseBySite(kp.Trace, analysis.DefaultElementReuse(), nil))
 		}
 		plan := bypass.VerticalPlan(sites, bypass.DefaultVerticalOptions())
 

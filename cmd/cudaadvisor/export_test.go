@@ -29,7 +29,12 @@ func TestExportFoldedGoldens(t *testing.T) {
 		for _, weight := range export.Weights {
 			stdout, _ := runOK(t, "export", "-weight="+weight, app)
 			checkGolden(t, exportGoldenName(app, weight), []byte(stdout))
-			if total, err := export.SumFolded([]byte(stdout)); err != nil || (total > 0) != (stdout != "") {
+			stacks, err := export.ParseFolded([]byte(stdout))
+			total := int64(0)
+			for _, s := range stacks {
+				total += s.Weight
+			}
+			if err != nil || (total > 0) != (stdout != "") {
 				t.Errorf("%s/%s: folded total = %d, %v; want positive for a non-empty document", app, weight, total, err)
 			}
 		}

@@ -408,7 +408,7 @@ func TestPerContextViews(t *testing.T) {
 		t.Errorf("worst site %+v: want kernel a's first execution (context 10, lane 4's address)", *s)
 	}
 	for _, naive := range []bool{false, true} {
-		sites := ReuseBySite(b, DefaultElementReuse())
+		sites := ReuseBySite(b, DefaultElementReuse(), nil)
 		if naive {
 			sites = NaiveReuseBySite(b, DefaultElementReuse())
 		}

@@ -6,6 +6,7 @@ import (
 
 	"cudaadvisor/internal/instrument"
 	"cudaadvisor/internal/ir"
+	"cudaadvisor/internal/runner"
 	"cudaadvisor/internal/trace"
 )
 
@@ -82,9 +83,22 @@ func (r *BranchDivResult) Merge(other *BranchDivResult) {
 // BranchDivergence computes the block-divergence profile of a kernel
 // trace. tables resolves block ids to names; it may be nil.
 func BranchDivergence(tr *trace.KernelTrace, tables *instrument.Tables) *BranchDivResult {
-	res := &BranchDivResult{blocks: make(map[int32]*BlockDivergence), divergent: make(map[ContextSite]int64)}
+	return BranchDivergenceOn(tr, tables, nil)
+}
+
+// BranchDivergenceOn is BranchDivergence with the trace's block-record
+// ranges derived on pool (see fanOut). Ranges merge in trace order, so a
+// block's Ctx and Loc are those of its first execution in the trace.
+func BranchDivergenceOn(tr *trace.KernelTrace, tables *instrument.Tables, pool *runner.Pool) *BranchDivResult {
+	res := fanOut(pool, recordBounds(pool, len(tr.Blocks)), func(lo, hi int) *BranchDivResult { return branchDivRange(tr, tables, lo, hi) }, (*BranchDivResult).Merge)
 	res.Add(tr.BlocksCoverage())
-	for i := range tr.Blocks {
+	return res
+}
+
+// branchDivRange is the profile of the block records [lo, hi) of tr.
+func branchDivRange(tr *trace.KernelTrace, tables *instrument.Tables, lo, hi int) *BranchDivResult {
+	res := &BranchDivResult{blocks: make(map[int32]*BlockDivergence), divergent: make(map[ContextSite]int64)}
+	for i := lo; i < hi; i++ {
 		be := &tr.Blocks[i]
 		res.Total++
 		div := be.Divergent()

@@ -6,6 +6,7 @@ import (
 
 	"cudaadvisor/internal/gpu"
 	"cudaadvisor/internal/ir"
+	"cudaadvisor/internal/runner"
 	"cudaadvisor/internal/trace"
 )
 
@@ -124,11 +125,24 @@ func (r *MemDivResult) Merge(other *MemDivResult) {
 // MemDivergence computes the memory-divergence distribution of a kernel
 // trace for the given cache-line size (128 B on Kepler, 32 B on Pascal).
 func MemDivergence(tr *trace.KernelTrace, lineSize int) *MemDivResult {
-	res := &MemDivResult{LineSize: lineSize, sites: make(map[ir.Loc]*SiteDivergence), lines: make(map[ContextSite]int64)}
+	return MemDivergenceOn(tr, lineSize, nil)
+}
+
+// MemDivergenceOn is MemDivergence with the trace's record ranges
+// derived on pool (see fanOut). Ranges merge in trace order, so a site's
+// Ctx and sample address are those of its first access in the trace.
+func MemDivergenceOn(tr *trace.KernelTrace, lineSize int, pool *runner.Pool) *MemDivResult {
+	res := fanOut(pool, recordBounds(pool, len(tr.Mem)), func(lo, hi int) *MemDivResult { return memDivRange(tr, lineSize, lo, hi) }, (*MemDivResult).Merge)
 	res.Add(tr.MemCoverage())
+	return res
+}
+
+// memDivRange is the profile of the records [lo, hi) of tr.
+func memDivRange(tr *trace.KernelTrace, lineSize, lo, hi int) *MemDivResult {
+	res := &MemDivResult{LineSize: lineSize, sites: make(map[ir.Loc]*SiteDivergence), lines: make(map[ContextSite]int64)}
 	byID := make(map[[2]int32]int64) // lines per (context, location id): an 8-byte key per record, resolved once
 	var addrs [trace.WarpSize]uint64
-	for i := range tr.Mem {
+	for i := lo; i < hi; i++ {
 		m := &tr.Mem[i]
 		if m.Space != ir.Global {
 			continue

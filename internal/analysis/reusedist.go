@@ -10,6 +10,7 @@ import (
 	"math/bits"
 
 	"cudaadvisor/internal/ir"
+	"cudaadvisor/internal/runner"
 	"cudaadvisor/internal/trace"
 )
 
@@ -166,19 +167,14 @@ func (r *ReuseResult) Merge(other *ReuseResult) {
 // a write to an element restarts its counting (GPU L1 is
 // write-no-allocate/write-evict); analysis is per CTA.
 func ReuseDistance(tr *trace.KernelTrace, opt ReuseOptions) *ReuseResult {
-	res := &ReuseResult{}
-	res.Add(tr.MemCoverage())
-	walkReuse(tr, opt, res, nil)
-	return res
+	return walkReuse(tr, opt, true, false, nil).res
 }
 
-// Reuse is ReuseDistance and ReuseBySite from one traversal of tr.
-func Reuse(tr *trace.KernelTrace, opt ReuseOptions) (*ReuseResult, map[ir.Loc]*SiteReuse) {
-	res := &ReuseResult{}
-	res.Add(tr.MemCoverage())
-	sites := newSiteTable(tr)
-	walkReuse(tr, opt, res, sites)
-	return res, sitesByLoc(tr, sites)
+// Reuse is ReuseDistance and ReuseBySite from one traversal of tr, its
+// CTA ranges walked on pool (see fanOut).
+func Reuse(tr *trace.KernelTrace, opt ReuseOptions, pool *runner.Pool) (*ReuseResult, map[ir.Loc]*SiteReuse) {
+	w := walkReuse(tr, opt, true, true, pool)
+	return w.res, sitesByLoc(tr, w.sites)
 }
 
 // elemKey maps an access to its element identity: the aligned address at
@@ -235,7 +231,7 @@ type elemState struct {
 	reread   bool   // read more than once (maintained for the histogram only)
 }
 
-// reuseWalker holds what one derivation reuses across its CTAs: the
+// reuseWalker holds what one walk reuses across its CTAs: the
 // timestamp tree and an open-addressed, linearly probed table of element
 // state (slots of earlier CTAs are free by their stamp, never cleared).
 type reuseWalker struct {
@@ -275,20 +271,63 @@ func (w *reuseWalker) state(elem uint64) *elemState {
 // onWalk, set by a test only, is told of every traversal walkReuse starts.
 var onWalk func(ReuseOptions)
 
+// reuseShare is what a walk over some CTAs accumulates: the distance
+// histogram and the site table (newSiteTable), each nil when not asked
+// for.
+type reuseShare struct {
+	res   *ReuseResult
+	sites []SiteReuse
+}
+
+// merge adds s, the share of later CTAs, into r.
+func (r reuseShare) merge(s reuseShare) {
+	if r.res != nil {
+		r.res.Merge(s.res)
+	}
+	for i := range r.sites {
+		r.sites[i].Samples += s.sites[i].Samples
+		r.sites[i].Reused += s.sites[i].Reused
+	}
+}
+
 // walkReuse is the one traversal behind Reuse, ReuseDistance and
 // ReuseBySite: every CTA's lane accesses in execution order under the
-// per-CTA, write-restart model. With res set it accumulates the distance
-// histogram (the timestamp tree is only maintained then); with sites set
-// (a newSiteTable), per-site forward reuse: when an element is re-read
-// with no intervening write, the site of the PREVIOUS read gets the
-// credit — its load brought in data worth caching.
-func walkReuse(tr *trace.KernelTrace, opt ReuseOptions, res *ReuseResult, sites []SiteReuse) {
+// per-CTA, write-restart model, with the histogram (hist) or the site
+// table (bySite) or both. The CTAs split into ranges walked on pool,
+// each with its own walker, and the ranges merge in order: every count
+// restarts per CTA, so the sums are exact. The coverage is the trace's,
+// added once.
+func walkReuse(tr *trace.KernelTrace, opt ReuseOptions, hist, bySite bool, pool *runner.Pool) reuseShare {
 	if onWalk != nil {
 		onWalk(opt)
 	}
+	ctas := groupByCTA(tr, opt.GlobalOnly)
+	w := fanOut(pool, ctaBounds(pool, ctas), func(lo, hi int) reuseShare {
+		var s reuseShare
+		if hist {
+			s.res = &ReuseResult{}
+		}
+		if bySite {
+			s.sites = newSiteTable(tr)
+		}
+		walkCTAs(tr, opt, ctas[lo:hi], s.res, s.sites)
+		return s
+	}, reuseShare.merge)
+	if hist {
+		w.res.Add(tr.MemCoverage())
+	}
+	return w
+}
+
+// walkCTAs walks the given CTA groups of tr. With res set it accumulates
+// the distance histogram (the timestamp tree is only maintained then);
+// with sites set, per-site forward reuse: when an element is re-read
+// with no intervening write, the site of the PREVIOUS read gets the
+// credit — its load brought in data worth caching.
+func walkCTAs(tr *trace.KernelTrace, opt ReuseOptions, ctas [][]int32, res *ReuseResult, sites []SiteReuse) {
 	var w reuseWalker
 	var addrs [trace.WarpSize]uint64
-	for _, records := range groupByCTA(tr, opt.GlobalOnly) {
+	for _, records := range ctas {
 		w.cta++
 		w.live = 0
 		if res != nil {

@@ -5,6 +5,7 @@ import (
 
 	"cudaadvisor/internal/gpu"
 	"cudaadvisor/internal/ir"
+	"cudaadvisor/internal/runner"
 	"cudaadvisor/internal/trace"
 )
 
@@ -92,10 +93,23 @@ func (r *SharedBankResult) Merge(other *SharedBankResult) {
 // (gpu.BankConflictDegree), so trace-derived per-site sums reconcile
 // with the launch-level replay totals.
 func SharedBankConflicts(tr *trace.KernelTrace) *SharedBankResult {
-	res := &SharedBankResult{sites: make(map[ir.Loc]*SiteBankConflict)}
+	return SharedBankConflictsOn(tr, nil)
+}
+
+// SharedBankConflictsOn is SharedBankConflicts with the trace's record
+// ranges derived on pool (see fanOut). Ranges merge in trace order, so a
+// site's Ctx is that of its first access in the trace.
+func SharedBankConflictsOn(tr *trace.KernelTrace, pool *runner.Pool) *SharedBankResult {
+	res := fanOut(pool, recordBounds(pool, len(tr.Mem)), func(lo, hi int) *SharedBankResult { return sharedBankRange(tr, lo, hi) }, (*SharedBankResult).Merge)
 	res.Add(tr.MemCoverage())
+	return res
+}
+
+// sharedBankRange is the profile of the records [lo, hi) of tr.
+func sharedBankRange(tr *trace.KernelTrace, lo, hi int) *SharedBankResult {
+	res := &SharedBankResult{sites: make(map[ir.Loc]*SiteBankConflict)}
 	var addrs [trace.WarpSize]uint64
-	for i := range tr.Mem {
+	for i := lo; i < hi; i++ {
 		m := &tr.Mem[i]
 		if m.Space != ir.Shared {
 			continue

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"cudaadvisor/internal/ir"
+	"cudaadvisor/internal/runner"
 	"cudaadvisor/internal/trace"
 )
 
@@ -28,12 +29,11 @@ func (s *SiteReuse) StreamFraction() float64 {
 }
 
 // ReuseBySite computes per-site reuse statistics for a kernel trace under
-// the same per-CTA, write-restart model as ReuseDistance. Each read
-// access is attributed to the source location of its load.
-func ReuseBySite(tr *trace.KernelTrace, opt ReuseOptions) map[ir.Loc]*SiteReuse {
-	sites := newSiteTable(tr)
-	walkReuse(tr, opt, nil, sites)
-	return sitesByLoc(tr, sites)
+// the same per-CTA, write-restart model as ReuseDistance, its CTA ranges
+// walked on pool. Each read access is attributed to the source location
+// of its load.
+func ReuseBySite(tr *trace.KernelTrace, opt ReuseOptions, pool *runner.Pool) map[ir.Loc]*SiteReuse {
+	return sitesByLoc(tr, walkReuse(tr, opt, false, true, pool).sites)
 }
 
 // newSiteTable returns one counter per interned location of tr, indexed

@@ -42,7 +42,7 @@ func TestReuseBySiteForwardAttribution(t *testing.T) {
 		{10, 1, false},
 		{20, 1, false},
 	})
-	sites := ReuseBySite(tr, DefaultElementReuse())
+	sites := ReuseBySite(tr, DefaultElementReuse(), nil)
 	s10 := sites[ir.Loc{File: "k.mir", Line: 10}]
 	s20 := sites[ir.Loc{File: "k.mir", Line: 20}]
 	if s10 == nil || s20 == nil {
@@ -71,7 +71,7 @@ func TestReuseBySiteWriteBreaksCredit(t *testing.T) {
 		{15, 1, true},
 		{20, 1, false},
 	})
-	sites := ReuseBySite(tr, DefaultElementReuse())
+	sites := ReuseBySite(tr, DefaultElementReuse(), nil)
 	if s := sites[ir.Loc{File: "k.mir", Line: 10}]; s.Reused != 0 {
 		t.Errorf("site 10 credited across a write: %+v", s)
 	}
@@ -91,7 +91,7 @@ func TestReuseBySiteStreamingKernel(t *testing.T) {
 			write bool
 		}{10, i, false})
 	}
-	sites := ReuseBySite(mkSiteTrace(acc), DefaultElementReuse())
+	sites := ReuseBySite(mkSiteTrace(acc), DefaultElementReuse(), nil)
 	s := sites[ir.Loc{File: "k.mir", Line: 10}]
 	if s.Samples != 100 || s.StreamFraction() != 1 {
 		t.Errorf("streaming site = %+v", s)
@@ -132,7 +132,7 @@ func TestReuseBySitePerCTA(t *testing.T) {
 		rec.Loc = loc
 		addRec(tr, rec, [trace.WarpSize]uint64{400})
 	}
-	sites := ReuseBySite(tr, DefaultElementReuse())
+	sites := ReuseBySite(tr, DefaultElementReuse(), nil)
 	s := sites[ir.Loc{File: "k.mir", Line: 10}]
 	if s.Samples != 2 || s.Reused != 0 {
 		t.Errorf("cross-CTA site = %+v, want 2 unreused samples", s)

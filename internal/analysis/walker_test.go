@@ -9,23 +9,23 @@ import (
 	"cudaadvisor/internal/trace"
 )
 
-// mixedTrace builds a seeded random trace shaped like a real one: three
+// mixedTrace builds a seeded random trace shaped like a real one: ctas
 // CTAs interleaved, four sites, loads, stores and atomics of 1, 2, 4 and
 // 8 bytes, full and partial masks, and both address forms — strided
 // warps (affine records, two 16-lane rows per warp) and scattered ones
 // (explicit records) over a small pool of addresses so that elements are
 // re-read within and across sites. A few shared-memory records check the
 // global-only filter.
-func mixedTrace(seed int64, n int) *trace.KernelTrace {
+func mixedTrace(seed int64, n, ctas int) *trace.KernelTrace {
 	rng := rand.New(rand.NewSource(seed))
-	tr := trace.NewKernelTrace("mixed", 0, [3]int{3, 1, 1}, [3]int{16, 4, 1})
+	tr := trace.NewKernelTrace("mixed", 0, [3]int{ctas, 1, 1}, [3]int{16, 4, 1})
 	sites := make([]int32, 4)
 	for i := range sites {
 		sites[i] = tr.Locs.Intern(ir.Loc{File: "k.mir", Line: 10 * (i + 1)})
 	}
 	for i := 0; i < n; i++ {
 		rec := trace.MemAccess{
-			CTA:  int32(rng.Intn(3)),
+			CTA:  int32(rng.Intn(ctas)),
 			Warp: int32(rng.Intn(2)),
 			Kind: trace.AccessKind(rng.Intn(3)),
 			Bits: uint8(8 << uint(rng.Intn(4))),
@@ -65,7 +65,7 @@ func mixedTrace(seed int64, n int) *trace.KernelTrace {
 func TestReuseWalkerMatchesNaive(t *testing.T) {
 	affine, explicit := 0, 0
 	for seed := int64(1); seed <= 40; seed++ {
-		tr := mixedTrace(seed, 70)
+		tr := mixedTrace(seed, 70, 3)
 		for i := range tr.Mem {
 			if tr.Mem[i].Affine() {
 				affine++
@@ -77,11 +77,11 @@ func TestReuseWalkerMatchesNaive(t *testing.T) {
 			if fast, slow := ReuseDistance(tr, opt), NaiveReuseDistance(tr, opt); *fast != *slow {
 				t.Errorf("seed %d, %+v: walker histogram\n %+v\nnaive\n %+v", seed, opt, *fast, *slow)
 			}
-			if fast, slow := ReuseBySite(tr, opt), NaiveReuseBySite(tr, opt); !reflect.DeepEqual(fast, slow) {
+			if fast, slow := ReuseBySite(tr, opt, nil), NaiveReuseBySite(tr, opt); !reflect.DeepEqual(fast, slow) {
 				t.Errorf("seed %d, %+v: walker sites %v, naive %v", seed, opt, siteList(fast), siteList(slow))
 			}
 			// Both from one traversal.
-			if hist, sites := Reuse(tr, opt); *hist != *NaiveReuseDistance(tr, opt) || !reflect.DeepEqual(sites, NaiveReuseBySite(tr, opt)) {
+			if hist, sites := Reuse(tr, opt, nil); *hist != *NaiveReuseDistance(tr, opt) || !reflect.DeepEqual(sites, NaiveReuseBySite(tr, opt)) {
 				t.Errorf("seed %d, %+v: the fused walk gives\n %+v\n %v", seed, opt, *hist, siteList(sites))
 			}
 		}

@@ -101,7 +101,7 @@ func TestVerticalBypassOnBicg(t *testing.T) {
 	// lanes share one line within a single warp instruction.
 	sites := map[ir.Loc]*analysis.SiteReuse{}
 	for _, kp := range p.Kernels {
-		analysis.MergeSiteReuse(sites, analysis.ReuseBySite(kp.Trace, analysis.DefaultElementReuse()))
+		analysis.MergeSiteReuse(sites, analysis.ReuseBySite(kp.Trace, analysis.DefaultElementReuse(), nil))
 	}
 	plan := VerticalPlan(sites, DefaultVerticalOptions())
 	if len(plan) == 0 {

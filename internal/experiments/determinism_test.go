@@ -35,7 +35,7 @@ func TestWriteFigure5ParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestBypassStudyParallelDeterminism asserts byte-identical BypassStudy
+// TestBypassStudyParallelDeterminism asserts byte-identical bypass-study
 // rendering between the serial path and the parallel runner across
 // worker counts (the app coordinators, their profiling runs and the
 // oracle sweeps all fan out).
@@ -45,7 +45,7 @@ func TestBypassStudyParallelDeterminism(t *testing.T) {
 	}
 	cfg := gpu.KeplerK40c().WithL1(16 * 1024)
 	render := func(pool *runner.Pool) ([]byte, error) {
-		rows, _, err := BypassStudy(Env{Pool: pool, Scale: 1}, cfg)
+		rows, _, err := bypassStudy(Env{Pool: pool, Scale: 1}, "bypass/"+cfg.Name, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -58,7 +58,7 @@ func TestBypassStudyParallelDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(serial) == 0 {
-		t.Fatal("serial BypassStudy rendered no output")
+		t.Fatal("the serial bypass study rendered no output")
 	}
 	for _, j := range []int{1, 2, 8} {
 		par, err := render(runner.New(j))
@@ -66,13 +66,13 @@ func TestBypassStudyParallelDeterminism(t *testing.T) {
 			t.Fatalf("-j %d: %v", j, err)
 		}
 		if !bytes.Equal(serial, par) {
-			t.Errorf("-j %d: BypassStudy output differs from serial path", j)
+			t.Errorf("-j %d: bypass-study output differs from serial path", j)
 		}
 	}
 }
 
 // TestBFSBypassCTAInput is the regression test for the CTA-scaling bug:
-// BypassStudy used to extrapolate the timing-run grid as
+// the bypass study used to extrapolate the timing-run grid as
 // nCTAs*BypassRunScale², which assumes every grid grows quadratically
 // with the input scale. bfs has a 1D grid (n = 4096*scale), so the
 // extrapolation fed bypass.ResidentCTAs a 2× inflated CTA count. The

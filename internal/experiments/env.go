@@ -125,13 +125,19 @@ func (e Env) cacheActive() bool {
 
 // runCell returns the completed run of one profiling cell. Without an
 // active cache that is profileCell: a live run whose bundle derives
-// lazily, so a one-shot cell pays only for what it reads. With one it is
-// the cache's run for the cell's inputs, shared by every figure cell and
-// view of those inputs and immutable: simulated once (single-flight),
-// fully derived, and detached, so keeping it holds no trace record.
+// lazily, so a one-shot cell pays only for what it reads, and fans each
+// derivation out on the run's pool. With one it is the cache's run for
+// the cell's inputs, shared by every figure cell and view of those
+// inputs and immutable: simulated once (single-flight), fully derived,
+// and detached, so keeping it holds no trace record. A fill derives on
+// its own slot: daemon hits would wait for the workers a fan-out takes.
 func (e Env) runCell(ctx context.Context, cell string, app *apps.App, cfg gpu.ArchConfig, opts instrument.Options) (*profiler.Profiler, error) {
 	if !e.cacheActive() {
-		return e.profileCell(ctx, cell, app, cfg, opts)
+		p, err := e.profileCell(ctx, cell, app, cfg, opts)
+		if err == nil {
+			p.Pool = e.Pool
+		}
+		return p, err
 	}
 	key := profcache.ProfileKey(app, cfg, opts, e.Scale, e.TraceCap)
 	return e.Cache.Run(ctx, key, func(ctx context.Context) (*profiler.Profiler, error) {

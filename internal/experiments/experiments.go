@@ -193,17 +193,6 @@ func measureNative(ctx context.Context, pool *runner.Pool, app *apps.App, cfg gp
 // the per-CTA reuse and divergence profiles are scale-invariant.
 const BypassRunScale = 2
 
-// BypassStudy runs the Figures 6/7 comparison for one architecture
-// configuration over the bypass-favorable applications: baseline (no
-// bypassing), exhaustive oracle, and the Eq. (1) prediction driven by the
-// tool's own reuse-distance and memory-divergence outputs. Each
-// application is a coordinator task; its profiling run, CTA measurement
-// and sweep points are gated pool jobs, and the rows are assembled in
-// table order. Per-cell errors align with the rows.
-func BypassStudy(env Env, cfg gpu.ArchConfig) ([]bypass.Comparison, []error, error) {
-	return bypassStudy(env, "bypass/"+cfg.Name, cfg)
-}
-
 // bypassFavorable returns the names of the bypass-favorable applications
 // in table order.
 func bypassFavorable() []string {
@@ -216,8 +205,15 @@ func bypassFavorable() []string {
 	return favs
 }
 
-// bypassStudy is BypassStudy under a figure panel's cell prefix
-// ("figure6/kepler-k40c-16KB", "figure7/pascal-p100"). Fault injection
+// bypassStudy runs the Figures 6/7 comparison for one architecture
+// configuration over the bypass-favorable applications, its cells named
+// under a figure panel's prefix ("figure6/kepler-k40c-16KB",
+// "figure7/pascal-p100"): baseline (no bypassing), exhaustive oracle, and
+// the Eq. (1) prediction driven by the tool's own reuse-distance and
+// memory-divergence outputs. Each application is a coordinator task; its
+// profiling run, CTA measurement and sweep points are gated pool jobs,
+// and the rows are assembled in table order. Per-cell errors align with
+// the rows. Fault injection
 // applies to the profiling run of each cell (the timing runs are native
 // code with no hooks and share nothing injectable deterministically);
 // the cell context and timeout bound every run of the cell, including

@@ -143,7 +143,8 @@ func TestBypassShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bypassing sweep is expensive; skipped in -short")
 	}
-	rows, _, err := BypassStudy(Env{Scale: 1}, gpu.KeplerK40c().WithL1(16*1024))
+	cfg := gpu.KeplerK40c().WithL1(16 * 1024)
+	rows, _, err := bypassStudy(Env{Scale: 1}, "bypass/"+cfg.Name, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,5 +230,42 @@ func TestWritersProduceOutput(t *testing.T) {
 	}
 	if err := WriteCodeDataCentric(io.Discard, Env{Scale: 1}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkFigure6BypassKepler16KB regenerates the 16 KB L1 half of
+// Figure 6: baseline / oracle / Eq.(1)-prediction normalized times.
+func BenchmarkFigure6BypassKepler16KB(b *testing.B) {
+	benchBypass(b, gpu.KeplerK40c().WithL1(16*1024))
+}
+
+// BenchmarkFigure6BypassKepler48KB regenerates the 48 KB L1 half of
+// Figure 6.
+func BenchmarkFigure6BypassKepler48KB(b *testing.B) {
+	benchBypass(b, gpu.KeplerK40c().WithL1(48*1024))
+}
+
+// BenchmarkFigure7BypassPascal regenerates Figure 7 (24 KB unified cache).
+func BenchmarkFigure7BypassPascal(b *testing.B) {
+	benchBypass(b, gpu.PascalP100())
+}
+
+func benchBypass(b *testing.B, cfg gpu.ArchConfig) {
+	b.Helper()
+	for i := 0; i < b.N; i++ {
+		rows, _, err := bypassStudy(Env{Scale: 1}, "bypass/"+cfg.Name, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			oracleSum, predSum := 0.0, 0.0
+			for _, c := range rows {
+				oracleSum += c.OracleNorm()
+				predSum += c.PredictNorm()
+			}
+			n := float64(len(rows))
+			b.ReportMetric(oracleSum/n, "mean-oracle-norm")
+			b.ReportMetric(predSum/n, "mean-predict-norm")
+		}
 	}
 }

@@ -39,6 +39,21 @@ func renderExport(t *testing.T, env Env, app, format, weight string) []byte {
 
 // profileApp reruns the app's profiling cell exactly the way the export
 // path does, for the independent side of the differential checks.
+// foldedTotal is the total weight of a folded document, which must equal
+// the profiler's own aggregate for the weight that produced it.
+func foldedTotal(t *testing.T, doc []byte) int64 {
+	t.Helper()
+	stacks, err := export.ParseFolded(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := int64(0)
+	for _, s := range stacks {
+		total += s.Weight
+	}
+	return total
+}
+
 func profileApp(t *testing.T, env Env, app string) *profiler.Profiler {
 	t.Helper()
 	p, err := env.profileCell(context.Background(), "test/"+app,
@@ -99,11 +114,7 @@ func TestFoldedTotalsReconcile(t *testing.T) {
 				if sampled := bytes.HasPrefix(doc, []byte("# [sampled]")); sampled != (tc.traceCap > 0) {
 					t.Errorf("%s/%s cap %d: [sampled] header present = %v", app, weight, tc.traceCap, sampled)
 				}
-				got, err := export.SumFolded(doc)
-				if err != nil {
-					t.Fatalf("%s/%s: %v", app, weight, err)
-				}
-				if got != want[weight] {
+				if got := foldedTotal(t, doc); got != want[weight] {
 					t.Errorf("%s/%s cap %d: folded total %d, recounted aggregate %d (must reconcile exactly)",
 						app, weight, tc.traceCap, got, want[weight])
 				}
@@ -150,10 +161,7 @@ func TestExportSampledTraceCap(t *testing.T) {
 		t.Errorf("sampled header does not state the no-rescaling contract:\n%.200s", doc)
 	}
 
-	got, err := export.SumFolded(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := foldedTotal(t, doc)
 	p := profileApp(t, env, "bfs")
 	want := p.Analyses(gpu.KeplerK40c().L1LineSize).MemDiv().WeightedSum
 	if got != want {
@@ -161,10 +169,7 @@ func TestExportSampledTraceCap(t *testing.T) {
 	}
 
 	full := Env{Scale: 1}
-	fullTotal, err := export.SumFolded(renderExport(t, full, "bfs", "folded", export.WeightLines))
-	if err != nil {
-		t.Fatal(err)
-	}
+	fullTotal := foldedTotal(t, renderExport(t, full, "bfs", "folded", export.WeightLines))
 	if got >= fullTotal {
 		t.Errorf("sampled total %d >= full total %d: the cap did not truncate", got, fullTotal)
 	}

@@ -87,12 +87,8 @@ func TestParseFoldedSkipsCommentsAndSums(t *testing.T) {
 	if len(stacks) != 2 {
 		t.Fatalf("parsed %d stacks, want 2", len(stacks))
 	}
-	total, err := SumFolded(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != 7 {
-		t.Errorf("SumFolded = %d, want 7", total)
+	if total := stacks[0].Weight + stacks[1].Weight; total != 7 {
+		t.Errorf("folded total = %d, want 7", total)
 	}
 }
 
@@ -149,7 +145,12 @@ func TestWriteFoldedSentinels(t *testing.T) {
 	}
 
 	// Everything re-parses and reconciles.
-	if total, err := SumFolded(lines.Bytes()); err != nil || total != 2 {
+	stacks, err := ParseFolded(lines.Bytes())
+	total := int64(0)
+	for _, s := range stacks {
+		total += s.Weight
+	}
+	if err != nil || total != 2 {
 		t.Errorf("lines total = %d, %v; want 2 (one line each)", total, err)
 	}
 }

@@ -147,21 +147,6 @@ func ParseFolded(data []byte) ([]FoldedStack, error) {
 	return out, nil
 }
 
-// SumFolded is the re-aggregation check: the total weight of a folded
-// document, which must equal the profiler's own aggregate for the weight
-// that produced it.
-func SumFolded(data []byte) (int64, error) {
-	stacks, err := ParseFolded(data)
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, s := range stacks {
-		total += s.Weight
-	}
-	return total, nil
-}
-
 // stackOf renders the calling context ctx as escaped folded frames, root
 // first. It walks parent links explicitly — not via ContextTree.Path,
 // which silently stops at out-of-range ids — so a corrupt or foreign id

@@ -7,6 +7,7 @@ import (
 
 	"cudaadvisor/internal/analysis"
 	"cudaadvisor/internal/ir"
+	"cudaadvisor/internal/runner"
 )
 
 // Analyses is the analysis bundle of one profiled run: every aggregate
@@ -19,17 +20,21 @@ import (
 // advisor's join derive each analysis once between them — and an
 // uncached Figure 4 pays for one reuse walk only.
 //
-// A bundle is safe for concurrent use; what it returns is shared and
-// must be treated as immutable. Detached in process (Detach) it answers
-// every getter as before. Decoded (UnmarshalJSON: a "profile" cache
-// entry) it carries ReuseElem, ReuseLine, MemDiv and BranchDiv only, the
-// two divergence results without per-context tables and sample
-// addresses, and every other getter reads as empty; nothing in the tree
-// asks: the figures, its only readers, read exactly those four.
+// A bundle built on a run with a Pool derives each instance on it, split
+// into CTA or record ranges that merge in trace order, so the results do
+// not depend on the pool. A bundle is safe for concurrent use; what it
+// returns is shared and must be treated as immutable. Detached in
+// process (Detach) it answers every getter as before. Decoded
+// (UnmarshalJSON: a "profile" cache entry) it carries ReuseElem,
+// ReuseLine, MemDiv and BranchDiv only, the two divergence results
+// without per-context tables and sample addresses, and every other
+// getter reads as empty; nothing in the tree asks: the figures, its only
+// readers, read exactly those four.
 type Analyses struct {
 	mu       sync.Mutex
 	kernels  []*KernelProfile // the instances launched before it was built; none when decoded
 	lineSize int
+	pool     *runner.Pool // the run's Pool: each instance's derivation fans out on it
 
 	// derived keeps every aggregate asked for so far under its getter's
 	// name, a reuse profile under its analysis.ReuseOptions.
@@ -44,7 +49,7 @@ func (p *Profiler) Analyses(lineSize int) *Analyses {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if a := p.analyses; a == nil || len(a.kernels) != len(p.Kernels) || a.lineSize != lineSize {
-		p.analyses = &Analyses{kernels: p.Kernels, lineSize: lineSize, derived: make(map[any]any)}
+		p.analyses = &Analyses{kernels: p.Kernels, lineSize: lineSize, pool: p.Pool, derived: make(map[any]any)}
 	}
 	return p.analyses
 }
@@ -109,9 +114,9 @@ func (a *Analyses) reuse(opt analysis.ReuseOptions, hist bool) *reuseProfile {
 	}, func(r *reuseProfile, kp *KernelProfile) {
 		rd, sites := new(analysis.ReuseResult), map[ir.Loc]*analysis.SiteReuse(nil)
 		if hist {
-			rd, sites = analysis.Reuse(kp.Trace, opt)
+			rd, sites = analysis.Reuse(kp.Trace, opt, a.pool)
 		} else {
-			sites = analysis.ReuseBySite(kp.Trace, opt)
+			sites = analysis.ReuseBySite(kp.Trace, opt, a.pool)
 		}
 		r.total.Merge(rd)
 		if cur := r.byKernel[kp.Trace.Kernel]; cur != nil {
@@ -155,7 +160,7 @@ func (a *Analyses) ReuseLine() *analysis.ReuseResult {
 func (a *Analyses) MemDiv() *analysis.MemDivResult {
 	return derive(a, "MemDiv", &analysis.MemDivResult{LineSize: a.lineSize},
 		func(r *analysis.MemDivResult, kp *KernelProfile) {
-			r.Merge(analysis.MemDivergence(kp.Trace, a.lineSize))
+			r.Merge(analysis.MemDivergenceOn(kp.Trace, a.lineSize, a.pool))
 		})
 }
 
@@ -164,7 +169,7 @@ func (a *Analyses) MemDiv() *analysis.MemDivResult {
 func (a *Analyses) BranchDiv() *analysis.BranchDivResult {
 	return derive(a, "BranchDiv", &analysis.BranchDivResult{},
 		func(r *analysis.BranchDivResult, kp *KernelProfile) {
-			r.Merge(analysis.BranchDivergence(kp.Trace, kp.Tables))
+			r.Merge(analysis.BranchDivergenceOn(kp.Trace, kp.Tables, a.pool))
 		})
 }
 
@@ -173,7 +178,7 @@ func (a *Analyses) BranchDiv() *analysis.BranchDivResult {
 func (a *Analyses) SharedBank() *analysis.SharedBankResult {
 	return derive(a, "SharedBank", &analysis.SharedBankResult{},
 		func(r *analysis.SharedBankResult, kp *KernelProfile) {
-			r.Merge(analysis.SharedBankConflicts(kp.Trace))
+			r.Merge(analysis.SharedBankConflictsOn(kp.Trace, a.pool))
 		})
 }
 

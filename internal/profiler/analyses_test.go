@@ -43,7 +43,7 @@ func mergeExplicitly(p *profiler.Profiler, lineSize int) *explicit {
 			e.reuseByKernel[kp.Info.Kernel] = &analysis.ReuseResult{}
 		}
 		e.reuseByKernel[kp.Info.Kernel].Merge(analysis.ReuseDistance(kp.Trace, analysis.DefaultElementReuse()))
-		for loc, s := range analysis.ReuseBySite(kp.Trace, analysis.DefaultElementReuse()) {
+		for loc, s := range analysis.ReuseBySite(kp.Trace, analysis.DefaultElementReuse(), nil) {
 			if s.Reused > 0 {
 				e.reusedByContext[analysis.ContextSite{Ctx: s.Ctx, Loc: loc}] += s.Reused
 			}
@@ -55,7 +55,7 @@ func mergeExplicitly(p *profiler.Profiler, lineSize int) *explicit {
 		e.memDiv.Merge(analysis.MemDivergence(kp.Trace, lineSize))
 		e.branchDiv.Merge(analysis.BranchDivergence(kp.Trace, kp.Tables))
 		e.sharedBank.Merge(analysis.SharedBankConflicts(kp.Trace))
-		analysis.MergeSiteReuse(e.siteReuse, analysis.ReuseBySite(kp.Trace, analysis.DefaultElementReuse()))
+		analysis.MergeSiteReuse(e.siteReuse, analysis.ReuseBySite(kp.Trace, analysis.DefaultElementReuse(), nil))
 		for _, rs := range kp.Result.SharedRaces {
 			e.sharedRaces[rs.Loc] += rs.Count
 		}

@@ -15,6 +15,7 @@ import (
 	"cudaadvisor/internal/instrument"
 	"cudaadvisor/internal/ir"
 	"cudaadvisor/internal/rt"
+	"cudaadvisor/internal/runner"
 	"cudaadvisor/internal/trace"
 )
 
@@ -86,6 +87,12 @@ type Profiler struct {
 	// analyses report the coverage fraction.
 	TraceCap  int
 	TraceSink trace.FlushSink
+
+	// Pool, when non-nil, is where the bundle's per-instance derivations
+	// fan out: each splits into CTA or record ranges that run on idle
+	// workers and merge in trace order, so every result is the serial
+	// one. A nil pool derives serially.
+	Pool *runner.Pool
 
 	mu       sync.Mutex
 	analyses *Analyses // the run's bundle; see Analyses

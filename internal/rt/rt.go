@@ -113,11 +113,15 @@ type LaunchOptions struct {
 	L1Warps int
 	// MaxWarpInstrs overrides the runaway-kernel guard (0 = default).
 	MaxWarpInstrs int64
-	// Pool, when non-nil with more than one worker, lets the executor fan
-	// the SM shards of a launch that calls no hook out across idle pool
-	// workers. Results are byte-identical to the serial path at every
-	// worker count (see gpu.LaunchParams.Pool); a nil pool keeps launches
-	// serial.
+	// Pool, when non-nil with more than one worker and one of them idle
+	// at launch, lets the executor fan the SM shards of a launch out
+	// across idle pool workers: a launch that calls no hook, and a hooked
+	// one whose listener records per SM (gpu.SMHooks) in a module without
+	// global atomics. Results are byte-identical to the serial path at
+	// every worker count (see gpu.LaunchParams.Pool); a nil pool keeps
+	// launches serial. The experiment layer hands the same pool to a live
+	// run's profiler.Profiler, whose analyses fan out on it after the
+	// launch.
 	Pool *runner.Pool
 	// Ctx, when non-nil, bounds every subsequent Launch: the executor
 	// polls it at the warp-step guard and aborts the kernel when the

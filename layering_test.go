@@ -15,6 +15,7 @@ import (
 var derivations = map[string]bool{
 	"Reuse": true, "ReuseDistance": true, "ReuseBySite": true, "MemDivergence": true,
 	"BranchDivergence": true, "SharedBankConflicts": true,
+	"MemDivergenceOn": true, "BranchDivergenceOn": true, "SharedBankConflictsOn": true,
 }
 
 // isKernelTrace reports whether e is spelled as a trace.KernelTrace type.
