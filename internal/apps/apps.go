@@ -14,7 +14,6 @@ package apps
 
 import (
 	"fmt"
-	"sort"
 
 	"cudaadvisor/internal/instrument"
 	"cudaadvisor/internal/ir"
@@ -89,25 +88,6 @@ func register(a *App) *App {
 
 // ByName returns the named application, or nil.
 func ByName(name string) *App { return registry[name] }
-
-// Names returns all application names, sorted.
-func Names() []string {
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// All returns all applications in name order.
-func All() []*App {
-	var out []*App
-	for _, n := range Names() {
-		out = append(out, registry[n])
-	}
-	return out
-}
 
 // TableOrder lists the applications in the paper's Table 2 order.
 var TableOrder = []string{

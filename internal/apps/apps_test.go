@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"sort"
 	"testing"
 
 	"cudaadvisor/internal/analysis"
@@ -181,4 +182,23 @@ func TestBicgReuseShape(t *testing.T) {
 	if rd.InfiniteFraction() < 0.20 {
 		t.Errorf("no-reuse fraction = %.3f, want >= 0.20", rd.InfiniteFraction())
 	}
+}
+
+// All returns all applications in name order.
+func All() []*App {
+	var out []*App
+	for _, n := range Names() {
+		out = append(out, registry[n])
+	}
+	return out
+}
+
+// Names returns all application names, sorted.
+func Names() []string {
+	names := make([]string, 0, len(registry))
+	for n := range registry {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }

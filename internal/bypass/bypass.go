@@ -129,27 +129,6 @@ type SweepPoint struct {
 // returns the modeled kernel cycles.
 type Runner func(l1Warps int) (int64, error)
 
-// Oracle exhaustively searches k in [1, warpsPerCTA] (the search of the
-// horizontal bypassing paper the case study compares against) and returns
-// the best point plus the whole sweep.
-func Oracle(warpsPerCTA int, run Runner) (best SweepPoint, sweep []SweepPoint, err error) {
-	if warpsPerCTA < 1 {
-		return SweepPoint{}, nil, fmt.Errorf("bypass: warpsPerCTA = %d", warpsPerCTA)
-	}
-	for k := 1; k <= warpsPerCTA; k++ {
-		cycles, err := run(k)
-		if err != nil {
-			return SweepPoint{}, nil, fmt.Errorf("bypass: oracle run k=%d: %w", k, err)
-		}
-		pt := SweepPoint{L1Warps: k, Cycles: cycles}
-		sweep = append(sweep, pt)
-		if best.Cycles == 0 || cycles < best.Cycles {
-			best = pt
-		}
-	}
-	return best, sweep, nil
-}
-
 // Comparison is the three-way result of Figures 6 and 7 for one
 // application on one architecture: baseline (no bypassing), oracle, and
 // the Eq. (1) prediction, all in modeled cycles.
@@ -206,7 +185,7 @@ func Compare(app, arch string, cfg gpu.ArchConfig, warpsPerCTA, predictWarps int
 		return c, err
 	}
 	// Ordered reduction: scan in k order so ties resolve to the lowest k,
-	// exactly as the serial Oracle loop does.
+	// exactly as the serial search (the tests' Oracle) does.
 	best := sweep[0]
 	for _, pt := range sweep[1:] {
 		if pt.Cycles < best.Cycles {

@@ -1,6 +1,7 @@
 package bypass
 
 import (
+	"fmt"
 	"testing"
 
 	"cudaadvisor/internal/gpu"
@@ -156,4 +157,25 @@ func TestOracleRejectsBadInput(t *testing.T) {
 	if _, _, err := Oracle(0, func(int) (int64, error) { return 0, nil }); err == nil {
 		t.Error("Oracle accepted warpsPerCTA = 0")
 	}
+}
+
+// Oracle exhaustively searches k in [1, warpsPerCTA] (the search of the
+// horizontal bypassing paper the case study compares against) and returns
+// the best point plus the whole sweep.
+func Oracle(warpsPerCTA int, run Runner) (best SweepPoint, sweep []SweepPoint, err error) {
+	if warpsPerCTA < 1 {
+		return SweepPoint{}, nil, fmt.Errorf("bypass: warpsPerCTA = %d", warpsPerCTA)
+	}
+	for k := 1; k <= warpsPerCTA; k++ {
+		cycles, err := run(k)
+		if err != nil {
+			return SweepPoint{}, nil, fmt.Errorf("bypass: oracle run k=%d: %w", k, err)
+		}
+		pt := SweepPoint{L1Warps: k, Cycles: cycles}
+		sweep = append(sweep, pt)
+		if best.Cycles == 0 || cycles < best.Cycles {
+			best = pt
+		}
+	}
+	return best, sweep, nil
 }

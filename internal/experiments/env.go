@@ -166,9 +166,8 @@ func (e Env) resultsCell(ctx context.Context, cell string, app *apps.App, cfg gp
 
 // nativeStats runs one native cycle-model measurement through the cache
 // when active. One native run yields both the modeled cycles and the
-// largest launched grid, so the bypass study's CTA measurement and its
-// baseline sweep point (both l1Warps = 0 at the timing scale) share a
-// single entry.
+// largest launched grid, so the bypass study's CTA measurement is also
+// its baseline sweep point (l1Warps = 0 at the timing scale).
 func (e Env) nativeStats(ctx context.Context, app *apps.App, cfg gpu.ArchConfig, l1Warps, scale int) (profcache.CycleStats, error) {
 	if !e.cacheActive() {
 		return measureNative(ctx, e.Pool, app, cfg, l1Warps, scale)

@@ -175,6 +175,9 @@ func WriteTable3(w io.Writer, env Env) error {
 // at every worker count). ctx (which may be nil) bounds the kernels via
 // the executor's step-guard poll.
 func measureNative(ctx context.Context, pool *runner.Pool, app *apps.App, cfg gpu.ArchConfig, l1Warps, scale int) (profcache.CycleStats, error) {
+	if onNative != nil {
+		onNative(app)
+	}
 	prog, err := app.Native()
 	if err != nil {
 		return profcache.CycleStats{}, err
@@ -186,6 +189,10 @@ func measureNative(ctx context.Context, pool *runner.Pool, app *apps.App, cfg gp
 	}
 	return profcache.CycleStats{Cycles: counter.Cycles, MaxCTAs: counter.MaxCTAs}, nil
 }
+
+// onNative, set by a test only, is told of every native run
+// measureNative makes.
+var onNative func(*apps.App)
 
 // BypassRunScale is the input scale for the bypassing timing runs: large
 // enough that the grids fill the SMs (the occupancy the capacity study
@@ -246,26 +253,24 @@ func bypassStudy(env Env, prefix string, cfg gpu.ArchConfig) ([]bypass.Compariso
 			// grid in CTAs, the measured #CTAs input of the Eq. (1)
 			// capacity model — and form the prediction. The measurement
 			// run is the baseline sweep point (no bypassing, timing
-			// scale), so with a cache the two share one native run.
-			nCTAs, err := runner.DoCtx(cctx, env.Pool, func(ctx context.Context) (int, error) {
-				st, err := env.nativeStats(ctx, a, cfg, 0, env.Scale*BypassRunScale)
-				return st.MaxCTAs, err
+			// scale), so the sweep reuses its cycles.
+			base, err := runner.DoCtx(cctx, env.Pool, func(ctx context.Context) (profcache.CycleStats, error) {
+				return env.nativeStats(ctx, a, cfg, 0, env.Scale*BypassRunScale)
 			})
 			if err != nil {
 				return err
 			}
-			ctasPerSM := bypass.ResidentCTAs(cfg, a.WarpsPerCTA, nCTAs)
+			ctasPerSM := bypass.ResidentCTAs(cfg, a.WarpsPerCTA, base.MaxCTAs)
 			predict := bypass.PredictFromProfiles(cfg, rdLine, rdElem, md, a.WarpsPerCTA, ctasPerSM)
 
 			// Step 3: measure baseline / oracle / prediction on native
 			// code; the sweep fans out on the same pool.
 			cmp, err := bypass.Compare(a.Name, cfg.Name, cfg, a.WarpsPerCTA, predict, env.Pool,
 				func(k int) (int64, error) {
-					l1Warps := k
 					if k >= a.WarpsPerCTA {
-						l1Warps = 0 // rt semantics: 0 = no bypassing
+						return base.Cycles, nil // no bypassing: step 2's run
 					}
-					st, err := env.nativeStats(cctx, a, cfg, l1Warps, env.Scale*BypassRunScale)
+					st, err := env.nativeStats(cctx, a, cfg, k, env.Scale*BypassRunScale)
 					return st.Cycles, err
 				})
 			if err != nil {

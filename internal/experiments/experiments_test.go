@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"io"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"cudaadvisor/internal/apps"
@@ -138,15 +140,30 @@ func TestFigure4Shape(t *testing.T) {
 // TestBypassShape runs the Figure 6 experiment at the 16 KB Kepler point
 // and checks the paper's qualitative claims: bfs and hotspot are
 // insensitive, the Polybench kernels benefit, and the Eq. (1) prediction
-// never chooses a configuration slower than the baseline.
+// never chooses a configuration slower than the baseline. The panel is
+// uncached, so it also counts its native runs: one per sweep point of
+// each app, the no-bypass point being the CTA measurement's run.
 func TestBypassShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bypassing sweep is expensive; skipped in -short")
 	}
+	var mu sync.Mutex
+	runs, want := map[string]int{}, map[string]int{}
+	for _, name := range bypassFavorable() {
+		want[name] = apps.ByName(name).WarpsPerCTA
+	}
+	defer OnNative(func(a *apps.App) {
+		mu.Lock()
+		runs[a.Name]++
+		mu.Unlock()
+	})()
 	cfg := gpu.KeplerK40c().WithL1(16 * 1024)
 	rows, _, err := bypassStudy(Env{Scale: 1}, "bypass/"+cfg.Name, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(runs, want) {
+		t.Errorf("native runs per app = %v, want WarpsPerCTA each: %v", runs, want)
 	}
 	byApp := map[string]int{}
 	for i, c := range rows {

@@ -17,6 +17,25 @@ import (
 	"cudaadvisor/internal/trace"
 )
 
+// OnAnalyze forgets every built-in application's memoised static
+// analysis, so each is analysed afresh, and has f told of every analysis
+// until the returned function is called.
+func OnAnalyze(f func(*apps.App)) (restore func()) {
+	appAnalyses.Range(func(k, _ any) bool {
+		appAnalyses.Delete(k)
+		return true
+	})
+	onAnalyze = f
+	return func() { onAnalyze = nil }
+}
+
+// OnNative has f told of every native run until the returned function is
+// called.
+func OnNative(f func(*apps.App)) (restore func()) {
+	onNative = f
+	return func() { onNative = nil }
+}
+
 // exportRequest decodes one `export` request the way a transport does.
 func exportRequest(app, format, weight string) (*Request, error) {
 	params := map[string]string{"app": app, "format": format, "weight": weight}

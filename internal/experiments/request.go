@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"sync"
 
 	"cudaadvisor/internal/analysis"
 	"cudaadvisor/internal/apps"
@@ -251,17 +252,45 @@ func (r *Request) view() (instrument.Options, string, func(io.Writer, *profiler.
 	}
 }
 
-// analyze runs the static advisor over the target: the uploaded module,
-// or a built-in application's device code under its launch-layout hint.
+// analyze returns the static advisor's result for the target: the
+// uploaded module's, analysed in NewRequest, or a built-in application's
+// (shared, read-only; see appAnalysis).
 func (r *Request) analyze() (*staticadvisor.ModuleResult, error) {
 	if r.App == nil {
 		return r.module, nil
 	}
-	m, err := r.App.Module()
-	if err != nil {
-		return nil, fmt.Errorf("%s: module: %w", r.App.Name, err)
+	return appAnalysis(r.App)
+}
+
+// appAnalyses holds one func per built-in application (*apps.App) that
+// parses its device code and runs the static advisor under its
+// launch-layout hint the first time it is called, and returns that
+// result, or error, to every later caller. The apps are immutable and
+// few, so the memo is never bounded or evicted; its results are never
+// mutated (findings.FromStatic copies what Join changes).
+var appAnalyses sync.Map
+
+// onAnalyze, set by a test only, is told of every application appAnalysis
+// analyses.
+var onAnalyze func(*apps.App)
+
+// appAnalysis is the static analysis of a built-in application, computed
+// at most once per process.
+func appAnalysis(a *apps.App) (*staticadvisor.ModuleResult, error) {
+	f, ok := appAnalyses.Load(a)
+	if !ok {
+		f, _ = appAnalyses.LoadOrStore(a, sync.OnceValues(func() (*staticadvisor.ModuleResult, error) {
+			if onAnalyze != nil {
+				onAnalyze(a)
+			}
+			m, err := a.Module()
+			if err != nil {
+				return nil, fmt.Errorf("%s: module: %w", a.Name, err)
+			}
+			return staticadvisor.AnalyzeLayout(m, staticadvisor.Layout{Block: a.BlockDims})
+		}))
 	}
-	return staticadvisor.AnalyzeLayout(m, staticadvisor.Layout{Block: r.App.BlockDims})
+	return f.(func() (*staticadvisor.ModuleResult, error))()
 }
 
 // writeStatic renders `lint` and the static half of `advise`: the lint

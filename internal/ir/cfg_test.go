@@ -170,3 +170,107 @@ func TestPostDominatorsUnreachableAndInfinite(t *testing.T) {
 		t.Errorf("ipdom(infinite loop block) = %d, want -1", ipdom[0])
 	}
 }
+
+// ReversePostorder returns the blocks of f in reverse postorder of the
+// CFG rooted at the entry block. Unreachable blocks are omitted.
+func ReversePostorder(f *Function) []*Block {
+	n := len(f.Blocks)
+	seen := make([]bool, n)
+	var post []*Block
+	var dfs func(b *Block)
+	dfs = func(b *Block) {
+		seen[b.Index] = true
+		for _, s := range b.Succs {
+			if !seen[s.Index] {
+				dfs(s)
+			}
+		}
+		post = append(post, b)
+	}
+	if n > 0 {
+		dfs(f.Blocks[0])
+	}
+	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
+		post[i], post[j] = post[j], post[i]
+	}
+	return post
+}
+
+// Dominators computes the immediate dominator of every reachable block.
+// The result is indexed by Block.Index; idom[entry] = entry, and -1 marks
+// unreachable blocks.
+func Dominators(f *Function) []int {
+	rpo := ReversePostorder(f)
+	return chk(len(f.Blocks), rpo,
+		func(b *Block) []*Block { return b.Preds })
+}
+
+// chk runs Cooper-Harvey-Kennedy over blocks; preds supplies the relevant
+// predecessor relation. rpo[0] must be the root.
+func chk(n int, rpo []*Block, preds func(*Block) []*Block) []int {
+	idom := make([]int, n)
+	for i := range idom {
+		idom[i] = -1
+	}
+	if len(rpo) == 0 {
+		return idom
+	}
+	order := make([]int, n) // rpo number per block index
+	for i := range order {
+		order[i] = -1
+	}
+	for i, b := range rpo {
+		order[b.Index] = i
+	}
+	root := rpo[0].Index
+	idom[root] = root
+
+	intersect := func(a, b int) int {
+		for a != b {
+			for order[a] > order[b] {
+				a = idom[a]
+			}
+			for order[b] > order[a] {
+				b = idom[b]
+			}
+		}
+		return a
+	}
+
+	for changed := true; changed; {
+		changed = false
+		for _, b := range rpo[1:] {
+			newIdom := -1
+			for _, p := range preds(b) {
+				if idom[p.Index] == -1 {
+					continue
+				}
+				if newIdom == -1 {
+					newIdom = p.Index
+				} else {
+					newIdom = intersect(newIdom, p.Index)
+				}
+			}
+			if newIdom != -1 && idom[b.Index] != newIdom {
+				idom[b.Index] = newIdom
+				changed = true
+			}
+		}
+	}
+	return idom
+}
+
+// Dominates reports whether block a dominates block b given an idom array
+// from Dominators.
+func Dominates(idom []int, a, b int) bool {
+	for {
+		if b == a {
+			return true
+		}
+		next := idom[b]
+		if next == -1 || next == b {
+			return b == a
+		}
+		b = next
+	}
+}

@@ -8,18 +8,21 @@ import (
 	"cudaadvisor/internal/ir"
 )
 
+// punct pads each punctuation character with spaces. A Replacer is safe
+// for concurrent use, so every parse shares this one.
+var punct = strings.NewReplacer(
+	",", " , ",
+	"[", " [ ",
+	"]", " ] ",
+	"(", " ( ",
+	")", " ) ",
+	"=", " = ",
+)
+
 // tokenize splits an instruction line into tokens, making punctuation
 // self-delimiting.
 func tokenize(line string) []string {
-	r := strings.NewReplacer(
-		",", " , ",
-		"[", " [ ",
-		"]", " ] ",
-		"(", " ( ",
-		")", " ) ",
-		"=", " = ",
-	)
-	return strings.Fields(r.Replace(line))
+	return strings.Fields(punct.Replace(line))
 }
 
 type tokens struct {

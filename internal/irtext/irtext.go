@@ -66,16 +66,6 @@ func Parse(file, src string) (*ir.Module, error) {
 	return m, nil
 }
 
-// MustParse is Parse that panics on error; for statically known-good
-// kernel sources compiled into the binary.
-func MustParse(file, src string) *ir.Module {
-	m, err := Parse(file, src)
-	if err != nil {
-		panic("irtext: " + err.Error())
-	}
-	return m
-}
-
 type parser struct {
 	file  string
 	lines []string

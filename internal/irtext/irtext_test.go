@@ -247,12 +247,3 @@ entry:
 		t.Fatalf("Verify: %v", err)
 	}
 }
-
-func TestMustParsePanicsOnBadSource(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustParse did not panic")
-		}
-	}()
-	MustParse("bad.mir", "not a module")
-}

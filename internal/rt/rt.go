@@ -239,9 +239,6 @@ func Ptr(p DevPtr) Arg { return Arg{uint64(p)} }
 // I32 passes an i32 argument.
 func I32(v int32) Arg { return Arg{ir.I32Bits(v)} }
 
-// I64 passes an i64 argument.
-func I64(v int64) Arg { return Arg{uint64(v)} }
-
 // F32 passes an f32 argument.
 func F32(v float32) Arg { return Arg{ir.F32Bits(v)} }
 

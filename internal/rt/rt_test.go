@@ -225,9 +225,6 @@ func TestArgEncodings(t *testing.T) {
 	if F32(1.5).bits != ir.F32Bits(1.5) {
 		t.Error("F32 encoding wrong")
 	}
-	if I64(-7).bits != uint64(0xFFFFFFFFFFFFFFF9) {
-		t.Error("I64 encoding wrong")
-	}
 	if Dim(5) != [3]int{5, 1, 1} || Dim2(2, 3) != [3]int{2, 3, 1} {
 		t.Error("Dim helpers wrong")
 	}

@@ -21,9 +21,13 @@ import (
 
 	"cudaadvisor/internal/apps"
 	"cudaadvisor/internal/experiments"
+	"cudaadvisor/internal/findings"
+	"cudaadvisor/internal/gpu"
 	"cudaadvisor/internal/profcache"
+	"cudaadvisor/internal/report"
 	"cudaadvisor/internal/runner"
 	"cudaadvisor/internal/serve"
+	"cudaadvisor/internal/staticadvisor"
 )
 
 func newServer(t *testing.T, cfg serve.Config) *httptest.Server {
@@ -177,6 +181,98 @@ func TestStaticParity(t *testing.T) {
 	if status, _, body := get(t, ts, "/v1/advise?app=bfs&format=json"); status != http.StatusOK || body != wantAdvise {
 		t.Errorf("/v1/advise?app=bfs = %d, body parity %v", status, body == wantAdvise)
 	}
+}
+
+// freshLint renders `lint` of a built-in app from a module parsed and
+// analysed for this call alone, never the daemon's shared analysis, so a
+// change the daemon's rendering makes to that analysis shows as a diff.
+func freshLint(t *testing.T, app *apps.App, format string, arch gpu.ArchConfig) string {
+	t.Helper()
+	m, err := app.Module()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := staticadvisor.AnalyzeLayout(m, staticadvisor.Layout{Block: app.BlockDims})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	if format == "text" {
+		report.StaticLint(&b, res)
+		return b.String()
+	}
+	fs := findings.FromStatic(res, arch.L1LineSize)
+	raw, err := findings.Encode(findings.NewReport(res.Module.Name, arch.Name, arch.L1LineSize, 0, fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
+}
+
+// TestLintFreshParity: for every app, format and architecture the
+// daemon's /v1/lint bytes equal a fresh analysis's rendering, before and
+// after /v1/advise fills of the same app join dynamic evidence into
+// findings built from the daemon's analysis.
+func TestLintFreshParity(t *testing.T) {
+	ts := newServer(t, serve.Config{Cache: profcache.New("")})
+	archs := map[string]gpu.ArchConfig{"kepler": gpu.KeplerK40c(), "pascal": gpu.PascalP100()}
+	for _, app := range apps.InTableOrder() {
+		want := map[string]string{}
+		for param, arch := range archs {
+			for _, format := range []string{"text", "json"} {
+				want["/v1/lint?app="+app.Name+"&format="+format+"&arch="+param] = freshLint(t, app, format, arch)
+			}
+		}
+		check := func(when string) {
+			for path, w := range want {
+				if status, _, body := get(t, ts, path); status != http.StatusOK || body != w {
+					t.Errorf("%s %s = %d, body parity %v", when, path, status, body == w)
+				}
+			}
+		}
+		check("before advise:")
+		for param := range archs {
+			path := "/v1/advise?app=" + app.Name + "&format=json&arch=" + param
+			if status, _, body := get(t, ts, path); status != http.StatusOK {
+				t.Fatalf("%s = %d: %.200s", path, status, body)
+			}
+		}
+		check("after advise:")
+	}
+}
+
+// TestLintConcurrentWithAdvise: lint and advise of one app, asked for
+// together by many clients, answer the uncached renderer's bytes (run
+// under -race, this is the check that the shared analysis is only read).
+func TestLintConcurrentWithAdvise(t *testing.T) {
+	ts := newServer(t, serve.Config{Pool: runner.New(4), Cache: profcache.New("")})
+	queries := []map[string]string{
+		{"cmd": "lint", "format": "text"},
+		{"cmd": "lint", "format": "json"},
+		{"cmd": "lint", "format": "json", "arch": "pascal"},
+		{"cmd": "advise", "format": "json"},
+		{"cmd": "advise", "format": "text", "arch": "pascal"},
+	}
+	paths, wants := make([]string, len(queries)), make([]string, len(queries))
+	for i, q := range queries {
+		q["app"] = "bicg"
+		wants[i] = ref(t, q["cmd"], q, "")
+		paths[i] = "/v1/" + q["cmd"] + "?app=bicg&format=" + q["format"] + "&arch=" + q["arch"]
+	}
+	const clients = 4
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		for i := range paths {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				if status, _, body := get(t, ts, paths[i]); status != http.StatusOK || body != wants[i] {
+					t.Errorf("%s = %d, body parity %v", paths[i], status, body == wants[i])
+				}
+			}(i)
+		}
+	}
+	wg.Wait()
 }
 
 // TestSingleFlightCollapse: concurrent identical requests collapse to

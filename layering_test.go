@@ -117,3 +117,136 @@ func TestTraceHasOneReader(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// benchAPI is what bench/ calls and nothing else outside a test does:
+// bench/ is its own module, so its calls are not in the walk. Each entry
+// must still be called there.
+var benchAPI = map[string]bool{
+	"internal/analysis.BranchDivergence":    true,
+	"internal/analysis.MemDivergence":       true,
+	"internal/analysis.ReuseDistance":       true,
+	"internal/analysis.SharedBankConflicts": true,
+}
+
+// sharedTestAPI is called by the tests of several packages or by the root
+// benchmarks, so it cannot move into one package's test files.
+var sharedTestAPI = map[string]bool{
+	// The O(N^2) references for the reuse walk.
+	"internal/analysis.NaiveReuseDistance": true,
+	"internal/analysis.NaiveReuseBySite":   true,
+	// One uncached profiling cell with no policy applied.
+	"internal/experiments.Profile": true,
+	// Reads a rewritten function back as text.
+	"internal/ir.PrintFunc": true,
+	// The vertical-bypassing extension (DESIGN.md §5), run by the root
+	// BenchmarkAblationVerticalVsHorizontalBicg.
+	"internal/bypass.VerticalPlan":           true,
+	"internal/bypass.DefaultVerticalOptions": true,
+	"internal/bypass.ApplyVertical":          true,
+}
+
+// offlineChain is the Section 3.3 offline analyzer's per-kernel summary,
+// which nothing outside a test calls yet. ROADMAP item 5(b) is the item
+// that wires it into a command or deletes it.
+var offlineChain = map[string]bool{
+	"internal/analysis.InstanceMetrics": true,
+	"internal/analysis.Summarize":       true,
+	"internal/report.InstanceSummary":   true,
+}
+
+// funcUses parses every non-test Go file under root, outside the
+// directory skip, and returns the exported top-level functions declared
+// there ("<dir>.<Name>", dir relative to the module root) and the set of
+// such names the files refer to: as pkg.Name from another package of the
+// module, or as a bare Name inside the declaring package. A reference need not be a call (a
+// function passed as a value is used). Methods are not collected.
+func funcUses(t *testing.T, root, skip string) (decls, uses map[string]bool) {
+	t.Helper()
+	decls, uses = map[string]bool{}, map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		rel = filepath.ToSlash(rel)
+		if d.IsDir() {
+			if rel != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || rel == skip) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(rel))
+		imports := map[string]string{} // local name → module-relative dir
+		for _, imp := range f.Imports {
+			p := strings.Trim(imp.Path.Value, `"`)
+			if !strings.HasPrefix(p, "cudaadvisor/") {
+				continue
+			}
+			p = strings.TrimPrefix(p, "cudaadvisor/")
+			name := p[strings.LastIndex(p, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = p
+		}
+		declared := map[*ast.Ident]bool{}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+				declared[fn.Name] = true
+				if fn.Name.IsExported() {
+					decls[dir+"."+fn.Name.Name] = true
+				}
+			}
+		}
+		var visit func(n ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if id, ok := n.X.(*ast.Ident); ok && imports[id.Name] != "" {
+					uses[imports[id.Name]+"."+n.Sel.Name] = true
+					return false
+				}
+				ast.Inspect(n.X, visit) // n.Sel is a field or method
+				return false
+			case *ast.Ident:
+				if !declared[n] {
+					uses[dir+"."+n.Name] = true
+				}
+			}
+			return true
+		}
+		ast.Inspect(f, visit)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return decls, uses
+}
+
+// TestEveryExportedFuncIsCalled fails on an exported top-level function
+// that no non-test code refers to: an entry point kept alive by its tests
+// alone. What bench/ calls, what tests across packages share and the
+// offline-analyzer chain are listed above; methods are out of scope.
+func TestEveryExportedFuncIsCalled(t *testing.T) {
+	decls, uses := funcUses(t, ".", "bench")
+	_, benchUses := funcUses(t, "bench", "")
+	for name := range benchAPI {
+		if !benchUses[name] {
+			t.Errorf("%s is listed as called by bench/, which no longer calls it", name)
+		}
+	}
+	for name := range decls {
+		if !uses[name] && !benchAPI[name] && !sharedTestAPI[name] && !offlineChain[name] {
+			t.Errorf("%s: exported, and no non-test code calls it", name)
+		}
+	}
+}
