@@ -5,21 +5,22 @@ package gpu
 // write-no-allocate, write-evict (a store invalidates the line and writes
 // through, so the next read of that address misses).
 type l1cache struct {
-	lineSize  int
 	sets      int
 	assoc     int
 	lineShift uint
+	setMask   uint64 // sets-1 when sets is a power of two above 1, else 0
 
-	// tags[set*assoc+way]; valid bit folded in (tag 0 invalid marker uses
-	// the valid slice instead, since address 0 is reserved anyway).
-	tags  []uint64
-	valid []bool
-	// lru[set*assoc+way]: recency stamp; larger = more recent.
-	lru   []int64
+	ways  []l1way // ways[set*assoc+way]
 	stamp int64
 
 	// CacheStats counters.
 	stats CacheStats
+}
+
+// l1way is one cache way; a set's ways are contiguous.
+type l1way struct {
+	tag uint64 // line+1; 0 marks an invalid way
+	lru int64  // recency stamp; larger = more recent
 }
 
 // CacheStats summarizes L1 behaviour for a launch.
@@ -49,49 +50,59 @@ func newL1(cfg ArchConfig) *l1cache {
 		shift++
 	}
 	n := sets * cfg.L1Assoc
+	mask := uint64(0)
+	if sets&(sets-1) == 0 {
+		mask = uint64(sets - 1)
+	}
 	return &l1cache{
-		lineSize:  cfg.L1LineSize,
 		sets:      sets,
 		assoc:     cfg.L1Assoc,
 		lineShift: shift,
-		tags:      make([]uint64, n),
-		valid:     make([]bool, n),
-		lru:       make([]int64, n),
+		setMask:   mask,
+		ways:      make([]l1way, n),
 	}
 }
 
 func (c *l1cache) lineOf(addr uint64) uint64 { return addr >> c.lineShift }
+
+// setOf returns the ways of line's set, masking instead of dividing when
+// the set count allows.
+func (c *l1cache) setOf(line uint64) []l1way {
+	set := line & c.setMask
+	if c.setMask == 0 {
+		set = line % uint64(c.sets)
+	}
+	return c.ways[int(set)*c.assoc:][:c.assoc]
+}
 
 // read performs a read lookup for the line containing addr, allocating on
 // miss. It reports whether the access hit.
 func (c *l1cache) read(addr uint64) bool {
 	c.stats.Accesses++
 	line := c.lineOf(addr)
-	set := int(line % uint64(c.sets))
-	base := set * c.assoc
+	set, tag := c.setOf(line), line+1
 	c.stamp++
-	for w := 0; w < c.assoc; w++ {
-		if c.valid[base+w] && c.tags[base+w] == line {
-			c.lru[base+w] = c.stamp
+	for w := range set {
+		if set[w].tag == tag {
+			set[w].lru = c.stamp
 			c.stats.Hits++
 			return true
 		}
 	}
-	// Miss: allocate into the LRU way.
+	// Miss: allocate into way 0, the first invalid way after it, or
+	// else the least recently used way.
 	c.stats.Misses++
-	victim := base
-	for w := 1; w < c.assoc; w++ {
-		if !c.valid[base+w] {
-			victim = base + w
+	victim := 0
+	for w := 1; w < len(set); w++ {
+		if set[w].tag == 0 {
+			victim = w
 			break
 		}
-		if c.lru[base+w] < c.lru[victim] {
-			victim = base + w
+		if set[w].lru < set[victim].lru {
+			victim = w
 		}
 	}
-	c.tags[victim] = line
-	c.valid[victim] = true
-	c.lru[victim] = c.stamp
+	set[victim] = l1way{tag: tag, lru: c.stamp}
 	return false
 }
 
@@ -100,11 +111,10 @@ func (c *l1cache) read(addr uint64) bool {
 func (c *l1cache) write(addr uint64) {
 	c.stats.Writes++
 	line := c.lineOf(addr)
-	set := int(line % uint64(c.sets))
-	base := set * c.assoc
-	for w := 0; w < c.assoc; w++ {
-		if c.valid[base+w] && c.tags[base+w] == line {
-			c.valid[base+w] = false
+	set := c.setOf(line)
+	for w := range set {
+		if set[w].tag == line+1 {
+			set[w].tag = 0 // the stamp stays: victim choice still reads it
 			return
 		}
 	}
@@ -119,8 +129,8 @@ func (c *l1cache) bypass() { c.stats.Bypassed++ }
 // FIFO suffices.
 type mshr struct {
 	completions []int64 // ring buffer
-	head, n     int
-	cap         int
+	head, tail  int
+	n, cap      int
 
 	// StallCycles accumulates time warps spent waiting for a free entry.
 	stallCycles int64
@@ -139,20 +149,25 @@ func newMSHR(capacity int) *mshr {
 func (m *mshr) alloc(now int64, latency int64) int64 {
 	// Retire completed entries.
 	for m.n > 0 && m.completions[m.head] <= now {
-		m.head = (m.head + 1) % m.cap
-		m.n--
+		m.head, m.n = m.next(m.head), m.n-1
 	}
 	start := now
 	if m.n == m.cap {
 		// Stall until the oldest outstanding miss retires.
-		earliest := m.completions[m.head]
-		m.stallCycles += earliest - now
-		start = earliest
-		m.head = (m.head + 1) % m.cap
-		m.n--
+		start = m.completions[m.head]
+		m.stallCycles += start - now
+		m.head, m.n = m.next(m.head), m.n-1
 	}
 	done := start + latency
-	m.completions[(m.head+m.n)%m.cap] = done
-	m.n++
+	m.completions[m.tail] = done
+	m.tail, m.n = m.next(m.tail), m.n+1
 	return done
+}
+
+// next is ring index i+1, wrapped by compare-and-reset instead of %.
+func (m *mshr) next(i int) int {
+	if i++; i == m.cap {
+		return 0
+	}
+	return i
 }

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -71,6 +72,79 @@ func TestL1WriteNoAllocate(t *testing.T) {
 	c.write(0x3000)
 	if c.read(0x3000) {
 		t.Error("write allocated a line (policy is no-allocate)")
+	}
+}
+
+// refL1 is the L1 as separate tag/valid/stamp arrays, dividing for the
+// set index: the reference for the packed ways' victim rule (way 0 by
+// default, the first invalid way from way 1 on, else the lowest stamp;
+// an invalidated way keeps its stamp).
+type refL1 struct {
+	sets, assoc int
+	shift       uint
+	tags        []uint64
+	valid       []bool
+	lru         []int64
+	stamp       int64
+}
+
+func (c *refL1) read(addr uint64) bool {
+	line := addr >> c.shift
+	base := int(line%uint64(c.sets)) * c.assoc
+	c.stamp++
+	for w := 0; w < c.assoc; w++ {
+		if c.valid[base+w] && c.tags[base+w] == line {
+			c.lru[base+w] = c.stamp
+			return true
+		}
+	}
+	victim := base
+	for w := 1; w < c.assoc; w++ {
+		if !c.valid[base+w] {
+			victim = base + w
+			break
+		}
+		if c.lru[base+w] < c.lru[victim] {
+			victim = base + w
+		}
+	}
+	c.tags[victim], c.valid[victim], c.lru[victim] = line, true, c.stamp
+	return false
+}
+
+func (c *refL1) write(addr uint64) {
+	line := addr >> c.shift
+	base := int(line%uint64(c.sets)) * c.assoc
+	for w := 0; w < c.assoc; w++ {
+		if c.valid[base+w] && c.tags[base+w] == line {
+			c.valid[base+w] = false
+			return
+		}
+	}
+}
+
+// TestL1MatchesReference drives the L1 and the reference with one random
+// mix of reads and stores, over masked (2 and 1 sets) and divided (3
+// sets) set counts, and wants the same hit or miss on every read.
+func TestL1MatchesReference(t *testing.T) {
+	for _, sets := range []int{1, 2, 3} {
+		cfg := testCfg()
+		cfg.L1Bytes = sets * cfg.L1Assoc * cfg.L1LineSize
+		c := newL1(cfg)
+		n := sets * cfg.L1Assoc
+		ref := &refL1{sets: sets, assoc: cfg.L1Assoc, shift: c.lineShift,
+			tags: make([]uint64, n), valid: make([]bool, n), lru: make([]int64, n)}
+		rng := rand.New(rand.NewSource(int64(sets)))
+		for i := 0; i < 20000; i++ {
+			// Line 0 included: its tag is the one the packed form offsets.
+			addr := uint64(rng.Intn(4*n)) * uint64(cfg.L1LineSize)
+			if rng.Intn(4) == 0 {
+				c.write(addr)
+				ref.write(addr)
+			} else if got, want := c.read(addr), ref.read(addr); got != want {
+				t.Fatalf("%d sets, access %d (line %d): hit = %v, reference %v", sets, i, addr>>c.lineShift, got, want)
+			}
+		}
 	}
 }
 

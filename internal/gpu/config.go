@@ -33,12 +33,11 @@ type ArchConfig struct {
 	L1LineSize int // bytes per line (128 on Kepler, 32 on Pascal)
 	L1Assoc    int // ways
 
-	// MSHRs: maximum outstanding L1 misses per SM. Bypassed accesses use
-	// a memory queue of the same depth (they consume the same LSU
-	// resources on their way to L2), so bypassing never wins by queueing
-	// alone — only by preserving L1 hits for the warps that keep using it.
-	MSHRs    int
-	MemQueue int
+	// MSHRs: maximum outstanding L1 misses per SM. Bypassed reads share
+	// this one FIFO (they consume the same LSU resources on their way to
+	// L2), so bypassing never wins by queueing alone — only by
+	// preserving L1 hits for the warps that keep using it.
+	MSHRs int
 
 	// Latencies in cycles.
 	IssueCost int // per-instruction issue
@@ -84,7 +83,6 @@ func KeplerK40c() ArchConfig {
 		L1LineSize:        128,
 		L1Assoc:           4,
 		MSHRs:             128,
-		MemQueue:          128,
 		IssueCost:         2,
 		L1HitLat:          32,
 		MissLat:           350,
@@ -116,7 +114,6 @@ func PascalP100() ArchConfig {
 		L1LineSize:        32,
 		L1Assoc:           6,
 		MSHRs:             160,
-		MemQueue:          192,
 		IssueCost:         2,
 		L1HitLat:          28,
 		MissLat:           320,

@@ -21,7 +21,6 @@ type smShard struct {
 
 	l1       *l1cache
 	mshrs    *mshr
-	memQ     *mshr
 	portFree int64 // next cycle the L1 port is available
 	lineBuf  []uint64
 	tmp      row // alu's scratch row for partially masked instructions
@@ -61,7 +60,6 @@ func (s *smShard) run(threadsPerCTA, warpsPerCTA int) (int64, error) {
 	ls := s.ls
 	s.l1 = newL1(ls.cfg)
 	s.mshrs = newMSHR(ls.cfg.MSHRs)
-	s.memQ = newMSHR(ls.cfg.MemQueue)
 	s.portFree = 0
 
 	occupancy := ls.cfg.MaxCTAsPerSM

@@ -36,7 +36,7 @@ func TestMain(m *testing.M) {
 
 // contentionKey is the shared key namespace: every process derives the
 // same keys from the same inputs (BuildVersion is the digest of this
-// very test binary, so parent and children agree on it).
+// very test binary's build ID, so parent and children agree on it).
 func contentionKey(scale int) profcache.Key {
 	return profcache.ViewKey(apps.ByName("bfs"), gpu.KeplerK40c(), bothOpts, scale, 0, "contention-test")
 }
