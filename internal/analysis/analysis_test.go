@@ -312,28 +312,6 @@ func loc(file string, line int) ir.Loc {
 	return ir.Loc{File: file, Line: line}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.N != 8 || s.Mean != 5 || s.Min != 2 || s.Max != 9 {
-		t.Errorf("summary = %+v", s)
-	}
-	if s.StdDev < 2.13 || s.StdDev > 2.15 { // sample stddev ~2.138
-		t.Errorf("stddev = %g", s.StdDev)
-	}
-	empty := Summarize(nil)
-	if empty.N != 0 || empty.Mean != 0 {
-		t.Errorf("empty summary = %+v", empty)
-	}
-}
-
-func TestInstanceMetrics(t *testing.T) {
-	type inst struct{ v float64 }
-	s := InstanceMetrics([]inst{{1}, {2}, {3}}, func(i inst) float64 { return i.v })
-	if s.Mean != 2 || s.Min != 1 || s.Max != 3 {
-		t.Errorf("summary = %+v", s)
-	}
-}
-
 // TestSitesBreakTiesOnColumn: two sites a builder-made kernel puts on
 // one line, with equal degree, list in column order every time — the
 // order used to be the map's (the code-centric view prints the top

@@ -88,10 +88,8 @@ func (r *SharedBankResult) Merge(other *SharedBankResult) {
 }
 
 // SharedBankConflicts computes the bank-conflict distribution of a
-// kernel trace under the 32-bank × 4-byte geometry, using the same
-// per-access degree as the simulator's WatchShared counter
-// (gpu.BankConflictDegree), so trace-derived per-site sums reconcile
-// with the launch-level replay totals.
+// kernel trace under the 32-bank × 4-byte geometry, using the
+// simulator's per-access degree (gpu.BankConflictDegree).
 func SharedBankConflicts(tr *trace.KernelTrace) *SharedBankResult {
 	return SharedBankConflictsOn(tr, nil)
 }

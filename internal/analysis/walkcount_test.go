@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -26,7 +27,9 @@ func TestDetachWalksEachModelOnce(t *testing.T) {
 	defer analysis.OnWalk(func(opt analysis.ReuseOptions) { walks[opt]++ })()
 
 	a := p.Analyses(cfg.L1LineSize)
-	a.Detach()
+	if err := a.Detach(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	a.ReuseElem()
 	a.ReuseElemByKernel()
 	a.ReuseLine()

@@ -58,6 +58,13 @@ func mixedTrace(seed int64, n, ctas int) *trace.KernelTrace {
 	return tr
 }
 
+// explicitForm reports whether the trace encoder spelled rec's lane
+// addresses out in the trace's arena instead of as base and strides. The
+// flag is private to internal/trace, so it is read by reflection.
+func explicitForm(rec *trace.MemAccess) bool {
+	return reflect.ValueOf(rec).Elem().FieldByName("explicit").Bool()
+}
+
 // TestReuseWalkerMatchesNaive checks the shared walker against both
 // O(N^2) references — the distance histogram and the per-site forward
 // reuse, each alone and the two from one traversal — in element and
@@ -67,10 +74,10 @@ func TestReuseWalkerMatchesNaive(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		tr := mixedTrace(seed, 70, 3)
 		for i := range tr.Mem {
-			if tr.Mem[i].Affine() {
-				affine++
-			} else {
+			if explicitForm(&tr.Mem[i]) {
 				explicit++
+			} else {
+				affine++
 			}
 		}
 		for _, opt := range []ReuseOptions{DefaultElementReuse(), LineReuse(32), {Granularity: 128}} {

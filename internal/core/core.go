@@ -205,9 +205,3 @@ func (a *Advisor) WriteCodeCentric(w io.Writer, topN int) {
 func (a *Advisor) WriteDataCentric(w io.Writer, devAddr uint64) {
 	report.DataCentric(w, a.Profiler, devAddr)
 }
-
-// InstanceStats summarizes a per-instance metric across all instances of
-// one kernel (the offline analyzer of Section 3.3).
-func (a *Advisor) InstanceStats(kernel string, metric func(*profiler.KernelProfile) float64) analysis.Summary {
-	return analysis.InstanceMetrics(a.Profiler.KernelsByName(kernel), metric)
-}

@@ -9,7 +9,6 @@ import (
 	"cudaadvisor/internal/gpu"
 	"cudaadvisor/internal/instrument"
 	"cudaadvisor/internal/irtext"
-	"cudaadvisor/internal/profiler"
 	"cudaadvisor/internal/rt"
 )
 
@@ -150,19 +149,6 @@ func TestAdvisorReports(t *testing.T) {
 	adv.WriteCodeCentric(&sb, 2)
 	if !strings.Contains(sb.String(), "main()") {
 		t.Errorf("code-centric view missing host frame:\n%s", sb.String())
-	}
-}
-
-func TestAdvisorInstanceStats(t *testing.T) {
-	adv := runSession(t, instrument.MemoryAndBlocks())
-	s := adv.InstanceStats("touch", func(kp *profiler.KernelProfile) float64 {
-		return float64(kp.Result.Cycles)
-	})
-	if s.N != 2 {
-		t.Fatalf("instances = %d, want 2", s.N)
-	}
-	if s.Mean <= 0 || s.Min > s.Max {
-		t.Errorf("stats implausible: %+v", s)
 	}
 }
 

@@ -143,7 +143,7 @@ func (e Env) runCell(ctx context.Context, cell string, app *apps.App, cfg gpu.Ar
 	return e.Cache.Run(ctx, key, func(ctx context.Context) (*profiler.Profiler, error) {
 		p, err := e.profileCell(ctx, cell, app, cfg, opts)
 		if err == nil {
-			p.Analyses(cfg.L1LineSize).Detach()
+			err = p.Analyses(cfg.L1LineSize).Detach(ctx)
 		}
 		return p, err
 	})
@@ -198,6 +198,9 @@ func (e Env) viewCell(cell string, app *apps.App, cfg gpu.ArchConfig, opts instr
 		var b bytes.Buffer
 		if err := render(&b, p); err != nil {
 			return nil, err
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err // no result: the fill's requester is gone
 		}
 		return b.Bytes(), nil
 	}

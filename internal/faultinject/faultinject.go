@@ -182,9 +182,6 @@ type Injector struct {
 	allocs int64
 }
 
-// Active reports whether this cell receives any injection.
-func (in *Injector) Active() bool { return in != nil }
-
 // TraceCap returns the forced trace-buffer capacity for this cell, or
 // fallback when overflow forcing is off.
 func (in *Injector) TraceCap(fallback int) int {

@@ -112,11 +112,10 @@ type LaunchParams struct {
 	// runaway faults identical at every worker count).
 	MaxWarpInstrs int64
 
-	// WatchShared enables the dynamic shared-memory checks: per-warp
-	// bank-conflict counting on every shared access and the per-barrier-
-	// interval last-writer race check. Watching is purely observational —
-	// the timing model is untouched — so cycles and results stay
-	// byte-identical with it on or off.
+	// WatchShared enables the dynamic shared-memory check: the
+	// per-barrier-interval last-writer race check on every shared access.
+	// Watching is purely observational — the timing model is untouched —
+	// so cycles and results stay byte-identical with it on or off.
 	WatchShared bool
 
 	// RecordSchedule captures the per-SM scheduling timeline of the
@@ -158,12 +157,9 @@ type LaunchResult struct {
 	CTAs        int
 	WarpsPerCTA int
 
-	// Shared-memory dynamic checks, populated only under WatchShared.
-	SharedAccesses int64 // dynamic warp-level shared-memory instructions
-	BankReplays    int64 // extra bank passes: sum of (conflict degree - 1)
 	// SharedRaces lists, per load site and sorted by location, the lane
 	// reads that hit a word another thread wrote in the same barrier
-	// interval.
+	// interval; populated only under WatchShared.
 	SharedRaces []SharedRaceSite
 
 	// Schedule holds the per-SM scheduling timelines, populated only
@@ -427,8 +423,6 @@ func (ls *launchState) merge(s *smShard, cycles int64) {
 	r.WarpInstrs += s.instrs
 	r.MemInstrs += s.memInstrs
 	r.HookCalls += s.hookCalls
-	r.SharedAccesses += s.sharedAccesses
-	r.BankReplays += s.bankReplays
 	for loc, n := range s.raceSites {
 		if ls.races == nil {
 			ls.races = map[ir.Loc]int64{}
@@ -845,12 +839,10 @@ func (s *smShard) execStore(w *warpState, fr *frame, in *dinstr, mask uint32) (i
 }
 
 // watchSharedLoad observes one warp shared-memory load under WatchShared:
-// it counts the access and its bank replays, and runs the last-writer
-// race check over each active lane's covered words.
+// it runs the last-writer race check over each active lane's covered
+// words.
 func (s *smShard) watchSharedLoad(w *warpState, in *ir.Instr, mask uint32, addrs *[WarpSize]uint64) {
 	size := in.Mem.Size()
-	s.sharedAccesses++
-	s.bankReplays += int64(BankConflictDegree(mask, addrs, size) - 1)
 	sh := w.cta.shared
 	if sh.epochs == nil {
 		return
@@ -870,16 +862,14 @@ func (s *smShard) watchSharedLoad(w *warpState, in *ir.Instr, mask uint32, addrs
 }
 
 // watchSharedStore observes one warp shared-memory store under
-// WatchShared: it counts the access and its bank replays, and stamps each
-// active lane as the interval's last writer of its covered words, in lane
-// order (the order the functional store applied them). A warp-uniform
-// store — every active lane addressing the same words — stamps the
-// uniformWriter wildcard instead, matching the static race detector's
-// broadcast-initialization treatment of uniform-address writes.
+// WatchShared: it stamps each active lane as the interval's last writer
+// of its covered words, in lane order (the order the functional store
+// applied them). A warp-uniform store — every active lane addressing the
+// same words — stamps the uniformWriter wildcard instead, matching the
+// static race detector's broadcast-initialization treatment of
+// uniform-address writes.
 func (s *smShard) watchSharedStore(w *warpState, in *ir.Instr, mask uint32, addrs *[WarpSize]uint64) {
 	size := in.Mem.Size()
-	s.sharedAccesses++
-	s.bankReplays += int64(BankConflictDegree(mask, addrs, size) - 1)
 	sh := w.cta.shared
 	if sh.epochs == nil {
 		return

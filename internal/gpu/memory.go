@@ -30,13 +30,10 @@ func NewDeviceMemory(capacity int64) *DeviceMemory {
 	return &DeviceMemory{limit: uint64(capacity), next: 256}
 }
 
-// Size returns the capacity in bytes.
-func (d *DeviceMemory) Size() int64 { return int64(d.limit) }
-
 // back extends the backed prefix to cover [0, end); end must be within
-// the capacity. Bytes between len and cap are always zero (only back and
-// Reset move len, and Reset clears before truncating), so growing inside
-// the existing array is a reslice.
+// the capacity. Bytes between len and cap are always zero (only back
+// moves len, and only forward), so growing inside the existing array is a
+// reslice.
 func (d *DeviceMemory) back(end uint64) {
 	switch {
 	case end <= uint64(len(d.buf)):
@@ -69,13 +66,6 @@ func (d *DeviceMemory) Alloc(n int64) (uint64, error) {
 	d.next = end
 	d.back(end)
 	return addr, nil
-}
-
-// Reset releases all allocations (the next launch sees a clean device).
-func (d *DeviceMemory) Reset() {
-	d.next = 256
-	clear(d.buf)
-	d.buf = d.buf[:0]
 }
 
 func (d *DeviceMemory) check(addr uint64, n int) error {

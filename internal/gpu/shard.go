@@ -40,10 +40,9 @@ type smShard struct {
 	memInstrs int64
 	hookCalls int64
 
-	// Shared-memory watch counters (LaunchParams.WatchShared).
-	sharedAccesses int64
-	bankReplays    int64
-	raceSites      map[ir.Loc]int64
+	// Per-site race counts of the shared-memory watch
+	// (LaunchParams.WatchShared).
+	raceSites map[ir.Loc]int64
 
 	// CTA residency spans in retirement order (LaunchParams.RecordSchedule).
 	spans []CTASpan

@@ -93,14 +93,6 @@ type Tables struct {
 	funcID map[string]int32
 }
 
-// FuncID returns the id of a function name, or -1.
-func (t *Tables) FuncID(name string) int32 {
-	if id, ok := t.funcID[name]; ok {
-		return id
-	}
-	return -1
-}
-
 // FuncName returns the name for a function id.
 func (t *Tables) FuncName(id int32) string {
 	if id < 0 || int(id) >= len(t.Funcs) {
@@ -141,9 +133,6 @@ func NewEngine(opts Options) *Engine { return &Engine{opts: opts} }
 
 // Name implements pass.Pass.
 func (e *Engine) Name() string { return "cudaadvisor-instrument" }
-
-// Tables returns the side tables produced by the last Run.
-func (e *Engine) Tables() *Tables { return e.tables }
 
 // Run implements pass.Pass: it rewrites every function in place.
 func (e *Engine) Run(m *ir.Module) (bool, error) {

@@ -232,10 +232,10 @@ func TestTablesLookups(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb := prog.Tables
-	if id := tb.FuncID("k"); id < 0 || tb.FuncName(id) != "k" {
-		t.Errorf("FuncID/FuncName roundtrip failed: %d", id)
+	if id, ok := tb.funcID["k"]; !ok || tb.FuncName(id) != "k" {
+		t.Errorf("funcID/FuncName roundtrip failed: %d", id)
 	}
-	if tb.FuncID("ghost") != -1 {
+	if _, ok := tb.funcID["ghost"]; ok {
 		t.Error("unknown function has an id")
 	}
 	if got := tb.FuncName(99); !strings.Contains(got, "99") {

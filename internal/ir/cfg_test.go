@@ -47,7 +47,7 @@ func TestReversePostorder(t *testing.T) {
 func TestDominatorsDiamond(t *testing.T) {
 	f := diamond(t)
 	idom := Dominators(f)
-	idx := func(name string) int { return f.Block(name).Index }
+	idx := func(name string) int { return blockNamed(f, name).Index }
 	want := map[string]string{
 		"entry": "entry",
 		"then":  "entry",
@@ -65,7 +65,7 @@ func TestDominatorsDiamond(t *testing.T) {
 func TestPostDominatorsDiamond(t *testing.T) {
 	f := diamond(t)
 	ipdom := PostDominators(f)
-	idx := func(name string) int { return f.Block(name).Index }
+	idx := func(name string) int { return blockNamed(f, name).Index }
 	// join post-dominates the branch: reconvergence point for entry's cbr.
 	if ipdom[idx("entry")] != idx("then") && ipdom[idx("entry")] != idx("join") {
 		// entry's ipdom must be join (then/else don't postdominate entry).
@@ -108,7 +108,7 @@ func loopFunc(t *testing.T) *Function {
 func TestDominatorsLoop(t *testing.T) {
 	f := loopFunc(t)
 	idom := Dominators(f)
-	idx := func(name string) int { return f.Block(name).Index }
+	idx := func(name string) int { return blockNamed(f, name).Index }
 	if idom[idx("body")] != idx("head") {
 		t.Errorf("idom(body) = %d, want head", idom[idx("body")])
 	}
@@ -126,7 +126,7 @@ func TestDominatorsLoop(t *testing.T) {
 func TestPostDominatorsLoop(t *testing.T) {
 	f := loopFunc(t)
 	ipdom := PostDominators(f)
-	idx := func(name string) int { return f.Block(name).Index }
+	idx := func(name string) int { return blockNamed(f, name).Index }
 	// The loop head's branch reconverges at exit.
 	if got := ipdom[idx("head")]; got != idx("exit") {
 		t.Errorf("ipdom(head) = %d, want exit(%d)", got, idx("exit"))
@@ -149,7 +149,7 @@ func TestPostDominatorsBothArmsReturn(t *testing.T) {
 	}
 	f := m.Func("r")
 	ipdom := PostDominators(f)
-	if got := ipdom[f.Block("entry").Index]; got != VirtualExit {
+	if got := ipdom[blockNamed(f, "entry").Index]; got != VirtualExit {
 		t.Errorf("ipdom(entry) = %d, want VirtualExit", got)
 	}
 }

@@ -39,7 +39,7 @@ func TestCloneSupportsIndependentInstrumentation(t *testing.T) {
 	if err := c.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Func("k").InstrCount() != m.Func("k").InstrCount()+1 {
+	if instrCount(c.Func("k")) != instrCount(m.Func("k"))+1 {
 		t.Error("instruction counts out of sync after clone-side edit")
 	}
 	if err := Verify(m); err != nil {

@@ -40,23 +40,23 @@ func TestFinalizeAssignsRegisters(t *testing.T) {
 		t.Fatal("kernel not found")
 	}
 	// Params first.
-	if got := f.RegIndex("p"); got != 0 {
-		t.Errorf("RegIndex(p) = %d, want 0", got)
+	if got := f.regIndex["p"]; got != 0 {
+		t.Errorf("regIndex[p] = %d, want 0", got)
 	}
-	if got := f.RegIndex("n"); got != 1 {
-		t.Errorf("RegIndex(n) = %d, want 1", got)
+	if got := f.regIndex["n"]; got != 1 {
+		t.Errorf("regIndex[n] = %d, want 1", got)
 	}
 	if f.NumRegs != 7 {
 		t.Errorf("NumRegs = %d, want 7 (p n t c a v w)", f.NumRegs)
 	}
-	if f.RegTypes[f.RegIndex("c")] != I1 {
-		t.Errorf("type of %%c = %s, want i1", f.RegTypes[f.RegIndex("c")])
+	if f.RegTypes[f.regIndex["c"]] != I1 {
+		t.Errorf("type of %%c = %s, want i1", f.RegTypes[f.regIndex["c"]])
 	}
-	if f.RegTypes[f.RegIndex("a")] != Ptr {
-		t.Errorf("type of %%a = %s, want ptr", f.RegTypes[f.RegIndex("a")])
+	if f.RegTypes[f.regIndex["a"]] != Ptr {
+		t.Errorf("type of %%a = %s, want ptr", f.RegTypes[f.regIndex["a"]])
 	}
-	if f.RegTypes[f.RegIndex("v")] != F32 {
-		t.Errorf("type of %%v = %s, want f32", f.RegTypes[f.RegIndex("v")])
+	if f.RegTypes[f.regIndex["v"]] != F32 {
+		t.Errorf("type of %%v = %s, want f32", f.RegTypes[f.regIndex["v"]])
 	}
 }
 
@@ -308,18 +308,37 @@ func TestHookCallBypassesResolution(t *testing.T) {
 	}
 }
 
+// blockNamed returns f's block of the given name, or nil.
+func blockNamed(f *Function, name string) *Block {
+	for _, b := range f.Blocks {
+		if b.Name == name {
+			return b
+		}
+	}
+	return nil
+}
+
+// instrCount is the total number of instructions in f.
+func instrCount(f *Function) int {
+	n := 0
+	for _, b := range f.Blocks {
+		n += len(b.Instrs)
+	}
+	return n
+}
+
 func TestInstrCount(t *testing.T) {
 	m := buildSimpleKernel(t)
-	if n := m.Func("k").InstrCount(); n != 9 {
-		t.Errorf("InstrCount = %d, want 9", n)
+	if n := instrCount(m.Func("k")); n != 9 {
+		t.Errorf("instructions = %d, want 9", n)
 	}
 }
 
 func TestTypeSizes(t *testing.T) {
 	cases := []struct {
-		t    Type
+		t    MemType
 		size int
-	}{{I1, 1}, {I32, 4}, {I64, 8}, {F32, 4}, {Ptr, 8}, {Void, 0}}
+	}{{MemI8, 1}, {MemI32, 4}, {MemI64, 8}, {MemF32, 4}}
 	for _, c := range cases {
 		if got := c.t.Size(); got != c.size {
 			t.Errorf("%s.Size() = %d, want %d", c.t, got, c.size)

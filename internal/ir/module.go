@@ -127,17 +127,6 @@ func (m *Module) Func(name string) *Function {
 	return nil
 }
 
-// Kernels returns the module's kernels in declaration order.
-func (m *Module) Kernels() []*Function {
-	var ks []*Function
-	for _, f := range m.Funcs {
-		if f.IsKernel {
-			ks = append(ks, f)
-		}
-	}
-	return ks
-}
-
 // Finalize resolves names to indices in every function (registers, block
 // targets, callees), lays out shared memory, and recomputes CFG edges.
 // It must be called after construction and after any transformation pass
@@ -164,30 +153,12 @@ func (m *Module) Finalize() error {
 // requires invalidates the cache.
 func (m *Module) Generation() uint64 { return m.generation }
 
-// Block returns the named block, or nil.
-func (f *Function) Block(name string) *Block {
-	for _, b := range f.Blocks {
-		if b.Name == name {
-			return b
-		}
-	}
-	return nil
-}
-
 // Entry returns the function's entry block.
 func (f *Function) Entry() *Block {
 	if len(f.Blocks) == 0 {
 		return nil
 	}
 	return f.Blocks[0]
-}
-
-// RegIndex returns the register index for a name, or -1.
-func (f *Function) RegIndex(name string) int {
-	if i, ok := f.regIndex[name]; ok {
-		return i
-	}
-	return -1
 }
 
 // SharedArray returns the named shared declaration, or nil.
@@ -472,13 +443,4 @@ func (f *Function) computeCFG() {
 			s.Preds = append(s.Preds, b)
 		}
 	}
-}
-
-// InstrCount returns the total number of instructions in the function.
-func (f *Function) InstrCount() int {
-	n := 0
-	for _, b := range f.Blocks {
-		n += len(b.Instrs)
-	}
-	return n
 }

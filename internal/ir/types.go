@@ -46,20 +46,6 @@ func (t Type) String() string {
 	return fmt.Sprintf("type(%d)", uint8(t))
 }
 
-// Size returns the in-memory size in bytes of a value of type t when
-// loaded or stored. I1 values are stored as a single byte.
-func (t Type) Size() int {
-	switch t {
-	case I1:
-		return 1
-	case I32, F32:
-		return 4
-	case I64, Ptr:
-		return 8
-	}
-	return 0
-}
-
 // IsInt reports whether t is an integer register type.
 func (t Type) IsInt() bool { return t == I32 || t == I64 }
 

@@ -92,10 +92,11 @@ func TestParseAttachesDebugLocations(t *testing.T) {
 	}
 	// The ld in body must carry the exact source line of "ld f32 global".
 	var ld *ir.Instr
-	for _, in := range k.Block("body").Instrs {
-		if in.Op == ir.OpLd {
-			ld = in
-			break
+	for _, b := range k.Blocks {
+		for _, in := range b.Instrs {
+			if b.Name == "body" && in.Op == ir.OpLd && ld == nil {
+				ld = in
+			}
 		}
 	}
 	if ld == nil {

@@ -185,8 +185,8 @@ entry:
 	if err := NewManager(ConstFold(), DCE()).Run(m); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if n := m.Func("k").InstrCount(); n != 1 {
-		t.Errorf("InstrCount after fold+dce = %d, want 1 (just ret):\n%s",
+	if n := len(m.Func("k").Blocks[0].Instrs); len(m.Func("k").Blocks) != 1 || n != 1 {
+		t.Errorf("instructions after fold+dce = %d, want 1 (just ret):\n%s",
 			n, ir.PrintFunc(m.Func("k")))
 	}
 }

@@ -48,11 +48,6 @@ func (c *Cache) claimTTL() time.Duration {
 	return defaultClaimTTL
 }
 
-// SetClaimTTL overrides the stale-claim bound (tests use a short one so
-// dead-writer takeover is fast; the default is generous enough that a
-// heavily loaded heartbeat cannot be mistaken for a corpse).
-func (c *Cache) SetClaimTTL(d time.Duration) { c.ttl = d }
-
 // claimPath returns the claim file for a key id.
 func (c *Cache) claimPath(id string) string { return c.dir + string(os.PathSeparator) + id + ".claim" }
 

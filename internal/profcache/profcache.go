@@ -451,7 +451,9 @@ func (c *Cache) Profile(ctx context.Context, key Key, lineSize int, fill func(co
 			return nil, err
 		}
 		a := p.Analyses(lineSize)
-		a.Detach()
+		if err := a.Detach(ctx); err != nil {
+			return nil, err
+		}
 		return a, nil
 	})
 }

@@ -1,6 +1,7 @@
 package profiler
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"sync"
@@ -34,7 +35,8 @@ type Analyses struct {
 	mu       sync.Mutex
 	kernels  []*KernelProfile // the instances launched before it was built; none when decoded
 	lineSize int
-	pool     *runner.Pool // the run's Pool: each instance's derivation fans out on it
+	pool     *runner.Pool    // the run's Pool: each instance's derivation fans out on it
+	stop     context.Context // while Detach runs, its context: derive stops between instances once it ends
 
 	// derived keeps every aggregate asked for so far under its getter's
 	// name, a reuse profile under its analysis.ReuseOptions.
@@ -54,9 +56,14 @@ func (p *Profiler) Analyses(lineSize int) *Analyses {
 	return p.analyses
 }
 
+// onDerive, set by a test only, is called before each kernel instance
+// derive folds in.
+var onDerive func()
+
 // derive returns the aggregate kept under key. On first use that is
 // acc, a reference to an empty aggregate, after fold has merged every
-// kernel instance into it in launch order.
+// kernel instance into it in launch order. Under a Detach whose context
+// ends between two instances it stops there and keeps nothing.
 func derive[T any](a *Analyses, key any, acc T, fold func(T, *KernelProfile)) T {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -64,6 +71,12 @@ func derive[T any](a *Analyses, key any, acc T, fold func(T, *KernelProfile)) T 
 		return kept.(T)
 	}
 	for _, kp := range a.kernels {
+		if onDerive != nil {
+			onDerive()
+		}
+		if a.stop != nil && a.stop.Err() != nil {
+			return acc
+		}
 		fold(acc, kp)
 	}
 	a.derived[key] = acc
@@ -229,17 +242,28 @@ func (a *Analyses) serialized() analysesJSON {
 // reuse walks, memory and branch divergence, shared-bank conflicts,
 // shared races, coverage — then releases the records of the run's
 // traces: what is left of the run is O(sites + contexts + CTAs), and
-// every reader of its Profiler renders from it as before.
-func (a *Analyses) Detach() {
+// every reader of its Profiler renders from it as before. Once ctx ends
+// it stops at the next kernel instance and returns ctx's error, keeping
+// only the aggregates it finished and every record; it is for the run's
+// owner, before the run is shared.
+func (a *Analyses) Detach(ctx context.Context) error {
+	a.mu.Lock()
+	a.stop = ctx
+	a.mu.Unlock()
 	a.serialized()
 	a.SharedBank()
 	a.SharedRaces()
 	a.Coverage()
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.stop = nil
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	for _, kp := range a.kernels {
 		kp.Trace.Release()
 	}
+	return nil
 }
 
 // MarshalJSON implements json.Marshaler.

@@ -1,6 +1,7 @@
 package profiler_test
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"sync"
@@ -118,7 +119,9 @@ func TestAnalysesEqualExplicitMerge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a.Detach()
+		if err := a.Detach(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 		want.check(t, a) // everything was derived before the run was released
 		decoded := new(profiler.Analyses)
 		if err := json.Unmarshal(raw, decoded); err != nil {
@@ -227,7 +230,9 @@ func TestDetachKeepsEveryGetter(t *testing.T) {
 			}
 		}
 		live, detached := runs[0].Analyses(cfg.L1LineSize), runs[1].Analyses(cfg.L1LineSize)
-		detached.Detach()
+		if err := detached.Detach(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 		for _, kp := range runs[1].Kernels {
 			if cap(kp.Trace.Mem) != 0 || cap(kp.Trace.Blocks) != 0 {
 				t.Errorf("%s: instance %d of the detached run still holds records", name, kp.Trace.Instance)

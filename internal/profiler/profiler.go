@@ -49,12 +49,11 @@ type CopyRec struct {
 // KernelProfile is the profile of one kernel instance: its trace plus
 // the contexts needed for attribution.
 type KernelProfile struct {
-	Info      *rt.LaunchInfo
-	Tables    *instrument.Tables
-	Trace     *trace.KernelTrace
-	Result    *gpu.LaunchResult
-	LaunchCtx int32 // host context at the launch site
-	BaseCtx   int32 // LaunchCtx extended with the kernel frame
+	Info    *rt.LaunchInfo
+	Tables  *instrument.Tables
+	Trace   *trace.KernelTrace
+	Result  *gpu.LaunchResult
+	BaseCtx int32 // the launch site's host context extended with the kernel frame
 
 	// ArithCounts tallies arithmetic-hook events by opcode when the
 	// arithmetic category is instrumented.
@@ -142,10 +141,9 @@ func (p *Profiler) Memcpy(kind rt.CopyKind, dst, src uint64, bytes int64, loc ir
 // the device hook sink to the executor.
 func (p *Profiler) KernelLaunch(info *rt.LaunchInfo) (gpu.Hooks, error) {
 	kp := &KernelProfile{
-		Info:      info,
-		Tables:    info.Tables,
-		Trace:     trace.NewKernelTrace(info.Kernel, info.Sequence, info.Grid, info.Block),
-		LaunchCtx: p.hostCtx,
+		Info:   info,
+		Tables: info.Tables,
+		Trace:  trace.NewKernelTrace(info.Kernel, info.Sequence, info.Grid, info.Block),
 	}
 	kp.BaseCtx = p.CCT.Child(p.hostCtx, trace.Frame{Func: info.Kernel, Loc: info.Loc})
 	if p.TraceCap > 0 {
@@ -396,17 +394,4 @@ func (p *Profiler) DataObjectFor(devAddr uint64) *DataObject {
 		}
 	}
 	return obj
-}
-
-// KernelsByName returns the profiles of all instances of one kernel, in
-// launch order — the offline analyzer's grouping (Section 3.3 merges
-// instances on the same call path).
-func (p *Profiler) KernelsByName(name string) []*KernelProfile {
-	var out []*KernelProfile
-	for _, kp := range p.Kernels {
-		if kp.Info.Kernel == name {
-			out = append(out, kp)
-		}
-	}
-	return out
 }

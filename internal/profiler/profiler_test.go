@@ -391,7 +391,7 @@ func TestProfilerOnKernelEndCallback(t *testing.T) {
 	if fired != 3 {
 		t.Errorf("OnKernelEnd fired %d times, want 3", fired)
 	}
-	if got := len(p.KernelsByName("work")); got != 3 {
+	if got := len(p.Kernels); got != 3 {
 		t.Errorf("instances = %d, want 3", got)
 	}
 }

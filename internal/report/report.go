@@ -155,10 +155,3 @@ func indent(s string) string {
 	}
 	return strings.Join(lines, "\n") + "\n"
 }
-
-// InstanceSummary writes the offline analyzer's per-kernel statistical
-// view (Section 3.3): per-instance metric variation.
-func InstanceSummary(w io.Writer, kernel string, metric string, s analysis.Summary) {
-	fmt.Fprintf(w, "%-24s %-22s n=%-4d mean=%-12.2f min=%-12.2f max=%-12.2f stddev=%.2f\n",
-		kernel, metric, s.N, s.Mean, s.Min, s.Max, s.StdDev)
-}

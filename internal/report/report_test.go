@@ -102,17 +102,6 @@ func TestBarClamps(t *testing.T) {
 	}
 }
 
-func TestInstanceSummary(t *testing.T) {
-	var sb strings.Builder
-	InstanceSummary(&sb, "Kernel", "cycles", analysis.Summarize([]float64{1, 2, 3}))
-	out := sb.String()
-	for _, want := range []string{"Kernel", "cycles", "n=3", "mean=2"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("summary missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestFormatPathIndent(t *testing.T) {
 	s := indent(trace.FormatPath([]trace.Frame{{Func: "main"}}))
 	if !strings.HasPrefix(s, "    CPU 0") {

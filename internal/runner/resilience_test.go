@@ -194,7 +194,7 @@ func TestCollectSingleFailurePreservesValue(t *testing.T) {
 		return i, nil
 	})
 	var agg *Errors
-	if !errors.As(err, &agg) || agg.Primary() != errLow {
+	if !errors.As(err, &agg) || agg.Unwrap()[0] != errLow {
 		t.Errorf("multi-failure Map err = %v, want *Errors with primary %v", err, errLow)
 	}
 }

@@ -43,7 +43,6 @@ package runner
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -126,7 +125,6 @@ func (e *PanicError) Error() string {
 // surface first — determines Error(); Unwrap exposes every failure to
 // errors.Is/As and errors.Join-style inspection.
 type Errors struct {
-	jobs []int
 	errs []error
 }
 
@@ -139,23 +137,10 @@ func (e *Errors) Error() string {
 	return fmt.Sprintf("%v (and 1 more failed job)", e.errs[0])
 }
 
-// Unwrap exposes every job error, the same multi-error shape errors.Join
-// produces, so errors.Is/As walk all of them.
+// Unwrap exposes every job error, ascending by job index — the same
+// multi-error shape errors.Join produces, so errors.Is/As walk all of
+// them.
 func (e *Errors) Unwrap() []error { return e.errs }
-
-// Join returns the failures as a plain errors.Join value (every error's
-// message on its own line), for callers that want the stdlib rendering
-// rather than the primary-first summary.
-func (e *Errors) Join() error { return errors.Join(e.errs...) }
-
-// Primary returns the lowest-index failing job's error.
-func (e *Errors) Primary() error { return e.errs[0] }
-
-// All returns every job error, ascending by job index.
-func (e *Errors) All() []error { return e.errs }
-
-// Jobs returns the failing job indices, ascending.
-func (e *Errors) Jobs() []int { return e.jobs }
 
 // collect reduces a per-job error slice: nil if none failed, the error
 // itself if exactly one did (preserving the serial path's error value),
@@ -163,9 +148,8 @@ func (e *Errors) Jobs() []int { return e.jobs }
 // by index, so the result is deterministic for any completion order.
 func collect(errs []error) error {
 	var agg Errors
-	for i, err := range errs {
+	for _, err := range errs {
 		if err != nil {
-			agg.jobs = append(agg.jobs, i)
 			agg.errs = append(agg.errs, err)
 		}
 	}

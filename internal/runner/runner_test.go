@@ -134,14 +134,11 @@ func TestConcurrentJoinsAndOrdersErrors(t *testing.T) {
 		if !errors.As(err, &agg) {
 			t.Fatalf("err = %T, want *Errors", err)
 		}
-		if agg.Primary() != errTask4 {
-			t.Errorf("Primary() = %v, want %v", agg.Primary(), errTask4)
+		if all := agg.Unwrap(); len(all) != 2 || all[0] != errTask4 || all[1] != errTask15 {
+			t.Errorf("Unwrap() = %v, want [%v %v] (ascending by job)", all, errTask4, errTask15)
 		}
-		if jobs := agg.Jobs(); len(jobs) != 2 || jobs[0] != 4 || jobs[1] != 15 {
-			t.Errorf("Jobs() = %v, want [4 15]", jobs)
-		}
-		if join := agg.Join(); !errors.Is(join, errTask4) || !errors.Is(join, errTask15) {
-			t.Errorf("Join() lost errors: %v", join)
+		if want := errTask4.Error() + " (and 1 more failed job)"; err.Error() != want {
+			t.Errorf("Error() = %q, want %q", err.Error(), want)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -330,19 +331,37 @@ func TestSingleFlightCollapse(t *testing.T) {
 // TestOwnerDisconnectHandsOver: four identical requests, and the client
 // of the first — the one running the fill — disconnects. The other three
 // must not inherit its cancellation: one takes the fill over and all
-// three answer 200 with the CLI's bytes.
+// three answer 200 with the CLI's bytes. The test holds every worker of
+// the server's pool, so the owner's fill stays parked at its first step,
+// the wait for a worker, until its handler has given up.
 func TestOwnerDisconnectHandsOver(t *testing.T) {
-	gate := runner.NewGate(16, 16)
-	ts := newServer(t, serve.Config{Pool: runner.New(2), Cache: profcache.New(""), Gate: gate})
-	const path = "/v1/profile?app=syr2k&mode=rd" // a fill long enough to interrupt
+	gate, pool := runner.NewGate(16, 16), runner.New(2)
+	ts := newServer(t, serve.Config{Pool: pool, Cache: profcache.New(""), Gate: gate})
+	const path = "/v1/profile?app=syr2k&mode=rd"
 	want := ref(t, "profile", map[string]string{"app": "syr2k", "mode": "rd"}, "")
-	admitted := func(n int64) {
+	until := func(what string, done func() bool) {
 		t.Helper()
-		for deadline := time.Now().Add(30 * time.Second); gate.Admitted() < n; time.Sleep(time.Millisecond) {
+		for deadline := time.Now().Add(30 * time.Second); !done(); time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
-				t.Fatalf("only %d of %d requests admitted", gate.Admitted(), n)
+				t.Fatalf("timed out waiting until %s", what)
 			}
 		}
+	}
+	admitted := func(n int64) {
+		t.Helper()
+		until(fmt.Sprintf("%d requests are admitted", n), func() bool { return gate.Admitted() >= n })
+	}
+
+	held, free := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(free) })
+	defer release() // before the server's cleanup waits for its handlers
+	for i := 0; i < pool.Workers(); i++ {
+		go runner.DoCtx(context.Background(), pool, func(context.Context) (any, error) {
+			held <- struct{}{}
+			<-free
+			return nil, nil
+		})
+		<-held
 	}
 
 	ownerCtx, disconnect := context.WithCancel(context.Background())
@@ -356,6 +375,11 @@ func TestOwnerDisconnectHandsOver(t *testing.T) {
 		ownerDone <- err
 	}()
 	admitted(1)
+	// Admission is the last thing the daemon shows of a request before
+	// it claims the cache entry; the pause lets the owner claim it first.
+	// Were a waiter to get there first, the disconnected request would be
+	// a waiter, and every assertion below would hold just the same.
+	time.Sleep(50 * time.Millisecond)
 
 	const waiters = 3
 	var wg sync.WaitGroup
@@ -369,15 +393,17 @@ func TestOwnerDisconnectHandsOver(t *testing.T) {
 		}(i)
 	}
 	admitted(1 + waiters)
-	// Admission is the last thing the daemon shows of a request before
-	// it parks on the owner's cache entry. The pause only makes the test
-	// bite: a waiter that gets there after the owner gave up becomes the
-	// new owner itself, and every assertion holds just the same.
-	time.Sleep(100 * time.Millisecond)
+	// Likewise the pause lets the waiters park on the owner's entry; one
+	// that gets there after the owner gave up becomes the new owner
+	// itself.
+	time.Sleep(50 * time.Millisecond)
 	disconnect()
 	if err := <-ownerDone; err == nil {
-		t.Skip("the owner's fill finished before its client could disconnect; nothing was interrupted")
+		t.Fatal("the owner's request succeeded; its fill was parked and should have been abandoned")
 	}
+	// The owner's handler leaves the gate once its fill has given up.
+	until("the owner's handler returns", func() bool { return gate.InFlight() == waiters })
+	release()
 	wg.Wait()
 	if s := getStats(t, ts); s.Cache.Misses != 1 || s.Cache.MemoHits != waiters-1 {
 		t.Errorf("cache stats %+v, want 1 miss (the takeover) and %d memo hits", s.Cache, waiters-1)

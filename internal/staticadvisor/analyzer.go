@@ -8,7 +8,6 @@ import "cudaadvisor/internal/ir"
 // Contexts and summaries only climb the lattice, so the worklist
 // terminates.
 type analyzer struct {
-	mod     *ir.Module
 	layout  Layout
 	ctxs    map[*ir.Function]*context
 	local   map[*ir.Function]localResult
@@ -21,7 +20,6 @@ type analyzer struct {
 
 func newAnalyzer(m *ir.Module, lay Layout) *analyzer {
 	a := &analyzer{
-		mod:     m,
 		layout:  lay,
 		ctxs:    make(map[*ir.Function]*context),
 		local:   make(map[*ir.Function]localResult),

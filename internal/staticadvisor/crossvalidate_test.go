@@ -2,6 +2,7 @@ package staticadvisor_test
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -16,6 +17,7 @@ import (
 	"cudaadvisor/internal/profiler"
 	"cudaadvisor/internal/rt"
 	"cudaadvisor/internal/staticadvisor"
+	"cudaadvisor/internal/trace"
 )
 
 func parseTestModule(t *testing.T, src string) *ir.Module {
@@ -114,12 +116,19 @@ func TestCrossValidateBranchDivergence(t *testing.T) {
 	}
 }
 
+// explicitForm reports whether the trace encoder spelled rec's lane
+// addresses out in the trace's arena instead of as base and strides. The
+// flag is private to internal/trace, so it is read by reflection.
+func explicitForm(rec *trace.MemAccess) bool {
+	return reflect.ValueOf(rec).Elem().FieldByName("explicit").Bool()
+}
+
 // TestCrossValidateAffineEncoding checks the trace encoder against the
 // access classification. A global access the analyzer classes uniform,
 // coalesced or strided has, by that verdict, a constant address step from
 // one lane to the next, so every record the profiler keeps at such a
-// site must be stored in the affine form (trace.MemAccess.Affine), never
-// with its addresses spelled out — under every block shape, since the
+// site must be stored in the affine form, never with its addresses
+// spelled out — under every block shape, since the
 // form counts lanes within the block's rows (and for 16-wide blocks the
 // same is asked of every address affine in tid.x and tid.y, which the
 // analyzer has to call divergent). The table printed at the end gives,
@@ -180,7 +189,7 @@ func TestCrossValidateAffineEncoding(t *testing.T) {
 						continue
 					}
 					records++
-					if rec.Affine() {
+					if !explicitForm(rec) {
 						continue
 					}
 					explicit++
@@ -356,7 +365,7 @@ func TestCrossValidateDivergentBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
-	fr := res.Func("bad")
+	fr := staticadvisor.FuncNamed(res, "bad")
 	if len(fr.Barriers) != 1 || fr.Barriers[0].Block != "low" {
 		t.Fatalf("static barriers = %+v, want the bar in block low", fr.Barriers)
 	}
@@ -411,11 +420,11 @@ type agreement struct {
 func blockAgreement(res *staticadvisor.ModuleResult, dyn *analysis.BranchDivResult) (agreement, error) {
 	var ag agreement
 	for _, b := range dyn.Blocks() {
-		fr := res.Func(b.Block.Func)
+		fr := staticadvisor.FuncNamed(res, b.Block.Func)
 		if fr == nil {
 			return ag, fmt.Errorf("dynamic block in unknown function @%s", b.Block.Func)
 		}
-		blk := fr.Fn.Block(b.Block.Block)
+		blk := staticadvisor.BlockNamed(fr, b.Block.Block)
 		if blk == nil {
 			return ag, fmt.Errorf("dynamic block @%s/%s not in static module", b.Block.Func, b.Block.Block)
 		}

@@ -86,7 +86,7 @@ done:
 	if err != nil {
 		t.Fatalf("analyze (unknown): %v", err)
 	}
-	fr := unknown.Func("k")
+	fr := FuncNamed(unknown, "k")
 	if len(fr.Branches) != 1 {
 		t.Errorf("unknown layout: %d branches flagged, want 1 (tid.y conservatively varying)", len(fr.Branches))
 	}
@@ -98,7 +98,7 @@ done:
 	if err != nil {
 		t.Fatalf("analyze (32x8): %v", err)
 	}
-	fr = hinted.Func("k")
+	fr = FuncNamed(hinted, "k")
 	if len(fr.Branches) != 0 {
 		t.Errorf("32x8 layout: %d branches flagged, want 0 (tid.y warp-uniform)", len(fr.Branches))
 	}

@@ -84,11 +84,9 @@ func AnalyzeLayout(m *ir.Module, lay Layout) (*ModuleResult, error) {
 		}
 	}
 
-	res := &ModuleResult{Module: m, Layout: lay, byName: make(map[string]*FuncResult)}
+	res := &ModuleResult{Module: m}
 	for _, f := range m.Funcs {
-		fr := a.funcResult(f)
-		res.Funcs = append(res.Funcs, fr)
-		res.byName[f.Name] = fr
+		res.Funcs = append(res.Funcs, a.funcResult(f))
 	}
 	return res, nil
 }
@@ -96,14 +94,8 @@ func AnalyzeLayout(m *ir.Module, lay Layout) (*ModuleResult, error) {
 // ModuleResult holds the per-function analysis results in module order.
 type ModuleResult struct {
 	Module *ir.Module
-	Layout Layout // the launch-layout hint the analysis ran under
 	Funcs  []*FuncResult
-
-	byName map[string]*FuncResult
 }
-
-// Func returns the result for the named function, or nil.
-func (r *ModuleResult) Func(name string) *FuncResult { return r.byName[name] }
 
 // FuncResult is the analysis of one function under the join of every
 // context it is reachable in.
@@ -152,22 +144,6 @@ func (fr *FuncResult) DivergentBlockCount() int {
 		}
 	}
 	return n
-}
-
-// BlockDivergent reports whether the named block may execute with a
-// partial warp.
-func (fr *FuncResult) BlockDivergent(name string) bool {
-	b := fr.Fn.Block(name)
-	return b != nil && fr.Divergent[b.Index]
-}
-
-// RegValue returns the abstract value of a register by name (Bottom if
-// unknown).
-func (fr *FuncResult) RegValue(name string) Value {
-	if i := fr.Fn.RegIndex(name); i >= 0 {
-		return fr.vals[i]
-	}
-	return Value{}
 }
 
 // BranchFinding is a conditional branch whose condition is

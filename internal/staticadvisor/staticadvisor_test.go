@@ -37,7 +37,7 @@ entry:
   ret
 }
 `)
-	fr := res.Func("k")
+	fr := FuncNamed(res, "k")
 	want := map[string]Value{
 		"tx":  affine(1),
 		"bx":  uniform(),
@@ -72,7 +72,7 @@ join:
   ret
 }
 `)
-	fr := res.Func("k")
+	fr := FuncNamed(res, "k")
 	if len(fr.Branches) != 1 || fr.Branches[0].Cond != "c" || fr.Branches[0].Block != "entry" {
 		t.Fatalf("branches = %+v, want one on %%c in entry", fr.Branches)
 	}
@@ -82,8 +82,8 @@ join:
 	// inner is in the influence region; entry and the reconvergence
 	// point join are not.
 	for name, want := range map[string]bool{"entry": false, "inner": true, "join": false} {
-		if got := fr.BlockDivergent(name); got != want {
-			t.Errorf("BlockDivergent(%s) = %v, want %v", name, got, want)
+		if got := fr.Divergent[BlockNamed(fr, name).Index]; got != want {
+			t.Errorf("Divergent[%s] = %v, want %v", name, got, want)
 		}
 	}
 }
@@ -107,7 +107,7 @@ exit:
   ret
 }
 `)
-	fr := res.Func("k")
+	fr := FuncNamed(res, "k")
 	if len(fr.Branches) != 0 {
 		t.Fatalf("uniform loop flagged: %+v", fr.Branches)
 	}
@@ -142,7 +142,7 @@ f:
   ret
 }
 `)
-	fr := res.Func("k")
+	fr := FuncNamed(res, "k")
 	if got := fr.RegValue("x"); got != varying() {
 		t.Errorf("%%x = %v, want varying (divergent merge)", got)
 	}
@@ -177,7 +177,7 @@ exit:
   ret
 }
 `)
-	fr := res.Func("k")
+	fr := FuncNamed(res, "k")
 	// %u is defined in the varying loop's influence region and read
 	// after it: lanes exit at different trip counts, so it is varying.
 	if got := fr.RegValue("u"); got != varying() {
@@ -209,7 +209,7 @@ entry:
   ret
 }
 `)
-	fr := res.Func("k")
+	fr := FuncNamed(res, "k")
 	wantClass := []AccessClass{
 		ClassUniform,   // ld [%u]
 		ClassCoalesced, // ld [%a] stride 4
@@ -260,7 +260,7 @@ join:
   ret
 }
 `)
-	fr := res.Func("k")
+	fr := FuncNamed(res, "k")
 	if len(fr.Barriers) != 1 || fr.Barriers[0].Block != "guarded" {
 		t.Fatalf("barriers = %+v, want exactly the guarded one", fr.Barriers)
 	}
@@ -303,7 +303,7 @@ exit:
 `)
 	// @double is called with an affine argument: its doubling preserves
 	// affineness, so the store through %d is strided.
-	dbl := res.Func("double")
+	dbl := FuncNamed(res, "double")
 	if dbl.Ret != affine(2) {
 		t.Errorf("@double ret = %v, want affine(2)", dbl.Ret)
 	}
@@ -317,10 +317,10 @@ exit:
 	}
 	// @pick returns through two divergent rets? No: its condition is
 	// uniform (%n), so the two ret sites join to uniform.
-	if got := res.Func("pick").Ret; got != uniform() {
+	if got := FuncNamed(res, "pick").Ret; got != uniform() {
 		t.Errorf("@pick ret = %v, want uniform", got)
 	}
-	fr := res.Func("k")
+	fr := FuncNamed(res, "k")
 	if got := fr.RegValue("d"); got != affine(2) {
 		t.Errorf("%%d = %v, want affine(2)", got)
 	}
@@ -353,7 +353,7 @@ entry:
   ret
 }
 `)
-	if got := res.Func("sign").Ret; got != varying() {
+	if got := FuncNamed(res, "sign").Ret; got != varying() {
 		t.Errorf("@sign ret = %v, want varying (divergent rets)", got)
 	}
 }
@@ -379,7 +379,7 @@ entry:
   ret
 }
 `)
-	fr := res.Func("k")
+	fr := FuncNamed(res, "k")
 	for reg, want := range map[string]Value{
 		"su": uniform(), // uniform select of uniform arms
 		"sv": varying(), // varying predicate

@@ -47,7 +47,7 @@ func roundTrip(t *testing.T, blockW int, mask uint32, addrs [WarpSize]uint64) *M
 	for l := 0; l < WarpSize; l++ {
 		if mask&(1<<uint(l)) != 0 && got[l] != addrs[l] {
 			t.Fatalf("width %d mask %#x lane %d: decoded %#x, recorded %#x (affine=%v)",
-				blockW, mask, l, got[l], addrs[l], m.Affine())
+				blockW, mask, l, got[l], addrs[l], !m.explicit)
 		}
 	}
 	return m
@@ -81,8 +81,8 @@ func TestEncoderForms(t *testing.T) {
 		{"width not dividing the warp", 24, 0xFFFFFFFF, affineLanes(32, 0x1000, 4, 0), true},
 		{"odd gap", 32, 1<<0 | 1<<2, [WarpSize]uint64{0: 10, 2: 13}, false},
 	} {
-		if m := roundTrip(t, tc.blockW, tc.mask, tc.addrs); m.Affine() != tc.affine {
-			t.Errorf("%s: affine = %v, want %v", tc.name, m.Affine(), tc.affine)
+		if m := roundTrip(t, tc.blockW, tc.mask, tc.addrs); !m.explicit != tc.affine {
+			t.Errorf("%s: affine = %v, want %v", tc.name, !m.explicit, tc.affine)
 		}
 	}
 }
@@ -133,7 +133,7 @@ func checkArena(t *testing.T, tr *KernelTrace) {
 	t.Helper()
 	want := 0
 	for i := range tr.Mem {
-		if m := &tr.Mem[i]; !m.Affine() {
+		if m := &tr.Mem[i]; m.explicit {
 			if int(m.base) != want {
 				t.Fatalf("record %d points at arena[%d], want %d: arena not packed", i, m.base, want)
 			}
@@ -174,7 +174,7 @@ func TestSamplingCompactsArena(t *testing.T) {
 		if seq := got[0]; seq%uint64(tr.MemSampleN) != 0 {
 			t.Errorf("kept record %d has seq %d, not divisible by period %d", i, seq, tr.MemSampleN)
 		}
-		if !m.Affine() && (got[1] != uint64(m.Warp) || got[2] != got[0]+3) {
+		if m.explicit && (got[1] != uint64(m.Warp) || got[2] != got[0]+3) {
 			t.Errorf("kept record %d of warp %d decodes to %v after compaction", i, m.Warp, got[:3])
 		}
 	}

@@ -69,10 +69,6 @@ type MemAccess struct {
 	rowStride int64
 }
 
-// Affine reports whether the record's addresses are stored as base and
-// strides rather than spelled out in the trace's arena.
-func (m *MemAccess) Affine() bool { return !m.explicit }
-
 // BlockExec is one warp-level basic-block entry event (passBasicBlock()).
 type BlockExec struct {
 	CTA      int32

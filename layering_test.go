@@ -2,8 +2,11 @@ package cudaadvisor_test
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"strings"
@@ -118,16 +121,6 @@ func TestTraceHasOneReader(t *testing.T) {
 	}
 }
 
-// benchAPI is what bench/ calls and nothing else outside a test does:
-// bench/ is its own module, so its calls are not in the walk. Each entry
-// must still be called there.
-var benchAPI = map[string]bool{
-	"internal/analysis.BranchDivergence":    true,
-	"internal/analysis.MemDivergence":       true,
-	"internal/analysis.ReuseDistance":       true,
-	"internal/analysis.SharedBankConflicts": true,
-}
-
 // sharedTestAPI is called by the tests of several packages or by the root
 // benchmarks, so it cannot move into one package's test files.
 var sharedTestAPI = map[string]bool{
@@ -145,108 +138,192 @@ var sharedTestAPI = map[string]bool{
 	"internal/bypass.ApplyVertical":          true,
 }
 
-// offlineChain is the Section 3.3 offline analyzer's per-kernel summary,
-// which nothing outside a test calls yet. ROADMAP item 5(b) is the item
-// that wires it into a command or deletes it.
-var offlineChain = map[string]bool{
-	"internal/analysis.InstanceMetrics": true,
-	"internal/analysis.Summarize":       true,
-	"internal/report.InstanceSummary":   true,
+// moduleChecker type-checks the module's packages from their non-test
+// source files, one shared types.Info for all of them, and imports the
+// standard library from its export data.
+type moduleChecker struct {
+	fset *token.FileSet
+	std  types.Importer
+	info *types.Info
+	pkgs map[string]*types.Package // by import path: the module's and std's
 }
 
-// funcUses parses every non-test Go file under root, outside the
-// directory skip, and returns the exported top-level functions declared
-// there ("<dir>.<Name>", dir relative to the module root) and the set of
-// such names the files refer to: as pkg.Name from another package of the
-// module, or as a bare Name inside the declaring package. A reference need not be a call (a
-// function passed as a value is used). Methods are not collected.
-func funcUses(t *testing.T, root, skip string) (decls, uses map[string]bool) {
-	t.Helper()
-	decls, uses = map[string]bool{}, map[string]bool{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+func (c *moduleChecker) Import(path string) (*types.Package, error) {
+	if p := c.pkgs[path]; p != nil {
+		return p, nil
+	}
+	if path != "cudaadvisor" && !strings.HasPrefix(path, "cudaadvisor/") {
+		p, err := c.std.Import(path)
+		c.pkgs[path] = p
+		return p, err
+	}
+	return c.check(path, "."+strings.TrimPrefix(path, "cudaadvisor"))
+}
+
+// parse parses the non-test files of dir that the default build context
+// selects.
+func (c *moduleChecker) parse(dir string) ([]*ast.File, error) {
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(c.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
 		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	return files, nil
+}
+
+// check type-checks the non-test files of dir as the package path.
+func (c *moduleChecker) check(path, dir string) (*types.Package, error) {
+	files, err := c.parse(dir)
+	if err != nil {
+		return nil, err
+	}
+	conf := types.Config{Importer: c}
+	p, err := conf.Check(path, c.fset, files, c.info)
+	if err != nil {
+		return nil, err
+	}
+	c.pkgs[path] = p
+	return p, nil
+}
+
+// stdInterfaces returns the interface types a standard package spells
+// in its source, unexported and function-local ones included: flag's
+// boolFlag and the errors package's Unwrap interfaces, which its export
+// data leaves out. Each is resolved in p's scope; one that names a type
+// the scope lacks is skipped.
+func (c *moduleChecker) stdInterfaces(p *types.Package) ([]*types.Interface, error) {
+	bp, err := build.Import(p.Path(), "", build.FindOnly)
+	if err != nil {
+		return nil, err
+	}
+	files, err := c.parse(bp.Dir)
+	if err != nil {
+		return nil, err
+	}
+	var out []*types.Interface
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			lit, ok := n.(*ast.InterfaceType)
+			if !ok || len(lit.Methods.List) == 0 {
+				return true
+			}
+			tv, err := types.Eval(c.fset, p, token.NoPos, types.ExprString(lit))
+			if it, ok := tv.Type.(*types.Interface); err == nil && ok && it.NumMethods() > 0 {
+				out = append(out, it)
+			}
+			return false
+		})
+	}
+	return out, nil
+}
+
+// TestEveryExportedFuncIsCalled fails on an exported top-level function
+// or method of a named type that no non-test code refers to: an entry
+// point kept alive by its tests alone. bench/ is checked as one more
+// user. A method is exempt when its type implements an interface that
+// declares it (spelled in the module, in a standard package it imports,
+// or error), since a call through the interface names no concrete method.
+// What tests across packages share is listed above.
+func TestEveryExportedFuncIsCalled(t *testing.T) {
+	c := &moduleChecker{
+		fset: token.NewFileSet(),
+		std:  importer.Default(),
+		info: &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
+		pkgs: map[string]*types.Package{},
+	}
+	var module []*types.Package
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
 			return err
 		}
-		rel, _ := filepath.Rel(root, path)
-		rel = filepath.ToSlash(rel)
-		if d.IsDir() {
-			if rel != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || rel == skip) {
-				return filepath.SkipDir
-			}
+		if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == "bench") {
+			return filepath.SkipDir
+		}
+		p, err := c.Import(strings.TrimSuffix("cudaadvisor/"+filepath.ToSlash(path), "/."))
+		if _, none := err.(*build.NoGoError); none {
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(rel))
-		imports := map[string]string{} // local name → module-relative dir
-		for _, imp := range f.Imports {
-			p := strings.Trim(imp.Path.Value, `"`)
-			if !strings.HasPrefix(p, "cudaadvisor/") {
-				continue
-			}
-			p = strings.TrimPrefix(p, "cudaadvisor/")
-			name := p[strings.LastIndex(p, "/")+1:]
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			imports[name] = p
-		}
-		declared := map[*ast.Ident]bool{}
-		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
-				declared[fn.Name] = true
-				if fn.Name.IsExported() {
-					decls[dir+"."+fn.Name.Name] = true
-				}
-			}
-		}
-		var visit func(n ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if id, ok := n.X.(*ast.Ident); ok && imports[id.Name] != "" {
-					uses[imports[id.Name]+"."+n.Sel.Name] = true
-					return false
-				}
-				ast.Inspect(n.X, visit) // n.Sel is a field or method
-				return false
-			case *ast.Ident:
-				if !declared[n] {
-					uses[dir+"."+n.Name] = true
-				}
-			}
-			return true
-		}
-		ast.Inspect(f, visit)
-		return nil
+		module = append(module, p)
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return decls, uses
-}
+	if _, err := c.check("cudaadvisor/bench", "bench"); err != nil {
+		t.Fatal(err)
+	}
 
-// TestEveryExportedFuncIsCalled fails on an exported top-level function
-// that no non-test code refers to: an entry point kept alive by its tests
-// alone. What bench/ calls, what tests across packages share and the
-// offline-analyzer chain are listed above; methods are out of scope.
-func TestEveryExportedFuncIsCalled(t *testing.T) {
-	decls, uses := funcUses(t, ".", "bench")
-	_, benchUses := funcUses(t, "bench", "")
-	for name := range benchAPI {
-		if !benchUses[name] {
-			t.Errorf("%s is listed as called by bench/, which no longer calls it", name)
+	used := map[types.Object]bool{}
+	for _, obj := range c.info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			used[fn.Origin()] = true
 		}
 	}
-	for name := range decls {
-		if !uses[name] && !benchAPI[name] && !sharedTestAPI[name] && !offlineChain[name] {
-			t.Errorf("%s: exported, and no non-test code calls it", name)
+	for _, sel := range c.info.Selections {
+		if fn, ok := sel.Obj().(*types.Func); ok {
+			used[fn.Origin()] = true
+		}
+	}
+	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	for _, tv := range c.info.Types {
+		if it, ok := tv.Type.(*types.Interface); ok && tv.IsType() && it.NumMethods() > 0 {
+			ifaces = append(ifaces, it)
+		}
+	}
+	for path, p := range c.pkgs {
+		if !strings.HasPrefix(path, "cudaadvisor") {
+			its, err := c.stdInterfaces(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ifaces = append(ifaces, its...)
+		}
+	}
+	// implemented reports whether m's receiver type, or a pointer to it,
+	// implements an interface that declares m's name.
+	implemented := func(recv types.Type, m *types.Func) bool {
+		for _, it := range ifaces {
+			if obj, _, _ := types.LookupFieldOrMethod(it, false, m.Pkg(), m.Name()); obj == nil {
+				continue
+			}
+			if types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it) {
+				return true
+			}
+		}
+		return false
+	}
+
+	for _, p := range module {
+		dir := strings.TrimPrefix(p.Path(), "cudaadvisor/")
+		for _, name := range p.Scope().Names() {
+			switch obj := p.Scope().Lookup(name).(type) {
+			case *types.Func:
+				if key := dir + "." + name; obj.Exported() && !used[obj] && !sharedTestAPI[key] {
+					t.Errorf("%s: exported, and no non-test code calls it", key)
+				}
+			case *types.TypeName:
+				named, ok := obj.Type().(*types.Named)
+				if !ok || obj.IsAlias() {
+					continue
+				}
+				for i := 0; i < named.NumMethods(); i++ {
+					m := named.Method(i)
+					if m.Exported() && !used[m] && !implemented(named, m) {
+						t.Errorf("%s.%s.%s: exported method, and no non-test code calls it", dir, name, m.Name())
+					}
+				}
+			}
 		}
 	}
 }
