@@ -120,6 +120,21 @@ func TestExportSampledAnnotation(t *testing.T) {
 	}
 }
 
+// TestSampledGoldens pins the bytes of two capped runs, whose traces
+// keep a per-warp sample instead of every record, at -j 1 and at the
+// default -j.
+func TestSampledGoldens(t *testing.T) {
+	for golden, args := range map[string][]string{
+		"profile_srad_v2_cap2000_all.golden": {"-trace-cap", "2000", "profile", "-mode", "all", "srad_v2"},
+		"advise_backprop_cap500_json.golden": {"-trace-cap", "500", "advise", "-format", "json", "backprop"},
+	} {
+		for _, j := range [][]string{{"-j", "1"}, nil} {
+			stdout, _ := runOK(t, append(j, args...)...)
+			checkGolden(t, golden, []byte(stdout))
+		}
+	}
+}
+
 // TestCheckExport: both formats validate; damaged files exit 1.
 func TestCheckExport(t *testing.T) {
 	dir := t.TempDir()

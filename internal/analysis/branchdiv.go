@@ -40,7 +40,6 @@ type BlockDivergence struct {
 	Execs     int64 // dynamic warp-level executions
 	Divergent int64
 	Threads   int64 // total threads that entered
-	Ctx       int32 // representative calling context
 	Loc       ir.Loc
 }
 
@@ -88,7 +87,7 @@ func BranchDivergence(tr *trace.KernelTrace, tables *instrument.Tables) *BranchD
 
 // BranchDivergenceOn is BranchDivergence with the trace's block-record
 // ranges derived on pool (see fanOut). Ranges merge in trace order, so a
-// block's Ctx and Loc are those of its first execution in the trace.
+// block's Loc is that of its first execution in the trace.
 func BranchDivergenceOn(tr *trace.KernelTrace, tables *instrument.Tables, pool *runner.Pool) *BranchDivResult {
 	res := fanOut(pool, recordBounds(pool, len(tr.Blocks)), func(lo, hi int) *BranchDivResult { return branchDivRange(tr, tables, lo, hi) }, (*BranchDivResult).Merge)
 	res.Add(tr.BlocksCoverage())
@@ -108,7 +107,7 @@ func branchDivRange(tr *trace.KernelTrace, tables *instrument.Tables, lo, hi int
 		}
 		b := res.blocks[be.Block]
 		if b == nil {
-			b = &BlockDivergence{ID: be.Block, Ctx: be.Ctx, Loc: tr.Locs.Loc(be.Loc)}
+			b = &BlockDivergence{ID: be.Block, Loc: tr.Locs.Loc(be.Loc)}
 			if tables != nil {
 				b.Block = tables.Block(be.Block)
 			}

@@ -38,9 +38,9 @@ func jsonKernel(k int) *trace.KernelTrace {
 }
 
 var jsonTables = &instrument.Tables{Blocks: []instrument.BlockInfo{
-	{Func: "kern", Block: "entry", Loc: ir.Loc{File: "k.mir", Line: 1, Col: 1}},
-	{Func: "kern", Block: "body", Loc: ir.Loc{File: "k.mir", Line: 2, Col: 1}},
-	{Func: "kern", Block: "exit", Loc: ir.Loc{File: "k.mir", Line: 3, Col: 1}},
+	{Func: "kern", Block: "entry"},
+	{Func: "kern", Block: "body"},
+	{Func: "kern", Block: "exit"},
 }}
 
 // jsonResults merges four kernel instances, as the analysis bundle does.

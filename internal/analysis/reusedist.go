@@ -49,24 +49,22 @@ func reuseBucket(d int64) int {
 	return len(ReuseBucketBounds)
 }
 
-// ReuseOptions configure the reuse-distance analysis.
+// ReuseOptions configure the reuse-distance analysis, which reads the
+// global-memory records of a trace (the paper's case study).
 type ReuseOptions struct {
 	// Granularity is the element size in bytes; the cache line size gives
 	// the paper's line-based model. Zero selects the memory-element-based
 	// model: each access's element is its own aligned address at its own
 	// access width, so byte flags in one word stay distinct elements.
 	Granularity int
-	// GlobalOnly restricts the analysis to global-memory records (the
-	// default behaviour of the paper's case study).
-	GlobalOnly bool
 }
 
 // DefaultElementReuse is the memory-element-based model.
-func DefaultElementReuse() ReuseOptions { return ReuseOptions{GlobalOnly: true} }
+func DefaultElementReuse() ReuseOptions { return ReuseOptions{} }
 
 // LineReuse is the cache-line-based model.
 func LineReuse(lineSize int) ReuseOptions {
-	return ReuseOptions{Granularity: lineSize, GlobalOnly: true}
+	return ReuseOptions{Granularity: lineSize}
 }
 
 // ReuseResult is the aggregated reuse-distance profile of one kernel
@@ -94,7 +92,7 @@ type ReuseResult struct {
 
 // Events is the coverage every result carries of the trace buffer it was
 // derived from (trace.KernelTrace.MemCoverage, BlocksCoverage): when a
-// bounded buffer fell back to sampling or flushed, Recorded < Seen and
+// bounded buffer fell back to sampling, Recorded < Seen and
 // the profile is a deterministic subset of the run.
 type Events struct {
 	EventsRecorded int64
@@ -192,10 +190,10 @@ func elemKey(addr uint64, width uint8, gran int) uint64 {
 
 // groupByCTA regroups the warp-level trace by CTA with one counting
 // sort: per CTA id (they are dense), the indices into tr.Mem of that
-// CTA's records in execution order.
-func groupByCTA(tr *trace.KernelTrace, globalOnly bool) [][]int32 {
+// CTA's global-memory records in execution order.
+func groupByCTA(tr *trace.KernelTrace) [][]int32 {
 	var counts []int32
-	keep := func(m *trace.MemAccess) bool { return !globalOnly || m.Space == 0 } // ir.Global == 0
+	keep := func(m *trace.MemAccess) bool { return m.Space == ir.Global }
 	total := 0
 	for i := range tr.Mem {
 		if m := &tr.Mem[i]; keep(m) {
@@ -301,7 +299,7 @@ func walkReuse(tr *trace.KernelTrace, opt ReuseOptions, hist, bySite bool, pool 
 	if onWalk != nil {
 		onWalk(opt)
 	}
-	ctas := groupByCTA(tr, opt.GlobalOnly)
+	ctas := groupByCTA(tr)
 	w := fanOut(pool, ctaBounds(pool, ctas), func(lo, hi int) reuseShare {
 		var s reuseShare
 		if hist {
@@ -459,7 +457,7 @@ func naiveReuse(tr *trace.KernelTrace, opt ReuseOptions) (*ReuseResult, map[ir.L
 	res.Add(tr.MemCoverage())
 	sites := newSiteTable(tr)
 	var addrs [trace.WarpSize]uint64
-	for _, records := range groupByCTA(tr, opt.GlobalOnly) {
+	for _, records := range groupByCTA(tr) {
 		var seq []ctaAccess
 		for _, i := range records {
 			m := &tr.Mem[i]

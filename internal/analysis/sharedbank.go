@@ -34,7 +34,6 @@ type SharedBankResult struct {
 // code-centric view the advisor joins against the static prediction.
 type SiteBankConflict struct {
 	Loc        ir.Loc
-	Ctx        int32 // a representative calling context
 	Count      int64 // warp instructions at this site
 	ReplaySum  int64 // sum of (degree - 1)
 	MaxDegree  int
@@ -95,8 +94,7 @@ func SharedBankConflicts(tr *trace.KernelTrace) *SharedBankResult {
 }
 
 // SharedBankConflictsOn is SharedBankConflicts with the trace's record
-// ranges derived on pool (see fanOut). Ranges merge in trace order, so a
-// site's Ctx is that of its first access in the trace.
+// ranges derived on pool (see fanOut), merged in trace order.
 func SharedBankConflictsOn(tr *trace.KernelTrace, pool *runner.Pool) *SharedBankResult {
 	res := fanOut(pool, recordBounds(pool, len(tr.Mem)), func(lo, hi int) *SharedBankResult { return sharedBankRange(tr, lo, hi) }, (*SharedBankResult).Merge)
 	res.Add(tr.MemCoverage())
@@ -121,7 +119,7 @@ func sharedBankRange(tr *trace.KernelTrace, lo, hi int) *SharedBankResult {
 		loc := tr.Locs.Loc(m.Loc)
 		s := res.sites[loc]
 		if s == nil {
-			s = &SiteBankConflict{Loc: loc, Ctx: m.Ctx}
+			s = &SiteBankConflict{Loc: loc}
 			res.sites[loc] = s
 		}
 		s.Count++

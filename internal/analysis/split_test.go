@@ -58,7 +58,7 @@ func TestSplitDerivationsMatchWhole(t *testing.T) {
 		tr := splitTrace(seed)
 		for _, pool := range []*runner.Pool{nil, runner.New(4)} {
 			for _, opt := range []ReuseOptions{DefaultElementReuse(), LineReuse(32)} {
-				ctas := groupByCTA(tr, opt.GlobalOnly)
+				ctas := groupByCTA(tr)
 				bounds := randomBounds(rng, len(ctas))
 				splits += len(bounds) - 2
 				w := fanOut(pool, bounds, func(lo, hi int) reuseShare {

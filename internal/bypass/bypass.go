@@ -133,10 +133,8 @@ type Runner func(l1Warps int) (int64, error)
 // application on one architecture: baseline (no bypassing), oracle, and
 // the Eq. (1) prediction, all in modeled cycles.
 type Comparison struct {
-	App         string
-	Arch        string
-	L1Bytes     int
-	WarpsPerCTA int
+	App     string
+	L1Bytes int
 
 	BaselineCycles int64
 	OracleCycles   int64
@@ -162,11 +160,8 @@ func (c Comparison) PredictNorm() float64 {
 // result identical to the serial sweep. The baseline (k = warpsPerCTA)
 // and the prediction configuration are read back out of the sweep rather
 // than re-run. run must be safe for concurrent use when pool is non-nil.
-func Compare(app, arch string, cfg gpu.ArchConfig, warpsPerCTA, predictWarps int, pool *runner.Pool, run Runner) (Comparison, error) {
-	c := Comparison{
-		App: app, Arch: arch, L1Bytes: cfg.L1Bytes,
-		WarpsPerCTA: warpsPerCTA, PredictWarps: predictWarps,
-	}
+func Compare(app string, cfg gpu.ArchConfig, warpsPerCTA, predictWarps int, pool *runner.Pool, run Runner) (Comparison, error) {
+	c := Comparison{App: app, L1Bytes: cfg.L1Bytes, PredictWarps: predictWarps}
 	if warpsPerCTA < 1 {
 		return c, fmt.Errorf("bypass: warpsPerCTA = %d", warpsPerCTA)
 	}

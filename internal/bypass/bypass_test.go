@@ -83,7 +83,7 @@ func TestOracleFindsMinimum(t *testing.T) {
 
 func TestCompareNormalization(t *testing.T) {
 	cost := map[int]int64{1: 400, 2: 500, 3: 600, 4: 1000}
-	c, err := Compare("app", "kepler", gpu.KeplerK40c(), 4, 2, nil, func(k int) (int64, error) {
+	c, err := Compare("app", gpu.KeplerK40c(), 4, 2, nil, func(k int) (int64, error) {
 		return cost[k], nil
 	})
 	if err != nil {
@@ -102,7 +102,7 @@ func TestCompareNormalization(t *testing.T) {
 
 func TestComparePredictEqualsBaseline(t *testing.T) {
 	calls := 0
-	c, err := Compare("app", "kepler", gpu.KeplerK40c(), 2, 2, nil, func(k int) (int64, error) {
+	c, err := Compare("app", gpu.KeplerK40c(), 2, 2, nil, func(k int) (int64, error) {
 		calls++
 		return int64(100 * k), nil
 	})
@@ -125,12 +125,12 @@ func TestCompareParallelMatchesSerial(t *testing.T) {
 		curve := map[int]int64{1: 800, 2: 500, 3: 700, 4: 600, 5: 500, 6: 900, 7: 950, 8: 1000}
 		return curve[k], nil
 	}
-	serial, err := Compare("app", "kepler", gpu.KeplerK40c(), 8, 3, nil, cost)
+	serial, err := Compare("app", gpu.KeplerK40c(), 8, 3, nil, cost)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 8} {
-		par, err := Compare("app", "kepler", gpu.KeplerK40c(), 8, 3, runner.New(workers), cost)
+		par, err := Compare("app", gpu.KeplerK40c(), 8, 3, runner.New(workers), cost)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,10 +145,10 @@ func TestCompareParallelMatchesSerial(t *testing.T) {
 
 func TestCompareRejectsBadPredict(t *testing.T) {
 	run := func(int) (int64, error) { return 1, nil }
-	if _, err := Compare("a", "k", gpu.KeplerK40c(), 4, 0, nil, run); err == nil {
+	if _, err := Compare("a", gpu.KeplerK40c(), 4, 0, nil, run); err == nil {
 		t.Error("Compare accepted predictWarps = 0")
 	}
-	if _, err := Compare("a", "k", gpu.KeplerK40c(), 4, 5, nil, run); err == nil {
+	if _, err := Compare("a", gpu.KeplerK40c(), 4, 5, nil, run); err == nil {
 		t.Error("Compare accepted predictWarps > warpsPerCTA")
 	}
 }

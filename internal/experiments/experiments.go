@@ -265,7 +265,7 @@ func bypassStudy(env Env, prefix string, cfg gpu.ArchConfig) ([]bypass.Compariso
 
 			// Step 3: measure baseline / oracle / prediction on native
 			// code; the sweep fans out on the same pool.
-			cmp, err := bypass.Compare(a.Name, cfg.Name, cfg, a.WarpsPerCTA, predict, env.Pool,
+			cmp, err := bypass.Compare(a.Name, cfg, a.WarpsPerCTA, predict, env.Pool,
 				func(k int) (int64, error) {
 					if k >= a.WarpsPerCTA {
 						return base.Cycles, nil // no bypassing: step 2's run

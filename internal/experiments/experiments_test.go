@@ -180,8 +180,8 @@ func TestBypassShape(t *testing.T) {
 		if c.OracleNorm() < 0.95 {
 			t.Errorf("%s oracle norm = %.3f, want ~1 (paper: insensitive)", app, c.OracleNorm())
 		}
-		if c.PredictWarps != c.WarpsPerCTA {
-			t.Errorf("%s prediction = %d warps, want %d (no bypassing)", app, c.PredictWarps, c.WarpsPerCTA)
+		if w := want[app]; c.PredictWarps != w {
+			t.Errorf("%s prediction = %d warps, want %d (no bypassing)", app, c.PredictWarps, w)
 		}
 	}
 	benefit := 0

@@ -131,9 +131,6 @@ type mshr struct {
 	completions []int64 // ring buffer
 	head, tail  int
 	n, cap      int
-
-	// StallCycles accumulates time warps spent waiting for a free entry.
-	stallCycles int64
 }
 
 func newMSHR(capacity int) *mshr {
@@ -155,7 +152,6 @@ func (m *mshr) alloc(now int64, latency int64) int64 {
 	if m.n == m.cap {
 		// Stall until the oldest outstanding miss retires.
 		start = m.completions[m.head]
-		m.stallCycles += start - now
 		m.head, m.n = m.next(m.head), m.n-1
 	}
 	done := start + latency

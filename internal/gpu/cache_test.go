@@ -160,9 +160,6 @@ func TestMSHRStallsWhenFull(t *testing.T) {
 	if d3 != 200 {
 		t.Errorf("stalled alloc completes at %d, want 200", d3)
 	}
-	if m.stallCycles != 98 {
-		t.Errorf("stallCycles = %d, want 98", m.stallCycles)
-	}
 }
 
 func TestMSHRRetiresCompleted(t *testing.T) {
@@ -171,9 +168,6 @@ func TestMSHRRetiresCompleted(t *testing.T) {
 	// At t=50 the previous miss has retired: no stall.
 	if d := m.alloc(50, 10); d != 60 {
 		t.Errorf("alloc after retire completes at %d, want 60", d)
-	}
-	if m.stallCycles != 0 {
-		t.Errorf("stallCycles = %d, want 0", m.stallCycles)
 	}
 }
 

@@ -150,10 +150,8 @@ type SMSchedule struct {
 type LaunchResult struct {
 	Cycles      int64 // modeled kernel duration (max over SMs)
 	WarpInstrs  int64 // dynamic warp-level instructions executed
-	MemInstrs   int64 // dynamic warp-level global-memory instructions
 	HookCalls   int64
 	Cache       CacheStats
-	MSHRStalls  int64
 	CTAs        int
 	WarpsPerCTA int
 
@@ -241,7 +239,6 @@ type warpState struct {
 	readyAt   int64
 	atBarrier bool
 	done      bool
-	initMask  uint32
 }
 
 func (w *warpState) liveMask() uint32 {
@@ -257,7 +254,6 @@ func (w *warpState) liveMask() uint32 {
 
 type ctaState struct {
 	id        int
-	coord     [3]int
 	shared    *sharedMem
 	warps     []*warpState
 	arrived   int
@@ -419,9 +415,7 @@ func (ls *launchState) merge(s *smShard, cycles int64) {
 	r.Cache.Misses += s.l1.stats.Misses
 	r.Cache.Bypassed += s.l1.stats.Bypassed
 	r.Cache.Writes += s.l1.stats.Writes
-	r.MSHRStalls += s.mshrs.stallCycles
 	r.WarpInstrs += s.instrs
-	r.MemInstrs += s.memInstrs
 	r.HookCalls += s.hookCalls
 	for loc, n := range s.raceSites {
 		if ls.races == nil {
@@ -761,7 +755,6 @@ func (s *smShard) execLoad(w *warpState, fr *frame, in *dinstr, mask uint32, now
 	}
 
 	// Timing.
-	s.memInstrs++
 	cfg := &s.ls.cfg
 	s.lineBuf = coalesceLines(s.lineBuf, mask, addrs, int(size), cfg.L1LineSize)
 	useL1 := s.usesL1(w) && !in.nonCached
@@ -829,7 +822,6 @@ func (s *smShard) execStore(w *warpState, fr *frame, in *dinstr, mask uint32) (i
 			}
 		}
 	}
-	s.memInstrs++
 	// Write-through, write-evict; stores do not stall the warp.
 	s.lineBuf = coalesceLines(s.lineBuf, mask, addrs, int(size), s.ls.cfg.L1LineSize)
 	for _, line := range s.lineBuf {
@@ -931,7 +923,6 @@ func (s *smShard) execAtomic(w *warpState, fr *frame, in *dinstr, mask uint32) (
 		}
 		s.l1.write(s.l1.lineOf(addr) << s.l1.lineShift)
 	}
-	s.memInstrs++
 	return int64(n * s.ls.cfg.AtomLat), nil
 }
 

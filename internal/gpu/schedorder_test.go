@@ -139,8 +139,8 @@ func runSchedOrder(t *testing.T, l1Warps, workers int) string {
 	}
 	h := fnv.New64a()
 	h.Write(raw)
-	fmt.Fprintf(&rec.buf, "cycles=%d instrs=%d mem=%d hooks=%d cache=%+v mshr=%d out=%016x\n",
-		res.Cycles, res.WarpInstrs, res.MemInstrs, res.HookCalls, res.Cache, res.MSHRStalls, h.Sum64())
+	fmt.Fprintf(&rec.buf, "cycles=%d instrs=%d hooks=%d cache=%+v out=%016x\n",
+		res.Cycles, res.WarpInstrs, res.HookCalls, res.Cache, h.Sum64())
 	for _, s := range res.Schedule {
 		fmt.Fprintf(&rec.buf, "sm=%d cycles=%d ctas=%v\n", s.SM, s.Cycles, s.CTAs)
 	}

@@ -37,7 +37,6 @@ type smShard struct {
 	wake  []int64
 
 	instrs    int64 // per-SM dynamic warp instructions (also the guard counter)
-	memInstrs int64
 	hookCalls int64
 
 	// Per-site race counts of the shared-memory watch
@@ -223,7 +222,6 @@ func (s *smShard) newCTA(id, threadsPerCTA, warpsPerCTA int, at int64) *ctaState
 	coord := [3]int{id % g[0], (id / g[0]) % g[1], id / (g[0] * g[1])}
 	cta := &ctaState{
 		id:      id,
-		coord:   coord,
 		shared:  newSharedMem(ls.kernel.fn.SharedBytes, ls.p.WatchShared),
 		admitAt: at,
 	}
@@ -241,10 +239,9 @@ func (s *smShard) newCTA(id, threadsPerCTA, warpsPerCTA int, at int64) *ctaState
 			}
 		}
 		w := &warpState{
-			cta:      cta,
-			frames:   []*frame{fr},
-			readyAt:  at,
-			initMask: mask,
+			cta:     cta,
+			frames:  []*frame{fr},
+			readyAt: at,
 			view: WarpView{
 				CTALinear: id,
 				CTACoord:  coord,

@@ -80,7 +80,6 @@ func MemorySharedAndBlocks() Options {
 type BlockInfo struct {
 	Func  string
 	Block string
-	Loc   ir.Loc // location of the block's first original instruction
 }
 
 // Tables is the side information the engine emits alongside the rewritten
@@ -189,7 +188,7 @@ func (e *Engine) instrumentFunc(f *ir.Function, t *Tables) bool {
 			if len(b.Instrs) > 0 {
 				loc = b.Instrs[0].Loc
 			}
-			t.Blocks = append(t.Blocks, BlockInfo{Func: f.Name, Block: b.Name, Loc: loc})
+			t.Blocks = append(t.Blocks, BlockInfo{Func: f.Name, Block: b.Name})
 			out = append(out, hookCall(HookBB, loc, ir.I32Op(int64(id))))
 			changed = true
 		}

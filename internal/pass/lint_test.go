@@ -30,7 +30,6 @@ func TestLintPasses(t *testing.T) {
 
 	var out strings.Builder
 	pm := NewManager(Lint(&out))
-	pm.VerifyEach = true
 	if err := pm.Run(m); err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -24,18 +24,15 @@ type Pass interface {
 	Run(m *ir.Module) (changed bool, err error)
 }
 
-// Manager runs a pipeline of passes.
+// Manager runs a pipeline of passes, running the IR verifier once before
+// it and after every pass that reports a change.
 type Manager struct {
 	passes []Pass
-
-	// VerifyEach, when set, runs the IR verifier after every pass that
-	// reports a change (and once before the pipeline).
-	VerifyEach bool
 }
 
-// NewManager returns a Manager that verifies after each changing pass.
+// NewManager returns a Manager for passes.
 func NewManager(passes ...Pass) *Manager {
-	return &Manager{passes: passes, VerifyEach: true}
+	return &Manager{passes: passes}
 }
 
 // Add appends passes to the pipeline.
@@ -46,10 +43,8 @@ func (pm *Manager) Run(m *ir.Module) error {
 	if err := m.Finalize(); err != nil {
 		return fmt.Errorf("pass manager: finalize: %w", err)
 	}
-	if pm.VerifyEach {
-		if err := ir.Verify(m); err != nil {
-			return fmt.Errorf("pass manager: input module invalid: %w", err)
-		}
+	if err := ir.Verify(m); err != nil {
+		return fmt.Errorf("pass manager: input module invalid: %w", err)
 	}
 	for _, p := range pm.passes {
 		changed, err := p.Run(m)
@@ -60,10 +55,8 @@ func (pm *Manager) Run(m *ir.Module) error {
 			if err := m.Finalize(); err != nil {
 				return fmt.Errorf("pass %s left module unfinalizable: %w", p.Name(), err)
 			}
-			if pm.VerifyEach {
-				if err := ir.Verify(m); err != nil {
-					return fmt.Errorf("pass %s left module invalid: %w", p.Name(), err)
-				}
+			if err := ir.Verify(m); err != nil {
+				return fmt.Errorf("pass %s left module invalid: %w", p.Name(), err)
 			}
 		}
 	}

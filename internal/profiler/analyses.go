@@ -85,7 +85,7 @@ func derive[T any](a *Analyses, key any, acc T, fold func(T, *KernelProfile)) T 
 
 // Coverage is how much of what the run's kernel instances offered their
 // memory and basic-block trace buffers is still held, summed over the
-// instances; either is Partial once a trace flushed or sampled.
+// instances; either is Partial once a trace sampled.
 func (a *Analyses) Coverage() (mem, blocks analysis.Events) {
 	c := derive(a, "Coverage", new([2]analysis.Events), func(c *[2]analysis.Events, kp *KernelProfile) {
 		c[0].Add(kp.Trace.MemCoverage())

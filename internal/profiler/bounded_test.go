@@ -7,7 +7,6 @@ import (
 	"cudaadvisor/internal/instrument"
 	"cudaadvisor/internal/irtext"
 	"cudaadvisor/internal/rt"
-	"cudaadvisor/internal/trace"
 )
 
 // boundedSrc generates plenty of memory and block events: each of 256
@@ -33,7 +32,7 @@ exit:
 }
 `
 
-func runBounded(t *testing.T, cap int, sink trace.FlushSink) (*Profiler, *KernelProfile) {
+func runBounded(t *testing.T, cap int) (*Profiler, *KernelProfile) {
 	t.Helper()
 	m, err := irtext.Parse("bnd.mir", boundedSrc)
 	if err != nil {
@@ -45,7 +44,6 @@ func runBounded(t *testing.T, cap int, sink trace.FlushSink) (*Profiler, *Kernel
 	}
 	p := New()
 	p.TraceCap = cap
-	p.TraceSink = sink
 	cfg := gpu.KeplerK40c()
 	cfg.SMs = 2
 	ctx := rt.NewContext(gpu.NewDevice(cfg, 1<<20), p)
@@ -64,7 +62,7 @@ func runBounded(t *testing.T, cap int, sink trace.FlushSink) (*Profiler, *Kernel
 // event exactly as before the bounded-buffer work (the golden-output
 // guarantee).
 func TestProfilerUnboundedByDefault(t *testing.T) {
-	_, kp := runBounded(t, 0, nil)
+	_, kp := runBounded(t, 0)
 	rec, seen := kp.Trace.MemCoverage()
 	if rec != seen || rec == 0 {
 		t.Errorf("unbounded trace coverage = %d/%d, want complete and non-empty", rec, seen)
@@ -75,14 +73,14 @@ func TestProfilerUnboundedByDefault(t *testing.T) {
 	}
 }
 
-// TestProfilerTraceCapSamples: a cap without a sink engages the sampling
-// fallback — the buffer respects the cap and the coverage is partial.
+// TestProfilerTraceCapSamples: a cap engages per-warp sampling — the
+// buffer respects the cap and the coverage is partial.
 func TestProfilerTraceCapSamples(t *testing.T) {
-	_, full := runBounded(t, 0, nil)
+	_, full := runBounded(t, 0)
 	_, fullSeen := full.Trace.MemCoverage()
 
 	const cap = 4
-	_, kp := runBounded(t, cap, nil)
+	_, kp := runBounded(t, cap)
 	rec, seen := kp.Trace.MemCoverage()
 	if seen != fullSeen {
 		t.Errorf("bounded run saw %d events, unbounded saw %d — Seen must count every offer", seen, fullSeen)
@@ -97,43 +95,5 @@ func TestProfilerTraceCapSamples(t *testing.T) {
 	// slack, never unboundedly.
 	if got := len(kp.Trace.Mem); got > 2*cap {
 		t.Errorf("bounded mem buffer holds %d records, cap %d", got, cap)
-	}
-}
-
-// flushCounter counts records handed to the sink.
-type flushCounter struct {
-	mem, blocks int64
-}
-
-func (f *flushCounter) FlushMem(_ *trace.KernelTrace, recs []trace.MemAccess) error {
-	f.mem += int64(len(recs))
-	return nil
-}
-
-func (f *flushCounter) FlushBlocks(_ *trace.KernelTrace, recs []trace.BlockExec) error {
-	f.blocks += int64(len(recs))
-	return nil
-}
-
-// TestProfilerSinkReceivesEverything: with a flush sink, KernelEnd's
-// final flush delivers every event — nothing is sampled away.
-func TestProfilerSinkReceivesEverything(t *testing.T) {
-	_, full := runBounded(t, 0, nil)
-	_, fullSeen := full.Trace.MemCoverage()
-
-	sink := &flushCounter{}
-	_, kp := runBounded(t, 16, sink)
-	if kp.FlushErr != nil {
-		t.Fatalf("final flush failed: %v", kp.FlushErr)
-	}
-	if sink.mem != fullSeen {
-		t.Errorf("sink received %d mem records, want every one of %d", sink.mem, fullSeen)
-	}
-	if sink.blocks == 0 {
-		t.Error("sink received no block records")
-	}
-	if len(kp.Trace.Mem) != 0 || len(kp.Trace.Blocks) != 0 {
-		t.Errorf("buffers not drained after FlushAll: mem=%d blocks=%d",
-			len(kp.Trace.Mem), len(kp.Trace.Blocks))
 	}
 }

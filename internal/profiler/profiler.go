@@ -2,8 +2,9 @@
 // (Section 3.2): it subscribes to the host runtime's mandatory
 // instrumentation events and to the device hooks the engine inserted,
 // maintains the shadow call stacks on both sides, buffers the per-kernel
-// traces, and performs the code-centric and data-centric attribution at
-// the end of each kernel instance.
+// traces (whole, or a per-warp sample under TraceCap), and performs the
+// code-centric and data-centric attribution at the end of each kernel
+// instance.
 package profiler
 
 import (
@@ -23,12 +24,11 @@ import (
 // calling context and source location of the allocation site — the
 // data-centric map of Section 3.2.2.
 type AllocRec struct {
-	Addr   uint64
-	Bytes  int64
-	Ctx    int32 // calling context of the allocating function
-	Loc    ir.Loc
-	Label  string
-	Device bool
+	Addr  uint64
+	Bytes int64
+	Ctx   int32 // calling context of the allocating function
+	Loc   ir.Loc
+	Label string
 }
 
 // Contains reports whether addr falls inside the allocation.
@@ -42,7 +42,6 @@ type CopyRec struct {
 	Dst   uint64
 	Src   uint64
 	Bytes int64
-	Ctx   int32
 	Loc   ir.Loc
 }
 
@@ -58,10 +57,6 @@ type KernelProfile struct {
 	// ArithCounts tallies arithmetic-hook events by opcode when the
 	// arithmetic category is instrumented.
 	ArithCounts map[ir.Op]int64
-
-	// FlushErr records a failure of the final buffer flush at kernel end
-	// (only possible with a flush sink; KernelEnd cannot return it).
-	FlushErr error
 }
 
 // Profiler implements rt.Listener and gpu hook handling. One Profiler
@@ -75,17 +70,10 @@ type Profiler struct {
 	Copies     []*CopyRec
 	Kernels    []*KernelProfile
 
-	// OnKernelEnd, if set, is CUDAAdvisor's online analyzer entry point,
-	// invoked at the end of every kernel instance (Section 3.3).
-	OnKernelEnd func(*KernelProfile)
-
 	// TraceCap bounds each kernel trace's Mem and Blocks buffers at this
-	// many records (0 = unbounded, the default). With TraceSink set, full
-	// buffers flush to it (the paper's finite-buffer design); without one
-	// the trace falls back to deterministic per-warp sampling and the
-	// analyses report the coverage fraction.
-	TraceCap  int
-	TraceSink trace.FlushSink
+	// many records (0 = unbounded, the default) by deterministic per-warp
+	// sampling, and the analyses report the coverage fraction.
+	TraceCap int
 
 	// Pool, when non-nil, is where the bundle's per-instance derivations
 	// fan out: each splits into CTA or record ranges that run on idle
@@ -126,14 +114,14 @@ func (p *Profiler) HostAlloc(buf *rt.HostBuf, loc ir.Loc) {
 // DeviceAlloc implements rt.Listener (cudaMalloc interposition).
 func (p *Profiler) DeviceAlloc(ptr uint64, bytes int64, loc ir.Loc) {
 	p.DevAllocs = append(p.DevAllocs, &AllocRec{
-		Addr: ptr, Bytes: bytes, Ctx: p.hostCtx, Loc: loc, Device: true,
+		Addr: ptr, Bytes: bytes, Ctx: p.hostCtx, Loc: loc,
 	})
 }
 
 // Memcpy implements rt.Listener (cudaMemcpy interposition).
 func (p *Profiler) Memcpy(kind rt.CopyKind, dst, src uint64, bytes int64, loc ir.Loc) {
 	p.Copies = append(p.Copies, &CopyRec{
-		Kind: kind, Dst: dst, Src: src, Bytes: bytes, Ctx: p.hostCtx, Loc: loc,
+		Kind: kind, Dst: dst, Src: src, Bytes: bytes, Loc: loc,
 	})
 }
 
@@ -147,7 +135,7 @@ func (p *Profiler) KernelLaunch(info *rt.LaunchInfo) (gpu.Hooks, error) {
 	}
 	kp.BaseCtx = p.CCT.Child(p.hostCtx, trace.Frame{Func: info.Kernel, Loc: info.Loc})
 	if p.TraceCap > 0 {
-		kp.Trace.SetBounds(p.TraceCap, p.TraceCap, p.TraceSink)
+		kp.Trace.SetCap(p.TraceCap)
 	}
 	p.Kernels = append(p.Kernels, kp)
 	if info.Tables == nil {
@@ -155,24 +143,19 @@ func (p *Profiler) KernelLaunch(info *rt.LaunchInfo) (gpu.Hooks, error) {
 	}
 	sink := &hookSink{kp: kp, ctx: p.CCT}
 	if p.TraceCap > 0 {
-		// A capped trace samples or flushes by the global event order,
-		// which only the ordered sink sees.
+		// A capped trace samples by the global event order, which only
+		// the ordered sink sees.
 		return sink, nil
 	}
 	return &smSinks{hookSink: sink}, nil
 }
 
-// KernelEnd implements rt.Listener: data marshaling is complete; invoke
-// the online analyzer.
+// KernelEnd implements rt.Listener: data marshaling is complete; the
+// launch's result joins its profile.
 func (p *Profiler) KernelEnd(info *rt.LaunchInfo, res *gpu.LaunchResult) {
 	for i := len(p.Kernels) - 1; i >= 0; i-- {
 		if p.Kernels[i].Info == info {
-			kp := p.Kernels[i]
-			kp.Result = res
-			kp.FlushErr = kp.Trace.FlushAll()
-			if p.OnKernelEnd != nil {
-				p.OnKernelEnd(kp)
-			}
+			p.Kernels[i].Result = res
 			return
 		}
 	}
@@ -204,7 +187,7 @@ func (s *hookSink) OnHook(w *gpu.WarpView, call *ir.Instr, args []gpu.LaneValues
 		if len(args) != 4 {
 			return fmt.Errorf("record_mem wants 4 args, got %d", len(args))
 		}
-		if err := s.kp.Trace.AddMem(trace.MemAccess{
+		s.kp.Trace.AddMem(trace.MemAccess{
 			CTA:   int32(w.CTALinear),
 			Warp:  int32(w.WarpInCTA),
 			Mask:  w.ActiveMask,
@@ -213,14 +196,12 @@ func (s *hookSink) OnHook(w *gpu.WarpView, call *ir.Instr, args []gpu.LaneValues
 			Bits:  uint8(args[1][lane]),
 			Loc:   s.kp.Trace.Locs.Intern(call.Loc),
 			Ctx:   w.HookCtx,
-		}, (*[trace.WarpSize]uint64)(&args[0])); err != nil {
-			return err
-		}
+		}, (*[trace.WarpSize]uint64)(&args[0]))
 	case instrument.HookBB:
 		if len(args) != 1 {
 			return fmt.Errorf("record_bb wants 1 arg, got %d", len(args))
 		}
-		if err := s.kp.Trace.AddBlock(trace.BlockExec{
+		s.kp.Trace.AddBlock(trace.BlockExec{
 			CTA:      int32(w.CTALinear),
 			Warp:     int32(w.WarpInCTA),
 			Mask:     w.ActiveMask,
@@ -228,9 +209,7 @@ func (s *hookSink) OnHook(w *gpu.WarpView, call *ir.Instr, args []gpu.LaneValues
 			Block:    int32(args[0][lane]),
 			Loc:      s.kp.Trace.Locs.Intern(call.Loc),
 			Ctx:      w.HookCtx,
-		}); err != nil {
-			return err
-		}
+		})
 	case instrument.HookPush:
 		if len(args) != 1 {
 			return fmt.Errorf("call_push wants 1 arg, got %d", len(args))

@@ -247,7 +247,7 @@ func TestProfilerDataCentric(t *testing.T) {
 	if obj == nil {
 		t.Fatal("no data object for device address")
 	}
-	if obj.Dev == nil || !obj.Dev.Device {
+	if obj.Dev == nil {
 		t.Fatal("device allocation missing")
 	}
 	// One H2D and one D2H copy overlap the allocation.
@@ -362,7 +362,9 @@ func TestProfilerNativeProgramNoTrace(t *testing.T) {
 	}
 }
 
-func TestProfilerOnKernelEndCallback(t *testing.T) {
+// TestProfilerKernelEndRecordsEachResult: KernelEnd joins each launch's
+// result to its own instance.
+func TestProfilerKernelEndRecordsEachResult(t *testing.T) {
 	m, err := irtext.Parse("app.mir", appSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -372,26 +374,24 @@ func TestProfilerOnKernelEndCallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := New()
-	fired := 0
-	p.OnKernelEnd = func(kp *KernelProfile) {
-		fired++
-		if kp.Result == nil {
-			t.Error("OnKernelEnd before result recorded")
-		}
-	}
 	cfg := gpu.KeplerK40c()
 	cfg.SMs = 1
 	ctx := rt.NewContext(gpu.NewDevice(cfg, 1<<20), p)
 	d, _ := ctx.CudaMalloc(4 * 32)
+	var results []*gpu.LaunchResult
 	for i := 0; i < 3; i++ {
-		if _, err := ctx.Launch(prog, "work", rt.Dim(1), rt.Dim(32), rt.Ptr(d), rt.I32(32)); err != nil {
+		res, err := ctx.Launch(prog, "work", rt.Dim(1), rt.Dim(32), rt.Ptr(d), rt.I32(32))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if fired != 3 {
-		t.Errorf("OnKernelEnd fired %d times, want 3", fired)
+		results = append(results, res)
 	}
 	if got := len(p.Kernels); got != 3 {
-		t.Errorf("instances = %d, want 3", got)
+		t.Fatalf("instances = %d, want 3", got)
+	}
+	for i, kp := range p.Kernels {
+		if kp.Result == nil || kp.Result != results[i] {
+			t.Errorf("instance %d: result %p, want its launch's %p", i, kp.Result, results[i])
+		}
 	}
 }

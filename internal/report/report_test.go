@@ -58,7 +58,7 @@ func TestBranchDivTable(t *testing.T) {
 
 func TestBypassComparisonTable(t *testing.T) {
 	rows := []bypass.Comparison{{
-		App: "syrk", Arch: "kepler", L1Bytes: 16 * 1024, WarpsPerCTA: 8,
+		App: "syrk", L1Bytes: 16 * 1024,
 		BaselineCycles: 1000, OracleCycles: 770, OracleWarps: 6,
 		PredictCycles: 820, PredictWarps: 4,
 	}}

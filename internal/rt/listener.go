@@ -37,8 +37,7 @@ func (NopListener) KernelEnd(*LaunchInfo, *gpu.LaunchResult) {}
 // run; the measurement behind the bypassing comparisons (Figures 6/7).
 type CycleCounter struct {
 	NopListener
-	Cycles   int64
-	Launches int
+	Cycles int64
 	// MaxCTAs is the largest grid (in CTAs) launched in this run — the
 	// measured #CTAs input of the bypass capacity model, taken from the
 	// actual launch rather than extrapolated from a smaller one.
@@ -55,7 +54,6 @@ func NewCycleCounter() *CycleCounter {
 // KernelEnd implements Listener.
 func (c *CycleCounter) KernelEnd(info *LaunchInfo, res *gpu.LaunchResult) {
 	c.Cycles += res.Cycles
-	c.Launches++
 	if res.CTAs > c.MaxCTAs {
 		c.MaxCTAs = res.CTAs
 	}

@@ -67,7 +67,6 @@ type LaunchInfo struct {
 	Kernel   string
 	Grid     [3]int
 	Block    [3]int
-	Module   *ir.Module
 	Tables   *instrument.Tables // nil for native (uninstrumented) programs
 	Loc      ir.Loc             // host call site
 	Sequence int                // launch sequence number in this context
@@ -111,8 +110,6 @@ type LaunchOptions struct {
 	// warp use L1 (no bypassing); k > 0 lets only the first k warps per
 	// CTA use L1; FullBypass sends every warp around L1.
 	L1Warps int
-	// MaxWarpInstrs overrides the runaway-kernel guard (0 = default).
-	MaxWarpInstrs int64
 	// Pool, when non-nil with more than one worker and one of them idle
 	// at launch, lets the executor fan the SM shards of a launch out
 	// across idle pool workers: a launch that calls no hook, and a hooked
@@ -251,8 +248,7 @@ func (c *Context) Launch(prog *instrument.Program, kernel string, grid, block [3
 		return nil, fmt.Errorf("rt: no kernel %q in module %s", kernel, prog.Module.Name)
 	}
 	info := &LaunchInfo{
-		Kernel: kernel, Grid: grid, Block: block,
-		Module: prog.Module, Tables: prog.Tables,
+		Kernel: kernel, Grid: grid, Block: block, Tables: prog.Tables,
 		Loc: callerLoc(1), Sequence: c.launches,
 	}
 	c.launches++
@@ -285,7 +281,6 @@ func (c *Context) Launch(prog *instrument.Program, kernel string, grid, block [3
 		Hooks:          hooks,
 		Pool:           c.Options.Pool,
 		L1WarpsPerCTA:  l1Warps,
-		MaxWarpInstrs:  c.Options.MaxWarpInstrs,
 		Ctx:            c.Options.Ctx,
 		WatchShared:    prog.Opts.SharedMemory,
 		RecordSchedule: c.Options.RecordSchedule,

@@ -187,16 +187,16 @@ func TestCycleCounter(t *testing.T) {
 	ctx, prog := newCtx(t, counter)
 	d, _ := ctx.CudaMalloc(4 * 64)
 	d2, _ := ctx.CudaMalloc(4 * 64)
+	var sum int64
 	for i := 0; i < 3; i++ {
-		if _, err := ctx.Launch(prog, "copy", Dim(1), Dim(64), Ptr(d), Ptr(d2), I32(64)); err != nil {
+		res, err := ctx.Launch(prog, "copy", Dim(1), Dim(64), Ptr(d), Ptr(d2), I32(64))
+		if err != nil {
 			t.Fatal(err)
 		}
+		sum += res.Cycles
 	}
-	if counter.Launches != 3 {
-		t.Errorf("launches = %d, want 3", counter.Launches)
-	}
-	if counter.Cycles <= 0 {
-		t.Error("no cycles accumulated")
+	if counter.Cycles <= 0 || counter.Cycles != sum {
+		t.Errorf("cycles = %d, want the 3 launches' %d", counter.Cycles, sum)
 	}
 	if counter.PerKernel["copy"] != counter.Cycles {
 		t.Error("per-kernel cycles do not add up")

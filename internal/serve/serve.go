@@ -84,7 +84,8 @@ type Config struct {
 	// callers.
 	AllowInject bool
 
-	// Log receives one line per completed request; nil = discard.
+	// Log receives one line per completed request, followed by the
+	// goroutine stack of a recovered panic; nil = discard.
 	Log io.Writer
 }
 
@@ -220,6 +221,9 @@ func (s *Server) gated(cmd string) http.HandlerFunc {
 			status = http.StatusInternalServerError
 		}
 		s.logf("serve: %s %s -> %d\n", r.Method, r.URL.Path, status)
+		if pe := (*runner.PanicError)(nil); errors.As(err, &pe) {
+			s.logf("%s", pe.Stack)
+		}
 		if status != http.StatusOK {
 			http.Error(w, err.Error(), status)
 			return

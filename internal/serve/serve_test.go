@@ -470,6 +470,45 @@ func TestChaosInjection(t *testing.T) {
 	}
 }
 
+// lockedBuffer is a Config.Log the handler goroutines and the test share.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestPanicStackLogged: a request that fails on a recovered panic logs
+// the panicking goroutine's stack after its status line, and its
+// response body stays the one-line error.
+func TestPanicStackLogged(t *testing.T) {
+	var log lockedBuffer
+	ts := newServer(t, serve.Config{Cache: profcache.New(""), AllowInject: true, Log: &log})
+	status, _, body := get(t, ts, "/v1/profile?app=bfs&mode=rd&inject=seed=7,panic=profile")
+	if status != http.StatusInternalServerError || strings.Contains(body, "goroutine") {
+		t.Fatalf("injected request = %d %q, want 500 without a stack", status, body)
+	}
+	out := log.String()
+	line := "serve: GET /v1/profile -> 500\n"
+	i := strings.Index(out, line)
+	if i < 0 {
+		t.Fatalf("log %q has no 500 line", out)
+	}
+	if stack := out[i+len(line):]; !strings.HasPrefix(stack, "goroutine") || !strings.Contains(stack, "internal/faultinject.") {
+		t.Errorf("log after the 500 line is not the panic's stack:\n%s", stack)
+	}
+}
+
 // TestPartialKeepGoing: with KeepGoing the failing cell renders as its
 // annotation line and the response is 200 with the partial header —
 // the HTTP mapping of the CLI's render-everything-exit-1 contract.

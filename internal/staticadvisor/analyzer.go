@@ -115,7 +115,6 @@ func (a *analyzer) funcResult(f *ir.Function) *FuncResult {
 		Fn:             f,
 		DivergentEntry: ctx.divEntry,
 		Divergent:      make([]bool, len(f.Blocks)),
-		Ret:            res.ret,
 		vals:           res.vals,
 	}
 	for i := range f.Blocks {

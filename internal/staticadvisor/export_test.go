@@ -40,3 +40,21 @@ func (fr *FuncResult) RegValue(name string) Value {
 	}
 	return Value{}
 }
+
+// RetOf re-derives the return-value summary of fr, a result of the
+// layout-free Analyze, from its final register values: the blocks
+// divergent from within the function are the influence regions of its
+// branches on a varying condition.
+func RetOf(fr *FuncResult) Value {
+	f := fr.Fn
+	pd := ir.PostDominators(f)
+	div := make([]bool, len(f.Blocks))
+	for _, b := range f.Blocks {
+		if t := b.Terminator(); t != nil && t.Op == ir.OpCBr && (Layout{}).Varying(operandValue(&t.Args[0], fr.vals)) {
+			for i, in := range influenceRegion(f, b, pd) {
+				div[i] = div[i] || in
+			}
+		}
+	}
+	return retSummary(f, fr.vals, div)
+}

@@ -129,9 +129,6 @@ type FuncResult struct {
 	// — the static form of the simulator's "divergent barrier" fault.
 	Barriers []BarrierFinding
 
-	// Ret is the abstract return value (Bottom for void functions).
-	Ret Value
-
 	vals []Value // final abstract value per register index
 }
 

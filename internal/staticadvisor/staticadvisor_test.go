@@ -304,8 +304,8 @@ exit:
 	// @double is called with an affine argument: its doubling preserves
 	// affineness, so the store through %d is strided.
 	dbl := FuncNamed(res, "double")
-	if dbl.Ret != affine(2) {
-		t.Errorf("@double ret = %v, want affine(2)", dbl.Ret)
+	if got := RetOf(dbl); got != affine(2) {
+		t.Errorf("@double ret = %v, want affine(2)", got)
 	}
 	if !dbl.DivergentEntry {
 		t.Error("@double should be marked divergent-entry (called from a guarded block)")
@@ -317,7 +317,7 @@ exit:
 	}
 	// @pick returns through two divergent rets? No: its condition is
 	// uniform (%n), so the two ret sites join to uniform.
-	if got := FuncNamed(res, "pick").Ret; got != uniform() {
+	if got := RetOf(FuncNamed(res, "pick")); got != uniform() {
 		t.Errorf("@pick ret = %v, want uniform", got)
 	}
 	fr := FuncNamed(res, "k")
@@ -353,7 +353,7 @@ entry:
   ret
 }
 `)
-	if got := FuncNamed(res, "sign").Ret; got != varying() {
+	if got := RetOf(FuncNamed(res, "sign")); got != varying() {
 		t.Errorf("@sign ret = %v, want varying (divergent rets)", got)
 	}
 }

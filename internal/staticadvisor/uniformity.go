@@ -313,7 +313,12 @@ func analyzeLocal(f *ir.Function, ctx context, resolve retResolver, lay Layout) 
 		}
 	}
 
-	// Return-value summary.
+	return localResult{vals: vals, divBlocks: divBlocks, ret: retSummary(f, vals, divBlocks)}
+}
+
+// retSummary is f's abstract return value: the join over its ret sites,
+// a site inside divBlocks counting as Varying (Bottom for void).
+func retSummary(f *ir.Function, vals []Value, divBlocks []bool) Value {
 	ret := Value{}
 	for _, b := range f.Blocks {
 		t := b.Terminator()
@@ -332,8 +337,7 @@ func analyzeLocal(f *ir.Function, ctx context, resolve retResolver, lay Layout) 
 		}
 		ret = join(ret, v)
 	}
-
-	return localResult{vals: vals, divBlocks: divBlocks, ret: ret}
+	return ret
 }
 
 // escapingRegs returns the registers with a definition inside the

@@ -1,15 +1,14 @@
 package trace
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 )
 
 // addMem offers tr a one-lane memory record for warp (cta, warp) whose
 // lane-0 address is the record's per-warp sequence number.
-func addMem(tr *KernelTrace, cta, warp int32, seq uint64) error {
-	return tr.AddMem(MemAccess{CTA: cta, Warp: warp, Mask: 1}, &[WarpSize]uint64{seq})
+func addMem(tr *KernelTrace, cta, warp int32, seq uint64) {
+	tr.AddMem(MemAccess{CTA: cta, Warp: warp, Mask: 1}, &[WarpSize]uint64{seq})
 }
 
 // lane0 decodes the payload addMem stored.
@@ -26,9 +25,7 @@ func blk(cta, warp, block int32) BlockExec {
 func TestUnboundedTraceAppends(t *testing.T) {
 	tr := NewKernelTrace("k", 0, [3]int{1, 1, 1}, [3]int{32, 1, 1})
 	for i := 0; i < 100; i++ {
-		if err := addMem(tr, 0, 0, uint64(i)); err != nil {
-			t.Fatal(err)
-		}
+		addMem(tr, 0, 0, uint64(i))
 	}
 	if len(tr.Mem) != 100 {
 		t.Fatalf("len(Mem) = %d, want 100", len(tr.Mem))
@@ -39,89 +36,15 @@ func TestUnboundedTraceAppends(t *testing.T) {
 	}
 }
 
-// collectSink gathers flushed records — for memory records the lane-0
-// payload, decoded during the flush as the FlushSink contract asks — and
-// can be told to fail.
-type collectSink struct {
-	mem    []uint64
-	blocks []BlockExec
-	fail   error
-}
-
-func (s *collectSink) FlushMem(tr *KernelTrace, recs []MemAccess) error {
-	if s.fail != nil {
-		return s.fail
-	}
-	for i := range recs {
-		s.mem = append(s.mem, lane0(tr, &recs[i]))
-	}
-	return nil
-}
-
-func (s *collectSink) FlushBlocks(_ *KernelTrace, recs []BlockExec) error {
-	if s.fail != nil {
-		return s.fail
-	}
-	s.blocks = append(s.blocks, recs...)
-	return nil
-}
-
-func TestSinkReceivesEveryRecordExactlyOnce(t *testing.T) {
-	tr := NewKernelTrace("k", 0, [3]int{1, 1, 1}, [3]int{32, 1, 1})
-	sink := &collectSink{}
-	tr.SetBounds(8, 4, sink)
-	const n = 100
-	for i := 0; i < n; i++ {
-		if err := addMem(tr, 0, 0, uint64(i)); err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.AddBlock(blk(0, 0, int32(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(tr.Mem) > 8 || len(tr.Blocks) > 4 {
-		t.Fatalf("buffer exceeded cap: mem %d, blocks %d", len(tr.Mem), len(tr.Blocks))
-	}
-	if err := tr.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	if len(sink.mem) != n || len(sink.blocks) != n {
-		t.Fatalf("sink got %d mem, %d blocks, want %d each", len(sink.mem), len(sink.blocks), n)
-	}
-	for i, seq := range sink.mem {
-		if seq != uint64(i) {
-			t.Fatalf("sink mem[%d] has seq %d: records reordered or duplicated", i, seq)
-		}
-	}
-	if tr.MemFlushed != n || tr.BlocksFlushed != n {
-		t.Errorf("flushed counters = %d/%d, want %d/%d", tr.MemFlushed, tr.BlocksFlushed, n, n)
-	}
-}
-
-func TestSinkErrorPropagates(t *testing.T) {
-	tr := NewKernelTrace("k", 0, [3]int{1, 1, 1}, [3]int{32, 1, 1})
-	boom := errors.New("sink full")
-	tr.SetBounds(2, 0, &collectSink{fail: boom})
-	var err error
-	for i := 0; i < 10 && err == nil; i++ {
-		err = addMem(tr, 0, 0, uint64(i))
-	}
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want wrapped %v", err, boom)
-	}
-}
-
 // TestSamplingKeepsEveryNthPerWarp drives one warp far past the cap and
 // checks the surviving records are exactly the per-warp seqs divisible by
 // the final sampling period.
 func TestSamplingKeepsEveryNthPerWarp(t *testing.T) {
 	tr := NewKernelTrace("k", 0, [3]int{1, 1, 1}, [3]int{32, 1, 1})
-	tr.SetBounds(16, 0, nil)
+	tr.SetCap(16)
 	const n = 1000
 	for i := 0; i < n; i++ {
-		if err := addMem(tr, 0, 0, uint64(i)); err != nil {
-			t.Fatal(err)
-		}
+		addMem(tr, 0, 0, uint64(i))
 	}
 	if len(tr.Mem) > 16+1 {
 		t.Fatalf("len(Mem) = %d, want <= cap", len(tr.Mem))
@@ -154,14 +77,12 @@ func TestSamplingKeepsEveryNthPerWarp(t *testing.T) {
 func TestSamplingIsPerWarp(t *testing.T) {
 	keptFor := func(interleave func(add func(w int32, seq uint64))) map[int32][]uint64 {
 		tr := NewKernelTrace("k", 0, [3]int{1, 1, 1}, [3]int{64, 1, 1})
-		tr.SetBounds(8, 0, nil)
+		tr.SetCap(8)
 		seqs := map[int32]uint64{}
 		interleave(func(w int32, _ uint64) {
 			s := seqs[w]
 			seqs[w] = s + 1
-			if err := addMem(tr, 0, w, s); err != nil {
-				panic(err)
-			}
+			addMem(tr, 0, w, s)
 		})
 		out := map[int32][]uint64{}
 		for i := range tr.Mem {
@@ -194,12 +115,10 @@ func TestSamplingIsPerWarp(t *testing.T) {
 func TestSamplingDeterministicAcrossRuns(t *testing.T) {
 	run := func() []MemAccess {
 		tr := NewKernelTrace("k", 0, [3]int{1, 1, 1}, [3]int{128, 1, 1})
-		tr.SetBounds(32, 0, nil)
+		tr.SetCap(32)
 		for i := 0; i < 500; i++ {
 			w := int32(i % 4)
-			if err := addMem(tr, 0, w, uint64(i/4)); err != nil {
-				t.Fatal(err)
-			}
+			addMem(tr, 0, w, uint64(i/4))
 		}
 		return tr.Mem
 	}
@@ -211,11 +130,9 @@ func TestSamplingDeterministicAcrossRuns(t *testing.T) {
 
 func TestBlockSamplingBounded(t *testing.T) {
 	tr := NewKernelTrace("k", 0, [3]int{1, 1, 1}, [3]int{32, 1, 1})
-	tr.SetBounds(0, 8, nil)
+	tr.SetCap(8)
 	for i := 0; i < 300; i++ {
-		if err := tr.AddBlock(blk(0, int32(i%3), int32(i))); err != nil {
-			t.Fatal(err)
-		}
+		tr.AddBlock(blk(0, int32(i%3), int32(i)))
 	}
 	if len(tr.Blocks) > 8+3 {
 		t.Fatalf("len(Blocks) = %d, want near cap 8", len(tr.Blocks))
@@ -224,13 +141,12 @@ func TestBlockSamplingBounded(t *testing.T) {
 	if seen != 300 || rec != int64(len(tr.Blocks)) {
 		t.Errorf("coverage = %d/%d", rec, seen)
 	}
-	// Mem side is unbounded here.
-	for i := 0; i < 50; i++ {
-		if err := addMem(tr, 0, 0, uint64(i)); err != nil {
-			t.Fatal(err)
-		}
+	// The Mem buffer keeps its own period: the blocks' overflow did not
+	// sample it.
+	for i := 0; i < 8; i++ {
+		addMem(tr, 0, 0, uint64(i))
 	}
-	if len(tr.Mem) != 50 {
-		t.Errorf("unbounded mem buffer sampled: len = %d, want 50", len(tr.Mem))
+	if len(tr.Mem) != 8 || tr.MemSampleN != 1 {
+		t.Errorf("mem buffer below its cap sampled: len = %d, period %d, want 8, 1", len(tr.Mem), tr.MemSampleN)
 	}
 }

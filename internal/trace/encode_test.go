@@ -37,9 +37,7 @@ func roundTrip(t *testing.T, blockW int, mask uint32, addrs [WarpSize]uint64) *M
 		mask  uint32
 		addrs *[WarpSize]uint64
 	}{{0x7, &noise}, {mask, &addrs}, {0x7, &noise}} {
-		if err := tr.AddMem(MemAccess{Mask: rec.mask}, rec.addrs); err != nil {
-			t.Fatal(err)
-		}
+		tr.AddMem(MemAccess{Mask: rec.mask}, rec.addrs)
 	}
 	m := &tr.Mem[1]
 	var got [WarpSize]uint64
@@ -143,24 +141,20 @@ func checkArena(t *testing.T, tr *KernelTrace) {
 	if len(tr.arena) != want {
 		t.Fatalf("arena holds %d addresses, the %d buffered records need %d", len(tr.arena), len(tr.Mem), want)
 	}
-	if limit := 2 * WarpSize * (tr.MemCap + 1); cap(tr.arena) > limit {
-		t.Fatalf("arena capacity %d exceeds %d for a cap of %d records", cap(tr.arena), limit, tr.MemCap)
+	if limit := 2 * WarpSize * (tr.limit + 1); cap(tr.arena) > limit {
+		t.Fatalf("arena capacity %d exceeds %d for a cap of %d records", cap(tr.arena), limit, tr.limit)
 	}
 }
 
 func TestSamplingCompactsArena(t *testing.T) {
 	tr := NewKernelTrace("k", 0, [3]int{1, 1, 1}, [3]int{128, 1, 1})
-	tr.SetBounds(16, 0, nil)
+	tr.SetCap(16)
 	for i := 0; i < 4000; i++ {
 		warp, seq := int32(i%4), uint64(i/4)
-		var err error
 		if i%3 == 0 { // every third record is affine and owns no arena
-			err = addMem(tr, 0, warp, seq)
+			addMem(tr, 0, warp, seq)
 		} else {
-			err = tr.AddMem(scattered(warp, seq))
-		}
-		if err != nil {
-			t.Fatal(err)
+			tr.AddMem(scattered(warp, seq))
 		}
 		checkArena(t, tr)
 	}
@@ -180,52 +174,6 @@ func TestSamplingCompactsArena(t *testing.T) {
 	}
 }
 
-// decodingSink reads every flushed record's lanes through the trace it
-// is handed, as a real sink must.
-type decodingSink struct {
-	t    *testing.T
-	seqs []uint64
-}
-
-func (s *decodingSink) FlushMem(tr *KernelTrace, recs []MemAccess) error {
-	var got [WarpSize]uint64
-	for i := range recs {
-		tr.LaneAddrs(&recs[i], &got)
-		if got[1] != uint64(recs[i].Warp) || got[2] != got[0]+3 {
-			s.t.Errorf("flushed record of warp %d decodes to %v", recs[i].Warp, got[:3])
-		}
-		s.seqs = append(s.seqs, got[0])
-	}
-	return nil
-}
-
-func (s *decodingSink) FlushBlocks(*KernelTrace, []BlockExec) error { return nil }
-
-func TestSinkFlushResetsArena(t *testing.T) {
-	tr := NewKernelTrace("k", 0, [3]int{1, 1, 1}, [3]int{32, 1, 1})
-	sink := &decodingSink{t: t}
-	tr.SetBounds(8, 0, sink)
-	const n = 1000
-	for i := 0; i < n; i++ {
-		if err := tr.AddMem(scattered(int32(i%2), uint64(i))); err != nil {
-			t.Fatal(err)
-		}
-		checkArena(t, tr)
-	}
-	if err := tr.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	checkArena(t, tr)
-	if len(sink.seqs) != n {
-		t.Fatalf("sink decoded %d records, want %d", len(sink.seqs), n)
-	}
-	for i, seq := range sink.seqs {
-		if seq != uint64(i) {
-			t.Fatalf("sink record %d has seq %d", i, seq)
-		}
-	}
-}
-
 // TestReleaseKeepsHeaderAndCoverage: a released trace holds no record
 // and no arena, and still reports the coverage of the run it recorded,
 // sampled or complete.
@@ -233,15 +181,11 @@ func TestReleaseKeepsHeaderAndCoverage(t *testing.T) {
 	for _, limit := range []int{0, 16} {
 		tr := NewKernelTrace("k", 3, [3]int{1, 1, 1}, [3]int{128, 1, 1})
 		if limit > 0 {
-			tr.SetBounds(limit, limit, nil)
+			tr.SetCap(limit)
 		}
 		for i := 0; i < 100; i++ {
-			if err := tr.AddMem(scattered(int32(i%4), uint64(i/4))); err != nil {
-				t.Fatal(err)
-			}
-			if err := tr.AddBlock(BlockExec{Warp: int32(i % 4), Mask: 1, InitMask: 1}); err != nil {
-				t.Fatal(err)
-			}
+			tr.AddMem(scattered(int32(i%4), uint64(i/4)))
+			tr.AddBlock(BlockExec{Warp: int32(i % 4), Mask: 1, InitMask: 1})
 		}
 		memRec, memSeen := tr.MemCoverage()
 		blkRec, blkSeen := tr.BlocksCoverage()
@@ -284,12 +228,8 @@ func TestAppendEqualsDirectAdds(t *testing.T) {
 			addrs = &a
 		}
 		rec.Loc, rec.Ctx = tr.Locs.Intern(locs[e.loc]), ctx
-		if err := tr.AddMem(rec, addrs); err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.AddBlock(BlockExec{Warp: int32(i), Loc: rec.Loc, Ctx: ctx}); err != nil {
-			t.Fatal(err)
-		}
+		tr.AddMem(rec, addrs)
+		tr.AddBlock(BlockExec{Warp: int32(i), Loc: rec.Loc, Ctx: ctx})
 	}
 	block := [3]int{128, 1, 1}
 	want := NewKernelTrace("k", 0, [3]int{1, 1, 1}, block)

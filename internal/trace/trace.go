@@ -12,6 +12,11 @@
 // into the trace's arena of explicit addresses. KernelTrace.LaneAddrs
 // is the one decoder, so a record is meaningful only together with the
 // trace that encoded it.
+//
+// A trace holds its records until Release; a capped one (SetCap) keeps a
+// deterministic per-warp sample of them and counts every event offered.
+// Nothing flushes full buffers to the host as the paper's profiler does
+// (Section 3.2).
 package trace
 
 import (
@@ -84,34 +89,15 @@ type BlockExec struct {
 // every live thread of the warp executed it.
 func (b BlockExec) Divergent() bool { return b.Mask != b.InitMask }
 
-// FlushSink consumes full trace buffers at overflow, mirroring the
-// paper's design of flushing the finite GPU global-memory buffers to the
-// host when they fill (Section 3.2). A sink receives every record exactly
-// once: batches at each overflow, plus the final partial batch when
-// FlushAll runs at kernel exit. Sink errors abort the kernel (they
-// surface as hook errors, which the executor turns into gpu faults).
-//
-// The records handed to FlushMem and the arena behind them are reused as
-// soon as the call returns: a sink decodes what it needs with
-// t.LaneAddrs during the call and keeps the results, not the records.
-type FlushSink interface {
-	FlushMem(t *KernelTrace, recs []MemAccess) error
-	FlushBlocks(t *KernelTrace, recs []BlockExec) error
-}
-
 // KernelTrace is the full profile buffer of one kernel instance, copied
 // "back to the host" at kernel exit.
 //
-// The Mem and Blocks buffers are unbounded by default (MemCap and
-// BlocksCap zero). With a cap set, AddMem/AddBlock keep the buffer
-// within the cap by one of two policies:
-//
-//   - with a Sink, the full buffer is flushed to it at overflow and
-//     reset (the paper's buffer-flush design);
-//   - without a Sink, a deterministic sampling fallback keeps every Nth
-//     access per warp (GPA-style degradation): the sampling period
-//     starts at 1 and doubles at each overflow, and the buffer is
-//     compacted to exactly the records the new period would have kept.
+// The Mem and Blocks buffers are unbounded by default. Under SetCap,
+// AddMem/AddBlock keep each buffer within the cap by deterministic
+// sampling that keeps every Nth access per warp (GPA-style degradation):
+// the sampling period starts at 1 and doubles at each overflow, and the
+// buffer is compacted to exactly the records the new period would have
+// kept.
 //
 // MemSeen/BlocksSeen count every event offered, so analyses can report
 // their coverage fraction instead of silently undercounting.
@@ -132,21 +118,15 @@ type KernelTrace struct {
 
 	Locs *LocTable
 
-	// MemCap/BlocksCap bound the buffers (0 = unbounded). Set them via
-	// SetBounds before recording.
-	MemCap    int
-	BlocksCap int
-	Sink      FlushSink
+	// limit bounds each of Mem and Blocks (0 = unbounded); set by SetCap.
+	limit int
 
-	// MemSeen/BlocksSeen count events offered to AddMem/AddBlock;
-	// MemFlushed/BlocksFlushed count records already handed to the Sink.
-	MemSeen       int64
-	BlocksSeen    int64
-	MemFlushed    int64
-	BlocksFlushed int64
+	// MemSeen/BlocksSeen count events offered to AddMem/AddBlock.
+	MemSeen    int64
+	BlocksSeen int64
 
 	// MemSampleN/BlockSampleN are the current sampling periods (power of
-	// two, 1 = record everything); meaningful only in sampling mode.
+	// two, 1 = record everything); meaningful only under SetCap.
 	MemSampleN   int64
 	BlockSampleN int64
 
@@ -171,63 +151,39 @@ func NewKernelTrace(kernel string, instance int, grid, block [3]int) *KernelTrac
 	}
 }
 
-// SetBounds caps the Mem and Blocks buffers at memCap and blocksCap
-// records (0 leaves a buffer unbounded). With a non-nil sink, full
-// buffers are flushed to it; without one the sampling fallback engages.
-func (t *KernelTrace) SetBounds(memCap, blocksCap int, sink FlushSink) {
-	t.MemCap, t.BlocksCap, t.Sink = memCap, blocksCap, sink
+// SetCap bounds the Mem and Blocks buffers at n records each (n > 0),
+// before anything is recorded.
+func (t *KernelTrace) SetCap(n int) {
+	t.limit = n
 	t.MemSampleN, t.BlockSampleN = 1, 1
-	if sink == nil {
-		t.memWarpSeen = make(map[warpID]int64)
-		t.blockWarpSeen = make(map[warpID]int64)
-	}
+	t.memWarpSeen, t.blockWarpSeen = make(map[warpID]int64), make(map[warpID]int64)
 }
 
 // AddMem records one warp-level memory event under the buffer policy:
 // rec carries the header, addrs the effective address of every lane in
 // rec.Mask (other lanes are ignored).
-func (t *KernelTrace) AddMem(rec MemAccess, addrs *[WarpSize]uint64) error {
+func (t *KernelTrace) AddMem(rec MemAccess, addrs *[WarpSize]uint64) {
 	t.MemSeen++
-	if t.MemCap > 0 {
-		if keep, err := t.admit("mem", len(t.Mem), t.MemCap, &t.MemSampleN, &t.memWarpSeen,
-			warpID{rec.CTA, rec.Warp}, t.flushMem, t.compactMem); !keep {
-			return err
-		}
+	if t.limit > 0 && !t.admit(len(t.Mem), &t.MemSampleN, t.memWarpSeen, warpID{rec.CTA, rec.Warp}, t.compactMem) {
+		return
 	}
 	t.appendMem(rec, addrs)
-	return nil
 }
 
-// admit applies the policy of the bounded buffer named what, holding n
-// of at most limit records, to one offered event of warp id: it makes
-// room when the buffer is full and reports whether the event is to be
-// appended (never after a failed flush).
-func (t *KernelTrace) admit(what string, n, limit int, period *int64, seen *map[warpID]int64, id warpID,
-	flush func() error, compact func()) (bool, error) {
-	if t.Sink != nil {
-		if n >= limit {
-			if err := flush(); err != nil {
-				return false, fmt.Errorf("trace: %s buffer flush: %w", what, err)
-			}
-		}
-		return true, nil
-	}
-	// Sampling fallback: keep per-warp event seq % period == 0.
-	if *period <= 0 { // cap set without SetBounds
-		*period = 1
-	}
-	if *seen == nil {
-		*seen = make(map[warpID]int64)
-	}
-	seq := (*seen)[id]
-	(*seen)[id] = seq + 1
-	if n >= limit && seq%*period == 0 {
+// admit applies the sampling policy to one offered event of warp id, for
+// a buffer holding n records: it compacts the buffer when it is full and
+// reports whether the event is to be appended (its per-warp seq is a
+// multiple of the period).
+func (t *KernelTrace) admit(n int, period *int64, seen map[warpID]int64, id warpID, compact func()) bool {
+	seq := seen[id]
+	seen[id] = seq + 1
+	if n >= t.limit && seq%*period == 0 {
 		// Double the period and compact: keeping every other record per
 		// warp turns the kept set from seq%N==0 into seq%2N==0 exactly.
 		*period *= 2
 		compact()
 	}
-	return seq%*period == 0, nil
+	return seq%*period == 0
 }
 
 // appendMem is the one encoder. It proposes strides — the lane stride
@@ -274,8 +230,7 @@ func (m *MemAccess) laneAddr(l int, rowShift uint8) uint64 {
 	return m.base + uint64(m.stride)*uint64(l&(1<<rowShift-1)) + uint64(m.rowStride)*uint64(l>>rowShift)
 }
 
-// LaneAddrs expands m, a record of t.Mem (or of the batch a FlushSink
-// was just handed), into the effective address of every lane in m.Mask.
+// LaneAddrs expands m, a record of t.Mem, into the effective address of every lane in m.Mask.
 // Lanes outside the mask are left unspecified.
 func (t *KernelTrace) LaneAddrs(m *MemAccess, out *[WarpSize]uint64) {
 	if m.explicit {
@@ -305,43 +260,18 @@ func (t *KernelTrace) compactMem() {
 	t.arena = t.arena[:n]
 }
 
-// flushMem hands the buffered memory records to the Sink and resets the
-// buffer and its arena.
-func (t *KernelTrace) flushMem() error {
-	if err := t.Sink.FlushMem(t, t.Mem); err != nil {
-		return err
-	}
-	t.MemFlushed += int64(len(t.Mem))
-	t.Mem, t.arena = t.Mem[:0], t.arena[:0]
-	return nil
-}
-
 // AddBlock records one warp-level basic-block event under the buffer
 // policy (same semantics as AddMem).
-func (t *KernelTrace) AddBlock(rec BlockExec) error {
+func (t *KernelTrace) AddBlock(rec BlockExec) {
 	t.BlocksSeen++
-	if t.BlocksCap > 0 {
-		if keep, err := t.admit("block", len(t.Blocks), t.BlocksCap, &t.BlockSampleN, &t.blockWarpSeen,
-			warpID{rec.CTA, rec.Warp}, t.flushBlocks, t.compactBlocks); !keep {
-			return err
-		}
+	if t.limit > 0 && !t.admit(len(t.Blocks), &t.BlockSampleN, t.blockWarpSeen, warpID{rec.CTA, rec.Warp}, t.compactBlocks) {
+		return
 	}
 	t.Blocks = append(t.Blocks, rec)
-	return nil
 }
 
 func (t *KernelTrace) compactBlocks() {
 	t.Blocks = compactEveryOther(t.Blocks, func(b *BlockExec) warpID { return warpID{b.CTA, b.Warp} })
-}
-
-// flushBlocks is flushMem for the basic-block buffer.
-func (t *KernelTrace) flushBlocks() error {
-	if err := t.Sink.FlushBlocks(t, t.Blocks); err != nil {
-		return err
-	}
-	t.BlocksFlushed += int64(len(t.Blocks))
-	t.Blocks = t.Blocks[:0]
-	return nil
 }
 
 // compactEveryOther keeps every other record per warp, in order: kept
@@ -359,25 +289,6 @@ func compactEveryOther[T any](recs []T, key func(*T) warpID) []T {
 		pos[id]++
 	}
 	return out
-}
-
-// FlushAll hands any buffered records to the Sink (the kernel-exit copy
-// back to the host). A no-op without a sink.
-func (t *KernelTrace) FlushAll() error {
-	if t.Sink == nil {
-		return nil
-	}
-	if len(t.Mem) > 0 {
-		if err := t.flushMem(); err != nil {
-			return fmt.Errorf("trace: final mem flush: %w", err)
-		}
-	}
-	if len(t.Blocks) > 0 {
-		if err := t.flushBlocks(); err != nil {
-			return fmt.Errorf("trace: final block flush: %w", err)
-		}
-	}
-	return nil
 }
 
 // Append moves the records of frag, an uncapped trace of the same

@@ -9,7 +9,9 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -142,10 +144,11 @@ var sharedTestAPI = map[string]bool{
 // source files, one shared types.Info for all of them, and imports the
 // standard library from its export data.
 type moduleChecker struct {
-	fset *token.FileSet
-	std  types.Importer
-	info *types.Info
-	pkgs map[string]*types.Package // by import path: the module's and std's
+	fset  *token.FileSet
+	std   types.Importer
+	info  *types.Info
+	pkgs  map[string]*types.Package // by import path: the module's and std's
+	files []*ast.File               // every file check has type-checked
 }
 
 func (c *moduleChecker) Import(path string) (*types.Package, error) {
@@ -190,6 +193,7 @@ func (c *moduleChecker) check(path, dir string) (*types.Package, error) {
 		return nil, err
 	}
 	c.pkgs[path] = p
+	c.files = append(c.files, files...)
 	return p, nil
 }
 
@@ -224,6 +228,55 @@ func (c *moduleChecker) stdInterfaces(p *types.Package) ([]*types.Interface, err
 	return out, nil
 }
 
+var loaded struct {
+	once   sync.Once
+	c      *moduleChecker
+	module []*types.Package
+	err    error
+}
+
+// loadModule type-checks every non-test package of the module, and bench/
+// as one more user, once per test binary. It returns the checker and the
+// module's packages (bench/ is not among them).
+func loadModule(t *testing.T) (*moduleChecker, []*types.Package) {
+	t.Helper()
+	loaded.once.Do(func() {
+		c := &moduleChecker{
+			fset: token.NewFileSet(),
+			std:  importer.Default(),
+			info: &types.Info{
+				Types:      map[ast.Expr]types.TypeAndValue{},
+				Uses:       map[*ast.Ident]types.Object{},
+				Selections: map[*ast.SelectorExpr]*types.Selection{},
+			},
+			pkgs: map[string]*types.Package{},
+		}
+		var module []*types.Package
+		err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == "bench") {
+				return filepath.SkipDir
+			}
+			p, err := c.Import(strings.TrimSuffix("cudaadvisor/"+filepath.ToSlash(path), "/."))
+			if _, none := err.(*build.NoGoError); none {
+				return nil
+			}
+			module = append(module, p)
+			return err
+		})
+		if err == nil {
+			_, err = c.check("cudaadvisor/bench", "bench")
+		}
+		loaded.c, loaded.module, loaded.err = c, module, err
+	})
+	if loaded.err != nil {
+		t.Fatal(loaded.err)
+	}
+	return loaded.c, loaded.module
+}
+
 // TestEveryExportedFuncIsCalled fails on an exported top-level function
 // or method of a named type that no non-test code refers to: an entry
 // point kept alive by its tests alone. bench/ is checked as one more
@@ -232,38 +285,7 @@ func (c *moduleChecker) stdInterfaces(p *types.Package) ([]*types.Interface, err
 // or error), since a call through the interface names no concrete method.
 // What tests across packages share is listed above.
 func TestEveryExportedFuncIsCalled(t *testing.T) {
-	c := &moduleChecker{
-		fset: token.NewFileSet(),
-		std:  importer.Default(),
-		info: &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-		},
-		pkgs: map[string]*types.Package{},
-	}
-	var module []*types.Package
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == "bench") {
-			return filepath.SkipDir
-		}
-		p, err := c.Import(strings.TrimSuffix("cudaadvisor/"+filepath.ToSlash(path), "/."))
-		if _, none := err.(*build.NoGoError); none {
-			return nil
-		}
-		module = append(module, p)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.check("cudaadvisor/bench", "bench"); err != nil {
-		t.Fatal(err)
-	}
-
+	c, module := loadModule(t)
 	used := map[types.Object]bool{}
 	for _, obj := range c.info.Uses {
 		if fn, ok := obj.(*types.Func); ok {
@@ -325,5 +347,152 @@ func TestEveryExportedFuncIsCalled(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// unreadFieldOK lists fields that no non-test code reads but that stay.
+var unreadFieldOK = map[string]bool{
+	// The hook API's view of a warp, fingerprinted whole by
+	// TestSchedulerOrderGolden.
+	"internal/gpu.WarpView.SM":    true,
+	"internal/gpu.WarpView.Cycle": true,
+	// The analyzer's final value per register: the seam the executor's
+	// uniform and affine registers are to read.
+	"internal/staticadvisor.FuncResult.vals": true,
+}
+
+// unreadFields returns, as "path.Type.field" (path trimmed of prefix),
+// each field of a package-level struct type of pkgs that no file of
+// files reads. Selecting a field reads it, taking its address included,
+// except as the target of an assignment or inc/dec; a composite-literal
+// key is no selection. Embedded fields, fields with a json: tag (which
+// encoding/json reads) and fields of a struct used as a map key type
+// (which == reads) are exempt.
+func unreadFields(info *types.Info, files []*ast.File, pkgs []*types.Package, prefix string) []string {
+	written := map[*ast.SelectorExpr]bool{}
+	target := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			written[sel] = true
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					target(lhs)
+				}
+			case *ast.IncDecStmt:
+				target(n.X)
+			}
+			return true
+		})
+	}
+	read := map[types.Object]bool{}
+	for sel, s := range info.Selections {
+		if s.Kind() == types.FieldVal && !written[sel] {
+			read[s.Obj().(*types.Var).Origin()] = true
+		}
+	}
+	// keys holds the struct types == compares through a map key type,
+	// and the struct types nested in them.
+	keys := map[types.Type]bool{}
+	var markKey func(types.Type)
+	markKey = func(k types.Type) {
+		if keys[k] {
+			return
+		}
+		keys[k] = true
+		switch u := k.Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				markKey(u.Field(i).Type())
+			}
+		case *types.Array:
+			markKey(u.Elem())
+		}
+	}
+	for _, tv := range info.Types {
+		if m, ok := tv.Type.Underlying().(*types.Map); ok {
+			markKey(m.Key())
+		}
+	}
+
+	var out []string
+	for _, p := range pkgs {
+		for _, name := range p.Scope().Names() {
+			obj, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok || obj.IsAlias() || keys[obj.Type()] {
+				continue
+			}
+			st, ok := obj.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if f.Embedded() || read[f] || strings.Contains(st.Tag(i), `json:"`) {
+					continue
+				}
+				out = append(out, strings.TrimPrefix(p.Path(), prefix)+"."+name+"."+f.Name())
+			}
+		}
+	}
+	return out
+}
+
+// TestEveryFieldIsRead fails on a struct field that the module's
+// non-test code writes, or only sets in literals, but never reads: state
+// nobody consumes. bench/ counts as a reader.
+func TestEveryFieldIsRead(t *testing.T) {
+	c, module := loadModule(t)
+	for _, key := range unreadFields(c.info, c.files, module, "cudaadvisor/") {
+		if !unreadFieldOK[key] {
+			t.Errorf("%s: field, and no non-test code reads it", key)
+		}
+	}
+}
+
+// TestUnreadFieldsRules checks the field guard's rules on a package of
+// its own, apart from the module's state.
+func TestUnreadFieldsRules(t *testing.T) {
+	const src = `package p
+
+type T struct {
+	written int
+	counter int
+	addr    int
+	tagged  int ` + "`json:\"tagged\"`" + `
+	read    int
+}
+
+type K struct{ a, b int }
+
+var seen map[K]bool
+
+func f(t *T) (*int, int) {
+	t.written = 1
+	t.counter += 2
+	t.counter++
+	_ = T{written: 3, read: 4}
+	return &t.addr, t.read
+}
+`
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "p.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	p, err := (&types.Config{}).Check("p", fset, []*ast.File{file}, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := unreadFields(info, []*ast.File{file}, []*types.Package{p}, "")
+	if want := []string{"p.T.written", "p.T.counter"}; !slices.Equal(got, want) {
+		t.Errorf("unread fields = %v, want %v", got, want)
 	}
 }
