@@ -21,8 +21,12 @@
 //	lint-smem    predict shared-memory bank-conflict degrees and
 //	             intra-CTA same-interval races
 //
-// The lint passes are analyses: they write findings to stdout and leave
-// the module unchanged. -mem/-blocks/-arith select the optional
+// The lint passes are analyses: they print the static advisor's findings
+// (findings.FromStatic, the model lint and advise report from) to stdout,
+// one line each, and leave the module unchanged. They live in this
+// command rather than in internal/pass, because the findings package
+// imports the instrumentation engine, which imports pass.
+// -mem/-blocks/-arith select the optional
 // instrumentation categories (the mandatory call/return instrumentation
 // is always inserted when any category is enabled).
 package main
@@ -44,16 +48,15 @@ import (
 // passRegistry maps -passes names to constructors. Lint passes write
 // their findings to out.
 func passRegistry(out io.Writer) map[string]func() pass.Pass {
-	return map[string]func() pass.Pass{
-		"verify":       func() pass.Pass { return pass.VerifyPass{} },
-		"constfold":    pass.ConstFold,
-		"dce":          pass.DCE,
-		"lint":         func() pass.Pass { return pass.Lint(out) },
-		"lint-branch":  func() pass.Pass { return pass.LintBranches(out) },
-		"lint-mem":     func() pass.Pass { return pass.LintMemory(out) },
-		"lint-barrier": func() pass.Pass { return pass.LintBarriers(out) },
-		"lint-smem":    func() pass.Pass { return pass.LintSharedMemory(out) },
+	reg := map[string]func() pass.Pass{
+		"verify":    func() pass.Pass { return pass.VerifyPass{} },
+		"constfold": pass.ConstFold,
+		"dce":       pass.DCE,
 	}
+	for name, kinds := range lintKinds {
+		reg[name] = func() pass.Pass { return &lintPass{name: name, kinds: kinds, w: out} }
+	}
+	return reg
 }
 
 func passNames(reg map[string]func() pass.Pass) []string {

@@ -12,9 +12,12 @@ import (
 )
 
 // FromStatic maps a static advisor module result into findings, one per
-// branch/access/barrier report, with no dynamic evidence attached
-// (Verdict static-only). lineSize selects the predicted-lines figure
-// carried in the access evidence.
+// branch, global access, barrier, shared access and race the analyzer
+// reports, in module order and kind by kind within a function, with no
+// dynamic evidence attached (Verdict static-only). It drops nothing:
+// conflict-free and broadcast shared accesses are findings too, which
+// Advises leaves out of reports. lineSize selects the predicted-lines
+// figure carried in the access evidence.
 func FromStatic(res *staticadvisor.ModuleResult, lineSize int) []Finding {
 	var out []Finding
 	for _, fr := range res.Funcs {
@@ -58,9 +61,6 @@ func FromStatic(res *staticadvisor.ModuleResult, lineSize int) []Finding {
 			})
 		}
 		for _, sa := range fr.SharedAccesses {
-			if sa.Degree <= 1 {
-				continue // conflict-free or broadcast: nothing to advise
-			}
 			ev := StaticEvidence{
 				Shape:       sa.Addr.String(),
 				AccessOp:    sa.Op.String(),
@@ -112,9 +112,16 @@ func declName(d string) string {
 	return d
 }
 
+// Advises reports whether a finding is advice: every finding is, except
+// a shared access of static degree ≤ 1 (conflict-free or broadcast),
+// which the lint listings show and reports leave out.
+func (f *Finding) Advises() bool {
+	return f.Kind != KindBankConflict || f.Static.Degree > 1
+}
+
 // PredictLines recomputes the static lines-per-warp prediction of an
 // access finding at a different line size than the one the report was
-// built with (the lint view shows both evaluated architectures). It
+// built with (the lint views show both evaluated architectures). It
 // matches staticadvisor.AccessFinding.PredictedLines.
 func PredictLines(class string, strideBytes int64, accessBytes, lineSize int) int {
 	af := staticadvisor.AccessFinding{Bytes: accessBytes, Stride: strideBytes}
@@ -445,7 +452,7 @@ func bankAdvice(f *Finding) string {
 	elem := int64(f.Static.AccessBytes)
 	stride := f.Static.StrideBytes
 	if stride != 0 && elem > 0 {
-		for pad := stride + elem; pad <= stride+int64(staticadvisor.NumBanks)*elem; pad += elem {
+		for pad := stride + elem; pad <= stride+int64(gpu.NumBanks)*elem; pad += elem {
 			if staticadvisor.BankDegreeStride(pad, f.Static.AccessBytes) == 1 {
 				s += fmt.Sprintf(": pad the per-lane stride from %dB to %dB (%d to %d elements) so consecutive lanes fall in different banks",
 					stride, pad, stride/elem, pad/elem)

@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"cudaadvisor/internal/export"
 	"cudaadvisor/internal/ir"
@@ -180,10 +181,12 @@ type Report struct {
 	Findings []Finding `json:"findings"`
 }
 
-// NewReport assembles and ranks a report, stamping every finding with
-// its flamegraph leaf frame so report consumers can cross-reference the
-// exported folded stacks.
+// NewReport assembles and ranks a report of the findings that advise
+// (Advises), stamping every one with its flamegraph leaf frame so report
+// consumers can cross-reference the exported folded stacks. It reuses
+// fs's backing array.
 func NewReport(app, arch string, lineSize, scale int, fs []Finding) *Report {
+	fs = slices.DeleteFunc(fs, func(f Finding) bool { return !f.Advises() })
 	Rank(fs)
 	for i := range fs {
 		fs[i].ExportFrame = export.SiteFrame(fs[i].Site.Loc())

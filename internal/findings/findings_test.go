@@ -3,6 +3,8 @@ package findings
 import (
 	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -178,7 +180,7 @@ func TestPredictLinesParity(t *testing.T) {
 		{Class: staticadvisor.ClassDivergent, Bytes: 4},
 	}
 	for _, af := range cases {
-		for _, ls := range []int{staticadvisor.KeplerLineSize, staticadvisor.PascalLineSize} {
+		for _, ls := range []int{gpu.KeplerK40c().L1LineSize, gpu.PascalP100().L1LineSize} {
 			got := PredictLines(af.Class.String(), af.Stride, af.Bytes, ls)
 			want := af.PredictedLines(ls)
 			if got != want {
@@ -330,4 +332,54 @@ func TestWriteTextStable(t *testing.T) {
 			t.Fatalf("text report missing %q:\n%s", want, a.String())
 		}
 	}
+}
+
+// FuzzReportDecode feeds arbitrary bytes to the strict report decoder:
+// it never panics, and a report it accepts re-encodes to bytes that
+// decode again and re-encode to themselves (the canonical form is a
+// fixed point). Input already in canonical form decodes to a report
+// equal to the one its re-encoding decodes to. Seeds: the JSON goldens
+// of cmd/cudaadvisor, the sample report, and (in testdata/fuzz) the
+// advise -format json body of cmd/cudaadvisor/testdata/smem.mir.
+func FuzzReportDecode(f *testing.F) {
+	goldens, err := filepath.Glob("../../cmd/cudaadvisor/testdata/*json*.golden")
+	if err != nil || len(goldens) == 0 {
+		f.Fatalf("no JSON goldens to seed from (%v)", err)
+	}
+	for _, g := range goldens {
+		b, err := os.ReadFile(g)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	enc, err := Encode(sampleReport())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(enc)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := Decode(data)
+		if err != nil {
+			return
+		}
+		enc, err := Encode(r)
+		if err != nil {
+			t.Fatalf("Encode of an accepted report: %v", err)
+		}
+		r2, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("the re-encoded report does not decode: %v\n%s", err, enc)
+		}
+		re, err := Encode(r2)
+		if err != nil {
+			t.Fatalf("Encode of the decoded re-encoding: %v", err)
+		}
+		if !bytes.Equal(enc, re) {
+			t.Fatalf("re-encoding is not a fixed point:\n%s\nvs\n%s", enc, re)
+		}
+		if bytes.Equal(data, enc) && !reflect.DeepEqual(r, r2) {
+			t.Fatalf("canonical input decodes to a different report than its re-encoding:\n%#v\nvs\n%#v", r, r2)
+		}
+	})
 }

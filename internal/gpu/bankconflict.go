@@ -25,7 +25,7 @@ type SharedRaceSite struct {
 // hitting the same word broadcast-merge and cost nothing extra; the
 // hardware replays the access degree-1 additional times. The degree is
 // always in [1, 32], even for an all-inactive mask. Exported for the
-// analyzers; staticadvisor.BankDegreeAddrs is its static twin.
+// trace analysis and the static advisor, which both count with it.
 func BankConflictDegree(mask uint32, addrs *[WarpSize]uint64, size int) int {
 	if size < 1 {
 		size = 1

@@ -6,3 +6,9 @@ import "time"
 // takeover is fast in a test; the default is generous enough that a
 // heavily loaded heartbeat cannot be mistaken for a corpse.
 func (c *Cache) SetClaimTTL(d time.Duration) { c.ttl = d }
+
+// EntryPath is the store file of key.
+func (c *Cache) EntryPath(key Key) string { return c.entryPath(key) }
+
+// PublishEntry writes payload as key's entry, in a valid envelope.
+func (c *Cache) PublishEntry(key Key, payload []byte) error { return c.publishEntry(key, payload) }

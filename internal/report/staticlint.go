@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"cudaadvisor/internal/findings"
+	"cudaadvisor/internal/gpu"
 	"cudaadvisor/internal/staticadvisor"
 )
 
@@ -17,12 +18,16 @@ import (
 //
 // The per-finding lines are rendered from the unified findings model
 // (findings.FromStatic), so the lint and the advise report are two
-// views of the same objects; only the per-function summary header reads
+// views of the same objects, and both leave out what does not advise
+// (findings.Finding.Advises); only the per-function summary header reads
 // the FuncResult directly.
 func StaticLint(w io.Writer, res *staticadvisor.ModuleResult) {
+	kepler, pascal := gpu.KeplerK40c().L1LineSize, gpu.PascalP100().L1LineSize
 	byFunc := make(map[string][]findings.Finding)
-	for _, f := range findings.FromStatic(res, staticadvisor.KeplerLineSize) {
-		byFunc[f.Site.Func] = append(byFunc[f.Site.Func], f)
+	for _, f := range findings.FromStatic(res, kepler) {
+		if f.Advises() {
+			byFunc[f.Site.Func] = append(byFunc[f.Site.Func], f)
+		}
 	}
 
 	fmt.Fprintf(w, "static advisor: module %s\n", res.Module.Name)
@@ -46,7 +51,7 @@ func StaticLint(w io.Writer, res *staticadvisor.ModuleResult) {
 		}
 		if len(fr.Accesses) > 0 {
 			fmt.Fprintf(w, "  global memory (predicted lines/warp @%dB Kepler / @%dB Pascal):\n",
-				staticadvisor.KeplerLineSize, staticadvisor.PascalLineSize)
+				kepler, pascal)
 			for _, f := range fs {
 				if f.Kind != findings.KindAccess {
 					continue
@@ -59,13 +64,13 @@ func StaticLint(w io.Writer, res *staticadvisor.ModuleResult) {
 					f.Static.AccessOp, f.Static.AccessBytes, f.Site.Block+":", detail,
 					f.Static.PredictedLines,
 					findings.PredictLines(f.Static.Class, f.Static.StrideBytes,
-						f.Static.AccessBytes, staticadvisor.PascalLineSize),
+						f.Static.AccessBytes, pascal),
 					f.Site)
 			}
 		}
 		if hasKind(fs, findings.KindBankConflict) {
 			fmt.Fprintf(w, "  shared memory (predicted bank-conflict degree, %d banks x %dB):\n",
-				staticadvisor.NumBanks, staticadvisor.BankWidth)
+				gpu.NumBanks, gpu.BankWidth)
 			for _, f := range fs {
 				if f.Kind != findings.KindBankConflict {
 					continue

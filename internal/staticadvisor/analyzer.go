@@ -129,8 +129,7 @@ func (a *analyzer) funcResult(f *ir.Function) *FuncResult {
 				cond := operandValue(&in.Args[0], res.vals)
 				if a.layout.Varying(cond) {
 					fr.Branches = append(fr.Branches, BranchFinding{
-						Func: f.Name, Block: b.Name,
-						Cond: in.Args[0].Name, Shape: cond, Loc: in.Loc,
+						Block: b.Name, Cond: in.Args[0].Name, Shape: cond, Loc: in.Loc,
 						Region: regionBlocks(f, b, pd),
 					})
 				}
@@ -140,8 +139,7 @@ func (a *analyzer) funcResult(f *ir.Function) *FuncResult {
 					continue // unreachable code
 				}
 				af := AccessFinding{
-					Func: f.Name, Block: b.Name,
-					Op: in.Op, Bytes: in.Mem.Size(), Addr: addr, Loc: in.Loc,
+					Block: b.Name, Op: in.Op, Bytes: in.Mem.Size(), Addr: addr, Loc: in.Loc,
 				}
 				stride, ok := a.layout.LaneStride(addr)
 				switch {
@@ -161,7 +159,7 @@ func (a *analyzer) funcResult(f *ir.Function) *FuncResult {
 			case in.Op == ir.OpBar:
 				if fr.Divergent[b.Index] {
 					fr.Barriers = append(fr.Barriers, BarrierFinding{
-						Func: f.Name, Block: b.Name, Loc: in.Loc,
+						Block: b.Name, Loc: in.Loc,
 					})
 				}
 			}

@@ -370,7 +370,7 @@ func TestCrossValidateDivergentBarrier(t *testing.T) {
 		t.Fatalf("static barriers = %+v, want the bar in block low", fr.Barriers)
 	}
 	var barrier *findings.Finding
-	for _, f := range findings.FromStatic(res, staticadvisor.KeplerLineSize) {
+	for _, f := range findings.FromStatic(res, gpu.KeplerK40c().L1LineSize) {
 		if f.Kind == findings.KindBarrier {
 			f := f
 			barrier = &f

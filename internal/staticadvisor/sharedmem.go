@@ -1,27 +1,18 @@
 package staticadvisor
 
 import (
+	"cudaadvisor/internal/gpu"
 	"cudaadvisor/internal/ir"
 )
 
-// Shared-memory bank geometry: the shared space is interleaved across 32
-// banks in 4-byte words, repeating every 128 bytes. Two lanes of a warp
-// conflict when they touch DIFFERENT words mapping to the SAME bank; all
-// lanes reading one word is a broadcast and costs nothing extra.
-const (
-	// NumBanks is the number of shared-memory banks (Kepler and Pascal).
-	NumBanks = 32
-	// BankWidth is the bank word width in bytes.
-	BankWidth = 4
-	// bankPeriod is the byte distance at which the bank pattern repeats.
-	bankPeriod = NumBanks * BankWidth
-)
+// bankPeriod is the byte distance at which the simulator's bank pattern
+// repeats.
+const bankPeriod = gpu.NumBanks * gpu.BankWidth
 
 // SharedAccessFinding is the static classification of one shared-memory
 // instruction: the predicted per-warp bank-conflict degree at this site,
 // the mirror of AccessFinding for the shared address space.
 type SharedAccessFinding struct {
-	Func  string
 	Block string
 	Op    ir.Op  // OpLd, OpSt or OpAtom
 	Bytes int    // access width
@@ -47,7 +38,6 @@ type SharedAccessFinding struct {
 // touch the same bank word from different threads within one barrier
 // interval — the static form of the simulator's last-writer check.
 type RaceFinding struct {
-	Func       string
 	Decl       string // shared array ("" if unknown)
 	WriteBlock string
 	WriteLoc   ir.Loc
@@ -55,69 +45,29 @@ type RaceFinding struct {
 	ReadLoc    ir.Loc
 }
 
-// BankDegreeAddrs computes the conflict degree of one warp access from
-// the per-lane byte addresses: the maximum over banks of the number of
-// distinct words the bank serves. Lanes sharing a word broadcast-merge.
-// This is the same model the simulator's dynamic counter applies to
-// executed addresses (gpu.BankConflictDegree), kept import-free here.
-func BankDegreeAddrs(addrs []int64, bytes int) int {
-	if bytes < 1 {
-		bytes = 1
-	}
-	if bytes > bankPeriod {
-		bytes = bankPeriod
-	}
-	words := make(map[int64]int64, warpSize) // word -> first-seen marker
-	perBank := make(map[int64]int, NumBanks) // bank -> distinct words
-	deg := 1
-	for _, a := range addrs {
-		for w := floorDiv(a, BankWidth); w <= floorDiv(a+int64(bytes)-1, BankWidth); w++ {
-			if _, seen := words[w]; seen {
-				continue
-			}
-			words[w] = w
-			b := ((w % NumBanks) + NumBanks) % NumBanks
-			perBank[b]++
-			if perBank[b] > deg {
-				deg = perBank[b]
-			}
-		}
-	}
-	if deg > warpSize {
-		deg = warpSize
-	}
-	return deg
-}
-
 // BankDegreeStride computes the worst-case conflict degree of a full
 // 32-lane warp whose lane addresses advance by a constant byte stride,
 // maximized over every naturally aligned base phase within the 128-byte
 // bank period (the base of a shared array access is warp-uniform but
 // generally unknown statically; shared accesses are naturally aligned,
-// so only bases at multiples of the access width can occur). For
+// so only bases at multiples of the access width can occur). Each warp
+// is counted by the simulator's own gpu.BankConflictDegree, negative
+// addresses taken mod 2^64 (a multiple of the bank period). For
 // word-aligned strides the degree is phase-invariant, so the prediction
 // is exact; otherwise it is a sound upper bound.
 func BankDegreeStride(stride int64, bytes int) int {
-	if bytes < 1 {
-		bytes = 1
-	}
-	step := int64(bytes)
+	step := int64(max(bytes, 1))
 	if step&(step-1) != 0 {
 		// Non-power-of-two widths carry no alignment guarantee.
 		step = 1
 	}
 	deg := 1
-	var addrs [warpSize]int64
-	for base := int64(0); base < bankPeriod; base += step {
+	var addrs [gpu.WarpSize]uint64
+	for base := int64(0); base < bankPeriod && deg < gpu.WarpSize; base += step {
 		for lane := range addrs {
-			addrs[lane] = base + stride*int64(lane)
+			addrs[lane] = uint64(base + stride*int64(lane))
 		}
-		if d := BankDegreeAddrs(addrs[:], bytes); d > deg {
-			deg = d
-		}
-		if deg == warpSize {
-			break
-		}
+		deg = max(deg, gpu.BankConflictDegree(gpu.FullMask, &addrs, bytes))
 	}
 	return deg
 }
@@ -343,51 +293,27 @@ func sharedDegree(e aexpr, v Value, lay Layout, bytes int) (degree int, broadcas
 		}
 		return BankDegreeStride(stride, bytes), false, stride, true
 	}
-	return warpSize, false, 0, false
+	return gpu.WarpSize, false, 0, false
 }
 
 // exactWarpDegree evaluates an exact address expression over every warp
-// of the CTA layout and returns the worst per-warp conflict degree.
+// of the CTA layout and returns the worst per-warp conflict degree, each
+// warp counted by gpu.BankConflictDegree over its live lanes.
 func exactWarpDegree(e aexpr, lay Layout, bytes int) (int, bool) {
-	if !lay.Known() {
-		return 0, false
-	}
-	bx, by, bz := lay.Block[0], lay.Block[1], lay.Block[2]
-	if by <= 0 {
-		by = 1
-	}
-	if bz <= 0 {
-		bz = 1
-	}
-	threads := bx * by * bz
-	if threads <= 0 || threads > maxLayoutThreads {
+	g, ok := lay.geometry()
+	if !ok {
 		return 0, false
 	}
 	deg := 1
-	addrs := make([]int64, 0, warpSize)
-	for base := 0; base < threads; base += warpSize {
-		n := threads - base
-		if n > warpSize {
-			n = warpSize
-		}
-		addrs = addrs[:0]
+	var addrs [gpu.WarpSize]uint64
+	for base := 0; base < g.threads; base += gpu.WarpSize {
+		n := min(g.threads-base, gpu.WarpSize)
 		for i := 0; i < n; i++ {
-			addrs = append(addrs, threadAddr(e, base+i, bx, by))
+			addrs[i] = uint64(g.addr(e, base+i))
 		}
-		if d := BankDegreeAddrs(addrs, bytes); d > deg {
-			deg = d
-		}
+		deg = max(deg, gpu.BankConflictDegree(uint32(1<<n-1), &addrs, bytes))
 	}
 	return deg, true
-}
-
-// threadAddr evaluates an exact expression for linear thread id t under
-// the simulator's tid decomposition.
-func threadAddr(e aexpr, t, bx, by int) int64 {
-	dx := t % bx
-	dy := (t / bx) % by
-	dz := t / (bx * by)
-	return e.base + e.s[0]*int64(dx) + e.s[1]*int64(dy) + e.s[2]*int64(dz)
 }
 
 // sharedAccess pairs one shared-memory instruction with its static
@@ -421,8 +347,7 @@ func analyzeShared(f *ir.Function, vals []Value, lay Layout) ([]SharedAccessFind
 			}
 			deg, bcast, stride, sknown := sharedDegree(e, v, lay, in.Mem.Size())
 			accesses = append(accesses, SharedAccessFinding{
-				Func: f.Name, Block: b.Name,
-				Op: in.Op, Bytes: in.Mem.Size(), Decl: e.decl, Addr: v,
+				Block: b.Name, Op: in.Op, Bytes: in.Mem.Size(), Decl: e.decl, Addr: v,
 				Degree: deg, Broadcast: bcast, Stride: stride, StrideKnown: sknown,
 				Loc: in.Loc,
 			})
@@ -482,7 +407,7 @@ func detectRaces(f *ir.Function, writes, reads []sharedAccess, lay Layout) []Rac
 				}
 				seen[pairKey{w.in, r.in}] = true
 				out = append(out, RaceFinding{
-					Func: f.Name, Decl: declJoin(w.e.decl, r.e.decl),
+					Decl:       declJoin(w.e.decl, r.e.decl),
 					WriteBlock: w.block.Name, WriteLoc: w.in.Loc,
 					ReadBlock: r.block.Name, ReadLoc: r.in.Loc,
 				})
@@ -581,8 +506,8 @@ func conflictPossible(w, r sharedAccess, lay Layout) bool {
 		if st < 0 {
 			st = -st
 		}
-		width := (wb + BankWidth - 1) &^ (BankWidth - 1)
-		if st%BankWidth == 0 && st >= width && w.e.base%BankWidth == 0 {
+		width := (wb + gpu.BankWidth - 1) &^ (gpu.BankWidth - 1)
+		if st%gpu.BankWidth == 0 && st >= width && w.e.base%gpu.BankWidth == 0 {
 			return false
 		}
 	}
@@ -593,18 +518,8 @@ func conflictPossible(w, r sharedAccess, lay Layout) bool {
 // the enumeration applies, safe whether every read word was written
 // only by the reading thread (or not written at all).
 func exactOverlap(we, re aexpr, wb, rb int64, lay Layout) (ok, safe bool) {
-	if !lay.Known() {
-		return false, false
-	}
-	bx, by, bz := lay.Block[0], lay.Block[1], lay.Block[2]
-	if by <= 0 {
-		by = 1
-	}
-	if bz <= 0 {
-		bz = 1
-	}
-	threads := bx * by * bz
-	if threads <= 0 || threads > maxLayoutThreads {
+	g, ok := lay.geometry()
+	if !ok {
 		return false, false
 	}
 	type writer struct {
@@ -612,9 +527,9 @@ func exactOverlap(we, re aexpr, wb, rb int64, lay Layout) (ok, safe bool) {
 		multi  bool
 	}
 	writers := make(map[int64]*writer)
-	for t := 0; t < threads; t++ {
-		a := threadAddr(we, t, bx, by)
-		for wd := floorDiv(a, BankWidth); wd <= floorDiv(a+wb-1, BankWidth); wd++ {
+	for t := 0; t < g.threads; t++ {
+		a := g.addr(we, t)
+		for wd := floorDiv(a, gpu.BankWidth); wd <= floorDiv(a+wb-1, gpu.BankWidth); wd++ {
 			if cur, okw := writers[wd]; okw {
 				if cur.thread != t {
 					cur.multi = true
@@ -624,13 +539,21 @@ func exactOverlap(we, re aexpr, wb, rb int64, lay Layout) (ok, safe bool) {
 			}
 		}
 	}
-	for t := 0; t < threads; t++ {
-		a := threadAddr(re, t, bx, by)
-		for wd := floorDiv(a, BankWidth); wd <= floorDiv(a+rb-1, BankWidth); wd++ {
+	for t := 0; t < g.threads; t++ {
+		a := g.addr(re, t)
+		for wd := floorDiv(a, gpu.BankWidth); wd <= floorDiv(a+rb-1, gpu.BankWidth); wd++ {
 			if cur, okw := writers[wd]; okw && (cur.multi || cur.thread != t) {
 				return true, false
 			}
 		}
 	}
 	return true, true
+}
+
+func floorDiv(a, b int64) int64 {
+	q := a / b
+	if a%b != 0 && (a < 0) != (b < 0) {
+		q--
+	}
+	return q
 }

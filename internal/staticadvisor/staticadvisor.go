@@ -35,6 +35,7 @@
 package staticadvisor
 
 import (
+	"cudaadvisor/internal/gpu"
 	"cudaadvisor/internal/ir"
 )
 
@@ -146,7 +147,6 @@ func (fr *FuncResult) DivergentBlockCount() int {
 // BranchFinding is a conditional branch whose condition is
 // thread-varying: the static prediction of a Table 3 divergent site.
 type BranchFinding struct {
-	Func  string
 	Block string
 	Cond  string // condition register name
 	Shape Value  // abstract condition value (Affine or Varying)
@@ -201,7 +201,6 @@ func (c AccessClass) String() string {
 // instruction: the prediction of what the profiler's Figure 5
 // unique-lines measurement will see at this site.
 type AccessFinding struct {
-	Func   string
 	Block  string
 	Op     ir.Op // OpLd, OpSt or OpAtom
 	Bytes  int   // access width
@@ -212,44 +211,30 @@ type AccessFinding struct {
 }
 
 // PredictedLines returns the number of distinct cache lines of the
-// given size a full 32-lane warp is predicted to touch at this site.
-// The estimate assumes a line-aligned base and lanes with consecutive
-// tid.x, the layout used by 1D kernels.
+// given size a full 32-lane warp is predicted to touch at this site,
+// counted by the simulator's own gpu.UniqueLines. The estimate assumes a
+// line-aligned base and lanes with consecutive tid.x, the layout used by
+// 1D kernels; negative addresses are taken mod 2^64, a multiple of every
+// line size.
 func (a AccessFinding) PredictedLines(lineSize int) int {
 	switch a.Class {
 	case ClassUniform:
 		return 1
 	case ClassCoalesced, ClassStrided:
-		lines := make(map[int64]bool)
-		for lane := int64(0); lane < 32; lane++ {
-			first := lane * a.Stride
-			last := first + int64(a.Bytes) - 1
-			for l := floorDiv(first, int64(lineSize)); l <= floorDiv(last, int64(lineSize)); l++ {
-				lines[l] = true
-			}
+		var addrs [gpu.WarpSize]uint64
+		for lane := range addrs {
+			addrs[lane] = uint64(int64(lane) * a.Stride)
 		}
-		if len(lines) > 32 {
-			return 32
-		}
-		return len(lines)
+		return min(gpu.UniqueLines(gpu.FullMask, &addrs, a.Bytes, lineSize), gpu.WarpSize)
 	default:
-		return 32
+		return gpu.WarpSize
 	}
-}
-
-func floorDiv(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
-	}
-	return q
 }
 
 // BarrierFinding is a bar instruction reachable under divergent control
 // flow: executed with a partial warp it deadlocks real hardware, and
 // the simulator faults with "divergent barrier".
 type BarrierFinding struct {
-	Func  string
 	Block string
 	Loc   ir.Loc
 }

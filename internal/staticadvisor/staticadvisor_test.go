@@ -1,7 +1,6 @@
 package staticadvisor
 
 import (
-	"strings"
 	"testing"
 
 	"cudaadvisor/internal/irtext"
@@ -388,39 +387,6 @@ entry:
 	} {
 		if got := fr.RegValue(reg); got != want {
 			t.Errorf("%%%s = %v, want %v", reg, got, want)
-		}
-	}
-}
-
-func TestFindingStrings(t *testing.T) {
-	res := analyze(t, `
-module m
-kernel @k(%p: ptr, %n: i32) {
-entry:
-  %tx = sreg tid.x
-  %c  = icmp lt i32 %tx, %n
-  cbr %c, guarded, exit
-guarded:
-  %a = gep %p, %tx, 4
-  st i32 global [%a], 1
-  bar
-  br exit
-exit:
-  ret
-}
-`)
-	var b strings.Builder
-	res.WriteBranches(&b, "lint-branch")
-	res.WriteAccesses(&b, "lint-mem")
-	res.WriteBarriers(&b, "lint-barrier")
-	out := b.String()
-	for _, want := range []string{
-		"lint-branch: @k block entry: divergent branch on %c (varying) at test.mir:",
-		"lint-mem: @k block guarded: st global 4B: coalesced (stride 4B)",
-		"lint-barrier: @k block guarded: barrier under divergent control flow",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
 }

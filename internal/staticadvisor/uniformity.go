@@ -3,6 +3,7 @@ package staticadvisor
 import (
 	"fmt"
 
+	"cudaadvisor/internal/gpu"
 	"cudaadvisor/internal/ir"
 )
 
@@ -97,12 +98,34 @@ type Layout struct {
 // Known reports whether a layout hint was provided.
 func (l Layout) Known() bool { return l.Block[0] > 0 }
 
-// warpSize mirrors gpu.WarpSize without importing the simulator.
-const warpSize = 32
-
-// maxLayoutThreads bounds the lane-stride evaluation; CTAs beyond the
-// hardware limit fall back to the unknown-layout treatment.
+// maxLayoutThreads bounds the per-thread evaluations of a layout; CTAs
+// beyond the hardware limit fall back to the unknown-layout treatment.
 const maxLayoutThreads = 4096
+
+// geometry is a known layout's CTA shape: its x and y extents and its
+// thread count.
+type geometry struct{ bx, by, threads int }
+
+// geometry resolves the layout's block dimensions (an unset y or z
+// extent is 1); ok is false when the layout is unknown or the CTA is
+// larger than maxLayoutThreads.
+func (l Layout) geometry() (g geometry, ok bool) {
+	if !l.Known() {
+		return geometry{}, false
+	}
+	bx, by, bz := l.Block[0], max(l.Block[1], 1), max(l.Block[2], 1)
+	g = geometry{bx: bx, by: by, threads: bx * by * bz}
+	return g, g.threads > 0 && g.threads <= maxLayoutThreads
+}
+
+// addr evaluates an exact expression for linear thread id t under the
+// simulator's tid decomposition.
+func (g geometry) addr(e aexpr, t int) int64 {
+	dx := t % g.bx
+	dy := (t / g.bx) % g.by
+	dz := t / (g.bx * g.by)
+	return e.base + e.s[0]*int64(dx) + e.s[1]*int64(dy) + e.s[2]*int64(dz)
+}
 
 // LaneStride resolves an abstract value to its per-lane stride within a
 // warp: ok means every warp of the CTA sees the value change by exactly
@@ -126,35 +149,20 @@ func (l Layout) LaneStride(v Value) (stride int64, ok bool) {
 		}
 		return 0, false
 	}
-	bx, by, bz := l.Block[0], l.Block[1], l.Block[2]
-	if by <= 0 {
-		by = 1
-	}
-	if bz <= 0 {
-		bz = 1
-	}
-	threads := bx * by * bz
-	if threads <= 0 || threads > maxLayoutThreads {
+	g, ok := l.geometry()
+	if !ok {
 		return 0, false
 	}
-	at := func(t int) int64 {
-		dx := t % bx
-		dy := (t / bx) % by
-		dz := t / (bx * by)
-		return v.Stride*int64(dx) + v.StrideY*int64(dy) + v.StrideZ*int64(dz)
-	}
+	e := aexpr{s: [3]int64{v.Stride, v.StrideY, v.StrideZ}}
 	first := true
-	for base := 0; base < threads; base += warpSize {
-		n := threads - base
-		if n > warpSize {
-			n = warpSize
-		}
+	for base := 0; base < g.threads; base += gpu.WarpSize {
+		n := min(g.threads-base, gpu.WarpSize)
 		var s int64
 		if n > 1 {
-			s = at(base+1) - at(base)
+			s = g.addr(e, base+1) - g.addr(e, base)
 		}
 		for i := 0; i < n; i++ {
-			if at(base+i) != at(base)+int64(i)*s {
+			if g.addr(e, base+i) != g.addr(e, base)+int64(i)*s {
 				return 0, false
 			}
 		}
