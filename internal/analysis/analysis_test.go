@@ -234,13 +234,6 @@ func TestReuseMergeIsSum(t *testing.T) {
 	if merged.Infinite != a.Infinite+b.Infinite {
 		t.Errorf("merged infinite wrong")
 	}
-	max := a.FiniteMax
-	if b.FiniteMax > max {
-		max = b.FiniteMax
-	}
-	if merged.FiniteMax != max {
-		t.Errorf("merged max = %d, want %d", merged.FiniteMax, max)
-	}
 }
 
 func TestMemDivergenceDistribution(t *testing.T) {

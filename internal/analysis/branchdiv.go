@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"math/bits"
 	"sort"
 
 	"cudaadvisor/internal/instrument"
@@ -30,16 +29,14 @@ type BranchDivResult struct {
 func (r *BranchDivResult) DivergentByContext() map[ContextSite]int64 { return r.divergent }
 
 // BlockDivergence aggregates per static basic block: how many times the
-// block executed, how often it diverged, and how many threads executed it
-// — the per-branch insight the paper describes ("how many times a branch
-// is executed, how many threads execute this branch and how often a
-// certain branch causes a warp to diverge").
+// block executed and how often it diverged — the per-branch insight the
+// paper describes ("how many times a branch is executed ... and how often
+// a certain branch causes a warp to diverge").
 type BlockDivergence struct {
 	Block     instrument.BlockInfo
 	ID        int32
 	Execs     int64 // dynamic warp-level executions
 	Divergent int64
-	Threads   int64 // total threads that entered
 	Loc       ir.Loc
 }
 
@@ -75,7 +72,6 @@ func (r *BranchDivResult) Merge(other *BranchDivResult) {
 	mergeTable(&r.blocks, other.blocks, func(cur, b *BlockDivergence) {
 		cur.Execs += b.Execs
 		cur.Divergent += b.Divergent
-		cur.Threads += b.Threads
 	})
 }
 
@@ -114,7 +110,6 @@ func branchDivRange(tr *trace.KernelTrace, tables *instrument.Tables, lo, hi int
 			res.blocks[be.Block] = b
 		}
 		b.Execs++
-		b.Threads += int64(bits.OnesCount32(be.Mask))
 		if div {
 			b.Divergent++
 		}

@@ -77,12 +77,7 @@ type ReuseResult struct {
 	// invalidated by an intervening write (write-evict L1).
 	Infinite  int64
 	FiniteSum int64
-	FiniteMax int64
 	FiniteN   int64
-	// TrimSum/TrimN cover finite distances up to the last histogram bound
-	// (512): the outlier-trimmed estimator for the bypassing model.
-	TrimSum int64
-	TrimN   int64
 	// Streaming counts elements that were accessed exactly once by their
 	// CTA (never reused at all).
 	Streaming int64
@@ -150,11 +145,6 @@ func (r *ReuseResult) Merge(other *ReuseResult) {
 	r.Infinite += other.Infinite
 	r.FiniteSum += other.FiniteSum
 	r.FiniteN += other.FiniteN
-	r.TrimSum += other.TrimSum
-	r.TrimN += other.TrimN
-	if other.FiniteMax > r.FiniteMax {
-		r.FiniteMax = other.FiniteMax
-	}
 	r.Streaming += other.Streaming
 	r.Add(other.EventsRecorded, other.EventsSeen)
 }
@@ -400,13 +390,6 @@ func (r *ReuseResult) addFinite(d int64) {
 	r.Buckets[reuseBucket(d)]++
 	r.FiniteSum += d
 	r.FiniteN++
-	if d <= ReuseBucketBounds[len(ReuseBucketBounds)-1] {
-		r.TrimSum += d
-		r.TrimN++
-	}
-	if d > r.FiniteMax {
-		r.FiniteMax = d
-	}
 }
 
 // fenwick is a Fenwick tree (binary indexed tree) over access timestamps:

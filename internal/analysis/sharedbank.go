@@ -9,17 +9,15 @@ import (
 	"cudaadvisor/internal/trace"
 )
 
-// SharedBankResult is the shared-memory bank-conflict profile: for every
-// executed warp-level shared-memory instruction, the conflict degree —
-// the maximum number of distinct 4-byte words the active lanes address
+// SharedBankResult is the shared-memory bank-conflict profile: the
+// conflict degree of every executed warp-level shared-memory instruction
+// — the maximum number of distinct 4-byte words the active lanes address
 // in one of the 32 banks (1 = conflict-free or broadcast, 32 = fully
-// serialized). It requires a trace recorded with the shared-memory
-// instrumentation category enabled; without it, no shared events exist
-// and the result is empty.
+// serialized) — summed overall and per site. It requires a trace
+// recorded with the shared-memory instrumentation category enabled;
+// without it, no shared events exist and the result is empty.
 type SharedBankResult struct {
-	// Dist[n] counts warp instructions of conflict degree n (1..32).
-	Dist  [gpu.NumBanks + 1]int64
-	Total int64
+	Total int64 // warp shared-memory instructions
 
 	// Replays accumulates degree-1 per instruction: the extra bank
 	// passes the hardware serializes the access into.
@@ -72,9 +70,6 @@ func (r *SharedBankResult) Sites() []*SiteBankConflict {
 
 // Merge accumulates other into r.
 func (r *SharedBankResult) Merge(other *SharedBankResult) {
-	for i := range r.Dist {
-		r.Dist[i] += other.Dist[i]
-	}
 	r.Total += other.Total
 	r.Replays += other.Replays
 	r.Add(other.EventsRecorded, other.EventsSeen)
@@ -112,7 +107,6 @@ func sharedBankRange(tr *trace.KernelTrace, lo, hi int) *SharedBankResult {
 		}
 		tr.LaneAddrs(m, &addrs)
 		n := gpu.BankConflictDegree(m.Mask, &addrs, int(m.Bits)/8)
-		res.Dist[n]++
 		res.Total++
 		res.Replays += int64(n - 1)
 

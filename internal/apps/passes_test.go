@@ -44,24 +44,27 @@ func TestInstrumentationPreservesBehavior(t *testing.T) {
 	for _, name := range []string{"backprop", "srad_v2", "lavaMD"} {
 		t.Run(name, func(t *testing.T) {
 			a := ByName(name)
-			prog, err := a.Instrumented(instrument.Options{Memory: true, Blocks: true, Arith: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := profiler.New()
-			ctx := rt.NewContext(gpu.NewDevice(gpu.KeplerK40c(), 256<<20), p)
-			if err := a.Run(ctx, prog, 1); err != nil {
-				t.Fatalf("validation under full instrumentation: %v", err)
-			}
-			// The arithmetic category actually collected something.
-			total := int64(0)
-			for _, kp := range p.Kernels {
-				for _, n := range kp.ArithCounts {
-					total += n
+			// hooks runs a under opts and returns its launches' hook calls.
+			hooks := func(opts instrument.Options) int64 {
+				prog, err := a.Instrumented(opts)
+				if err != nil {
+					t.Fatal(err)
 				}
+				p := profiler.New()
+				ctx := rt.NewContext(gpu.NewDevice(gpu.KeplerK40c(), 256<<20), p)
+				if err := a.Run(ctx, prog, 1); err != nil {
+					t.Fatalf("validation under %+v: %v", opts, err)
+				}
+				var n int64
+				for _, kp := range p.Kernels {
+					n += kp.Result.HookCalls
+				}
+				return n
 			}
-			if total == 0 {
-				t.Error("no arithmetic events recorded")
+			full := hooks(instrument.Options{Memory: true, Blocks: true, Arith: true})
+			// The arithmetic category actually fired hooks.
+			if base := hooks(instrument.MemoryAndBlocks()); full <= base {
+				t.Errorf("%d hook calls with arithmetic instrumented, %d without", full, base)
 			}
 		})
 	}

@@ -86,9 +86,9 @@ func PredictFromProfiles(cfg gpu.ArchConfig, rdLine, rdElem *analysis.ReuseResul
 		LineSize: cfg.L1LineSize,
 		// The plain average, outliers included — the paper's own
 		// "rather conservative" estimator choice. (The mean over distances
-		// up to the last histogram bound, TrimSum/TrimN, is the alternative
-		// the paper mentions; on small-line architectures it
-		// under-estimates R.D. by discarding the long tail.)
+		// up to the last histogram bound is the alternative the paper
+		// mentions; on small-line architectures it under-estimates R.D. by
+		// discarding the long tail.)
 		ReuseDistance: rdLine.MeanFinite(),
 		MemDivergence: md.Degree(),
 		CTAsPerSM:     ctasPerSM,

@@ -196,7 +196,6 @@ func CollectProfile(p *profiler.Profiler, lineSize int) *Profile {
 		if cur, ok := prof.Blocks[k]; ok {
 			cur.Execs += b.Execs
 			cur.Divergent += b.Divergent
-			cur.Threads += b.Threads
 		} else {
 			cp := *b
 			prof.Blocks[k] = &cp

@@ -48,13 +48,12 @@ type ArchConfig struct {
 	AtomLat   int // per-lane serialized atomic cost
 	HookCost  int // per instrumentation hook call (atomics + buffer store)
 
-	// L1 port occupancy, cycles per transaction: every L1 access holds
-	// the tag/data port for L1PortOcc cycles and a miss additionally
-	// holds the fill path for L1FillOcc. Bypassed accesses skip the L1
-	// port entirely — the bandwidth relief that makes bypassing pay off
-	// on thrashing kernels and the reason the benefit fades once the
-	// working set fits (Figures 6/7).
-	L1PortOcc int
+	// L1FillOcc is the L1 port occupancy of a miss, cycles per
+	// transaction: the fill path is held that long, while a hit holds
+	// the port for no cycle. Bypassed accesses skip the L1 port entirely
+	// — the bandwidth relief that makes bypassing pay off on thrashing
+	// kernels and the reason the benefit fades once the working set fits
+	// (Figures 6/7).
 	L1FillOcc int
 
 	SharedMemPerBlock int64 // shared memory available to one CTA
@@ -90,7 +89,6 @@ func KeplerK40c() ArchConfig {
 		SharedLat:         26,
 		AtomLat:           48,
 		HookCost:          40,
-		L1PortOcc:         0,
 		L1FillOcc:         6,
 		SharedMemPerBlock: 48 * 1024,
 		// Table 1: K40c pairs a 16 KB L1 with a 48 KB shared-memory
@@ -121,7 +119,6 @@ func PascalP100() ArchConfig {
 		SharedLat:         24,
 		AtomLat:           40,
 		HookCost:          40,
-		L1PortOcc:         0,
 		L1FillOcc:         6,
 		SharedMemPerBlock: 64 * 1024,
 		// Table 1: P100 has a dedicated 64 KB shared memory per SM,

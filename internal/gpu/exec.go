@@ -768,10 +768,10 @@ func (s *smShard) execLoad(w *warpState, fr *frame, in *dinstr, mask uint32, now
 				start = s.portFree
 			}
 			if s.l1.read(line) {
-				s.portFree = start + int64(cfg.L1PortOcc)
+				s.portFree = start
 				done = start + int64(cfg.L1HitLat)
 			} else {
-				s.portFree = start + int64(cfg.L1PortOcc+cfg.L1FillOcc)
+				s.portFree = start + int64(cfg.L1FillOcc)
 				done = s.mshrs.alloc(start, int64(cfg.MissLat))
 			}
 		} else {

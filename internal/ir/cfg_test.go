@@ -201,8 +201,21 @@ func ReversePostorder(f *Function) []*Block {
 // unreachable blocks.
 func Dominators(f *Function) []int {
 	rpo := ReversePostorder(f)
+	preds := predecessors(f)
 	return chk(len(f.Blocks), rpo,
-		func(b *Block) []*Block { return b.Preds })
+		func(b *Block) []*Block { return preds[b.Index] })
+}
+
+// predecessors derives each block's predecessors, by Block.Index, from
+// the Succs edges Finalize computes.
+func predecessors(f *Function) [][]*Block {
+	preds := make([][]*Block, len(f.Blocks))
+	for _, b := range f.Blocks {
+		for _, s := range b.Succs {
+			preds[s.Index] = append(preds[s.Index], b)
+		}
+	}
+	return preds
 }
 
 // chk runs Cooper-Harvey-Kennedy over blocks; preds supplies the relevant

@@ -79,8 +79,8 @@ func TestCFGEdges(t *testing.T) {
 	if len(entry.Succs) != 2 || entry.Succs[0] != body || entry.Succs[1] != exit {
 		t.Errorf("entry succs wrong: %v", names(entry.Succs))
 	}
-	if len(exit.Preds) != 2 {
-		t.Errorf("exit preds = %v, want [entry body]", names(exit.Preds))
+	if preds := predecessors(f)[exit.Index]; len(preds) != 2 || preds[0] != entry || preds[1] != body {
+		t.Errorf("exit preds = %v, want [entry body]", names(preds))
 	}
 }
 

@@ -47,9 +47,8 @@ type Block struct {
 	Index  int // position in Function.Blocks, set by Finalize
 	Instrs []*Instr
 
-	// CFG edges, computed by Finalize.
+	// CFG successor edges, computed by Finalize.
 	Succs []*Block
-	Preds []*Block
 }
 
 // Terminator returns the block's final instruction, or nil if the block is
@@ -421,7 +420,6 @@ func (f *Function) resultType(in *Instr) (Type, error) {
 func (f *Function) computeCFG() {
 	for _, b := range f.Blocks {
 		b.Succs = b.Succs[:0]
-		b.Preds = b.Preds[:0]
 	}
 	for _, b := range f.Blocks {
 		t := b.Terminator()
@@ -436,11 +434,6 @@ func (f *Function) computeCFG() {
 			if t.ElseIdx != t.ThenIdx {
 				b.Succs = append(b.Succs, f.Blocks[t.ElseIdx])
 			}
-		}
-	}
-	for _, b := range f.Blocks {
-		for _, s := range b.Succs {
-			s.Preds = append(s.Preds, b)
 		}
 	}
 }

@@ -15,12 +15,10 @@ import (
 
 // entryKind is one kind of cache entry driven through its lookup: get
 // looks key up in c with a fill that sets *filled, and returns the
-// value's encoding; canon decodes a payload the way a hit does and
-// re-encodes it, ok false when the kind's decoder refuses it.
+// value's encoding.
 type entryKind struct {
-	key   profcache.Key
-	get   func(c *profcache.Cache, filled *bool) ([]byte, error)
-	canon func(payload []byte) ([]byte, bool)
+	key profcache.Key
+	get func(c *profcache.Cache, filled *bool) ([]byte, error)
 }
 
 func fuzzKinds() []entryKind {
@@ -39,13 +37,6 @@ func fuzzKinds() []entryKind {
 				return nil, err
 			}
 			return a.MarshalJSON()
-		}, func(payload []byte) ([]byte, bool) {
-			a := new(profiler.Analyses)
-			if a.UnmarshalJSON(payload) != nil {
-				return nil, false
-			}
-			b, err := a.MarshalJSON()
-			return b, err == nil
 		}},
 		{cycles, func(c *profcache.Cache, filled *bool) ([]byte, error) {
 			v, err := c.Cycles(ctx, cycles, func(context.Context) (profcache.CycleStats, error) {
@@ -56,30 +47,63 @@ func fuzzKinds() []entryKind {
 				return nil, err
 			}
 			return json.Marshal(v)
-		}, func(payload []byte) ([]byte, bool) {
-			var v profcache.CycleStats
-			if json.Unmarshal(payload, &v) != nil {
-				return nil, false
-			}
-			b, err := json.Marshal(v)
-			return b, err == nil
 		}},
 		{view, func(c *profcache.Cache, filled *bool) ([]byte, error) {
 			return c.Bytes(ctx, view, func(context.Context) ([]byte, error) {
 				*filled = true
 				return []byte("fresh view\n"), nil
 			})
-		}, func(payload []byte) ([]byte, bool) { return payload, true }},
+		}},
+	}
+}
+
+// TestNonCanonicalEntriesAreBad: a checksummed payload that decodes to a
+// value but is not that value's encoding — unknown fields and spacing in
+// a cycles entry, reordered keys in a profile entry — is a bad entry,
+// healed and refilled, never a disk hit.
+func TestNonCanonicalEntriesAreBad(t *testing.T) {
+	kinds := fuzzKinds()
+	profile, cycles := kinds[0], kinds[1]
+	var filled bool
+	canon, err := profile.get(profcache.New(t.TempDir()), &filled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(canon, &fields); err != nil {
+		t.Fatal(err)
+	}
+	reordered, err := json.Marshal(fields) // keys sorted, not in field order
+	if err != nil || bytes.Equal(reordered, canon) {
+		t.Fatalf("reordering gave %q (%v), want another spelling of %q", reordered, err, canon)
+	}
+	for _, tc := range []struct {
+		kind    entryKind
+		payload []byte
+	}{
+		{cycles, []byte(` {"MaxCTAs": 3, "Cycles": 7, "Other": [1]} `)},
+		{profile, reordered},
+	} {
+		c := profcache.New(t.TempDir())
+		if err := c.PublishEntry(tc.kind.key, tc.payload); err != nil {
+			t.Fatal(err)
+		}
+		var filled bool
+		if _, err := tc.kind.get(c, &filled); err != nil {
+			t.Fatal(err)
+		}
+		if s := c.Stats(); !filled || s.BadEntries != 1 || s.Heals != 1 || s.Misses != 1 || s.DiskHits != 0 {
+			t.Errorf("%s entry %q: filled %v, stats %+v; want 1 bad entry, 1 heal and 1 miss",
+				tc.kind.key.Kind, tc.payload, filled, s)
+		}
 	}
 }
 
 // FuzzDecodeEntry writes fuzzed bytes as the entry file of a profile, a
 // cycles and a view key, and wraps a fuzzed payload in a valid envelope
 // for each. Every lookup must be either a miss that runs the fill, or a
-// disk hit whose value re-encodes to the payload the file carries (for
-// the JSON kinds, to what decoding and re-encoding that payload yields:
-// their decoders accept any spelling of the same value). It never
-// panics. The seeds are a valid entry of each kind and its payload.
+// disk hit whose value re-encodes byte for byte to the payload the file
+// carries. It never panics. The seeds are a valid entry of each kind and its payload.
 func FuzzDecodeEntry(f *testing.F) {
 	kinds := fuzzKinds()
 	dir := f.TempDir()
@@ -132,10 +156,8 @@ func FuzzDecodeEntry(f *testing.F) {
 				if s.DiskHits != 1 || s.Misses != 0 {
 					t.Fatalf("%s lookup neither filled nor hit: %+v", k.key.Kind, s)
 				}
-				want, ok := k.canon(carried)
-				if !ok || !bytes.Equal(got, want) {
-					t.Fatalf("%s hit (wrapped %v) returned %q, want the payload's value %q (decodes: %v)",
-						k.key.Kind, wrap, got, want, ok)
+				if !bytes.Equal(got, carried) {
+					t.Fatalf("%s hit (wrapped %v) returned %q, want the payload %q", k.key.Kind, wrap, got, carried)
 				}
 			}
 		}

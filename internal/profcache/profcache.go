@@ -37,6 +37,7 @@
 package profcache
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -284,8 +285,10 @@ func (c *Cache) trimMemo() {
 }
 
 // codec is one entry kind's payload encoding: how a result becomes the
-// bytes an entry file carries, and back. decode must refuse anything
-// encode could not have written; a refusal makes the entry a bad one.
+// bytes an entry file carries, and back. An entry is only what encode
+// could have written: a payload decode refuses, or whose value does not
+// re-encode to the payload byte for byte (another spelling of the value:
+// key order, spacing, unknown fields), makes the entry a bad one.
 type codec[T any] struct {
 	encode func(T) ([]byte, error)
 	decode func([]byte) (T, error)
@@ -371,12 +374,19 @@ func fillEntry[T any](ctx context.Context, c *Cache, key Key, kind codec[T], fil
 		c.misses.Add(1)
 		return val, nil
 	}
-	// A missing entry file is a silent miss; one that fails verification
-	// or decoding is a counted bad entry (and still a miss).
+	// A missing entry file is a silent miss; one that fails verification,
+	// decoding or the re-encoding check is a counted bad entry (and still
+	// a miss).
 	load := func() (val T, ok bool) {
 		raw, err := c.readEntry(key)
 		if err == nil {
 			val, err = kind.decode(raw)
+		}
+		if err == nil {
+			var again []byte
+			if again, err = kind.encode(val); err == nil && !bytes.Equal(again, raw) {
+				err = errors.New("payload is not its value's encoding")
+			}
 		}
 		switch {
 		case err == nil:

@@ -53,10 +53,6 @@ type KernelProfile struct {
 	Trace   *trace.KernelTrace
 	Result  *gpu.LaunchResult
 	BaseCtx int32 // the launch site's host context extended with the kernel frame
-
-	// ArithCounts tallies arithmetic-hook events by opcode when the
-	// arithmetic category is instrumented.
-	ArithCounts map[ir.Op]int64
 }
 
 // Profiler implements rt.Listener and gpu hook handling. One Profiler
@@ -162,8 +158,8 @@ func (p *Profiler) KernelEnd(info *rt.LaunchInfo, res *gpu.LaunchResult) {
 }
 
 // hookSink adapts one kernel launch's hook stream into trace records:
-// the records, locations and arithmetic counts go to kp, and the warps'
-// shadow call stacks move through ctx.
+// the records and locations go to kp, and the warps' shadow call stacks
+// move through ctx.
 type hookSink struct {
 	kp  *KernelProfile
 	ctx *trace.ContextTree
@@ -227,10 +223,8 @@ func (s *hookSink) OnHook(w *gpu.WarpView, call *ir.Instr, args []gpu.LaneValues
 			}
 		}
 	case instrument.HookArith:
-		if s.kp.ArithCounts == nil {
-			s.kp.ArithCounts = make(map[ir.Op]int64)
-		}
-		s.kp.ArithCounts[ir.Op(args[0][lane])] += int64(bits.OnesCount32(w.ActiveMask))
+		// Accepted, and nothing is recorded: no analysis reads an
+		// arithmetic tally.
 	default:
 		return fmt.Errorf("unknown hook %q", call.Callee)
 	}
@@ -240,10 +234,10 @@ func (s *hookSink) OnHook(w *gpu.WarpView, call *ir.Instr, args []gpu.LaneValues
 // smSinks is the sink of an uncapped launch (gpu.SMHooks). Run in SM
 // order it is the ordered hookSink; fanned out, each SM records into a
 // fragment of its own — a trace with its own location table and arena,
-// arithmetic counts, and a context tree whose root stands for the
-// kernel's base context, so the SM never touches p.CCT while it runs. A
-// fragment joins the kernel's profile as soon as every lower SM's has,
-// which reproduces every id the ordered sink would have assigned.
+// and a context tree whose root stands for the kernel's base context, so
+// the SM never touches p.CCT while it runs. A fragment joins the
+// kernel's profile as soon as every lower SM's has, which reproduces
+// every id the ordered sink would have assigned.
 // Fragments after the first faulting SM are dropped, as the ordered run
 // never reaches their events.
 type smSinks struct {
@@ -297,8 +291,7 @@ func (s *smSink) SMDone(err error) {
 }
 
 // join moves one SM's fragment into the kernel's profile: its context
-// nodes into the shared tree, its records onto the trace, its arithmetic
-// counts into the kernel's.
+// nodes into the shared tree and its records onto the trace.
 func (f *smSinks) join(g *smSink) {
 	ids := make([]int32, g.ctx.Len())
 	ids[trace.Root] = f.kp.BaseCtx
@@ -306,12 +299,6 @@ func (f *smSinks) join(g *smSink) {
 		ids[id] = f.ctx.Child(ids[g.ctx.Parent(id)], g.ctx.Frame(id))
 	}
 	f.kp.Trace.Append(g.kp.Trace, ids)
-	for op, n := range g.kp.ArithCounts {
-		if f.kp.ArithCounts == nil {
-			f.kp.ArithCounts = make(map[ir.Op]int64)
-		}
-		f.kp.ArithCounts[op] += n
-	}
 }
 
 // DataObject is the data-centric view of one device allocation: where it

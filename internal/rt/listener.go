@@ -42,13 +42,11 @@ type CycleCounter struct {
 	// measured #CTAs input of the bypass capacity model, taken from the
 	// actual launch rather than extrapolated from a smaller one.
 	MaxCTAs int
-	// PerKernel accumulates cycles by kernel name.
-	PerKernel map[string]int64
 }
 
 // NewCycleCounter returns an empty counter.
 func NewCycleCounter() *CycleCounter {
-	return &CycleCounter{PerKernel: make(map[string]int64)}
+	return &CycleCounter{}
 }
 
 // KernelEnd implements Listener.
@@ -57,5 +55,4 @@ func (c *CycleCounter) KernelEnd(info *LaunchInfo, res *gpu.LaunchResult) {
 	if res.CTAs > c.MaxCTAs {
 		c.MaxCTAs = res.CTAs
 	}
-	c.PerKernel[info.Kernel] += res.Cycles
 }

@@ -198,9 +198,6 @@ func TestCycleCounter(t *testing.T) {
 	if counter.Cycles <= 0 || counter.Cycles != sum {
 		t.Errorf("cycles = %d, want the 3 launches' %d", counter.Cycles, sum)
 	}
-	if counter.PerKernel["copy"] != counter.Cycles {
-		t.Error("per-kernel cycles do not add up")
-	}
 }
 
 func TestKernelTimeAccumulates(t *testing.T) {

@@ -283,7 +283,8 @@ func loadModule(t *testing.T) (*moduleChecker, []*types.Package) {
 // user. A method is exempt when its type implements an interface that
 // declares it (spelled in the module, in a standard package it imports,
 // or error), since a call through the interface names no concrete method.
-// What tests across packages share is listed above.
+// What tests across packages share is listed above; an entry there that
+// is gone or has a non-test caller now fails too.
 func TestEveryExportedFuncIsCalled(t *testing.T) {
 	c, module := loadModule(t)
 	used := map[types.Object]bool{}
@@ -326,13 +327,18 @@ func TestEveryExportedFuncIsCalled(t *testing.T) {
 		return false
 	}
 
+	uncalled := map[string]bool{}
 	for _, p := range module {
 		dir := strings.TrimPrefix(p.Path(), "cudaadvisor/")
 		for _, name := range p.Scope().Names() {
 			switch obj := p.Scope().Lookup(name).(type) {
 			case *types.Func:
-				if key := dir + "." + name; obj.Exported() && !used[obj] && !sharedTestAPI[key] {
-					t.Errorf("%s: exported, and no non-test code calls it", key)
+				key := dir + "." + name
+				if obj.Exported() && !used[obj] {
+					uncalled[key] = true
+					if !sharedTestAPI[key] {
+						t.Errorf("%s: exported, and no non-test code calls it", key)
+					}
 				}
 			case *types.TypeName:
 				named, ok := obj.Type().(*types.Named)
@@ -348,6 +354,11 @@ func TestEveryExportedFuncIsCalled(t *testing.T) {
 			}
 		}
 	}
+	for key := range sharedTestAPI {
+		if !uncalled[key] {
+			t.Errorf("%s: listed in sharedTestAPI, but no such function is left uncalled", key)
+		}
+	}
 }
 
 // unreadFieldOK lists fields that no non-test code reads but that stay.
@@ -356,6 +367,14 @@ var unreadFieldOK = map[string]bool{
 	// TestSchedulerOrderGolden.
 	"internal/gpu.WarpView.SM":    true,
 	"internal/gpu.WarpView.Cycle": true,
+	// Summed over shards into LaunchResult.Cache, which
+	// TestSchedulerOrderGolden prints whole and the bypass tests read.
+	"internal/gpu.CacheStats.Misses":   true,
+	"internal/gpu.CacheStats.Bypassed": true,
+	"internal/gpu.CacheStats.Writes":   true,
+	// ParseFoldedLine must unescape every frame to validate the line;
+	// the escaping round-trip tests read the result.
+	"internal/export.FoldedStack.Frames": true,
 	// The analyzer's final value per register: the seam the executor's
 	// uniform and affine registers are to read.
 	"internal/staticadvisor.FuncResult.vals": true,
@@ -364,33 +383,118 @@ var unreadFieldOK = map[string]bool{
 // unreadFields returns, as "path.Type.field" (path trimmed of prefix),
 // each field of a package-level struct type of pkgs that no file of
 // files reads. Selecting a field reads it, taking its address included,
-// except as the target of an assignment or inc/dec; a composite-literal
-// key is no selection. Embedded fields, fields with a json: tag (which
-// encoding/json reads) and fields of a struct used as a map key type
-// (which == reads) are exempt.
+// except where its value can only flow back into the field:
+//   - (a) as the target of an assignment or inc/dec, or the indexed
+//     operand of one: x.F = v, x.F[k] += v, x.F[k]++;
+//   - (b) anywhere in an assignment or inc/dec whose only target is F:
+//     r.F += o.F, b.F = append(b.F, x);
+//   - (c) in the condition of an if with no else whose body only assigns
+//     F: if d > r.F { r.F = d };
+//   - (d) as the range expression of a for whose body only assigns F.
+//
+// A composite-literal key is no selection. Embedded fields, fields with a
+// json: tag (which encoding/json reads) and fields of a struct used as a
+// map key type (which == reads) are exempt.
 func unreadFields(info *types.Info, files []*ast.File, pkgs []*types.Package, prefix string) []string {
-	written := map[*ast.SelectorExpr]bool{}
-	target := func(e ast.Expr) {
-		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
-			written[sel] = true
+	// root strips parens and indexes off an assignment target.
+	root := func(e ast.Expr) *ast.SelectorExpr {
+		for {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				return x
+			default:
+				return nil
+			}
 		}
+	}
+	field := func(sel *ast.SelectorExpr) *types.Var {
+		if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+			return s.Obj().(*types.Var).Origin()
+		}
+		return nil
+	}
+	// targets returns what an assignment or inc/dec writes, and nil for
+	// any other node.
+	targets := func(n ast.Node) []ast.Expr {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			return n.Lhs
+		case *ast.IncDecStmt:
+			return []ast.Expr{n.X}
+		}
+		return nil
+	}
+	// only returns the one field that stmts assign and nothing else:
+	// assignments and inc/decs into it, and ifs with no else and range
+	// loops whose bodies do the same. It returns nil for any other list.
+	var only func(stmts []ast.Stmt) *types.Var
+	only = func(stmts []ast.Stmt) *types.Var {
+		var f *types.Var
+		for _, s := range stmts {
+			var g *types.Var
+			switch s := s.(type) {
+			case *ast.AssignStmt, *ast.IncDecStmt:
+				lhs := targets(s)
+				g = field(root(lhs[0]))
+				for _, e := range lhs[1:] {
+					if field(root(e)) != g {
+						g = nil
+					}
+				}
+			case *ast.IfStmt:
+				if s.Else == nil {
+					g = only(s.Body.List)
+				}
+			case *ast.RangeStmt:
+				g = only(s.Body.List)
+			case *ast.BlockStmt:
+				g = only(s.List)
+			}
+			if g == nil || f != nil && g != f {
+				return nil
+			}
+			f = g
+		}
+		return f
+	}
+	notRead := map[*ast.SelectorExpr]bool{}
+	// mark notes every selection of f in n as no read.
+	mark := func(n ast.Node, f *types.Var) {
+		if f == nil {
+			return
+		}
+		ast.Inspect(n, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && field(sel) == f {
+				notRead[sel] = true
+			}
+			return true
+		})
 	}
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					target(lhs)
+			for _, lhs := range targets(n) {
+				if sel := root(lhs); sel != nil {
+					notRead[sel] = true
 				}
-			case *ast.IncDecStmt:
-				target(n.X)
+			}
+			switch n := n.(type) {
+			case *ast.AssignStmt, *ast.IncDecStmt:
+				mark(n, only([]ast.Stmt{n.(ast.Stmt)}))
+			case *ast.IfStmt:
+				if n.Else == nil {
+					mark(n.Cond, only(n.Body.List))
+				}
+			case *ast.RangeStmt:
+				mark(n.X, only(n.Body.List))
 			}
 			return true
 		})
 	}
 	read := map[types.Object]bool{}
 	for sel, s := range info.Selections {
-		if s.Kind() == types.FieldVal && !written[sel] {
+		if s.Kind() == types.FieldVal && !notRead[sel] {
 			read[s.Obj().(*types.Var).Origin()] = true
 		}
 	}
@@ -442,13 +546,21 @@ func unreadFields(info *types.Info, files []*ast.File, pkgs []*types.Package, pr
 }
 
 // TestEveryFieldIsRead fails on a struct field that the module's
-// non-test code writes, or only sets in literals, but never reads: state
-// nobody consumes. bench/ counts as a reader.
+// non-test code writes, accumulates into, or only sets in literals, but
+// never reads: state nobody consumes. bench/ counts as a reader. An
+// unreadFieldOK entry that is gone or read now fails too.
 func TestEveryFieldIsRead(t *testing.T) {
 	c, module := loadModule(t)
+	unread := map[string]bool{}
 	for _, key := range unreadFields(c.info, c.files, module, "cudaadvisor/") {
+		unread[key] = true
 		if !unreadFieldOK[key] {
 			t.Errorf("%s: field, and no non-test code reads it", key)
+		}
+	}
+	for key := range unreadFieldOK {
+		if !unread[key] {
+			t.Errorf("%s: listed in unreadFieldOK, but no such field is left unread", key)
 		}
 	}
 }
@@ -464,17 +576,48 @@ type T struct {
 	addr    int
 	tagged  int ` + "`json:\"tagged\"`" + `
 	read    int
+	indexed map[int]int // (a)
+	sum     int         // (b)
+	peak    int         // (b)
+	list    []int       // (b)
+	hi      int         // (c)
+	tally   map[int]int // (d)
+	total   int         // accumulated, and returned
+	err     error       // read into another field
+	failed  bool        // read by the if below
+	mode    int         // steers another field too
 }
 
 type K struct{ a, b int }
 
 var seen map[K]bool
 
-func f(t *T) (*int, int) {
+func f(t, o *T, d int) (*int, int) {
 	t.written = 1
 	t.counter += 2
 	t.counter++
 	_ = T{written: 3, read: 4}
+	t.indexed[d] = 1
+	t.indexed[d] += 2
+	t.indexed[d]++
+	t.sum += o.sum
+	t.peak = max(t.peak, o.peak)
+	t.list = append(t.list, d)
+	if d > t.hi {
+		t.hi = d
+	}
+	for k, n := range o.tally {
+		t.tally[k] += n
+	}
+	t.total += o.total
+	if t.mode > 0 {
+		t.written = 2
+		t.mode = 0
+	}
+	t.failed = o.err != nil
+	if t.failed {
+		return nil, t.total
+	}
 	return &t.addr, t.read
 }
 `
@@ -492,7 +635,8 @@ func f(t *T) (*int, int) {
 		t.Fatal(err)
 	}
 	got := unreadFields(info, []*ast.File{file}, []*types.Package{p}, "")
-	if want := []string{"p.T.written", "p.T.counter"}; !slices.Equal(got, want) {
+	want := []string{"p.T.written", "p.T.counter", "p.T.indexed", "p.T.sum", "p.T.peak", "p.T.list", "p.T.hi", "p.T.tally"}
+	if !slices.Equal(got, want) {
 		t.Errorf("unread fields = %v, want %v", got, want)
 	}
 }
