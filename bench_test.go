@@ -134,11 +134,9 @@ func speedupWorkers() int {
 
 // BenchmarkAllWarmCache times the full evaluation (`all`) against a warm
 // on-disk profile cache: one untimed cold pass fills the store, then
-// every timed iteration replays it warm, where all profiling and sweep
-// cells are disk hits and only rendering, the debug views, and the
-// wall-clock overhead study (which is never cached) run for real. The
-// cold-over-warm-x metric is the wall-clock reduction the cache buys a
-// CI rerun.
+// every timed iteration replays it warm, where every cell is a disk hit
+// and only rendering runs for real. The cold-over-warm-x metric is the
+// wall-clock reduction the cache buys a CI rerun.
 func BenchmarkAllWarmCache(b *testing.B) {
 	dir := b.TempDir()
 	runAll := func() time.Duration {
@@ -176,34 +174,6 @@ func BenchmarkTable3BranchDivergence(b *testing.B) {
 					b.ReportMetric(r.Result.Percent(), "nw-divergence-%")
 				}
 			}
-		}
-	}
-}
-
-// BenchmarkFigure10OverheadKepler measures the tool's wall-clock
-// instrumentation overhead on the Kepler configuration (Figure 10).
-func BenchmarkFigure10OverheadKepler(b *testing.B) {
-	benchOverhead(b, gpu.KeplerK40c())
-}
-
-// BenchmarkFigure10OverheadPascal measures the overhead on Pascal.
-func BenchmarkFigure10OverheadPascal(b *testing.B) {
-	benchOverhead(b, gpu.PascalP100())
-}
-
-func benchOverhead(b *testing.B, cfg gpu.ArchConfig) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		rows, _, err := experiments.Overhead(experiments.Env{Scale: 1}, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			sum := 0.0
-			for _, r := range rows {
-				sum += r.Slowdown()
-			}
-			b.ReportMetric(sum/float64(len(rows)), "mean-slowdown-x")
 		}
 	}
 }

@@ -106,47 +106,33 @@ func TestInjectedRunWritesNoCacheEntries(t *testing.T) {
 	}
 }
 
-// detPrefix cuts `all` output at the Figure 10 header: everything before
-// it is deterministic; Figure 10 reports wall-clock seconds and is
-// documented (OverheadEnv) as not run-to-run reproducible.
-func detPrefix(t *testing.T, out string) string {
-	t.Helper()
-	i := strings.Index(out, "=== Figure 10")
-	if i < 0 {
-		t.Fatalf("output has no Figure 10 section:\n%s", out)
-	}
-	return out[:i]
-}
-
 // TestAllCacheMatrix is the acceptance matrix for the whole-run cache:
-// `cudaadvisor all` output is byte-identical across {cache off, cold
-// cache, warm cache} × {-j 1, -j 8} (the deterministic prefix; Figure 10
-// is wall clock), the uncached reference matches the checked-in golden
-// (pinning that the streaming rewrite changed no bytes), a cold run
-// serves duplicate cells from the memoizer, a warm run is a 100% hit
-// rate with identical stats at every -j, and the warm run is measurably
-// faster than the cold one.
+// `cudaadvisor all` output, Figure 10 included, is byte-identical across
+// {cache off, cold cache, warm cache} × {-j 1, -j 8}, the uncached
+// reference matches the checked-in golden, a cold run serves duplicate
+// cells from the memoizer, a warm run is a 100% hit rate with identical
+// stats at every -j, and the warm run is measurably faster than the cold
+// one.
 //
-// Six full evaluations are minutes of simulation, so this runs neither
+// Four full evaluations are minutes of simulation, so this runs neither
 // in -short nor under the race detector (see race_on.go); CI has a
 // dedicated non-race step for it.
 func TestAllCacheMatrix(t *testing.T) {
 	if testing.Short() {
-		t.Skip("six full `all` runs; skipped in -short")
+		t.Skip("four full `all` runs; skipped in -short")
 	}
 	if raceEnabled {
 		t.Skip("full `all` matrix under -race exceeds the test budget; cache races are covered by profcache and experiments tests")
 	}
 	dir := t.TempDir()
 
-	refOut, _ := runOK(t, "-j", "1", "all")
-	ref := detPrefix(t, refOut)
+	ref, _ := runOK(t, "-j", "1", "all")
 	checkGolden(t, "all.golden", []byte(ref))
 
 	t0 := time.Now()
 	coldOut, coldErr := runOK(t, "-j", "8", "-cache-dir", dir, "-cache-stats", "all")
 	coldDur := time.Since(t0)
-	if got := detPrefix(t, coldOut); got != ref {
+	if coldOut != ref {
 		t.Errorf("cold cache -j 8 output differs from uncached -j 1")
 	}
 	cs := parseCacheStats(t, coldErr)
@@ -163,7 +149,7 @@ func TestAllCacheMatrix(t *testing.T) {
 	t1 := time.Now()
 	warm1Out, warm1Err := runOK(t, "-j", "1", "-cache-dir", dir, "-cache-stats", "all")
 	warmDur := time.Since(t1)
-	if got := detPrefix(t, warm1Out); got != ref {
+	if warm1Out != ref {
 		t.Errorf("warm cache -j 1 output differs from uncached")
 	}
 	w1 := parseCacheStats(t, warm1Err)
@@ -172,7 +158,7 @@ func TestAllCacheMatrix(t *testing.T) {
 	}
 
 	warm8Out, warm8Err := runOK(t, "-j", "8", "-cache-dir", dir, "-cache-stats", "all")
-	if got := detPrefix(t, warm8Out); got != ref {
+	if warm8Out != ref {
 		t.Errorf("warm cache -j 8 output differs from uncached")
 	}
 	if w8 := parseCacheStats(t, warm8Err); w8 != w1 {

@@ -85,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cellTimeout := fs.Duration("cell-timeout", 0, "per-cell deadline (0 = none), e.g. 30s")
 	keepGoing := fs.Bool("keep-going", false, "annotate failing cells and continue; exit 1 at the end")
 	injectSpec := fs.String("inject", "", "fault-injection spec, e.g. seed=1,cells=3,hookerr=100")
-	cacheOn := fs.Bool("cache", false, "share repeated profiling/timing cells in-process (content-addressed memoizer)")
+	cacheOn := fs.Bool("cache", false, "share repeated profiling/cycle-model cells in-process (content-addressed memoizer)")
 	cacheDir := fs.String("cache-dir", "", "persist the profile cache here (implies -cache); corrupt entries are misses")
 	cacheStats := fs.Bool("cache-stats", false, "print a cache summary line to stderr after the command")
 	cacheBudget := fs.Int64("cache-budget", 0, "on-disk cache size budget in bytes (0 = unlimited); oldest entries are evicted")
@@ -183,7 +183,7 @@ global flags:
   -keep-going        annotate failing cells, render everything else, exit 1
   -inject SPEC       deterministic fault injection (seed=,cells=,hookerr=,
                      faultat=file:line,allocfail=,overflow=,panic=)
-  -cache             share repeated profiling/timing cells in-process; output
+  -cache             share repeated profiling/cycle-model cells in-process; output
                      stays byte-identical to an uncached run
   -cache-dir DIR     persist the cache in DIR across runs (implies -cache);
                      keyed on the binary's build, corruption-tolerant (bad
@@ -212,9 +212,9 @@ commands:
   table3       branch divergence table
   figure6      cache bypassing on Kepler (16 KB and 48 KB L1)
   figure7      cache bypassing on Pascal (24 KB unified cache)
-  figure10     instrumentation overhead
+  figure10     instrumentation overhead (modeled cycles)
   debugviews   code-/data-centric debugging views (Figures 8/9)
-  all          everything above (figures run concurrently; figure10 last, alone)
+  all          everything above (figures run concurrently)
   serve        HTTP daemon answering profile/lint/advise/export requests from the
                shared cache: cudaadvisor serve [-addr host:port] [-width N]
                [-depth N] [-drain D] [-allow-inject]; endpoints /healthz,

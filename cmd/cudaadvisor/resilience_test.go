@@ -26,11 +26,10 @@ func runInjected(t *testing.T, cmd, spec string, j int) (string, int) {
 }
 
 // TestKeepGoingInjectionDeterministic pins the resilience acceptance
-// criteria on the deterministic figures (figure10 reports wall-clock
-// seconds, so it is exercised separately): with fault injection enabled
-// and -keep-going, every figure completes, exactly the injured cells are
-// annotated, the exit status is non-zero, and the output is
-// byte-identical at -j 1 and -j 8.
+// criteria on the figures: with fault injection enabled and -keep-going,
+// every figure completes, exactly the injured cells are annotated, the
+// exit status is non-zero, and the output is byte-identical at -j 1 and
+// -j 8.
 func TestKeepGoingInjectionDeterministic(t *testing.T) {
 	for _, tc := range []struct {
 		cmd        string
@@ -60,6 +59,14 @@ func TestKeepGoingInjectionDeterministic(t *testing.T) {
 			spec:       "seed=7,allocfail=2",
 			annotated:  []string{"debugviews/bfs [cell failed:", "injected allocator failure"},
 			mustRender: []string{"=== Figures 8/9"},
+		},
+		{
+			// A panic in one overhead cell and a hook error in half of the
+			// others: the unselected cells' cycle rows still render.
+			cmd:        "figure10",
+			spec:       "seed=1,cells=2,hookerr=5,panic=figure10/pascal-p100/nw",
+			annotated:  []string{"figure10/pascal-p100/nw [cell failed:", "injected panic", "injected hook error"},
+			mustRender: []string{"backprop   kepler-k40c", "nn         pascal-p100"},
 		},
 		{
 			// A worker panic in the single advise cell: the annotation is

@@ -8,13 +8,11 @@ import (
 )
 
 // WriteAll regenerates every table and figure in paper order. The
-// analysis experiments run concurrently (each figure is a coordinator
-// whose simulator runs are gated on the shared pool) and stream to w in
-// paper order through a runner.Ordered writer: figure i is emitted as
-// soon as figures < i are done, instead of after the whole run, with
-// bytes identical to the old buffer-everything path. The wall-clock
-// overhead study (Figure 10) runs afterwards, alone, so the concurrent
-// figures cannot distort its timing.
+// experiments run concurrently (each figure is a coordinator whose
+// simulator runs are gated on the shared pool) and stream to w in paper
+// order through a runner.Ordered writer: figure i is emitted as soon as
+// figures < i are done, instead of after the whole run, with bytes
+// identical to the old buffer-everything path.
 //
 // With -keep-going, a failing figure does not abort the others: every
 // figure still renders (injured cells annotated in place) and the
@@ -23,7 +21,7 @@ import (
 // completed before the failure may already have streamed.
 func WriteAll(w io.Writer, env Env) error {
 	figures := []func(io.Writer, Env) error{
-		WriteFigure4, WriteFigure5, WriteTable3, WriteFigure6, WriteFigure7, WriteCodeDataCentric,
+		WriteFigure4, WriteFigure5, WriteTable3, WriteFigure6, WriteFigure7, WriteCodeDataCentric, WriteFigure10,
 	}
 	ord := runner.NewOrdered(w, len(figures))
 	figErrs := make([]error, len(figures))
@@ -42,10 +40,5 @@ func WriteAll(w io.Writer, env Env) error {
 	if err := ord.Err(); err != nil {
 		return err
 	}
-	err = WriteFigure10(w, env)
-	if err != nil && !env.KeepGoing {
-		return err
-	}
-	figErrs = append(figErrs, err)
 	return errors.Join(figErrs...)
 }

@@ -2,11 +2,15 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"cudaadvisor/internal/apps"
 	"cudaadvisor/internal/faultinject"
+	"cudaadvisor/internal/gpu"
+	"cudaadvisor/internal/instrument"
 	"cudaadvisor/internal/profcache"
 	"cudaadvisor/internal/runner"
 )
@@ -164,6 +168,66 @@ func TestDebugViewsCached(t *testing.T) {
 	}
 	if s := warm.Cache.Stats(); s.Misses != 0 || s.DiskHits != 1 || s.BadEntries != 0 {
 		t.Errorf("warm stats = %+v, want the views served without profiling (0 misses)", s)
+	}
+}
+
+// TestFigure10Cached: a Figure 10 cell is two cycle measurements, so the
+// figure renders the same bytes serially, on a pool, from a cold cache
+// and from a warm one that simulates nothing. A trace cap cannot move it
+// (no trace is kept), which is why its keys leave the cap out. The
+// instrumented side's cycles are a profiled run's: a hook costs its
+// HookCost whatever records it.
+func TestFigure10Cached(t *testing.T) {
+	render := func(env Env) string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := WriteFigure10(&buf, env); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	want := render(Env{Scale: 1})
+	dir := t.TempDir()
+	cold := Env{Pool: runner.New(4), Scale: 1}
+	cold.Cache = profcache.New(dir)
+	warm := Env{Scale: 1}
+	warm.Cache = profcache.New(dir)
+	for _, tc := range []struct {
+		name string
+		env  Env
+	}{
+		{"uncached -j 4", Env{Pool: runner.New(4), Scale: 1}},
+		{"cold cache", cold},
+		{"warm cache", warm},
+		{"trace cap", Env{Scale: 1, TraceCap: 2000}},
+	} {
+		if got := render(tc.env); got != want {
+			t.Errorf("%s: Figure 10 differs from the uncached serial render\n--- got\n%s--- want\n%s", tc.name, got, want)
+		}
+	}
+	n := int64(2 * 2 * len(apps.TableOrder)) // two architectures, two sides per app
+	if s := cold.Cache.Stats(); s.Misses != n || s.Stores != n {
+		t.Errorf("cold stats = %+v, want %d cycle entries filled and stored", s, n)
+	}
+	if s := warm.Cache.Stats(); s.Misses != 0 || s.Runs != 0 || s.DiskHits != n || s.BadEntries != 0 {
+		t.Errorf("warm stats = %+v, want %d disk hits, 0 misses and 0 runs", s, n)
+	}
+
+	a, cfg, opts := apps.ByName("nw"), gpu.KeplerK40c(), instrument.MemoryAndBlocks()
+	st, err := measureCycles(context.Background(), nil, nil, a, cfg, opts, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Profile(a, cfg, opts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var profiled int64
+	for _, kp := range p.Kernels {
+		profiled += kp.Result.Cycles
+	}
+	if st.Cycles != profiled {
+		t.Errorf("nw instrumented: %d cycles counted, %d profiled", st.Cycles, profiled)
 	}
 }
 

@@ -83,7 +83,7 @@ func TestBFSBypassCTAInput(t *testing.T) {
 
 	// The measurement bypassStudy makes: the no-bypass native run at the
 	// timing scale.
-	st, err := measureNative(context.Background(), nil, a, cfg, 0, BypassRunScale)
+	st, err := measureCycles(context.Background(), nil, nil, a, cfg, instrument.Options{}, 0, BypassRunScale)
 	if err != nil {
 		t.Fatal(err)
 	}

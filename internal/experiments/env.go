@@ -61,8 +61,7 @@ type Env struct {
 	// reports) cache their output bytes as "view" entries, and all cells
 	// of one run share its one simulation (runCell). It is consulted
 	// only when the run is unperturbed: fault injection and per-cell
-	// timeouts bypass it entirely (see cacheActive), as do cells that need
-	// wall-clock time (Figure 10).
+	// timeouts bypass it entirely (see cacheActive).
 	Cache *profcache.Cache
 }
 
@@ -164,18 +163,20 @@ func (e Env) resultsCell(ctx context.Context, cell string, app *apps.App, cfg gp
 	return p.Analyses(cfg.L1LineSize), nil
 }
 
-// nativeStats runs one native cycle-model measurement through the cache
-// when active. One native run yields both the modeled cycles and the
-// largest launched grid, so the bypass study's CTA measurement is also
-// its baseline sweep point (l1Warps = 0 at the timing scale).
-func (e Env) nativeStats(ctx context.Context, app *apps.App, cfg gpu.ArchConfig, l1Warps, scale int) (profcache.CycleStats, error) {
-	if !e.cacheActive() {
-		return measureNative(ctx, e.Pool, app, cfg, l1Warps, scale)
+// cycles runs one cycle-model measurement (measureCycles) through the
+// cache when active; an injected run (inj non-nil) never is. One native
+// run yields both the modeled cycles and the largest launched grid, so
+// the bypass study's CTA measurement is also its baseline sweep point
+// (l1Warps = 0 at the timing scale).
+func (e Env) cycles(ctx context.Context, inj *faultinject.Injector, app *apps.App, cfg gpu.ArchConfig,
+	opts instrument.Options, l1Warps, scale int) (profcache.CycleStats, error) {
+	measure := func(ctx context.Context) (profcache.CycleStats, error) {
+		return measureCycles(ctx, e.Pool, inj, app, cfg, opts, l1Warps, scale)
 	}
-	key := profcache.CyclesKey(app, cfg, l1Warps, scale)
-	return e.Cache.Cycles(ctx, key, func(ctx context.Context) (profcache.CycleStats, error) {
-		return measureNative(ctx, e.Pool, app, cfg, l1Warps, scale)
-	})
+	if !e.cacheActive() {
+		return measure(ctx)
+	}
+	return e.Cache.Cycles(ctx, profcache.CyclesKey(app, cfg, opts, l1Warps, scale), measure)
 }
 
 // viewCell is the one rendered-view cell behind `profile`, `export`,

@@ -21,13 +21,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
-	"runtime"
 
 	"cudaadvisor/internal/analysis"
 	"cudaadvisor/internal/apps"
 	"cudaadvisor/internal/bypass"
 	"cudaadvisor/internal/core"
+	"cudaadvisor/internal/faultinject"
 	"cudaadvisor/internal/gpu"
 	"cudaadvisor/internal/instrument"
 	"cudaadvisor/internal/profcache"
@@ -166,33 +165,42 @@ func WriteTable3(w io.Writer, env Env) error {
 	return err
 }
 
-// measureNative executes an app natively with the given bypassing
-// setting and returns the cycle-model measurements: the summed modeled
-// kernel cycles and the largest launched grid in CTAs. The result is a
-// pure function of (app, cfg, l1Warps, scale) — the modeled cycle count
-// involves no wall clock — which is what makes it cacheable, and handing
-// the launches a pool cannot change it (the SM fan-out is byte-identical
-// at every worker count). ctx (which may be nil) bounds the kernels via
+// measureCycles executes app, its native program for zero opts and else
+// the program instrumented with opts, and returns the cycle-model
+// measurements: the summed modeled kernel cycles and the largest launched
+// grid in CTAs. The result is a pure function of (app, cfg, opts,
+// l1Warps, scale): the modeled cycle count involves no wall clock, and a
+// hook costs its modeled cycles whatever records it. That is what makes
+// it cacheable, and handing the launches a pool cannot change it (the SM
+// fan-out is byte-identical at every worker count). inj (nil for none)
+// wraps the run's listener. ctx (which may be nil) bounds the kernels via
 // the executor's step-guard poll.
-func measureNative(ctx context.Context, pool *runner.Pool, app *apps.App, cfg gpu.ArchConfig, l1Warps, scale int) (profcache.CycleStats, error) {
-	if onNative != nil {
-		onNative(app)
+func measureCycles(ctx context.Context, pool *runner.Pool, inj *faultinject.Injector, app *apps.App, cfg gpu.ArchConfig,
+	opts instrument.Options, l1Warps, scale int) (profcache.CycleStats, error) {
+	if onCycles != nil {
+		onCycles(app)
 	}
-	prog, err := app.Native()
+	var prog *instrument.Program
+	var err error
+	if opts == (instrument.Options{}) {
+		prog, err = app.Native()
+	} else {
+		prog, err = app.Instrumented(opts)
+	}
 	if err != nil {
 		return profcache.CycleStats{}, err
 	}
 	counter := rt.NewCycleCounter()
-	c := newContext(cfg, counter, rt.LaunchOptions{L1Warps: l1Warps, Ctx: ctx, Pool: pool})
+	c := newContext(cfg, inj.Listener(counter), rt.LaunchOptions{L1Warps: l1Warps, Ctx: ctx, Pool: pool})
 	if err := app.Run(c, prog, scale); err != nil {
 		return profcache.CycleStats{}, err
 	}
 	return profcache.CycleStats{Cycles: counter.Cycles, MaxCTAs: counter.MaxCTAs}, nil
 }
 
-// onNative, set by a test only, is told of every native run
-// measureNative makes.
-var onNative func(*apps.App)
+// onCycles, set by a test only, is told of every run measureCycles
+// makes.
+var onCycles func(*apps.App)
 
 // BypassRunScale is the input scale for the bypassing timing runs: large
 // enough that the grids fill the SMs (the occupancy the capacity study
@@ -255,7 +263,7 @@ func bypassStudy(env Env, prefix string, cfg gpu.ArchConfig) ([]bypass.Compariso
 			// run is the baseline sweep point (no bypassing, timing
 			// scale), so the sweep reuses its cycles.
 			base, err := runner.DoCtx(cctx, env.Pool, func(ctx context.Context) (profcache.CycleStats, error) {
-				return env.nativeStats(ctx, a, cfg, 0, env.Scale*BypassRunScale)
+				return env.cycles(ctx, nil, a, cfg, instrument.Options{}, 0, env.Scale*BypassRunScale)
 			})
 			if err != nil {
 				return err
@@ -270,7 +278,7 @@ func bypassStudy(env Env, prefix string, cfg gpu.ArchConfig) ([]bypass.Compariso
 					if k >= a.WarpsPerCTA {
 						return base.Cycles, nil // no bypassing: step 2's run
 					}
-					st, err := env.nativeStats(cctx, a, cfg, k, env.Scale*BypassRunScale)
+					st, err := env.cycles(cctx, nil, a, cfg, instrument.Options{}, k, env.Scale*BypassRunScale)
 					return st.Cycles, err
 				})
 			if err != nil {
@@ -336,76 +344,33 @@ func WriteFigure7(w io.Writer, env Env) error {
 			cfg.Name, cfg.L1Bytes/1024), cfg)
 }
 
-// Overhead measures the wall-clock slowdown of memory+control-flow
-// instrumentation for every application on one architecture (Figure 10):
-// the ratio of kernel-execution wall time between the instrumented and
-// native builds on the same simulator (the paper measures "runtime
-// overheads of running GPU kernels").
-//
-// Program construction parallelizes freely, but the timed native and
-// instrumented runs of each app execute inside runner.Exclusive so that
-// concurrent siblings cannot inflate either side of the ratio. Each side
-// is the fastest of three or more alternating runs.
+// Overhead measures the slowdown of memory+control-flow instrumentation
+// for every application on one architecture (Figure 10): the ratio of
+// modeled kernel cycles between the instrumented and native builds, both
+// at env.Scale (the paper measures "runtime overheads of running GPU
+// kernels"). The simulated GPU charges each hook call the architecture's
+// HookCost, so the figure is deterministic and both sides are cacheable
+// cycle measurements.
 //
 // Per-cell errors align with apps.TableOrder. Cells are named
-// "figure10/<arch>/<app>"; worker panics injected there surface as that
-// cell's error. Note the measured times are wall clock, so this figure
-// is not run-to-run deterministic.
+// "figure10/<arch>/<app>"; fault injection applies to the instrumented
+// run, and worker panics injected there surface as that cell's error.
 func Overhead(env Env, cfg gpu.ArchConfig) ([]report.OverheadRow, []error, error) {
-	const (
-		reps     = 3    // timed runs per side, at least; the fastest one is reported
-		maxReps  = 12   // at most, for kernels too short to time in three
-		minTimed = 0.02 // seconds of native kernel time that ends the extra runs
-	)
 	cells := cellNames("figure10/"+cfg.Name, apps.TableOrder)
 	return runCells(env, cells, func(ctx context.Context, i int) (report.OverheadRow, error) {
 		a := apps.ByName(apps.TableOrder[i])
 		inj := env.Inject.Cell(cells[i])
 		inj.MaybePanic()
 		inj.MaybeKill()
-		native, err := a.Native()
+		native, err := env.cycles(ctx, nil, a, cfg, instrument.Options{}, 0, env.Scale)
 		if err != nil {
 			return report.OverheadRow{}, err
 		}
-		prog, err := a.Instrumented(instrument.MemoryAndBlocks())
+		profiled, err := env.cycles(ctx, inj, a, cfg, instrument.MemoryAndBlocks(), 0, env.Scale)
 		if err != nil {
 			return report.OverheadRow{}, err
 		}
-		// timed returns the kernel wall time of one run, which starts from
-		// a collected heap so that sweeping the garbage of the run before
-		// it is not on its clock.
-		timed := func(prog *instrument.Program, l rt.Listener) (float64, error) {
-			runtime.GC()
-			c := newContext(cfg, l, rt.LaunchOptions{Ctx: ctx})
-			err := a.Run(c, prog, env.Scale)
-			return c.KernelTime.Seconds(), err
-		}
-		return runner.Exclusive(env.Pool, func() (report.OverheadRow, error) {
-			// Each side reports its fastest run: wall-clock noise only
-			// ever adds, and on runs this short a descheduled thread costs
-			// as much as the kernel. Native and profiled runs alternate so
-			// that a slow stretch of the machine falls on both sides.
-			// A millisecond kernel gets more pairs (the minimum needs
-			// samples, and these cost nothing): up to maxReps, until
-			// minTimed seconds of native kernel time have been seen.
-			row := report.OverheadRow{App: a.Name, Arch: cfg.Name, Native: math.Inf(1), Profiled: math.Inf(1)}
-			seen := 0.0
-			for r := 0; r < reps || (r < maxReps && seen < minTimed); r++ {
-				sec, err := timed(native, nil)
-				if err != nil {
-					return report.OverheadRow{}, err
-				}
-				seen += sec
-				row.Native = min(row.Native, sec)
-				p := profiler.New()
-				p.TraceCap = inj.TraceCap(env.TraceCap)
-				if sec, err = timed(prog, inj.Listener(p)); err != nil {
-					return report.OverheadRow{}, err
-				}
-				row.Profiled = min(row.Profiled, sec)
-			}
-			return row, nil
-		})
+		return report.OverheadRow{App: a.Name, Arch: cfg.Name, Native: native.Cycles, Profiled: profiled.Cycles}, nil
 	})
 }
 

@@ -152,7 +152,7 @@ func TestBypassShape(t *testing.T) {
 	for _, name := range bypassFavorable() {
 		want[name] = apps.ByName(name).WarpsPerCTA
 	}
-	defer OnNative(func(a *apps.App) {
+	defer OnCycles(func(a *apps.App) {
 		mu.Lock()
 		runs[a.Name]++
 		mu.Unlock()

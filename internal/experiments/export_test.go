@@ -29,11 +29,11 @@ func OnAnalyze(f func(*apps.App)) (restore func()) {
 	return func() { onAnalyze = nil }
 }
 
-// OnNative has f told of every native run until the returned function is
-// called.
-func OnNative(f func(*apps.App)) (restore func()) {
-	onNative = f
-	return func() { onNative = nil }
+// OnCycles has f told of every cycle-model run until the returned
+// function is called.
+func OnCycles(f func(*apps.App)) (restore func()) {
+	onCycles = f
+	return func() { onCycles = nil }
 }
 
 // exportRequest decodes one `export` request the way a transport does.

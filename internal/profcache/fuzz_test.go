@@ -9,6 +9,7 @@ import (
 
 	"cudaadvisor/internal/apps"
 	"cudaadvisor/internal/gpu"
+	"cudaadvisor/internal/instrument"
 	"cudaadvisor/internal/profcache"
 	"cudaadvisor/internal/profiler"
 )
@@ -25,7 +26,7 @@ func fuzzKinds() []entryKind {
 	app, cfg := apps.ByName("bfs"), gpu.KeplerK40c()
 	ctx := context.Background()
 	profile := profcache.ProfileKey(app, cfg, bothOpts, 1, 0)
-	cycles := profcache.CyclesKey(app, cfg, 0, 1)
+	cycles := profcache.CyclesKey(app, cfg, instrument.Options{}, 0, 1)
 	view := profcache.ViewKey(app, cfg, bothOpts, 1, 0, "fuzz")
 	return []entryKind{
 		{profile, func(c *profcache.Cache, filled *bool) ([]byte, error) {

@@ -4,12 +4,12 @@
 // inputs: the application's device IR and host driver, the architecture
 // configuration, the instrumentation options, the input scale, and the
 // trace-buffer bounds (DESIGN.md "Scheduling determinism"); so is every
-// native cycle-model run behind the bypassing studies. A canonical hash
-// of those inputs therefore determines the result, and repeated cells —
-// Figure 4's applications reappearing in Figure 5, Figure 7's profiling
-// runs reappearing from Figure 5's Pascal panel, the fourteen views a
-// daemon serves of one run, whole CI reruns — are served with provably
-// identical output.
+// cycle-model run behind the bypassing and overhead studies. A canonical
+// hash of those inputs therefore determines the result, and repeated
+// cells — Figure 4's applications reappearing in Figure 5, Figure 7's
+// profiling runs reappearing from Figure 5's Pascal panel, the fourteen
+// views a daemon serves of one run, whole CI reruns — are served with
+// provably identical output.
 //
 // Two layers compose:
 //
@@ -29,11 +29,11 @@
 //     orphaned generations out.
 //
 // An entry is an analysis bundle's four figure aggregates ("profile"),
-// a cycle-model measurement ("cycles"), or rendered bytes ("view": an
-// encoded advisor report, a profile listing, an export). Anything
-// non-deterministic (the wall-clock overhead study) or perturbed (fault
-// injection, per-cell timeouts) must bypass the cache; see
-// experiments.Env for the policy.
+// a cycle-model measurement of a native or instrumented program
+// ("cycles": the bypassing studies and the overhead study), or rendered
+// bytes ("view": an encoded advisor report, a profile listing, an
+// export). A perturbed run (fault injection, per-cell timeouts) must
+// bypass the cache; see experiments.Env for the policy.
 package profcache
 
 import (
@@ -68,7 +68,7 @@ type Key struct {
 	App      string
 	IR       string // hex digest of the application's device IR text
 	Arch     string // canonical rendering of the gpu.ArchConfig
-	Opts     string // canonical rendering of the instrument.Options ("" for cycles)
+	Opts     string // canonical rendering of the instrument.Options
 	L1Warps  int    // cycles only: the rt bypassing setting (0 = none)
 	Scale    int
 	TraceCap int    // profile and view only: trace-buffer bound (0 = unbounded)
@@ -92,15 +92,17 @@ func ProfileKey(app *apps.App, cfg gpu.ArchConfig, opts instrument.Options, scal
 	}
 }
 
-// CyclesKey is the key of one native cycle-model run (no instrumentation,
-// no trace) at the given bypassing setting.
-func CyclesKey(app *apps.App, cfg gpu.ArchConfig, l1Warps, scale int) Key {
+// CyclesKey is the key of one cycle-model run (no trace) at the given
+// bypassing setting: of the native program for zero opts, else of the
+// program instrumented with opts.
+func CyclesKey(app *apps.App, cfg gpu.ArchConfig, opts instrument.Options, l1Warps, scale int) Key {
 	return Key{
 		Kind:    "cycles",
 		Build:   BuildVersion(),
 		App:     app.Name,
 		IR:      irFingerprint(app),
 		Arch:    fmt.Sprintf("%+v", cfg),
+		Opts:    fmt.Sprintf("%+v", opts),
 		L1Warps: l1Warps,
 		Scale:   scale,
 	}
@@ -143,7 +145,7 @@ func (k Key) ID() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// CycleStats is the result of one native cycle-model run: the summed
+// CycleStats is the result of one cycle-model run: the summed
 // modeled kernel cycles and the largest launched grid in CTAs. One run
 // yields both, so the bypass baseline and the Eq. (1) CTA measurement
 // share a single entry.
@@ -468,7 +470,7 @@ func (c *Cache) Profile(ctx context.Context, key Key, lineSize int, fill func(co
 	})
 }
 
-// Cycles is Profile for native cycle-model runs.
+// Cycles is Profile for cycle-model runs.
 func (c *Cache) Cycles(ctx context.Context, key Key, fill func(context.Context) (CycleStats, error)) (CycleStats, error) {
 	asJSON := codec[CycleStats]{
 		encode: func(v CycleStats) ([]byte, error) { return json.Marshal(v) },

@@ -88,9 +88,10 @@ func TestKeySensitivity(t *testing.T) {
 		{"shared-memory option", profcache.ProfileKey(app, cfg, instrument.MemorySharedAndBlocks(), 1, 0)},
 		{"scale", profcache.ProfileKey(app, cfg, opts, 2, 0)},
 		{"trace cap", profcache.ProfileKey(app, cfg, opts, 1, 4096)},
-		{"cycles", profcache.CyclesKey(app, cfg, 0, 1)},
-		{"cycles bypass setting", profcache.CyclesKey(app, cfg, 3, 1)},
-		{"cycles scale", profcache.CyclesKey(app, cfg, 0, 2)},
+		{"cycles", profcache.CyclesKey(app, cfg, instrument.Options{}, 0, 1)},
+		{"cycles bypass setting", profcache.CyclesKey(app, cfg, instrument.Options{}, 3, 1)},
+		{"cycles scale", profcache.CyclesKey(app, cfg, instrument.Options{}, 0, 2)},
+		{"cycles instrumented", profcache.CyclesKey(app, cfg, instrument.MemoryAndBlocks(), 0, 1)},
 		{"view kind", profcache.ViewKey(app, cfg, opts, 1, 0, "debugviews")},
 		{"view name", profcache.ViewKey(app, cfg, opts, 1, 0, "cct")},
 		{"advise view", profcache.ViewKey(app, cfg, opts, 1, 0, "advise:advisor-report/v1")},
@@ -173,7 +174,7 @@ func TestSingleFlight(t *testing.T) {
 func TestFillErrorNotCached(t *testing.T) {
 	dir := t.TempDir()
 	c := profcache.New(dir)
-	key := profcache.CyclesKey(apps.ByName("bfs"), gpu.KeplerK40c(), 0, 1)
+	key := profcache.CyclesKey(apps.ByName("bfs"), gpu.KeplerK40c(), instrument.Options{}, 0, 1)
 	boom := fmt.Errorf("injected fill failure")
 	if _, err := c.Cycles(context.Background(), key, func(context.Context) (profcache.CycleStats, error) {
 		return profcache.CycleStats{}, boom
@@ -198,7 +199,7 @@ func TestFillErrorNotCached(t *testing.T) {
 // request owns the fill gets its context error, not a hang.
 func TestWaiterCancellation(t *testing.T) {
 	c := profcache.New("")
-	key := profcache.CyclesKey(apps.ByName("bfs"), gpu.KeplerK40c(), 0, 1)
+	key := profcache.CyclesKey(apps.ByName("bfs"), gpu.KeplerK40c(), instrument.Options{}, 0, 1)
 	block := make(chan struct{})
 	started := make(chan struct{})
 	done := make(chan error, 1)
@@ -228,7 +229,7 @@ func TestWaiterCancellation(t *testing.T) {
 // the fill over and the rest share its result.
 func TestOwnerCancellationHandsOver(t *testing.T) {
 	c := profcache.New("")
-	key := profcache.CyclesKey(apps.ByName("bfs"), gpu.KeplerK40c(), 0, 1)
+	key := profcache.CyclesKey(apps.ByName("bfs"), gpu.KeplerK40c(), instrument.Options{}, 0, 1)
 	started := make(chan struct{})
 	var fills atomic.Int32
 	fill := func(ctx context.Context) (profcache.CycleStats, error) {
@@ -351,7 +352,7 @@ func TestRunOwnerCancellationHandsOver(t *testing.T) {
 // still there is a result; every waiter gets it and nobody runs it again.
 func TestSharedFillErrorStaysShared(t *testing.T) {
 	c := profcache.New("")
-	key := profcache.CyclesKey(apps.ByName("bfs"), gpu.KeplerK40c(), 0, 1)
+	key := profcache.CyclesKey(apps.ByName("bfs"), gpu.KeplerK40c(), instrument.Options{}, 0, 1)
 	boom := fmt.Errorf("injected fill failure")
 	started, release := make(chan struct{}), make(chan struct{})
 	var fills atomic.Int32
@@ -413,7 +414,7 @@ func TestDiskRoundTrip(t *testing.T) {
 // TestCyclesDiskRoundTrip is the cycles-entry analogue.
 func TestCyclesDiskRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	key := profcache.CyclesKey(apps.ByName("bfs"), gpu.KeplerK40c(), 2, 1)
+	key := profcache.CyclesKey(apps.ByName("bfs"), gpu.KeplerK40c(), instrument.Options{}, 2, 1)
 	want := profcache.CycleStats{Cycles: 123456, MaxCTAs: 42}
 	cold := profcache.New(dir)
 	if _, err := cold.Cycles(context.Background(), key, func(context.Context) (profcache.CycleStats, error) {
@@ -577,7 +578,7 @@ func TestCorruptEntriesAreMisses(t *testing.T) {
 			otherDir := t.TempDir()
 			other := profcache.New(otherDir)
 			if _, err := other.Cycles(context.Background(),
-				profcache.CyclesKey(apps.ByName("bfs"), gpu.KeplerK40c(), 0, 1),
+				profcache.CyclesKey(apps.ByName("bfs"), gpu.KeplerK40c(), instrument.Options{}, 0, 1),
 				func(context.Context) (profcache.CycleStats, error) {
 					return profcache.CycleStats{Cycles: 1}, nil
 				}); err != nil {

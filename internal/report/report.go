@@ -88,12 +88,12 @@ func BypassComparison(w io.Writer, rows []bypass.Comparison) {
 }
 
 // OverheadRow is one Figure 10 bar: tool slowdown for one application on
-// one architecture.
+// one architecture, in modeled kernel cycles.
 type OverheadRow struct {
 	App      string
 	Arch     string
-	Native   float64 // seconds
-	Profiled float64 // seconds
+	Native   int64 // cycles
+	Profiled int64 // cycles
 }
 
 // Slowdown returns the overhead ratio.
@@ -101,14 +101,14 @@ func (o OverheadRow) Slowdown() float64 {
 	if o.Native <= 0 {
 		return 0
 	}
-	return o.Profiled / o.Native
+	return float64(o.Profiled) / float64(o.Native)
 }
 
 // OverheadTable writes Figure 10's data.
 func OverheadTable(w io.Writer, rows []OverheadRow) {
-	fmt.Fprintf(w, "%-10s %-12s %10s %11s %9s\n", "App", "Arch", "native(s)", "profiled(s)", "overhead")
+	fmt.Fprintf(w, "%-10s %-12s %12s %14s %9s\n", "App", "Arch", "native(cyc)", "profiled(cyc)", "overhead")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s %-12s %10.3f %11.3f %8.1fx\n", r.App, r.Arch, r.Native, r.Profiled, r.Slowdown())
+		fmt.Fprintf(w, "%-10s %-12s %12d %14d %8.2fx\n", r.App, r.Arch, r.Native, r.Profiled, r.Slowdown())
 	}
 }
 

@@ -74,14 +74,14 @@ func TestBypassComparisonTable(t *testing.T) {
 
 func TestOverheadTable(t *testing.T) {
 	rows := []OverheadRow{
-		{App: "bfs", Arch: "kepler-k40c", Native: 0.5, Profiled: 5.0},
+		{App: "bfs", Arch: "kepler-k40c", Native: 50_000, Profiled: 500_000},
 	}
 	if got := rows[0].Slowdown(); got != 10 {
 		t.Errorf("slowdown = %g, want 10", got)
 	}
 	var sb strings.Builder
 	OverheadTable(&sb, rows)
-	if !strings.Contains(sb.String(), "10.0x") {
+	if !strings.Contains(sb.String(), "500000") || !strings.Contains(sb.String(), "10.00x") {
 		t.Errorf("overhead table wrong:\n%s", sb.String())
 	}
 	zero := OverheadRow{Native: 0, Profiled: 1}

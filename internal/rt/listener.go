@@ -34,7 +34,10 @@ func (NopListener) KernelLaunch(*LaunchInfo) (gpu.Hooks, error) { return nil, ni
 func (NopListener) KernelEnd(*LaunchInfo, *gpu.LaunchResult) {}
 
 // CycleCounter accumulates modeled kernel cycles across every launch in a
-// run; the measurement behind the bypassing comparisons (Figures 6/7).
+// run: the measurement behind the bypassing comparisons (Figures 6/7) and
+// the overhead study (Figure 10). An instrumented launch runs its hooks
+// into a sink that records nothing, so the model charges each hook call
+// its ArchConfig.HookCost as a profiled run does.
 type CycleCounter struct {
 	NopListener
 	Cycles int64
@@ -49,6 +52,14 @@ func NewCycleCounter() *CycleCounter {
 	return &CycleCounter{}
 }
 
+// KernelLaunch implements Listener.
+func (c *CycleCounter) KernelLaunch(info *LaunchInfo) (gpu.Hooks, error) {
+	if info.Tables == nil {
+		return nil, nil
+	}
+	return nopHooks{}, nil
+}
+
 // KernelEnd implements Listener.
 func (c *CycleCounter) KernelEnd(info *LaunchInfo, res *gpu.LaunchResult) {
 	c.Cycles += res.Cycles
@@ -56,3 +67,11 @@ func (c *CycleCounter) KernelEnd(info *LaunchInfo, res *gpu.LaunchResult) {
 		c.MaxCTAs = res.CTAs
 	}
 }
+
+// nopHooks ignores every hook call. It records per SM (gpu.SMHooks), so a
+// hooked launch fans its SMs out on a pool as a native one does.
+type nopHooks struct{}
+
+func (nopHooks) OnHook(*gpu.WarpView, *ir.Instr, []gpu.LaneValues) error { return nil }
+func (nopHooks) ForSM(int) gpu.SMSink                                    { return nopHooks{} }
+func (nopHooks) SMDone(error)                                            {}

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
-	"time"
 
 	"cudaadvisor/internal/gpu"
 	"cudaadvisor/internal/instrument"
@@ -96,12 +95,6 @@ type Context struct {
 
 	// LaunchOptions applied to subsequent Launch calls.
 	Options LaunchOptions
-
-	// KernelTime accumulates the wall-clock time spent executing kernels
-	// (including instrumentation hooks and profile collection) — the
-	// quantity the paper's overhead study (Figure 10) compares between
-	// native and instrumented builds.
-	KernelTime time.Duration
 }
 
 // LaunchOptions tune kernel execution.
@@ -144,8 +137,8 @@ func NewContext(dev *gpu.Device, listener Listener) *Context {
 
 // callerLoc captures the host source location of the caller's caller,
 // standing in for the debug info the paper's engine reads.
-func callerLoc(skip int) ir.Loc {
-	_, file, line, ok := runtime.Caller(skip + 1)
+func callerLoc() ir.Loc {
+	_, file, line, ok := runtime.Caller(2)
 	if !ok {
 		return ir.Loc{}
 	}
@@ -158,7 +151,7 @@ func (c *Context) Enter(fn string) func() {
 	if c.listener == nil {
 		return func() {}
 	}
-	c.listener.HostEnter(fn, callerLoc(1))
+	c.listener.HostEnter(fn, callerLoc())
 	return func() { c.listener.HostLeave() }
 }
 
@@ -168,7 +161,7 @@ func (c *Context) Malloc(n int64, label string) *HostBuf {
 	c.nextHost += uint64((n + 255) &^ 255)
 	buf := &HostBuf{Addr: addr, Data: make([]byte, n), Label: label}
 	if c.listener != nil {
-		c.listener.HostAlloc(buf, callerLoc(1))
+		c.listener.HostAlloc(buf, callerLoc())
 	}
 	return buf
 }
@@ -193,7 +186,7 @@ func (c *Context) CudaMalloc(n int64) (DevPtr, error) {
 		return 0, err
 	}
 	if c.listener != nil {
-		c.listener.DeviceAlloc(addr, n, callerLoc(1))
+		c.listener.DeviceAlloc(addr, n, callerLoc())
 	}
 	return DevPtr(addr), nil
 }
@@ -208,7 +201,7 @@ func (c *Context) MemcpyH2D(dst DevPtr, src *HostBuf, n int64) error {
 		return err
 	}
 	if c.listener != nil {
-		c.listener.Memcpy(H2D, uint64(dst), src.Addr, n, callerLoc(1))
+		c.listener.Memcpy(H2D, uint64(dst), src.Addr, n, callerLoc())
 	}
 	return nil
 }
@@ -222,7 +215,7 @@ func (c *Context) MemcpyD2H(dst *HostBuf, src DevPtr, n int64) error {
 		return err
 	}
 	if c.listener != nil {
-		c.listener.Memcpy(D2H, dst.Addr, uint64(src), n, callerLoc(1))
+		c.listener.Memcpy(D2H, dst.Addr, uint64(src), n, callerLoc())
 	}
 	return nil
 }
@@ -249,7 +242,7 @@ func (c *Context) Launch(prog *instrument.Program, kernel string, grid, block [3
 	}
 	info := &LaunchInfo{
 		Kernel: kernel, Grid: grid, Block: block, Tables: prog.Tables,
-		Loc: callerLoc(1), Sequence: c.launches,
+		Loc: callerLoc(), Sequence: c.launches,
 	}
 	c.launches++
 
@@ -261,9 +254,6 @@ func (c *Context) Launch(prog *instrument.Program, kernel string, grid, block [3
 		}
 		hooks = h
 	}
-
-	start := time.Now()
-	defer func() { c.KernelTime += time.Since(start) }()
 
 	bits := make([]uint64, len(args))
 	for i, a := range args {

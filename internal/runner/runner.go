@@ -54,10 +54,6 @@ import (
 // reference path for the byte-identical guarantee.
 type Pool struct {
 	sem chan struct{}
-
-	// timing serializes Exclusive regions (wall-clock measurements)
-	// against each other so concurrent jobs do not distort them.
-	timing sync.Mutex
 }
 
 // New returns a pool of the given number of workers. workers <= 0 selects
@@ -300,19 +296,4 @@ func Concurrent(p *Pool, n int, fn func(i int) error) error {
 	}
 	wg.Wait()
 	return collect(errs)
-}
-
-// Exclusive runs fn while holding the pool's timing lock, serializing it
-// against every other Exclusive region on the same pool. Wall-clock
-// measurements (the Figure 10 overhead study) run here so that parallel
-// siblings do not inflate each other's measured time. It does not pause
-// unrelated pool work — callers that need a quiet machine should run the
-// measuring experiment on its own. A nil pool runs fn directly.
-func Exclusive[T any](p *Pool, fn func() (T, error)) (T, error) {
-	if p == nil {
-		return fn()
-	}
-	p.timing.Lock()
-	defer p.timing.Unlock()
-	return fn()
 }

@@ -176,32 +176,6 @@ func TestDoGatesWork(t *testing.T) {
 	}
 }
 
-func TestExclusiveSerializesRegions(t *testing.T) {
-	p := New(8)
-	var inside, peak atomic.Int32
-	err := Concurrent(p, 8, func(i int) error {
-		_, err := Exclusive(p, func() (int, error) {
-			n := inside.Add(1)
-			for {
-				old := peak.Load()
-				if n <= old || peak.CompareAndSwap(old, n) {
-					break
-				}
-			}
-			time.Sleep(time.Millisecond)
-			inside.Add(-1)
-			return 0, nil
-		})
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := peak.Load(); got != 1 {
-		t.Errorf("peak Exclusive occupancy = %d, want 1", got)
-	}
-}
-
 func TestWorkersDefaults(t *testing.T) {
 	maxProcs := runtime.GOMAXPROCS(0)
 	if got := New(0).Workers(); got != maxProcs {
@@ -225,7 +199,7 @@ func TestWorkersDefaults(t *testing.T) {
 
 // TestPoolRaceStress exercises every entry point concurrently under the
 // race detector (the CI workflow runs go test -race): many coordinators
-// mixing Map, Do and Exclusive over one shared pool and one shared sink.
+// mixing Map, Do and DoCtx over one shared pool and one shared sink.
 func TestPoolRaceStress(t *testing.T) {
 	p := New(4)
 	var sum atomic.Int64
@@ -243,13 +217,10 @@ func TestPoolRaceStress(t *testing.T) {
 		if _, err := DoCtx(context.Background(), p, func(context.Context) (int, error) { sum.Add(1); return 0, nil }); err != nil {
 			return err
 		}
-		_, err = Exclusive(p, func() (int, error) {
-			mu.Lock()
-			shared[i] = i // mu guards the map; Exclusive guards timing only
-			mu.Unlock()
-			return 0, nil
-		})
-		return err
+		mu.Lock()
+		shared[i] = i
+		mu.Unlock()
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

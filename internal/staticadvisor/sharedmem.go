@@ -529,7 +529,7 @@ func exactOverlap(we, re aexpr, wb, rb int64, lay Layout) (ok, safe bool) {
 	writers := make(map[int64]*writer)
 	for t := 0; t < g.threads; t++ {
 		a := g.addr(we, t)
-		for wd := floorDiv(a, gpu.BankWidth); wd <= floorDiv(a+wb-1, gpu.BankWidth); wd++ {
+		for wd := floorDiv(a); wd <= floorDiv(a+wb-1); wd++ {
 			if cur, okw := writers[wd]; okw {
 				if cur.thread != t {
 					cur.multi = true
@@ -541,7 +541,7 @@ func exactOverlap(we, re aexpr, wb, rb int64, lay Layout) (ok, safe bool) {
 	}
 	for t := 0; t < g.threads; t++ {
 		a := g.addr(re, t)
-		for wd := floorDiv(a, gpu.BankWidth); wd <= floorDiv(a+rb-1, gpu.BankWidth); wd++ {
+		for wd := floorDiv(a); wd <= floorDiv(a+rb-1); wd++ {
 			if cur, okw := writers[wd]; okw && (cur.multi || cur.thread != t) {
 				return true, false
 			}
@@ -550,9 +550,10 @@ func exactOverlap(we, re aexpr, wb, rb int64, lay Layout) (ok, safe bool) {
 	return true, true
 }
 
-func floorDiv(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
+// floorDiv returns the bank word holding byte address a, a floor division.
+func floorDiv(a int64) int64 {
+	q := a / gpu.BankWidth
+	if a%gpu.BankWidth != 0 && a < 0 {
 		q--
 	}
 	return q
