@@ -232,7 +232,7 @@ func BenchmarkAblationVerticalVsHorizontalBicg(b *testing.B) {
 		for _, kp := range p.Kernels {
 			analysis.MergeSiteReuse(sites, analysis.ReuseBySite(kp.Trace, analysis.DefaultElementReuse(), nil))
 		}
-		plan := bypass.VerticalPlan(sites, bypass.DefaultVerticalOptions())
+		plan := bypass.VerticalPlan(sites)
 
 		run := func(l1Warps int, vertical bool) int64 {
 			m, err := a.Module()

@@ -25,7 +25,7 @@ type BranchDivResult struct {
 
 // DivergentByContext is Divergent spread over the leaves of the
 // calling-context tree: divergent executions per (context, location).
-// It comes from a trace only; the JSON form does not carry it.
+// It comes from a trace only; a cache entry does not carry it.
 func (r *BranchDivResult) DivergentByContext() map[ContextSite]int64 { return r.divergent }
 
 // BlockDivergence aggregates per static basic block: how many times the

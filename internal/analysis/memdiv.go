@@ -33,7 +33,7 @@ type MemDivResult struct {
 
 // LinesByContext is WeightedSum spread over the leaves of the
 // calling-context tree: the unique lines summed per (context, location).
-// It comes from a trace only; the JSON form does not carry it.
+// It comes from a trace only; a cache entry does not carry it.
 func (r *MemDivResult) LinesByContext() map[ContextSite]int64 { return r.lines }
 
 // SiteDivergence aggregates divergence per source location, the
@@ -52,7 +52,7 @@ type SiteDivergence struct {
 
 // SampleAddr is an address the site touched (the first active lane's,
 // at the execution Ctx is taken from) for the data-centric view to
-// chase. Like LinesByContext it is not part of the JSON form.
+// chase. Like LinesByContext it comes from a trace only.
 func (s *SiteDivergence) SampleAddr() uint64 { return s.addr }
 
 // Degree returns the site's average unique lines per instruction.

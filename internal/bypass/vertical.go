@@ -16,27 +16,22 @@ import (
 // evaluate every individual load" — exactly the information CUDAAdvisor's
 // per-site reuse profile provides.
 
-// VerticalOptions tune the site-selection heuristic.
-type VerticalOptions struct {
-	// MinSamples drops sites with too few dynamic accesses to judge.
-	MinSamples int64
-	// StreamThreshold is the minimum no-forward-reuse fraction for a load
-	// site to be bypassed.
-	StreamThreshold float64
-}
-
-// DefaultVerticalOptions mirror the conservative stance of the paper's
-// models: only overwhelmingly streaming loads are bypassed.
-func DefaultVerticalOptions() VerticalOptions {
-	return VerticalOptions{MinSamples: 64, StreamThreshold: 0.95}
-}
+// The site-selection heuristic mirrors the conservative stance of the
+// paper's models: only overwhelmingly streaming loads are bypassed.
+const (
+	// minSamples drops sites with too few dynamic accesses to judge.
+	minSamples = 64
+	// streamThreshold is the minimum no-forward-reuse fraction for a
+	// load site to be bypassed.
+	streamThreshold = 0.95
+)
 
 // VerticalPlan selects the load sites to bypass from a per-site reuse
 // profile. The result is sorted for deterministic application.
-func VerticalPlan(sites map[ir.Loc]*analysis.SiteReuse, opt VerticalOptions) []ir.Loc {
+func VerticalPlan(sites map[ir.Loc]*analysis.SiteReuse) []ir.Loc {
 	var out []ir.Loc
 	for loc, s := range sites {
-		if s.Samples >= opt.MinSamples && s.StreamFraction() >= opt.StreamThreshold {
+		if s.Samples >= minSamples && s.StreamFraction() >= streamThreshold {
 			out = append(out, loc)
 		}
 	}

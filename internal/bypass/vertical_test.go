@@ -23,7 +23,7 @@ func TestVerticalPlanSelection(t *testing.T) {
 		reuseLoc:  {Loc: reuseLoc, Samples: 1000, Reused: 800},
 		smallLoc:  {Loc: smallLoc, Samples: 10, Reused: 0},
 	}
-	plan := VerticalPlan(sites, DefaultVerticalOptions())
+	plan := VerticalPlan(sites)
 	if len(plan) != 1 || plan[0] != streamLoc {
 		t.Fatalf("plan = %v, want only the streaming site", plan)
 	}
@@ -103,7 +103,7 @@ func TestVerticalBypassOnBicg(t *testing.T) {
 	for _, kp := range p.Kernels {
 		analysis.MergeSiteReuse(sites, analysis.ReuseBySite(kp.Trace, analysis.DefaultElementReuse(), nil))
 	}
-	plan := VerticalPlan(sites, DefaultVerticalOptions())
+	plan := VerticalPlan(sites)
 	if len(plan) == 0 {
 		t.Fatal("vertical plan empty: bicg's matrix loads are streaming")
 	}

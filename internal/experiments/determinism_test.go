@@ -87,7 +87,7 @@ func TestBFSBypassCTAInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	measured := st.MaxCTAs
+	measured := int(st.MaxCTAs)
 
 	// Ground truth via an independent path: the profiler's per-kernel
 	// launch results at the same timing scale.

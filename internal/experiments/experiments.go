@@ -195,7 +195,7 @@ func measureCycles(ctx context.Context, pool *runner.Pool, inj *faultinject.Inje
 	if err := app.Run(c, prog, scale); err != nil {
 		return profcache.CycleStats{}, err
 	}
-	return profcache.CycleStats{Cycles: counter.Cycles, MaxCTAs: counter.MaxCTAs}, nil
+	return profcache.CycleStats{Cycles: counter.Cycles, MaxCTAs: int64(counter.MaxCTAs)}, nil
 }
 
 // onCycles, set by a test only, is told of every run measureCycles
@@ -268,7 +268,7 @@ func bypassStudy(env Env, prefix string, cfg gpu.ArchConfig) ([]bypass.Compariso
 			if err != nil {
 				return err
 			}
-			ctasPerSM := bypass.ResidentCTAs(cfg, a.WarpsPerCTA, base.MaxCTAs)
+			ctasPerSM := bypass.ResidentCTAs(cfg, a.WarpsPerCTA, int(base.MaxCTAs))
 			predict := bypass.PredictFromProfiles(cfg, rdLine, rdElem, md, a.WarpsPerCTA, ctasPerSM)
 
 			// Step 3: measure baseline / oracle / prediction on native

@@ -106,11 +106,12 @@ type LaunchParams struct {
 	// Negative disables bypassing (all warps use L1).
 	L1WarpsPerCTA int
 
-	// MaxWarpInstrs aborts runaway kernels; 0 means the default guard.
+	// maxWarpInstrs aborts runaway kernels; 0 means the default guard.
 	// The budget is per SM, so the guard's verdict on any one SM cannot
 	// depend on how much work other SMs did (the property that keeps
-	// runaway faults identical at every worker count).
-	MaxWarpInstrs int64
+	// runaway faults identical at every worker count). Only this
+	// package's tests set it.
+	maxWarpInstrs int64
 
 	// WatchShared enables the dynamic shared-memory check: the
 	// per-barrier-interval last-writer race check on every shared access.
@@ -326,7 +327,7 @@ func (d *Device) Launch(kernel *ir.Function, p LaunchParams) (*LaunchResult, err
 		cfg:    d.Cfg,
 		kernel: dm.funcs[kernel],
 		p:      p,
-		guard:  p.MaxWarpInstrs,
+		guard:  p.maxWarpInstrs,
 	}
 	if ls.kernel == nil {
 		return nil, fmt.Errorf("gpu: kernel %s is not in module %s", kernel.Name, kernel.Module().Name)

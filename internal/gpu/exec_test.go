@@ -466,7 +466,7 @@ entry:
 	m := parseKernel(t, src)
 	_, err := d.Launch(m.Func("forever"), LaunchParams{
 		Grid: [3]int{1, 1, 1}, Block: [3]int{32, 1, 1},
-		MaxWarpInstrs: 10000, L1WarpsPerCTA: -1,
+		maxWarpInstrs: 10000, L1WarpsPerCTA: -1,
 	})
 	if err == nil || !strings.Contains(err.Error(), "budget") {
 		t.Fatalf("err = %v, want instruction budget fault", err)

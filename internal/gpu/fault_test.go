@@ -69,7 +69,7 @@ func TestFaultPaths(t *testing.T) {
 				m := parseKernel(t, foreverSrc)
 				_, err := d.Launch(m.Func("forever"), LaunchParams{
 					Grid: [3]int{1, 1, 1}, Block: [3]int{32, 1, 1},
-					MaxWarpInstrs: 5000, L1WarpsPerCTA: -1,
+					maxWarpInstrs: 5000, L1WarpsPerCTA: -1,
 				})
 				return err
 			},
@@ -172,7 +172,7 @@ func TestLaunchCancelledMidRun(t *testing.T) {
 	}()
 	_, err := d.Launch(m.Func("forever"), LaunchParams{
 		Grid: [3]int{1, 1, 1}, Block: [3]int{32, 1, 1},
-		Ctx: ctx, MaxWarpInstrs: 1 << 40, L1WarpsPerCTA: -1,
+		Ctx: ctx, maxWarpInstrs: 1 << 40, L1WarpsPerCTA: -1,
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

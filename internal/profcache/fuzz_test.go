@@ -3,7 +3,6 @@ package profcache_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"os"
 	"testing"
 
@@ -37,7 +36,7 @@ func fuzzKinds() []entryKind {
 			if err != nil {
 				return nil, err
 			}
-			return a.MarshalJSON()
+			return profcache.EncodeProfile(a)
 		}},
 		{cycles, func(c *profcache.Cache, filled *bool) ([]byte, error) {
 			v, err := c.Cycles(ctx, cycles, func(context.Context) (profcache.CycleStats, error) {
@@ -47,7 +46,7 @@ func fuzzKinds() []entryKind {
 			if err != nil {
 				return nil, err
 			}
-			return json.Marshal(v)
+			return profcache.EncodeCycles(v)
 		}},
 		{view, func(c *profcache.Cache, filled *bool) ([]byte, error) {
 			return c.Bytes(ctx, view, func(context.Context) ([]byte, error) {
@@ -58,44 +57,48 @@ func fuzzKinds() []entryKind {
 	}
 }
 
-// TestNonCanonicalEntriesAreBad: a checksummed payload that decodes to a
-// value but is not that value's encoding — unknown fields and spacing in
-// a cycles entry, reordered keys in a profile entry — is a bad entry,
-// healed and refilled, never a disk hit.
+// TestNonCanonicalEntriesAreBad: a checksummed payload that is not one
+// of its kind's fixed-width values — one byte short, one byte long, or
+// the value's old JSON form — is a bad entry, healed and refilled, never
+// a disk hit.
 func TestNonCanonicalEntriesAreBad(t *testing.T) {
-	kinds := fuzzKinds()
-	profile, cycles := kinds[0], kinds[1]
-	var filled bool
-	canon, err := profile.get(profcache.New(t.TempDir()), &filled)
-	if err != nil {
-		t.Fatal(err)
+	// Each kind's payload for fuzzKinds' values in the JSON form entries
+	// had before the fixed-width layouts.
+	oldJSON := map[string]string{
+		"profile": `{"LineSize":128,` +
+			`"ReuseElem":{"Buckets":[0,0,0,0,0,0,0,0],"Samples":0,"Infinite":0,"FiniteSum":0,"FiniteN":0,"Streaming":0,"EventsRecorded":0,"EventsSeen":0},` +
+			`"ReuseLine":{"Buckets":[0,0,0,0,0,0,0,0],"Samples":0,"Infinite":0,"FiniteSum":0,"FiniteN":0,"Streaming":0,"EventsRecorded":0,"EventsSeen":0},` +
+			`"MemDiv":{"LineSize":128,"Total":0,"WeightedSum":0,"EventsRecorded":0,"EventsSeen":0,` +
+			`"Dist":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"Sites":[]},` +
+			`"BranchDiv":{"Divergent":0,"Total":0,"EventsRecorded":0,"EventsSeen":0,"Blocks":[]}}`,
+		"cycles": `{"Cycles":7,"MaxCTAs":3}`,
 	}
-	var fields map[string]json.RawMessage
-	if err := json.Unmarshal(canon, &fields); err != nil {
-		t.Fatal(err)
-	}
-	reordered, err := json.Marshal(fields) // keys sorted, not in field order
-	if err != nil || bytes.Equal(reordered, canon) {
-		t.Fatalf("reordering gave %q (%v), want another spelling of %q", reordered, err, canon)
-	}
-	for _, tc := range []struct {
-		kind    entryKind
-		payload []byte
-	}{
-		{cycles, []byte(` {"MaxCTAs": 3, "Cycles": 7, "Other": [1]} `)},
-		{profile, reordered},
-	} {
-		c := profcache.New(t.TempDir())
-		if err := c.PublishEntry(tc.kind.key, tc.payload); err != nil {
-			t.Fatal(err)
-		}
+	for _, kind := range fuzzKinds()[:2] {
 		var filled bool
-		if _, err := tc.kind.get(c, &filled); err != nil {
+		canon, err := kind.get(profcache.New(t.TempDir()), &filled)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if s := c.Stats(); !filled || s.BadEntries != 1 || s.Heals != 1 || s.Misses != 1 || s.DiskHits != 0 {
-			t.Errorf("%s entry %q: filled %v, stats %+v; want 1 bad entry, 1 heal and 1 miss",
-				tc.kind.key.Kind, tc.payload, filled, s)
+		for _, tc := range []struct {
+			name    string
+			payload []byte
+		}{
+			{"one byte short", canon[:len(canon)-1]},
+			{"one byte long", append(append([]byte(nil), canon...), 0)},
+			{"old JSON", []byte(oldJSON[kind.key.Kind])},
+		} {
+			c := profcache.New(t.TempDir())
+			if err := c.PublishEntry(kind.key, tc.payload); err != nil {
+				t.Fatal(err)
+			}
+			var filled bool
+			if _, err := kind.get(c, &filled); err != nil {
+				t.Fatal(err)
+			}
+			if s := c.Stats(); !filled || s.BadEntries != 1 || s.Heals != 1 || s.Misses != 1 || s.DiskHits != 0 {
+				t.Errorf("%s entry, %s: filled %v, stats %+v; want 1 bad entry, 1 heal and 1 miss",
+					kind.key.Kind, tc.name, filled, s)
+			}
 		}
 	}
 }
@@ -103,8 +106,9 @@ func TestNonCanonicalEntriesAreBad(t *testing.T) {
 // FuzzDecodeEntry writes fuzzed bytes as the entry file of a profile, a
 // cycles and a view key, and wraps a fuzzed payload in a valid envelope
 // for each. Every lookup must be either a miss that runs the fill, or a
-// disk hit whose value re-encodes byte for byte to the payload the file
-// carries. It never panics. The seeds are a valid entry of each kind and its payload.
+// disk hit whose value encodes byte for byte to the payload the file
+// carries (a hit is canonical by construction). It never panics. The
+// seeds are a valid entry of each kind and its payload.
 func FuzzDecodeEntry(f *testing.F) {
 	kinds := fuzzKinds()
 	dir := f.TempDir()

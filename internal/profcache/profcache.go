@@ -32,7 +32,10 @@
 // a cycle-model measurement of a native or instrumented program
 // ("cycles": the bypassing studies and the overhead study), or rendered
 // bytes ("view": an encoded advisor report, a profile listing, an
-// export). A perturbed run (fault injection, per-cell timeouts) must
+// export). The cache owns the layouts of the first two, fixed-width
+// structs with one spelling per value (profileEntry, CycleStats); the
+// results they hold are plain data with no encoding of their own. A
+// perturbed run (fault injection, per-cell timeouts) must
 // bypass the cache; see experiments.Env for the policy.
 package profcache
 
@@ -40,8 +43,8 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -49,6 +52,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cudaadvisor/internal/analysis"
 	"cudaadvisor/internal/apps"
 	"cudaadvisor/internal/gpu"
 	"cudaadvisor/internal/instrument"
@@ -148,10 +152,10 @@ func (k Key) ID() string {
 // CycleStats is the result of one cycle-model run: the summed
 // modeled kernel cycles and the largest launched grid in CTAs. One run
 // yields both, so the bypass baseline and the Eq. (1) CTA measurement
-// share a single entry.
+// share a single entry. It is also that entry's fixed-width layout.
 type CycleStats struct {
 	Cycles  int64
-	MaxCTAs int
+	MaxCTAs int64
 }
 
 // Snapshot is a point-in-time copy of the cache counters. The request
@@ -288,12 +292,75 @@ func (c *Cache) trimMemo() {
 
 // codec is one entry kind's payload encoding: how a result becomes the
 // bytes an entry file carries, and back. An entry is only what encode
-// could have written: a payload decode refuses, or whose value does not
-// re-encode to the payload byte for byte (another spelling of the value:
-// key order, spacing, unknown fields), makes the entry a bad one.
+// could have written: a payload decode refuses makes the entry a bad one.
 type codec[T any] struct {
 	encode func(T) ([]byte, error)
 	decode func([]byte) (T, error)
+}
+
+// fixed is the codec of a fixed-width layout L, every field an int64 or
+// an array or struct of them: the fields little-endian in declaration
+// order. Any payload of exactly binary.Size(L) bytes is one value that
+// encodes back to it byte for byte, and no other length decodes, so a
+// hit is canonical by construction.
+func fixed[L any]() codec[L] {
+	return codec[L]{
+		encode: func(v L) ([]byte, error) {
+			var b bytes.Buffer
+			err := binary.Write(&b, binary.LittleEndian, v)
+			return b.Bytes(), err
+		},
+		decode: func(raw []byte) (v L, err error) {
+			if n := binary.Size(v); len(raw) != n {
+				return v, fmt.Errorf("payload is %d bytes, want %d", len(raw), n)
+			}
+			err = binary.Read(bytes.NewReader(raw), binary.LittleEndian, &v)
+			return v, err
+		},
+	}
+}
+
+// profileEntry is the layout of a "profile" entry: the aggregates of an
+// analysis bundle the figures read (Figures 4 and 5, Table 3 and the
+// Eq. (1) bypass model), without the per-site and per-block tables only
+// a live run's views read. It holds no line size: the key fixes it.
+type profileEntry struct {
+	ReuseElem, ReuseLine analysis.ReuseResult
+	MemDiv               struct {
+		Dist               [gpu.WarpSize + 1]int64
+		Total, WeightedSum int64
+		analysis.Events
+	}
+	BranchDiv struct {
+		Divergent, Total int64
+		analysis.Events
+	}
+}
+
+// profileCodec is the codec of "profile" entries; decode builds a
+// detached bundle at lineSize.
+func profileCodec(lineSize int) codec[*profiler.Analyses] {
+	layout := fixed[profileEntry]()
+	return codec[*profiler.Analyses]{
+		encode: func(a *profiler.Analyses) ([]byte, error) {
+			var e profileEntry
+			md, bd := a.MemDiv(), a.BranchDiv()
+			e.ReuseElem, e.ReuseLine = *a.ReuseElem(), *a.ReuseLine()
+			e.MemDiv.Dist, e.MemDiv.Total, e.MemDiv.WeightedSum, e.MemDiv.Events = md.Dist, md.Total, md.WeightedSum, md.Events
+			e.BranchDiv.Divergent, e.BranchDiv.Total, e.BranchDiv.Events = bd.Divergent, bd.Total, bd.Events
+			return layout.encode(e)
+		},
+		decode: func(raw []byte) (*profiler.Analyses, error) {
+			e, err := layout.decode(raw)
+			if err != nil {
+				return nil, err
+			}
+			md := &analysis.MemDivResult{LineSize: lineSize, Dist: e.MemDiv.Dist, Total: e.MemDiv.Total,
+				WeightedSum: e.MemDiv.WeightedSum, Events: e.MemDiv.Events}
+			bd := &analysis.BranchDivResult{Divergent: e.BranchDiv.Divergent, Total: e.BranchDiv.Total, Events: e.BranchDiv.Events}
+			return profiler.DetachedAnalyses(lineSize, &e.ReuseElem, &e.ReuseLine, md, bd), nil
+		},
+	}
 }
 
 // lookup is the single-flight behind every memoizer slot: the first
@@ -376,19 +443,12 @@ func fillEntry[T any](ctx context.Context, c *Cache, key Key, kind codec[T], fil
 		c.misses.Add(1)
 		return val, nil
 	}
-	// A missing entry file is a silent miss; one that fails verification,
-	// decoding or the re-encoding check is a counted bad entry (and still
-	// a miss).
+	// A missing entry file is a silent miss; one that fails verification
+	// or decoding is a counted bad entry (and still a miss).
 	load := func() (val T, ok bool) {
 		raw, err := c.readEntry(key)
 		if err == nil {
 			val, err = kind.decode(raw)
-		}
-		if err == nil {
-			var again []byte
-			if again, err = kind.encode(val); err == nil && !bytes.Equal(again, raw) {
-				err = errors.New("payload is not its value's encoding")
-			}
 		}
 		switch {
 		case err == nil:
@@ -450,14 +510,7 @@ func fillEntry[T any](ctx context.Context, c *Cache, key Key, kind codec[T], fil
 // (which releases the records of the run fill returned); it is shared
 // between requesters and must be treated as immutable.
 func (c *Cache) Profile(ctx context.Context, key Key, lineSize int, fill func(context.Context) (*profiler.Profiler, error)) (*profiler.Analyses, error) {
-	kind := codec[*profiler.Analyses]{
-		encode: (*profiler.Analyses).MarshalJSON,
-		decode: func(raw []byte) (*profiler.Analyses, error) {
-			a := new(profiler.Analyses)
-			return a, a.UnmarshalJSON(raw)
-		},
-	}
-	return lookupEntry(ctx, c, key, kind, func(ctx context.Context) (*profiler.Analyses, error) {
+	return lookupEntry(ctx, c, key, profileCodec(lineSize), func(ctx context.Context) (*profiler.Analyses, error) {
 		p, err := fill(ctx)
 		if err != nil {
 			return nil, err
@@ -472,11 +525,7 @@ func (c *Cache) Profile(ctx context.Context, key Key, lineSize int, fill func(co
 
 // Cycles is Profile for cycle-model runs.
 func (c *Cache) Cycles(ctx context.Context, key Key, fill func(context.Context) (CycleStats, error)) (CycleStats, error) {
-	asJSON := codec[CycleStats]{
-		encode: func(v CycleStats) ([]byte, error) { return json.Marshal(v) },
-		decode: func(raw []byte) (v CycleStats, err error) { err = json.Unmarshal(raw, &v); return },
-	}
-	return lookupEntry(ctx, c, key, asJSON, fill)
+	return lookupEntry(ctx, c, key, fixed[CycleStats](), fill)
 }
 
 // Bytes is Profile for opaque rendered entries: fill produces the final

@@ -3,7 +3,6 @@ package profcache_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,6 +13,7 @@ import (
 	"time"
 
 	"cudaadvisor/internal/apps"
+	"cudaadvisor/internal/bypass"
 	"cudaadvisor/internal/experiments"
 	"cudaadvisor/internal/gpu"
 	"cudaadvisor/internal/instrument"
@@ -35,22 +35,15 @@ func profileBFS(t *testing.T) *profiler.Profiler {
 	return p
 }
 
-// render exercises every analysis of a bundle the way the figures do,
-// plus full dumps of the per-site and per-block tables, so byte equality
-// here means the serialized form loses nothing any consumer reads.
+// render exercises every analysis of a bundle the way the figures do
+// (the Figure 4, 5 and Table 3 rows), so byte equality here means the
+// entry loses nothing a reader of a "profile" entry reads.
 func render(res *profiler.Analyses) string {
 	var b bytes.Buffer
 	report.ReuseHistogram(&b, "bfs", res.ReuseElem())
 	report.ReuseHistogram(&b, "bfs-line", res.ReuseLine())
 	report.MemDivDistribution(&b, "bfs", res.MemDiv())
 	report.BranchDivTable(&b, []report.BranchRow{{App: "bfs", Result: res.BranchDiv()}})
-	for _, s := range res.MemDiv().Sites() {
-		site, _ := json.Marshal(s) // its exported fields: what an entry keeps
-		fmt.Fprintf(&b, "site %s\n", site)
-	}
-	for _, bl := range res.BranchDiv().Blocks() {
-		fmt.Fprintf(&b, "block %+v\n", *bl)
-	}
 	return b.String()
 }
 
@@ -376,38 +369,54 @@ func TestSharedFillErrorStaysShared(t *testing.T) {
 	}
 }
 
-// TestDiskRoundTrip: a warm load reproduces every analysis of the cold
-// fill byte-for-byte, without invoking the fill.
+// TestDiskRoundTrip: at both line sizes, a warm load of bfs (memory and
+// blocks instrumented) decodes, without invoking the fill, a bundle that
+// renders the Figure 4, 5 and Table 3 rows, and gives the Eq. (1) bypass
+// prediction at every resident-CTA count, that the live bundle does.
 func TestDiskRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	p := profileBFS(t)
-	key := profcache.ProfileKey(apps.ByName("bfs"), gpu.KeplerK40c(), bothOpts, 1, 0)
+	ctx, app := context.Background(), apps.ByName("bfs")
+	for _, cfg := range []gpu.ArchConfig{gpu.KeplerK40c(), gpu.PascalP100()} {
+		p, err := experiments.Profile(app, cfg, bothOpts, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir, key := t.TempDir(), profcache.ProfileKey(app, cfg, bothOpts, 1, 0)
+		cold := profcache.New(dir)
+		live, err := cold.Profile(ctx, key, cfg.L1LineSize, func(context.Context) (*profiler.Profiler, error) {
+			return p, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := cold.Stats(); s.Misses != 1 || s.Stores != 1 || s.StoreErrors != 0 {
+			t.Fatalf("%s: cold stats = %+v, want 1 miss and 1 store", cfg.Name, s)
+		}
+		if live.ReuseLine().Samples == 0 || live.MemDiv().Total == 0 || live.BranchDiv().Total == 0 {
+			t.Fatalf("%s: bfs recorded an empty aggregate", cfg.Name)
+		}
 
-	cold := profcache.New(dir)
-	res, err := cold.Profile(context.Background(), key, 128, func(context.Context) (*profiler.Profiler, error) {
-		return p, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := render(res)
-	if s := cold.Stats(); s.Misses != 1 || s.Stores != 1 || s.StoreErrors != 0 {
-		t.Fatalf("cold stats = %+v, want 1 miss and 1 store", s)
-	}
-
-	warm := profcache.New(dir)
-	res2, err := warm.Profile(context.Background(), key, 128, func(context.Context) (*profiler.Profiler, error) {
-		t.Error("warm load must not re-profile")
-		return nil, fmt.Errorf("unexpected fill")
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := render(res2); got != want {
-		t.Errorf("disk round trip changed the analyses\n--- warm\n%s--- cold\n%s", got, want)
-	}
-	if s := warm.Stats(); s.DiskHits != 1 || s.Misses != 0 || s.BadEntries != 0 {
-		t.Errorf("warm stats = %+v, want exactly 1 disk hit", s)
+		warm := profcache.New(dir)
+		decoded, err := warm.Profile(ctx, key, cfg.L1LineSize, func(context.Context) (*profiler.Profiler, error) {
+			t.Error("warm load must not re-profile")
+			return nil, fmt.Errorf("unexpected fill")
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := warm.Stats(); s.DiskHits != 1 || s.Misses != 0 || s.BadEntries != 0 {
+			t.Errorf("%s: warm stats = %+v, want exactly 1 disk hit", cfg.Name, s)
+		}
+		if got, want := render(decoded), render(live); got != want {
+			t.Errorf("%s: disk round trip changed the rows\n--- warm\n%s--- cold\n%s", cfg.Name, got, want)
+		}
+		for ctas := 1; ctas <= cfg.MaxCTAsPerSM; ctas++ {
+			predict := func(a *profiler.Analyses) int {
+				return bypass.PredictFromProfiles(cfg, a.ReuseLine(), a.ReuseElem(), a.MemDiv(), app.WarpsPerCTA, ctas)
+			}
+			if got, want := predict(decoded), predict(live); got != want {
+				t.Errorf("%s, %d CTAs/SM: decoded bundle predicts %d warps, live %d", cfg.Name, ctas, got, want)
+			}
+		}
 	}
 }
 

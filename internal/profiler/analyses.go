@@ -2,8 +2,6 @@ package profiler
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"sync"
 
 	"cudaadvisor/internal/analysis"
@@ -25,15 +23,15 @@ import (
 // into CTA or record ranges that merge in trace order, so the results do
 // not depend on the pool. A bundle is safe for concurrent use; what it
 // returns is shared and must be treated as immutable. Detached in
-// process (Detach) it answers every getter as before. Decoded
-// (UnmarshalJSON: a "profile" cache entry) it carries ReuseElem,
+// process (Detach) it answers every getter as before. Built from a
+// "profile" cache entry (DetachedAnalyses) it carries ReuseElem,
 // ReuseLine, MemDiv and BranchDiv only, the two divergence results
-// without per-context tables and sample addresses, and every other
-// getter reads as empty; nothing in the tree asks: the figures, its only
-// readers, read exactly those four.
+// without their per-site, per-block and per-context tables, and every
+// other getter reads as empty; nothing in the tree asks: the figures,
+// its only readers, read exactly those four.
 type Analyses struct {
 	mu       sync.Mutex
-	kernels  []*KernelProfile // the instances launched before it was built; none when decoded
+	kernels  []*KernelProfile // the instances launched before it was built; none from a cache entry
 	lineSize int
 	pool     *runner.Pool    // the run's Pool: each instance's derivation fans out on it
 	stop     context.Context // while Detach runs, its context: derive stops between instances once it ends
@@ -222,20 +220,17 @@ func (a *Analyses) SharedRaces() map[ir.Loc]int64 {
 	})
 }
 
-// analysesJSON is the bundle's serialized form: the four aggregates the
-// figures read, which is what a cache entry keeps of a run. Everything
-// only a view renders (shared-memory and per-site evidence) stays behind.
-type analysesJSON struct {
-	LineSize  int
-	ReuseElem *analysis.ReuseResult
-	ReuseLine *analysis.ReuseResult
-	MemDiv    *analysis.MemDivResult
-	BranchDiv *analysis.BranchDivResult
-}
-
-// serialized derives what the serialized form carries.
-func (a *Analyses) serialized() analysesJSON {
-	return analysesJSON{a.lineSize, a.ReuseElem(), a.ReuseLine(), a.MemDiv(), a.BranchDiv()}
+// DetachedAnalyses is the detached bundle at lineSize that holds the
+// four aggregates the figures read — what a "profile" cache entry keeps
+// of a run — and reads as empty for every other getter.
+func DetachedAnalyses(lineSize int, reuseElem, reuseLine *analysis.ReuseResult,
+	memDiv *analysis.MemDivResult, branchDiv *analysis.BranchDivResult) *Analyses {
+	return &Analyses{lineSize: lineSize, derived: map[any]any{
+		analysis.DefaultElementReuse(): &reuseProfile{total: *reuseElem},
+		analysis.LineReuse(lineSize):   &reuseProfile{total: *reuseLine},
+		"MemDiv":                       memDiv,
+		"BranchDiv":                    branchDiv,
+	}}
 }
 
 // Detach derives everything a getter of the bundle answers — the two
@@ -250,7 +245,10 @@ func (a *Analyses) Detach(ctx context.Context) error {
 	a.mu.Lock()
 	a.stop = ctx
 	a.mu.Unlock()
-	a.serialized()
+	a.ReuseElem()
+	a.ReuseLine()
+	a.MemDiv()
+	a.BranchDiv()
 	a.SharedBank()
 	a.SharedRaces()
 	a.Coverage()
@@ -262,31 +260,6 @@ func (a *Analyses) Detach(ctx context.Context) error {
 	}
 	for _, kp := range a.kernels {
 		kp.Trace.Release()
-	}
-	return nil
-}
-
-// MarshalJSON implements json.Marshaler.
-func (a *Analyses) MarshalJSON() ([]byte, error) { return json.Marshal(a.serialized()) }
-
-// UnmarshalJSON implements json.Unmarshaler; the result is a detached
-// bundle.
-func (a *Analyses) UnmarshalJSON(b []byte) error {
-	var p analysesJSON
-	if err := json.Unmarshal(b, &p); err != nil {
-		return err
-	}
-	if p.ReuseElem == nil || p.ReuseLine == nil || p.MemDiv == nil || p.BranchDiv == nil {
-		return errors.New("profiler: serialized analyses lack an aggregate")
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.kernels, a.lineSize = nil, p.LineSize
-	a.derived = map[any]any{
-		analysis.DefaultElementReuse(): &reuseProfile{total: *p.ReuseElem},
-		analysis.LineReuse(p.LineSize): &reuseProfile{total: *p.ReuseLine},
-		"MemDiv":                       p.MemDiv,
-		"BranchDiv":                    p.BranchDiv,
 	}
 	return nil
 }

@@ -135,9 +135,8 @@ var sharedTestAPI = map[string]bool{
 	"internal/ir.PrintFunc": true,
 	// The vertical-bypassing extension (DESIGN.md §5), run by the root
 	// BenchmarkAblationVerticalVsHorizontalBicg.
-	"internal/bypass.VerticalPlan":           true,
-	"internal/bypass.DefaultVerticalOptions": true,
-	"internal/bypass.ApplyVertical":          true,
+	"internal/bypass.VerticalPlan":  true,
+	"internal/bypass.ApplyVertical": true,
 }
 
 // moduleChecker type-checks the module's packages from their non-test
