@@ -188,8 +188,9 @@ func BenchmarkFigures8and9DebugViews(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzerReuseDistance isolates the analyzer's Fenwick-tree
-// reuse-distance engine on a substantial trace (syrk).
+// BenchmarkAnalyzerReuseDistance isolates the analyzer's reuse-distance
+// walker, histogram and superseded-timestamp bitmap, on a substantial
+// trace (syrk).
 func BenchmarkAnalyzerReuseDistance(b *testing.B) {
 	p, err := experiments.Profile(mustApp(b, "syrk"), gpu.KeplerK40c(),
 		memOnly(), 1)
@@ -334,8 +335,9 @@ func BenchmarkLaunchPerSM(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationReuseEngines compares the Fenwick-tree reuse-distance
-// engine against the naive O(N^2) reference on the same trace (the
+// BenchmarkAblationReuseEngines compares the reuse-distance walker, which
+// counts distinct elements as timestamps less the superseded ones in a
+// bitmap, against the naive O(N^2) reference on the same trace (the
 // DESIGN.md ablation for the analyzer's data structure choice).
 func BenchmarkAblationReuseEngines(b *testing.B) {
 	p, err := experiments.Profile(mustApp(b, "bicg"), gpu.KeplerK40c(), memOnly(), 1)
@@ -343,7 +345,7 @@ func BenchmarkAblationReuseEngines(b *testing.B) {
 		b.Fatal(err)
 	}
 	tr := p.Kernels[0].Trace
-	b.Run("fenwick", func(b *testing.B) {
+	b.Run("superseded-bitmap", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			analysis.ReuseDistance(tr, analysis.DefaultElementReuse())
 		}

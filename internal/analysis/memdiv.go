@@ -140,7 +140,8 @@ func MemDivergenceOn(tr *trace.KernelTrace, lineSize int, pool *runner.Pool) *Me
 // memDivRange is the profile of the records [lo, hi) of tr.
 func memDivRange(tr *trace.KernelTrace, lineSize, lo, hi int) *MemDivResult {
 	res := &MemDivResult{LineSize: lineSize, sites: make(map[ir.Loc]*SiteDivergence), lines: make(map[ContextSite]int64)}
-	byID := make(map[[2]int32]int64) // lines per (context, location id): an 8-byte key per record, resolved once
+	byID := make(map[[2]int32]int64)                   // lines per (context, location id): an 8-byte key per record, resolved once
+	bySite := make([]*SiteDivergence, tr.Locs.Len()+1) // res.sites by siteIndex
 	var addrs [trace.WarpSize]uint64
 	for i := lo; i < hi; i++ {
 		m := &tr.Mem[i]
@@ -160,11 +161,11 @@ func memDivRange(tr *trace.KernelTrace, lineSize, lo, hi int) *MemDivResult {
 		res.WeightedSum += int64(n)
 		byID[[2]int32{m.Ctx, m.Loc}] += int64(n)
 
-		loc := tr.Locs.Loc(m.Loc)
-		s := res.sites[loc]
+		id := siteIndex(tr, m.Loc)
+		s := bySite[id]
 		if s == nil {
-			s = &SiteDivergence{Loc: loc, Ctx: m.Ctx, addr: addrs[bits.TrailingZeros32(m.Mask)]}
-			res.sites[loc] = s
+			s = &SiteDivergence{Loc: tr.Locs.Loc(m.Loc), Ctx: m.Ctx, addr: addrs[bits.TrailingZeros32(m.Mask)]}
+			bySite[id], res.sites[s.Loc] = s, s
 		}
 		s.Count++
 		s.WeightedSum += int64(n)

@@ -219,14 +219,15 @@ type elemState struct {
 	reread   bool   // read more than once (maintained for the histogram only)
 }
 
-// reuseWalker holds what one walk reuses across its CTAs: the
-// timestamp tree and an open-addressed, linearly probed table of element
-// state (slots of earlier CTAs are free by their stamp, never cleared).
+// reuseWalker holds what one walk reuses across its CTAs: the set of
+// superseded timestamps and an open-addressed, linearly probed table of
+// element state (slots of earlier CTAs are free by their stamp, never
+// cleared).
 type reuseWalker struct {
 	slots []elemState // power-of-two length, at most half full
 	live  int         // slots claimed by the current CTA
 	cta   uint32      // stamp of the current CTA, from 1
-	tree  fenwick
+	dead  deadSet
 }
 
 // state returns the slot of elem in the current CTA, claiming one (zero
@@ -308,10 +309,16 @@ func walkReuse(tr *trace.KernelTrace, opt ReuseOptions, hist, bySite bool, pool 
 }
 
 // walkCTAs walks the given CTA groups of tr. With res set it accumulates
-// the distance histogram (the timestamp tree is only maintained then);
+// the distance histogram (the superseded timestamps are only kept then);
 // with sites set, per-site forward reuse: when an element is re-read
 // with no intervening write, the site of the PREVIOUS read gets the
 // credit — its load brought in data worth caching.
+//
+// Every read but a re-read of the newest element takes the next
+// timestamp, and a re-read supersedes the element's old one. So the
+// distinct elements read since an element's last read at L are the
+// timestamps after L that are still some element's last read: t − L,
+// less the superseded ones in (L, t].
 func walkCTAs(tr *trace.KernelTrace, opt ReuseOptions, ctas [][]int32, res *ReuseResult, sites []SiteReuse) {
 	var w reuseWalker
 	var addrs [trace.WarpSize]uint64
@@ -319,11 +326,9 @@ func walkCTAs(tr *trace.KernelTrace, opt ReuseOptions, ctas [][]int32, res *Reus
 		w.cta++
 		w.live = 0
 		if res != nil {
-			w.tree.reset(trace.WarpSize * len(records)) // a timestamp per read, at most
+			w.dead.reset(trace.WarpSize * len(records)) // a timestamp per read, at most
 		}
-		// t is the timestamp of the newest read, marks the number of
-		// elements read so far: each has one mark in the tree.
-		t, marks := int32(0), int32(0)
+		t := int32(0) // the timestamp of the newest read
 		for _, i := range records {
 			m := &tr.Mem[i]
 			tr.LaneAddrs(m, &addrs)
@@ -338,14 +343,13 @@ func walkCTAs(tr *trace.KernelTrace, opt ReuseOptions, ctas [][]int32, res *Reus
 				if m.Kind != trace.Store { // loads and atomics read
 					reused := st.lastTime > 0 && !st.dirty
 					// Re-reading the element read last moves nothing: its
-					// mark is already the newest, at distance 0.
+					// timestamp is already the newest, at distance 0.
 					newest := st.lastTime == t && t > 0
 					if res != nil {
 						res.Samples++
 						switch {
 						case st.lastTime == 0:
 							res.Streaming++ // read exactly once so far
-							marks++
 						case !st.reread:
 							res.Streaming--
 							st.reread = true
@@ -356,14 +360,11 @@ func walkCTAs(tr *trace.KernelTrace, opt ReuseOptions, ctas [][]int32, res *Reus
 							res.Infinite++
 						case newest:
 							res.addFinite(0)
-						default: // the marks after this element's own
-							res.addFinite(int64(marks - w.tree.prefix(int(st.lastTime))))
+						default:
+							res.addFinite(int64(t - st.lastTime - w.dead.count(st.lastTime, t)))
 						}
-						if !newest {
-							if st.lastTime > 0 {
-								w.tree.add(int(st.lastTime), -1)
-							}
-							w.tree.add(int(t+1), 1)
+						if !newest && st.lastTime > 0 {
+							w.dead.kill(st.lastTime)
 						}
 					}
 					if sites != nil {
@@ -392,36 +393,52 @@ func (r *ReuseResult) addFinite(d int64) {
 	r.FiniteN++
 }
 
-// fenwick is a Fenwick tree (binary indexed tree) over access timestamps:
-// a 1 at position t marks "some element's most recent read was at t", so
-// the marks after a position count the distinct elements read since —
-// the O(log n) engine behind the reuse-distance analysis.
-type fenwick []int32
-
-// reset empties the tree and sizes it for timestamps 1..n.
-func (f *fenwick) reset(n int) {
-	if cap(*f) <= n {
-		*f = make(fenwick, n+1)
-		return
-	}
-	*f = (*f)[:n+1]
-	clear(*f)
+// deadSet is the set of superseded read timestamps of one CTA: a bit
+// per timestamp, and a count per block of 1<<blockShift words, so that a
+// death costs one bit and one count, and a query over a long range sums
+// whole blocks instead of words.
+type deadSet struct {
+	words  []uint64
+	blocks []int32
 }
 
-// add moves the count at timestamp t by delta.
-func (f fenwick) add(t int, delta int32) {
-	for ; t < len(f); t += t & (-t) {
-		f[t] += delta
-	}
+// blockShift is log2 of the words a block counts. Only a test lowers it.
+var blockShift = 4
+
+// reset empties the set and sizes it for timestamps 0..n.
+func (d *deadSet) reset(n int) {
+	words := n>>6 + 2 // count reads the word of n+1
+	d.words = append(d.words[:0], make([]uint64, words)...)
+	d.blocks = append(d.blocks[:0], make([]int32, (words-1)>>blockShift+1)...)
 }
 
-// prefix counts the marks at timestamps 1..t.
-func (f fenwick) prefix(t int) int32 {
-	s := int32(0)
-	for ; t > 0; t -= t & (-t) {
-		s += f[t]
+// kill marks timestamp t superseded.
+func (d *deadSet) kill(t int32) {
+	d.words[t>>6] |= 1 << (t & 63)
+	d.blocks[t>>6>>blockShift]++
+}
+
+// count returns the superseded timestamps in (lo, hi].
+func (d *deadSet) count(lo, hi int32) int32 {
+	a, b := int(lo)+1, int(hi)+1 // the bits [a, b)
+	wa, wb := a>>6, b>>6
+	first, last := d.words[wa]&(^uint64(0)<<(a&63)), d.words[wb]&(1<<(b&63)-1)
+	if wa == wb {
+		return int32(bits.OnesCount64(first & last))
 	}
-	return s
+	n := bits.OnesCount64(first) + bits.OnesCount64(last)
+	mask := 1<<blockShift - 1
+	i := wa + 1
+	for ; i < wb && i&mask != 0; i++ {
+		n += bits.OnesCount64(d.words[i])
+	}
+	for ; i+mask < wb; i += mask + 1 {
+		n += int(d.blocks[i>>blockShift])
+	}
+	for ; i < wb; i++ {
+		n += bits.OnesCount64(d.words[i])
+	}
+	return int32(n)
 }
 
 // ctaAccess is one per-thread access in CTA program order.

@@ -105,8 +105,8 @@ type reuseProfile struct {
 // reuse derives the profile under opt from one walk per kernel instance.
 // A caller that reads only the per-site half passes hist false: unless
 // the whole profile is already kept (a detached bundle's always is) it
-// gets one from walks that skip the histogram and its timestamp tree,
-// which are a third of an uncached `advise` of syr2k.
+// gets one from walks that skip the histogram and its superseded
+// timestamps, which are about a sixth of an uncached `advise` of syr2k.
 func (a *Analyses) reuse(opt analysis.ReuseOptions, hist bool) *reuseProfile {
 	key := any(opt)
 	if !hist {
