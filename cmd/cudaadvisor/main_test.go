@@ -104,6 +104,33 @@ func TestLintErrors(t *testing.T) {
 	}
 }
 
+// TestIllTypedModuleRefused: a module that parses but does not verify is
+// the caller's error, with the verifier's first complaint. One stores an
+// f32 register through st i32 (and does an atomadd on shared memory), the
+// other has a gep of scale 0 (and a bar in a device function).
+func TestIllTypedModuleRefused(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct{ name, src, want string }{
+		{"st.mir", "module ill\nkernel @k(%p: ptr, %x: f32) {\n  shared @s: i32[32]\nentry:\n  %t = sreg tid.x\n" +
+			"  %a = gep %p, %t, 4\n  st i32 global [%a], %x\n  %sp = shptr @s\n  %o = atomadd i32 shared [%sp], %t\n  ret\n}\n",
+			"st.mir: func k: block entry: st i32 global [%a], %x: operand 1 has type f32, want i32"},
+		{"bar.mir", "module ill\nfunc @d(%p: ptr) {\nentry:\n  %t = sreg tid.x\n  %a = gep %p, %t, 0\n" +
+			"  st i32 global [%a], %t\n  bar\n  ret\n}\n",
+			"bar.mir: func d: block entry: %a = gep %p, %t, 0: gep scale 0"},
+	} {
+		path := filepath.Join(dir, tc.name)
+		if err := os.WriteFile(path, []byte(tc.src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{{"lint", path}, {"lint", "-format", "json", "-arch", "pascal", path}, {"advise", "-format", "json", path}} {
+			var stdout, stderr bytes.Buffer
+			if code := run(args, &stdout, &stderr); code != 1 || stdout.Len() != 0 || !strings.Contains(stderr.String(), tc.want) {
+				t.Errorf("run(%v) = %d, stdout %d bytes, stderr %q; want 1, nothing, and %q", args, code, stdout.Len(), stderr.String(), tc.want)
+			}
+		}
+	}
+}
+
 func TestUnknownCommand(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"frobnicate"}, &stdout, &stderr); code != 2 {

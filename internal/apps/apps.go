@@ -61,9 +61,6 @@ func (a *App) Native() (*instrument.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := m.Finalize(); err != nil {
-		return nil, err
-	}
 	return instrument.NativeProgram(m), nil
 }
 

@@ -166,9 +166,9 @@ func runBFS(ctx *rt.Context, prog *instrument.Program, scale int) error {
 
 	defer ctx.Enter("BFSGraph")()
 	hNodes := ctx.Malloc(int64(4*len(nodes)), "h_graph_nodes")
-	putI32s(hNodes, 0, nodes)
+	putI32s(hNodes, nodes)
 	hEdges := ctx.Malloc(int64(4*len(edges)), "h_graph_edges")
-	putI32s(hEdges, 0, edges)
+	putI32s(hEdges, edges)
 	hMask := ctx.Malloc(int64(n), "h_graph_mask")
 	hUpdating := ctx.Malloc(int64(n), "h_updating_graph_mask")
 	hVisited := ctx.Malloc(int64(n), "h_graph_visited")
@@ -182,10 +182,10 @@ func runBFS(ctx *rt.Context, prog *instrument.Program, scale int) error {
 		cost[i] = -1
 	}
 	mask[src], visited[src], cost[src] = true, true, 0
-	putBools(hMask, 0, mask)
-	putBools(hUpdating, 0, make([]bool, n))
-	putBools(hVisited, 0, visited)
-	putI32s(hCost, 0, cost)
+	putBools(hMask, mask)
+	putBools(hUpdating, make([]bool, n))
+	putBools(hVisited, visited)
+	putI32s(hCost, cost)
 
 	alloc := func(bytes int64) (rt.DevPtr, error) { return ctx.CudaMalloc(bytes) }
 	dNodes, err := alloc(int64(4 * len(nodes)))
@@ -257,7 +257,7 @@ func runBFS(ctx *rt.Context, prog *instrument.Program, scale int) error {
 	if err := ctx.MemcpyD2H(hCost, dCost, int64(4*n)); err != nil {
 		return err
 	}
-	got := getI32s(hCost, 0, n)
+	got := getI32s(hCost, n)
 	want := bfsRef(nodes, edges, n, src)
 	for i := range got {
 		if got[i] != want[i] {

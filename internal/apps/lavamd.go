@@ -266,9 +266,9 @@ func runLavaMD(ctx *rt.Context, prog *instrument.Program, scale int) error {
 
 	defer ctx.Enter("kernel_gpu_cuda_wrapper")()
 	hCounts := ctx.Malloc(int64(4*len(counts)), "box_nn")
-	putI32s(hCounts, 0, counts)
+	putI32s(hCounts, counts)
 	hList := ctx.Malloc(int64(4*len(list)), "box_nei")
-	putI32s(hList, 0, list)
+	putI32s(hList, list)
 	dCounts, err := ctx.CudaMalloc(int64(4 * len(counts)))
 	if err != nil {
 		return err

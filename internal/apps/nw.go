@@ -166,9 +166,9 @@ func runNW(ctx *rt.Context, prog *instrument.Program, scale int) error {
 
 	defer ctx.Enter("runTest")()
 	hRef := ctx.Malloc(int64(4*len(ref)), "referrence")
-	putI32s(hRef, 0, ref)
+	putI32s(hRef, ref)
 	hMat := ctx.Malloc(int64(4*len(matrix)), "input_itemsets")
-	putI32s(hMat, 0, matrix)
+	putI32s(hMat, matrix)
 	dRef, err := ctx.CudaMalloc(int64(4 * len(ref)))
 	if err != nil {
 		return err
@@ -207,7 +207,7 @@ func runNW(ctx *rt.Context, prog *instrument.Program, scale int) error {
 	if err := ctx.MemcpyD2H(hMat, dMat, hMat.Bytes()); err != nil {
 		return err
 	}
-	got := getI32s(hMat, 0, len(matrix))
+	got := getI32s(hMat, len(matrix))
 	want := nwRef(ref, penalty, n)
 	for i := range got {
 		if got[i] != want[i] {

@@ -9,45 +9,45 @@ import (
 	"cudaadvisor/internal/rt"
 )
 
-// putF32s encodes float32 values into a host buffer at byte offset off.
-func putF32s(h *rt.HostBuf, off int, vals []float32) {
+// putF32s encodes float32 values into a host buffer.
+func putF32s(h *rt.HostBuf, vals []float32) {
 	for i, v := range vals {
-		binary.LittleEndian.PutUint32(h.Data[off+4*i:], math.Float32bits(v))
+		binary.LittleEndian.PutUint32(h.Data[4*i:], math.Float32bits(v))
 	}
 }
 
-// getF32s decodes n float32 values from a host buffer at byte offset off.
-func getF32s(h *rt.HostBuf, off, n int) []float32 {
+// getF32s decodes n float32 values from a host buffer.
+func getF32s(h *rt.HostBuf, n int) []float32 {
 	out := make([]float32, n)
 	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(h.Data[off+4*i:]))
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(h.Data[4*i:]))
 	}
 	return out
 }
 
 // putI32s encodes int32 values into a host buffer.
-func putI32s(h *rt.HostBuf, off int, vals []int32) {
+func putI32s(h *rt.HostBuf, vals []int32) {
 	for i, v := range vals {
-		binary.LittleEndian.PutUint32(h.Data[off+4*i:], uint32(v))
+		binary.LittleEndian.PutUint32(h.Data[4*i:], uint32(v))
 	}
 }
 
 // getI32s decodes int32 values from a host buffer.
-func getI32s(h *rt.HostBuf, off, n int) []int32 {
+func getI32s(h *rt.HostBuf, n int) []int32 {
 	out := make([]int32, n)
 	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(h.Data[off+4*i:]))
+		out[i] = int32(binary.LittleEndian.Uint32(h.Data[4*i:]))
 	}
 	return out
 }
 
 // putBools encodes bools as bytes.
-func putBools(h *rt.HostBuf, off int, vals []bool) {
+func putBools(h *rt.HostBuf, vals []bool) {
 	for i, v := range vals {
 		if v {
-			h.Data[off+i] = 1
+			h.Data[i] = 1
 		} else {
-			h.Data[off+i] = 0
+			h.Data[i] = 0
 		}
 	}
 }
@@ -56,7 +56,7 @@ func putBools(h *rt.HostBuf, off int, vals []bool) {
 // a tracked host staging buffer.
 func uploadF32s(ctx *rt.Context, label string, vals []float32) (rt.DevPtr, *rt.HostBuf, error) {
 	h := ctx.Malloc(int64(4*len(vals)), label)
-	putF32s(h, 0, vals)
+	putF32s(h, vals)
 	d, err := ctx.CudaMalloc(int64(4 * len(vals)))
 	if err != nil {
 		return 0, nil, err
@@ -72,7 +72,7 @@ func downloadF32s(ctx *rt.Context, h *rt.HostBuf, d rt.DevPtr, n int) ([]float32
 	if err := ctx.MemcpyD2H(h, d, int64(4*n)); err != nil {
 		return nil, err
 	}
-	return getF32s(h, 0, n), nil
+	return getF32s(h, n), nil
 }
 
 // checkF32s compares device results against a reference within a relative

@@ -22,6 +22,7 @@ import (
 	"cudaadvisor/internal/findings"
 	"cudaadvisor/internal/gpu"
 	"cudaadvisor/internal/instrument"
+	"cudaadvisor/internal/ir"
 	"cudaadvisor/internal/irtext"
 	"cudaadvisor/internal/profiler"
 	"cudaadvisor/internal/report"
@@ -140,11 +141,11 @@ type Request struct {
 // parameter up by name and returns "" when it is absent; besides the
 // command's Params it is asked for the target: "app", a built-in
 // application name, or else "name", the label of the IR module whose
-// text is ir (a file path at the CLI, the upload name under serve).
-// `lint` and `advise` analyze an IR module statically; `profile` and
-// `export` need an application to run. Every error is the caller's
-// mistake — nothing is simulated here.
-func NewRequest(cmd string, get func(name string) string, ir []byte) (*Request, error) {
+// text is src (a file path at the CLI, the upload name under serve).
+// `lint` and `advise` parse, verify and analyze an IR module statically;
+// `profile` and `export` need an application to run. Every error is the
+// caller's mistake — nothing is simulated here.
+func NewRequest(cmd string, get func(name string) string, src []byte) (*Request, error) {
 	params, ok := commandParams[cmd]
 	if !ok {
 		return nil, fmt.Errorf("unknown command %q", cmd)
@@ -156,9 +157,9 @@ func NewRequest(cmd string, get func(name string) string, ir []byte) (*Request, 
 		if r.App = apps.ByName(app); r.App == nil {
 			return nil, fmt.Errorf("unknown application %q (see 'cudaadvisor apps')", app)
 		}
-	case len(ir) == 0 && static:
+	case len(src) == 0 && static:
 		return nil, fmt.Errorf("%s wants one application name or .mir module (see 'cudaadvisor apps')", cmd)
-	case len(ir) == 0:
+	case len(src) == 0:
 		return nil, fmt.Errorf("%s wants one application name (see 'cudaadvisor apps')", cmd)
 	case !static:
 		return nil, fmt.Errorf("%s needs a dynamic profile; a .mir module has no runnable host driver (pass an application name, see 'cudaadvisor apps')", cmd)
@@ -169,9 +170,12 @@ func NewRequest(cmd string, get func(name string) string, ir []byte) (*Request, 
 		if name == "" {
 			name = "upload.mir"
 		}
-		m, err := irtext.Parse(name, string(ir))
+		m, err := irtext.Parse(name, string(src))
 		if err != nil {
 			return nil, err
+		}
+		if err := ir.Verify(m); err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		if r.module, err = staticadvisor.Analyze(m); err != nil {
 			return nil, err

@@ -193,6 +193,11 @@ func FuzzNewRequest(f *testing.F) {
 		{"export", "bfs", "", "", "", "", "", "bytes"}, {"profile", "nn", "", "0"}, {"export", "nn", "", "two"},
 		{"profile", "nn", "", "", "", "yes"}, {"export", "", "", "", "", "", "", "", fixture},
 		{"lint", "", "", "", "", "", "", "", "this is not ir"}, {"figure4", "nn"},
+		// Modules that parse but do not verify.
+		{"lint", "", "", "", "", "", "", "", "module m\nkernel @k(%p: ptr, %x: f32) {\n  shared @s: i32[32]\nentry:\n  %t = sreg tid.x\n" +
+			"  %a = gep %p, %t, 4\n  st i32 global [%a], %x\n  %sp = shptr @s\n  %o = atomadd i32 shared [%sp], %t\n  ret\n}\n"},
+		{"advise", "", "", "", "", "", "json", "", "module m\nfunc @d(%p: ptr) {\nentry:\n  %t = sreg tid.x\n" +
+			"  %a = gep %p, %t, 0\n  st i32 global [%a], %t\n  bar\n  ret\n}\n"},
 	} {
 		f.Add(row[0], row[1], row[2], row[3], row[4], row[5], row[6], row[7], []byte(row[8]))
 	}

@@ -216,36 +216,47 @@ func (f *Function) finalize(m *Module) error {
 		blockIdx[b.Name] = i
 	}
 
-	// First pass: register destinations (definition order) with types
-	// derived from the instruction.
+	// First pass: register destinations (definition order) with the
+	// types their signatures yield.
+	var buf [4]Type
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
+			in.DstReg = -1
 			if in.Dst == "" {
-				in.DstReg = -1
 				continue
 			}
-			t, err := f.resultType(in)
+			_, res, err := f.signature(in, buf[:0])
+			if err == nil && res == Void {
+				err = fmt.Errorf("%s yields no value", in.Op)
+			}
 			if err != nil {
 				return fmt.Errorf("func %s block %s: %s: %w", f.Name, b.Name, in, err)
 			}
-			idx, err := addReg(in.Dst, t)
-			if err != nil {
+			if in.DstReg, err = addReg(in.Dst, res); err != nil {
 				return err
 			}
-			in.DstReg = idx
 		}
 	}
 	f.NumRegs = len(f.RegTypes)
 
-	// Second pass: resolve operand registers, branch targets, callees, and
-	// assign context types to constant operands (so parsers need not type
-	// literals themselves).
+	// Second pass: resolve operand registers, branch targets and callees,
+	// and give constant operands the types their signatures want (so
+	// parsers need not type literals themselves).
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
+			args, _, err := f.signature(in, buf[:0])
+			if err != nil {
+				return fmt.Errorf("func %s block %s: %s: %w", f.Name, b.Name, in, err)
+			}
 			for i := range in.Args {
 				a := &in.Args[i]
 				if a.Kind != KReg {
-					if err := f.typeConstOperand(in, i); err != nil {
+					if i >= len(args) {
+						err = fmt.Errorf("want %d operands, have %d", len(args), len(in.Args))
+					} else {
+						err = a.typeAs(args[i])
+					}
+					if err != nil {
 						return fmt.Errorf("func %s block %s: %s: %w", f.Name, b.Name, in, err)
 					}
 					continue
@@ -273,89 +284,22 @@ func (f *Function) finalize(m *Module) error {
 				in.ElseIdx = idx
 			}
 			if in.Op == OpCall && !in.IsHookCall() {
-				callee := m.Func(in.Callee)
-				if callee == nil {
-					return fmt.Errorf("func %s block %s: call to undefined function @%s", f.Name, b.Name, in.Callee)
-				}
-				in.CalleeFn = callee
+				in.CalleeFn = m.Func(in.Callee)
 			}
 		}
 	}
 
-	f.computeCFG()
+	if err := f.computeCFG(); err != nil {
+		return err
+	}
 	f.finalized = true
 	return nil
 }
 
-// typeConstOperand assigns the context-expected type to the constant
-// operand in.Args[i], converting integer literals to float where a float
-// is expected (so "fadd f32 %v, 1" works).
-func (f *Function) typeConstOperand(in *Instr, i int) error {
-	var want Type
-	switch {
-	case in.Op.IsIntBinary() || in.Op == OpICmp:
-		want = in.Type
-	case in.Op.IsFloatBinary() || in.Op.IsFloatUnary() || in.Op == OpFCmp:
-		want = F32
-	case in.Op == OpSelect:
-		if i == 0 {
-			want = I1
-		} else {
-			want = in.Type
-		}
-	case in.Op == OpMov:
-		want = in.Type
-	case in.Op == OpSitofp:
-		want = I32
-	case in.Op == OpFptosi:
-		want = F32
-	case in.Op == OpSext:
-		want = I32
-	case in.Op == OpTrunc:
-		want = I64
-	case in.Op == OpZext:
-		want = I1
-	case in.Op == OpGEP:
-		if i == 0 {
-			want = Ptr
-		} else {
-			want = I64
-		}
-	case in.Op == OpLd:
-		want = Ptr
-	case in.Op == OpSt, in.Op == OpAtom:
-		if i == 0 {
-			want = Ptr
-		} else {
-			want = in.Mem.RegType()
-		}
-	case in.Op == OpCBr:
-		want = I1
-	case in.Op == OpRet:
-		want = f.Result
-	case in.Op == OpCall:
-		if in.IsHookCall() {
-			// Hook arguments keep their literal types; integer literals
-			// default to I32 and floats to F32.
-			a := &in.Args[i]
-			if a.Type == Void {
-				if a.Kind == KConstFloat {
-					a.Type = F32
-				} else {
-					a.Type = I32
-				}
-			}
-			return nil
-		}
-		callee := f.mod.Func(in.Callee)
-		if callee == nil || i >= len(callee.Params) {
-			return fmt.Errorf("bad call argument %d", i)
-		}
-		want = callee.Params[i].Type
-	default:
-		return fmt.Errorf("constant operand not allowed for %s", in.Op)
-	}
-	a := &in.Args[i]
+// typeAs gives a constant operand the type its position wants,
+// converting an integer literal where f32 is wanted (so "fadd f32 %v, 1"
+// works).
+func (a *Operand) typeAs(want Type) error {
 	if want == F32 && a.Kind == KConstInt {
 		a.Kind = KConstFloat
 		a.F = float64(a.Int)
@@ -367,57 +311,93 @@ func (f *Function) typeConstOperand(in *Instr, i int) error {
 	return nil
 }
 
-// resultType computes the register type produced by an instruction.
-func (f *Function) resultType(in *Instr) (Type, error) {
-	switch {
-	case in.Op.IsIntBinary():
-		if !in.Type.IsInt() {
-			return Void, fmt.Errorf("integer op on %s", in.Type)
+// signature states in's types: the type of each operand, given the
+// instruction's Type and Mem, the function's result and the callee's
+// parameters, and the type of the register it defines (Void: none). A
+// hook call's operands keep their own types, literals defaulting to i32
+// and f32. Finalize types constants and result registers from it, and
+// Verify checks every operand against it. The operand types are
+// appended to args (a caller's buffer, so the common case allocates
+// nothing).
+func (f *Function) signature(in *Instr, args []Type) ([]Type, Type, error) {
+	t := in.Type
+	switch op := in.Op; {
+	case op.IsIntBinary():
+		if !t.IsInt() {
+			return args, Void, fmt.Errorf("integer op on %s", t)
 		}
-		return in.Type, nil
-	case in.Op.IsFloatBinary() || in.Op.IsFloatUnary():
-		if in.Type != F32 {
-			return Void, fmt.Errorf("float op on %s", in.Type)
+		return append(args, t, t), t, nil
+	case op.IsFloatBinary() || op.IsFloatUnary():
+		if t != F32 {
+			return args, Void, fmt.Errorf("float op on %s", t)
 		}
-		return F32, nil
-	case in.Op == OpICmp || in.Op == OpFCmp:
-		return I1, nil
-	case in.Op == OpSelect, in.Op == OpMov:
-		return in.Type, nil
-	case in.Op == OpSitofp:
-		return F32, nil
-	case in.Op == OpFptosi:
-		return I32, nil
-	case in.Op == OpSext:
-		return I64, nil
-	case in.Op == OpTrunc:
-		return I32, nil
-	case in.Op == OpZext:
-		return I32, nil
-	case in.Op == OpGEP, in.Op == OpShPtr:
-		return Ptr, nil
-	case in.Op == OpLd, in.Op == OpAtom:
-		return in.Mem.RegType(), nil
-	case in.Op == OpSReg:
-		return I32, nil
-	case in.Op == OpCall:
-		if in.IsHookCall() {
-			return Void, fmt.Errorf("hook call %s must not have a result", in.Callee)
+		if op.IsFloatUnary() {
+			return append(args, F32), F32, nil
 		}
+		return append(args, F32, F32), F32, nil
+	case in.IsHookCall():
+		for _, a := range in.Args {
+			t := a.Type
+			if a.Kind == KConstFloat && t == Void {
+				t = F32
+			} else if a.Kind == KConstInt && t == Void {
+				t = I32
+			}
+			args = append(args, t)
+		}
+		return args, Void, nil
+	case op == OpCall:
 		callee := f.mod.Func(in.Callee)
 		if callee == nil {
-			return Void, fmt.Errorf("call to undefined function @%s", in.Callee)
+			return args, Void, fmt.Errorf("call to undefined function @%s", in.Callee)
 		}
-		if callee.Result == Void {
-			return Void, fmt.Errorf("call to void function @%s used as value", in.Callee)
+		for _, p := range callee.Params {
+			args = append(args, p.Type)
 		}
-		return callee.Result, nil
-	default:
-		return Void, fmt.Errorf("opcode %s cannot produce a result", in.Op)
+		return args, callee.Result, nil
+	case op == OpRet && f.Result != Void:
+		return append(args, f.Result), Void, nil
 	}
+	switch in.Op {
+	case OpICmp:
+		return append(args, t, t), I1, nil
+	case OpFCmp:
+		return append(args, F32, F32), I1, nil
+	case OpSelect:
+		return append(args, I1, t, t), t, nil
+	case OpMov:
+		return append(args, t), t, nil
+	case OpSitofp:
+		return append(args, I32), F32, nil
+	case OpFptosi:
+		return append(args, F32), I32, nil
+	case OpSext:
+		return append(args, I32), I64, nil
+	case OpTrunc:
+		return append(args, I64), I32, nil
+	case OpZext:
+		return append(args, I1), I32, nil
+	case OpGEP:
+		return append(args, Ptr, I64), Ptr, nil
+	case OpLd:
+		return append(args, Ptr), in.Mem.RegType(), nil
+	case OpSt:
+		return append(args, Ptr, in.Mem.RegType()), Void, nil
+	case OpAtom:
+		return append(args, Ptr, in.Mem.RegType()), in.Mem.RegType(), nil
+	case OpSReg:
+		return args, I32, nil
+	case OpShPtr:
+		return args, Ptr, nil
+	case OpCBr:
+		return append(args, I1), Void, nil
+	case OpBr, OpRet, OpBar:
+		return args, Void, nil
+	}
+	return args, Void, fmt.Errorf("unknown opcode %s", in.Op)
 }
 
-func (f *Function) computeCFG() {
+func (f *Function) computeCFG() error {
 	for _, b := range f.Blocks {
 		b.Succs = b.Succs[:0]
 	}
@@ -425,6 +405,9 @@ func (f *Function) computeCFG() {
 		t := b.Terminator()
 		if t == nil {
 			continue
+		}
+		if t.Op != OpRet && (t.ThenIdx < 0 || t.Op == OpCBr && t.ElseIdx < 0) {
+			return fmt.Errorf("func %s block %s: %s: branch without a target", f.Name, b.Name, t)
 		}
 		switch t.Op {
 		case OpBr:
@@ -436,4 +419,5 @@ func (f *Function) computeCFG() {
 			}
 		}
 	}
+	return nil
 }

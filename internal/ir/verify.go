@@ -5,11 +5,12 @@ import (
 	"fmt"
 )
 
-// Verify type-checks a finalized module: operand types match opcode
-// requirements, blocks are properly terminated, terminators do not appear
-// mid-block, and returns agree with the function's result type. It is the
-// analog of LLVM's module verifier and runs as the first pass of every
-// pass pipeline.
+// Verify type-checks a finalized module: every instruction's operands
+// match its signature (the one Finalize typed constants and registers
+// from), the rules types cannot express hold, blocks are properly
+// terminated, and terminators do not appear mid-block. It is the analog
+// of LLVM's module verifier and runs as the first pass of every pass
+// pipeline.
 func Verify(m *Module) error {
 	var errs []error
 	for _, f := range m.Funcs {
@@ -47,222 +48,56 @@ func verifyFunc(f *Function) error {
 	return nil
 }
 
-func argType(in *Instr, i int) Type { return in.Args[i].Type }
-
-func wantArgs(in *Instr, n int) error {
-	if len(in.Args) != n {
-		return fmt.Errorf("want %d operands, have %d", n, len(in.Args))
-	}
-	return nil
-}
-
-func wantType(in *Instr, i int, t Type) error {
-	if got := argType(in, i); got != t {
-		return fmt.Errorf("operand %d has type %s, want %s", i, got, t)
-	}
-	return nil
-}
-
 func verifyInstr(f *Function, in *Instr) error {
-	switch {
-	case in.Op.IsIntBinary():
-		if !in.Type.IsInt() {
-			return fmt.Errorf("integer op with type %s", in.Type)
+	var buf [4]Type
+	args, _, err := f.signature(in, buf[:0])
+	if err != nil {
+		return err
+	}
+	if len(in.Args) != len(args) {
+		return fmt.Errorf("want %d operands, have %d", len(args), len(in.Args))
+	}
+	for i, want := range args {
+		// A trunc source may be a ptr, and a gep index any integer.
+		got := in.Args[i].Type
+		if got != want && !(in.Op == OpTrunc && got == Ptr) && !(in.Op == OpGEP && i == 1 && got.IsInt()) {
+			return fmt.Errorf("operand %d has type %s, want %s", i, got, want)
 		}
-		if err := wantArgs(in, 2); err != nil {
-			return err
-		}
-		for i := range in.Args {
-			if err := wantType(in, i, in.Type); err != nil {
-				return err
-			}
-		}
-	case in.Op.IsFloatBinary():
-		if err := wantArgs(in, 2); err != nil {
-			return err
-		}
-		for i := range in.Args {
-			if err := wantType(in, i, F32); err != nil {
-				return err
-			}
-		}
-	case in.Op.IsFloatUnary():
-		if err := wantArgs(in, 1); err != nil {
-			return err
-		}
-		return wantType(in, 0, F32)
-	case in.Op == OpICmp:
+	}
+	switch in.Op {
+	case OpICmp:
 		if !in.Type.IsInt() && in.Type != Ptr {
 			return fmt.Errorf("icmp with type %s", in.Type)
 		}
+		fallthrough
+	case OpFCmp:
 		if in.Pred == PredInvalid {
-			return fmt.Errorf("icmp without predicate")
+			return fmt.Errorf("%s without predicate", in.Op)
 		}
-		if err := wantArgs(in, 2); err != nil {
-			return err
-		}
-		for i := range in.Args {
-			if err := wantType(in, i, in.Type); err != nil {
-				return err
-			}
-		}
-	case in.Op == OpFCmp:
-		if in.Pred == PredInvalid {
-			return fmt.Errorf("fcmp without predicate")
-		}
-		if err := wantArgs(in, 2); err != nil {
-			return err
-		}
-		for i := range in.Args {
-			if err := wantType(in, i, F32); err != nil {
-				return err
-			}
-		}
-	case in.Op == OpSelect:
-		if err := wantArgs(in, 3); err != nil {
-			return err
-		}
-		if err := wantType(in, 0, I1); err != nil {
-			return err
-		}
-		if err := wantType(in, 1, in.Type); err != nil {
-			return err
-		}
-		return wantType(in, 2, in.Type)
-	case in.Op == OpMov:
-		if err := wantArgs(in, 1); err != nil {
-			return err
-		}
-		return wantType(in, 0, in.Type)
-	case in.Op == OpSitofp:
-		if err := wantArgs(in, 1); err != nil {
-			return err
-		}
-		return wantType(in, 0, I32)
-	case in.Op == OpFptosi:
-		if err := wantArgs(in, 1); err != nil {
-			return err
-		}
-		return wantType(in, 0, F32)
-	case in.Op == OpSext:
-		if err := wantArgs(in, 1); err != nil {
-			return err
-		}
-		return wantType(in, 0, I32)
-	case in.Op == OpTrunc:
-		if err := wantArgs(in, 1); err != nil {
-			return err
-		}
-		if t := argType(in, 0); t != I64 && t != Ptr {
-			return fmt.Errorf("trunc of %s", t)
-		}
-	case in.Op == OpZext:
-		if err := wantArgs(in, 1); err != nil {
-			return err
-		}
-		return wantType(in, 0, I1)
-	case in.Op == OpGEP:
-		if err := wantArgs(in, 2); err != nil {
-			return err
-		}
-		if err := wantType(in, 0, Ptr); err != nil {
-			return err
-		}
-		if t := argType(in, 1); !t.IsInt() {
-			return fmt.Errorf("gep index has type %s", t)
-		}
+	case OpGEP:
 		if in.Scale <= 0 {
 			return fmt.Errorf("gep scale %d", in.Scale)
 		}
-	case in.Op == OpLd:
+	case OpLd:
 		if in.NonCached && in.Space != Global {
 			return fmt.Errorf("ld.cg on %s space", in.Space)
 		}
-		if err := wantArgs(in, 1); err != nil {
-			return err
+	case OpAtom:
+		if in.Mem != MemI32 && in.Mem != MemF32 || in.Space != Global {
+			return fmt.Errorf("atomadd on %s %s", in.Mem, in.Space)
 		}
-		return wantType(in, 0, Ptr)
-	case in.Op == OpSt:
-		if err := wantArgs(in, 2); err != nil {
-			return err
-		}
-		if err := wantType(in, 0, Ptr); err != nil {
-			return err
-		}
-		return wantType(in, 1, in.Mem.RegType())
-	case in.Op == OpAtom:
-		if in.Mem != MemI32 && in.Mem != MemF32 {
-			return fmt.Errorf("atomadd on %s", in.Mem)
-		}
-		if in.Space != Global {
-			return fmt.Errorf("atomadd on %s space", in.Space)
-		}
-		if err := wantArgs(in, 2); err != nil {
-			return err
-		}
-		if err := wantType(in, 0, Ptr); err != nil {
-			return err
-		}
-		return wantType(in, 1, in.Mem.RegType())
-	case in.Op == OpSReg:
-		return wantArgs(in, 0)
-	case in.Op == OpShPtr:
+	case OpShPtr:
 		if f.SharedArray(in.Callee) == nil {
 			return fmt.Errorf("shptr to undeclared shared array @%s", in.Callee)
 		}
-	case in.Op == OpBr:
-		if in.ThenIdx < 0 {
-			return fmt.Errorf("br with unresolved target")
-		}
-	case in.Op == OpCBr:
-		if err := wantArgs(in, 1); err != nil {
-			return err
-		}
-		if err := wantType(in, 0, I1); err != nil {
-			return err
-		}
-		if in.ThenIdx < 0 || in.ElseIdx < 0 {
-			return fmt.Errorf("cbr with unresolved target")
-		}
-	case in.Op == OpRet:
-		if f.Result == Void {
-			if len(in.Args) != 0 {
-				return fmt.Errorf("ret with value in void function")
-			}
-		} else {
-			if err := wantArgs(in, 1); err != nil {
-				return err
-			}
-			return wantType(in, 0, f.Result)
-		}
-	case in.Op == OpCall:
-		if in.IsHookCall() {
-			return nil // hook signatures are checked by the executor
-		}
-		callee := in.CalleeFn
-		if callee == nil {
-			return fmt.Errorf("unresolved callee @%s", in.Callee)
-		}
-		if callee.IsKernel {
+	case OpCall:
+		if in.CalleeFn != nil && in.CalleeFn.IsKernel {
 			return fmt.Errorf("call to kernel @%s", in.Callee)
 		}
-		if len(in.Args) != len(callee.Params) {
-			return fmt.Errorf("call to @%s with %d args, want %d", in.Callee, len(in.Args), len(callee.Params))
-		}
-		for i, p := range callee.Params {
-			if err := wantType(in, i, p.Type); err != nil {
-				return err
-			}
-		}
-		if in.Dst != "" && callee.Result == Void {
-			return fmt.Errorf("void call with result register")
-		}
-	case in.Op == OpBar:
+	case OpBar:
 		if !f.IsKernel {
 			return fmt.Errorf("bar in device function @%s", f.Name)
 		}
-	default:
-		return fmt.Errorf("unknown opcode")
 	}
 	return nil
 }

@@ -8,10 +8,11 @@ import (
 )
 
 // FuzzParse pins the parser's resilience contract: arbitrary input may
-// produce a parse error, but never a panic — the lint subcommand feeds
-// Parse user-supplied .mir files, and the resilient pipeline treats a
-// malformed module as one failed cell, not a crashed process. Modules
-// that do parse must also survive ir.Verify without panicking.
+// produce a parse error, but never a panic — lint and advise feed Parse
+// user-supplied .mir files and then ir.Verify, and the resilient
+// pipeline treats a malformed module as one failed cell, not a crashed
+// process. Modules that do parse must also survive ir.Verify without
+// panicking.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"",

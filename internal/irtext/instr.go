@@ -92,7 +92,8 @@ func (t *tokens) operand() (ir.Operand, error) {
 	}
 }
 
-func (t *tokens) operandList(sep string) ([]ir.Operand, error) {
+// operandList parses a comma-separated list of operands.
+func (t *tokens) operandList() ([]ir.Operand, error) {
 	var ops []ir.Operand
 	for {
 		op, err := t.operand()
@@ -100,7 +101,7 @@ func (t *tokens) operandList(sep string) ([]ir.Operand, error) {
 			return nil, err
 		}
 		ops = append(ops, op)
-		if t.peek() != sep {
+		if t.peek() != "," {
 			return ops, nil
 		}
 		t.pop()
@@ -192,7 +193,7 @@ func parseInstr(line string) (*ir.Instr, error) {
 			}
 		}
 		var args []ir.Operand
-		if args, err = t.operandList(","); err == nil {
+		if args, err = t.operandList(); err == nil {
 			if len(args) != 2 {
 				err = fmt.Errorf("%s needs 2 operands", op)
 			}
@@ -204,7 +205,7 @@ func parseInstr(line string) (*ir.Instr, error) {
 			return nil, err
 		}
 		var args []ir.Operand
-		if args, err = t.operandList(","); err == nil {
+		if args, err = t.operandList(); err == nil {
 			if len(args) != 3 {
 				err = fmt.Errorf("select needs 3 operands")
 			}
@@ -222,7 +223,7 @@ func parseInstr(line string) (*ir.Instr, error) {
 	case op == "gep":
 		in.Op = ir.OpGEP
 		var args []ir.Operand
-		if args, err = t.operandList(","); err != nil {
+		if args, err = t.operandList(); err != nil {
 			break
 		}
 		if len(args) != 3 || args[2].Kind != ir.KConstInt {
@@ -309,7 +310,7 @@ func parseTypedBin(t *tokens, in *ir.Instr) error {
 		return err
 	}
 	in.Type = typ
-	args, err := t.operandList(",")
+	args, err := t.operandList()
 	if err != nil {
 		return err
 	}
@@ -376,7 +377,7 @@ func parseCall(t *tokens, in *ir.Instr) error {
 		t.pop()
 		return nil
 	}
-	args, err := t.operandList(",")
+	args, err := t.operandList()
 	if err != nil {
 		return err
 	}

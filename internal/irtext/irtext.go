@@ -53,7 +53,7 @@ func (e *Error) Error() string { return fmt.Sprintf("%s:%d: %s", e.File, e.Line,
 // Parse parses the textual IR in src. file names the source (used in
 // error messages and instruction debug info). The returned module is
 // finalized but not verified; callers normally run ir.Verify (the pass
-// pipeline does this automatically).
+// pipeline and experiments.NewRequest do this).
 func Parse(file, src string) (*ir.Module, error) {
 	p := &parser{file: file, lines: strings.Split(src, "\n")}
 	m, err := p.parseModule()

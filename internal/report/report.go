@@ -16,8 +16,9 @@ import (
 	"cudaadvisor/internal/trace"
 )
 
-// bar renders a proportional ASCII bar for a fraction in [0, 1].
-func bar(frac float64, width int) string {
+// bar renders a 40-column proportional ASCII bar for a fraction in [0, 1].
+func bar(frac float64) string {
+	const width = 40
 	if frac < 0 {
 		frac = 0
 	}
@@ -44,7 +45,7 @@ func ReuseHistogram(w io.Writer, app string, r *analysis.ReuseResult) {
 		app, r.Samples, r.MeanFinite(), r.Streaming, coverageNote(r.Partial(), r.Coverage()))
 	for i := 0; i < analysis.NumReuseBuckets; i++ {
 		f := r.Fraction(i)
-		fmt.Fprintf(w, "  %7s %6.2f%% %s\n", analysis.ReuseBucketLabel(i), 100*f, bar(f, 40))
+		fmt.Fprintf(w, "  %7s %6.2f%% %s\n", analysis.ReuseBucketLabel(i), 100*f, bar(f))
 	}
 }
 
@@ -57,7 +58,7 @@ func MemDivDistribution(w io.Writer, app string, r *analysis.MemDivResult) {
 		if f < 0.0005 {
 			continue
 		}
-		fmt.Fprintf(w, "  %2d lines %6.2f%% %s\n", n, 100*f, bar(f, 40))
+		fmt.Fprintf(w, "  %2d lines %6.2f%% %s\n", n, 100*f, bar(f))
 	}
 }
 

@@ -91,13 +91,13 @@ func TestOverheadTable(t *testing.T) {
 }
 
 func TestBarClamps(t *testing.T) {
-	if got := bar(-0.5, 10); got != ".........." {
+	if got := bar(-0.5); got != strings.Repeat(".", 40) {
 		t.Errorf("bar(-0.5) = %q", got)
 	}
-	if got := bar(2, 10); got != "##########" {
+	if got := bar(2); got != strings.Repeat("#", 40) {
 		t.Errorf("bar(2) = %q", got)
 	}
-	if got := bar(0.5, 10); got != "#####....." {
+	if got := bar(0.5); got != strings.Repeat("#", 20)+strings.Repeat(".", 20) {
 		t.Errorf("bar(0.5) = %q", got)
 	}
 }

@@ -560,6 +560,27 @@ func TestBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "upload exceeds") {
 		t.Errorf("oversized upload = %d %q, want 400", resp.StatusCode, body)
 	}
+	// Modules that parse but do not verify: an f32 register stored
+	// through st i32 beside an atomadd on shared memory, and a gep of
+	// scale 0 beside a bar in a device function.
+	for src, want := range map[string]string{
+		"module ill\nkernel @k(%p: ptr, %x: f32) {\n  shared @s: i32[32]\nentry:\n  %t = sreg tid.x\n  %a = gep %p, %t, 4\n" +
+			"  st i32 global [%a], %x\n  %sp = shptr @s\n  %o = atomadd i32 shared [%sp], %t\n  ret\n}\n": "operand 1 has type f32, want i32",
+		"module ill\nfunc @d(%p: ptr) {\nentry:\n  %t = sreg tid.x\n  %a = gep %p, %t, 0\n  st i32 global [%a], %t\n" +
+			"  bar\n  ret\n}\n": "gep scale 0",
+	} {
+		for _, path := range []string{"/v1/lint?name=ill.mir", "/v1/advise?name=ill.mir&format=json"} {
+			resp, err := http.Post(ts.URL+path, "text/plain", strings.NewReader(src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "ill.mir: ") || !strings.Contains(string(body), want) {
+				t.Errorf("%s of an ill-typed module = %d %q, want 400 saying %q", path, resp.StatusCode, body, want)
+			}
+		}
+	}
 }
 
 // TestExportParity: /v1/export responses equal the command layer's

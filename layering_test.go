@@ -245,6 +245,7 @@ func loadModule(t *testing.T) (*moduleChecker, []*types.Package) {
 			std:  importer.Default(),
 			info: &types.Info{
 				Types:      map[ast.Expr]types.TypeAndValue{},
+				Defs:       map[*ast.Ident]types.Object{},
 				Uses:       map[*ast.Ident]types.Object{},
 				Selections: map[*ast.SelectorExpr]*types.Selection{},
 			},
@@ -637,5 +638,175 @@ func f(t, o *T, d int) (*int, int) {
 	want := []string{"p.T.written", "p.T.counter", "p.T.indexed", "p.T.sum", "p.T.peak", "p.T.list", "p.T.hi", "p.T.tally"}
 	if !slices.Equal(got, want) {
 		t.Errorf("unread fields = %v, want %v", got, want)
+	}
+}
+
+// constantParamOK lists parameters that every call passes the same
+// constant but that stay.
+var constantParamOK = map[string]bool{
+	// bench/layers.go pins the signature.
+	"internal/gpu.NewDevice.memBytes": true,
+}
+
+// constantParams returns, as "path.Func.param" or "path.Type.Method.param"
+// (path trimmed of prefix), each parameter of a function declared in
+// files and in a package of pkgs that every call in files, and at least
+// two of them, passes the same constant. A function used as a value and
+// a variadic parameter are skipped.
+func constantParams(info *types.Info, files []*ast.File, pkgs []*types.Package, prefix string) []string {
+	args := map[*types.Func][]string{} // per parameter: the one constant, or "" once it varies
+	calls := map[*types.Func]int{}
+	callee := map[*ast.Ident]bool{}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			var id *ast.Ident
+			switch fun := ast.Unparen(call.Fun).(type) {
+			case *ast.Ident:
+				id = fun
+			case *ast.SelectorExpr:
+				id = fun.Sel
+			}
+			fn, ok := info.Uses[id].(*types.Func)
+			if !ok {
+				return true
+			}
+			fn = fn.Origin()
+			callee[id] = true
+			sig := fn.Type().(*types.Signature)
+			consts := args[fn]
+			if consts == nil {
+				consts = make([]string, sig.Params().Len())
+			}
+			spelled := len(call.Args) == len(consts) && call.Ellipsis == token.NoPos
+			for i := range consts {
+				var v string
+				if spelled && info.Types[call.Args[i]].Value != nil {
+					v = info.Types[call.Args[i]].Value.ExactString()
+				}
+				if calls[fn] > 0 && consts[i] != v {
+					v = ""
+				}
+				consts[i] = v
+			}
+			args[fn] = consts
+			calls[fn]++
+			return true
+		})
+	}
+	asValue := map[*types.Func]bool{}
+	for id, obj := range info.Uses {
+		if fn, ok := obj.(*types.Func); ok && !callee[id] {
+			asValue[fn.Origin()] = true
+		}
+	}
+	inPkgs := map[*types.Package]bool{}
+	for _, p := range pkgs {
+		inPkgs[p] = true
+	}
+	var out []string
+	for _, f := range files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			fn, _ := info.Defs[fd.Name].(*types.Func)
+			if fn == nil || !inPkgs[fn.Pkg()] || asValue[fn] || calls[fn] < 2 {
+				continue
+			}
+			sig := fn.Type().(*types.Signature)
+			name := strings.TrimPrefix(fn.Pkg().Path(), prefix) + "."
+			if r := sig.Recv(); r != nil {
+				t := r.Type()
+				if p, ok := t.(*types.Pointer); ok {
+					t = p.Elem()
+				}
+				name += t.(*types.Named).Obj().Name() + "."
+			}
+			for i, v := range args[fn] {
+				if v != "" && !(sig.Variadic() && i == sig.Params().Len()-1) {
+					out = append(out, name+fn.Name()+"."+sig.Params().At(i).Name())
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestEveryParamVaries fails on a parameter of a module function that
+// every non-test call, and at least two of them, passes the same
+// constant: a knob nobody turns. bench/ counts as a caller. A
+// constantParamOK entry that is gone or now varies fails too.
+func TestEveryParamVaries(t *testing.T) {
+	c, module := loadModule(t)
+	constant := map[string]bool{}
+	for _, key := range constantParams(c.info, c.files, module, "cudaadvisor/") {
+		constant[key] = true
+		if !constantParamOK[key] {
+			t.Errorf("%s: every call passes the same constant", key)
+		}
+	}
+	for key := range constantParamOK {
+		if !constant[key] {
+			t.Errorf("%s: listed in constantParamOK, but no such parameter is left constant", key)
+		}
+	}
+}
+
+// TestConstantParamsRules checks the parameter guard's rules on a
+// package of its own, apart from the module's state.
+func TestConstantParamsRules(t *testing.T) {
+	const src = `package p
+
+const two = 2
+
+type T struct{}
+
+func (*T) m(s string, n int) {}
+func same(a, b int)          {}
+func once(x int)             {}
+func value(x int)            {}
+func spread(x int, ys ...int) {}
+func mixed(x int)            {}
+
+func g(n int) {
+	var t T
+	t.m("x", n)
+	(&t).m("x", 1)
+	same(n, 2)
+	same(1, two)
+	once(3)
+	f := value
+	value(1)
+	value(1)
+	f(1)
+	spread(1, 1)
+	spread(1, 1)
+	mixed(1)
+	mixed(n)
+}
+`
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "p.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+	}
+	p, err := (&types.Config{}).Check("p", fset, []*ast.File{file}, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := constantParams(info, []*ast.File{file}, []*types.Package{p}, "")
+	want := []string{"p.T.m.s", "p.same.b", "p.spread.x"}
+	if !slices.Equal(got, want) {
+		t.Errorf("constant parameters = %v, want %v", got, want)
 	}
 }
