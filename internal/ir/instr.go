@@ -43,6 +43,9 @@ func (o Operand) String() string {
 	case KReg:
 		return "%" + o.Name
 	case KConstInt:
+		if o.Type == I1 && o.Int&^1 == 0 {
+			return strconv.FormatBool(o.Int == 1)
+		}
 		return strconv.FormatInt(o.Int, 10)
 	case KConstFloat:
 		s := strconv.FormatFloat(o.F, 'g', -1, 64)
@@ -78,17 +81,9 @@ type Instr struct {
 	Dst    string
 	DstReg int
 
-	// Args are the value operands. Conventions:
-	//   binary ops:  Args[0], Args[1]
-	//   unary ops:   Args[0]
-	//   select:      Args[0]=pred, Args[1]=a, Args[2]=b
-	//   gep:         Args[0]=base, Args[1]=index
-	//   ld:          Args[0]=addr
-	//   st:          Args[0]=addr, Args[1]=value
-	//   atomadd:     Args[0]=addr, Args[1]=value
-	//   cbr:         Args[0]=condition
-	//   ret:         Args[0]=value (optional)
-	//   call:        arguments in order
+	// Args are the value operands, in the order the instruction's text
+	// spells them (opTable); how many and of what type, its signature
+	// ((*Function).signature) says.
 	Args []Operand
 
 	Scale int64    // OpGEP element size in bytes
@@ -119,64 +114,68 @@ func (in *Instr) IsHookCall() bool {
 }
 
 // String renders the instruction in the textual IR syntax (without
-// location comment).
+// location comment), as its opcode's form spells it. It prints what the
+// instruction holds: an operand or target it lacks prints as <missing>.
 func (in *Instr) String() string {
 	var b strings.Builder
 	if in.Dst != "" {
 		fmt.Fprintf(&b, "%%%s = ", in.Dst)
 	}
-	switch {
-	case in.Op.IsIntBinary() || in.Op.IsFloatBinary():
-		fmt.Fprintf(&b, "%s %s %s, %s", in.Op, in.Type, in.Args[0], in.Args[1])
-	case in.Op.IsFloatUnary():
-		fmt.Fprintf(&b, "%s %s %s", in.Op, in.Type, in.Args[0])
-	case in.Op == OpICmp || in.Op == OpFCmp:
-		fmt.Fprintf(&b, "%s %s %s %s, %s", in.Op, in.Pred, in.Type, in.Args[0], in.Args[1])
-	case in.Op == OpSelect:
-		fmt.Fprintf(&b, "select %s %s, %s, %s", in.Type, in.Args[0], in.Args[1], in.Args[2])
-	case in.Op == OpMov:
-		fmt.Fprintf(&b, "mov %s %s", in.Type, in.Args[0])
-	case in.Op == OpSitofp || in.Op == OpFptosi || in.Op == OpSext || in.Op == OpTrunc || in.Op == OpZext:
-		fmt.Fprintf(&b, "%s %s", in.Op, in.Args[0])
-	case in.Op == OpGEP:
-		fmt.Fprintf(&b, "gep %s, %s, %d", in.Args[0], in.Args[1], in.Scale)
-	case in.Op == OpLd:
-		op := "ld"
-		if in.NonCached {
-			op = "ld.cg"
+	b.WriteString(in.Op.String())
+	if in.NonCached {
+		b.WriteString(".cg")
+	}
+	n, _ := in.Arity()
+	args := make([]string, max(n, len(in.Args)))
+	for i := range args {
+		args[i] = missing
+		if i < len(in.Args) {
+			args[i] = in.Args[i].String()
 		}
-		fmt.Fprintf(&b, "%s %s %s [%s]", op, in.Mem, in.Space, in.Args[0])
-	case in.Op == OpSt:
-		fmt.Fprintf(&b, "st %s %s [%s], %s", in.Mem, in.Space, in.Args[0], in.Args[1])
-	case in.Op == OpAtom:
-		fmt.Fprintf(&b, "atomadd %s %s [%s], %s", in.Mem, in.Space, in.Args[0], in.Args[1])
-	case in.Op == OpSReg:
-		fmt.Fprintf(&b, "sreg %s", in.SReg)
-	case in.Op == OpShPtr:
-		fmt.Fprintf(&b, "shptr @%s", in.Callee)
-	case in.Op == OpBr:
-		fmt.Fprintf(&b, "br %s", in.Then)
-	case in.Op == OpCBr:
-		fmt.Fprintf(&b, "cbr %s, %s, %s", in.Args[0], in.Then, in.Else)
-	case in.Op == OpRet:
-		if len(in.Args) > 0 {
-			fmt.Fprintf(&b, "ret %s", in.Args[0])
-		} else {
-			b.WriteString("ret")
-		}
-	case in.Op == OpCall:
-		fmt.Fprintf(&b, "call @%s(", in.Callee)
-		for i, a := range in.Args {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(a.String())
-		}
-		b.WriteString(")")
-	case in.Op == OpBar:
-		b.WriteString("bar")
-	default:
-		fmt.Fprintf(&b, "%s ???", in.Op)
+	}
+	sep := " " // before the operands the form leaves to the end
+	switch in.Op.Form() {
+	case FormTyped:
+		fmt.Fprintf(&b, " %s", in.Type)
+	case FormCmp:
+		fmt.Fprintf(&b, " %s %s", in.Pred, in.Type)
+	case FormGEP:
+		args = append(args, strconv.FormatInt(in.Scale, 10))
+	case FormMem:
+		fmt.Fprintf(&b, " %s %s [%s]", in.Mem, in.Space, first(args))
+		args, sep = args[min(1, len(args)):], ", "
+	case FormSReg:
+		fmt.Fprintf(&b, " %s", in.SReg)
+	case FormShPtr:
+		fmt.Fprintf(&b, " @%s", in.Callee)
+	case FormBr:
+		fmt.Fprintf(&b, " %s", label(in.Then))
+	case FormCBr:
+		fmt.Fprintf(&b, " %s, %s, %s", first(args), label(in.Then), label(in.Else))
+		args, sep = args[min(1, len(args)):], ", "
+	case FormCall:
+		fmt.Fprintf(&b, " @%s(%s)", in.Callee, strings.Join(args, ", "))
+		return b.String()
+	}
+	if len(args) > 0 {
+		b.WriteString(sep + strings.Join(args, ", "))
 	}
 	return b.String()
+}
+
+// missing stands in for an operand or target an instruction lacks.
+const missing = "<missing>"
+
+func first(args []string) string {
+	if len(args) == 0 {
+		return missing
+	}
+	return args[0]
+}
+
+func label(name string) string {
+	if name == "" {
+		return missing
+	}
+	return name
 }

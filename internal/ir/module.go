@@ -301,8 +301,7 @@ func (f *Function) finalize(m *Module) error {
 // works).
 func (a *Operand) typeAs(want Type) error {
 	if want == F32 && a.Kind == KConstInt {
-		a.Kind = KConstFloat
-		a.F = float64(a.Int)
+		a.Kind, a.F, a.Int = KConstFloat, float64(a.Int), 0
 	}
 	if want != F32 && a.Kind == KConstFloat {
 		return fmt.Errorf("float literal where %s expected", want)
@@ -320,6 +319,37 @@ func (a *Operand) typeAs(want Type) error {
 // appended to args (a caller's buffer, so the common case allocates
 // nothing).
 func (f *Function) signature(in *Instr, args []Type) ([]Type, Type, error) {
+	switch {
+	case in.IsHookCall():
+		for _, a := range in.Args {
+			t := a.Type
+			if a.Kind == KConstFloat && t == Void {
+				t = F32
+			} else if a.Kind == KConstInt && t == Void {
+				t = I32
+			}
+			args = append(args, t)
+		}
+		return args, Void, nil
+	case in.Op == OpCall:
+		callee := f.mod.Func(in.Callee)
+		if callee == nil {
+			return args, Void, fmt.Errorf("call to undefined function @%s", in.Callee)
+		}
+		for _, p := range callee.Params {
+			args = append(args, p.Type)
+		}
+		return args, callee.Result, nil
+	case in.Op == OpRet && f.Result != Void:
+		return append(args, f.Result), Void, nil
+	}
+	return in.types(args)
+}
+
+// types is the signature of every instruction but a call, and a ret in a
+// function that returns a value: the ones whose types their own fields
+// state.
+func (in *Instr) types(args []Type) ([]Type, Type, error) {
 	t := in.Type
 	switch op := in.Op; {
 	case op.IsIntBinary():
@@ -335,28 +365,6 @@ func (f *Function) signature(in *Instr, args []Type) ([]Type, Type, error) {
 			return append(args, F32), F32, nil
 		}
 		return append(args, F32, F32), F32, nil
-	case in.IsHookCall():
-		for _, a := range in.Args {
-			t := a.Type
-			if a.Kind == KConstFloat && t == Void {
-				t = F32
-			} else if a.Kind == KConstInt && t == Void {
-				t = I32
-			}
-			args = append(args, t)
-		}
-		return args, Void, nil
-	case op == OpCall:
-		callee := f.mod.Func(in.Callee)
-		if callee == nil {
-			return args, Void, fmt.Errorf("call to undefined function @%s", in.Callee)
-		}
-		for _, p := range callee.Params {
-			args = append(args, p.Type)
-		}
-		return args, callee.Result, nil
-	case op == OpRet && f.Result != Void:
-		return append(args, f.Result), Void, nil
 	}
 	switch in.Op {
 	case OpICmp:
@@ -395,6 +403,19 @@ func (f *Function) signature(in *Instr, args []Type) ([]Type, Type, error) {
 		return args, Void, nil
 	}
 	return args, Void, fmt.Errorf("unknown opcode %s", in.Op)
+}
+
+// Arity returns how many operands in takes, as its signature states, and
+// false where its fields do not say: for a call or a ret, whose function
+// does, and for an ill-typed instruction. The parser checks the count
+// against it, and the printer marks an operand in lacks.
+func (in *Instr) Arity() (int, bool) {
+	if in.Op == OpCall || in.Op == OpRet {
+		return 0, false
+	}
+	var buf [4]Type
+	args, _, err := in.types(buf[:0])
+	return len(args), err == nil
 }
 
 func (f *Function) computeCFG() error {

@@ -89,29 +89,81 @@ const (
 	opCount // sentinel
 )
 
-var opNames = [...]string{
-	OpInvalid: "invalid",
-	OpAdd:     "add", OpSub: "sub", OpMul: "mul", OpSDiv: "sdiv", OpSRem: "srem",
-	OpAnd: "and", OpOr: "or", OpXor: "xor", OpShl: "shl", OpLShr: "lshr", OpAShr: "ashr",
-	OpSMin: "smin", OpSMax: "smax",
-	OpFAdd: "fadd", OpFSub: "fsub", OpFMul: "fmul", OpFDiv: "fdiv",
-	OpFMin: "fmin", OpFMax: "fmax",
-	OpFNeg: "fneg", OpFAbs: "fabs", OpFSqrt: "fsqrt", OpFExp: "fexp", OpFLog: "flog",
-	OpICmp: "icmp", OpFCmp: "fcmp",
-	OpSelect: "select", OpMov: "mov",
-	OpSitofp: "sitofp", OpFptosi: "fptosi", OpSext: "sext", OpTrunc: "trunc", OpZext: "zext",
-	OpGEP: "gep",
-	OpLd:  "ld", OpSt: "st", OpAtom: "atomadd",
-	OpSReg: "sreg", OpShPtr: "shptr",
-	OpBr: "br", OpCBr: "cbr", OpRet: "ret",
-	OpCall: "call", OpBar: "bar",
+// Form is the syntax of an instruction's text after its mnemonic. The
+// forms that end in an operand list do not fix its length: how many
+// operands an instruction takes is its signature's to say.
+type Form uint8
+
+// Syntax forms.
+const (
+	FormPlain Form = iota // a, b, ...
+	FormTyped             // T a, b, ...
+	FormCmp               // pred [T] a, b, ...; T defaults to f32
+	FormGEP               // base, index, scale; scale a literal
+	FormMem               // M S [addr], b, ...
+	FormSReg              // special register
+	FormShPtr             // @array
+	FormBr                // label
+	FormCBr               // cond, label, label
+	FormRet               // [value]
+	FormCall              // @callee(a, b, ...)
+)
+
+// opTable holds each opcode's mnemonic and syntax form. The parser and
+// the printer read it; an instruction's types are its signature's.
+var opTable = [opCount]struct {
+	name string
+	form Form
+}{
+	OpInvalid: {"invalid", FormPlain},
+	OpAdd:     {"add", FormTyped}, OpSub: {"sub", FormTyped}, OpMul: {"mul", FormTyped},
+	OpSDiv: {"sdiv", FormTyped}, OpSRem: {"srem", FormTyped},
+	OpAnd: {"and", FormTyped}, OpOr: {"or", FormTyped}, OpXor: {"xor", FormTyped},
+	OpShl: {"shl", FormTyped}, OpLShr: {"lshr", FormTyped}, OpAShr: {"ashr", FormTyped},
+	OpSMin: {"smin", FormTyped}, OpSMax: {"smax", FormTyped},
+	OpFAdd: {"fadd", FormTyped}, OpFSub: {"fsub", FormTyped}, OpFMul: {"fmul", FormTyped},
+	OpFDiv: {"fdiv", FormTyped}, OpFMin: {"fmin", FormTyped}, OpFMax: {"fmax", FormTyped},
+	OpFNeg: {"fneg", FormTyped}, OpFAbs: {"fabs", FormTyped}, OpFSqrt: {"fsqrt", FormTyped},
+	OpFExp: {"fexp", FormTyped}, OpFLog: {"flog", FormTyped},
+	OpICmp: {"icmp", FormCmp}, OpFCmp: {"fcmp", FormCmp},
+	OpSelect: {"select", FormTyped}, OpMov: {"mov", FormTyped},
+	OpSitofp: {"sitofp", FormPlain}, OpFptosi: {"fptosi", FormPlain},
+	OpSext: {"sext", FormPlain}, OpTrunc: {"trunc", FormPlain}, OpZext: {"zext", FormPlain},
+	OpGEP: {"gep", FormGEP},
+	OpLd:  {"ld", FormMem}, OpSt: {"st", FormMem}, OpAtom: {"atomadd", FormMem},
+	OpSReg: {"sreg", FormSReg}, OpShPtr: {"shptr", FormShPtr},
+	OpBr: {"br", FormBr}, OpCBr: {"cbr", FormCBr}, OpRet: {"ret", FormRet},
+	OpCall: {"call", FormCall}, OpBar: {"bar", FormPlain},
+}
+
+// opByName maps each mnemonic but "invalid" to its opcode.
+var opByName = func() map[string]Op {
+	m := make(map[string]Op, opCount)
+	for o := OpInvalid + 1; o < opCount; o++ {
+		m[opTable[o].name] = o
+	}
+	return m
+}()
+
+// OpFromString returns the opcode a mnemonic names.
+func OpFromString(s string) (Op, bool) {
+	o, ok := opByName[s]
+	return o, ok
 }
 
 func (o Op) String() string {
-	if int(o) < len(opNames) && opNames[o] != "" {
-		return opNames[o]
+	if o < opCount {
+		return opTable[o].name
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
+}
+
+// Form returns the opcode's syntax form (FormPlain out of range).
+func (o Op) Form() Form {
+	if o < opCount {
+		return opTable[o].form
+	}
+	return FormPlain
 }
 
 // IsTerminator reports whether the opcode ends a basic block.
@@ -159,22 +211,10 @@ var predNames = [...]string{
 	PredEQ:      "eq", PredNE: "ne", PredLT: "lt", PredLE: "le", PredGT: "gt", PredGE: "ge",
 }
 
-func (p CmpPred) String() string {
-	if int(p) < len(predNames) {
-		return predNames[p]
-	}
-	return fmt.Sprintf("pred(%d)", uint8(p))
-}
+func (p CmpPred) String() string { return nameOf(predNames[:], p, "pred") }
 
-// PredFromString parses a predicate mnemonic.
-func PredFromString(s string) (CmpPred, bool) {
-	for p, n := range predNames {
-		if n == s && CmpPred(p) != PredInvalid {
-			return CmpPred(p), true
-		}
-	}
-	return PredInvalid, false
-}
+// PredFromString parses a predicate mnemonic ("??" is not one).
+func PredFromString(s string) (CmpPred, bool) { return lookup(predNames[:], PredEQ, s) }
 
 // SRegKind selects a special register.
 type SRegKind uint8
@@ -202,18 +242,24 @@ var sregNames = [...]string{
 	SRegNctaidX: "nctaid.x", SRegNctaidY: "nctaid.y", SRegNctaidZ: "nctaid.z",
 }
 
-func (s SRegKind) String() string {
-	if int(s) < len(sregNames) {
-		return sregNames[s]
-	}
-	return fmt.Sprintf("sreg(%d)", uint8(s))
-}
+func (s SRegKind) String() string { return nameOf(sregNames[:], s, "sreg") }
 
 // SRegFromString parses a special-register name like "tid.x".
-func SRegFromString(s string) (SRegKind, bool) {
-	for k, n := range sregNames {
-		if n == s {
-			return SRegKind(k), true
+func SRegFromString(s string) (SRegKind, bool) { return lookup(sregNames[:], SRegTidX, s) }
+
+// nameOf returns names[v], or kind(v) past the end of names.
+func nameOf[T ~uint8](names []string, v T, kind string) string {
+	if int(v) < len(names) {
+		return names[v]
+	}
+	return fmt.Sprintf("%s(%d)", kind, uint8(v))
+}
+
+// lookup returns the T whose name is s, searching names from first on.
+func lookup[T ~uint8](names []string, first T, s string) (T, bool) {
+	for i := int(first); i < len(names); i++ {
+		if names[i] == s {
+			return T(i), true
 		}
 	}
 	return 0, false

@@ -6,8 +6,11 @@ import (
 )
 
 // Print renders a module in the textual IR syntax accepted by package
-// irtext. Printing then re-parsing yields an equivalent module (modulo
-// source locations, which re-parsing re-derives from the new positions).
+// irtext. For a module irtext.Parse returned, parsing the printed text
+// yields an equal module: every exported field but Loc matches (source
+// locations re-derive from the new positions), and printing that module
+// gives the same text. irtext's TestPrintParseRoundTrip and FuzzParse
+// check it.
 func Print(m *Module) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "module %s\n", m.Name)

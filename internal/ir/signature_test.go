@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -206,10 +207,15 @@ func TestOpcodeVerdicts(t *testing.T) {
 		{"float op typed i32 without a destination", Instr{Op: OpFAdd, Type: I32, Args: []Operand{r("f"), r("f")}}, false},
 		{"unary float op typed void without a destination", Instr{Op: OpFNeg, Args: []Operand{r("f")}}, false},
 		{"icmp typed f32", Instr{Op: OpICmp, Pred: PredEQ, Type: F32, Dst: "x", Args: []Operand{r("f"), r("f")}}, false},
+		// Tightened: an fcmp typed other than f32 was accepted.
+		{"fcmp typed i64", Instr{Op: OpFCmp, Pred: PredLT, Type: I64, Dst: "x", Args: []Operand{r("f"), r("f")}}, false},
 		{"icmp without predicate", Instr{Op: OpICmp, Type: I32, Dst: "x", Args: []Operand{r("i"), r("i")}}, false},
 		{"fcmp without predicate", Instr{Op: OpFCmp, Type: F32, Dst: "x", Args: []Operand{r("f"), r("f")}}, false},
 		{"gep scale 0", Instr{Op: OpGEP, Dst: "x", Args: []Operand{r("p"), r("i")}}, false},
 		{"ld.cg on shared", Instr{Op: OpLd, Mem: MemI32, Space: Shared, NonCached: true, Dst: "x", Args: []Operand{r("p")}}, false},
+		// Tightened: only a global ld may bypass L1 (.cg was ignored elsewhere).
+		{"st.cg", Instr{Op: OpSt, Mem: MemI32, NonCached: true, Args: []Operand{r("p"), r("i")}}, false},
+		{"add.cg", Instr{Op: OpAdd, Type: I32, NonCached: true, Dst: "x", Args: []Operand{r("i"), r("i")}}, false},
 		{"atomadd on i64", Instr{Op: OpAtom, Mem: MemI64, Dst: "x", Args: []Operand{r("p"), r("l")}}, false},
 		{"atomadd on shared", Instr{Op: OpAtom, Mem: MemI32, Space: Shared, Args: []Operand{r("p"), r("i")}}, false},
 		{"shptr to an undeclared array", Instr{Op: OpShPtr, Callee: "t", Dst: "x"}, false},
@@ -232,5 +238,37 @@ func TestOpcodeVerdicts(t *testing.T) {
 	}
 	for _, rc := range rules {
 		wantRejected(t, rc.name, rc.in, rc.dev)
+	}
+
+	// A short instruction is refused in its printed form, <missing>
+	// marking what it lacks (before, the error held a recovered panic).
+	short := []struct {
+		in   Instr
+		want string
+	}{
+		{Instr{Op: OpAdd, Type: I32, Args: []Operand{r("i")}}, ": add i32 %i, <missing>: "},
+		{Instr{Op: OpCBr}, ": cbr <missing>, <missing>, <missing>: "},
+	}
+	for _, c := range short {
+		if _, err := verdict(c.in, false); err == nil || !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "PANIC=") {
+			t.Errorf("error %v does not hold %q", err, c.want)
+		}
+	}
+	// Every opcode, and one out of range, prints with any operand count.
+	for op := OpInvalid; op <= opCount; op++ {
+		for n := 0; n <= 3; n++ {
+			in := &Instr{Op: op}
+			for range n {
+				in.Args = append(in.Args, r("i"))
+			}
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("%s with %d operands: print panicked: %v", op, n, p)
+					}
+				}()
+				_ = in.String()
+			}()
+		}
 	}
 }

@@ -28,23 +28,12 @@ const (
 	Ptr       // byte address (device global or shared offset)
 )
 
-func (t Type) String() string {
-	switch t {
-	case Void:
-		return "void"
-	case I1:
-		return "i1"
-	case I32:
-		return "i32"
-	case I64:
-		return "i64"
-	case F32:
-		return "f32"
-	case Ptr:
-		return "ptr"
-	}
-	return fmt.Sprintf("type(%d)", uint8(t))
-}
+var typeNames = [...]string{Void: "void", I1: "i1", I32: "i32", I64: "i64", F32: "f32", Ptr: "ptr"}
+
+func (t Type) String() string { return nameOf(typeNames[:], t, "type") }
+
+// TypeFromString parses a type name ("void" is not one).
+func TypeFromString(s string) (Type, bool) { return lookup(typeNames[:], I1, s) }
 
 // IsInt reports whether t is an integer register type.
 func (t Type) IsInt() bool { return t == I32 || t == I64 }
@@ -62,19 +51,12 @@ const (
 	MemF32                // 32-bit float
 )
 
-func (m MemType) String() string {
-	switch m {
-	case MemI8:
-		return "i8"
-	case MemI32:
-		return "i32"
-	case MemI64:
-		return "i64"
-	case MemF32:
-		return "f32"
-	}
-	return fmt.Sprintf("memtype(%d)", uint8(m))
-}
+var memTypeNames = [...]string{MemI8: "i8", MemI32: "i32", MemI64: "i64", MemF32: "f32"}
+
+func (m MemType) String() string { return nameOf(memTypeNames[:], m, "memtype") }
+
+// MemTypeFromString parses a memory element type name.
+func MemTypeFromString(s string) (MemType, bool) { return lookup(memTypeNames[:], MemI8, s) }
 
 // Size returns the access width in bytes.
 func (m MemType) Size() int {
@@ -115,15 +97,12 @@ const (
 	Shared              // per-CTA scratchpad; never goes through L1
 )
 
-func (s Space) String() string {
-	switch s {
-	case Global:
-		return "global"
-	case Shared:
-		return "shared"
-	}
-	return fmt.Sprintf("space(%d)", uint8(s))
-}
+var spaceNames = [...]string{Global: "global", Shared: "shared"}
+
+func (s Space) String() string { return nameOf(spaceNames[:], s, "space") }
+
+// SpaceFromString parses an address space name.
+func SpaceFromString(s string) (Space, bool) { return lookup(spaceNames[:], Global, s) }
 
 // Loc is a source location: the debugging information attached to every
 // instruction (LLVM !dbg equivalent). File is interned per module.

@@ -64,23 +64,20 @@ func verifyInstr(f *Function, in *Instr) error {
 			return fmt.Errorf("operand %d has type %s, want %s", i, got, want)
 		}
 	}
+	if in.NonCached && (in.Op != OpLd || in.Space != Global) {
+		return fmt.Errorf("%s.cg on %s space", in.Op, in.Space)
+	}
 	switch in.Op {
-	case OpICmp:
-		if !in.Type.IsInt() && in.Type != Ptr {
-			return fmt.Errorf("icmp with type %s", in.Type)
+	case OpICmp, OpFCmp:
+		if in.Op == OpICmp && !in.Type.IsInt() && in.Type != Ptr || in.Op == OpFCmp && in.Type != F32 {
+			return fmt.Errorf("%s with type %s", in.Op, in.Type)
 		}
-		fallthrough
-	case OpFCmp:
 		if in.Pred == PredInvalid {
 			return fmt.Errorf("%s without predicate", in.Op)
 		}
 	case OpGEP:
 		if in.Scale <= 0 {
 			return fmt.Errorf("gep scale %d", in.Scale)
-		}
-	case OpLd:
-		if in.NonCached && in.Space != Global {
-			return fmt.Errorf("ld.cg on %s space", in.Space)
 		}
 	case OpAtom:
 		if in.Mem != MemI32 && in.Mem != MemF32 || in.Space != Global {

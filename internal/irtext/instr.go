@@ -92,9 +92,12 @@ func (t *tokens) operand() (ir.Operand, error) {
 	}
 }
 
-// operandList parses a comma-separated list of operands.
-func (t *tokens) operandList() ([]ir.Operand, error) {
-	var ops []ir.Operand
+// operandList parses a comma-separated list of operands onto ops. The
+// list is empty at the end of the line or before a ")".
+func (t *tokens) operandList(ops []ir.Operand) ([]ir.Operand, error) {
+	if t.peek() == "" || t.peek() == ")" {
+		return ops, nil
+	}
 	for {
 		op, err := t.operand()
 		if err != nil {
@@ -123,28 +126,37 @@ func (t *tokens) addr() (ir.Operand, error) {
 	return a, nil
 }
 
-var intBinOps = map[string]ir.Op{
-	"add": ir.OpAdd, "sub": ir.OpSub, "mul": ir.OpMul, "sdiv": ir.OpSDiv, "srem": ir.OpSRem,
-	"and": ir.OpAnd, "or": ir.OpOr, "xor": ir.OpXor,
-	"shl": ir.OpShl, "lshr": ir.OpLShr, "ashr": ir.OpAShr,
-	"smin": ir.OpSMin, "smax": ir.OpSMax,
+// global parses "@name".
+func (t *tokens) global(what string) (string, error) {
+	s := t.pop()
+	name, ok := strings.CutPrefix(s, "@")
+	if !ok {
+		return "", fmt.Errorf("expected @%s, got %q", what, s)
+	}
+	return name, nil
 }
 
-var floatBinOps = map[string]ir.Op{
-	"fadd": ir.OpFAdd, "fsub": ir.OpFSub, "fmul": ir.OpFMul, "fdiv": ir.OpFDiv,
-	"fmin": ir.OpFMin, "fmax": ir.OpFMax,
+// label parses a block label.
+func (t *tokens) label() (string, error) {
+	s := t.pop()
+	if s == "" {
+		return "", fmt.Errorf("expected a target label")
+	}
+	return s, nil
 }
 
-var floatUnOps = map[string]ir.Op{
-	"fneg": ir.OpFNeg, "fabs": ir.OpFAbs, "fsqrt": ir.OpFSqrt, "fexp": ir.OpFExp, "flog": ir.OpFLog,
+// lookup returns the T named s, naming what it wanted in an error.
+func lookup[T any](s string, from func(string) (T, bool), what string) (T, error) {
+	v, ok := from(s)
+	if !ok {
+		return v, fmt.Errorf("unknown %s %q", what, s)
+	}
+	return v, nil
 }
 
-var cvtOps = map[string]ir.Op{
-	"sitofp": ir.OpSitofp, "fptosi": ir.OpFptosi,
-	"sext": ir.OpSext, "trunc": ir.OpTrunc, "zext": ir.OpZext,
-}
-
-// parseInstr parses a single instruction line.
+// parseInstr parses a single instruction line: an optional "%dst =", the
+// mnemonic (a ".cg" suffix marks a load that bypasses L1), and the text
+// its opcode's syntax form spells.
 func parseInstr(line string) (*ir.Instr, error) {
 	t := &tokens{toks: tokenize(line)}
 	in := &ir.Instr{DstReg: -1, ThenIdx: -1, ElseIdx: -1}
@@ -153,234 +165,113 @@ func parseInstr(line string) (*ir.Instr, error) {
 		in.Dst = t.pop()[1:]
 		t.pop() // "="
 	}
-
-	op := t.pop()
-	var err error
-	switch {
-	case intBinOps[op] != ir.OpInvalid:
-		in.Op = intBinOps[op]
-		err = parseTypedBin(t, in)
-	case floatBinOps[op] != ir.OpInvalid:
-		in.Op = floatBinOps[op]
-		err = parseTypedBin(t, in)
-	case floatUnOps[op] != ir.OpInvalid:
-		in.Op = floatUnOps[op]
-		err = parseTypedUnary(t, in)
-	case cvtOps[op] != ir.OpInvalid:
-		in.Op = cvtOps[op]
-		var a ir.Operand
-		if a, err = t.operand(); err == nil {
-			in.Args = []ir.Operand{a}
-		}
-	case op == "icmp" || op == "fcmp":
-		in.Op = ir.OpICmp
-		if op == "fcmp" {
-			in.Op = ir.OpFCmp
-		}
-		pred, ok := ir.PredFromString(t.pop())
-		if !ok {
-			return nil, fmt.Errorf("bad comparison predicate in %q", line)
-		}
-		in.Pred = pred
-		if in.Op == ir.OpICmp {
-			if in.Type, err = parseType(t.pop()); err != nil {
-				return nil, err
-			}
-		} else {
-			in.Type = ir.F32
-			if t.peek() == "f32" {
-				t.pop()
-			}
-		}
-		var args []ir.Operand
-		if args, err = t.operandList(); err == nil {
-			if len(args) != 2 {
-				err = fmt.Errorf("%s needs 2 operands", op)
-			}
-			in.Args = args
-		}
-	case op == "select":
-		in.Op = ir.OpSelect
-		if in.Type, err = parseType(t.pop()); err != nil {
-			return nil, err
-		}
-		var args []ir.Operand
-		if args, err = t.operandList(); err == nil {
-			if len(args) != 3 {
-				err = fmt.Errorf("select needs 3 operands")
-			}
-			in.Args = args
-		}
-	case op == "mov":
-		in.Op = ir.OpMov
-		if in.Type, err = parseType(t.pop()); err != nil {
-			return nil, err
-		}
-		var a ir.Operand
-		if a, err = t.operand(); err == nil {
-			in.Args = []ir.Operand{a}
-		}
-	case op == "gep":
-		in.Op = ir.OpGEP
-		var args []ir.Operand
-		if args, err = t.operandList(); err != nil {
-			break
-		}
-		if len(args) != 3 || args[2].Kind != ir.KConstInt {
-			return nil, fmt.Errorf("gep wants 'gep base, index, scale' with literal scale")
-		}
-		in.Args = args[:2]
-		in.Scale = args[2].Int
-	case op == "ld", op == "ld.cg":
-		in.Op = ir.OpLd
-		in.NonCached = op == "ld.cg"
-		err = parseMemOp(t, in, false)
-	case op == "st":
-		in.Op = ir.OpSt
-		err = parseMemOp(t, in, true)
-	case op == "atomadd":
-		in.Op = ir.OpAtom
-		err = parseMemOp(t, in, true)
-	case op == "sreg":
-		in.Op = ir.OpSReg
-		k, ok := ir.SRegFromString(t.pop())
-		if !ok {
-			return nil, fmt.Errorf("unknown special register in %q", line)
-		}
-		in.SReg = k
-	case op == "shptr":
-		in.Op = ir.OpShPtr
-		name := t.pop()
-		if !strings.HasPrefix(name, "@") {
-			return nil, fmt.Errorf("shptr wants @array")
-		}
-		in.Callee = name[1:]
-	case op == "br":
-		in.Op = ir.OpBr
-		in.Then = t.pop()
-		if in.Then == "" {
-			return nil, fmt.Errorf("br wants a target label")
-		}
-	case op == "cbr":
-		in.Op = ir.OpCBr
-		var c ir.Operand
-		if c, err = t.operand(); err != nil {
-			break
-		}
-		in.Args = []ir.Operand{c}
-		if err = t.expect(","); err != nil {
-			break
-		}
-		in.Then = t.pop()
-		if err = t.expect(","); err != nil {
-			break
-		}
-		in.Else = t.pop()
-		if in.Then == "" || in.Else == "" {
-			return nil, fmt.Errorf("cbr wants two target labels")
-		}
-	case op == "ret":
-		in.Op = ir.OpRet
-		if t.peek() != "" {
-			var v ir.Operand
-			if v, err = t.operand(); err == nil {
-				in.Args = []ir.Operand{v}
-			}
-		}
-	case op == "call":
-		in.Op = ir.OpCall
-		err = parseCall(t, in)
-	case op == "bar":
-		in.Op = ir.OpBar
-	default:
-		return nil, fmt.Errorf("unknown opcode %q", op)
+	mn := t.pop()
+	name, cg := strings.CutSuffix(mn, ".cg")
+	op, ok := ir.OpFromString(name)
+	if !ok {
+		return nil, fmt.Errorf("unknown opcode %q", mn)
+	}
+	in.Op, in.NonCached = op, cg
+	err := t.form(in)
+	if err == nil {
+		err = t.done()
+	}
+	if n, ok := in.Arity(); err == nil && ok && n != len(in.Args) {
+		err = fmt.Errorf("want %d operands, have %d", n, len(in.Args))
 	}
 	if err != nil {
-		return nil, fmt.Errorf("%v in %q", err, line)
-	}
-	if err := t.done(); err != nil {
 		return nil, fmt.Errorf("%v in %q", err, line)
 	}
 	return in, nil
 }
 
-func parseTypedBin(t *tokens, in *ir.Instr) error {
-	typ, err := parseType(t.pop())
-	if err != nil {
-		return err
-	}
-	in.Type = typ
-	args, err := t.operandList()
-	if err != nil {
-		return err
-	}
-	if len(args) != 2 {
-		return fmt.Errorf("%s needs 2 operands", in.Op)
-	}
-	in.Args = args
-	return nil
-}
-
-func parseTypedUnary(t *tokens, in *ir.Instr) error {
-	typ, err := parseType(t.pop())
-	if err != nil {
-		return err
-	}
-	in.Type = typ
-	a, err := t.operand()
-	if err != nil {
-		return err
-	}
-	in.Args = []ir.Operand{a}
-	return nil
-}
-
-func parseMemOp(t *tokens, in *ir.Instr, hasValue bool) error {
-	mt, err := parseMemType(t.pop())
-	if err != nil {
-		return err
-	}
-	in.Mem = mt
-	sp, err := parseSpace(t.pop())
-	if err != nil {
-		return err
-	}
-	in.Space = sp
-	a, err := t.addr()
-	if err != nil {
-		return err
-	}
-	in.Args = []ir.Operand{a}
-	if hasValue {
-		if err := t.expect(","); err != nil {
+// form parses the text after in's mnemonic, as its opcode's form spells
+// it. Its operand lists take any length: parseInstr checks the count.
+func (t *tokens) form(in *ir.Instr) (err error) {
+	switch in.Op.Form() {
+	case ir.FormTyped:
+		if in.Type, err = lookup(t.pop(), ir.TypeFromString, "type"); err != nil {
 			return err
 		}
-		v, err := t.operand()
+	case ir.FormCmp:
+		if in.Pred, err = lookup(t.pop(), ir.PredFromString, "comparison predicate"); err != nil {
+			return err
+		}
+		in.Type = ir.F32
+		if typ, ok := ir.TypeFromString(t.peek()); ok {
+			in.Type = typ
+			t.pop()
+		}
+	case ir.FormGEP:
+		if in.Args, err = t.operandList(nil); err != nil {
+			return err
+		}
+		n := len(in.Args)
+		if n == 0 || in.Args[n-1].Kind != ir.KConstInt {
+			return fmt.Errorf("gep wants 'gep base, index, scale' with literal scale")
+		}
+		in.Args, in.Scale = in.Args[:n-1], in.Args[n-1].Int
+		return nil
+	case ir.FormMem:
+		if in.Mem, err = lookup(t.pop(), ir.MemTypeFromString, "memory element type"); err != nil {
+			return err
+		}
+		if in.Space, err = lookup(t.pop(), ir.SpaceFromString, "address space"); err != nil {
+			return err
+		}
+		a, err := t.addr()
+		in.Args = []ir.Operand{a}
+		if err != nil || t.peek() != "," {
+			return err
+		}
+		t.pop()
+		in.Args, err = t.operandList(in.Args)
+		return err
+	case ir.FormSReg:
+		in.SReg, err = lookup(t.pop(), ir.SRegFromString, "special register")
+		return err
+	case ir.FormShPtr:
+		in.Callee, err = t.global("array")
+		return err
+	case ir.FormBr:
+		in.Then, err = t.label()
+		return err
+	case ir.FormCBr:
+		c, err := t.operand()
 		if err != nil {
 			return err
 		}
-		in.Args = append(in.Args, v)
-	}
-	return nil
-}
-
-func parseCall(t *tokens, in *ir.Instr) error {
-	name := t.pop()
-	if !strings.HasPrefix(name, "@") {
-		return fmt.Errorf("call wants @function")
-	}
-	in.Callee = name[1:]
-	if err := t.expect("("); err != nil {
+		in.Args = []ir.Operand{c}
+		if err = t.expect(","); err != nil {
+			return err
+		}
+		if in.Then, err = t.label(); err != nil {
+			return err
+		}
+		if err = t.expect(","); err != nil {
+			return err
+		}
+		in.Else, err = t.label()
 		return err
-	}
-	if t.peek() == ")" {
-		t.pop()
-		return nil
-	}
-	args, err := t.operandList()
-	if err != nil {
+	case ir.FormRet:
+		if t.peek() == "" {
+			return nil
+		}
+		a, err := t.operand()
+		in.Args = []ir.Operand{a}
 		return err
+	case ir.FormCall:
+		if in.Callee, err = t.global("function"); err != nil {
+			return err
+		}
+		if err = t.expect("("); err != nil {
+			return err
+		}
+		if in.Args, err = t.operandList(nil); err != nil {
+			return err
+		}
+		return t.expect(")")
 	}
-	in.Args = args
-	return t.expect(")")
+	in.Args, err = t.operandList(nil)
+	return err
 }

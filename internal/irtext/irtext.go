@@ -166,7 +166,7 @@ func (p *parser) parseFunc(header string) (*ir.Function, error) {
 		if !ok {
 			return nil, p.errf("unexpected %q after parameter list", tail)
 		}
-		t, err := parseType(strings.TrimSpace(tstr))
+		t, err := lookup(strings.TrimSpace(tstr), ir.TypeFromString, "type")
 		if err != nil {
 			return nil, p.errf("%v", err)
 		}
@@ -184,7 +184,7 @@ func (p *parser) parseFunc(header string) (*ir.Function, error) {
 			if !ok || !strings.HasPrefix(nameStr, "%") {
 				return nil, p.errf("malformed parameter %q (want %%name: type)", ps)
 			}
-			t, err := parseType(strings.TrimSpace(typeStr))
+			t, err := lookup(strings.TrimSpace(typeStr), ir.TypeFromString, "type")
 			if err != nil {
 				return nil, p.errf("parameter %q: %v", ps, err)
 			}
@@ -230,46 +230,6 @@ func (p *parser) parseFunc(header string) (*ir.Function, error) {
 	}
 }
 
-func parseType(s string) (ir.Type, error) {
-	switch s {
-	case "i1":
-		return ir.I1, nil
-	case "i32":
-		return ir.I32, nil
-	case "i64":
-		return ir.I64, nil
-	case "f32":
-		return ir.F32, nil
-	case "ptr":
-		return ir.Ptr, nil
-	}
-	return ir.Void, fmt.Errorf("unknown type %q", s)
-}
-
-func parseMemType(s string) (ir.MemType, error) {
-	switch s {
-	case "i8":
-		return ir.MemI8, nil
-	case "i32":
-		return ir.MemI32, nil
-	case "i64":
-		return ir.MemI64, nil
-	case "f32":
-		return ir.MemF32, nil
-	}
-	return 0, fmt.Errorf("unknown memory element type %q", s)
-}
-
-func parseSpace(s string) (ir.Space, error) {
-	switch s {
-	case "global":
-		return ir.Global, nil
-	case "shared":
-		return ir.Shared, nil
-	}
-	return 0, fmt.Errorf("unknown address space %q", s)
-}
-
 // parseShared parses "@name: elem[count]".
 func parseShared(s string) (ir.SharedDecl, error) {
 	var sd ir.SharedDecl
@@ -284,7 +244,7 @@ func parseShared(s string) (ir.SharedDecl, error) {
 	if open < 0 || !strings.HasSuffix(rest, "]") {
 		return sd, fmt.Errorf("malformed shared array %q", rest)
 	}
-	mt, err := parseMemType(strings.TrimSpace(rest[:open]))
+	mt, err := lookup(strings.TrimSpace(rest[:open]), ir.MemTypeFromString, "memory element type")
 	if err != nil {
 		return sd, err
 	}

@@ -1,10 +1,13 @@
-package irtext
+package irtext_test
 
 import (
 	"strings"
 	"testing"
 
+	"cudaadvisor/internal/apps"
+	"cudaadvisor/internal/instrument"
 	"cudaadvisor/internal/ir"
+	"cudaadvisor/internal/irtext"
 )
 
 const sampleSrc = `
@@ -48,7 +51,7 @@ var fixedSampleSrc = strings.Replace(sampleSrc,
 	"body:\n  %tile_p = shptr @tile\n  %a  = gep %in, %i, 4", 1)
 
 func TestParseSample(t *testing.T) {
-	m, err := Parse("sample.mir", fixedSampleSrc)
+	m, err := irtext.Parse("sample.mir", fixedSampleSrc)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -78,7 +81,7 @@ func TestParseSample(t *testing.T) {
 }
 
 func TestParseAttachesDebugLocations(t *testing.T) {
-	m, err := Parse("sample.mir", fixedSampleSrc)
+	m, err := irtext.Parse("sample.mir", fixedSampleSrc)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -117,22 +120,40 @@ func lineOf(src, needle string) int {
 	return -1
 }
 
+// TestPrintParseRoundTrip checks that a module printed and parsed back is
+// equal to itself (roundTrip) and still verifies: the sample, every .mir
+// under cmd/*/testdata, and each application's source before and after
+// the instrumentation engine adds its hook calls.
 func TestPrintParseRoundTrip(t *testing.T) {
-	m1, err := Parse("sample.mir", fixedSampleSrc)
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
+	mods := map[string]*ir.Module{}
+	for _, file := range append(testdataMIR(t), [2]string{"sample.mir", fixedSampleSrc}) {
+		m, err := irtext.Parse(file[0], file[1])
+		if err != nil {
+			t.Fatalf("Parse %s: %v", file[0], err)
+		}
+		mods[file[0]] = m
 	}
-	text1 := ir.Print(m1)
-	m2, err := Parse("roundtrip.mir", text1)
-	if err != nil {
-		t.Fatalf("re-Parse printed module: %v\n%s", err, text1)
+	every := instrument.Options{Memory: true, SharedMemory: true, Blocks: true, Arith: true}
+	for _, a := range apps.InTableOrder() {
+		m, err := a.Module()
+		if err != nil {
+			t.Fatalf("%s: %v", a.Name, err)
+		}
+		p, err := a.Instrumented(every)
+		if err != nil {
+			t.Fatalf("%s: instrument: %v", a.Name, err)
+		}
+		mods[a.Name], mods[a.Name+" instrumented"] = m, p.Module
 	}
-	text2 := ir.Print(m2)
-	if text1 != text2 {
-		t.Errorf("print/parse not stable:\n--- first ---\n%s\n--- second ---\n%s", text1, text2)
-	}
-	if err := ir.Verify(m2); err != nil {
-		t.Fatalf("Verify round-tripped module: %v", err)
+	for name, m := range mods {
+		m2, err := roundTrip(m)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if err := ir.Verify(m2); err != nil {
+			t.Errorf("%s: Verify round-tripped module: %v", name, err)
+		}
 	}
 }
 
@@ -160,7 +181,7 @@ entry:
 	src = strings.Replace(src, "%a64", "%q", 1) // forward use is illegal; rewrite
 	// The rewritten line uses %q before its definition textually, but the
 	// register allocator is flow-insensitive, so this parses and finalizes.
-	m, err := Parse("ops.mir", src)
+	m, err := irtext.Parse("ops.mir", src)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -188,16 +209,19 @@ func TestParseErrors(t *testing.T) {
 		{"no module", "kernel @k() {\nentry:\n  ret\n}\n", "expected 'module"},
 		{"bad opcode", "module m\nkernel @k() {\nentry:\n  frobnicate %x\n  ret\n}\n", "unknown opcode"},
 		{"bad type", "module m\nkernel @k(%x: f99) {\nentry:\n  ret\n}\n", "unknown type"},
+		{"void type", "module m\nkernel @k(%x: void) {\nentry:\n  ret\n}\n", "unknown type"},
+		{"?? predicate", "module m\nkernel @k(%x: i32) {\nentry:\n  %c = icmp ?? i32 %x, 0\n  ret\n}\n", "unknown comparison predicate"},
 		{"instr before label", "module m\nkernel @k() {\n  ret\n}\n", "before first block"},
 		{"unclosed func", "module m\nkernel @k() {\nentry:\n  ret\n", "unexpected EOF"},
 		{"bad sreg", "module m\nkernel @k() {\nentry:\n  %t = sreg tid.w\n  ret\n}\n", "special register"},
 		{"undefined reg", "module m\nkernel @k() {\nentry:\n  %a = add i32 %ghost, 1\n  ret\n}\n", "undefined register"},
 		{"kernel returns", "module m\nkernel @k(): i32 {\nentry:\n  ret 0\n}\n", "cannot return"},
+		{"operand count", "module m\nkernel @k(%x: i32) {\nentry:\n  %a = add i32 %x\n  ret\n}\n", "x.mir:4: want 2 operands, have 1"},
 		{"trailing tokens", "module m\nkernel @k() {\nentry:\n  ret 1 2\n}\n", "trailing"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := Parse("x.mir", c.src)
+			_, err := irtext.Parse("x.mir", c.src)
 			if err == nil {
 				t.Fatalf("Parse accepted %s", c.name)
 			}
@@ -218,7 +242,7 @@ entry:
   ret
 }
 `
-	m, err := Parse("c.mir", src)
+	m, err := irtext.Parse("c.mir", src)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -240,7 +264,7 @@ entry:
   ret
 }
 `
-	m, err := Parse("c.mir", src)
+	m, err := irtext.Parse("c.mir", src)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
