@@ -161,9 +161,11 @@ func TestReuseLongDistances(t *testing.T) {
 
 // fuzzTrace decodes data into a trace of three CTAs, 8 bytes a record:
 // CTA, kind, width and one of three sites; the mask (full, one lane, or
-// spelled out); and the lane addresses, strided rows (affine records) or
-// scattered over 96 bytes (explicit ones). One record in sixteen is in
-// shared memory.
+// spelled out); and the lane addresses: strided rows (affine records),
+// scattered over 96 bytes (explicit ones), one address for every lane
+// (uniform loads, stores and atomics), or a unit-stride run, one element
+// a lane, that a line holds several lanes of. One record in sixteen is
+// in shared memory.
 func fuzzTrace(data []byte) *trace.KernelTrace {
 	tr := trace.NewKernelTrace("fuzz", 0, [3]int{3, 1, 1}, [3]int{64, 1, 1})
 	var sites [3]int32
@@ -192,11 +194,16 @@ func fuzzTrace(data []byte) *trace.KernelTrace {
 		}
 		var addrs [trace.WarpSize]uint64
 		for l := range addrs {
-			if data[2]&1 == 0 {
-				stride, row := int64(data[2]>>1%7)-3, uint64(data[2]>>4%3)*32
+			switch data[2] & 3 {
+			case 0:
+				stride, row := int64(data[2]>>2%7)-3, uint64(data[2]>>4%3)*32
 				addrs[l] = uint64(data[3])*4 + uint64(stride*4*int64(l%16)) + row*uint64(l/16)
-			} else {
+			case 1:
 				addrs[l] = uint64(int(data[3])*31+l*int(data[4]|1)*7) % 96
+			case 2:
+				addrs[l] = uint64(data[3]) * 4
+			default:
+				addrs[l] = uint64(data[3])*4 + uint64(l)*uint64(rec.Bits/8)
 			}
 		}
 		addRec(tr, rec, addrs)
@@ -207,7 +214,9 @@ func fuzzTrace(data []byte) *trace.KernelTrace {
 // FuzzReuseWalk checks the fused walk against both naive references on
 // decoded traces, under the element model and two line sizes, with
 // blocks of one, two and the default number of words, so that short
-// traces reach the block sums too.
+// traces reach the block sums too. The last seed spells out the records
+// the walk folds (uniform loads, unit-stride runs) beside the uniform
+// atomics and stores it must not fold.
 func FuzzReuseWalk(f *testing.F) {
 	f.Add([]byte{})
 	for seed := int64(1); seed <= 4; seed++ {
@@ -215,6 +224,16 @@ func FuzzReuseWalk(f *testing.F) {
 		rand.New(rand.NewSource(seed)).Read(data)
 		f.Add(data)
 	}
+	// Full-mask 4-byte records of CTA 0: uniform loads around a uniform
+	// atomic and a uniform store of their element, then unit-stride runs
+	// of loads and of atomics.
+	load, atomic, store := []byte{18, 0, 2, 5}, []byte{24, 0, 2, 5}, []byte{21, 0, 2, 5}
+	run, atomicRun := []byte{18, 0, 3, 8}, []byte{24, 0, 3, 8}
+	var recs []byte
+	for _, r := range [][]byte{load, load, atomic, load, store, load, run, run, atomicRun, run, atomic, atomic, load} {
+		recs = append(append(recs, r...), 0, 0, 0, 0)
+	}
+	f.Add(recs)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := fuzzTrace(data)
 		for _, opt := range []ReuseOptions{DefaultElementReuse(), LineReuse(32), LineReuse(128)} {

@@ -148,8 +148,19 @@ func memDivRange(tr *trace.KernelTrace, lineSize, lo, hi int) *MemDivResult {
 		if m.Space != ir.Global {
 			continue
 		}
-		tr.LaneAddrs(m, &addrs)
-		n := gpu.UniqueLines(m.Mask, &addrs, int(m.Bits)/8, lineSize)
+		// A uniform record touches the line of its address and of its
+		// last byte; any other is coalesced as the simulator does.
+		n, first := 1, uint64(0)
+		if a, ok := tr.Uniform(m); ok {
+			if line := ^uint64(lineSize - 1); a&line != (a+uint64(m.Bits/8)-1)&line {
+				n = 2
+			}
+			first = a
+		} else {
+			tr.LaneAddrs(m, &addrs)
+			n = gpu.UniqueLines(m.Mask, &addrs, int(m.Bits)/8, lineSize)
+			first = addrs[bits.TrailingZeros32(m.Mask)]
+		}
 		if n == 0 {
 			continue
 		}
@@ -164,7 +175,7 @@ func memDivRange(tr *trace.KernelTrace, lineSize, lo, hi int) *MemDivResult {
 		id := siteIndex(tr, m.Loc)
 		s := bySite[id]
 		if s == nil {
-			s = &SiteDivergence{Loc: tr.Locs.Loc(m.Loc), Ctx: m.Ctx, addr: addrs[bits.TrailingZeros32(m.Mask)]}
+			s = &SiteDivergence{Loc: tr.Locs.Loc(m.Loc), Ctx: m.Ctx, addr: first}
 			bySite[id], res.sites[s.Loc] = s, s
 		}
 		s.Count++

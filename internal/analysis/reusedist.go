@@ -222,12 +222,16 @@ type elemState struct {
 // reuseWalker holds what one walk reuses across its CTAs: the set of
 // superseded timestamps and an open-addressed, linearly probed table of
 // element state (slots of earlier CTAs are free by their stamp, never
-// cleared).
+// cleared), and what it accumulates into.
 type reuseWalker struct {
 	slots []elemState // power-of-two length, at most half full
 	live  int         // slots claimed by the current CTA
 	cta   uint32      // stamp of the current CTA, from 1
 	dead  deadSet
+	t     int32 // the timestamp of the current CTA's newest read
+
+	res   *ReuseResult // the histogram, when asked for
+	sites []SiteReuse  // the site table, when asked for
 }
 
 // state returns the slot of elem in the current CTA, claiming one (zero
@@ -254,6 +258,89 @@ func (w *reuseWalker) state(elem uint64) *elemState {
 		if s.elem == elem {
 			return s
 		}
+	}
+}
+
+// access accounts one lane's access of kind to st's element by site:
+// loads and atomics read it, stores and atomics write it.
+//
+// Every read but a re-read of the newest element takes the next
+// timestamp, and a re-read supersedes the element's old one. So the
+// distinct elements read since an element's last read at L are the
+// timestamps after L that are still some element's last read: t − L,
+// less the superseded ones in (L, t].
+func (w *reuseWalker) access(st *elemState, kind trace.AccessKind, site int32) {
+	if kind != trace.Store {
+		reused := st.lastTime > 0 && !st.dirty
+		// Re-reading the element read last moves nothing: its timestamp
+		// is already the newest, at distance 0.
+		newest := st.lastTime == w.t && w.t > 0
+		if res := w.res; res != nil {
+			res.Samples++
+			switch {
+			case st.lastTime == 0:
+				res.Streaming++ // read exactly once so far
+			case !st.reread:
+				res.Streaming--
+				st.reread = true
+			}
+			switch {
+			case !reused:
+				res.Buckets[NumReuseBuckets-1]++
+				res.Infinite++
+			case newest:
+				res.addFinite(0)
+			default:
+				res.addFinite(int64(w.t - st.lastTime - w.dead.count(st.lastTime, w.t)))
+			}
+			if !newest && st.lastTime > 0 {
+				w.dead.kill(st.lastTime)
+			}
+		}
+		if w.sites != nil {
+			w.sites[site].Samples++
+			if reused {
+				w.sites[st.lastSite].Reused++
+			}
+		}
+		if !newest {
+			w.t++
+		}
+		st.lastTime, st.lastSite, st.dirty = w.t, site, false
+	}
+	if kind != trace.Load {
+		st.dirty = true
+	}
+}
+
+// lanes accounts n lanes in a row of one record, of kind and by site,
+// that access st's element. An atomic's or a store's keep the per-lane
+// rule. A load's after the first re-read the newest element, each at
+// distance 0 and moving no timestamp, so they fold into one O(1) update:
+// what n-1 more calls of access would do.
+func (w *reuseWalker) lanes(st *elemState, kind trace.AccessKind, site int32, n int64) {
+	if kind != trace.Load {
+		for ; n > 0; n-- {
+			w.access(st, kind, site)
+		}
+		return
+	}
+	w.access(st, kind, site)
+	if n--; n == 0 {
+		return
+	}
+	if res := w.res; res != nil {
+		res.Samples += n
+		if !st.reread {
+			res.Streaming--
+			st.reread = true
+		}
+		res.Buckets[0] += n
+		res.FiniteN += n
+	}
+	if w.sites != nil {
+		w.sites[site].Samples += n
+		w.sites[site].Reused += n
 	}
 }
 
@@ -314,73 +401,44 @@ func walkReuse(tr *trace.KernelTrace, opt ReuseOptions, hist, bySite bool, pool 
 // with no intervening write, the site of the PREVIOUS read gets the
 // credit — its load brought in data worth caching.
 //
-// Every read but a re-read of the newest element takes the next
-// timestamp, and a re-read supersedes the element's old one. So the
-// distinct elements read since an element's last read at L are the
-// timestamps after L that are still some element's last read: t − L,
-// less the superseded ones in (L, t].
+// Lanes of a record that access the element the lane before did go to
+// lanes as one run, and a uniform record is one run that is never
+// expanded.
 func walkCTAs(tr *trace.KernelTrace, opt ReuseOptions, ctas [][]int32, res *ReuseResult, sites []SiteReuse) {
-	var w reuseWalker
+	w := reuseWalker{res: res, sites: sites}
 	var addrs [trace.WarpSize]uint64
 	for _, records := range ctas {
 		w.cta++
-		w.live = 0
+		w.live, w.t = 0, 0
 		if res != nil {
 			w.dead.reset(trace.WarpSize * len(records)) // a timestamp per read, at most
 		}
-		t := int32(0) // the timestamp of the newest read
 		for _, i := range records {
 			m := &tr.Mem[i]
-			tr.LaneAddrs(m, &addrs)
 			site := siteIndex(tr, m.Loc)
+			if a, ok := tr.Uniform(m); ok {
+				w.lanes(w.state(elemKey(a, m.Bits, opt.Granularity)), m.Kind, site, int64(bits.OnesCount32(m.Mask)))
+				continue
+			}
+			tr.LaneAddrs(m, &addrs)
 			var st *elemState
+			n := int64(0) // lanes in a row that access st's element
 			for rest := m.Mask; rest != 0; rest &= rest - 1 {
 				// Neighbouring lanes often share an element (a broadcast,
-				// a line): look it up once.
-				if elem := elemKey(addrs[bits.TrailingZeros32(rest)], m.Bits, opt.Granularity); st == nil || st.elem != elem {
-					st = w.state(elem)
+				// a line): look it up once. A run is accounted before the
+				// next lookup, which may move the table.
+				elem := elemKey(addrs[bits.TrailingZeros32(rest)], m.Bits, opt.Granularity)
+				if st != nil && st.elem == elem {
+					n++
+					continue
 				}
-				if m.Kind != trace.Store { // loads and atomics read
-					reused := st.lastTime > 0 && !st.dirty
-					// Re-reading the element read last moves nothing: its
-					// timestamp is already the newest, at distance 0.
-					newest := st.lastTime == t && t > 0
-					if res != nil {
-						res.Samples++
-						switch {
-						case st.lastTime == 0:
-							res.Streaming++ // read exactly once so far
-						case !st.reread:
-							res.Streaming--
-							st.reread = true
-						}
-						switch {
-						case !reused:
-							res.Buckets[NumReuseBuckets-1]++
-							res.Infinite++
-						case newest:
-							res.addFinite(0)
-						default:
-							res.addFinite(int64(t - st.lastTime - w.dead.count(st.lastTime, t)))
-						}
-						if !newest && st.lastTime > 0 {
-							w.dead.kill(st.lastTime)
-						}
-					}
-					if sites != nil {
-						sites[site].Samples++
-						if reused {
-							sites[st.lastSite].Reused++
-						}
-					}
-					if !newest {
-						t++
-					}
-					st.lastTime, st.lastSite, st.dirty = t, site, false
+				if st != nil {
+					w.lanes(st, m.Kind, site, n)
 				}
-				if m.Kind != trace.Load { // stores and atomics write
-					st.dirty = true
-				}
+				st, n = w.state(elem), 1
+			}
+			if st != nil {
+				w.lanes(st, m.Kind, site, n)
 			}
 		}
 	}

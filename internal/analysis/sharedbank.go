@@ -99,6 +99,7 @@ func SharedBankConflictsOn(tr *trace.KernelTrace, pool *runner.Pool) *SharedBank
 // sharedBankRange is the profile of the records [lo, hi) of tr.
 func sharedBankRange(tr *trace.KernelTrace, lo, hi int) *SharedBankResult {
 	res := &SharedBankResult{sites: make(map[ir.Loc]*SiteBankConflict)}
+	bySite := make([]*SiteBankConflict, tr.Locs.Len()+1) // res.sites by siteIndex
 	var addrs [trace.WarpSize]uint64
 	for i := lo; i < hi; i++ {
 		m := &tr.Mem[i]
@@ -110,11 +111,11 @@ func sharedBankRange(tr *trace.KernelTrace, lo, hi int) *SharedBankResult {
 		res.Total++
 		res.Replays += int64(n - 1)
 
-		loc := tr.Locs.Loc(m.Loc)
-		s := res.sites[loc]
+		id := siteIndex(tr, m.Loc)
+		s := bySite[id]
 		if s == nil {
-			s = &SiteBankConflict{Loc: loc}
-			res.sites[loc] = s
+			s = &SiteBankConflict{Loc: tr.Locs.Loc(m.Loc)}
+			bySite[id], res.sites[s.Loc] = s, s
 		}
 		s.Count++
 		s.ReplaySum += int64(n - 1)

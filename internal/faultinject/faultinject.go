@@ -269,7 +269,7 @@ type hooks struct {
 	in    *Injector
 }
 
-func (h *hooks) OnHook(w *gpu.WarpView, call *ir.Instr, args []gpu.LaneValues) error {
+func (h *hooks) OnHook(w *gpu.WarpView, call *ir.Instr, args []*gpu.LaneValues) error {
 	h.in.hooks++
 	if c := h.in.cfg; c.FaultAtFile != "" && call.Loc.File == c.FaultAtFile && call.Loc.Line == c.FaultAtLine {
 		return fmt.Errorf("%w at %s:%d (cell %s)", ErrFault, c.FaultAtFile, c.FaultAtLine, h.in.cell)

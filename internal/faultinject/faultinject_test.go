@@ -82,7 +82,7 @@ func TestNilInjectorIsInert(t *testing.T) {
 
 type countHooks struct{ calls int }
 
-func (c *countHooks) OnHook(*gpu.WarpView, *ir.Instr, []gpu.LaneValues) error {
+func (c *countHooks) OnHook(*gpu.WarpView, *ir.Instr, []*gpu.LaneValues) error {
 	c.calls++
 	return nil
 }

@@ -279,11 +279,26 @@ func naiveCoalesce(mask uint32, addrs *[WarpSize]uint64, size, lineSize int) []u
 // reference: the same lines in the same order, for any mask, access
 // width and power-of-two line size. Addresses are drawn as a base plus
 // small per-lane offsets so lanes share, revisit and straddle lines.
+// A full-mask row also goes through the executor's whole-warp path on
+// its own: rowStride must accept exactly the rows at one non-negative
+// stride that do not wrap, whose span its end lanes give and whose
+// lines strideLines gives, where it gives them, in the reference's
+// order. The last seeds are such rows — uniform and straddling, across
+// lines upwards, strided 4 KB apart and 130 B apart straddling — and
+// three the lane walk takes: a downward one, and two that wrap (31·stride
+// overflows; the last lane falls below the first).
 func FuzzCoalesceLines(f *testing.F) {
 	f.Add(uint32(0xFFFFFFFF), uint64(0x1000), int64(4), uint8(4), uint8(7), []byte{})
 	f.Add(uint32(0xFFFFFFFF), uint64(126), int64(-8), uint8(8), uint8(7), []byte{3, 0, 3, 9})
 	f.Add(uint32(0x0000FFFF), uint64(1<<40), int64(4096), uint8(1), uint8(5), []byte{1, 2, 3})
 	f.Add(uint32(0xAAAAAAAA), uint64(31), int64(1), uint8(8), uint8(5), []byte{0xff, 0, 0xff})
+	f.Add(uint32(0xFFFFFFFF), uint64(0x101c), int64(0), uint8(7), uint8(5), []byte{})
+	f.Add(uint32(0xFFFFFFFF), uint64(0x1006), int64(-4), uint8(3), uint8(5), []byte{})
+	f.Add(uint32(0xFFFFFFFF), uint64(0x1002), int64(2), uint8(1), uint8(3), []byte{})
+	f.Add(uint32(0xFFFFFFFF), uint64(0x1000), int64(4096), uint8(3), uint8(7), []byte{})
+	f.Add(uint32(0xFFFFFFFF), uint64(0x107e), int64(130), uint8(3), uint8(7), []byte{})
+	f.Add(uint32(0xFFFFFFFF), uint64(0x1000), int64(1<<60), uint8(3), uint8(7), []byte{})
+	f.Add(uint32(0xFFFFFFFF), ^uint64(0)-64, int64(4), uint8(3), uint8(7), []byte{})
 	f.Fuzz(func(t *testing.T, mask uint32, base uint64, stride int64, size, lineShift uint8, jitter []byte) {
 		size = size%8 + 1
 		lineSize := 1 << (lineShift % 13)
@@ -303,6 +318,25 @@ func FuzzCoalesceLines(f *testing.F) {
 		}
 		if n := UniqueLines(mask, &addrs, int(size), lineSize); n != len(want) {
 			t.Fatalf("UniqueLines = %d, want %d", n, len(want))
+		}
+
+		step, rising := addrs[1]-addrs[0], mask == FullMask
+		for l := 1; l < WarpSize; l++ {
+			rising = rising && addrs[l]-addrs[l-1] == step && int64(step) >= 0 && addrs[l] >= addrs[l-1]
+		}
+		stride, affine := rowStride(mask, &addrs)
+		if affine != rising || affine && uint64(stride) != step {
+			t.Fatalf("mask %#x addrs %#x: rowStride = %d, %v; want %v", mask, addrs, stride, affine, rising)
+		}
+		if !affine {
+			return
+		}
+		lo, hi := span(&addrs, mask, true)
+		if wlo, whi := span(&addrs, mask, false); lo != wlo || hi != whi {
+			t.Fatalf("addrs %#x: span of the end lanes [%#x, %#x], of every lane [%#x, %#x]", addrs, lo, hi, wlo, whi)
+		}
+		if lines, ok := strideLines(nil, addrs[0], stride, int(size), lineSize); ok && !reflect.DeepEqual(lines, want) {
+			t.Fatalf("stride %d size %d line %d addrs %#x:\narithmetic %#x\nwant       %#x", stride, size, lineSize, addrs, lines, want)
 		}
 	})
 }

@@ -39,11 +39,14 @@ type WarpView struct {
 // global order (SM-major: every event of SM 0, then SM 1, …), so the
 // implementation needs no locking. A Hooks that also implements SMHooks
 // may instead take each SM's events on a sink of its own, with the SMs
-// simulated concurrently. Like w, args is lent for the duration of the
-// call — the executor reuses it for the next hook — so an implementation
-// that keeps argument values copies them.
+// simulated concurrently. Like w, args and the rows they point to are
+// lent for the duration of the call: an implementation reads them, never
+// writes them, and copies what it keeps. Under a full mask each row is
+// the warp's own register (or constant) row; under a partial mask it is
+// the executor's copy with the lanes outside the mask zero, reused for
+// the next hook.
 type Hooks interface {
-	OnHook(w *WarpView, call *ir.Instr, args []LaneValues) error
+	OnHook(w *WarpView, call *ir.Instr, args []*LaneValues) error
 }
 
 // SMHooks is a Hooks that can record each SM's events apart, which lets a
@@ -525,10 +528,20 @@ func (s *smShard) step(w *warpState, now int64) error {
 	case kHook:
 		s.hookCalls++
 		if s.hooks != nil {
-			args := s.hookArgs[:0] // one per-shard buffer, lent to the hook
-			for _, ref := range in.args {
-				args = append(args, LaneValues{}) // lanes outside the mask stay zero
-				copyLanes((*row)(&args[len(args)-1]), fr.row(ref), mask)
+			// Under a full mask the hook reads the warp's own rows; under
+			// a partial one, copies whose lanes outside the mask are zero.
+			if mask != FullMask && len(s.hookRows) < len(in.args) {
+				s.hookRows = make([]LaneValues, len(in.args))
+			}
+			args := s.hookArgs[:0]
+			for i, ref := range in.args {
+				r := (*LaneValues)(fr.row(ref))
+				if mask != FullMask {
+					r = &s.hookRows[i]
+					*r = LaneValues{}
+					copyLanes((*row)(r), fr.row(ref), mask)
+				}
+				args = append(args, r)
 			}
 			s.hookArgs = args
 			w.view.ActiveMask = mask
@@ -644,8 +657,12 @@ func (s *smShard) usesL1(w *warpState) bool {
 	return k < 0 || w.view.WarpInCTA < k
 }
 
-// span returns the lowest and highest address among the active lanes.
-func span(addrs *row, mask uint32) (lo, hi uint64) {
+// span returns the lowest and highest address among the active lanes:
+// the end lanes of a row rowStride accepted, a scan of any other.
+func span(addrs *row, mask uint32, affine bool) (lo, hi uint64) {
+	if affine {
+		return addrs[0], addrs[WarpSize-1]
+	}
 	lo = ^uint64(0)
 	for lane := 0; lane < WarpSize; lane++ {
 		if mask&(1<<uint(lane)) != 0 {
@@ -656,8 +673,16 @@ func span(addrs *row, mask uint32) (lo, hi uint64) {
 }
 
 // gather loads one element per active lane from buf, whose byte 0 is
-// address origin; the caller has bounds-checked the whole warp.
-func gather(dst *row, buf []byte, origin uint64, mt ir.MemType, addrs *row, mask uint32) {
+// address origin; the caller has bounds-checked the whole warp. A
+// uniform row — full mask, one address — is read once.
+func gather(dst *row, buf []byte, origin uint64, mt ir.MemType, addrs *row, mask uint32, uniform bool) {
+	if uniform {
+		v := loadFrom(buf, mt, addrs[0]-origin)
+		for lane := range dst {
+			dst[lane] = v
+		}
+		return
+	}
 	switch mt {
 	case ir.MemI8:
 		for lane := 0; lane < WarpSize; lane++ {
@@ -707,16 +732,20 @@ func scatter(buf []byte, origin uint64, mt ir.MemType, addrs, vals *row, mask ui
 // execLoad performs one warp load and returns its model cost. The warp
 // is bounds-checked once, over the span of its active addresses; only a
 // warp that fails (or reads past what is backed) takes the lane-by-lane
-// path, which is what names the faulting lane.
+// path, which is what names the faulting lane. A full-mask row at a
+// constant lane stride takes its span and lines from arithmetic, and one
+// at a single address reads it once.
 func (s *smShard) execLoad(w *warpState, fr *frame, in *dinstr, mask uint32, now int64) (int64, error) {
 	addrs, dst := fr.row(in.a), fr.row(in.dst)
 	size := uint64(in.mem.Size())
-	lo, hi := span(addrs, mask)
+	stride, affine := rowStride(mask, addrs)
+	uniform := affine && stride == 0
+	lo, hi := span(addrs, mask, affine)
 	end := hi + size // wraps only for a wild pointer, caught below
 	if in.shared {
 		sh := w.cta.shared
 		if end >= hi && end <= uint64(len(sh.buf)) {
-			gather(dst, sh.buf, 0, in.mem, addrs, mask)
+			gather(dst, sh.buf, 0, in.mem, addrs, mask, uniform)
 		} else {
 			for lane := 0; lane < WarpSize; lane++ {
 				if mask&(1<<uint(lane)) == 0 {
@@ -741,7 +770,7 @@ func (s *smShard) execLoad(w *warpState, fr *frame, in *dinstr, mask uint32, now
 		buf, origin = s.readable(lo, end)
 	}
 	if buf != nil {
-		gather(dst, buf, origin, in.mem, addrs, mask)
+		gather(dst, buf, origin, in.mem, addrs, mask, uniform)
 	} else {
 		for lane := 0; lane < WarpSize; lane++ {
 			if mask&(1<<uint(lane)) == 0 {
@@ -757,7 +786,7 @@ func (s *smShard) execLoad(w *warpState, fr *frame, in *dinstr, mask uint32, now
 
 	// Timing.
 	cfg := &s.ls.cfg
-	s.lineBuf = coalesceLines(s.lineBuf, mask, addrs, int(size), cfg.L1LineSize)
+	s.lineBuf = coalesceRow(s.lineBuf, mask, addrs, int(size), cfg.L1LineSize, stride, affine)
 	useL1 := s.usesL1(w) && !in.nonCached
 	maxDone := now
 	for i, line := range s.lineBuf {
@@ -791,7 +820,8 @@ func (s *smShard) execLoad(w *warpState, fr *frame, in *dinstr, mask uint32, now
 func (s *smShard) execStore(w *warpState, fr *frame, in *dinstr, mask uint32) (int64, error) {
 	addrs, vals := fr.row(in.a), fr.row(in.b)
 	size := uint64(in.mem.Size())
-	lo, hi := span(addrs, mask)
+	stride, affine := rowStride(mask, addrs)
+	lo, hi := span(addrs, mask, affine)
 	end := hi + size
 	if in.shared {
 		sh := w.cta.shared
@@ -824,7 +854,7 @@ func (s *smShard) execStore(w *warpState, fr *frame, in *dinstr, mask uint32) (i
 		}
 	}
 	// Write-through, write-evict; stores do not stall the warp.
-	s.lineBuf = coalesceLines(s.lineBuf, mask, addrs, int(size), s.ls.cfg.L1LineSize)
+	s.lineBuf = coalesceRow(s.lineBuf, mask, addrs, int(size), s.ls.cfg.L1LineSize, stride, affine)
 	for _, line := range s.lineBuf {
 		s.l1.write(line)
 	}

@@ -528,9 +528,13 @@ type hookCall struct {
 	warp   int
 }
 
-func (h *hookRecorder) OnHook(w *WarpView, call *ir.Instr, args []LaneValues) error {
+func (h *hookRecorder) OnHook(w *WarpView, call *ir.Instr, args []*LaneValues) error {
+	rows := make([]LaneValues, len(args)) // the rows are lent: keep copies
+	for i, a := range args {
+		rows[i] = *a
+	}
 	h.calls = append(h.calls, hookCall{
-		callee: call.Callee, mask: w.ActiveMask, args: append([]LaneValues(nil), args...),
+		callee: call.Callee, mask: w.ActiveMask, args: rows,
 		cta: w.CTALinear, warp: w.WarpInCTA,
 	})
 	return nil

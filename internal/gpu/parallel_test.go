@@ -52,7 +52,7 @@ type ctxRecorder struct {
 	failAt int
 }
 
-func (r *ctxRecorder) OnHook(w *WarpView, call *ir.Instr, args []LaneValues) error {
+func (r *ctxRecorder) OnHook(w *WarpView, call *ir.Instr, args []*LaneValues) error {
 	r.calls = append(r.calls, pcall{
 		callee: call.Callee, cta: w.CTALinear, warp: w.WarpInCTA, sm: w.SM,
 		mask: w.ActiveMask, cycle: w.Cycle, hookCtx: w.HookCtx, arg0: args[0][0],
@@ -319,7 +319,7 @@ exit:
 
 type countingHooks struct{ calls int }
 
-func (h *countingHooks) OnHook(*WarpView, *ir.Instr, []LaneValues) error {
+func (h *countingHooks) OnHook(*WarpView, *ir.Instr, []*LaneValues) error {
 	h.calls++
 	return nil
 }

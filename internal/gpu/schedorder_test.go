@@ -92,7 +92,7 @@ done:
 // orderRecorder renders every hook event as one line.
 type orderRecorder struct{ buf bytes.Buffer }
 
-func (r *orderRecorder) OnHook(w *WarpView, call *ir.Instr, args []LaneValues) error {
+func (r *orderRecorder) OnHook(w *WarpView, call *ir.Instr, args []*LaneValues) error {
 	h := fnv.New64a()
 	for lane := 0; lane < WarpSize; lane++ {
 		fmt.Fprintf(h, "%d,", args[0][lane])

@@ -25,9 +25,10 @@ type smShard struct {
 	lineBuf  []uint64
 	tmp      row // alu's scratch row for partially masked instructions
 	frames   *framePool
-	hookArgs []LaneValues // argument buffer lent to hook calls
-	hooks    Hooks        // this SM's hook sink: the launch's, or sink
-	sink     SMSink       // this SM's own sink on a fanned-out launch
+	hookArgs []*LaneValues // argument rows lent to hook calls
+	hookRows []LaneValues  // partially masked hook arguments, zero outside the mask
+	hooks    Hooks         // this SM's hook sink: the launch's, or sink
+	sink     SMSink        // this SM's own sink on a fanned-out launch
 
 	// The scheduler's view of the resident warps, in admission order:
 	// wake[i] is when warps[i] can next issue, or parked while it is done
@@ -116,6 +117,11 @@ func (s *smShard) run(threadsPerCTA, warpsPerCTA int) (int64, error) {
 					return 0, &Fault{Kernel: ls.kernel.fn.Name, CTA: deadlockCTA(resident),
 						Msg: "barrier deadlock: all warps waiting"}
 				}
+				// Idle to the earliest wake-up and pick again from the
+				// top: the last warp to run keeps its GTO priority at the
+				// new time. A variant that issued the oldest warp waking
+				// then, skipping that check, changed figure7's output and
+				// measured no faster.
 				issueAt = wake
 				continue
 			}

@@ -23,7 +23,7 @@ import (
 // a launch through the ordered path whatever its pool.
 type orderedOnly struct{ h gpu.Hooks }
 
-func (o orderedOnly) OnHook(w *gpu.WarpView, call *ir.Instr, args []gpu.LaneValues) error {
+func (o orderedOnly) OnHook(w *gpu.WarpView, call *ir.Instr, args []*gpu.LaneValues) error {
 	return o.h.OnHook(w, call, args)
 }
 

@@ -161,8 +161,22 @@ func (p *Profiler) KernelEnd(info *rt.LaunchInfo, res *gpu.LaunchResult) {
 // the records and locations go to kp, and the warps' shadow call stacks
 // move through ctx.
 type hookSink struct {
-	kp  *KernelProfile
-	ctx *trace.ContextTree
+	kp   *KernelProfile
+	ctx  *trace.ContextTree
+	locs map[*ir.Instr]int32 // each hook call's id in kp.Trace.Locs, interned at its first event
+}
+
+// loc returns the location id of a hook call's events.
+func (s *hookSink) loc(call *ir.Instr) int32 {
+	id, ok := s.locs[call]
+	if !ok {
+		if s.locs == nil {
+			s.locs = make(map[*ir.Instr]int32)
+		}
+		id = s.kp.Trace.Locs.Intern(call.Loc)
+		s.locs[call] = id
+	}
+	return id
 }
 
 func firstLane(mask uint32) int {
@@ -173,7 +187,7 @@ func firstLane(mask uint32) int {
 }
 
 // OnHook implements gpu.Hooks.
-func (s *hookSink) OnHook(w *gpu.WarpView, call *ir.Instr, args []gpu.LaneValues) error {
+func (s *hookSink) OnHook(w *gpu.WarpView, call *ir.Instr, args []*gpu.LaneValues) error {
 	if w.HookCtx == 0 {
 		w.HookCtx = s.kp.BaseCtx // first event of this warp: seed with the launch context
 	}
@@ -190,9 +204,9 @@ func (s *hookSink) OnHook(w *gpu.WarpView, call *ir.Instr, args []gpu.LaneValues
 			Kind:  trace.AccessKind(args[2][lane]),
 			Space: ir.Space(args[3][lane]),
 			Bits:  uint8(args[1][lane]),
-			Loc:   s.kp.Trace.Locs.Intern(call.Loc),
+			Loc:   s.loc(call),
 			Ctx:   w.HookCtx,
-		}, (*[trace.WarpSize]uint64)(&args[0]))
+		}, (*[trace.WarpSize]uint64)(args[0]))
 	case instrument.HookBB:
 		if len(args) != 1 {
 			return fmt.Errorf("record_bb wants 1 arg, got %d", len(args))
@@ -203,7 +217,7 @@ func (s *hookSink) OnHook(w *gpu.WarpView, call *ir.Instr, args []gpu.LaneValues
 			Mask:     w.ActiveMask,
 			InitMask: w.InitMask,
 			Block:    int32(args[0][lane]),
-			Loc:      s.kp.Trace.Locs.Intern(call.Loc),
+			Loc:      s.loc(call),
 			Ctx:      w.HookCtx,
 		})
 	case instrument.HookPush:
@@ -235,25 +249,23 @@ func (s *hookSink) OnHook(w *gpu.WarpView, call *ir.Instr, args []gpu.LaneValues
 // order it is the ordered hookSink; fanned out, each SM records into a
 // fragment of its own — a trace with its own location table and arena,
 // and a context tree whose root stands for the kernel's base context, so
-// the SM never touches p.CCT while it runs. A fragment joins the
-// kernel's profile as soon as every lower SM's has, which reproduces
-// every id the ordered sink would have assigned.
-// Fragments after the first faulting SM are dropped, as the ordered run
-// never reaches their events.
+// the SM never touches p.CCT while it runs. Once the last SM settles,
+// the fragments join the kernel's profile in SM order, in one pass that
+// reproduces every id the ordered sink would have assigned. Fragments
+// after the first faulting SM are dropped, as the ordered run never
+// reaches their events.
 type smSinks struct {
 	*hookSink
 
-	mu     sync.Mutex
-	frags  []*smSink // in SM order; nil once joined or dropped
-	joined int       // frags[:joined] are settled
-	failed bool      // a settled SM faulted
+	mu      sync.Mutex
+	frags   []*smSink // in SM order
+	settled int       // SMs that have called SMDone
 }
 
 // smSink records one SM's events into its fragment.
 type smSink struct {
 	hookSink
 	sinks *smSinks
-	done  bool
 	err   error
 }
 
@@ -272,33 +284,35 @@ func (f *smSinks) ForSM(int) gpu.SMSink {
 	return s
 }
 
-// SMDone implements gpu.SMSink: settle every fragment whose lower SMs
-// have all finished, in SM order.
+// SMDone implements gpu.SMSink. The last SM to settle joins the
+// fragments up to the first faulting SM's into the kernel's profile:
+// their context nodes into the shared tree, SM by SM, then their records
+// onto the trace in one pass.
 func (s *smSink) SMDone(err error) {
 	f := s.sinks
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s.done, s.err = true, err
-	for ; f.joined < len(f.frags) && f.frags[f.joined].done; f.joined++ {
-		g := f.frags[f.joined]
-		f.frags[f.joined] = nil
-		if !f.failed {
-			f.join(g)
-			f.failed = g.err != nil
+	s.err = err
+	if f.settled++; f.settled < len(f.frags) {
+		return
+	}
+	var traces []*trace.KernelTrace
+	var ctxs [][]int32
+	for _, g := range f.frags {
+		ids := make([]int32, g.ctx.Len())
+		ids[trace.Root] = f.kp.BaseCtx
+		for id := int32(1); id < int32(len(ids)); id++ {
+			ids[id] = f.ctx.Child(ids[g.ctx.Parent(id)], g.ctx.Frame(id))
 		}
-		g.kp, g.ctx = nil, nil // the shard keeps its sink until the launch ends
+		traces, ctxs = append(traces, g.kp.Trace), append(ctxs, ids)
+		if g.err != nil {
+			break
+		}
 	}
-}
-
-// join moves one SM's fragment into the kernel's profile: its context
-// nodes into the shared tree and its records onto the trace.
-func (f *smSinks) join(g *smSink) {
-	ids := make([]int32, g.ctx.Len())
-	ids[trace.Root] = f.kp.BaseCtx
-	for id := int32(1); id < int32(len(ids)); id++ {
-		ids[id] = f.ctx.Child(ids[g.ctx.Parent(id)], g.ctx.Frame(id))
+	f.kp.Trace.AppendAll(traces, ctxs)
+	for _, g := range f.frags {
+		g.kp, g.ctx, g.locs = nil, nil, nil // the shard keeps its sink until the launch ends
 	}
-	f.kp.Trace.Append(g.kp.Trace, ids)
 }
 
 // DataObject is the data-centric view of one device allocation: where it

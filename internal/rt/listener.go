@@ -72,6 +72,6 @@ func (c *CycleCounter) KernelEnd(info *LaunchInfo, res *gpu.LaunchResult) {
 // hooked launch fans its SMs out on a pool as a native one does.
 type nopHooks struct{}
 
-func (nopHooks) OnHook(*gpu.WarpView, *ir.Instr, []gpu.LaneValues) error { return nil }
-func (nopHooks) ForSM(int) gpu.SMSink                                    { return nopHooks{} }
-func (nopHooks) SMDone(error)                                            {}
+func (nopHooks) OnHook(*gpu.WarpView, *ir.Instr, []*gpu.LaneValues) error { return nil }
+func (nopHooks) ForSM(int) gpu.SMSink                                     { return nopHooks{} }
+func (nopHooks) SMDone(error)                                             {}

@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/binary"
 	"math/bits"
+	"math/rand"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -42,10 +43,30 @@ func roundTrip(t *testing.T, blockW int, mask uint32, addrs [WarpSize]uint64) *M
 	m := &tr.Mem[1]
 	var got [WarpSize]uint64
 	tr.LaneAddrs(m, &got)
+	uniform := mask != 0
 	for l := 0; l < WarpSize; l++ {
 		if mask&(1<<uint(l)) != 0 && got[l] != addrs[l] {
 			t.Fatalf("width %d mask %#x lane %d: decoded %#x, recorded %#x (affine=%v)",
 				blockW, mask, l, got[l], addrs[l], !m.explicit)
+		}
+		uniform = uniform && (mask&(1<<uint(l)) == 0 || addrs[l] == addrs[bits.TrailingZeros32(mask)])
+	}
+	if a, ok := tr.Uniform(m); ok != uniform || ok && a != addrs[bits.TrailingZeros32(mask)] {
+		t.Fatalf("width %d mask %#x: Uniform = %#x, %v; the lanes say %v", blockW, mask, a, ok, uniform)
+	}
+	if mask == 0xFFFFFFFF {
+		// The one-scan verdict on a full mask is the proposal rule's: the
+		// strides lanes 0, 1 and the next row's first lane imply.
+		w := 1 << tr.rowShift
+		var stride, rowStride int64
+		if w > 1 {
+			stride = int64(addrs[1] - addrs[0])
+		}
+		if w < WarpSize {
+			rowStride = int64(addrs[w] - addrs[0])
+		}
+		if affine := addrs == affineLanes(w, addrs[0], stride, rowStride); affine == m.explicit {
+			t.Fatalf("width %d: affine = %v, the proposed strides say %v", blockW, !m.explicit, affine)
 		}
 	}
 	return m
@@ -86,8 +107,10 @@ func TestEncoderForms(t *testing.T) {
 }
 
 // FuzzLaneAddrsRoundTrip: whatever the mask, the 32 addresses and the
-// block width, what LaneAddrs returns equals what AddMem was given on
-// every active lane.
+// block width — and at rows of 8, 16 and 32 lanes too — what LaneAddrs
+// returns equals what AddMem was given on every active lane, Uniform
+// finds an address exactly when every active lane holds it, and a full
+// mask's one-scan verdict is the proposed strides'.
 func FuzzLaneAddrsRoundTrip(f *testing.F) {
 	raw := func(a [WarpSize]uint64) []byte {
 		b := make([]byte, 8*WarpSize)
@@ -107,6 +130,9 @@ func FuzzLaneAddrsRoundTrip(f *testing.F) {
 	f.Add(uint32(0x0FF0F00F), uint8(16), raw(affineLanes(16, 0x1000, 4, 4096)))
 	f.Add(uint32(0xFFFFFFFF), uint8(8), raw(affineLanes(8, 0x1000, 4, -64)))
 	f.Add(uint32(0xFFFFFFFF), uint8(0), []byte{1, 2, 3})
+	f.Add(uint32(0xFFFFFFFF), uint8(16), raw(affineLanes(16, 0x1000, 0, 0)))
+	f.Add(uint32(0xFFFFFFFF), uint8(8), raw(affineLanes(8, 0x1000, 0, 4096)))
+	f.Add(uint32(0xFFFFFFFF), uint8(1), raw(affineLanes(1, 0x1000, 0, 12)))
 	f.Fuzz(func(t *testing.T, mask uint32, blockW uint8, data []byte) {
 		var addrs [WarpSize]uint64
 		for l := range addrs {
@@ -114,7 +140,9 @@ func FuzzLaneAddrsRoundTrip(f *testing.F) {
 				addrs[l] = binary.LittleEndian.Uint64(data[8*l:])
 			}
 		}
-		roundTrip(t, int(blockW), mask, addrs)
+		for _, w := range []int{int(blockW), 8, 16, 32} {
+			roundTrip(t, w, mask, addrs)
+		}
 	})
 }
 
@@ -210,17 +238,17 @@ func TestReleaseKeepsHeaderAndCoverage(t *testing.T) {
 	}
 }
 
-// Append leaves the trace that adding every record directly would have
-// left: the fragment's explicit records rebased onto the arena, its
-// locations interned in first-use order, its contexts mapped, its counts
-// added.
+// AppendAll leaves the trace that adding every record directly would
+// have left: the fragments' explicit records rebased onto the arena,
+// their locations interned in first-use order, their contexts mapped,
+// their counts added — onto an empty trace and onto one holding records.
 func TestAppendEqualsDirectAdds(t *testing.T) {
 	locs := []ir.Loc{{File: "a.mir", Line: 1}, {File: "a.mir", Line: 2}, {File: "a.mir", Line: 3}}
 	type ev struct {
 		loc, ctx int
 		affine   bool
 	}
-	parts := [][]ev{{{0, 5, false}, {1, 5, true}}, {{2, 7, true}, {0, 9, false}, {2, 7, false}}}
+	calls := [][][]ev{{{{0, 5, false}, {1, 5, true}}}, {{{2, 7, true}, {0, 9, false}, {2, 7, false}}, {{1, 9, false}, {0, 5, true}}}}
 	add := func(tr *KernelTrace, i int, e ev, ctx int32) {
 		rec, addrs := scattered(int32(i), uint64(i))
 		if e.affine {
@@ -235,24 +263,31 @@ func TestAppendEqualsDirectAdds(t *testing.T) {
 	want := NewKernelTrace("k", 0, [3]int{1, 1, 1}, block)
 	got := NewKernelTrace("k", 0, [3]int{1, 1, 1}, block)
 	i := 0
-	for _, part := range parts {
-		// The fragment numbers its contexts 0, 1, … in first-use order;
-		// ctx maps them back.
-		frag := NewKernelTrace("k", 0, [3]int{1, 1, 1}, block)
-		var ctx []int32
-		local := map[int]int32{}
-		for _, e := range part {
-			add(want, i, e, int32(e.ctx))
-			if _, ok := local[e.ctx]; !ok {
-				local[e.ctx] = int32(len(ctx))
-				ctx = append(ctx, int32(e.ctx))
+	for _, parts := range calls {
+		var frags []*KernelTrace
+		var ctxs [][]int32
+		for _, part := range parts {
+			// The fragment numbers its contexts 0, 1, … in first-use
+			// order; its ctxs row maps them back.
+			frag := NewKernelTrace("k", 0, [3]int{1, 1, 1}, block)
+			var ctx []int32
+			local := map[int]int32{}
+			for _, e := range part {
+				add(want, i, e, int32(e.ctx))
+				if _, ok := local[e.ctx]; !ok {
+					local[e.ctx] = int32(len(ctx))
+					ctx = append(ctx, int32(e.ctx))
+				}
+				add(frag, i, e, local[e.ctx])
+				i++
 			}
-			add(frag, i, e, local[e.ctx])
-			i++
+			frags, ctxs = append(frags, frag), append(ctxs, ctx)
 		}
-		got.Append(frag, ctx)
-		if len(frag.Mem) != 0 || len(frag.Blocks) != 0 || len(frag.arena) != 0 {
-			t.Fatal("Append left records in the fragment")
+		got.AppendAll(frags, ctxs)
+		for _, frag := range frags {
+			if len(frag.Mem) != 0 || len(frag.Blocks) != 0 || len(frag.arena) != 0 {
+				t.Fatal("AppendAll left records in a fragment")
+			}
 		}
 	}
 	if !reflect.DeepEqual(want.Mem, got.Mem) || !reflect.DeepEqual(want.Blocks, got.Blocks) ||
@@ -263,4 +298,76 @@ func TestAppendEqualsDirectAdds(t *testing.T) {
 		t.Errorf("seen %d/%d, want %d/%d", got.MemSeen, got.BlocksSeen, want.MemSeen, want.BlocksSeen)
 	}
 	checkArena(t, got)
+}
+
+// TestAppendAllMatchesOrdered splits seeded random event streams — full
+// and partial masks, affine and explicit records, five locations and
+// contexts from a small tree — at random points into per-SM fragments,
+// as a fanned-out launch records them, and checks that AppendAll gives
+// the trace the ordered stream records, record for record, and exactly
+// sized buffers.
+func TestAppendAllMatchesOrdered(t *testing.T) {
+	locs := make([]ir.Loc, 5)
+	for i := range locs {
+		locs[i] = ir.Loc{File: "k.mir", Line: 10 * (i + 1)}
+	}
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		block := [3]int{8 << rng.Intn(3), 2, 1}
+		ordered := NewKernelTrace("k", 0, [3]int{4, 1, 1}, block)
+		var frags []*KernelTrace
+		var ctxs [][]int32
+		var frag *KernelTrace
+		var local map[int32]int32
+		for i, n := 0, 50+rng.Intn(200); i < n; i++ {
+			if frag == nil || rng.Intn(40) == 0 {
+				frag, local = NewKernelTrace("k", 0, [3]int{4, 1, 1}, block), map[int32]int32{}
+				frags, ctxs = append(frags, frag), append(ctxs, nil)
+			}
+			loc, ctx := locs[rng.Intn(len(locs))], int32(1+rng.Intn(6))
+			id, ok := local[ctx]
+			if !ok {
+				id = int32(len(ctxs[len(ctxs)-1]))
+				local[ctx], ctxs[len(ctxs)-1] = id, append(ctxs[len(ctxs)-1], ctx)
+			}
+			rec := MemAccess{CTA: int32(rng.Intn(4)), Warp: int32(rng.Intn(2)), Mask: 0xFFFFFFFF, Bits: 32}
+			if rng.Intn(3) == 0 {
+				rec.Mask = rng.Uint32()
+			}
+			addrs := affineLanes(block[0], uint64(rng.Intn(1<<20)), int64(rng.Intn(9)-4)*4, int64(rng.Intn(3))*512)
+			if rng.Intn(3) == 0 {
+				addrs[rng.Intn(WarpSize)] ^= 1 << 40 // explicit, unless that lane is masked out
+			}
+			blockRec := BlockExec{CTA: rec.CTA, Warp: rec.Warp, Mask: rec.Mask, Block: int32(i)}
+			rec.Loc, rec.Ctx, blockRec.Loc, blockRec.Ctx = ordered.Locs.Intern(loc), ctx, ordered.Locs.Intern(loc), ctx
+			ordered.AddMem(rec, &addrs)
+			ordered.AddBlock(blockRec)
+			rec.Loc, rec.Ctx, blockRec.Loc, blockRec.Ctx = frag.Locs.Intern(loc), id, frag.Locs.Intern(loc), id
+			frag.AddMem(rec, &addrs)
+			frag.AddBlock(blockRec)
+		}
+		got := NewKernelTrace("k", 0, [3]int{4, 1, 1}, block)
+		got.AppendAll(frags, ctxs)
+		if len(got.Mem) != len(ordered.Mem) || cap(got.Mem) > len(got.Mem)*5/4+1 {
+			t.Fatalf("seed %d: %d records in %d capacity, want %d", seed, len(got.Mem), cap(got.Mem), len(ordered.Mem))
+		}
+		var wa, ga [WarpSize]uint64
+		for i := range ordered.Mem {
+			w, g := &ordered.Mem[i], &got.Mem[i]
+			ordered.LaneAddrs(w, &wa)
+			got.LaneAddrs(g, &ga)
+			for l := 0; l < WarpSize; l++ {
+				if w.Mask&(1<<uint(l)) != 0 && wa[l] != ga[l] {
+					t.Fatalf("seed %d record %d lane %d: %#x, ordered %#x", seed, i, l, ga[l], wa[l])
+				}
+			}
+			if *w != *g {
+				t.Fatalf("seed %d record %d: %+v, ordered %+v", seed, i, *g, *w)
+			}
+		}
+		if !reflect.DeepEqual(ordered.Blocks, got.Blocks) || !reflect.DeepEqual(ordered.arena, got.arena) ||
+			!reflect.DeepEqual(ordered.Locs, got.Locs) || ordered.MemSeen != got.MemSeen || ordered.BlocksSeen != got.BlocksSeen {
+			t.Fatalf("seed %d: blocks, arena, locations or counts differ from the ordered trace", seed)
+		}
+	}
 }

@@ -22,6 +22,7 @@ package trace
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"cudaadvisor/internal/ir"
@@ -186,15 +187,38 @@ func (t *KernelTrace) admit(n int, period *int64, seen map[warpID]int64, id warp
 	return seq%*period == 0
 }
 
-// appendMem is the one encoder. It proposes strides — the lane stride
-// from the first two active lanes that share a row, the row stride from
-// the first active lanes of two rows — and keeps the affine form only if
-// it reproduces every active lane exactly (all arithmetic is modulo
-// 2^64); otherwise the active lanes' addresses go to the arena.
+// appendMem is the one encoder. A full mask is affine when one scan of
+// the lane differences finds the lane stride between neighbours in a row
+// and one row step between rows. Under any other mask it proposes
+// strides — the lane stride from the first two active lanes that share a
+// row, the row stride from the first active lanes of two rows — and
+// keeps the affine form only if it reproduces every active lane exactly.
+// All arithmetic is modulo 2^64; a row that is not affine sends the
+// active lanes' addresses to the arena.
 func (t *KernelTrace) appendMem(rec MemAccess, addrs *[WarpSize]uint64) {
 	rec.explicit, rec.base, rec.stride, rec.rowStride = false, 0, 0, 0
-	if rec.Mask != 0 {
-		sh, xMask := t.rowShift, 1<<t.rowShift-1
+	sh, xMask := t.rowShift, 1<<t.rowShift-1
+	switch {
+	case rec.Mask == 1<<WarpSize-1:
+		var stride, step uint64
+		if xMask > 0 {
+			stride = addrs[1] - addrs[0]
+		}
+		if xMask < WarpSize-1 {
+			step = addrs[xMask+1] - addrs[xMask]
+		}
+		for l := 1; l < WarpSize && !rec.explicit; l++ {
+			want := step
+			if l&xMask != 0 {
+				want = stride
+			}
+			rec.explicit = addrs[l]-addrs[l-1] != want
+		}
+		rec.base, rec.stride = addrs[0], int64(stride)
+		if xMask < WarpSize-1 {
+			rec.rowStride = int64(step + stride*uint64(xMask))
+		}
+	case rec.Mask != 0:
 		first := bits.TrailingZeros32(rec.Mask)
 		for prev, rest := first, rec.Mask&(rec.Mask-1); rest != 0; rest &= rest - 1 {
 			l := bits.TrailingZeros32(rest)
@@ -215,11 +239,11 @@ func (t *KernelTrace) appendMem(rec MemAccess, addrs *[WarpSize]uint64) {
 			l := bits.TrailingZeros32(rest)
 			rec.explicit = addrs[l] != rec.laneAddr(l, sh)
 		}
-		if rec.explicit {
-			rec.base = uint64(len(t.arena))
-			for rest := rec.Mask; rest != 0; rest &= rest - 1 {
-				t.arena = append(t.arena, addrs[bits.TrailingZeros32(rest)])
-			}
+	}
+	if rec.explicit {
+		rec.base, rec.stride, rec.rowStride = uint64(len(t.arena)), 0, 0
+		for rest := rec.Mask; rest != 0; rest &= rest - 1 {
+			t.arena = append(t.arena, addrs[bits.TrailingZeros32(rest)])
 		}
 	}
 	t.Mem = append(t.Mem, rec)
@@ -228,6 +252,13 @@ func (t *KernelTrace) appendMem(rec MemAccess, addrs *[WarpSize]uint64) {
 // laneAddr evaluates the affine form at lane l.
 func (m *MemAccess) laneAddr(l int, rowShift uint8) uint64 {
 	return m.base + uint64(m.stride)*uint64(l&(1<<rowShift-1)) + uint64(m.rowStride)*uint64(l>>rowShift)
+}
+
+// Uniform returns the one address every active lane of m, a record of
+// t.Mem, holds, and whether there is one: an affine record with no lane
+// and no row stride. A record with no active lane has none.
+func (t *KernelTrace) Uniform(m *MemAccess) (uint64, bool) {
+	return m.base, m.Mask != 0 && !m.explicit && m.stride == 0 && m.rowStride == 0
 }
 
 // LaneAddrs expands m, a record of t.Mem, into the effective address of every lane in m.Mask.
@@ -240,8 +271,11 @@ func (t *KernelTrace) LaneAddrs(m *MemAccess, out *[WarpSize]uint64) {
 		}
 		return
 	}
-	for l := range out {
-		out[l] = m.laneAddr(l, t.rowShift)
+	w := 1 << t.rowShift
+	for l, row := 0, m.base; l < WarpSize; l, row = l+w, row+uint64(m.rowStride) {
+		for a, x := row, l; x < l+w; a, x = a+uint64(m.stride), x+1 {
+			out[x] = a
+		}
 	}
 }
 
@@ -291,37 +325,41 @@ func compactEveryOther[T any](recs []T, key func(*T) warpID) []T {
 	return out
 }
 
-// Append moves the records of frag, an uncapped trace of the same
-// thread-block shape, onto the end of t, as if each had been added to t
-// directly: frag's locations are interned into t.Locs in frag's id order,
-// every record's Ctx becomes ctx[Ctx], explicit records are rebased onto
-// t's arena, and frag's event counts add to t's. frag is left without
-// records.
-func (t *KernelTrace) Append(frag *KernelTrace, ctx []int32) {
-	locs := make([]int32, len(frag.Locs.locs))
-	for i, loc := range frag.Locs.locs {
-		locs[i] = t.Locs.Intern(loc)
+// AppendAll moves the records of frags, uncapped traces of the same
+// thread-block shape, onto the end of t in order, as if each had been
+// added to t directly: fragment i's locations are interned into t.Locs
+// in its id order, each of its records' Ctx becomes ctxs[i][Ctx], its
+// explicit records are rebased onto t's arena, and its event counts add
+// to t's. Mem, Blocks and the arena grow once, to the size they end at,
+// and each fragment is left without records once copied.
+func (t *KernelTrace) AppendAll(frags []*KernelTrace, ctxs [][]int32) {
+	var nMem, nBlocks, nArena int
+	for _, f := range frags {
+		nMem, nBlocks, nArena = nMem+len(f.Mem), nBlocks+len(f.Blocks), nArena+len(f.arena)
 	}
-	base := uint64(len(t.arena))
-	t.arena = append(t.arena, frag.arena...)
-	n := len(t.Mem)
-	t.Mem = append(t.Mem, frag.Mem...)
-	for i := range t.Mem[n:] {
-		m := &t.Mem[n+i]
-		m.Loc, m.Ctx = locs[m.Loc], ctx[m.Ctx]
-		if m.explicit {
-			m.base += base
+	t.Mem, t.Blocks, t.arena = slices.Grow(t.Mem, nMem), slices.Grow(t.Blocks, nBlocks), slices.Grow(t.arena, nArena)
+	for i, f := range frags {
+		locs := make([]int32, len(f.Locs.locs))
+		for j, loc := range f.Locs.locs {
+			locs[j] = t.Locs.Intern(loc)
 		}
+		ctx, base := ctxs[i], uint64(len(t.arena))
+		t.arena = append(t.arena, f.arena...)
+		for _, m := range f.Mem {
+			m.Loc, m.Ctx = locs[m.Loc], ctx[m.Ctx]
+			if m.explicit {
+				m.base += base
+			}
+			t.Mem = append(t.Mem, m)
+		}
+		for _, b := range f.Blocks {
+			b.Loc, b.Ctx = locs[b.Loc], ctx[b.Ctx]
+			t.Blocks = append(t.Blocks, b)
+		}
+		t.MemSeen += f.MemSeen
+		t.BlocksSeen += f.BlocksSeen
+		f.Mem, f.Blocks, f.arena = nil, nil, nil
 	}
-	n = len(t.Blocks)
-	t.Blocks = append(t.Blocks, frag.Blocks...)
-	for i := range t.Blocks[n:] {
-		b := &t.Blocks[n+i]
-		b.Loc, b.Ctx = locs[b.Loc], ctx[b.Ctx]
-	}
-	t.MemSeen += frag.MemSeen
-	t.BlocksSeen += frag.BlocksSeen
-	frag.Mem, frag.Blocks, frag.arena = nil, nil, nil
 }
 
 // Release lets go of the record buffers, the arena and the sampling

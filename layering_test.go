@@ -44,7 +44,7 @@ func yieldsTrace(e ast.Expr) bool {
 
 // TestTraceHasOneReader pins DESIGN.md §7's layering by syntax: outside
 // internal/trace and internal/analysis no non-test file reads a kernel
-// trace's records (.Mem, .Blocks, LaneAddrs), and outside
+// trace's records (.Mem, .Blocks, LaneAddrs, Uniform), and outside
 // internal/profiler none calls a per-instance derivation. bench/ is its
 // own module with its own rules.
 func TestTraceHasOneReader(t *testing.T) {
@@ -103,8 +103,8 @@ func TestTraceHasOneReader(t *testing.T) {
 			at := fset.Position(sel.Pos())
 			switch name := sel.Sel.Name; {
 			case readsRecords:
-			case name == "LaneAddrs":
-				t.Errorf("%s: LaneAddrs outside internal/trace and internal/analysis", at)
+			case name == "LaneAddrs" || name == "Uniform":
+				t.Errorf("%s: %s outside internal/trace and internal/analysis", at, name)
 			case name == "Mem" || name == "Blocks":
 				id, _ := sel.X.(*ast.Ident)
 				if yieldsTrace(sel.X) || id != nil && traces[id.Name] {
