@@ -20,7 +20,6 @@ import (
 	"cudaadvisor/internal/analysis"
 	"cudaadvisor/internal/apps"
 	"cudaadvisor/internal/bypass"
-	"cudaadvisor/internal/core"
 	"cudaadvisor/internal/experiments"
 	"cudaadvisor/internal/gpu"
 	"cudaadvisor/internal/instrument"
@@ -247,7 +246,7 @@ func BenchmarkAblationVerticalVsHorizontalBicg(b *testing.B) {
 				bypass.ApplyVertical(m, plan)
 			}
 			counter := rt.NewCycleCounter()
-			ctx := rt.NewContext(gpu.NewDevice(cfg, core.DefaultDeviceMem), counter)
+			ctx := rt.NewContext(gpu.NewDevice(cfg, experiments.DefaultDeviceMem), counter)
 			ctx.Options.L1Warps = l1Warps
 			if err := a.Run(ctx, instrument.NativeProgram(m), experiments.BypassRunScale); err != nil {
 				b.Fatal(err)

@@ -15,11 +15,11 @@ import (
 )
 
 // getters reads every exported getter of a bundle, by name.
-func getters(a *profiler.Analyses, lineSize int) map[string]any {
+func getters(a *profiler.Analyses) map[string]any {
 	mem, blocks := a.Coverage()
 	return map[string]any{
-		"Coverage": [2]analysis.Events{mem, blocks}, "Reuse(line)": a.Reuse(analysis.LineReuse(lineSize)),
-		"ReuseElem": a.ReuseElem(), "ReuseElemByKernel": a.ReuseElemByKernel(), "ReuseLine": a.ReuseLine(),
+		"Coverage": [2]analysis.Events{mem, blocks}, "ReuseElem": a.ReuseElem(),
+		"ReuseElemByKernel": a.ReuseElemByKernel(), "ReuseLine": a.ReuseLine(),
 		"MemDiv": a.MemDiv(), "BranchDiv": a.BranchDiv(), "SharedBank": a.SharedBank(),
 		"SiteReuse": a.SiteReuse(), "ReusedByContext": a.ReusedByContext(), "SharedRaces": a.SharedRaces(),
 	}
@@ -48,7 +48,7 @@ func TestParallelDeriveMatchesSerial(t *testing.T) {
 				walks := map[analysis.ReuseOptions]int{}
 				restore := analysis.OnWalk(func(opt analysis.ReuseOptions) { walks[opt]++ })
 				run := &profiler.Profiler{Kernels: p.Kernels, Pool: pool} // the same instances, a bundle of its own
-				got := getters(run.Analyses(cfg.L1LineSize), cfg.L1LineSize)
+				got := getters(run.Analyses(cfg.L1LineSize))
 				restore()
 				if pool == nil {
 					want, wantWalks = got, walks

@@ -25,7 +25,6 @@ import (
 	"cudaadvisor/internal/analysis"
 	"cudaadvisor/internal/apps"
 	"cudaadvisor/internal/bypass"
-	"cudaadvisor/internal/core"
 	"cudaadvisor/internal/faultinject"
 	"cudaadvisor/internal/gpu"
 	"cudaadvisor/internal/instrument"
@@ -36,11 +35,16 @@ import (
 	"cudaadvisor/internal/runner"
 )
 
+// DefaultDeviceMem is the simulated global-memory capacity of every
+// device a cell creates. It is a limit: the device backs only what a run
+// allocates or stores to.
+const DefaultDeviceMem = 512 << 20
+
 // newContext is the one place a cell gets its simulated machine: a fresh
 // device of the standard capacity under a host context with the cell's
 // listener (nil runs natively) and launch policies.
 func newContext(cfg gpu.ArchConfig, l rt.Listener, opts rt.LaunchOptions) *rt.Context {
-	c := rt.NewContext(gpu.NewDevice(cfg, core.DefaultDeviceMem), l)
+	c := rt.NewContext(gpu.NewDevice(cfg, DefaultDeviceMem), l)
 	c.Options = opts
 	return c
 }

@@ -15,9 +15,7 @@ import (
 	"strconv"
 	"sync"
 
-	"cudaadvisor/internal/analysis"
 	"cudaadvisor/internal/apps"
-	"cudaadvisor/internal/core"
 	"cudaadvisor/internal/export"
 	"cudaadvisor/internal/findings"
 	"cudaadvisor/internal/gpu"
@@ -233,7 +231,7 @@ func (r *Request) view() (instrument.Options, string, func(io.Writer, *profiler.
 			view += "+smem"
 		}
 		return opts, view, func(w io.Writer, p *profiler.Profiler) error {
-			r.renderProfile(w, core.FromProfile(r.Arch, opts, p))
+			r.renderProfile(w, p)
 			return nil
 		}
 	case r.Command == "export" && r.Format == "chrome":
@@ -329,24 +327,25 @@ func writeReport(w io.Writer, rep *findings.Report, format string) error {
 }
 
 // renderProfile writes the `profile` report sections.
-func (r *Request) renderProfile(w io.Writer, adv *core.Advisor) {
-	fmt.Fprintf(w, "profiled %s on %s: %d kernel instances\n\n", r.App.Name, r.Arch.Name, len(adv.Kernels()))
+func (r *Request) renderProfile(w io.Writer, p *profiler.Profiler) {
+	an := p.Analyses(r.Arch.L1LineSize)
+	fmt.Fprintf(w, "profiled %s on %s: %d kernel instances\n\n", r.App.Name, r.Arch.Name, len(p.Kernels))
 	if r.Mode == "rd" || r.Mode == "all" {
-		report.ReuseHistogram(w, r.App.Name, adv.ReuseDistance(analysis.DefaultElementReuse()))
+		report.ReuseHistogram(w, r.App.Name, an.ReuseElem())
 		fmt.Fprintln(w)
 	}
 	if r.Mode == "md" || r.Mode == "all" {
-		report.MemDivDistribution(w, r.App.Name, adv.MemDivergence())
+		report.MemDivDistribution(w, r.App.Name, an.MemDiv())
 		fmt.Fprintln(w)
 	}
 	if r.Mode == "bd" || r.Mode == "all" {
-		adv.WriteBranchDivergenceReport(w)
+		report.BranchDivergence(w, an.BranchDiv())
 		fmt.Fprintln(w)
 	}
 	if r.Smem {
-		adv.WriteSharedMemReport(w)
+		report.SharedMem(w, an.SharedBank(), an.SharedRaces())
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintln(w, "most memory-divergent sites (code-centric view):")
-	adv.WriteCodeCentric(w, 3)
+	report.CodeCentric(w, p, an.MemDiv(), 3)
 }

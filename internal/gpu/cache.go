@@ -32,14 +32,6 @@ type CacheStats struct {
 	Writes   int64 // write transactions (write-through, never allocate)
 }
 
-// HitRate returns hits/accesses, or 0 when there were no accesses.
-func (s CacheStats) HitRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Accesses)
-}
-
 func newL1(cfg ArchConfig) *l1cache {
 	sets := cfg.L1Sets()
 	if sets < 1 {

@@ -152,12 +152,11 @@ type SMSchedule struct {
 
 // LaunchResult reports functional and model-timing outcomes of a launch.
 type LaunchResult struct {
-	Cycles      int64 // modeled kernel duration (max over SMs)
-	WarpInstrs  int64 // dynamic warp-level instructions executed
-	HookCalls   int64
-	Cache       CacheStats
-	CTAs        int
-	WarpsPerCTA int
+	Cycles     int64 // modeled kernel duration (max over SMs)
+	WarpInstrs int64 // dynamic warp-level instructions executed
+	HookCalls  int64
+	Cache      CacheStats
+	CTAs       int
 
 	// SharedRaces lists, per load site and sorted by location, the lane
 	// reads that hit a word another thread wrote in the same barrier
@@ -342,7 +341,6 @@ func (d *Device) Launch(kernel *ir.Function, p LaunchParams) (*LaunchResult, err
 	nCTAs := p.Grid[0] * p.Grid[1] * p.Grid[2]
 	warpsPerCTA := (threadsPerCTA + WarpSize - 1) / WarpSize
 	ls.res.CTAs = nCTAs
-	ls.res.WarpsPerCTA = warpsPerCTA
 
 	// Static round-robin CTA-to-SM distribution, as on hardware when all
 	// CTAs have equal cost.

@@ -100,8 +100,8 @@ func TestLaunchVectorScale(t *testing.T) {
 	if res.Cycles <= 0 || res.WarpInstrs <= 0 {
 		t.Errorf("result not populated: %+v", res)
 	}
-	if res.CTAs != 8 || res.WarpsPerCTA != 4 {
-		t.Errorf("CTAs/warps = %d/%d, want 8/4", res.CTAs, res.WarpsPerCTA)
+	if res.CTAs != 8 {
+		t.Errorf("CTAs = %d, want 8", res.CTAs)
 	}
 	if res.Cache.Accesses == 0 {
 		t.Error("no L1 accesses recorded")

@@ -144,14 +144,9 @@ func (a *Analyses) reuse(opt analysis.ReuseOptions, hist bool) *reuseProfile {
 	})
 }
 
-// Reuse is the reuse-distance profile under the given model.
-func (a *Analyses) Reuse(opt analysis.ReuseOptions) *analysis.ReuseResult {
-	return &a.reuse(opt, true).total
-}
-
 // ReuseElem is the element-based reuse-distance profile (Figure 4).
 func (a *Analyses) ReuseElem() *analysis.ReuseResult {
-	return a.Reuse(analysis.DefaultElementReuse())
+	return &a.reuse(analysis.DefaultElementReuse(), true).total
 }
 
 // ReuseElemByKernel is ReuseElem per kernel name: the instances of one
@@ -163,7 +158,7 @@ func (a *Analyses) ReuseElemByKernel() map[string]*analysis.ReuseResult {
 // ReuseLine is the line-based reuse-distance profile at the run's cache
 // line size (the R.D. input of the Eq. (1) bypass model).
 func (a *Analyses) ReuseLine() *analysis.ReuseResult {
-	return a.Reuse(analysis.LineReuse(a.lineSize))
+	return &a.reuse(analysis.LineReuse(a.lineSize), true).total
 }
 
 // MemDiv is the memory-divergence profile at the run's line size

@@ -110,7 +110,7 @@ func TestAnalysesEqualExplicitMerge(t *testing.T) {
 		}
 		a := p.Analyses(cfg.L1LineSize)
 		want.check(t, a)
-		if a.MemDiv() != a.MemDiv() || a.ReuseLine() != a.Reuse(analysis.LineReuse(cfg.L1LineSize)) {
+		if a.MemDiv() != a.MemDiv() || a.ReuseLine() != a.ReuseLine() {
 			t.Errorf("%s: an aggregate was derived twice", name)
 		}
 		if err := a.Detach(context.Background()); err != nil {
@@ -166,11 +166,11 @@ func TestAnalysesConcurrentFirstUse(t *testing.T) {
 }
 
 // getters reads every exported getter of a bundle, by name.
-func getters(a *profiler.Analyses, lineSize int) map[string]any {
+func getters(a *profiler.Analyses) map[string]any {
 	mem, blocks := a.Coverage()
 	return map[string]any{
-		"Coverage": [2]analysis.Events{mem, blocks}, "Reuse(line)": a.Reuse(analysis.LineReuse(lineSize)),
-		"ReuseElem": a.ReuseElem(), "ReuseElemByKernel": a.ReuseElemByKernel(), "ReuseLine": a.ReuseLine(),
+		"Coverage": [2]analysis.Events{mem, blocks}, "ReuseElem": a.ReuseElem(),
+		"ReuseElemByKernel": a.ReuseElemByKernel(), "ReuseLine": a.ReuseLine(),
 		"MemDiv": a.MemDiv(), "BranchDiv": a.BranchDiv(), "SharedBank": a.SharedBank(),
 		"SiteReuse": a.SiteReuse(), "ReusedByContext": a.ReusedByContext(), "SharedRaces": a.SharedRaces(),
 	}
@@ -203,8 +203,8 @@ func TestDetachKeepsEveryGetter(t *testing.T) {
 		if runs[1].Analyses(cfg.L1LineSize) != detached {
 			t.Errorf("%s: the detached run handed out a second bundle", name)
 		}
-		want := getters(live, cfg.L1LineSize)
-		for getter, got := range getters(detached, cfg.L1LineSize) {
+		want := getters(live)
+		for getter, got := range getters(detached) {
 			if !reflect.DeepEqual(got, want[getter]) {
 				t.Errorf("%s: %s of the detached bundle differs from the live one\n got %+v\nwant %+v", name, getter, got, want[getter])
 			}

@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"cudaadvisor/internal/apps"
-	"cudaadvisor/internal/core"
+	"cudaadvisor/internal/experiments"
 	"cudaadvisor/internal/gpu"
 	"cudaadvisor/internal/instrument"
 	"cudaadvisor/internal/ir"
@@ -72,7 +72,7 @@ func profileApp(t *testing.T, app *apps.App, cfg gpu.ArchConfig, opts instrument
 	if ordered {
 		l = orderedListener{p}
 	}
-	c := rt.NewContext(gpu.NewDevice(cfg, core.DefaultDeviceMem), l)
+	c := rt.NewContext(gpu.NewDevice(cfg, experiments.DefaultDeviceMem), l)
 	c.Options = rt.LaunchOptions{Pool: pool, RecordSchedule: true}
 	if err := app.Run(c, prog, 1); err != nil {
 		t.Fatal(err)

@@ -8,10 +8,12 @@ package report
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 
 	"cudaadvisor/internal/analysis"
 	"cudaadvisor/internal/bypass"
+	"cudaadvisor/internal/ir"
 	"cudaadvisor/internal/profiler"
 	"cudaadvisor/internal/trace"
 )
@@ -49,6 +51,18 @@ func ReuseHistogram(w io.Writer, app string, r *analysis.ReuseResult) {
 	}
 }
 
+// ReuseByKernel writes one Figure 4 panel per kernel name, in name order.
+func ReuseByKernel(w io.Writer, byKernel map[string]*analysis.ReuseResult) {
+	names := make([]string, 0, len(byKernel))
+	for name := range byKernel {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		ReuseHistogram(w, name, byKernel[name])
+	}
+}
+
 // MemDivDistribution writes one application's Figure 5 panel.
 func MemDivDistribution(w io.Writer, app string, r *analysis.MemDivResult) {
 	fmt.Fprintf(w, "memory divergence: %s (%d B lines, %d warp instructions, degree %.2f)%s\n",
@@ -75,6 +89,50 @@ func BranchDivTable(w io.Writer, rows []BranchRow) {
 type BranchRow struct {
 	App    string
 	Result *analysis.BranchDivResult
+}
+
+// BranchDivergence writes one run's Table 3 line and its five most
+// divergent blocks.
+func BranchDivergence(w io.Writer, bd *analysis.BranchDivResult) {
+	fmt.Fprintf(w, "branch divergence: %d of %d dynamic blocks divergent (%.2f%%)%s\n",
+		bd.Divergent, bd.Total, bd.Percent(), coverageNote(bd.Partial(), bd.Coverage()))
+	blocks := bd.Blocks()
+	if len(blocks) > 5 {
+		blocks = blocks[:5]
+	}
+	for _, b := range blocks {
+		fmt.Fprintf(w, "  %s/%s at %s: %d of %d executions divergent\n",
+			b.Block.Func, b.Block.Block, b.Loc, b.Divergent, b.Execs)
+	}
+}
+
+// SharedMem writes the dynamic shared-memory view: the run's average
+// bank-conflict degree, the conflicted sites, and the lane reads per
+// site, in site order, that the simulator's same-interval last-writer
+// check flagged.
+func SharedMem(w io.Writer, sb *analysis.SharedBankResult, races map[ir.Loc]int64) {
+	fmt.Fprintf(w, "shared memory: %d warp accesses, average bank-conflict degree %.2f%s\n",
+		sb.Total, sb.Degree(), coverageNote(sb.Partial(), sb.Coverage()))
+	for _, s := range sb.Sites() {
+		if s.MaxDegree <= 1 {
+			continue
+		}
+		fmt.Fprintf(w, "  %s: %d accesses, degree %.2f (max %d), %d extra bank passes\n",
+			s.Loc, s.Count, s.Degree(), s.MaxDegree, s.ReplaySum)
+	}
+	if len(races) == 0 {
+		fmt.Fprintln(w, "  no same-interval races observed")
+		return
+	}
+	locs := make([]ir.Loc, 0, len(races))
+	for loc := range races {
+		locs = append(locs, loc)
+	}
+	sort.Slice(locs, func(i, j int) bool { return locs[i].Less(locs[j]) })
+	for _, loc := range locs {
+		fmt.Fprintf(w, "  RACE at %s: %d lane reads hit another thread's same-interval write\n",
+			loc, races[loc])
+	}
 }
 
 // BypassComparison writes one Figures 6/7 group: normalized execution

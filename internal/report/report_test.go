@@ -6,6 +6,7 @@ import (
 
 	"cudaadvisor/internal/analysis"
 	"cudaadvisor/internal/bypass"
+	"cudaadvisor/internal/ir"
 	"cudaadvisor/internal/trace"
 )
 
@@ -53,6 +54,53 @@ func TestBranchDivTable(t *testing.T) {
 	}
 	if !strings.Contains(out, "0.00%") {
 		t.Errorf("bicg percentage wrong:\n%s", out)
+	}
+}
+
+// TestSampledSectionsSayWhatTheyRead: a profile section whose trace
+// fell back to sampling carries the coverage note that every other
+// section does, and a complete one carries none.
+func TestSampledSectionsSayWhatTheyRead(t *testing.T) {
+	sampled := analysis.Events{EventsRecorded: 5311, EventsSeen: 7903}
+	for _, c := range []struct {
+		name   string
+		render func(*strings.Builder, analysis.Events)
+	}{
+		{"branch", func(sb *strings.Builder, e analysis.Events) {
+			BranchDivergence(sb, &analysis.BranchDivResult{Divergent: 864, Total: 5311, Events: e})
+		}},
+		{"shared", func(sb *strings.Builder, e analysis.Events) {
+			SharedMem(sb, &analysis.SharedBankResult{Total: 10, Events: e}, nil)
+		}},
+	} {
+		var full, part strings.Builder
+		c.render(&full, analysis.Events{EventsRecorded: 7903, EventsSeen: 7903})
+		c.render(&part, sampled)
+		first := func(s string) string { return s[:strings.IndexByte(s, '\n')] }
+		if got, want := first(part.String()), first(full.String())+" [sampled: 67.2% of events]"; got != want {
+			t.Errorf("%s: sampled line = %q, want %q", c.name, got, want)
+		}
+		if strings.Contains(full.String(), "sampled") {
+			t.Errorf("%s: a complete profile reads as sampled:\n%s", c.name, full.String())
+		}
+	}
+}
+
+// TestSharedMemRacesInSiteOrder: the races print in site order, whatever
+// order the map hands them out in.
+func TestSharedMemRacesInSiteOrder(t *testing.T) {
+	races := map[ir.Loc]int64{
+		{File: "k.mir", Line: 9}: 3, {File: "k.mir", Line: 2}: 5, {File: "a.mir", Line: 40}: 1,
+	}
+	var sb strings.Builder
+	SharedMem(&sb, &analysis.SharedBankResult{}, races)
+	want := `shared memory: 0 warp accesses, average bank-conflict degree 0.00
+  RACE at a.mir:40:0: 1 lane reads hit another thread's same-interval write
+  RACE at k.mir:2:0: 5 lane reads hit another thread's same-interval write
+  RACE at k.mir:9:0: 3 lane reads hit another thread's same-interval write
+`
+	if sb.String() != want {
+		t.Errorf("shared memory view:\n%s\nwant:\n%s", sb.String(), want)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 	"cudaadvisor/internal/analysis"
 	"cudaadvisor/internal/apps"
-	"cudaadvisor/internal/core"
+	"cudaadvisor/internal/experiments"
 	"cudaadvisor/internal/findings"
 	"cudaadvisor/internal/gpu"
 	"cudaadvisor/internal/instrument"
@@ -55,15 +55,11 @@ func TestCrossValidateBranchDivergence(t *testing.T) {
 	for _, app := range apps.InTableOrder() {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
-			adv := core.New(cfg, instrument.MemorySharedAndBlocks())
-			prog, err := app.Instrumented(adv.Opts)
+			p, err := experiments.Profile(app, cfg, instrument.MemorySharedAndBlocks(), 1)
 			if err != nil {
-				t.Fatalf("instrument: %v", err)
+				t.Fatalf("profile: %v", err)
 			}
-			if err := app.Run(adv.Context(), prog, 1); err != nil {
-				t.Fatalf("run: %v", err)
-			}
-			dyn := adv.BranchDivergence()
+			dyn := p.Analyses(cfg.L1LineSize).BranchDiv()
 
 			m, err := app.Module()
 			if err != nil {
@@ -87,7 +83,7 @@ func TestCrossValidateBranchDivergence(t *testing.T) {
 			// The joined view: every finding must carry corroborating
 			// observations from the same run.
 			fs := findings.FromStatic(res, cfg.L1LineSize)
-			findings.Join(fs, findings.CollectProfile(adv.Profiler, cfg.L1LineSize), cfg)
+			findings.Join(fs, findings.CollectProfile(p, cfg.L1LineSize), cfg)
 			for _, f := range fs {
 				if f.Dynamic == nil || !f.Dynamic.Observed {
 					t.Errorf("finding %s at %s block %s was never observed dynamically",
@@ -146,13 +142,9 @@ func TestCrossValidateAffineEncoding(t *testing.T) {
 	for _, app := range apps.InTableOrder() {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
-			adv := core.New(cfg, instrument.Options{Memory: true})
-			prog, err := app.Instrumented(adv.Opts)
+			p, err := experiments.Profile(app, cfg, instrument.Options{Memory: true}, 1)
 			if err != nil {
-				t.Fatalf("instrument: %v", err)
-			}
-			if err := app.Run(adv.Context(), prog, 1); err != nil {
-				t.Fatalf("run: %v", err)
+				t.Fatalf("profile: %v", err)
 			}
 			m, err := app.Module()
 			if err != nil {
@@ -182,7 +174,7 @@ func TestCrossValidateAffineEncoding(t *testing.T) {
 
 			records, explicit := 0, 0
 			misfiled := make(map[ir.Loc]int)
-			for _, kp := range adv.Profiler.Kernels {
+			for _, kp := range p.Kernels {
 				for i := range kp.Trace.Mem {
 					rec := &kp.Trace.Mem[i]
 					if rec.Space != ir.Global {
@@ -223,13 +215,9 @@ func TestCrossValidateSharedMemory(t *testing.T) {
 	for _, app := range apps.InTableOrder() {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
-			adv := core.New(cfg, instrument.MemorySharedAndBlocks())
-			prog, err := app.Instrumented(adv.Opts)
+			p, err := experiments.Profile(app, cfg, instrument.MemorySharedAndBlocks(), 1)
 			if err != nil {
-				t.Fatalf("instrument: %v", err)
-			}
-			if err := app.Run(adv.Context(), prog, 1); err != nil {
-				t.Fatalf("run: %v", err)
+				t.Fatalf("profile: %v", err)
 			}
 			m, err := app.Module()
 			if err != nil {
@@ -253,7 +241,8 @@ func TestCrossValidateSharedMemory(t *testing.T) {
 				}
 			}
 
-			sb := adv.SharedBankConflicts()
+			an := p.Analyses(cfg.L1LineSize)
+			sb := an.SharedBank()
 			for _, s := range sb.Sites() {
 				p, ok := predicted[s.Loc]
 				if !ok {
@@ -265,10 +254,10 @@ func TestCrossValidateSharedMemory(t *testing.T) {
 						s.Loc, s.MaxDegree, p)
 				}
 			}
-			for _, rs := range adv.SharedRaces() {
-				if !raceFlagged[rs.Loc] {
+			for loc, n := range an.SharedRaces() {
+				if !raceFlagged[loc] {
 					t.Errorf("false negative: dynamic race at %s (%d reads) not statically flagged",
-						rs.Loc, rs.Count)
+						loc, n)
 				}
 			}
 		})
@@ -291,13 +280,9 @@ func TestCrossValidateUniformBroadcast(t *testing.T) {
 			if app == nil {
 				t.Fatalf("app %s not registered", name)
 			}
-			adv := core.New(cfg, instrument.MemoryAndBlocks())
-			prog, err := app.Instrumented(adv.Opts)
+			p, err := experiments.Profile(app, cfg, instrument.MemoryAndBlocks(), 1)
 			if err != nil {
-				t.Fatalf("instrument: %v", err)
-			}
-			if err := app.Run(adv.Context(), prog, 1); err != nil {
-				t.Fatalf("run: %v", err)
+				t.Fatalf("profile: %v", err)
 			}
 			m, err := app.Module()
 			if err != nil {
@@ -308,7 +293,7 @@ func TestCrossValidateUniformBroadcast(t *testing.T) {
 				t.Fatalf("analyze: %v", err)
 			}
 			fs := findings.FromStatic(res, cfg.L1LineSize)
-			findings.Join(fs, findings.CollectProfile(adv.Profiler, cfg.L1LineSize), cfg)
+			findings.Join(fs, findings.CollectProfile(p, cfg.L1LineSize), cfg)
 
 			uniform := 0
 			for _, f := range fs {

@@ -8,6 +8,7 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"maps"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -369,6 +370,8 @@ var unreadFieldOK = map[string]bool{
 	"internal/gpu.WarpView.Cycle": true,
 	// Summed over shards into LaunchResult.Cache, which
 	// TestSchedulerOrderGolden prints whole and the bypass tests read.
+	"internal/gpu.CacheStats.Accesses": true,
+	"internal/gpu.CacheStats.Hits":     true,
 	"internal/gpu.CacheStats.Misses":   true,
 	"internal/gpu.CacheStats.Bypassed": true,
 	"internal/gpu.CacheStats.Writes":   true,
@@ -808,5 +811,257 @@ func g(n int) {
 	want := []string{"p.T.m.s", "p.same.b", "p.spread.x"}
 	if !slices.Equal(got, want) {
 		t.Errorf("constant parameters = %v, want %v", got, want)
+	}
+}
+
+// knobOK lists fields that no non-test code sets, or that every non-test
+// write sets to one constant, but that stay, each with its reason.
+var knobOK = map[string]string{
+	// Equal on both presets of Table 1's GPUs: the model's per-SM limits,
+	// issue and hook costs, and L1 fill occupancy are hardware
+	// parameters of the simulated architecture, named so a third
+	// preset can set them, whatever two presets happen to share.
+	"internal/gpu.ArchConfig.MaxCTAsPerSM":  "resident-CTA limit per SM, a hardware parameter",
+	"internal/gpu.ArchConfig.MaxWarpsPerSM": "resident-warp limit per SM, a hardware parameter",
+	"internal/gpu.ArchConfig.IssueCost":     "cycles to issue one instruction, a hardware parameter",
+	"internal/gpu.ArchConfig.HookCost":      "cycles one instrumentation hook costs, a model parameter",
+	"internal/gpu.ArchConfig.L1FillOcc":     "L1 port cycles per miss transaction, a hardware parameter",
+	// Test seams, set by their packages' tests only.
+	"internal/gpu.LaunchParams.maxWarpInstrs": "lets a test fault a runaway kernel without running 2^31 instructions",
+	"internal/profcache.Cache.ttl":            "lets a test recover a dead writer's claim in milliseconds, not seconds",
+}
+
+// knobs returns, keyed "path.Type.field" (path trimmed of prefix), each
+// field of a package-level struct type of pkgs that no file of files
+// sets, mapped to "", or that every write sets to one constant, mapped
+// to that constant's spelling. A write is an assignment, an inc/dec, a
+// composite-literal element, taking the field's address, or calling a
+// pointer method on it. A write through an index or a sub-field
+// (x.F[k] = v, x.F.G++) writes F too, as a varying value, like every
+// write of a value that is not a constant (nil counts as one). Exempt
+// are embedded fields, fields with a json: tag, fields of a sync or
+// sync/atomic type, and bools set to true only.
+func knobs(info *types.Info, files []*ast.File, pkgs []*types.Package, prefix string) map[string]string {
+	const varies = "\x00"
+	set := map[*types.Var]string{} // per field written: the one constant, or varies
+	write := func(f *types.Var, v string) {
+		f = f.Origin()
+		if old, ok := set[f]; ok && old != v {
+			v = varies
+		}
+		set[f] = v
+	}
+	value := func(e ast.Expr) string {
+		switch tv := info.Types[e]; {
+		case tv.Value != nil:
+			return tv.Value.ExactString()
+		case tv.IsNil():
+			return "nil"
+		}
+		return varies
+	}
+	// path writes v to the field e selects, and varies to each field e
+	// reaches it through.
+	path := func(e ast.Expr, v string) {
+		for {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.IndexExpr:
+				e, v = x.X, varies
+			case *ast.StarExpr:
+				e, v = x.X, varies
+			case *ast.SelectorExpr:
+				s := info.Selections[x]
+				if s == nil || s.Kind() != types.FieldVal {
+					return
+				}
+				write(s.Obj().(*types.Var), v)
+				e, v = x.X, varies
+			default:
+				return
+			}
+		}
+	}
+	isPointer := func(t types.Type) bool {
+		_, ok := t.Underlying().(*types.Pointer)
+		return ok
+	}
+	for _, file := range files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					v := varies
+					if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
+						v = value(n.Rhs[i])
+					}
+					path(lhs, v)
+				}
+			case *ast.IncDecStmt:
+				path(n.X, varies)
+			case *ast.RangeStmt:
+				if n.Tok == token.ASSIGN {
+					path(n.Key, varies)
+					path(n.Value, varies)
+				}
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					path(n.X, varies)
+				}
+			case *ast.SelectorExpr:
+				// A pointer method called on an addressable value takes
+				// its address.
+				if s := info.Selections[n]; s != nil && s.Kind() == types.MethodVal &&
+					isPointer(s.Obj().Type().(*types.Signature).Recv().Type()) && !isPointer(info.Types[n.X].Type) {
+					path(n.X, varies)
+				}
+			case *ast.CompositeLit:
+				t := info.Types[n].Type
+				if p, ok := t.(*types.Pointer); ok {
+					t = p.Elem()
+				}
+				st, ok := t.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						write(info.Uses[kv.Key.(*ast.Ident)].(*types.Var), value(kv.Value))
+					} else {
+						write(st.Field(i), value(elt))
+					}
+				}
+			}
+			return true
+		})
+	}
+	exempt := func(t types.Type) bool {
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		n, ok := t.(*types.Named)
+		return ok && n.Obj().Pkg() != nil && (n.Obj().Pkg().Path() == "sync" || n.Obj().Pkg().Path() == "sync/atomic")
+	}
+	out := map[string]string{}
+	for _, p := range pkgs {
+		for _, name := range p.Scope().Names() {
+			obj, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok || obj.IsAlias() {
+				continue
+			}
+			st, ok := obj.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				v := set[f]
+				isBool := types.Identical(f.Type().Underlying(), types.Typ[types.Bool])
+				if v == varies || f.Embedded() || strings.Contains(st.Tag(i), `json:"`) || exempt(f.Type()) || isBool && v == "true" {
+					continue
+				}
+				out[strings.TrimPrefix(p.Path(), prefix)+"."+name+"."+f.Name()] = v
+			}
+		}
+	}
+	return out
+}
+
+// TestEveryKnobVaries fails on a field of a module struct that no
+// non-test code sets, or that every non-test write sets to the same
+// constant: a knob nobody turns. bench/ counts as a writer. A knobOK
+// entry without a reason, or that is gone or now varies, fails too.
+func TestEveryKnobVaries(t *testing.T) {
+	c, module := loadModule(t)
+	constant := knobs(c.info, c.files, module, "cudaadvisor/")
+	for key, v := range constant {
+		switch {
+		case knobOK[key] != "":
+		case v == "":
+			t.Errorf("%s: field, and no non-test code sets it", key)
+		default:
+			t.Errorf("%s: field, and every non-test write sets it to %s", key, v)
+		}
+	}
+	for key, reason := range knobOK {
+		if _, ok := constant[key]; !ok || reason == "" {
+			t.Errorf("%s: listed in knobOK, but it has no reason or no such field is left unturned", key)
+		}
+	}
+}
+
+// TestKnobRules checks the knob guard's rules on a package of its own,
+// apart from the module's state.
+func TestKnobRules(t *testing.T) {
+	const src = `package p
+
+import (
+	"sync"
+	"sync/atomic"
+)
+
+type T struct {
+	never   int
+	once    int
+	twice   int
+	two     int
+	param   int
+	bumped  int
+	added   int
+	indexed [4]int
+	sub     S
+	addr    int
+	method  S
+	flag    bool
+	off     bool
+	tagged  int ` + "`json:\"tagged\"`" + `
+	ptr     *T
+	mu      sync.Mutex
+	n       atomic.Int64
+	S
+}
+
+type S struct{ a, b int }
+
+func (s *S) set(v int) { s.b = v }
+
+func f(t *T, v int) *int {
+	t.once = 4
+	_ = T{twice: 4}
+	t.twice = 4
+	_ = &T{two: 1}
+	t.two = 2
+	_ = []T{{param: v}}
+	t.bumped++
+	t.added += 2
+	t.indexed[v] = 1
+	t.sub.a = 1
+	t.method.set(v)
+	t.flag = true
+	t.off = false
+	t.ptr = nil
+	_ = S{1, v}
+	return &t.addr
+}
+`
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "p.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	p, err := (&types.Config{Importer: importer.Default()}).Check("p", fset, []*ast.File{file}, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := knobs(info, []*ast.File{file}, []*types.Package{p}, "")
+	want := map[string]string{
+		"p.T.never": "", "p.T.once": "4", "p.T.twice": "4", "p.T.off": "false", "p.T.ptr": "nil", "p.S.a": "1",
+	}
+	if !maps.Equal(got, want) {
+		t.Errorf("knobs = %v, want %v", got, want)
 	}
 }
