@@ -23,7 +23,7 @@ type SharedBankResult struct {
 	// passes the hardware serializes the access into.
 	Replays int64
 
-	Events // the trace's memory-event coverage (shared events ride the same buffer as global ones)
+	Events // the shared-memory events recorded of those offered
 
 	sites map[ir.Loc]*SiteBankConflict
 }
@@ -92,7 +92,9 @@ func SharedBankConflicts(tr *trace.KernelTrace) *SharedBankResult {
 // ranges derived on pool (see fanOut), merged in trace order.
 func SharedBankConflictsOn(tr *trace.KernelTrace, pool *runner.Pool) *SharedBankResult {
 	res := fanOut(pool, recordBounds(pool, len(tr.Mem)), func(lo, hi int) *SharedBankResult { return sharedBankRange(tr, lo, hi) }, (*SharedBankResult).Merge)
-	res.Add(tr.MemCoverage())
+	// Shared events ride the memory buffer with the global ones, so its
+	// coverage is not theirs: every record of Total is one kept.
+	res.Add(res.Total, tr.SharedSeen)
 	return res
 }
 

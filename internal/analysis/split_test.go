@@ -83,7 +83,7 @@ func TestSplitDerivationsMatchWhole(t *testing.T) {
 				t.Errorf("seed %d, record ranges %v: memory divergence\n %+v\nwhole\n %+v", seed, bounds, md, want)
 			}
 			sb := fanOut(pool, bounds, func(lo, hi int) *SharedBankResult { return sharedBankRange(tr, lo, hi) }, (*SharedBankResult).Merge)
-			sb.Add(tr.MemCoverage())
+			sb.Add(sb.Total, tr.SharedSeen)
 			if want := SharedBankConflicts(tr); !reflect.DeepEqual(sb, want) || want.Total == 0 {
 				t.Errorf("seed %d, record ranges %v: bank conflicts\n %+v\nwhole\n %+v", seed, bounds, sb, want)
 			}

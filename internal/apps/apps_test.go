@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"errors"
 	"sort"
 	"testing"
 
@@ -138,6 +139,38 @@ func TestWarpsPerCTAMatchesTable2(t *testing.T) {
 func TestAllAppsRunNative(t *testing.T) {
 	for _, a := range All() {
 		t.Run(a.Name, func(t *testing.T) { runNative(t, a.Name) })
+	}
+}
+
+// TestRunReturnsOverBudget: every driver hands a launch's
+// gpu.ErrOverBudget back where errors.Is finds it, so a bounded run stops
+// with it in whichever launch passes the bound (bfs launches many
+// times), while a bound of exactly the run's summed cycles lets it finish
+// and pass its output check.
+func TestRunReturnsOverBudget(t *testing.T) {
+	for _, a := range All() {
+		t.Run(a.Name, func(t *testing.T) {
+			prog, err := a.Native()
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(budget int64) (*rt.CycleCounter, error) {
+				counter := rt.NewCycleCounter()
+				ctx := rt.NewContext(gpu.NewDevice(gpu.PascalP100(), 256<<20), counter)
+				ctx.Options.MaxCycles = budget
+				return counter, a.Run(ctx, prog, 1)
+			}
+			full, err := run(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := run(full.Cycles); err != nil {
+				t.Errorf("bound = its %d cycles: %v", full.Cycles, err)
+			}
+			if _, err := run(full.Cycles - 1); !errors.Is(err, gpu.ErrOverBudget) {
+				t.Errorf("bound = %d cycles - 1: %v; want gpu.ErrOverBudget", full.Cycles, err)
+			}
+		})
 	}
 }
 

@@ -122,12 +122,14 @@ func ResidentCTAs(cfg gpu.ArchConfig, warpsPerCTA, nCTAs int) int {
 type SweepPoint struct {
 	L1Warps int // warps per CTA allowed to use L1; WarpsPerCTA = no bypassing
 	Cycles  int64
+	Over    bool // stopped once its cycles passed its bound; Cycles is then not its time
 }
 
 // Runner executes the application end-to-end with the given number of
-// L1-eligible warps per CTA (k == warpsPerCTA means no bypassing) and
-// returns the modeled kernel cycles.
-type Runner func(l1Warps int) (int64, error)
+// L1-eligible warps per CTA and returns the modeled kernel cycles. Under
+// a bound (0 = none) it may stop once the cycles pass it, and then
+// reports over instead of its cycles.
+type Runner func(l1Warps int, bound int64) (cycles int64, over bool, err error)
 
 // Comparison is the three-way result of Figures 6 and 7 for one
 // application on one architecture: baseline (no bypassing), oracle, and
@@ -153,42 +155,49 @@ func (c Comparison) PredictNorm() float64 {
 	return float64(c.PredictCycles) / float64(c.BaselineCycles)
 }
 
-// Compare runs the full three-way comparison: baseline, oracle sweep, and
-// the model prediction. The sweep points k = 1..warpsPerCTA are
-// independent end-to-end runs, so they fan out on the pool (nil = serial)
-// and are reduced in k order; the simulator's determinism makes the
-// result identical to the serial sweep. The baseline (k = warpsPerCTA)
-// and the prediction configuration are read back out of the sweep rather
-// than re-run. run must be safe for concurrent use when pool is non-nil.
-func Compare(app string, cfg gpu.ArchConfig, warpsPerCTA, predictWarps int, pool *runner.Pool, run Runner) (Comparison, error) {
-	c := Comparison{App: app, L1Bytes: cfg.L1Bytes, PredictWarps: predictWarps}
+// Compare runs the full three-way comparison given the baseline, the
+// cycles of the caller's run at k = warpsPerCTA (no bypassing). The other
+// sweep points k = 1..warpsPerCTA-1 are independent end-to-end runs, so
+// they fan out on the pool (nil = serial) and are reduced in k order,
+// ties to the lowest k. The search is branch and bound: every point but
+// the prediction runs under the baseline as its bound, and one that
+// passes it stops, over. An over point is slower than the baseline, so it
+// can be neither the oracle nor tie with it, and the result is the
+// exhaustive search's. The bound is the baseline, not the best point so
+// far, so which points stop depends neither on completion order nor on
+// the pool. run must be safe for concurrent use when pool is non-nil.
+func Compare(app string, cfg gpu.ArchConfig, baseline int64, warpsPerCTA, predictWarps int, pool *runner.Pool, run Runner) (Comparison, error) {
+	c := Comparison{App: app, L1Bytes: cfg.L1Bytes, BaselineCycles: baseline, PredictWarps: predictWarps}
 	if warpsPerCTA < 1 {
 		return c, fmt.Errorf("bypass: warpsPerCTA = %d", warpsPerCTA)
 	}
 	if predictWarps < 1 || predictWarps > warpsPerCTA {
 		return c, fmt.Errorf("bypass: predictWarps = %d outside [1, %d]", predictWarps, warpsPerCTA)
 	}
-	sweep, err := runner.Map(pool, warpsPerCTA, func(i int) (SweepPoint, error) {
-		k := i + 1
-		cycles, err := run(k)
+	sweep, err := runner.Map(pool, warpsPerCTA-1, func(i int) (SweepPoint, error) {
+		k, bound := i+1, baseline
+		if k == predictWarps {
+			bound = 0 // the figure prints the prediction's time
+		}
+		cycles, over, err := run(k, bound)
 		if err != nil {
 			return SweepPoint{}, fmt.Errorf("bypass: sweep run k=%d: %w", k, err)
 		}
-		return SweepPoint{L1Warps: k, Cycles: cycles}, nil
+		return SweepPoint{L1Warps: k, Cycles: cycles, Over: over}, nil
 	})
 	if err != nil {
 		return c, err
 	}
-	// Ordered reduction: scan in k order so ties resolve to the lowest k,
-	// exactly as the serial search (the tests' Oracle) does.
-	best := sweep[0]
-	for _, pt := range sweep[1:] {
-		if pt.Cycles < best.Cycles {
-			best = pt
+	sweep = append(sweep, SweepPoint{L1Warps: warpsPerCTA, Cycles: baseline})
+	// Ordered reduction: the first point in k order at the fewest cycles,
+	// as the serial search (the tests' Oracle) finds it.
+	best := -1
+	for i, pt := range sweep {
+		if !pt.Over && (best < 0 || pt.Cycles < sweep[best].Cycles) {
+			best = i
 		}
 	}
-	c.BaselineCycles = sweep[warpsPerCTA-1].Cycles
-	c.OracleCycles, c.OracleWarps = best.Cycles, best.L1Warps
+	c.OracleCycles, c.OracleWarps = sweep[best].Cycles, sweep[best].L1Warps
 	c.PredictCycles = sweep[predictWarps-1].Cycles
 	return c, nil
 }

@@ -2,6 +2,9 @@ package bypass
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"cudaadvisor/internal/gpu"
@@ -81,11 +84,22 @@ func TestOracleFindsMinimum(t *testing.T) {
 	}
 }
 
+// curve is a Runner over a fixed cost curve that honours the bound as
+// the simulator does: a point whose cycles pass it stops, over. Its
+// over points report a cycle count lower than any real one, so a
+// reduction that read them would pick them.
+func curve(cost map[int]int64) Runner {
+	return func(k int, bound int64) (int64, bool, error) {
+		if bound > 0 && cost[k] > bound {
+			return 1, true, nil
+		}
+		return cost[k], false, nil
+	}
+}
+
 func TestCompareNormalization(t *testing.T) {
 	cost := map[int]int64{1: 400, 2: 500, 3: 600, 4: 1000}
-	c, err := Compare("app", gpu.KeplerK40c(), 4, 2, nil, func(k int) (int64, error) {
-		return cost[k], nil
-	})
+	c, err := Compare("app", gpu.KeplerK40c(), cost[4], 4, 2, nil, curve(cost))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,35 +116,90 @@ func TestCompareNormalization(t *testing.T) {
 
 func TestComparePredictEqualsBaseline(t *testing.T) {
 	calls := 0
-	c, err := Compare("app", gpu.KeplerK40c(), 2, 2, nil, func(k int) (int64, error) {
+	c, err := Compare("app", gpu.KeplerK40c(), 200, 2, 2, nil, func(k int, bound int64) (int64, bool, error) {
 		calls++
-		return int64(100 * k), nil
+		return int64(100 * k), false, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// predictWarps == warpsPerCTA reads the baseline sweep point.
-	if c.PredictCycles != c.BaselineCycles {
-		t.Errorf("prediction = %d, baseline = %d", c.PredictCycles, c.BaselineCycles)
+	// predictWarps == warpsPerCTA reads the baseline the caller measured.
+	if c.PredictCycles != c.BaselineCycles || c.BaselineCycles != 200 {
+		t.Errorf("prediction = %d, baseline = %d, want 200 both", c.PredictCycles, c.BaselineCycles)
 	}
-	if calls != 2 { // every k exactly once; baseline and prediction reuse the sweep
-		t.Errorf("runner calls = %d, want 2", calls)
+	if calls != 1 { // every other k exactly once; the baseline is given
+		t.Errorf("runner calls = %d, want 1", calls)
+	}
+}
+
+// TestCompareBounds: every point but the baseline runs once, under the
+// baseline as its bound, except the prediction, which runs unbounded;
+// over points are neither the oracle nor the prediction's time.
+func TestCompareBounds(t *testing.T) {
+	cost := map[int]int64{1: 1500, 2: 900, 3: 2000, 4: 1100, 5: 1000, 6: 3000, 7: 1000, 8: 1000}
+	var mu sync.Mutex
+	bounds := map[int]int64{}
+	run := curve(cost)
+	c, err := Compare("app", gpu.KeplerK40c(), cost[8], 8, 6, runner.New(4), func(k int, bound int64) (int64, bool, error) {
+		mu.Lock()
+		bounds[k] = bound
+		mu.Unlock()
+		return run(k, bound)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int]int64{1: 1000, 2: 1000, 3: 1000, 4: 1000, 5: 1000, 6: 0, 7: 1000}
+	if !reflect.DeepEqual(bounds, want) {
+		t.Errorf("bounds = %v, want %v", bounds, want)
+	}
+	if c.OracleWarps != 2 || c.OracleCycles != 900 || c.PredictCycles != 3000 {
+		t.Errorf("oracle k%d %d, prediction %d; want k2 900 and 3000", c.OracleWarps, c.OracleCycles, c.PredictCycles)
+	}
+}
+
+// TestCompareBoundedIsExhaustive: on random cost curves, many points over
+// the baseline, many ties among the rest, the bounded search returns
+// what the exhaustive one does and what Oracle finds, at every pool size.
+func TestCompareBoundedIsExhaustive(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(16)
+		cost := map[int]int64{}
+		for k := 1; k <= n; k++ {
+			cost[k] = int64(95 + rng.Intn(10))
+		}
+		predict := 1 + rng.Intn(n)
+		unbounded := func(k int, _ int64) (int64, bool, error) { return cost[k], false, nil }
+		exhaustive, err := Compare("app", gpu.PascalP100(), cost[n], n, predict, nil, unbounded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best, _, err := Oracle(n, func(k int) (int64, error) { return cost[k], nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exhaustive.OracleWarps != best.L1Warps || exhaustive.OracleCycles != best.Cycles {
+			t.Fatalf("curve %v: exhaustive Compare k%d %d, Oracle %+v", cost, exhaustive.OracleWarps, exhaustive.OracleCycles, best)
+		}
+		for _, pool := range []*runner.Pool{nil, runner.New(3)} {
+			if got, err := Compare("app", gpu.PascalP100(), cost[n], n, predict, pool, curve(cost)); err != nil || got != exhaustive {
+				t.Fatalf("curve %v, predict %d: bounded %+v, %v; exhaustive %+v", cost, predict, got, err, exhaustive)
+			}
+		}
 	}
 }
 
 func TestCompareParallelMatchesSerial(t *testing.T) {
-	cost := func(k int) (int64, error) {
-		// Non-monotone curve with a tie (k=2 and k=5) to exercise the
-		// lowest-k tie break under both execution orders.
-		curve := map[int]int64{1: 800, 2: 500, 3: 700, 4: 600, 5: 500, 6: 900, 7: 950, 8: 1000}
-		return curve[k], nil
-	}
-	serial, err := Compare("app", gpu.KeplerK40c(), 8, 3, nil, cost)
+	// Non-monotone curve with a tie (k=2 and k=5) to exercise the
+	// lowest-k tie break under both execution orders.
+	cost := curve(map[int]int64{1: 800, 2: 500, 3: 700, 4: 600, 5: 500, 6: 900, 7: 950, 8: 1000})
+	serial, err := Compare("app", gpu.KeplerK40c(), 1000, 8, 3, nil, cost)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 8} {
-		par, err := Compare("app", gpu.KeplerK40c(), 8, 3, runner.New(workers), cost)
+		par, err := Compare("app", gpu.KeplerK40c(), 1000, 8, 3, runner.New(workers), cost)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,11 +213,11 @@ func TestCompareParallelMatchesSerial(t *testing.T) {
 }
 
 func TestCompareRejectsBadPredict(t *testing.T) {
-	run := func(int) (int64, error) { return 1, nil }
-	if _, err := Compare("a", gpu.KeplerK40c(), 4, 0, nil, run); err == nil {
+	run := func(int, int64) (int64, bool, error) { return 1, false, nil }
+	if _, err := Compare("a", gpu.KeplerK40c(), 1, 4, 0, nil, run); err == nil {
 		t.Error("Compare accepted predictWarps = 0")
 	}
-	if _, err := Compare("a", gpu.KeplerK40c(), 4, 5, nil, run); err == nil {
+	if _, err := Compare("a", gpu.KeplerK40c(), 1, 4, 5, nil, run); err == nil {
 		t.Error("Compare accepted predictWarps > warpsPerCTA")
 	}
 }
@@ -162,7 +231,7 @@ func TestOracleRejectsBadInput(t *testing.T) {
 // Oracle exhaustively searches k in [1, warpsPerCTA] (the search of the
 // horizontal bypassing paper the case study compares against) and returns
 // the best point plus the whole sweep.
-func Oracle(warpsPerCTA int, run Runner) (best SweepPoint, sweep []SweepPoint, err error) {
+func Oracle(warpsPerCTA int, run func(l1Warps int) (int64, error)) (best SweepPoint, sweep []SweepPoint, err error) {
 	if warpsPerCTA < 1 {
 		return SweepPoint{}, nil, fmt.Errorf("bypass: warpsPerCTA = %d", warpsPerCTA)
 	}

@@ -214,7 +214,7 @@ func TestFigure10Cached(t *testing.T) {
 	}
 
 	a, cfg, opts := apps.ByName("nw"), gpu.KeplerK40c(), instrument.MemoryAndBlocks()
-	st, err := measureCycles(context.Background(), nil, nil, a, cfg, opts, 0, 1)
+	st, err := measureCycles(context.Background(), nil, nil, a, cfg, opts, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,16 +167,17 @@ func (e Env) resultsCell(ctx context.Context, cell string, app *apps.App, cfg gp
 // cache when active; an injected run (inj non-nil) never is. One native
 // run yields both the modeled cycles and the largest launched grid, so
 // the bypass study's CTA measurement is also its baseline sweep point
-// (l1Warps = 0 at the timing scale).
+// (l1Warps = 0 at the timing scale). The bound is part of the key, so a
+// run stopped over one bound is never read as a run under another.
 func (e Env) cycles(ctx context.Context, inj *faultinject.Injector, app *apps.App, cfg gpu.ArchConfig,
-	opts instrument.Options, l1Warps, scale int) (profcache.CycleStats, error) {
+	opts instrument.Options, l1Warps, scale int, bound int64) (profcache.CycleStats, error) {
 	measure := func(ctx context.Context) (profcache.CycleStats, error) {
-		return measureCycles(ctx, e.Pool, inj, app, cfg, opts, l1Warps, scale)
+		return measureCycles(ctx, e.Pool, inj, app, cfg, opts, l1Warps, scale, bound)
 	}
 	if !e.cacheActive() {
 		return measure(ctx)
 	}
-	return e.Cache.Cycles(ctx, profcache.CyclesKey(app, cfg, opts, l1Warps, scale), measure)
+	return e.Cache.Cycles(ctx, profcache.CyclesKey(app, cfg, opts, l1Warps, scale, bound), measure)
 }
 
 // viewCell is the one rendered-view cell behind `profile`, `export`,

@@ -172,15 +172,18 @@ func WriteTable3(w io.Writer, env Env) error {
 // measureCycles executes app, its native program for zero opts and else
 // the program instrumented with opts, and returns the cycle-model
 // measurements: the summed modeled kernel cycles and the largest launched
-// grid in CTAs. The result is a pure function of (app, cfg, opts,
-// l1Warps, scale): the modeled cycle count involves no wall clock, and a
-// hook costs its modeled cycles whatever records it. That is what makes
-// it cacheable, and handing the launches a pool cannot change it (the SM
-// fan-out is byte-identical at every worker count). inj (nil for none)
-// wraps the run's listener. ctx (which may be nil) bounds the kernels via
-// the executor's step-guard poll.
+// grid in CTAs. Under a bound (0 = none) a run whose summed cycles pass
+// it stops there, before the app's output check, and is reported over
+// (CycleStats.Over). The result is a pure function of (app, cfg, opts,
+// l1Warps, scale, bound): the modeled cycle count involves no wall clock,
+// and a hook costs its modeled cycles whatever records it. That is what
+// makes it cacheable, and handing the launches a pool cannot change it
+// (the SM fan-out is byte-identical at every worker count, and every SM
+// stops at the bound on its own). inj (nil for none) wraps the run's
+// listener. ctx (which may be nil) bounds the kernels via the executor's
+// step-guard poll.
 func measureCycles(ctx context.Context, pool *runner.Pool, inj *faultinject.Injector, app *apps.App, cfg gpu.ArchConfig,
-	opts instrument.Options, l1Warps, scale int) (profcache.CycleStats, error) {
+	opts instrument.Options, l1Warps, scale int, bound int64) (profcache.CycleStats, error) {
 	if onCycles != nil {
 		onCycles(app)
 	}
@@ -195,8 +198,10 @@ func measureCycles(ctx context.Context, pool *runner.Pool, inj *faultinject.Inje
 		return profcache.CycleStats{}, err
 	}
 	counter := rt.NewCycleCounter()
-	c := newContext(cfg, inj.Listener(counter), rt.LaunchOptions{L1Warps: l1Warps, Ctx: ctx, Pool: pool})
-	if err := app.Run(c, prog, scale); err != nil {
+	c := newContext(cfg, inj.Listener(counter), rt.LaunchOptions{L1Warps: l1Warps, Ctx: ctx, Pool: pool, MaxCycles: bound})
+	if err := app.Run(c, prog, scale); errors.Is(err, gpu.ErrOverBudget) {
+		return profcache.CycleStats{Cycles: -bound}, nil
+	} else if err != nil {
 		return profcache.CycleStats{}, err
 	}
 	return profcache.CycleStats{Cycles: counter.Cycles, MaxCTAs: int64(counter.MaxCTAs)}, nil
@@ -267,7 +272,7 @@ func bypassStudy(env Env, prefix string, cfg gpu.ArchConfig) ([]bypass.Compariso
 			// run is the baseline sweep point (no bypassing, timing
 			// scale), so the sweep reuses its cycles.
 			base, err := runner.DoCtx(cctx, env.Pool, func(ctx context.Context) (profcache.CycleStats, error) {
-				return env.cycles(ctx, nil, a, cfg, instrument.Options{}, 0, env.Scale*BypassRunScale)
+				return env.cycles(ctx, nil, a, cfg, instrument.Options{}, 0, env.Scale*BypassRunScale, 0)
 			})
 			if err != nil {
 				return err
@@ -275,15 +280,13 @@ func bypassStudy(env Env, prefix string, cfg gpu.ArchConfig) ([]bypass.Compariso
 			ctasPerSM := bypass.ResidentCTAs(cfg, a.WarpsPerCTA, int(base.MaxCTAs))
 			predict := bypass.PredictFromProfiles(cfg, rdLine, rdElem, md, a.WarpsPerCTA, ctasPerSM)
 
-			// Step 3: measure baseline / oracle / prediction on native
-			// code; the sweep fans out on the same pool.
-			cmp, err := bypass.Compare(a.Name, cfg, a.WarpsPerCTA, predict, env.Pool,
-				func(k int) (int64, error) {
-					if k >= a.WarpsPerCTA {
-						return base.Cycles, nil // no bypassing: step 2's run
-					}
-					st, err := env.cycles(cctx, nil, a, cfg, instrument.Options{}, k, env.Scale*BypassRunScale)
-					return st.Cycles, err
+			// Step 3: measure oracle and prediction on native code
+			// against step 2's baseline; the sweep fans out on the same
+			// pool, each point bounded as Compare asks.
+			cmp, err := bypass.Compare(a.Name, cfg, base.Cycles, a.WarpsPerCTA, predict, env.Pool,
+				func(k int, bound int64) (int64, bool, error) {
+					st, err := env.cycles(cctx, nil, a, cfg, instrument.Options{}, k, env.Scale*BypassRunScale, bound)
+					return st.Cycles, st.Over(), err
 				})
 			if err != nil {
 				return err
@@ -366,11 +369,11 @@ func Overhead(env Env, cfg gpu.ArchConfig) ([]report.OverheadRow, []error, error
 		inj := env.Inject.Cell(cells[i])
 		inj.MaybePanic()
 		inj.MaybeKill()
-		native, err := env.cycles(ctx, nil, a, cfg, instrument.Options{}, 0, env.Scale)
+		native, err := env.cycles(ctx, nil, a, cfg, instrument.Options{}, 0, env.Scale, 0)
 		if err != nil {
 			return report.OverheadRow{}, err
 		}
-		profiled, err := env.cycles(ctx, inj, a, cfg, instrument.MemoryAndBlocks(), 0, env.Scale)
+		profiled, err := env.cycles(ctx, inj, a, cfg, instrument.MemoryAndBlocks(), 0, env.Scale, 0)
 		if err != nil {
 			return report.OverheadRow{}, err
 		}

@@ -54,7 +54,8 @@ type smShard struct {
 	err    error
 }
 
-// run simulates this SM over its CTA queue and returns its busy cycles.
+// run simulates this SM over its CTA queue and returns its busy cycles,
+// or ErrOverBudget as soon as they pass the launch's MaxCycles.
 func (s *smShard) run(threadsPerCTA, warpsPerCTA int) (int64, error) {
 	ls := s.ls
 	s.l1 = newL1(ls.cfg)
@@ -135,6 +136,9 @@ func (s *smShard) run(threadsPerCTA, warpsPerCTA int) (int64, error) {
 		issueAt++
 		if w.readyAt > finish {
 			finish = w.readyAt
+			if finish > ls.p.MaxCycles && ls.p.MaxCycles > 0 {
+				return 0, ErrOverBudget
+			}
 		}
 
 		// A CTA can only finish on a step of one of its own warps, so the
@@ -380,10 +384,10 @@ func (s *smShard) scatterGlobal(mt ir.MemType, addrs, vals *row, mask uint32, lo
 }
 
 // runParallel fans the SM shards out across idle pool workers and merges
-// them in SM order. Every shard runs to its own completion or fault, which
-// a shard with a sink of its own reports to it at once; the first fault in
-// SM order — the one the serial path would have raised — wins, and a
-// failed launch applies none of its writes.
+// them in SM order. Every shard runs to its own completion, fault or
+// budget, which a shard with a sink of its own reports to it at once; the
+// first error in SM order — the one the serial path would have raised —
+// wins, and a failed launch applies none of its writes.
 //
 // Global-memory writes buffer in per-shard copy-on-write pages during the
 // parallel phase (device memory is read-only until the shards join) and

@@ -25,8 +25,21 @@ func fuzzKinds() []entryKind {
 	app, cfg := apps.ByName("bfs"), gpu.KeplerK40c()
 	ctx := context.Background()
 	profile := profcache.ProfileKey(app, cfg, bothOpts, 1, 0)
-	cycles := profcache.CyclesKey(app, cfg, instrument.Options{}, 0, 1)
+	cycles := profcache.CyclesKey(app, cfg, instrument.Options{}, 0, 1, 0)
 	view := profcache.ViewKey(app, cfg, bothOpts, 1, 0, "fuzz")
+	over := profcache.CyclesKey(app, cfg, instrument.Options{}, 3, 1, 1000)
+	cyclesKind := func(key profcache.Key, v profcache.CycleStats) entryKind {
+		return entryKind{key, func(c *profcache.Cache, filled *bool) ([]byte, error) {
+			got, err := c.Cycles(ctx, key, func(context.Context) (profcache.CycleStats, error) {
+				*filled = true
+				return v, nil
+			})
+			if err != nil {
+				return nil, err
+			}
+			return profcache.EncodeCycles(got)
+		}}
+	}
 	return []entryKind{
 		{profile, func(c *profcache.Cache, filled *bool) ([]byte, error) {
 			a, err := c.Profile(ctx, profile, 128, func(context.Context) (*profiler.Profiler, error) {
@@ -38,22 +51,14 @@ func fuzzKinds() []entryKind {
 			}
 			return profcache.EncodeProfile(a)
 		}},
-		{cycles, func(c *profcache.Cache, filled *bool) ([]byte, error) {
-			v, err := c.Cycles(ctx, cycles, func(context.Context) (profcache.CycleStats, error) {
-				*filled = true
-				return profcache.CycleStats{Cycles: 7, MaxCTAs: 3}, nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			return profcache.EncodeCycles(v)
-		}},
+		cyclesKind(cycles, profcache.CycleStats{Cycles: 7, MaxCTAs: 3}),
 		{view, func(c *profcache.Cache, filled *bool) ([]byte, error) {
 			return c.Bytes(ctx, view, func(context.Context) ([]byte, error) {
 				*filled = true
 				return []byte("fresh view\n"), nil
 			})
 		}},
+		cyclesKind(over, profcache.CycleStats{Cycles: -1000}),
 	}
 }
 
@@ -103,12 +108,13 @@ func TestNonCanonicalEntriesAreBad(t *testing.T) {
 	}
 }
 
-// FuzzDecodeEntry writes fuzzed bytes as the entry file of a profile, a
-// cycles and a view key, and wraps a fuzzed payload in a valid envelope
+// FuzzDecodeEntry writes fuzzed bytes as the entry file of a profile,
+// two cycles and a view key, and wraps a fuzzed payload in a valid envelope
 // for each. Every lookup must be either a miss that runs the fill, or a
 // disk hit whose value encodes byte for byte to the payload the file
 // carries (a hit is canonical by construction). It never panics. The
-// seeds are a valid entry of each kind and its payload.
+// seeds are a valid entry of each kind and its payload, one of them a
+// cycles entry recording a run stopped over its bound.
 func FuzzDecodeEntry(f *testing.F) {
 	kinds := fuzzKinds()
 	dir := f.TempDir()

@@ -74,6 +74,7 @@ type Key struct {
 	Arch     string // canonical rendering of the gpu.ArchConfig
 	Opts     string // canonical rendering of the instrument.Options
 	L1Warps  int    // cycles only: the rt bypassing setting (0 = none)
+	Bound    int64  // cycles only: the run's cycle bound (0 = none)
 	Scale    int
 	TraceCap int    // profile and view only: trace-buffer bound (0 = unbounded)
 	View     string // view only: which rendered view the entry holds
@@ -97,9 +98,10 @@ func ProfileKey(app *apps.App, cfg gpu.ArchConfig, opts instrument.Options, scal
 }
 
 // CyclesKey is the key of one cycle-model run (no trace) at the given
-// bypassing setting: of the native program for zero opts, else of the
-// program instrumented with opts.
-func CyclesKey(app *apps.App, cfg gpu.ArchConfig, opts instrument.Options, l1Warps, scale int) Key {
+// bypassing setting and cycle bound (0 = none; see CycleStats.Over): of
+// the native program for zero opts, else of the program instrumented
+// with opts.
+func CyclesKey(app *apps.App, cfg gpu.ArchConfig, opts instrument.Options, l1Warps, scale int, bound int64) Key {
 	return Key{
 		Kind:    "cycles",
 		Build:   BuildVersion(),
@@ -108,6 +110,7 @@ func CyclesKey(app *apps.App, cfg gpu.ArchConfig, opts instrument.Options, l1War
 		Arch:    fmt.Sprintf("%+v", cfg),
 		Opts:    fmt.Sprintf("%+v", opts),
 		L1Warps: l1Warps,
+		Bound:   bound,
 		Scale:   scale,
 	}
 }
@@ -139,8 +142,8 @@ func irFingerprint(app *apps.App) string {
 
 // Canonical renders the key as an unambiguous string: the preimage of ID.
 func (k Key) Canonical() string {
-	return fmt.Sprintf("kind=%s|build=%s|app=%q|ir=%s|arch=%q|opts=%q|l1warps=%d|scale=%d|tracecap=%d|view=%q",
-		k.Kind, k.Build, k.App, k.IR, k.Arch, k.Opts, k.L1Warps, k.Scale, k.TraceCap, k.View)
+	return fmt.Sprintf("kind=%s|build=%s|app=%q|ir=%s|arch=%q|opts=%q|l1warps=%d|bound=%d|scale=%d|tracecap=%d|view=%q",
+		k.Kind, k.Build, k.App, k.IR, k.Arch, k.Opts, k.L1Warps, k.Bound, k.Scale, k.TraceCap, k.View)
 }
 
 // ID is the content address: the hex SHA-256 of the canonical key.
@@ -152,11 +155,16 @@ func (k Key) ID() string {
 // CycleStats is the result of one cycle-model run: the summed
 // modeled kernel cycles and the largest launched grid in CTAs. One run
 // yields both, so the bypass baseline and the Eq. (1) CTA measurement
-// share a single entry. It is also that entry's fixed-width layout.
+// share a single entry. A run under a bound (the key's) that stopped once
+// its cycles passed it records only that, as Cycles = −bound and MaxCTAs
+// = 0 (see Over). It is also that entry's fixed-width layout.
 type CycleStats struct {
 	Cycles  int64
 	MaxCTAs int64
 }
+
+// Over reports whether the run stopped once its cycles passed its bound.
+func (s CycleStats) Over() bool { return s.Cycles < 0 }
 
 // Snapshot is a point-in-time copy of the cache counters. The request
 // counts are deterministic for a fixed request set and disk state:

@@ -81,10 +81,11 @@ func TestKeySensitivity(t *testing.T) {
 		{"shared-memory option", profcache.ProfileKey(app, cfg, instrument.MemorySharedAndBlocks(), 1, 0)},
 		{"scale", profcache.ProfileKey(app, cfg, opts, 2, 0)},
 		{"trace cap", profcache.ProfileKey(app, cfg, opts, 1, 4096)},
-		{"cycles", profcache.CyclesKey(app, cfg, instrument.Options{}, 0, 1)},
-		{"cycles bypass setting", profcache.CyclesKey(app, cfg, instrument.Options{}, 3, 1)},
-		{"cycles scale", profcache.CyclesKey(app, cfg, instrument.Options{}, 0, 2)},
-		{"cycles instrumented", profcache.CyclesKey(app, cfg, instrument.MemoryAndBlocks(), 0, 1)},
+		{"cycles", profcache.CyclesKey(app, cfg, instrument.Options{}, 0, 1, 0)},
+		{"cycles bypass setting", profcache.CyclesKey(app, cfg, instrument.Options{}, 3, 1, 0)},
+		{"cycles scale", profcache.CyclesKey(app, cfg, instrument.Options{}, 0, 2, 0)},
+		{"cycles instrumented", profcache.CyclesKey(app, cfg, instrument.MemoryAndBlocks(), 0, 1, 0)},
+		{"cycles bound", profcache.CyclesKey(app, cfg, instrument.Options{}, 0, 1, 1000)},
 		{"view kind", profcache.ViewKey(app, cfg, opts, 1, 0, "debugviews")},
 		{"view name", profcache.ViewKey(app, cfg, opts, 1, 0, "cct")},
 		{"advise view", profcache.ViewKey(app, cfg, opts, 1, 0, "advise:advisor-report/v1")},
@@ -167,7 +168,7 @@ func TestSingleFlight(t *testing.T) {
 func TestFillErrorNotCached(t *testing.T) {
 	dir := t.TempDir()
 	c := profcache.New(dir)
-	key := profcache.CyclesKey(apps.ByName("bfs"), gpu.KeplerK40c(), instrument.Options{}, 0, 1)
+	key := profcache.CyclesKey(apps.ByName("bfs"), gpu.KeplerK40c(), instrument.Options{}, 0, 1, 0)
 	boom := fmt.Errorf("injected fill failure")
 	if _, err := c.Cycles(context.Background(), key, func(context.Context) (profcache.CycleStats, error) {
 		return profcache.CycleStats{}, boom
@@ -188,11 +189,43 @@ func TestFillErrorNotCached(t *testing.T) {
 	}
 }
 
+// TestCyclesBoundIsKeyed: a cycles entry stored under one bound — here a
+// run stopped over it — is read back under that bound only. The same run
+// under another bound, or under none, misses and fills its own entry.
+func TestCyclesBoundIsKeyed(t *testing.T) {
+	dir, ctx := t.TempDir(), context.Background()
+	key := func(bound int64) profcache.Key {
+		return profcache.CyclesKey(apps.ByName("syrk"), gpu.PascalP100(), instrument.Options{}, 3, 2, bound)
+	}
+	over := profcache.CycleStats{Cycles: -1000}
+	if _, err := profcache.New(dir).Cycles(ctx, key(1000), func(context.Context) (profcache.CycleStats, error) {
+		return over, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	full := profcache.CycleStats{Cycles: 1234, MaxCTAs: 56}
+	for _, bound := range []int64{0, 999, 1001, 2000} {
+		c := profcache.New(dir)
+		got, err := c.Cycles(ctx, key(bound), func(context.Context) (profcache.CycleStats, error) { return full, nil })
+		if s := c.Stats(); err != nil || got != full || s.Misses != 1 || s.DiskHits != 0 {
+			t.Errorf("bound %d: %+v, %v, stats %+v; want its own fill %+v", bound, got, err, s, full)
+		}
+	}
+	c := profcache.New(dir)
+	got, err := c.Cycles(ctx, key(1000), func(context.Context) (profcache.CycleStats, error) {
+		t.Error("the entry stored under bound 1000 was not read back")
+		return full, nil
+	})
+	if s := c.Stats(); err != nil || got != over || s.DiskHits != 1 {
+		t.Errorf("bound 1000: %+v, %v, stats %+v; want the stored %+v from disk", got, err, s, over)
+	}
+}
+
 // TestWaiterCancellation: a waiter whose context ends while another
 // request owns the fill gets its context error, not a hang.
 func TestWaiterCancellation(t *testing.T) {
 	c := profcache.New("")
-	key := profcache.CyclesKey(apps.ByName("bfs"), gpu.KeplerK40c(), instrument.Options{}, 0, 1)
+	key := profcache.CyclesKey(apps.ByName("bfs"), gpu.KeplerK40c(), instrument.Options{}, 0, 1, 0)
 	block := make(chan struct{})
 	started := make(chan struct{})
 	done := make(chan error, 1)
@@ -222,7 +255,7 @@ func TestWaiterCancellation(t *testing.T) {
 // the fill over and the rest share its result.
 func TestOwnerCancellationHandsOver(t *testing.T) {
 	c := profcache.New("")
-	key := profcache.CyclesKey(apps.ByName("bfs"), gpu.KeplerK40c(), instrument.Options{}, 0, 1)
+	key := profcache.CyclesKey(apps.ByName("bfs"), gpu.KeplerK40c(), instrument.Options{}, 0, 1, 0)
 	started := make(chan struct{})
 	var fills atomic.Int32
 	fill := func(ctx context.Context) (profcache.CycleStats, error) {
@@ -345,7 +378,7 @@ func TestRunOwnerCancellationHandsOver(t *testing.T) {
 // still there is a result; every waiter gets it and nobody runs it again.
 func TestSharedFillErrorStaysShared(t *testing.T) {
 	c := profcache.New("")
-	key := profcache.CyclesKey(apps.ByName("bfs"), gpu.KeplerK40c(), instrument.Options{}, 0, 1)
+	key := profcache.CyclesKey(apps.ByName("bfs"), gpu.KeplerK40c(), instrument.Options{}, 0, 1, 0)
 	boom := fmt.Errorf("injected fill failure")
 	started, release := make(chan struct{}), make(chan struct{})
 	var fills atomic.Int32
@@ -423,7 +456,7 @@ func TestDiskRoundTrip(t *testing.T) {
 // TestCyclesDiskRoundTrip is the cycles-entry analogue.
 func TestCyclesDiskRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	key := profcache.CyclesKey(apps.ByName("bfs"), gpu.KeplerK40c(), instrument.Options{}, 2, 1)
+	key := profcache.CyclesKey(apps.ByName("bfs"), gpu.KeplerK40c(), instrument.Options{}, 2, 1, 0)
 	want := profcache.CycleStats{Cycles: 123456, MaxCTAs: 42}
 	cold := profcache.New(dir)
 	if _, err := cold.Cycles(context.Background(), key, func(context.Context) (profcache.CycleStats, error) {
@@ -587,7 +620,7 @@ func TestCorruptEntriesAreMisses(t *testing.T) {
 			otherDir := t.TempDir()
 			other := profcache.New(otherDir)
 			if _, err := other.Cycles(context.Background(),
-				profcache.CyclesKey(apps.ByName("bfs"), gpu.KeplerK40c(), instrument.Options{}, 0, 1),
+				profcache.CyclesKey(apps.ByName("bfs"), gpu.KeplerK40c(), instrument.Options{}, 0, 1, 0),
 				func(context.Context) (profcache.CycleStats, error) {
 					return profcache.CycleStats{Cycles: 1}, nil
 				}); err != nil {

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -83,6 +84,46 @@ func TestSampledSectionsSayWhatTheyRead(t *testing.T) {
 		if strings.Contains(full.String(), "sampled") {
 			t.Errorf("%s: a complete profile reads as sampled:\n%s", c.name, full.String())
 		}
+	}
+}
+
+// TestSharedNoteCountsSharedEvents: the shared-memory line's note reads
+// the shared events alone. A sampled trace that dropped only global
+// records, none of them shared, has no note; one that dropped shared
+// records gives the kept share of the shared events.
+func TestSharedNoteCountsSharedEvents(t *testing.T) {
+	line := func(shared int) (string, *trace.KernelTrace) {
+		tr := trace.NewKernelTrace("k", 0, [3]int{1, 1, 1}, [3]int{32, 1, 1})
+		tr.SetCap(16)
+		var addrs [trace.WarpSize]uint64
+		for i := 0; i < 200; i++ {
+			rec := trace.MemAccess{Mask: ^uint32(0), Kind: trace.Load, Space: ir.Global, Bits: 32}
+			if i%4 == 0 && i/4 < shared {
+				rec.Space = ir.Shared
+			}
+			for l := range addrs {
+				addrs[l] = uint64(4096*i + 4*l)
+			}
+			tr.AddMem(rec, &addrs)
+		}
+		var sb strings.Builder
+		SharedMem(&sb, analysis.SharedBankConflicts(tr), nil)
+		return sb.String()[:strings.IndexByte(sb.String(), '\n')], tr
+	}
+	got, tr := line(0)
+	if mem, seen := tr.MemCoverage(); mem >= seen || strings.Contains(got, "sampled") {
+		t.Errorf("%d of %d global records kept, no shared one: %q; want no note", mem, seen, got)
+	}
+	got, tr = line(20)
+	kept := 0
+	for _, m := range tr.Mem {
+		if m.Space == ir.Shared {
+			kept++
+		}
+	}
+	want := fmt.Sprintf("shared memory: %d warp accesses, average bank-conflict degree 1.00 [sampled: %.1f%% of events]", kept, 100*float64(kept)/20)
+	if kept == 20 || got != want {
+		t.Errorf("%d of 20 shared records kept: %q, want %q", kept, got, want)
 	}
 }
 

@@ -92,6 +92,7 @@ type Context struct {
 
 	nextHost uint64
 	launches int
+	cycles   int64 // summed modeled cycles of the completed launches
 
 	// LaunchOptions applied to subsequent Launch calls.
 	Options LaunchOptions
@@ -125,6 +126,11 @@ type LaunchOptions struct {
 	// gpu.LaunchParams.RecordSchedule). Purely observational; off by
 	// default so existing outputs stay byte-identical.
 	RecordSchedule bool
+	// MaxCycles, when positive, bounds the context's summed launch
+	// cycles: a launch that takes them past it fails with
+	// gpu.ErrOverBudget, stopped as soon as the executor can prove it
+	// (gpu.LaunchParams.MaxCycles).
+	MaxCycles int64
 }
 
 // FullBypass as L1Warps sends all global accesses around the L1 cache.
@@ -266,6 +272,9 @@ func (c *Context) Launch(prog *instrument.Program, kernel string, grid, block [3
 	case c.Options.L1Warps > 0:
 		l1Warps = c.Options.L1Warps
 	}
+	// What is left of MaxCycles bounds the launch. None left runs it
+	// unbounded (as does no MaxCycles), and the check after it decides.
+	budget := c.Options.MaxCycles - c.cycles
 	res, err := c.Dev.Launch(f, gpu.LaunchParams{
 		Grid: grid, Block: block, Args: bits,
 		Hooks:          hooks,
@@ -274,9 +283,14 @@ func (c *Context) Launch(prog *instrument.Program, kernel string, grid, block [3
 		Ctx:            c.Options.Ctx,
 		WatchShared:    prog.Opts.SharedMemory,
 		RecordSchedule: c.Options.RecordSchedule,
+		MaxCycles:      budget,
 	})
 	if err != nil {
 		return nil, err
+	}
+	c.cycles += res.Cycles
+	if c.Options.MaxCycles > 0 && c.cycles > c.Options.MaxCycles {
+		return nil, gpu.ErrOverBudget
 	}
 	if c.listener != nil {
 		c.listener.KernelEnd(info, res)

@@ -275,3 +275,47 @@ func TestLaunchOptionsCtx(t *testing.T) {
 		t.Fatalf("launch without ctx failed: %v", err)
 	}
 }
+
+// TestMaxCyclesSumsLaunches: MaxCycles bounds the context's summed launch
+// cycles. A budget equal to the sum lets every launch complete; one cycle
+// less fails the launch that passes it with gpu.ErrOverBudget, whether
+// the executor stops it mid-run or, with nothing left of the budget, the
+// check after it does.
+func TestMaxCyclesSumsLaunches(t *testing.T) {
+	launches := func(budget int64) (cycles []int64, err error) {
+		ctx, prog := newCtx(t, nil)
+		ctx.Options.MaxCycles = budget
+		src, _ := ctx.CudaMalloc(4 * 256)
+		dst, _ := ctx.CudaMalloc(4 * 256)
+		for i := 0; i < 3; i++ {
+			res, err := ctx.Launch(prog, "copy", Dim(4), Dim(64), Ptr(src), Ptr(dst), I32(256))
+			if err != nil {
+				return cycles, err
+			}
+			cycles = append(cycles, res.Cycles)
+		}
+		return cycles, nil
+	}
+	each, err := launches(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := each[0] + each[1] + each[2]
+	if got, err := launches(sum); err != nil || len(got) != 3 {
+		t.Fatalf("budget %d (the sum): %d launches, %v; want all 3", sum, len(got), err)
+	}
+	for _, tc := range []struct {
+		budget int64
+		done   int // launches that complete
+	}{
+		{sum - 1, 2},
+		{each[0] + each[1], 2}, // nothing left for the third
+		{each[0], 1},
+		{each[0] - 1, 0},
+	} {
+		got, err := launches(tc.budget)
+		if !errors.Is(err, gpu.ErrOverBudget) || len(got) != tc.done {
+			t.Errorf("budget %d: %d launches, %v; want %d and gpu.ErrOverBudget", tc.budget, len(got), err, tc.done)
+		}
+	}
+}

@@ -100,8 +100,9 @@ func (b BlockExec) Divergent() bool { return b.Mask != b.InitMask }
 // buffer is compacted to exactly the records the new period would have
 // kept.
 //
-// MemSeen/BlocksSeen count every event offered, so analyses can report
-// their coverage fraction instead of silently undercounting.
+// MemSeen/BlocksSeen count every event offered, and SharedSeen the
+// shared-memory ones among MemSeen, so analyses can report their
+// coverage fraction instead of silently undercounting.
 type KernelTrace struct {
 	Kernel   string
 	Instance int
@@ -122,9 +123,11 @@ type KernelTrace struct {
 	// limit bounds each of Mem and Blocks (0 = unbounded); set by SetCap.
 	limit int
 
-	// MemSeen/BlocksSeen count events offered to AddMem/AddBlock.
+	// MemSeen/BlocksSeen count events offered to AddMem/AddBlock,
+	// SharedSeen the shared-memory events offered to AddMem.
 	MemSeen    int64
 	BlocksSeen int64
+	SharedSeen int64
 
 	// MemSampleN/BlockSampleN are the current sampling periods (power of
 	// two, 1 = record everything); meaningful only under SetCap.
@@ -165,6 +168,9 @@ func (t *KernelTrace) SetCap(n int) {
 // rec.Mask (other lanes are ignored).
 func (t *KernelTrace) AddMem(rec MemAccess, addrs *[WarpSize]uint64) {
 	t.MemSeen++
+	if rec.Space == ir.Shared {
+		t.SharedSeen++
+	}
 	if t.limit > 0 && !t.admit(len(t.Mem), &t.MemSampleN, t.memWarpSeen, warpID{rec.CTA, rec.Warp}, t.compactMem) {
 		return
 	}
@@ -358,6 +364,7 @@ func (t *KernelTrace) AppendAll(frags []*KernelTrace, ctxs [][]int32) {
 		}
 		t.MemSeen += f.MemSeen
 		t.BlocksSeen += f.BlocksSeen
+		t.SharedSeen += f.SharedSeen
 		f.Mem, f.Blocks, f.arena = nil, nil, nil
 	}
 }
