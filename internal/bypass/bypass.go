@@ -122,14 +122,13 @@ func ResidentCTAs(cfg gpu.ArchConfig, warpsPerCTA, nCTAs int) int {
 type SweepPoint struct {
 	L1Warps int // warps per CTA allowed to use L1; WarpsPerCTA = no bypassing
 	Cycles  int64
-	Over    bool // stopped once its cycles passed its bound; Cycles is then not its time
 }
 
 // Runner executes the application end-to-end with the given number of
 // L1-eligible warps per CTA and returns the modeled kernel cycles. Under
 // a bound (0 = none) it may stop once the cycles pass it, and then
-// reports over instead of its cycles.
-type Runner func(l1Warps int, bound int64) (cycles int64, over bool, err error)
+// returns bound+1, a lower bound on them.
+type Runner func(l1Warps int, bound int64) (int64, error)
 
 // Comparison is the three-way result of Figures 6 and 7 for one
 // application on one architecture: baseline (no bypassing), oracle, and
@@ -161,9 +160,9 @@ func (c Comparison) PredictNorm() float64 {
 // they fan out on the pool (nil = serial) and are reduced in k order,
 // ties to the lowest k. The search is branch and bound: every point but
 // the prediction runs under the baseline as its bound, and one that
-// passes it stops, over. An over point is slower than the baseline, so it
-// can be neither the oracle nor tie with it, and the result is the
-// exhaustive search's. The bound is the baseline, not the best point so
+// passes it stops. Its cycles are then above the baseline, so it can be
+// neither the oracle nor tie with it, and the result is the exhaustive
+// search's. The bound is the baseline, not the best point so
 // far, so which points stop depends neither on completion order nor on
 // the pool. run must be safe for concurrent use when pool is non-nil.
 func Compare(app string, cfg gpu.ArchConfig, baseline int64, warpsPerCTA, predictWarps int, pool *runner.Pool, run Runner) (Comparison, error) {
@@ -179,25 +178,25 @@ func Compare(app string, cfg gpu.ArchConfig, baseline int64, warpsPerCTA, predic
 		if k == predictWarps {
 			bound = 0 // the figure prints the prediction's time
 		}
-		cycles, over, err := run(k, bound)
+		cycles, err := run(k, bound)
 		if err != nil {
 			return SweepPoint{}, fmt.Errorf("bypass: sweep run k=%d: %w", k, err)
 		}
-		return SweepPoint{L1Warps: k, Cycles: cycles, Over: over}, nil
+		return SweepPoint{L1Warps: k, Cycles: cycles}, nil
 	})
 	if err != nil {
 		return c, err
 	}
 	sweep = append(sweep, SweepPoint{L1Warps: warpsPerCTA, Cycles: baseline})
-	// Ordered reduction: the first point in k order at the fewest cycles,
-	// as the serial search (the tests' Oracle) finds it.
-	best := -1
-	for i, pt := range sweep {
-		if !pt.Over && (best < 0 || pt.Cycles < sweep[best].Cycles) {
-			best = i
+	// Ordered reduction: scan in k order so ties resolve to the lowest k,
+	// exactly as the serial search (the tests' Oracle) does.
+	best := sweep[0]
+	for _, pt := range sweep[1:] {
+		if pt.Cycles < best.Cycles {
+			best = pt
 		}
 	}
-	c.OracleCycles, c.OracleWarps = sweep[best].Cycles, sweep[best].L1Warps
+	c.OracleCycles, c.OracleWarps = best.Cycles, best.L1Warps
 	c.PredictCycles = sweep[predictWarps-1].Cycles
 	return c, nil
 }

@@ -85,15 +85,14 @@ func TestOracleFindsMinimum(t *testing.T) {
 }
 
 // curve is a Runner over a fixed cost curve that honours the bound as
-// the simulator does: a point whose cycles pass it stops, over. Its
-// over points report a cycle count lower than any real one, so a
-// reduction that read them would pick them.
+// the simulator does: a point whose cycles pass it stops and reports
+// bound+1, which may lie below its true cycles.
 func curve(cost map[int]int64) Runner {
-	return func(k int, bound int64) (int64, bool, error) {
+	return func(k int, bound int64) (int64, error) {
 		if bound > 0 && cost[k] > bound {
-			return 1, true, nil
+			return bound + 1, nil
 		}
-		return cost[k], false, nil
+		return cost[k], nil
 	}
 }
 
@@ -116,9 +115,9 @@ func TestCompareNormalization(t *testing.T) {
 
 func TestComparePredictEqualsBaseline(t *testing.T) {
 	calls := 0
-	c, err := Compare("app", gpu.KeplerK40c(), 200, 2, 2, nil, func(k int, bound int64) (int64, bool, error) {
+	c, err := Compare("app", gpu.KeplerK40c(), 200, 2, 2, nil, func(k int, bound int64) (int64, error) {
 		calls++
-		return int64(100 * k), false, nil
+		return int64(100 * k), nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,13 +133,13 @@ func TestComparePredictEqualsBaseline(t *testing.T) {
 
 // TestCompareBounds: every point but the baseline runs once, under the
 // baseline as its bound, except the prediction, which runs unbounded;
-// over points are neither the oracle nor the prediction's time.
+// stopped points are neither the oracle nor the prediction's time.
 func TestCompareBounds(t *testing.T) {
 	cost := map[int]int64{1: 1500, 2: 900, 3: 2000, 4: 1100, 5: 1000, 6: 3000, 7: 1000, 8: 1000}
 	var mu sync.Mutex
 	bounds := map[int]int64{}
 	run := curve(cost)
-	c, err := Compare("app", gpu.KeplerK40c(), cost[8], 8, 6, runner.New(4), func(k int, bound int64) (int64, bool, error) {
+	c, err := Compare("app", gpu.KeplerK40c(), cost[8], 8, 6, runner.New(4), func(k int, bound int64) (int64, error) {
 		mu.Lock()
 		bounds[k] = bound
 		mu.Unlock()
@@ -170,7 +169,7 @@ func TestCompareBoundedIsExhaustive(t *testing.T) {
 			cost[k] = int64(95 + rng.Intn(10))
 		}
 		predict := 1 + rng.Intn(n)
-		unbounded := func(k int, _ int64) (int64, bool, error) { return cost[k], false, nil }
+		unbounded := func(k int, _ int64) (int64, error) { return cost[k], nil }
 		exhaustive, err := Compare("app", gpu.PascalP100(), cost[n], n, predict, nil, unbounded)
 		if err != nil {
 			t.Fatal(err)
@@ -213,7 +212,7 @@ func TestCompareParallelMatchesSerial(t *testing.T) {
 }
 
 func TestCompareRejectsBadPredict(t *testing.T) {
-	run := func(int, int64) (int64, bool, error) { return 1, false, nil }
+	run := func(int, int64) (int64, error) { return 1, nil }
 	if _, err := Compare("a", gpu.KeplerK40c(), 1, 4, 0, nil, run); err == nil {
 		t.Error("Compare accepted predictWarps = 0")
 	}

@@ -173,8 +173,8 @@ func WriteTable3(w io.Writer, env Env) error {
 // the program instrumented with opts, and returns the cycle-model
 // measurements: the summed modeled kernel cycles and the largest launched
 // grid in CTAs. Under a bound (0 = none) a run whose summed cycles pass
-// it stops there, before the app's output check, and is reported over
-// (CycleStats.Over). The result is a pure function of (app, cfg, opts,
+// it stops there, before the app's output check, and records bound+1, a
+// lower bound on them (see profcache.CycleStats). The result is a pure function of (app, cfg, opts,
 // l1Warps, scale, bound): the modeled cycle count involves no wall clock,
 // and a hook costs its modeled cycles whatever records it. That is what
 // makes it cacheable, and handing the launches a pool cannot change it
@@ -200,7 +200,7 @@ func measureCycles(ctx context.Context, pool *runner.Pool, inj *faultinject.Inje
 	counter := rt.NewCycleCounter()
 	c := newContext(cfg, inj.Listener(counter), rt.LaunchOptions{L1Warps: l1Warps, Ctx: ctx, Pool: pool, MaxCycles: bound})
 	if err := app.Run(c, prog, scale); errors.Is(err, gpu.ErrOverBudget) {
-		return profcache.CycleStats{Cycles: -bound}, nil
+		return profcache.CycleStats{Cycles: bound + 1}, nil
 	} else if err != nil {
 		return profcache.CycleStats{}, err
 	}
@@ -284,9 +284,9 @@ func bypassStudy(env Env, prefix string, cfg gpu.ArchConfig) ([]bypass.Compariso
 			// against step 2's baseline; the sweep fans out on the same
 			// pool, each point bounded as Compare asks.
 			cmp, err := bypass.Compare(a.Name, cfg, base.Cycles, a.WarpsPerCTA, predict, env.Pool,
-				func(k int, bound int64) (int64, bool, error) {
+				func(k int, bound int64) (int64, error) {
 					st, err := env.cycles(cctx, nil, a, cfg, instrument.Options{}, k, env.Scale*BypassRunScale, bound)
-					return st.Cycles, st.Over(), err
+					return st.Cycles, err
 				})
 			if err != nil {
 				return err

@@ -278,45 +278,33 @@ func naiveCoalesce(mask uint32, addrs *[WarpSize]uint64, size, lineSize int) []u
 // FuzzCoalesceLines holds coalesceLines to the naive first-touch
 // reference: the same lines in the same order, for any mask, access
 // width and power-of-two line size. Addresses are drawn as a base plus
-// a lane stride within rows of a power-of-two width, a row step across
-// them, and small per-lane offsets, so lanes share, revisit and straddle
-// lines. A full-mask row also goes through the executor's whole-warp
-// path on its own at that row width: rowStride must accept exactly the
-// rows of that width at a non-negative lane stride and row step that do
-// not wrap, in a form that reproduces every lane, whose span its end
-// lanes give, and whose lines coalesceRow gives from the form, and
-// strideLines from a one-row form where it gives them, in the
-// reference's order. The last seeds are
-// such rows — uniform and straddling, across lines upwards, strided 4
-// KB apart and 130 B apart straddling — three the lane walk takes: a
-// downward one, and two that wrap (31·stride overflows; the last lane
-// falls below the first) — and rows 16 and 8 lanes wide: two 64 B rows
-// of f32 a 1 KB row step apart, 4-byte rows that share a line, rows that
-// fall back below the row before, and two rows whose one-stride reading
-// wraps (16·2^60) while the row form does not.
+// small per-lane offsets so lanes share, revisit and straddle lines.
+// A full-mask row also goes through the executor's whole-warp path on
+// its own: rowStride must accept exactly the rows at one non-negative
+// stride that do not wrap, whose span its end lanes give and whose
+// lines strideLines gives, where it gives them, in the reference's
+// order. The last seeds are such rows — uniform and straddling, across
+// lines upwards, strided 4 KB apart and 130 B apart straddling — and
+// three the lane walk takes: a downward one, and two that wrap (31·stride
+// overflows; the last lane falls below the first).
 func FuzzCoalesceLines(f *testing.F) {
-	f.Add(uint32(0xFFFFFFFF), uint64(0x1000), int64(4), uint8(4), uint8(7), uint8(5), int64(0), []byte{})
-	f.Add(uint32(0xFFFFFFFF), uint64(126), int64(-8), uint8(8), uint8(7), uint8(5), int64(0), []byte{3, 0, 3, 9})
-	f.Add(uint32(0x0000FFFF), uint64(1<<40), int64(4096), uint8(1), uint8(5), uint8(5), int64(0), []byte{1, 2, 3})
-	f.Add(uint32(0xAAAAAAAA), uint64(31), int64(1), uint8(8), uint8(5), uint8(5), int64(0), []byte{0xff, 0, 0xff})
-	f.Add(uint32(0xFFFFFFFF), uint64(0x101c), int64(0), uint8(7), uint8(5), uint8(5), int64(0), []byte{})
-	f.Add(uint32(0xFFFFFFFF), uint64(0x1006), int64(-4), uint8(3), uint8(5), uint8(5), int64(0), []byte{})
-	f.Add(uint32(0xFFFFFFFF), uint64(0x1002), int64(2), uint8(1), uint8(3), uint8(5), int64(0), []byte{})
-	f.Add(uint32(0xFFFFFFFF), uint64(0x1000), int64(4096), uint8(3), uint8(7), uint8(5), int64(0), []byte{})
-	f.Add(uint32(0xFFFFFFFF), uint64(0x107e), int64(130), uint8(3), uint8(7), uint8(5), int64(0), []byte{})
-	f.Add(uint32(0xFFFFFFFF), uint64(0x1000), int64(1<<60), uint8(3), uint8(7), uint8(5), int64(0), []byte{})
-	f.Add(uint32(0xFFFFFFFF), ^uint64(0)-64, int64(4), uint8(3), uint8(7), uint8(5), int64(0), []byte{})
-	f.Add(uint32(0xFFFFFFFF), uint64(0x1040), int64(4), uint8(3), uint8(7), uint8(4), int64(1024), []byte{})
-	f.Add(uint32(0xFFFFFFFF), uint64(0x1000), int64(4), uint8(3), uint8(7), uint8(3), int64(4), []byte{})
-	f.Add(uint32(0xFFFFFFFF), uint64(0x1000), int64(8), uint8(3), uint8(5), uint8(3), int64(16), []byte{})
-	f.Add(uint32(0xFFFFFFFF), uint64(0x1000), int64(1<<60), uint8(3), uint8(7), uint8(4), int64(0), []byte{})
-	f.Fuzz(func(t *testing.T, mask uint32, base uint64, stride int64, size, lineShift, widthShift uint8, rowStep int64, jitter []byte) {
+	f.Add(uint32(0xFFFFFFFF), uint64(0x1000), int64(4), uint8(4), uint8(7), []byte{})
+	f.Add(uint32(0xFFFFFFFF), uint64(126), int64(-8), uint8(8), uint8(7), []byte{3, 0, 3, 9})
+	f.Add(uint32(0x0000FFFF), uint64(1<<40), int64(4096), uint8(1), uint8(5), []byte{1, 2, 3})
+	f.Add(uint32(0xAAAAAAAA), uint64(31), int64(1), uint8(8), uint8(5), []byte{0xff, 0, 0xff})
+	f.Add(uint32(0xFFFFFFFF), uint64(0x101c), int64(0), uint8(7), uint8(5), []byte{})
+	f.Add(uint32(0xFFFFFFFF), uint64(0x1006), int64(-4), uint8(3), uint8(5), []byte{})
+	f.Add(uint32(0xFFFFFFFF), uint64(0x1002), int64(2), uint8(1), uint8(3), []byte{})
+	f.Add(uint32(0xFFFFFFFF), uint64(0x1000), int64(4096), uint8(3), uint8(7), []byte{})
+	f.Add(uint32(0xFFFFFFFF), uint64(0x107e), int64(130), uint8(3), uint8(7), []byte{})
+	f.Add(uint32(0xFFFFFFFF), uint64(0x1000), int64(1<<60), uint8(3), uint8(7), []byte{})
+	f.Add(uint32(0xFFFFFFFF), ^uint64(0)-64, int64(4), uint8(3), uint8(7), []byte{})
+	f.Fuzz(func(t *testing.T, mask uint32, base uint64, stride int64, size, lineShift uint8, jitter []byte) {
 		size = size%8 + 1
 		lineSize := 1 << (lineShift % 13)
-		w := 1 << (widthShift % 6)
 		var addrs [WarpSize]uint64
 		for lane := range addrs {
-			addrs[lane] = base + uint64(int64(lane%w)*stride) + uint64(int64(lane/w)*rowStep)
+			addrs[lane] = base + uint64(int64(lane)*stride)
 			if len(jitter) > 0 {
 				// Signed byte offsets in units of the access width: lanes
 				// collide, reorder and cross line boundaries.
@@ -332,47 +320,23 @@ func FuzzCoalesceLines(f *testing.F) {
 			t.Fatalf("UniqueLines = %d, want %d", n, len(want))
 		}
 
-		// rising reports whether the lanes are rows of width at strides
-		// d (within) and r (across), both non-negative and unwrapped.
-		rising := func(width int) bool {
-			d, r := addrs[1]-addrs[0], addrs[width%WarpSize]-addrs[0]
-			ok := mask == FullMask && int64(d) >= 0 && int64(r) >= 0
-			for l := 1; l < WarpSize; l++ {
-				prev, want := l-1, d
-				if l%width == 0 {
-					prev, want = l-width, r
-				}
-				ok = ok && addrs[l]-addrs[prev] == want && addrs[l] >= addrs[prev]
-			}
-			return ok
+		step, rising := addrs[1]-addrs[0], mask == FullMask
+		for l := 1; l < WarpSize; l++ {
+			rising = rising && addrs[l]-addrs[l-1] == step && int64(step) >= 0 && addrs[l] >= addrs[l-1]
 		}
-		form, affine := rowStride(mask, &addrs)
-		if affine != rising(WarpSize) {
-			t.Fatalf("mask %#x addrs %#x: rowStride = %+v, %v", mask, addrs, form, affine)
-		}
-		if !affine {
-			form, affine = blockRows(mask, &addrs, w)
-		}
-		if affine != (rising(WarpSize) || rising(w)) {
-			t.Fatalf("mask %#x width %d addrs %#x: rowStride = %+v, %v", mask, w, addrs, form, affine)
+		stride, affine := rowStride(mask, &addrs)
+		if affine != rising || affine && uint64(stride) != step {
+			t.Fatalf("mask %#x addrs %#x: rowStride = %d, %v; want %v", mask, addrs, stride, affine, rising)
 		}
 		if !affine {
 			return
-		}
-		for l := range addrs {
-			if a := addrs[0] + uint64(l%form.w)*uint64(form.d) + uint64(l/form.w)*uint64(form.r); a != addrs[l] {
-				t.Fatalf("addrs %#x: form %+v puts lane %d at %#x", addrs, form, l, a)
-			}
 		}
 		lo, hi := span(&addrs, mask, true)
 		if wlo, whi := span(&addrs, mask, false); lo != wlo || hi != whi {
 			t.Fatalf("addrs %#x: span of the end lanes [%#x, %#x], of every lane [%#x, %#x]", addrs, lo, hi, wlo, whi)
 		}
-		if lines := coalesceRow(nil, mask, &addrs, int(size), lineSize, form, true); !reflect.DeepEqual(lines, want) {
-			t.Fatalf("form %+v size %d line %d addrs %#x:\ncoalesceRow %#x\nwant        %#x", form, size, lineSize, addrs, lines, want)
-		}
-		if lines, ok := strideLines(nil, addrs[0], form.d, form.w, int(size), lineSize); ok && form.w == WarpSize && !reflect.DeepEqual(lines, want) {
-			t.Fatalf("form %+v size %d line %d addrs %#x:\narithmetic %#x\nwant       %#x", form, size, lineSize, addrs, lines, want)
+		if lines, ok := strideLines(nil, addrs[0], stride, int(size), lineSize); ok && !reflect.DeepEqual(lines, want) {
+			t.Fatalf("stride %d size %d line %d addrs %#x:\narithmetic %#x\nwant       %#x", stride, size, lineSize, addrs, lines, want)
 		}
 	})
 }

@@ -9,108 +9,60 @@ import "math/bits"
 // dst is returned to allow reuse of the caller's buffer. Lines are the
 // cache's (addr >> lineShift), lineSize being a power of two.
 func coalesceLines(dst []uint64, mask uint32, addrs *[WarpSize]uint64, size, lineSize int) []uint64 {
-	f, affine := rowStride(mask, addrs)
-	return coalesceRow(dst, mask, addrs, size, lineSize, f, affine)
+	stride, affine := rowStride(mask, addrs)
+	return coalesceRow(dst, mask, addrs, size, lineSize, stride, affine)
 }
 
 // coalesceRow is coalesceLines for a row whose rowStride is known: the
-// lines of an affine row come from arithmetic, row by row, where they
-// can, and the rest from the lane walk. A row's lines are first-touched
-// after those of the rows before it, so arithmetic serves a row only
-// when it starts at or above their newest line.
-func coalesceRow(dst []uint64, mask uint32, addrs *row, size, lineSize int, f rowForm, affine bool) []uint64 {
+// lines of an affine row come from arithmetic where they can, and the
+// rest from the lane walk.
+func coalesceRow(dst []uint64, mask uint32, addrs *row, size, lineSize int, stride int64, affine bool) []uint64 {
 	if affine {
-		dst = dst[:0]
-		ok := true
-		for l := 0; ok && l < WarpSize; l += f.w {
-			dst, ok = strideLines(dst, addrs[l], f.d, f.w, size, lineSize)
-		}
-		if ok {
-			return dst
+		if lines, ok := strideLines(dst, addrs[0], stride, size, lineSize); ok {
+			return lines
 		}
 	}
 	return laneLines(dst, mask, addrs, size, lineSize)
 }
 
-// rowForm is the shape of a full-mask address row: lane l addresses
-// addrs[0] + (l mod w)·d + (l div w)·r, the warp covering WarpSize/w rows
-// of a thread block w threads wide (w = WarpSize: one row).
-type rowForm struct {
-	w    int
-	d, r int64
-}
-
-// rowStride returns the form of a full-mask row at one lane stride d ≥ 0
-// whose lanes do not wrap: no lane lies below the one before. One scan of
-// the lane differences decides it. A row at a negative stride is left to
-// the lane walk: none of the ten apps issues one.
-func rowStride(mask uint32, addrs *row) (f rowForm, affine bool) {
+// rowStride returns d when mask is full and every lane addresses
+// addrs[0] + lane·d, d ≥ 0, without wrapping around the address space:
+// no lane lies below the one before. One scan of the lane differences
+// decides it. A row at a negative stride is left to the lane walk: none
+// of the ten apps issues one.
+func rowStride(mask uint32, addrs *row) (d int64, affine bool) {
 	if mask != FullMask {
-		return f, false
+		return 0, false
 	}
-	d := addrs[1] - addrs[0]
+	step := addrs[1] - addrs[0]
 	for l := 2; l < WarpSize; l++ {
-		if addrs[l]-addrs[l-1] != d {
-			return f, false
+		if addrs[l]-addrs[l-1] != step {
+			return 0, false
 		}
 	}
-	if d > ^uint64(0)/(WarpSize-1) || addrs[WarpSize-1] < addrs[0] {
-		return f, false
+	if step > ^uint64(0)/(WarpSize-1) || addrs[WarpSize-1] < addrs[0] {
+		return 0, false
 	}
-	return rowForm{WarpSize, int64(d), 0}, true
+	return int64(step), true
 }
 
-// blockRows returns the form of a full-mask row as rows of w lanes (a
-// power of two) at one lane stride d ≥ 0 and one row step r ≥
-// 0, where no lane lies below the one before it in its row, nor a row's
-// first lane below the previous row's first, so no address wraps: the
-// rows of a thread block narrower than a warp, which rowStride refuses.
-func blockRows(mask uint32, addrs *row, w int) (f rowForm, affine bool) {
-	if mask != FullMask {
-		return f, false
-	}
-	d, r := addrs[1]-addrs[0], addrs[w%WarpSize]-addrs[0]
-	for row := 0; row < WarpSize; row += w {
-		if row > 0 && (addrs[row]-addrs[row-w] != r || addrs[row] < addrs[row-w]) {
-			return f, false
-		}
-		for l := row + 1; l < row+w; l++ {
-			if addrs[l]-addrs[l-1] != d || addrs[l] < addrs[l-1] {
-				return f, false
-			}
-		}
-	}
-	if int64(d) < 0 || int64(r) < 0 {
-		return f, false
-	}
-	return rowForm{w, int64(d), int64(r)}, true
-}
-
-// strideLines appends the lines of the w lanes a0 + lane·d when
-// arithmetic gives them: a uniform row touches the line of its address
-// and of its last byte; a row whose stride and width are at most a line
-// touches every line from the first lane's up to the last lane's last
-// byte's; and under a stride at least as wide as an access no lane
-// touches a line below the lane before's, so each lane's lines are new
-// unless they are the newest. The first line may repeat the newest line
-// in dst, but not lie below it. It reports false for any other row, and
-// for one whose last byte wraps.
-func strideLines(dst []uint64, a0 uint64, d int64, w, size, lineSize int) ([]uint64, bool) {
+// strideLines appends the lines of a row rowStride accepted, a0 +
+// lane·d, in the lane walk's first-touch order, when arithmetic gives
+// them: a uniform row touches the line of its address and of its last
+// byte; a row whose stride and width are at most a line touches every
+// line from the first lane's up to the last lane's last byte's; and
+// under a stride at least as wide as an access no lane touches a line
+// below the lane before's, so each lane's lines are new unless they are
+// the newest. It reports false for any other row, and for one whose
+// last byte wraps.
+func strideLines(dst []uint64, a0 uint64, d int64, size, lineSize int) ([]uint64, bool) {
 	ls, n := uint64(lineSize), uint64(size)
 	line, top := a0&^(ls-1), (a0+n-1)&^(ls-1)
-	end := a0 + uint64(d)*uint64(w-1) + n - 1 // the last lane's last byte
+	end := a0 + uint64(d)*(WarpSize-1) + n - 1 // the last lane's last byte
 	if top < line || end < a0 {
-		return dst, false
+		return dst[:0], false
 	}
-	if k := len(dst); k > 0 {
-		if line < dst[k-1] {
-			return dst, false
-		}
-		if line == dst[k-1] {
-			dst = dst[:k-1] // appended again just below
-		}
-	}
-	dst = append(dst, line)
+	dst = append(dst[:0], line)
 	if top != line {
 		dst = append(dst, top)
 	}
@@ -122,7 +74,7 @@ func strideLines(dst []uint64, a0 uint64, d int64, w, size, lineSize int) ([]uin
 			dst = append(dst, l)
 		}
 	case d >= int64(size):
-		for a, lane := a0, 1; lane < w; lane++ {
+		for a, lane := a0, 1; lane < WarpSize; lane++ {
 			a += uint64(d)
 			if l := a &^ (ls - 1); l != dst[len(dst)-1] {
 				dst = append(dst, l)
@@ -132,7 +84,7 @@ func strideLines(dst []uint64, a0 uint64, d int64, w, size, lineSize int) ([]uin
 			}
 		}
 	default:
-		return dst, false
+		return dst[:0], false
 	}
 	return dst, true
 }

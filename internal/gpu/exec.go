@@ -287,10 +287,6 @@ type launchState struct {
 	kernel *dfunc
 	p      LaunchParams
 	guard  int64 // per-SM warp-instruction budget
-	// rowWidth is the lanes of a warp in one row of the thread block:
-	// Block[0] when it divides the warp, else WarpSize (blockRows' w, tried
-	// only on a row the inlined rowStride refuses).
-	rowWidth int
 
 	res   LaunchResult
 	races map[ir.Loc]int64 // merged per-site race counts (WatchShared)
@@ -352,10 +348,6 @@ func (d *Device) Launch(kernel *ir.Function, p LaunchParams) (*LaunchResult, err
 	}
 	if ls.guard <= 0 {
 		ls.guard = 1 << 31
-	}
-	ls.rowWidth = WarpSize
-	if WarpSize%p.Block[0] == 0 {
-		ls.rowWidth = p.Block[0]
 	}
 
 	nCTAs := p.Grid[0] * p.Grid[1] * p.Grid[2]
@@ -676,8 +668,7 @@ func (s *smShard) usesL1(w *warpState) bool {
 }
 
 // span returns the lowest and highest address among the active lanes:
-// the end lanes of a row rowStride accepted (its strides are
-// non-negative), a scan of any other.
+// the end lanes of a row rowStride accepted, a scan of any other.
 func span(addrs *row, mask uint32, affine bool) (lo, hi uint64) {
 	if affine {
 		return addrs[0], addrs[WarpSize-1]
@@ -752,17 +743,13 @@ func scatter(buf []byte, origin uint64, mt ir.MemType, addrs, vals *row, mask ui
 // is bounds-checked once, over the span of its active addresses; only a
 // warp that fails (or reads past what is backed) takes the lane-by-lane
 // path, which is what names the faulting lane. A full-mask row at a
-// constant lane stride, or at constant strides within and across the
-// thread block's rows, takes its span and lines from arithmetic, and one
+// constant lane stride takes its span and lines from arithmetic, and one
 // at a single address reads it once.
 func (s *smShard) execLoad(w *warpState, fr *frame, in *dinstr, mask uint32, now int64) (int64, error) {
 	addrs, dst := fr.row(in.a), fr.row(in.dst)
 	size := uint64(in.mem.Size())
-	f, affine := rowStride(mask, addrs)
-	if !affine && s.ls.rowWidth < WarpSize {
-		f, affine = blockRows(mask, addrs, s.ls.rowWidth)
-	}
-	uniform := affine && f.d == 0 && f.r == 0
+	stride, affine := rowStride(mask, addrs)
+	uniform := affine && stride == 0
 	lo, hi := span(addrs, mask, affine)
 	end := hi + size // wraps only for a wild pointer, caught below
 	if in.shared {
@@ -809,7 +796,7 @@ func (s *smShard) execLoad(w *warpState, fr *frame, in *dinstr, mask uint32, now
 
 	// Timing.
 	cfg := &s.ls.cfg
-	s.lineBuf = coalesceRow(s.lineBuf, mask, addrs, int(size), cfg.L1LineSize, f, affine)
+	s.lineBuf = coalesceRow(s.lineBuf, mask, addrs, int(size), cfg.L1LineSize, stride, affine)
 	useL1 := s.usesL1(w) && !in.nonCached
 	maxDone := now
 	for i, line := range s.lineBuf {
@@ -843,10 +830,7 @@ func (s *smShard) execLoad(w *warpState, fr *frame, in *dinstr, mask uint32, now
 func (s *smShard) execStore(w *warpState, fr *frame, in *dinstr, mask uint32) (int64, error) {
 	addrs, vals := fr.row(in.a), fr.row(in.b)
 	size := uint64(in.mem.Size())
-	f, affine := rowStride(mask, addrs)
-	if !affine && s.ls.rowWidth < WarpSize {
-		f, affine = blockRows(mask, addrs, s.ls.rowWidth)
-	}
+	stride, affine := rowStride(mask, addrs)
 	lo, hi := span(addrs, mask, affine)
 	end := hi + size
 	if in.shared {
@@ -880,7 +864,7 @@ func (s *smShard) execStore(w *warpState, fr *frame, in *dinstr, mask uint32) (i
 		}
 	}
 	// Write-through, write-evict; stores do not stall the warp.
-	s.lineBuf = coalesceRow(s.lineBuf, mask, addrs, int(size), s.ls.cfg.L1LineSize, f, affine)
+	s.lineBuf = coalesceRow(s.lineBuf, mask, addrs, int(size), s.ls.cfg.L1LineSize, stride, affine)
 	for _, line := range s.lineBuf {
 		s.l1.write(line)
 	}

@@ -58,7 +58,7 @@ func fuzzKinds() []entryKind {
 				return []byte("fresh view\n"), nil
 			})
 		}},
-		cyclesKind(over, profcache.CycleStats{Cycles: -1000}),
+		cyclesKind(over, profcache.CycleStats{Cycles: 1001}),
 	}
 }
 

@@ -98,7 +98,7 @@ func ProfileKey(app *apps.App, cfg gpu.ArchConfig, opts instrument.Options, scal
 }
 
 // CyclesKey is the key of one cycle-model run (no trace) at the given
-// bypassing setting and cycle bound (0 = none; see CycleStats.Over): of
+// bypassing setting and cycle bound (0 = none; see CycleStats): of
 // the native program for zero opts, else of the program instrumented
 // with opts.
 func CyclesKey(app *apps.App, cfg gpu.ArchConfig, opts instrument.Options, l1Warps, scale int, bound int64) Key {
@@ -156,15 +156,12 @@ func (k Key) ID() string {
 // modeled kernel cycles and the largest launched grid in CTAs. One run
 // yields both, so the bypass baseline and the Eq. (1) CTA measurement
 // share a single entry. A run under a bound (the key's) that stopped once
-// its cycles passed it records only that, as Cycles = −bound and MaxCTAs
-// = 0 (see Over). It is also that entry's fixed-width layout.
+// its cycles passed it records Cycles = bound+1, a lower bound on them,
+// and MaxCTAs = 0. It is also that entry's fixed-width layout.
 type CycleStats struct {
 	Cycles  int64
 	MaxCTAs int64
 }
-
-// Over reports whether the run stopped once its cycles passed its bound.
-func (s CycleStats) Over() bool { return s.Cycles < 0 }
 
 // Snapshot is a point-in-time copy of the cache counters. The request
 // counts are deterministic for a fixed request set and disk state:

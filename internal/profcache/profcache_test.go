@@ -197,7 +197,7 @@ func TestCyclesBoundIsKeyed(t *testing.T) {
 	key := func(bound int64) profcache.Key {
 		return profcache.CyclesKey(apps.ByName("syrk"), gpu.PascalP100(), instrument.Options{}, 3, 2, bound)
 	}
-	over := profcache.CycleStats{Cycles: -1000}
+	over := profcache.CycleStats{Cycles: 1001}
 	if _, err := profcache.New(dir).Cycles(ctx, key(1000), func(context.Context) (profcache.CycleStats, error) {
 		return over, nil
 	}); err != nil {

@@ -246,6 +246,13 @@ func (c *Context) Launch(prog *instrument.Program, kernel string, grid, block [3
 	if f == nil || !f.IsKernel {
 		return nil, fmt.Errorf("rt: no kernel %q in module %s", kernel, prog.Module.Name)
 	}
+	// What is left of MaxCycles bounds the launch. With none left it
+	// would pass MaxCycles, since every launch issues an instruction and
+	// each costs the configs' IssueCost of 2, so it does not run.
+	budget := c.Options.MaxCycles - c.cycles
+	if c.Options.MaxCycles > 0 && budget <= 0 {
+		return nil, gpu.ErrOverBudget
+	}
 	info := &LaunchInfo{
 		Kernel: kernel, Grid: grid, Block: block, Tables: prog.Tables,
 		Loc: callerLoc(), Sequence: c.launches,
@@ -272,9 +279,6 @@ func (c *Context) Launch(prog *instrument.Program, kernel string, grid, block [3
 	case c.Options.L1Warps > 0:
 		l1Warps = c.Options.L1Warps
 	}
-	// What is left of MaxCycles bounds the launch. None left runs it
-	// unbounded (as does no MaxCycles), and the check after it decides.
-	budget := c.Options.MaxCycles - c.cycles
 	res, err := c.Dev.Launch(f, gpu.LaunchParams{
 		Grid: grid, Block: block, Args: bits,
 		Hooks:          hooks,

@@ -279,43 +279,56 @@ func TestLaunchOptionsCtx(t *testing.T) {
 // TestMaxCyclesSumsLaunches: MaxCycles bounds the context's summed launch
 // cycles. A budget equal to the sum lets every launch complete; one cycle
 // less fails the launch that passes it with gpu.ErrOverBudget, whether
-// the executor stops it mid-run or, with nothing left of the budget, the
-// check after it does.
+// the executor stops it mid-run or, with nothing left of the budget, it
+// is refused before it starts.
 func TestMaxCyclesSumsLaunches(t *testing.T) {
-	launches := func(budget int64) (cycles []int64, err error) {
-		ctx, prog := newCtx(t, nil)
+	launches := func(budget int64) (cycles []int64, started int, err error) {
+		l := &launchCount{}
+		ctx, prog := newCtx(t, l)
 		ctx.Options.MaxCycles = budget
 		src, _ := ctx.CudaMalloc(4 * 256)
 		dst, _ := ctx.CudaMalloc(4 * 256)
 		for i := 0; i < 3; i++ {
 			res, err := ctx.Launch(prog, "copy", Dim(4), Dim(64), Ptr(src), Ptr(dst), I32(256))
 			if err != nil {
-				return cycles, err
+				return cycles, l.n, err
 			}
 			cycles = append(cycles, res.Cycles)
 		}
-		return cycles, nil
+		return cycles, l.n, nil
 	}
-	each, err := launches(0)
+	each, _, err := launches(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sum := each[0] + each[1] + each[2]
-	if got, err := launches(sum); err != nil || len(got) != 3 {
+	if got, _, err := launches(sum); err != nil || len(got) != 3 {
 		t.Fatalf("budget %d (the sum): %d launches, %v; want all 3", sum, len(got), err)
 	}
 	for _, tc := range []struct {
-		budget int64
-		done   int // launches that complete
+		budget        int64
+		done, started int // launches that complete, and that start
 	}{
-		{sum - 1, 2},
-		{each[0] + each[1], 2}, // nothing left for the third
-		{each[0], 1},
-		{each[0] - 1, 0},
+		{sum - 1, 2, 3},
+		{each[0] + each[1], 2, 2}, // nothing left for the third
+		{each[0], 1, 1},
+		{each[0] - 1, 0, 1},
 	} {
-		got, err := launches(tc.budget)
-		if !errors.Is(err, gpu.ErrOverBudget) || len(got) != tc.done {
-			t.Errorf("budget %d: %d launches, %v; want %d and gpu.ErrOverBudget", tc.budget, len(got), err, tc.done)
+		got, started, err := launches(tc.budget)
+		if !errors.Is(err, gpu.ErrOverBudget) || len(got) != tc.done || started != tc.started {
+			t.Errorf("budget %d: %d launches done, %d started, %v; want %d, %d and gpu.ErrOverBudget",
+				tc.budget, len(got), started, err, tc.done, tc.started)
 		}
 	}
+}
+
+// launchCount counts the launches that reach the listener.
+type launchCount struct {
+	NopListener
+	n int
+}
+
+func (l *launchCount) KernelLaunch(*LaunchInfo) (gpu.Hooks, error) {
+	l.n++
+	return nil, nil
 }
